@@ -51,6 +51,7 @@ from .profile import (
     Profile,
     generate_cmc_sphere,
     perturbed_sphere,
+    _write_json,
 )
 
 EXIT_OK = 0
@@ -118,8 +119,6 @@ class RunConfig:
         return GeometryParams(self.k, self.tau)
 
     def coefficients(self, g: GeometryParams) -> FunctionalCoefficients:
-        if self.alpha is None and self.beta is None:
-            return canonical_coefficients(g)
         canonical = canonical_coefficients(g)
         return FunctionalCoefficients(
             alpha=canonical.alpha if self.alpha is None else self.alpha,
@@ -221,57 +220,11 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     return config
 
 
-def _write_json(path: Path, document: dict) -> None:
-    with path.open("w") as fh:
-        json.dump(document, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _profile_to_json(p: Profile) -> dict:
-    return {
-        "geometry": p.geometry.to_dict(),
-        "mean_curvature": p.mean_curvature,
-        "closure": p.closure.value,
-        "orientation": p.orientation,
-        "j_drift": p.j_drift,
-        "closure_residual": p.closure_residual,
-        "tolerances": p.tolerances,
-        "samples": {
-            "s": [repr(float(x)) for x in p.s],
-            "u": [repr(float(x)) for x in p.u],
-            "v": [repr(float(x)) for x in p.v],
-            "sigma": [repr(float(x)) for x in p.sigma],
-        },
-    }
-
-
-def _profile_from_json(path: Path) -> Profile:
-    with path.open() as fh:
-        data = json.load(fh)
-    if "profile" in data:
-        data = data["profile"]
-    samples = data["samples"]
-    mean_curvature = data.get("mean_curvature")
-    return Profile(
-        s=np.array([float(x) for x in samples["s"]]),
-        u=np.array([float(x) for x in samples["u"]]),
-        v=np.array([float(x) for x in samples["v"]]),
-        sigma=np.array([float(x) for x in samples["sigma"]]),
-        geometry=GeometryParams.from_dict(data["geometry"]),
-        mean_curvature=None if mean_curvature is None else float(mean_curvature),
-        closure=profile_mod.Closure(data.get("closure", "Open")),
-        orientation=int(data.get("orientation", 1)),
-        j_drift=data.get("j_drift"),
-        closure_residual=data.get("closure_residual"),
-        tolerances=data.get("tolerances"),
-    )
-
-
 def load_profile(path) -> Profile:
     """Read a profile written by ``generate`` (CSV plus sidecar, or JSON)."""
     path = Path(path)
     if path.suffix == ".json" and not path.name.endswith(".csv.json"):
-        return _profile_from_json(path)
+        return Profile.from_json(path)
     return Profile.from_csv(path)
 
 
@@ -297,7 +250,7 @@ def cmd_generate(config: RunConfig) -> int:
         )
     out = Path(config.out)
     if config.format == "json":
-        _write_json(out, {"config": config.effective(), "profile": _profile_to_json(result)})
+        result.to_json(out, metadata={"config": config.effective()})
     else:
         result.to_csv(out, metadata={"config": config.effective()})
     print(f"wrote {out} ({result.closure.value}, {len(result)} samples)")
@@ -307,8 +260,6 @@ def cmd_generate(config: RunConfig) -> int:
 def cmd_energy(config: RunConfig, profile_path: str) -> int:
     try:
         prof = load_profile(profile_path)
-    except FileNotFoundError:
-        raise
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         raise ConfigError(f"malformed profile file {profile_path}: {exc}") from exc
     g = prof.geometry
@@ -392,8 +343,7 @@ def cmd_verify(config: RunConfig, which: str, trace_path: str | None = None) -> 
         doc["report"] = report.to_dict()
         doc["passed"] = report.passed
         if trace_path:
-            prof = generate_cmc_sphere(g, config.H, n_samples=config.samples)
-            _write_trace(Path(trace_path), prof, coeffs)
+            _write_trace(Path(trace_path), report.profile, coeffs)
         if not report.passed:
             if report.max_residual >= config.tol("residual"):
                 failure = f"max residual {report.max_residual:.3e}"
@@ -527,26 +477,17 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return cmd_sweep(config, args.spec)
         raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
+    except (ConfigError, InadmissiblePerturbation, IntegrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ExistenceViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EXISTENCE
-    except InadmissiblePerturbation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except VerificationFailure:
         return EXIT_VERIFICATION
-    except IntegrationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

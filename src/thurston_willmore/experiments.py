@@ -13,8 +13,6 @@ coefficients recovers the CMC sphere from a perturbed start.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -28,6 +26,9 @@ from .functional import (
     energy,
     max_interior_residual,
     _ProfileFields,
+    _energy_density,
+    _mean_curvature,
+    _pole_safe_ratio,
 )
 from .geometry import GeometryParams
 from .numerics import derivative1, sample_quadrature
@@ -40,6 +41,7 @@ from .profile import (
     mode_shape_functions,
     perturbed_sphere,
     sphere_from_modes,
+    _panel_nodes,
     _require_sphere_exists,
 )
 
@@ -68,7 +70,6 @@ __all__ = [
     "mode_family_energy",
     "default_acceptance_grid",
     "default_perturbation_grid",
-    "sweep_max_workers",
 ]
 
 RESIDUAL_TOL = 1e-4
@@ -140,16 +141,10 @@ def deformed_curve_energy(
     sigma = np.arctan2(vp / A, up / B)
     sigma_dot = derivative1(sigma, h) / speed
     sin_sig = np.sin(sigma)
-    safe_u = np.where(u > 1e-12, u, 1.0)
-    ratio = np.where(u > 1e-12, sin_sig / safe_u, sigma_dot)
-    H = 0.5 * (sigma_dot + ratio - 0.25 * k * u * sin_sig)
-    nu = np.cos(sigma) / A
-    mu = u * A / B
-    integrand = (
-        H * H + coeffs.alpha * (k - 4.0 * tau * tau) * nu * nu + coeffs.beta
-        + coeffs.alpha * tau * tau
-    )
-    return 2.0 * math.pi * sample_quadrature(integrand * mu * speed, h)
+    ratio = _pole_safe_ratio(u, sin_sig, sigma_dot, u_min=1e-12)
+    H = _mean_curvature(k, u, sin_sig, sigma_dot, ratio)
+    density = _energy_density(g, coeffs, H, np.cos(sigma) / A, u * A / B, speed)
+    return 2.0 * math.pi * sample_quadrature(density, h)
 
 
 @dataclass(frozen=True)
@@ -233,6 +228,8 @@ def weak_form_variation(
 
 @dataclass(frozen=True)
 class CriticalityReport:
+    """Criticality verdict; ``profile`` is the sphere that was checked (not serialized)."""
+
     geometry: GeometryParams
     H: float
     coefficients: FunctionalCoefficients
@@ -242,6 +239,7 @@ class CriticalityReport:
     variation_tol: float
     energy_value: float
     passed: bool
+    profile: Profile = field(repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -298,6 +296,7 @@ def verify_criticality(
         variation_tol=variation_tol,
         energy_value=energy(profile, coeffs).E,
         passed=passed,
+        profile=profile,
     )
 
 
@@ -422,8 +421,10 @@ def verify_minimality(
 # -- gradient descent over the mode family -------------------------------------
 
 
-_DESCENT_GL_NODES, _DESCENT_GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
-_DESCENT_PANELS = 1024
+# Gauss-Legendre nodes and weights in sigma for mode_family_energy: 1024 panels.
+_FAMILY_NODES, _FAMILY_WEIGHTS = (
+    a.ravel() for a in _panel_nodes(np.linspace(0.0, math.pi, 1024 + 1))
+)
 
 
 def mode_family_energy(
@@ -445,14 +446,7 @@ def mode_family_energy(
     h_abs = abs(H)
     radius, modulation, numerator = mode_shape_functions(h_abs, coeffs_vec)
     k, tau = g.k, g.tau
-    alpha, beta = functional_coeffs.alpha, functional_coeffs.beta
-
-    edges = np.linspace(0.0, math.pi, _DESCENT_PANELS + 1)
-    a = edges[:-1][:, None]
-    b = edges[1:][:, None]
-    sig = 0.5 * (b - a) * (_DESCENT_GL_NODES[None, :] + 1.0) + a
-    w = (0.5 * (b - a) * _DESCENT_GL_WEIGHTS[None, :]).ravel()
-    sig = sig.ravel()
+    sig = _FAMILY_NODES
 
     p = modulation(sig)
     n = numerator(sig)
@@ -465,15 +459,10 @@ def mode_family_energy(
     A = np.sqrt(1.0 + tau * tau * u * u)
     B = 1.0 + 0.25 * k * u * u
     ds_dsigma = n / (h_abs * B)
-    sigma_dot = 1.0 / ds_dsigma
     # sin(sigma)/u = H/P in closed form: no pole at the ends.
-    Hm = 0.5 * (sigma_dot + h_abs / p - 0.25 * k * u * sin_sig)
-    nu = np.cos(sig) / A
-    mu = u * A / B
-    integrand = (
-        Hm * Hm + alpha * (k - 4.0 * tau * tau) * nu * nu + beta + alpha * tau * tau
-    )
-    return 2.0 * math.pi * float(np.dot(w, integrand * mu * ds_dsigma))
+    Hm = _mean_curvature(k, u, sin_sig, 1.0 / ds_dsigma, h_abs / p)
+    density = _energy_density(g, functional_coeffs, Hm, np.cos(sig) / A, u * A / B, ds_dsigma)
+    return 2.0 * math.pi * float(np.dot(_FAMILY_WEIGHTS, density))
 
 
 @dataclass(frozen=True)
@@ -693,28 +682,9 @@ def _sweep_row(case: tuple[float, float, float], n_samples: int | None) -> Sweep
         return SweepRow(k=k, tau=tau, H=H, exists=False, error=f"{type(exc).__name__}: {exc}")
 
 
-def sweep_max_workers() -> int:
-    """Worker cap for sweep parallelism, from the TW_THREADS variable."""
-    value = os.environ.get("TW_THREADS", "")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
-
-
 def sweep(spec: SweepSpec, *, n_samples: int | None = None) -> list[SweepRow]:
-    """One row per (k, tau, H) in input order; failures stay in their row.
-
-    Rows are independent pure computations; parallel execution (capped by
-    TW_THREADS) gathers results by input position, so the output is
-    deterministic regardless of scheduling.
-    """
-    cases = spec.cases()
-    workers = sweep_max_workers()
-    if workers > 1 and len(cases) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda c: _sweep_row(c, n_samples), cases))
-    return [_sweep_row(c, n_samples) for c in cases]
+    """One row per (k, tau, H) in input order; failures stay in their row."""
+    return [_sweep_row(c, n_samples) for c in spec.cases()]
 
 
 def _format_field(value) -> str:

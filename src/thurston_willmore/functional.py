@@ -135,15 +135,43 @@ class EnergyReport:
 # -- pointwise formulas ----------------------------------------------------
 
 
+def _mean_curvature(k: float, u, sin_sig, sigma_dot, ratio):
+    """H = (1/2)(sigma' + sin(sigma)/u - k u sin(sigma)/4).
+
+    The caller supplies ``ratio`` = sin(sigma)/u in the form valid on its
+    grid (pole limit, closed form), and sigma' per unit of quotient arclength.
+    """
+    return 0.5 * (sigma_dot + ratio - 0.25 * k * u * sin_sig)
+
+
+def _energy_density(g: GeometryParams, coeffs: FunctionalCoefficients, H, nu, mu, jacobian):
+    """Integrand of E_{alpha,beta} per unit parameter: (H^2 + alpha K_bar + beta) mu jacobian.
+
+    K_bar = tau^2 + (k - 4 tau^2) nu^2; ``jacobian`` converts quotient
+    arclength to the caller's integration variable.
+    """
+    tau = g.tau
+    return (
+        H * H
+        + coeffs.alpha * ((g.k - 4.0 * tau * tau) * nu * nu)
+        + coeffs.beta
+        + coeffs.alpha * tau * tau
+    ) * mu * jacobian
+
+
+def _pole_safe_ratio(u, sin_sig, limit, u_min: float = POLE_U):
+    """sin(sigma)/u, replaced by its pole limit ``limit`` where u <= ``u_min``."""
+    safe_u = np.where(u > u_min, u, 1.0)
+    return np.where(u > u_min, sin_sig / safe_u, limit)
+
+
 def mean_curvature(g: GeometryParams, u, sigma, dsigma_ds):
     """Mean curvature (1/2)(dsigma/ds + (1/u - k u/4) sin(sigma)); needs u > 0."""
     u_arr = np.asarray(u, dtype=float)
     if np.any(u_arr <= 0.0):
         raise ValueError("mean_curvature requires u > 0; the axis limit is the caller's job")
-    out = 0.5 * (
-        np.asarray(dsigma_ds, dtype=float)
-        + (1.0 / u_arr - 0.25 * g.k * u_arr) * np.sin(np.asarray(sigma, dtype=float))
-    )
+    sin_sig = np.sin(np.asarray(sigma, dtype=float))
+    out = _mean_curvature(g.k, u_arr, sin_sig, np.asarray(dsigma_ds, dtype=float), sin_sig / u_arr)
     return out if out.ndim else float(out)
 
 
@@ -210,19 +238,15 @@ class _ProfileFields:
         self.cos = np.cos(sig)
         self.sigma_dot = derivative1(sig, self.h)
         self.u_dot = self.B * self.cos  # definition of sigma, exact on samples
-        self.ratio = self._pole_safe_ratio(self.sigma_dot)
-        self.H = self._mean_curvature_from(self.sigma_dot, self.ratio)
+        self.ratio = _pole_safe_ratio(u, self.sin, self.sigma_dot)
+        self.H = _mean_curvature(k, u, self.sin, self.sigma_dot, self.ratio)
         self.nu = self.cos / self.A
         self.K_bar = tau * tau + (k - 4.0 * tau * tau) * self.nu * self.nu
 
-    def _pole_safe_ratio(self, sigma_dot: np.ndarray) -> np.ndarray:
-        # sin(sigma)/u with the pole limit sigma'.
-        u = self.u
-        safe_u = np.where(u > POLE_U, u, 1.0)
-        return np.where(u > POLE_U, self.sin / safe_u, sigma_dot)
-
-    def _mean_curvature_from(self, sigma_dot: np.ndarray, ratio: np.ndarray) -> np.ndarray:
-        return 0.5 * (sigma_dot + ratio - 0.25 * self.g.k * self.u * self.sin)
+    def _mean_curvature_from(self, sigma_dot: np.ndarray) -> np.ndarray:
+        # sin(sigma)/u takes the pole limit sigma'.
+        ratio = _pole_safe_ratio(self.u, self.sin, sigma_dot)
+        return _mean_curvature(self.g.k, self.u, self.sin, sigma_dot, ratio)
 
     # Quantities needing nested differentiation are built lazily.
 
@@ -231,7 +255,7 @@ class _ProfileFields:
         cached = getattr(self, "_H_smooth", None)
         if cached is None:
             sd = derivative1(self.sigma, self.h, FD_STRIDE)
-            cached = self._mean_curvature_from(sd, self._pole_safe_ratio(sd))
+            cached = self._mean_curvature_from(sd)
             self._H_smooth = cached
         return cached
 
@@ -265,7 +289,7 @@ class _ProfileFields:
         u, A, B = self.u, self.A, self.B
         tau, k = self.g.tau, self.g.k
         sd = derivative1(self.sigma, self.h, stride)
-        H = self._mean_curvature_from(sd, self._pole_safe_ratio(sd))
+        H = self._mean_curvature_from(sd)
         Hd = derivative1(H, self.h, stride)
         Hdd = derivative2(H, self.h, stride)
         t = 1.0 + tau * tau * u * u / (A * A) - 0.5 * k * u * u / B
@@ -333,9 +357,9 @@ def energy(profile: Profile, coeffs: FunctionalCoefficients | None = None) -> En
     k, tau = g.k, g.tau
     h = f.h
 
-    vertical = (g.k - 4.0 * tau * tau) * f.nu * f.nu
-    integrand_e = (f.H * f.H + coeffs.alpha * vertical + coeffs.beta + coeffs.alpha * tau * tau) * f.mu
-    e_value, e_err = sample_quadrature_with_error(integrand_e, h)
+    e_value, e_err = sample_quadrature_with_error(
+        _energy_density(g, coeffs, f.H, f.nu, f.mu, 1.0), h
+    )
 
     # Canonical split: nonnegative square plus the topological integrand.
     square = f.sigma_dot - f.ratio - 0.25 * k * f.u * f.sin

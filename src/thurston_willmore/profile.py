@@ -93,6 +93,7 @@ CLOSURE_IDENTITY_TOL = 1e-8
 DEFAULT_SAMPLES = 2049
 
 _U_AXIS_COLLISION = 1e-10
+_COLUMNS = ("s", "u", "v", "sigma")
 
 
 class ExistenceViolation(ValueError):
@@ -218,19 +219,9 @@ class Profile:
 
     # -- serialization ---------------------------------------------------
 
-    def to_csv(self, path, metadata: dict | None = None) -> None:
-        """Write samples as CSV plus a JSON sidecar ``<path>.json``.
-
-        Floats use shortest round-trip formatting, so reading the file back
-        reproduces the arrays bit for bit.
-        """
-        path = Path(path)
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["s", "u", "v", "sigma"])
-            for row in zip(self.s, self.u, self.v, self.sigma):
-                writer.writerow([repr(float(x)) for x in row])
-        sidecar = {
+    def metadata(self) -> dict:
+        """Geometry, closure and diagnostics: the CSV sidecar and the JSON form share it."""
+        return {
             "schema": "profile/1",
             "geometry": self.geometry.to_dict(),
             "mean_curvature": self.mean_curvature,
@@ -241,11 +232,37 @@ class Profile:
             "closure_residual": self.closure_residual,
             "tolerances": self.tolerances,
         }
-        if metadata:
-            sidecar.update(metadata)
-        with self._sidecar_path(path).open("w") as fh:
-            json.dump(sidecar, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+
+    @classmethod
+    def _from_metadata(cls, meta: dict, s, u, v, sigma) -> "Profile":
+        mean_curvature = meta.get("mean_curvature")
+        return cls(
+            s=s,
+            u=u,
+            v=v,
+            sigma=sigma,
+            geometry=GeometryParams.from_dict(meta["geometry"]),
+            mean_curvature=None if mean_curvature is None else float(mean_curvature),
+            closure=Closure(meta.get("closure", "Open")),
+            orientation=int(meta.get("orientation", 1)),
+            j_drift=meta.get("j_drift"),
+            closure_residual=meta.get("closure_residual"),
+            tolerances=meta.get("tolerances"),
+        )
+
+    def to_csv(self, path, metadata: dict | None = None) -> None:
+        """Write samples as CSV plus a JSON sidecar ``<path>.json``.
+
+        Floats use shortest round-trip formatting, so reading the file back
+        reproduces the arrays bit for bit.
+        """
+        path = Path(path)
+        with path.open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(_COLUMNS)
+            for row in zip(self.s, self.u, self.v, self.sigma):
+                writer.writerow([repr(float(x)) for x in row])
+        _write_json(self._sidecar_path(path), {**self.metadata(), **(metadata or {})})
 
     @staticmethod
     def _sidecar_path(path: Path) -> Path:
@@ -262,20 +279,36 @@ class Profile:
             raise FileNotFoundError(f"missing profile sidecar {sidecar_path}")
         with sidecar_path.open() as fh:
             meta = json.load(fh)
-        mean_curvature = meta.get("mean_curvature")
-        return cls(
-            s=data[:, 0],
-            u=data[:, 1],
-            v=data[:, 2],
-            sigma=data[:, 3],
-            geometry=GeometryParams.from_dict(meta["geometry"]),
-            mean_curvature=None if mean_curvature is None else float(mean_curvature),
-            closure=Closure(meta.get("closure", "Open")),
-            orientation=int(meta.get("orientation", 1)),
-            j_drift=meta.get("j_drift"),
-            closure_residual=meta.get("closure_residual"),
-            tolerances=meta.get("tolerances"),
+        return cls._from_metadata(meta, *data.T)
+
+    def to_json(self, path, metadata: dict | None = None) -> None:
+        """Write one JSON file: ``metadata`` plus the profile with its samples inlined.
+
+        Samples are stored as shortest round-trip strings, so reading the
+        file back reproduces the arrays bit for bit.
+        """
+        profile = self.metadata()
+        profile["samples"] = {
+            name: [repr(float(x)) for x in getattr(self, name)] for name in _COLUMNS
+        }
+        _write_json(Path(path), {**(metadata or {}), "profile": profile})
+
+    @classmethod
+    def from_json(cls, path) -> "Profile":
+        with Path(path).open() as fh:
+            data = json.load(fh)
+        if "profile" in data:
+            data = data["profile"]
+        samples = data["samples"]
+        return cls._from_metadata(
+            data, *(np.array([float(x) for x in samples[name]]) for name in _COLUMNS)
         )
+
+
+def _write_json(path: Path, document: dict) -> None:
+    with path.open("w") as fh:
+        json.dump(document, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 @dataclass(frozen=True)
@@ -386,48 +419,40 @@ def _initial_point(start: ProfileState, H: float):
     return s_begin, y0, AXIS_SERIES_S0 / 4.0
 
 
-def _solve_trajectory(
+def _terminal(event, direction: float):
+    """Mark a solve_ivp event function as terminal, crossing in ``direction``."""
+    event.terminal = True
+    event.direction = direction
+    return event
+
+
+def _shoot(
     g: GeometryParams,
     H: float,
     start: ProfileState,
-    stop: StopCondition,
+    max_arclength: float,
+    events: list,
     rtol: float,
     atol: float,
 ):
-    """Run the ODE solver; returns (solution, s_begin, s_end)."""
+    """Run RK45 from ``start`` with the caller's terminal events; returns (solution, s_begin).
+
+    Axis starts begin at the series point.  A domain-exit event is appended
+    after the caller's events for geometries with a finite domain, so the
+    caller's events keep their indices in ``t_events``.
+    """
     if start.u >= g.domain_radius:
         raise ValueError(
             f"start radius {start.u} lies outside the domain (radius {g.domain_radius})"
         )
-    rhs = _make_rhs(g, H)
     s_begin, y0, first_step = _initial_point(start, H)
-
-    events = []
-
-    def ev_axis(s, y):
-        return y[0] - _U_AXIS_COLLISION
-
-    def ev_sigma(s, y):
-        return y[2] - stop.sigma_target
-
-    def ev_exit(s, y):
-        return y[0] - g.domain_radius * (1.0 - 1e-12)
-
-    ev_axis.terminal = True
-    ev_axis.direction = -1.0
-    events.append(ev_axis)
-    if stop.sigma_target is not None:
-        ev_sigma.terminal = True
-        ev_sigma.direction = 1.0
-        events.append(ev_sigma)
-    if math.isfinite(g.domain_radius):
-        ev_exit.terminal = True
-        ev_exit.direction = 1.0
-        events.append(ev_exit)
-
+    bounded = math.isfinite(g.domain_radius)
+    if bounded:
+        exit_radius = g.domain_radius * (1.0 - 1e-12)
+        events = [*events, _terminal(lambda s, y: y[0] - exit_radius, 1.0)]
     sol = solve_ivp(
-        rhs,
-        (s_begin, s_begin + stop.max_arclength),
+        _make_rhs(g, H),
+        (s_begin, s_begin + max_arclength),
         y0,
         method="RK45",
         rtol=rtol,
@@ -438,41 +463,20 @@ def _solve_trajectory(
     )
     if sol.status == -1:
         raise IntegrationError(f"integration failed: {sol.message}")
-    if sol.t_events[0].size:
-        raise IntegrationError("trajectory collided with the rotation axis")
-    if math.isfinite(g.domain_radius) and sol.t_events[-1].size:
+    if bounded and sol.t_events[-1].size:
         raise IntegrationError("trajectory left the domain of the geometry")
-    if stop.sigma_target is not None:
-        if not sol.t_events[1].size:
-            raise IntegrationError(
-                f"sigma target {stop.sigma_target} not reached within arclength "
-                f"{stop.max_arclength}"
-            )
-        s_end = float(sol.t_events[1][0])
-    else:
-        s_end = float(sol.t[-1])
-    return sol, s_begin, s_end
+    return sol, s_begin
 
 
-def _sample_trajectory(
-    g: GeometryParams,
-    H: float,
-    sol,
-    s_begin: float,
-    s_end: float,
-    n_samples: int,
-    conservation_tol: float,
-) -> Profile:
-    grid = np.linspace(s_begin, s_end, n_samples)
-    u, v, sigma = sol.sol(grid)
-    profile = Profile(s=grid, u=u, v=v, sigma=sigma, geometry=g)
+def _j_drift(g: GeometryParams, H: float, profile: Profile, conservation_tol: float) -> float:
+    """Largest change of J over the samples; raises past ``conservation_tol``."""
     j = profile_first_integral(g, H, profile)
     drift = float(np.max(np.abs(j - j[0])))
     if drift > conservation_tol:
         raise IntegrationError(
             f"first-integral drift {drift:.3e} exceeds tolerance {conservation_tol:.1e}"
         )
-    return replace(profile, j_drift=drift)
+    return drift
 
 
 def integrate(
@@ -494,10 +498,27 @@ def integrate(
     first integral over the returned samples must stay below
     ``conservation_tol``.
     """
-    sol, s_begin, s_end = _solve_trajectory(g, H, start, stop, rtol, atol)
-    profile = _sample_trajectory(g, H, sol, s_begin, s_end, n_samples, conservation_tol)
+    events = [_terminal(lambda s, y: y[0] - _U_AXIS_COLLISION, -1.0)]
+    if stop.sigma_target is not None:
+        events.append(_terminal(lambda s, y: y[2] - stop.sigma_target, 1.0))
+    sol, s_begin = _shoot(g, H, start, stop.max_arclength, events, rtol, atol)
+    if sol.t_events[0].size:
+        raise IntegrationError("trajectory collided with the rotation axis")
+    if stop.sigma_target is None:
+        s_end = float(sol.t[-1])
+    elif sol.t_events[1].size:
+        s_end = float(sol.t_events[1][0])
+    else:
+        raise IntegrationError(
+            f"sigma target {stop.sigma_target} not reached within arclength "
+            f"{stop.max_arclength}"
+        )
+    grid = np.linspace(s_begin, s_end, n_samples)
+    u, v, sigma = sol.sol(grid)
+    profile = Profile(s=grid, u=u, v=v, sigma=sigma, geometry=g)
     return replace(
         profile,
+        j_drift=_j_drift(g, H, profile, conservation_tol),
         tolerances={"rtol": rtol, "atol": atol, "conservation": conservation_tol},
     )
 
@@ -561,40 +582,10 @@ def generate_cmc_sphere(
     max_arclength = 4.0 * math.pi / (h_abs * min(1.0, factor))
     start = ProfileState(s=0.0, u=0.0, v=0.0, sigma=0.0)
 
-    rhs = _make_rhs(g, h_abs)
-    s_begin, y0, first_step = _initial_point(start, h_abs)
-
-    def ev_return(s, y):
-        # Strictly below the start radius so the event is not already zero
-        # at the initial point; fires on the descent to the far pole.
-        return y[0] - AXIS_SERIES_S0 * (1.0 - 1e-3)
-
-    def ev_exit(s, y):
-        return y[0] - g.domain_radius * (1.0 - 1e-12)
-
-    ev_return.terminal = True
-    ev_return.direction = -1.0
-    events = [ev_return]
-    if math.isfinite(g.domain_radius):
-        ev_exit.terminal = True
-        ev_exit.direction = 1.0
-        events.append(ev_exit)
-
-    sol = solve_ivp(
-        rhs,
-        (s_begin, s_begin + max_arclength),
-        y0,
-        method="RK45",
-        rtol=rtol,
-        atol=atol,
-        dense_output=True,
-        events=events,
-        first_step=first_step,
-    )
-    if sol.status == -1:
-        raise IntegrationError(f"integration failed: {sol.message}")
-    if math.isfinite(g.domain_radius) and sol.t_events[1].size:
-        raise IntegrationError("trajectory left the domain of the geometry")
+    # Strictly below the start radius so the event is not already zero at
+    # the initial point; fires on the descent to the far pole.
+    ev_return = _terminal(lambda s, y: y[0] - AXIS_SERIES_S0 * (1.0 - 1e-3), -1.0)
+    sol, s_begin = _shoot(g, h_abs, start, max_arclength, [ev_return], rtol, atol)
     if not sol.t_events[0].size:
         raise IntegrationError(
             f"trajectory did not return to the axis within arclength {max_arclength:.3f}"
@@ -624,12 +615,7 @@ def generate_cmc_sphere(
     sigma = np.concatenate((sigma_half, math.pi - sigma_half[-2::-1]))
 
     profile = Profile(s=grid, u=u, v=v, sigma=sigma, geometry=g)
-    j = profile_first_integral(g, h_abs, profile)
-    drift = float(np.max(np.abs(j - j[0])))
-    if drift > conservation_tol:
-        raise IntegrationError(
-            f"first-integral drift {drift:.3e} exceeds tolerance {conservation_tol:.1e}"
-        )
+    drift = _j_drift(g, h_abs, profile, conservation_tol)
     if not np.all(np.diff(sigma) > 0.0):
         raise IntegrationError("sigma is not monotone along the generated sphere")
     identity = float(np.max(np.abs(np.sin(sigma) - h_abs * u)))
@@ -744,9 +730,11 @@ def sphere_from_modes(
             f"(radius {g.domain_radius:.6f})"
         )
 
+    def ds_from(n, u):
+        return n / (h_abs * (1.0 + 0.25 * g.k * u * u))
+
     def ds_dsigma(sigma):
-        u = radius(sigma)
-        return numerator(sigma) / (h_abs * (1.0 + 0.25 * g.k * u * u))
+        return ds_from(numerator(sigma), radius(sigma))
 
     def dv_dsigma(sigma):
         u = radius(sigma)
@@ -760,7 +748,7 @@ def sphere_from_modes(
     f_ends = ds_dsigma(np.array([0.0, math.pi]))
     # Near-degenerate shapes (numerator close to zero) get a monotone C1
     # interpolant; regular shapes a clamped C2 spline.
-    f_all = ds_dsigma(check)
+    f_all = ds_from(n_check, u_check)
     if np.min(f_all) > 1e-3 * np.median(f_all):
         sigma_of_s = CubicSpline(s_edges, edges, bc_type=((1, 1.0 / f_ends[0]), (1, 1.0 / f_ends[1])))
     else:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from thurston_willmore import energy
+from thurston_willmore import GeometryParams, energy, generate_cmc_sphere
 from thurston_willmore.cli import load_profile, main
 
 
@@ -63,12 +63,22 @@ class TestGenerate:
         target = tmp_path / "no_such_dir" / "sphere.csv"
         assert run(["generate", "--k", 0, "--tau", 0.5, "--H", 1, "-o", target]) == 3
 
-    def test_json_format_round_trip(self, tmp_path):
+    def test_json_format_round_trip(self, tmp_path, sphere):
         out = tmp_path / "sphere.json"
+        csv_out = tmp_path / "sphere.csv"
         assert run(["generate", "--k", 0, "--tau", 0.5, "--H", 1,
                     "--format", "json", "-o", out]) == 0
+        assert run(["generate", "--k", 0, "--tau", 0.5, "--H", 1, "-o", csv_out]) == 0
         prof = load_profile(out)
-        assert len(prof) == 2049
+        expected = sphere(0.0, 0.5, 1.0)
+        for name in ("s", "u", "v", "sigma"):
+            assert np.array_equal(getattr(prof, name), getattr(expected, name))
+        # same metadata as the CSV sidecar, apart from the echoed output options
+        profile_doc = json.loads(out.read_text())["profile"]
+        sidecar = json.loads((tmp_path / "sphere.csv.json").read_text())
+        assert sidecar.pop("config")["format"] == "csv"
+        assert profile_doc.pop("samples").keys() == {"s", "u", "v", "sigma"}
+        assert profile_doc == sidecar
 
     def test_samples_flag_controls_resolution(self, tmp_path):
         out = tmp_path / "coarse.csv"
@@ -168,6 +178,8 @@ class TestVerify:
         assert header == "s,u,sigma,H,K,nu,residual"
         data = np.loadtxt(trace, delimiter=",", skiprows=1)
         assert data.shape[1] == 7
+        # the trace is taken along the sphere the suite checked
+        assert np.array_equal(data[:, 0], generate_cmc_sphere(GeometryParams(0.0, 0.5), 1.0).s)
 
     def test_minimality(self, tmp_path):
         out = tmp_path / "min.json"

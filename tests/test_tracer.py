@@ -1,0 +1,64 @@
+"""The traced benchmark run wraps names bound in the package's namespaces.
+
+``perfbench/tracer.py`` finds each traced function by identity in the module
+namespaces and fails when no namespace binds it, so a refactor that stops
+binding one of them (``profile.solve_ivp``, ``profile.brentq``, the
+``numerics`` names in ``functional`` and ``experiments``, ...) breaks the
+traced run.  This test installs the tracer, runs one call through each
+layer, and uninstalls it again.
+"""
+
+import importlib.util
+import sys
+import types
+from pathlib import Path
+
+import thurston_willmore
+from thurston_willmore import GeometryParams, cli, experiments, functional, numerics, profile
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_runs_and_uninstalls():
+    tracing = _load_tracer()
+    namespaces = (thurston_willmore, profile, functional, numerics, experiments, cli)
+    before = [dict(vars(m)) for m in namespaces]
+    tw = types.SimpleNamespace(
+        package=thurston_willmore,
+        profile=profile,
+        functional=functional,
+        numerics=numerics,
+        experiments=experiments,
+        cli=cli,
+    )
+    tracer = tracing.Tracer()
+    tracing.install(tracer, tw)
+    try:
+        assert profile.solve_ivp is not before[1]["solve_ivp"]
+        g = GeometryParams(0.0, 0.5)
+        experiments.verify_criticality(g, 1.0)
+        experiments.mode_family_energy(g, 1.0, [0.05])
+    finally:
+        tracer.uninstall()
+    assert [dict(vars(m)) for m in namespaces] == before
+
+    metrics = tracing.layer_metrics(tracer.spans)
+    # one shot sphere, one solve_ivp call and one equator root per sphere
+    assert metrics["profile.generate_cmc_sphere.calls"] == 1
+    assert metrics["profile.solve_ivp.calls"] == 1
+    assert metrics["profile.brentq.calls"] == 1
+    # three velocity profiles, four energies each
+    assert metrics["experiments.deformed_curve_energy.calls"] == 12
+    assert metrics["functional.energy.calls"] == 1
+    assert metrics["functional.max_interior_residual.calls"] == 1
+    assert metrics["experiments.mode_family_energy.calls"] == 1
+    for name in ("derivative1", "derivative2", "sample_quadrature"):
+        assert metrics[f"numerics.{name}.calls"] > 0
