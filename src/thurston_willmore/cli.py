@@ -63,8 +63,6 @@ EXIT_VERIFICATION = 4
 # Named tolerances exposed as --tol-<name>; unset ones fall back to the
 # module defaults and all effective values are echoed into output metadata.
 TOLERANCES = {
-    "rtol": profile_mod.DEFAULT_RTOL,
-    "atol": profile_mod.DEFAULT_ATOL,
     "conservation": profile_mod.CONSERVATION_TOL,
     "closure-identity": profile_mod.CLOSURE_IDENTITY_TOL,
     "axis-epsilon": profile_mod.AXIS_EPSILON,
@@ -79,6 +77,9 @@ TOLERANCES = {
     "derivative-check": 1e-5,
     "descent-coeff": 1e-4,
 }
+# Integrator tolerances that earlier versions echoed into their configs;
+# nothing the command runs integrates, so config files drop them silently.
+_RETIRED_TOLERANCES = ("rtol", "atol")
 
 
 class ConfigError(ValueError):
@@ -194,6 +195,8 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         if data.get("format") is not None:
             config.format = str(data["format"])
         for name, value in data.get("tolerances", {}).items():
+            if name in _RETIRED_TOLERANCES:
+                continue
             if name not in TOLERANCES:
                 raise ConfigError(f"unknown tolerance {name!r} in config file")
             config.tolerances[name] = float(value)
@@ -242,8 +245,6 @@ def cmd_generate(config: RunConfig) -> int:
             g,
             config.H,
             n_samples=config.samples,
-            rtol=config.tol("rtol"),
-            atol=config.tol("atol"),
             axis_epsilon=config.tol("axis-epsilon"),
             identity_tol=config.tol("closure-identity"),
             conservation_tol=config.tol("conservation"),

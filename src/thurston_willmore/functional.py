@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -61,7 +62,7 @@ POLE_U = 1e-7
 # the poles are excluded there.
 INTERIOR_MARGIN = 8
 # Stencil points sit this many samples apart.  Profile samples carry
-# roundoff-level white noise from evaluating the integrator's dense output;
+# roundoff-level white noise;
 # nested differentiation amplifies it by the inverse cube of the stencil
 # spacing, and spacing 4 buys a factor 64 while the O((4h)^4) truncation
 # stays far below every tolerance.
@@ -236,10 +237,7 @@ class _ProfileFields:
         self.mu = u * self.A / self.B
         self.sin = np.sin(sig)
         self.cos = np.cos(sig)
-        self.sigma_dot = derivative1(sig, self.h)
         self.u_dot = self.B * self.cos  # definition of sigma, exact on samples
-        self.ratio = _pole_safe_ratio(u, self.sin, self.sigma_dot)
-        self.H = _mean_curvature(k, u, self.sin, self.sigma_dot, self.ratio)
         self.nu = self.cos / self.A
         self.K_bar = tau * tau + (k - 4.0 * tau * tau) * self.nu * self.nu
 
@@ -248,16 +246,24 @@ class _ProfileFields:
         ratio = _pole_safe_ratio(self.u, self.sin, sigma_dot)
         return _mean_curvature(self.g.k, self.u, self.sin, sigma_dot, ratio)
 
-    # Quantities needing nested differentiation are built lazily.
+    # Stencil quantities are built lazily: the energy path reads only the
+    # spacing-1 ones, the residual path only the spacing-``FD_STRIDE`` ones.
 
-    @property
+    @cached_property
+    def sigma_dot(self) -> np.ndarray:
+        return derivative1(self.sigma, self.h)
+
+    @cached_property
+    def ratio(self) -> np.ndarray:
+        return _pole_safe_ratio(self.u, self.sin, self.sigma_dot)
+
+    @cached_property
+    def H(self) -> np.ndarray:
+        return _mean_curvature(self.g.k, self.u, self.sin, self.sigma_dot, self.ratio)
+
+    @cached_property
     def H_smooth(self) -> np.ndarray:
-        cached = getattr(self, "_H_smooth", None)
-        if cached is None:
-            sd = derivative1(self.sigma, self.h, FD_STRIDE)
-            cached = self._mean_curvature_from(sd)
-            self._H_smooth = cached
-        return cached
+        return self._mean_curvature_from(derivative1(self.sigma, self.h, FD_STRIDE))
 
     def _pole_extrapolated(self, values: np.ndarray, denominator: np.ndarray) -> np.ndarray:
         out = np.empty_like(values)
@@ -288,8 +294,10 @@ class _ProfileFields:
         """
         u, A, B = self.u, self.A, self.B
         tau, k = self.g.tau, self.g.k
-        sd = derivative1(self.sigma, self.h, stride)
-        H = self._mean_curvature_from(sd)
+        if stride == FD_STRIDE:
+            H = self.H_smooth
+        else:
+            H = self._mean_curvature_from(derivative1(self.sigma, self.h, stride))
         Hd = derivative1(H, self.h, stride)
         Hdd = derivative2(H, self.h, stride)
         t = 1.0 + tau * tau * u * u / (A * A) - 0.5 * k * u * u / B

@@ -17,10 +17,18 @@ curvature H exists iff H^2 > -k/4 (for k <= 0), respectively H != 0 (for
 k > 0, where the domain is unbounded but a minimal sphere still cannot
 close up).
 
-The axis is a removable singularity of the sigma equation: on the sphere
-branch sin(sigma)/u -> H, so integration starts a small arclength
-``AXIS_SERIES_S0`` off the pole with the first-order series u = s,
-sigma = H s, v = v0.
+On the sphere branch the sigma equation reduces to
+sigma' = H + k sin^2(sigma)/(4 H), which integrates in closed form: with
+w = sqrt(H^2 + k/4), sigma(s) = atan2(H sin(w s), w cos(w s)) and
+u = sin(sigma)/H, closing up at the arclength L = pi/w.  The existence
+condition is w^2 > 0.  :func:`generate_cmc_sphere` samples this closed
+form; only the height v needs a quadrature.
+
+Shooting the full system stays available through :func:`integrate`, the
+independent check of the closed form.  The axis is a removable singularity
+of the sigma equation: on the sphere branch sin(sigma)/u -> H, so
+integration starts a small arclength ``AXIS_SERIES_S0`` off the pole with
+the first-order series u = s, sigma = H s, v = v0.
 
 Perturbed (non-CMC) competitor spheres come from the explicit family
 u(sigma) = (1/H) sin(sigma) (1 + sum_m c_m cos(2 m sigma)), reconstructing
@@ -43,7 +51,7 @@ from pathlib import Path
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline, PchipInterpolator
-from scipy.optimize import brentq
+from scipy.optimize import brentq  # no caller; perfbench/tracer.py wraps profile.brentq
 
 from .geometry import GeometryParams
 
@@ -77,12 +85,13 @@ __all__ = [
 
 # Closure acceptance: how close to the axis the profile must return.
 AXIS_EPSILON = 1e-5
-# Offset of the series start from the pole; the start error is O(s0^2).
+# Offset of the series start from the pole (the start error is O(s0^2)),
+# and of the end samples of a generated sphere.
 AXIS_SERIES_S0 = 1e-6
 # Integration stops at sigma = pi - margin; on the exact sphere the
 # residual u there measures the accumulated error.
 SIGMA_STOP_MARGIN = 1e-7
-# Integrator tolerances.  Conservation of J to 1e-8 and the closure
+# Tolerances of :func:`integrate`.  Conservation of J to 1e-8 and the closure
 # identity to 1e-8 must hold on arclengths up to ~20 near the existence
 # boundary, which needs tighter tolerances than the conservation target.
 DEFAULT_RTOL = 1e-12
@@ -426,48 +435,6 @@ def _terminal(event, direction: float):
     return event
 
 
-def _shoot(
-    g: GeometryParams,
-    H: float,
-    start: ProfileState,
-    max_arclength: float,
-    events: list,
-    rtol: float,
-    atol: float,
-):
-    """Run RK45 from ``start`` with the caller's terminal events; returns (solution, s_begin).
-
-    Axis starts begin at the series point.  A domain-exit event is appended
-    after the caller's events for geometries with a finite domain, so the
-    caller's events keep their indices in ``t_events``.
-    """
-    if start.u >= g.domain_radius:
-        raise ValueError(
-            f"start radius {start.u} lies outside the domain (radius {g.domain_radius})"
-        )
-    s_begin, y0, first_step = _initial_point(start, H)
-    bounded = math.isfinite(g.domain_radius)
-    if bounded:
-        exit_radius = g.domain_radius * (1.0 - 1e-12)
-        events = [*events, _terminal(lambda s, y: y[0] - exit_radius, 1.0)]
-    sol = solve_ivp(
-        _make_rhs(g, H),
-        (s_begin, s_begin + max_arclength),
-        y0,
-        method="RK45",
-        rtol=rtol,
-        atol=atol,
-        dense_output=True,
-        events=events,
-        first_step=first_step,
-    )
-    if sol.status == -1:
-        raise IntegrationError(f"integration failed: {sol.message}")
-    if bounded and sol.t_events[-1].size:
-        raise IntegrationError("trajectory left the domain of the geometry")
-    return sol, s_begin
-
-
 def _j_drift(g: GeometryParams, H: float, profile: Profile, conservation_tol: float) -> float:
     """Largest change of J over the samples; raises past ``conservation_tol``."""
     j = profile_first_integral(g, H, profile)
@@ -498,10 +465,33 @@ def integrate(
     first integral over the returned samples must stay below
     ``conservation_tol``.
     """
+    if start.u >= g.domain_radius:
+        raise ValueError(
+            f"start radius {start.u} lies outside the domain (radius {g.domain_radius})"
+        )
+    s_begin, y0, first_step = _initial_point(start, H)
     events = [_terminal(lambda s, y: y[0] - _U_AXIS_COLLISION, -1.0)]
     if stop.sigma_target is not None:
         events.append(_terminal(lambda s, y: y[2] - stop.sigma_target, 1.0))
-    sol, s_begin = _shoot(g, H, start, stop.max_arclength, events, rtol, atol)
+    bounded = math.isfinite(g.domain_radius)
+    if bounded:
+        exit_radius = g.domain_radius * (1.0 - 1e-12)
+        events.append(_terminal(lambda s, y: y[0] - exit_radius, 1.0))
+    sol = solve_ivp(
+        _make_rhs(g, H),
+        (s_begin, s_begin + stop.max_arclength),
+        y0,
+        method="RK45",
+        rtol=rtol,
+        atol=atol,
+        dense_output=True,
+        events=events,
+        first_step=first_step,
+    )
+    if sol.status == -1:
+        raise IntegrationError(f"integration failed: {sol.message}")
+    if bounded and sol.t_events[-1].size:
+        raise IntegrationError("trajectory left the domain of the geometry")
     if sol.t_events[0].size:
         raise IntegrationError("trajectory collided with the rotation axis")
     if stop.sigma_target is None:
@@ -536,92 +526,89 @@ def _require_sphere_exists(g: GeometryParams, H: float) -> None:
         )
 
 
+_GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
+
+
+def _panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on each interval of ``edges``."""
+    a = edges[:-1][:, None]
+    b = edges[1:][:, None]
+    nodes = 0.5 * (b - a) * (_GL8_NODES[None, :] + 1.0) + a
+    weights = 0.5 * (b - a) * _GL8_WEIGHTS[None, :]
+    return nodes, weights
+
+
 def generate_cmc_sphere(
     g: GeometryParams,
     H: float,
     *,
     n_samples: int = DEFAULT_SAMPLES,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
     axis_epsilon: float = AXIS_EPSILON,
     identity_tol: float = CLOSURE_IDENTITY_TOL,
     conservation_tol: float = CONSERVATION_TOL,
 ) -> Profile:
-    """Shoot the rotationally invariant CMC sphere of mean curvature H.
+    """The rotationally invariant CMC sphere of mean curvature H, in closed form.
 
-    Integrates from the axis until the radius returns through the
-    series-start value on the far side (the trajectory's axis touchdown,
-    reached just before sigma = pi), then verifies closure there: u must be
-    back below ``axis_epsilon`` and sigma within 1e-3 of pi, with the
-    branch deviation |sin(sigma) - |H| u| at the return point recorded as
-    ``closure_residual``.  Stopping on a bare sigma threshold like
-    pi - 1e-7 is not robust: u at such a stop is of the order of the
-    margin and the branch deviation there equals |J| (1 + k u^2/4)/u, so
-    the roundoff-level sign of the drift of J decides whether sigma ever
-    gets that far.
+    With w = sqrt(H^2 + k/4) the sphere branch is sigma(s) =
+    atan2(H sin(w s), w cos(w s)), u = sin(sigma)/H, of arclength
+    L = pi/w.  The samples are uniform in s from ``AXIS_SERIES_S0`` to
+    L - ``AXIS_SERIES_S0``, the offset at which :func:`integrate` starts its
+    axis series.  The end samples stay off the axis: with u = 0 there, the
+    finite-difference first variation of the criticality suite reads about
+    6e4 instead of staying below 1e-5.  The height v runs from 0 and adds,
+    over each grid interval, the 8-point Gauss integral of
+    v' = sqrt(1 + tau^2 u^2) sin(sigma).
 
-    The returned samples combine the integrated half up to the equator with
-    its image under the exact reflection symmetry (s, u, v, sigma) ->
-    (L - s, u, 2 v_eq - v, pi - sigma) of the profile system.  The shot
-    second half drifts off the J = 0 branch at the roundoff level, which
-    the pole factor amplifies; the mirrored half is an exact solution with
-    the first half's accuracy, and the shot-versus-mirror gap stays
-    separately testable through :func:`integrate`.
+    The samples are checked as a shot sphere would be: the first integral
+    J drifts by at most ``conservation_tol``, sigma increases strictly, the
+    identity sin(sigma) = |H| u holds to ``identity_tol``, and both end
+    samples lie within ``axis_epsilon`` of the axis with sigma within 1e-3
+    of 0 and pi.  ``closure_residual`` records |sin(sigma) - |H| u| at the
+    last sample.  :func:`integrate` shoots the same sphere independently.
 
-    On the returned samples the identity sin(sigma) = |H| u must hold to
-    ``identity_tol``.  A negative H requests the mirror surface: the
-    returned samples are the canonical H > 0 profile with ``orientation``
-    set to -1.  ``n_samples`` must be odd so the equator is a sample.
+    A negative H requests the mirror surface: the returned samples are the
+    canonical H > 0 profile with ``orientation`` set to -1.  ``n_samples``
+    must be odd so the equator is a sample.
     """
     _require_sphere_exists(g, H)
     if n_samples < 9 or n_samples % 2 == 0:
         raise ValueError("n_samples must be odd and at least 9")
     h_abs = abs(H)
-    u_apex = 1.0 / h_abs
-    factor = 1.0 + 0.25 * g.k * u_apex * u_apex if g.k < 0.0 else 1.0
-    max_arclength = 4.0 * math.pi / (h_abs * min(1.0, factor))
-    start = ProfileState(s=0.0, u=0.0, v=0.0, sigma=0.0)
+    w = math.sqrt(h_abs * h_abs + 0.25 * g.k)
 
-    # Strictly below the start radius so the event is not already zero at
-    # the initial point; fires on the descent to the far pole.
-    ev_return = _terminal(lambda s, y: y[0] - AXIS_SERIES_S0 * (1.0 - 1e-3), -1.0)
-    sol, s_begin = _shoot(g, h_abs, start, max_arclength, [ev_return], rtol, atol)
-    if not sol.t_events[0].size:
-        raise IntegrationError(
-            f"trajectory did not return to the axis within arclength {max_arclength:.3f}"
-        )
-    s_stop = float(sol.t_events[0][0])
-    u_stop, _, sigma_stop = sol.sol(s_stop)
-    if u_stop > axis_epsilon:
-        raise IntegrationError(
-            f"sphere failed to close: u = {u_stop:.3e} at the stop exceeds {axis_epsilon:.1e}"
-        )
-    if abs(sigma_stop - math.pi) > 1e-3:
-        raise IntegrationError(
-            f"sphere failed to close: sigma = {sigma_stop:.6f} at the axis return is not pi"
-        )
-    # Branch deviation at the return point; carries the drift of J amplified
-    # by 1/u, so it is recorded as a diagnostic rather than thresholded.
-    closure_residual = abs(math.sin(sigma_stop) - h_abs * u_stop)
+    def branch(s):
+        sigma = np.arctan2(h_abs * np.sin(w * s), w * np.cos(w * s))
+        return sigma, np.sin(sigma)
 
-    s_equator = brentq(lambda s: sol.sol(s)[2] - 0.5 * math.pi, s_begin, s_stop, xtol=1e-14)
-    n_half = (n_samples + 1) // 2
-    half_grid = np.linspace(s_begin, s_equator, n_half)
-    u_half, v_half, sigma_half = sol.sol(half_grid)
-    v_eq = v_half[-1]
-    grid = np.linspace(s_begin, 2.0 * s_equator - s_begin, n_samples)
-    u = np.concatenate((u_half, u_half[-2::-1]))
-    v = np.concatenate((v_half, 2.0 * v_eq - v_half[-2::-1]))
-    sigma = np.concatenate((sigma_half, math.pi - sigma_half[-2::-1]))
+    grid = np.linspace(AXIS_SERIES_S0, math.pi / w - AXIS_SERIES_S0, n_samples)
+    sigma, sin_sig = branch(grid)
+    u = sin_sig / h_abs
+    if np.max(u) >= g.domain_radius * (1.0 - 1e-12):
+        raise IntegrationError("sphere leaves the domain of the geometry")
+    if u[0] > axis_epsilon or u[-1] > axis_epsilon:
+        raise IntegrationError(
+            f"sphere failed to close: u = {max(u[0], u[-1]):.3e} at an end exceeds "
+            f"{axis_epsilon:.1e}"
+        )
+    if abs(sigma[0]) > 1e-3 or abs(sigma[-1] - math.pi) > 1e-3:
+        raise IntegrationError(
+            f"sphere failed to close: sigma runs from {sigma[0]:.6f} to {sigma[-1]:.6f}, "
+            "not 0 to pi"
+        )
 
+    nodes, weights = _panel_nodes(grid)
+    _, sin_nodes = branch(nodes)
+    u_nodes = sin_nodes / h_abs
+    dv = np.sum(np.sqrt(1.0 + g.tau**2 * u_nodes * u_nodes) * sin_nodes * weights, axis=1)
+    v = np.concatenate(([0.0], np.cumsum(dv)))
     profile = Profile(s=grid, u=u, v=v, sigma=sigma, geometry=g)
     drift = _j_drift(g, h_abs, profile, conservation_tol)
     if not np.all(np.diff(sigma) > 0.0):
         raise IntegrationError("sigma is not monotone along the generated sphere")
-    identity = float(np.max(np.abs(np.sin(sigma) - h_abs * u)))
-    if identity > identity_tol:
+    identity = np.abs(sin_sig - h_abs * u)
+    if np.max(identity) > identity_tol:
         raise IntegrationError(
-            f"sphere identity residual {identity:.3e} exceeds {identity_tol:.1e}"
+            f"sphere identity residual {np.max(identity):.3e} exceeds {identity_tol:.1e}"
         )
     return replace(
         profile,
@@ -629,10 +616,8 @@ def generate_cmc_sphere(
         closure=Closure.CLOSED_SPHERE,
         orientation=1 if H > 0 else -1,
         j_drift=drift,
-        closure_residual=closure_residual,
+        closure_residual=float(identity[-1]),
         tolerances={
-            "rtol": rtol,
-            "atol": atol,
             "conservation": conservation_tol,
             "closure_identity": identity_tol,
             "axis_epsilon": axis_epsilon,
@@ -682,18 +667,6 @@ def mode_shape_functions(H: float, coeffs: np.ndarray):
     return radius, modulation, numerator
 
 
-_GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
-
-
-def _panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on each interval of ``edges``."""
-    a = edges[:-1][:, None]
-    b = edges[1:][:, None]
-    nodes = 0.5 * (b - a) * (_GL8_NODES[None, :] + 1.0) + a
-    weights = 0.5 * (b - a) * _GL8_WEIGHTS[None, :]
-    return nodes, weights
-
-
 def sphere_from_modes(
     g: GeometryParams,
     H: float,
@@ -705,9 +678,10 @@ def sphere_from_modes(
     """Build the rotationally invariant sphere with shape coefficients ``coeffs``.
 
     With all coefficients zero this reproduces the CMC sphere of mean
-    curvature |H| from its closed form, independently of the shooting
-    integrator.  Raises :class:`InadmissiblePerturbation` when the shape is
-    not a regular profile (ds/dsigma <= 0 somewhere) or leaves the domain.
+    curvature |H| by quadrature in sigma, independently of the shooting
+    integrator and of :func:`generate_cmc_sphere`.  Raises
+    :class:`InadmissiblePerturbation` when the shape is not a regular
+    profile (ds/dsigma <= 0 somewhere) or leaves the domain.
     """
     _require_sphere_exists(g, H)
     coeffs = np.atleast_1d(np.asarray(coeffs, dtype=float))

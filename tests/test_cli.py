@@ -93,6 +93,27 @@ class TestGenerate:
         assert run(["generate", "--config", tmp_path / "a.csv.json", "-o", rerun]) == 0
         assert first.read_bytes() == rerun.read_bytes()
 
+    def test_config_with_retired_integrator_tolerances_loads(self, tmp_path, capsys):
+        # sidecars of earlier versions echoed integrator rtol/atol; they load,
+        # and the rerun neither uses nor echoes them
+        first = tmp_path / "a.csv"
+        rerun = tmp_path / "b.csv"
+        assert run(["generate", "--k", 0.25, "--tau", -0.5, "--H", 0.8, "-o", first]) == 0
+        sidecar = tmp_path / "a.csv.json"
+        old = json.loads(sidecar.read_text())
+        old["config"]["tolerances"].update(rtol=1e-12, atol=1e-14)
+        old["tolerances"].update(rtol=1e-12, atol=1e-14)
+        sidecar.write_text(json.dumps(old))
+        assert run(["generate", "--config", sidecar, "-o", rerun]) == 0
+        assert first.read_bytes() == rerun.read_bytes()
+        echoed = json.loads((tmp_path / "b.csv.json").read_text())
+        assert not {"rtol", "atol"} & echoed["config"]["tolerances"].keys()
+        assert not {"rtol", "atol"} & echoed["tolerances"].keys()
+        capsys.readouterr()
+        assert run(["generate", "--k", 0, "--tau", 0.5, "--H", 1, "-o", rerun,
+                    "--tol-rtol", 1e-3]) == 1
+        assert "unrecognized arguments: --tol-rtol" in capsys.readouterr().err
+
 
 class TestEnergy:
     def test_round_trip_energy_matches_in_memory(self, tmp_path, capsys, sphere):

@@ -23,7 +23,7 @@ from thurston_willmore import (
     sphere_from_modes,
 )
 from thurston_willmore.numerics import derivative1
-from thurston_willmore.profile import _reduced_sine_ratio
+from thurston_willmore.profile import AXIS_SERIES_S0, _reduced_sine_ratio
 
 
 class TestOdeRhs:
@@ -118,6 +118,27 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="outside the domain"):
             integrate(g, 1.0, ProfileState(0.0, 2.5, 0.0, 0.0), StopCondition.arclength(1.0))
 
+    def test_shooting_matches_closed_form(self):
+        # the independent shot agrees with sigma = atan2(H sin(w s), w cos(w s)).
+        # The stop stays 1e-2 short of pi: next to the far pole the 1/u factor
+        # amplifies the integrator's drift of J, which the closed form lacks.
+        cases = [
+            (0.0, 0.5, 1.0),
+            (-1.0, -0.5, 0.8),
+            (1.0, 0.3, 0.7),
+            (-0.5, 0.6, 1.3),
+            (-1.0, -0.5, math.sqrt(0.25 + 1e-3)),
+        ]
+        for k, tau, H in cases:
+            w = math.sqrt(H * H + 0.25 * k)
+            p = integrate(
+                GeometryParams(k, tau), H, ProfileState(0.0, 0.0, 0.0, 0.0),
+                StopCondition.sphere_closure(2.0 * math.pi / w, margin=1e-2),
+                rtol=1e-13, atol=1e-15,
+            )
+            exact = np.arctan2(H * np.sin(w * p.s), w * np.cos(w * p.s))
+            assert np.max(np.abs(p.sigma - exact)) <= 1e-9
+
     def test_axis_start_at_pi_dies_at_axis(self):
         # the branch through (u=0, sigma=pi) exits the chart going forward
         g = GeometryParams(0.0, 0.0)
@@ -193,6 +214,18 @@ class TestExistence:
         p = generate_cmc_sphere(GeometryParams(-1.0, -0.5), H)
         assert p.closure is Closure.CLOSED_SPHERE
         assert np.max(np.abs(np.sin(p.sigma) - H * p.u)) < 1e-8
+
+    def test_near_boundary_band(self):
+        # shooting raised IntegrationError here; the closed form closes
+        g = GeometryParams(-1.0, -0.5)
+        for margin in (1e-5, 1e-6, 1e-8):
+            H = math.sqrt(0.25 + margin)
+            p = generate_cmc_sphere(g, H)
+            assert p.closure is Closure.CLOSED_SPHERE
+            assert np.all(np.diff(p.sigma) > 0.0)
+            assert np.max(np.abs(np.sin(p.sigma) - H * p.u)) < 1e-8
+            length = math.pi / math.sqrt(H * H - 0.25)
+            assert p.arclength + 2.0 * AXIS_SERIES_S0 == pytest.approx(length, rel=1e-12)
 
     def test_minimal_sphere_rejected_for_positive_k(self):
         with pytest.raises(ExistenceViolation, match="H != 0"):
@@ -319,8 +352,9 @@ class TestProfileContainer:
         assert q.geometry == p.geometry
         # the sidecar records the tolerances the generator ran with
         assert q.tolerances == p.tolerances
-        assert q.tolerances["rtol"] == 1e-12
-        assert q.tolerances["axis_epsilon"] == 1e-5
+        assert q.tolerances == {
+            "conservation": 1e-8, "closure_identity": 1e-8, "axis_epsilon": 1e-5
+        }
 
     def test_state_accessor(self, sphere):
         p = sphere(0.0, 0.5, 1.0)

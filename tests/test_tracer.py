@@ -46,15 +46,17 @@ def test_tracer_installs_runs_and_uninstalls():
         g = GeometryParams(0.0, 0.5)
         experiments.verify_criticality(g, 1.0)
         experiments.mode_family_energy(g, 1.0, [0.05])
+        axis = profile.ProfileState(0.0, 0.0, 0.0, 0.0)
+        profile.integrate(g, 1.0, axis, profile.StopCondition.sphere_closure(10.0))
     finally:
         tracer.uninstall()
     assert [dict(vars(m)) for m in namespaces] == before
 
     metrics = tracing.layer_metrics(tracer.spans)
-    # one shot sphere, one solve_ivp call and one equator root per sphere
+    # the sphere is generated in closed form; the one solve_ivp is the integrate call
     assert metrics["profile.generate_cmc_sphere.calls"] == 1
     assert metrics["profile.solve_ivp.calls"] == 1
-    assert metrics["profile.brentq.calls"] == 1
+    assert metrics["profile.brentq.calls"] == 0
     # three velocity profiles, four energies each
     assert metrics["experiments.deformed_curve_energy.calls"] == 12
     assert metrics["functional.energy.calls"] == 1
