@@ -18,12 +18,11 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import experiments, profile as profile_mod
 from .experiments import (
     PerturbationSpec,
     SweepSpec,
@@ -45,10 +44,12 @@ from .functional import (
 )
 from .geometry import GeometryParams
 from .profile import (
+    DEFAULT_SAMPLES,
     ExistenceViolation,
     InadmissiblePerturbation,
     IntegrationError,
     Profile,
+    Tolerances,
     generate_cmc_sphere,
     perturbed_sphere,
     _write_json,
@@ -60,23 +61,16 @@ EXIT_EXISTENCE = 2
 EXIT_IO = 3
 EXIT_VERIFICATION = 4
 
-# Named tolerances exposed as --tol-<name>; unset ones fall back to the
-# module defaults and all effective values are echoed into output metadata.
-TOLERANCES = {
-    "conservation": profile_mod.CONSERVATION_TOL,
-    "closure-identity": profile_mod.CLOSURE_IDENTITY_TOL,
-    "axis-epsilon": profile_mod.AXIS_EPSILON,
-    "residual": experiments.RESIDUAL_TOL,
-    "variation": experiments.VARIATION_TOL,
-    "energy": experiments.ENERGY_TOL,
-    "min-excess": experiments.MIN_EXCESS,
-    "second-summand": experiments.SECOND_SUMMAND_TOL,
-    "identity": 1e-12,
-    "relation": 1e-8,
-    "gauss-bonnet": 1e-3,
-    "derivative-check": 1e-5,
-    "descent-coeff": 1e-4,
+# Settings read from flags or a config file, each with its type.
+_SETTINGS = {
+    **dict.fromkeys(("k", "tau", "H", "alpha", "beta", "epsilon"), float),
+    **dict.fromkeys(("mode", "samples", "seed", "family_dims", "max_iterations"), int),
+    "out": str,
+    "format": str,
 }
+# Each Tolerances field is the flag --tol-<name>, its name hyphenated; config
+# files and the echoed configuration key tolerances by the same name.
+_TOL_FIELDS = {f.name.replace("_", "-"): f.name for f in fields(Tolerances)}
 # Integrator tolerances that earlier versions echoed into their configs;
 # nothing the command runs integrates, so config files drop them silently.
 _RETIRED_TOLERANCES = ("rtol", "atol")
@@ -106,13 +100,13 @@ class RunConfig:
     beta: float | None = None
     epsilon: float | None = None
     mode: int = 1
-    samples: int = profile_mod.DEFAULT_SAMPLES
+    samples: int = DEFAULT_SAMPLES
     out: str | None = None
     format: str = "csv"
     seed: int = 20260810
     family_dims: int = 3
     max_iterations: int = 200
-    tolerances: dict = field(default_factory=dict)
+    tolerances: Tolerances = Tolerances()
 
     def geometry(self) -> GeometryParams:
         if self.k is None or self.tau is None:
@@ -126,25 +120,10 @@ class RunConfig:
             beta=canonical.beta if self.beta is None else self.beta,
         )
 
-    def tol(self, name: str) -> float:
-        return self.tolerances.get(name, TOLERANCES[name])
-
     def effective(self) -> dict:
-        data = {
-            "k": self.k,
-            "tau": self.tau,
-            "H": self.H,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "epsilon": self.epsilon,
-            "mode": self.mode,
-            "samples": self.samples,
-            "out": self.out,
-            "format": self.format,
-            "seed": self.seed,
-            "family_dims": self.family_dims,
-            "max_iterations": self.max_iterations,
-            "tolerances": {name: self.tol(name) for name in TOLERANCES},
+        data = {key: getattr(self, key) for key in _SETTINGS}
+        data["tolerances"] = {
+            name: getattr(self.tolerances, attr) for name, attr in _TOL_FIELDS.items()
         }
         return data
 
@@ -162,17 +141,18 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", "-o", help="output path")
     parser.add_argument("--format", choices=("csv", "json"), help="output format")
     parser.add_argument("--seed", type=int, help="seed for randomized identity checks")
-    for name in TOLERANCES:
+    for name, attr in _TOL_FIELDS.items():
         parser.add_argument(
             f"--tol-{name}",
             type=float,
-            dest=f"tol_{name.replace('-', '_')}",
-            help=f"override tolerance {name} (default {TOLERANCES[name]:g})",
+            dest=f"tol_{attr}",
+            help=f"override tolerance {name} (default {getattr(Tolerances, attr):g})",
         )
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
     config = RunConfig()
+    tolerances = {}
     if getattr(args, "config", None):
         path = Path(args.config)
         try:
@@ -184,38 +164,24 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if "config" in data and isinstance(data["config"], dict):
             data = data["config"]
-        for key in ("k", "tau", "H", "alpha", "beta", "epsilon"):
+        for key, cast in _SETTINGS.items():
             if data.get(key) is not None:
-                setattr(config, key, float(data[key]))
-        for key in ("mode", "samples", "seed", "family_dims", "max_iterations"):
-            if data.get(key) is not None:
-                setattr(config, key, int(data[key]))
-        if data.get("out") is not None:
-            config.out = str(data["out"])
-        if data.get("format") is not None:
-            config.format = str(data["format"])
+                setattr(config, key, cast(data[key]))
         for name, value in data.get("tolerances", {}).items():
             if name in _RETIRED_TOLERANCES:
                 continue
-            if name not in TOLERANCES:
+            if name not in _TOL_FIELDS:
                 raise ConfigError(f"unknown tolerance {name!r} in config file")
-            config.tolerances[name] = float(value)
-    for key in ("k", "tau", "H", "alpha", "beta", "epsilon"):
+            tolerances[_TOL_FIELDS[name]] = float(value)
+    for key in _SETTINGS:
         value = getattr(args, key, None)
         if value is not None:
             setattr(config, key, value)
-    for key in ("mode", "samples", "seed", "family_dims", "max_iterations"):
-        value = getattr(args, key, None)
+    for attr in _TOL_FIELDS.values():
+        value = getattr(args, f"tol_{attr}", None)
         if value is not None:
-            setattr(config, key, value)
-    if getattr(args, "out", None) is not None:
-        config.out = args.out
-    if getattr(args, "format", None) is not None:
-        config.format = args.format
-    for name in TOLERANCES:
-        value = getattr(args, f"tol_{name.replace('-', '_')}", None)
-        if value is not None:
-            config.tolerances[name] = value
+            tolerances[attr] = value
+    config.tolerances = replace(config.tolerances, **tolerances)
     if config.samples < 9:
         raise ConfigError("samples must be at least 9")
     if config.format not in ("csv", "json"):
@@ -242,12 +208,7 @@ def cmd_generate(config: RunConfig) -> int:
         result = perturbed_sphere(g, config.H, spec, n_samples=config.samples)
     else:
         result = generate_cmc_sphere(
-            g,
-            config.H,
-            n_samples=config.samples,
-            axis_epsilon=config.tol("axis-epsilon"),
-            identity_tol=config.tol("closure-identity"),
-            conservation_tol=config.tol("conservation"),
+            g, config.H, n_samples=config.samples, tolerances=config.tolerances
         )
     out = Path(config.out)
     if config.format == "json":
@@ -294,7 +255,7 @@ def _identities_report(config: RunConfig) -> dict:
     sigma_dot = rng.uniform(-2.0, 2.0, n_random)
     identity_max = float(np.max(h_squared_identity_check(g, u, sigma, sigma_dot)))
 
-    cmc = generate_cmc_sphere(g, H, n_samples=config.samples)
+    cmc = generate_cmc_sphere(g, H, n_samples=config.samples, tolerances=config.tolerances)
     spec = PerturbationSpec(config.epsilon if config.epsilon is not None else 0.1, config.mode)
     perturbed = perturbed_sphere(g, H, spec, n_samples=config.samples)
     checks = {
@@ -306,14 +267,15 @@ def _identities_report(config: RunConfig) -> dict:
         "second_summand_derivative_cmc": second_summand_derivative_check(cmc),
         "second_summand_derivative_perturbed": second_summand_derivative_check(perturbed),
     }
+    tol = config.tolerances
     thresholds = {
-        "h_squared_identity": config.tol("identity"),
-        "willmore_relation_cmc": config.tol("relation"),
-        "willmore_relation_perturbed": config.tol("relation"),
-        "gauss_bonnet_cmc": config.tol("gauss-bonnet"),
-        "gauss_bonnet_perturbed": config.tol("gauss-bonnet"),
-        "second_summand_derivative_cmc": config.tol("derivative-check"),
-        "second_summand_derivative_perturbed": config.tol("derivative-check"),
+        "h_squared_identity": tol.identity,
+        "willmore_relation_cmc": tol.relation,
+        "willmore_relation_perturbed": tol.relation,
+        "gauss_bonnet_cmc": tol.gauss_bonnet,
+        "gauss_bonnet_perturbed": tol.gauss_bonnet,
+        "second_summand_derivative_cmc": tol.derivative_check,
+        "second_summand_derivative_perturbed": tol.derivative_check,
     }
     failed = [name for name, value in checks.items() if value > thresholds[name]]
     return {
@@ -334,19 +296,14 @@ def cmd_verify(config: RunConfig, which: str, trace_path: str | None = None) -> 
             raise ConfigError("verify criticality requires --H")
         coeffs = config.coefficients(g)
         report = verify_criticality(
-            g,
-            config.H,
-            coeffs,
-            residual_tol=config.tol("residual"),
-            variation_tol=config.tol("variation"),
-            n_samples=config.samples,
+            g, config.H, coeffs, tolerances=config.tolerances, n_samples=config.samples
         )
         doc["report"] = report.to_dict()
         doc["passed"] = report.passed
         if trace_path:
             _write_trace(Path(trace_path), report.profile, coeffs)
         if not report.passed:
-            if report.max_residual >= config.tol("residual"):
+            if report.max_residual >= report.residual_tol:
                 failure = f"max residual {report.max_residual:.3e}"
             else:
                 worst = max(report.variations, key=lambda v: abs(v.dE_dt))
@@ -355,12 +312,7 @@ def cmd_verify(config: RunConfig, which: str, trace_path: str | None = None) -> 
         if config.H is None:
             raise ConfigError("verify minimality requires --H")
         report = verify_minimality(
-            g,
-            config.H,
-            energy_tol=config.tol("energy"),
-            min_excess=config.tol("min-excess"),
-            second_summand_tol=config.tol("second-summand"),
-            n_samples=config.samples,
+            g, config.H, tolerances=config.tolerances, n_samples=config.samples
         )
         doc["report"] = report.to_dict()
         doc["passed"] = report.passed
@@ -378,8 +330,7 @@ def cmd_verify(config: RunConfig, which: str, trace_path: str | None = None) -> 
             config.family_dims,
             start=start,
             max_iterations=config.max_iterations,
-            coeff_tol=config.tol("descent-coeff"),
-            energy_tol=config.tol("energy"),
+            tolerances=config.tolerances,
         )
         doc["report"] = report.to_dict()
         doc["passed"] = report.converged
@@ -426,7 +377,7 @@ def cmd_sweep(config: RunConfig, spec_path: str) -> int:
         spec = SweepSpec.from_dict(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid sweep spec: {exc}") from exc
-    rows = sweep(spec, n_samples=config.samples)
+    rows = sweep(spec, n_samples=config.samples, tolerances=config.tolerances)
     out = Path(config.out) if config.out else Path("sweep.csv")
     with out.open("w", newline="") as fh:
         write_sweep_csv(rows, fh)

@@ -33,10 +33,12 @@ from .functional import (
 from .geometry import GeometryParams
 from .numerics import derivative1, sample_quadrature
 from .profile import (
+    DEFAULT_SAMPLES,
     ExistenceViolation,
     InadmissiblePerturbation,
     PerturbationSpec,
     Profile,
+    Tolerances,
     generate_cmc_sphere,
     mode_shape_functions,
     perturbed_sphere,
@@ -47,7 +49,6 @@ from .profile import (
 
 __all__ = [
     "RESIDUAL_TOL",
-    "VARIATION_TOL",
     "ENERGY_TOL",
     "MIN_EXCESS",
     "SECOND_SUMMAND_TOL",
@@ -72,11 +73,13 @@ __all__ = [
     "default_perturbation_grid",
 ]
 
-RESIDUAL_TOL = 1e-4
-VARIATION_TOL = 1e-5
-ENERGY_TOL = 1e-6        # |E - 4 pi| on CMC spheres (absolute)
-MIN_EXCESS = 1e-7        # E(perturbed) must exceed 4 pi by at least this
-SECOND_SUMMAND_TOL = 1e-6
+# Default thresholds by name, for callers that gate on them; the suites read a Tolerances.
+RESIDUAL_TOL = Tolerances.residual
+ENERGY_TOL = Tolerances.energy
+MIN_EXCESS = Tolerances.min_excess
+SECOND_SUMMAND_TOL = Tolerances.second_summand
+# Central-difference step of the descent gradient.
+_GRADIENT_STEP = 1e-6
 FOUR_PI = 4.0 * math.pi
 
 VELOCITY_PROFILES = ("constant", "cos_sigma", "bump")
@@ -262,38 +265,37 @@ def verify_criticality(
     H: float,
     coeffs: FunctionalCoefficients | None = None,
     *,
-    residual_tol: float = RESIDUAL_TOL,
-    variation_tol: float = VARIATION_TOL,
-    n_samples: int | None = None,
+    tolerances: Tolerances = Tolerances(),
+    n_samples: int = DEFAULT_SAMPLES,
 ) -> CriticalityReport:
     """Check that the CMC sphere is critical for E_{alpha,beta}.
 
     Two independent tests must both stay below tolerance: the maximum
     interior Euler-Lagrange residual, and the finite-difference first
     variation of the energy for each of the velocity profiles in
-    ``VELOCITY_PROFILES``.  With non-canonical coefficients the same
-    quantities are computed and typically fail, which is the point of the
-    negative control.
+    ``VELOCITY_PROFILES`` (``tolerances.residual`` and
+    ``tolerances.variation``); the sphere is generated under the same
+    ``tolerances``.  With non-canonical coefficients the same quantities are
+    computed and typically fail, which is the point of the negative control.
     """
     if coeffs is None:
         coeffs = canonical_coefficients(g)
-    kwargs = {} if n_samples is None else {"n_samples": n_samples}
-    profile = generate_cmc_sphere(g, H, **kwargs)
+    profile = generate_cmc_sphere(g, H, n_samples=n_samples, tolerances=tolerances)
     max_res = max_interior_residual(profile, coeffs)
     variations = tuple(
         finite_difference_variation(profile, coeffs, name) for name in VELOCITY_PROFILES
     )
-    passed = max_res < residual_tol and all(
-        abs(v.dE_dt) < variation_tol for v in variations
+    passed = max_res < tolerances.residual and all(
+        abs(v.dE_dt) < tolerances.variation for v in variations
     )
     return CriticalityReport(
         geometry=g,
         H=H,
         coefficients=coeffs,
         max_residual=max_res,
-        residual_tol=residual_tol,
+        residual_tol=tolerances.residual,
         variations=variations,
-        variation_tol=variation_tol,
+        variation_tol=tolerances.variation,
         energy_value=energy(profile, coeffs).E,
         passed=passed,
         profile=profile,
@@ -351,31 +353,29 @@ def verify_minimality(
     H: float,
     grid: list[PerturbationSpec] | None = None,
     *,
-    energy_tol: float = ENERGY_TOL,
-    min_excess: float = MIN_EXCESS,
-    second_summand_tol: float = SECOND_SUMMAND_TOL,
-    n_samples: int | None = None,
+    tolerances: Tolerances = Tolerances(),
+    n_samples: int = DEFAULT_SAMPLES,
 ) -> MinimalityReport:
     """Check that the CMC sphere minimizes E within the competitor family.
 
-    Passing requires the baseline CMC energy to sit at 4 pi within
-    ``energy_tol``, every admissible perturbed sphere to exceed it by at
-    least ``min_excess``, and every second summand to equal 4 pi within
-    ``second_summand_tol``.  Grid entries whose shape is not a regular
-    profile are reported as inadmissible, never fatal.  The report also
+    Passing requires the baseline CMC sphere (generated under
+    ``tolerances``) to sit at 4 pi within ``tolerances.energy``, every
+    admissible perturbed sphere to exceed it by at least
+    ``tolerances.min_excess``, and every second summand to equal 4 pi
+    within ``tolerances.second_summand``.  Grid entries whose shape is not
+    a regular profile are reported as inadmissible, never fatal.  The report also
     lists |E(+eps) - E(-eps)| per admissible pair; the energy of this
     family is measurably asymmetric in eps (the shapes are not congruent),
     so the gaps are diagnostics rather than thresholds.
     """
     if grid is None:
         grid = default_perturbation_grid()
-    kwargs = {} if n_samples is None else {"n_samples": n_samples}
-    baseline = energy(generate_cmc_sphere(g, H, **kwargs))
+    baseline = energy(generate_cmc_sphere(g, H, n_samples=n_samples, tolerances=tolerances))
     entries = []
     values: dict[tuple[float, int], float] = {}
     for spec in grid:
         try:
-            p = perturbed_sphere(g, H, spec, **kwargs)
+            p = perturbed_sphere(g, H, spec, n_samples=n_samples)
         except InadmissiblePerturbation as exc:
             entries.append(
                 MinimalityEntry(
@@ -398,14 +398,14 @@ def verify_minimality(
     for (eps, mode), e_plus in values.items():
         if eps > 0 and (-eps, mode) in values:
             gaps[(eps, mode)] = abs(e_plus - values[(-eps, mode)])
-    ok = abs(baseline.E - FOUR_PI) < energy_tol
-    ok &= abs(baseline.second_summand - FOUR_PI) < second_summand_tol
+    ok = abs(baseline.E - FOUR_PI) < tolerances.energy
+    ok &= abs(baseline.second_summand - FOUR_PI) < tolerances.second_summand
     for entry in entries:
         if not entry.admissible:
             continue
-        if entry.epsilon != 0.0 and not entry.E > baseline.E + min_excess:
+        if entry.epsilon != 0.0 and not entry.E > baseline.E + tolerances.min_excess:
             ok = False
-        if abs(entry.second_summand - FOUR_PI) > second_summand_tol:
+        if abs(entry.second_summand - FOUR_PI) > tolerances.second_summand:
             ok = False
     return MinimalityReport(
         geometry=g,
@@ -503,9 +503,7 @@ def descend_energy(
     *,
     start: PerturbationSpec | None = None,
     max_iterations: int = 200,
-    coeff_tol: float = 1e-4,
-    energy_tol: float = ENERGY_TOL,
-    gradient_step: float = 1e-6,
+    tolerances: Tolerances = Tolerances(),
 ) -> DescentReport:
     """Gradient descent over the mode-family coefficients toward the CMC sphere.
 
@@ -515,9 +513,12 @@ def descend_energy(
     iteration budget at this family's conditioning).  A start on the
     family's regularity boundary (for instance amplitude 0.2 in mode 1,
     where ds/dsigma vanishes at the equator) is pulled inward by a few
-    percent before iterating.
+    percent before iterating.  Convergence means every coefficient below
+    ``tolerances.descent_coeff`` and the energy within ``tolerances.energy``
+    of 4 pi.
     """
     _require_sphere_exists(g, H_init)
+    coeff_tol, energy_tol = tolerances.descent_coeff, tolerances.energy
     if family_dims < 1:
         raise ValueError("family_dims must be at least 1")
     if start is None:
@@ -547,8 +548,8 @@ def descend_energy(
         grad = np.empty_like(vec)
         for i in range(vec.size):
             e = np.zeros_like(vec)
-            e[i] = gradient_step
-            grad[i] = (objective(vec + e) - objective(vec - e)) / (2.0 * gradient_step)
+            e[i] = _GRADIENT_STEP
+            grad[i] = (objective(vec + e) - objective(vec - e)) / (2.0 * _GRADIENT_STEP)
         return grad
 
     f_val = objective(c)
@@ -657,12 +658,13 @@ class SweepRow:
 _SWEEP_HEADER = "k,tau,H,exists,E,max_residual,second_summand,u_max,area,error"
 
 
-def _sweep_row(case: tuple[float, float, float], n_samples: int | None) -> SweepRow:
+def _sweep_row(
+    case: tuple[float, float, float], n_samples: int, tolerances: Tolerances
+) -> SweepRow:
     k, tau, H = case
-    kwargs = {} if n_samples is None else {"n_samples": n_samples}
     try:
         g = GeometryParams(k, tau)
-        profile = generate_cmc_sphere(g, H, **kwargs)
+        profile = generate_cmc_sphere(g, H, n_samples=n_samples, tolerances=tolerances)
         report = energy(profile)
         residual = max_interior_residual(profile, canonical_coefficients(g))
         return SweepRow(
@@ -682,9 +684,14 @@ def _sweep_row(case: tuple[float, float, float], n_samples: int | None) -> Sweep
         return SweepRow(k=k, tau=tau, H=H, exists=False, error=f"{type(exc).__name__}: {exc}")
 
 
-def sweep(spec: SweepSpec, *, n_samples: int | None = None) -> list[SweepRow]:
-    """One row per (k, tau, H) in input order; failures stay in their row."""
-    return [_sweep_row(c, n_samples) for c in spec.cases()]
+def sweep(
+    spec: SweepSpec, *, n_samples: int = DEFAULT_SAMPLES, tolerances: Tolerances = Tolerances()
+) -> list[SweepRow]:
+    """One row per (k, tau, H) in input order, each sphere generated under ``tolerances``.
+
+    Failures stay in their row.
+    """
+    return [_sweep_row(c, n_samples, tolerances) for c in spec.cases()]
 
 
 def _format_field(value) -> str:

@@ -56,13 +56,12 @@ from scipy.optimize import brentq  # no caller; perfbench/tracer.py wraps profil
 from .geometry import GeometryParams
 
 __all__ = [
+    "Tolerances",
     "AXIS_EPSILON",
     "AXIS_SERIES_S0",
     "SIGMA_STOP_MARGIN",
     "DEFAULT_RTOL",
     "DEFAULT_ATOL",
-    "CONSERVATION_TOL",
-    "CLOSURE_IDENTITY_TOL",
     "DEFAULT_SAMPLES",
     "ExistenceViolation",
     "IntegrationError",
@@ -83,23 +82,54 @@ __all__ = [
     "mode_shape_functions",
 ]
 
+
+@dataclass(frozen=True)
+class Tolerances:
+    """Every named threshold of the package, in one frozen record.
+
+    Library calls take it as ``tolerances=``; ``tw`` sets each field with
+    ``--tol-<name>`` (underscores hyphenated) and echoes the record it ran with.
+    """
+
+    # sphere generator: drift of J, |sin(sigma) - |H| u|, distance of the ends to the axis
+    conservation: float = 1e-8
+    closure_identity: float = 1e-8
+    axis_epsilon: float = 1e-5
+    # criticality: interior EL residual, finite-difference first variation
+    residual: float = 1e-4
+    variation: float = 1e-5
+    # minimality and descent: |E - 4 pi|, least E(competitor) - E(sphere),
+    # |second summand - 4 pi|
+    energy: float = 1e-6
+    min_excess: float = 1e-7
+    second_summand: float = 1e-6
+    # tw verify identities: h^2 identity, Willmore relation, Gauss-Bonnet,
+    # second-summand derivative
+    identity: float = 1e-12
+    relation: float = 1e-8
+    gauss_bonnet: float = 1e-3
+    derivative_check: float = 1e-5
+    # descent converges once every mode coefficient is below this
+    descent_coeff: float = 1e-4
+
+
 # Closure acceptance: how close to the axis the profile must return.
-AXIS_EPSILON = 1e-5
+AXIS_EPSILON = Tolerances.axis_epsilon
 # Offset of the series start from the pole (the start error is O(s0^2)),
 # and of the end samples of a generated sphere.
 AXIS_SERIES_S0 = 1e-6
 # Integration stops at sigma = pi - margin; on the exact sphere the
 # residual u there measures the accumulated error.
 SIGMA_STOP_MARGIN = 1e-7
-# Tolerances of :func:`integrate`.  Conservation of J to 1e-8 and the closure
-# identity to 1e-8 must hold on arclengths up to ~20 near the existence
-# boundary, which needs tighter tolerances than the conservation target.
+# Integrator tolerances of :func:`integrate`.  Conservation of J to 1e-8 must
+# hold on arclengths up to ~20 near the existence boundary, which needs
+# tighter tolerances than the conservation target.
 DEFAULT_RTOL = 1e-12
 DEFAULT_ATOL = 1e-14
-CONSERVATION_TOL = 1e-8
-CLOSURE_IDENTITY_TOL = 1e-8
 # Uniform resampling: 2048 panels.
 DEFAULT_SAMPLES = 2049
+# Gauss panels in sigma of the mode-family construction.
+_CONSTRUCTION_PANELS = 2048
 
 _U_AXIS_COLLISION = 1e-10
 _COLUMNS = ("s", "u", "v", "sigma")
@@ -455,7 +485,7 @@ def integrate(
     n_samples: int = DEFAULT_SAMPLES,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
-    conservation_tol: float = CONSERVATION_TOL,
+    tolerances: Tolerances = Tolerances(),
 ) -> Profile:
     """Integrate the profile system from ``start`` until ``stop``.
 
@@ -463,7 +493,7 @@ def integrate(
     point a distance ``AXIS_SERIES_S0`` along the sphere branch.  The
     result is resampled on a uniform arclength grid, and the drift of the
     first integral over the returned samples must stay below
-    ``conservation_tol``.
+    ``tolerances.conservation``.
     """
     if start.u >= g.domain_radius:
         raise ValueError(
@@ -508,8 +538,8 @@ def integrate(
     profile = Profile(s=grid, u=u, v=v, sigma=sigma, geometry=g)
     return replace(
         profile,
-        j_drift=_j_drift(g, H, profile, conservation_tol),
-        tolerances={"rtol": rtol, "atol": atol, "conservation": conservation_tol},
+        j_drift=_j_drift(g, H, profile, tolerances.conservation),
+        tolerances={"rtol": rtol, "atol": atol, "conservation": tolerances.conservation},
     )
 
 
@@ -543,9 +573,7 @@ def generate_cmc_sphere(
     H: float,
     *,
     n_samples: int = DEFAULT_SAMPLES,
-    axis_epsilon: float = AXIS_EPSILON,
-    identity_tol: float = CLOSURE_IDENTITY_TOL,
-    conservation_tol: float = CONSERVATION_TOL,
+    tolerances: Tolerances = Tolerances(),
 ) -> Profile:
     """The rotationally invariant CMC sphere of mean curvature H, in closed form.
 
@@ -560,10 +588,11 @@ def generate_cmc_sphere(
     v' = sqrt(1 + tau^2 u^2) sin(sigma).
 
     The samples are checked as a shot sphere would be: the first integral
-    J drifts by at most ``conservation_tol``, sigma increases strictly, the
-    identity sin(sigma) = |H| u holds to ``identity_tol``, and both end
-    samples lie within ``axis_epsilon`` of the axis with sigma within 1e-3
-    of 0 and pi.  ``closure_residual`` records |sin(sigma) - |H| u| at the
+    J drifts by at most ``tolerances.conservation``, sigma increases
+    strictly, the identity sin(sigma) = |H| u holds to
+    ``tolerances.closure_identity``, and both end samples lie within
+    ``tolerances.axis_epsilon`` of the axis with sigma within 1e-3 of 0 and
+    pi.  ``closure_residual`` records |sin(sigma) - |H| u| at the
     last sample.  :func:`integrate` shoots the same sphere independently.
 
     A negative H requests the mirror surface: the returned samples are the
@@ -585,10 +614,10 @@ def generate_cmc_sphere(
     u = sin_sig / h_abs
     if np.max(u) >= g.domain_radius * (1.0 - 1e-12):
         raise IntegrationError("sphere leaves the domain of the geometry")
-    if u[0] > axis_epsilon or u[-1] > axis_epsilon:
+    if u[0] > tolerances.axis_epsilon or u[-1] > tolerances.axis_epsilon:
         raise IntegrationError(
             f"sphere failed to close: u = {max(u[0], u[-1]):.3e} at an end exceeds "
-            f"{axis_epsilon:.1e}"
+            f"{tolerances.axis_epsilon:.1e}"
         )
     if abs(sigma[0]) > 1e-3 or abs(sigma[-1] - math.pi) > 1e-3:
         raise IntegrationError(
@@ -602,13 +631,14 @@ def generate_cmc_sphere(
     dv = np.sum(np.sqrt(1.0 + g.tau**2 * u_nodes * u_nodes) * sin_nodes * weights, axis=1)
     v = np.concatenate(([0.0], np.cumsum(dv)))
     profile = Profile(s=grid, u=u, v=v, sigma=sigma, geometry=g)
-    drift = _j_drift(g, h_abs, profile, conservation_tol)
+    drift = _j_drift(g, h_abs, profile, tolerances.conservation)
     if not np.all(np.diff(sigma) > 0.0):
         raise IntegrationError("sigma is not monotone along the generated sphere")
     identity = np.abs(sin_sig - h_abs * u)
-    if np.max(identity) > identity_tol:
+    if np.max(identity) > tolerances.closure_identity:
         raise IntegrationError(
-            f"sphere identity residual {np.max(identity):.3e} exceeds {identity_tol:.1e}"
+            f"sphere identity residual {np.max(identity):.3e} exceeds "
+            f"{tolerances.closure_identity:.1e}"
         )
     return replace(
         profile,
@@ -618,9 +648,9 @@ def generate_cmc_sphere(
         j_drift=drift,
         closure_residual=float(identity[-1]),
         tolerances={
-            "conservation": conservation_tol,
-            "closure_identity": identity_tol,
-            "axis_epsilon": axis_epsilon,
+            "conservation": tolerances.conservation,
+            "closure_identity": tolerances.closure_identity,
+            "axis_epsilon": tolerances.axis_epsilon,
         },
     )
 
@@ -673,7 +703,6 @@ def sphere_from_modes(
     coeffs,
     *,
     n_samples: int = DEFAULT_SAMPLES,
-    construction_panels: int = 2048,
 ) -> Profile:
     """Build the rotationally invariant sphere with shape coefficients ``coeffs``.
 
@@ -714,7 +743,7 @@ def sphere_from_modes(
         u = radius(sigma)
         return np.sqrt(1.0 + g.tau**2 * u * u) * np.sin(sigma) * ds_dsigma(sigma)
 
-    edges = np.linspace(0.0, math.pi, construction_panels + 1)
+    edges = np.linspace(0.0, math.pi, _CONSTRUCTION_PANELS + 1)
     nodes, weights = _panel_nodes(edges)
     s_edges = np.concatenate(([0.0], np.cumsum(np.sum(ds_dsigma(nodes) * weights, axis=1))))
     v_edges = np.concatenate(([0.0], np.cumsum(np.sum(dv_dsigma(nodes) * weights, axis=1))))
@@ -748,7 +777,7 @@ def sphere_from_modes(
         mean_curvature=h_abs if is_cmc else None,
         closure=Closure.CLOSED_SPHERE,
         orientation=1 if H > 0 else -1,
-        tolerances={"construction_panels": construction_panels},
+        tolerances={"construction_panels": _CONSTRUCTION_PANELS},
     )
 
 

@@ -1,9 +1,13 @@
 import json
 import math
+import re
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from thurston_willmore import GeometryParams, energy, generate_cmc_sphere
+from thurston_willmore import GeometryParams, Tolerances, energy, generate_cmc_sphere
+from thurston_willmore import cli, experiments
 from thurston_willmore.cli import load_profile, main
 
 
@@ -273,6 +277,30 @@ class TestSweep:
         assert run(["sweep", tmp_path / "nope.json", "--out", tmp_path / "x.csv"]) == 1
 
 
+# Every subcommand that generates CMC spheres, with (k, tau, H) = (0, 0.5, 0.7):
+# there the sphere identity sin(sigma) = H u holds to one rounding, 1.1e-16.
+_GENERATING = {
+    "generate": ["generate"],
+    "verify criticality": ["verify", "criticality"],
+    "verify minimality": ["verify", "minimality"],
+    "verify identities": ["verify", "identities"],
+    "sweep": ["sweep"],
+}
+
+
+def _generating_run(command, tmp_path, *flags):
+    """Run ``command`` on the test case: exit code, output file, file echoing the config."""
+    words = list(_GENERATING[command])
+    if command == "sweep":
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"k_values": [0], "tau_values": [0.5], "H_values": [0.7]}))
+        words.append(spec)
+    out = tmp_path / ("out.csv" if command in ("generate", "sweep") else "out.json")
+    code = run([*words, "--k", 0, "--tau", 0.5, "--H", 0.7, "-o", out, *flags])
+    return code, out, out.with_name(out.name + ".json") if out.suffix == ".csv" else out
+
+
+
 class TestToleranceFlags:
     def test_tolerance_override_is_echoed(self, tmp_path):
         out = tmp_path / "sphere.csv"
@@ -295,3 +323,68 @@ class TestToleranceFlags:
         assert run(["generate", "--config", cfg, "--H", 1, "-o", out]) == 0
         sidecar = json.loads((tmp_path / "sphere.csv.json").read_text())
         assert sidecar["config"]["H"] == 1.0
+
+    @pytest.mark.parametrize("command", list(_GENERATING))
+    def test_generator_runs_with_the_echoed_tolerances(
+        self, command, tmp_path, capsys, monkeypatch
+    ):
+        # a tightened generator tolerance reaches the generator
+        code, out, doc = _generating_run(command, tmp_path, "--tol-closure-identity", 1e-30)
+        if command == "sweep":
+            assert code == 0
+            error = out.read_text().splitlines()[1].split(",", 9)[9]
+            assert error.startswith("IntegrationError: sphere identity residual")
+            echoed = json.loads(doc.read_text())["config"]["tolerances"]
+            assert echoed["closure-identity"] == 1e-30
+        else:
+            assert code == 1
+            assert "identity residual 1.110e-16 exceeds 1.0e-30" in capsys.readouterr().err
+
+        # with passing overrides, every sphere generated records the echoed values
+        used = []
+        real = generate_cmc_sphere
+
+        def spy(*args, **kwargs):
+            profile = real(*args, **kwargs)
+            used.append(profile.tolerances)
+            return profile
+
+        monkeypatch.setattr(cli, "generate_cmc_sphere", spy)
+        monkeypatch.setattr(experiments, "generate_cmc_sphere", spy)
+        code, _, doc = _generating_run(
+            command, tmp_path,
+            "--tol-conservation", 1e-7,
+            "--tol-closure-identity", 1e-15,
+            "--tol-axis-epsilon", 2e-5,
+        )
+        assert code == 0
+        echoed = json.loads(doc.read_text())["config"]["tolerances"]
+        assert (echoed["conservation"], echoed["closure-identity"], echoed["axis-epsilon"]) == (
+            1e-7, 1e-15, 2e-5,
+        )
+        assert used
+        for recorded in used:
+            assert recorded == {
+                "conservation": echoed["conservation"],
+                "closure_identity": echoed["closure-identity"],
+                "axis_epsilon": echoed["axis-epsilon"],
+            }
+
+    @pytest.mark.parametrize("command", ["generate", "energy", "verify", "sweep"])
+    def test_tol_flags_are_the_tolerances_fields(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        flags = set(re.findall(r"--tol-[a-z-]*[a-z]", capsys.readouterr().out))
+        assert flags == {"--tol-" + f.name.replace("_", "-") for f in fields(Tolerances)}
+
+    def test_echo_lists_every_default(self, tmp_path):
+        out = tmp_path / "sphere.csv"
+        assert run(["generate", "--k", 0, "--tau", 0.5, "--H", 1, "-o", out]) == 0
+        echoed = json.loads((tmp_path / "sphere.csv.json").read_text())["config"]["tolerances"]
+        assert echoed == {
+            "conservation": 1e-8, "closure-identity": 1e-8, "axis-epsilon": 1e-5,
+            "residual": 1e-4, "variation": 1e-5, "energy": 1e-6, "min-excess": 1e-7,
+            "second-summand": 1e-6, "identity": 1e-12, "relation": 1e-8,
+            "gauss-bonnet": 1e-3, "derivative-check": 1e-5, "descent-coeff": 1e-4,
+        }
