@@ -331,6 +331,7 @@ def cmd_verify(config: RunConfig, which: str, trace_path: str | None = None) -> 
             start=start,
             max_iterations=config.max_iterations,
             tolerances=config.tolerances,
+            n_samples=config.samples,
         )
         doc["report"] = report.to_dict()
         doc["passed"] = report.converged

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
+from numpy.polynomial import chebyshev as cheb
 
 from .functional import (
     FunctionalCoefficients,
@@ -40,11 +41,15 @@ from .profile import (
     Profile,
     Tolerances,
     generate_cmc_sphere,
-    mode_shape_functions,
     perturbed_sphere,
     sphere_from_modes,
+    _ModeShape,
+    _numerator_min,
+    _one_minus_t,
     _panel_nodes,
+    _require_admissible,
     _require_sphere_exists,
+    _zero_distance,
 )
 
 __all__ = [
@@ -421,10 +426,67 @@ def verify_minimality(
 # -- gradient descent over the mode family -------------------------------------
 
 
-# Gauss-Legendre nodes and weights in sigma for mode_family_energy: 1024 panels.
-_FAMILY_NODES, _FAMILY_WEIGHTS = (
-    a.ravel() for a in _panel_nodes(np.linspace(0.0, math.pi, 1024 + 1))
-)
+# Gauss-Legendre panels in sigma of mode_family_energy.  The energy
+# density is singular at the complex zeros of N and P (poles), of
+# B = 1 + k u^2/4 (poles) and of A^2 = 1 + tau^2 u^2 (branch points).  A
+# shape whose nearest singularity lies at least _FAMILY_POLE_MARGIN panel
+# widths (pi/64 each) off [0, pi] gets 64 panels, any other shape 1024.
+# On 16000 random admissible shapes (dims 1-3, k in [-3, 3], |tau| <= 2,
+# H down to 0.003 above the existence bound) the 64-panel sum is within
+# 6.3e-14 of 1024 panels wherever the singularity lies 2.5 widths off.
+# Poles of B are the strongest: 1.5-1.75 widths off they leave up to
+# 2.3e-11, 1.75-2 widths 1.5e-13.
+_FAMILY_PANELS = 64
+_FAMILY_FINE_PANELS = 1024
+_FAMILY_POLE_MARGIN = 2.5
+# Nodes and weights of the 8-point Gauss panels on [0, pi], by panel count.
+_FAMILY_RULES = {
+    panels: tuple(a.ravel() for a in _panel_nodes(np.linspace(0.0, math.pi, panels + 1)))
+    for panels in (_FAMILY_PANELS, _FAMILY_FINE_PANELS)
+}
+
+
+def _family_panels(g: GeometryParams, h_abs: float, shape: _ModeShape) -> int:
+    """Panel count for the family energy of an admissible mode shape."""
+    margin = _FAMILY_POLE_MARGIN * math.pi / _FAMILY_PANELS
+    distance = math.inf
+    # A real trigonometric polynomial f of degree K moves by at most
+    # max|f| (e^{K d} - 1) at distance d off the real axis.  P and N have
+    # degree 2M: their zeros are sought only when min f is within
+    # max f (e^{2 M margin} - 1) of 0.
+    growth = math.exp(2 * (shape.p.size - 1) * margin)
+    for series, (low, high) in ((shape.p, shape.p_range), (shape.n, shape.n_range)):
+        if low <= high * (growth - 1.0):
+            distance = min(distance, _zero_distance(series))
+    # 1 + a u^2 (A^2 with a = tau^2, B with a = k/4) vanishes only where
+    # u = +-1/sqrt(-a) (a < 0) or u = +-i/sqrt(a) (a > 0).  Within the
+    # margin, |u| <= max u e^{(2M + 1) margin} (u has degree 2M + 1), and with
+    # u = sin(sigma) P/H and delta = max|P - 1| on the real axis,
+    # |u| <= (cosh(margin) (1 + delta growth))/H and
+    # |Im u| <= (sinh(margin) (1 + delta growth) + cosh(margin) delta (growth - 1))/H.
+    p_low, p_high = shape.p_range
+    delta = max(p_high - 1.0, 1.0 - p_low)
+    reach = min(
+        shape.u_max * growth * math.exp(margin),
+        math.cosh(margin) * (1.0 + delta * growth) / h_abs,
+    )
+    imag_reach = min(
+        reach,
+        (math.sinh(margin) * (1.0 + delta * growth) + math.cosh(margin) * delta * (growth - 1.0))
+        / h_abs,
+    )
+    near = [
+        a
+        for a in (g.tau * g.tau, 0.25 * g.k)
+        if (imag_reach if a > 0.0 else reach) ** 2 * abs(a) >= 1.0
+    ]
+    if near:
+        u_sq = _one_minus_t(cheb.chebmul(shape.p, shape.p)) / (2.0 * h_abs * h_abs)
+        for a in near:
+            f = a * u_sq
+            f[0] += 1.0
+            distance = min(distance, _zero_distance(f))
+    return _FAMILY_PANELS if distance >= margin else _FAMILY_FINE_PANELS
 
 
 def mode_family_energy(
@@ -436,33 +498,36 @@ def mode_family_energy(
     """Energy of the mode-family sphere, evaluated in closed form.
 
     Everything is analytic in the turning angle, so the integral needs no
-    profile reconstruction and no stencils; inadmissible shapes return
-    infinity.  Serves both as the descent objective and as an independent
-    cross-check of the sample-based energy pipeline.
+    profile reconstruction and no stencils: an 8-point Gauss sum over 64
+    panels in sigma, or 1024 for shapes whose density has a complex
+    singularity close to the real axis (:func:`_family_panels`).  Shapes
+    that :func:`sphere_from_modes` rejects (decided exactly on the
+    Chebyshev series of P and N in cos(2 sigma)) return infinity.  Serves
+    both as the descent objective and as an independent cross-check of the
+    sample-based energy pipeline.
     """
     if functional_coeffs is None:
         functional_coeffs = canonical_coefficients(g)
     coeffs_vec = np.atleast_1d(np.asarray(coeffs_vec, dtype=float))
     h_abs = abs(H)
-    radius, modulation, numerator = mode_shape_functions(h_abs, coeffs_vec)
+    try:
+        shape = _require_admissible(g, h_abs, coeffs_vec)
+    except InadmissiblePerturbation:
+        return math.inf
     k, tau = g.k, g.tau
-    sig = _FAMILY_NODES
-
-    p = modulation(sig)
-    n = numerator(sig)
-    if np.min(n) <= 0.0 or np.min(p) <= 0.0:
-        return math.inf
-    u = radius(sig)
-    if np.max(u) >= g.domain_radius * (1.0 - 1e-9):
-        return math.inf
+    sig, weights = _FAMILY_RULES[_family_panels(g, h_abs, shape)]
     sin_sig = np.sin(sig)
+    t = np.cos(2.0 * sig)
+    p = cheb.chebval(t, shape.p)
+    n = cheb.chebval(t, shape.n)
+    u = sin_sig * p / h_abs
     A = np.sqrt(1.0 + tau * tau * u * u)
     B = 1.0 + 0.25 * k * u * u
     ds_dsigma = n / (h_abs * B)
     # sin(sigma)/u = H/P in closed form: no pole at the ends.
     Hm = _mean_curvature(k, u, sin_sig, 1.0 / ds_dsigma, h_abs / p)
     density = _energy_density(g, functional_coeffs, Hm, np.cos(sig) / A, u * A / B, ds_dsigma)
-    return 2.0 * math.pi * float(np.dot(_FAMILY_WEIGHTS, density))
+    return 2.0 * math.pi * float(np.dot(weights, density))
 
 
 @dataclass(frozen=True)
@@ -504,6 +569,7 @@ def descend_energy(
     start: PerturbationSpec | None = None,
     max_iterations: int = 200,
     tolerances: Tolerances = Tolerances(),
+    n_samples: int = DEFAULT_SAMPLES,
 ) -> DescentReport:
     """Gradient descent over the mode-family coefficients toward the CMC sphere.
 
@@ -512,10 +578,11 @@ def descend_energy(
     with Armijo backtracking (plain fixed-step descent needs more than the
     iteration budget at this family's conditioning).  A start on the
     family's regularity boundary (for instance amplitude 0.2 in mode 1,
-    where ds/dsigma vanishes at the equator) is pulled inward by a few
-    percent before iterating.  Convergence means every coefficient below
-    ``tolerances.descent_coeff`` and the energy within ``tolerances.energy``
-    of 4 pi.
+    where ds/dsigma vanishes at the equator) is scaled by 0.97 until the
+    exact minimum of the regularity numerator N exceeds 0.03.  Convergence
+    means every coefficient below ``tolerances.descent_coeff`` and the
+    energy within ``tolerances.energy`` of 4 pi, on the final shape rebuilt
+    by :func:`sphere_from_modes` with ``n_samples`` samples.
     """
     _require_sphere_exists(g, H_init)
     coeff_tol, energy_tol = tolerances.descent_coeff, tolerances.energy
@@ -535,9 +602,7 @@ def descend_energy(
 
     adjusted = False
     for _ in range(40):
-        _, _, numerator = mode_shape_functions(abs(H_init), c)
-        n_check = numerator(np.linspace(0.0, math.pi, 4097))
-        if np.min(n_check) > 0.03:
+        if _numerator_min(c) > 0.03:
             break
         c = c * 0.97
         adjusted = True
@@ -590,7 +655,7 @@ def descend_energy(
     else:
         iterations = max_iterations
 
-    final_profile = sphere_from_modes(g, H_init, c)
+    final_profile = sphere_from_modes(g, H_init, c, n_samples=n_samples)
     final_energy = energy(final_profile).E
     sin_sig = np.sin(final_profile.sigma)
     refit = float(np.dot(sin_sig, final_profile.u) / np.dot(final_profile.u, final_profile.u))
@@ -664,6 +729,9 @@ def _sweep_row(
     k, tau, H = case
     try:
         g = GeometryParams(k, tau)
+    except ValueError as exc:  # k or tau not finite: no such geometry
+        return SweepRow(k=k, tau=tau, H=H, exists=False, error=f"{type(exc).__name__}: {exc}")
+    try:
         profile = generate_cmc_sphere(g, H, n_samples=n_samples, tolerances=tolerances)
         report = energy(profile)
         residual = max_interior_residual(profile, canonical_coefficients(g))
@@ -681,7 +749,8 @@ def _sweep_row(
     except ExistenceViolation as exc:
         return SweepRow(k=k, tau=tau, H=H, exists=False, error=f"ExistenceViolation: {exc}")
     except Exception as exc:  # per-row isolation: a sweep never aborts
-        return SweepRow(k=k, tau=tau, H=H, exists=False, error=f"{type(exc).__name__}: {exc}")
+        # the sphere exists; generating or evaluating it failed
+        return SweepRow(k=k, tau=tau, H=H, exists=True, error=f"{type(exc).__name__}: {exc}")
 
 
 def sweep(
@@ -689,7 +758,10 @@ def sweep(
 ) -> list[SweepRow]:
     """One row per (k, tau, H) in input order, each sphere generated under ``tolerances``.
 
-    Failures stay in their row.
+    Failures stay in their row.  ``exists`` is false only where there is no
+    sphere: an :class:`ExistenceViolation`, or a (k, tau) that
+    :class:`GeometryParams` rejects.  Any other failure keeps
+    ``exists=True`` next to its error text.
     """
     return [_sweep_row(c, n_samples, tolerances) for c in spec.cases()]
 

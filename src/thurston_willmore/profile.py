@@ -36,19 +36,35 @@ the arclength from ds/dsigma = u'(sigma) / ((1 + k u^2/4) cos(sigma)).
 The cos(sigma) zero at the equator cancels exactly against the factor
 sin(2 m sigma) in u'(sigma), so the reconstruction uses the reduced
 identity sin(2 m sigma)/cos(sigma) = 2 sum_j (-1)^j sin((2m-1-2j) sigma)
-and is smooth through the equator.
+and is smooth through the equator.  The reconstruction sums 8-point Gauss
+panels, ``_CONSTRUCTION_PANELS`` of them, in sigma.
+
+Admissibility of a competitor is decided exactly, not on a sample grid.
+With t = cos(2 sigma), which covers [-1, 1] once on each half of the
+profile, P = 1 + sum_m c_m T_m(t) and, because
+sin(sigma) sin(2 m sigma)/cos(sigma) = (1 - t) U_{m-1}(t), the numerator
+N = u'(sigma)/cos(sigma) = P - sum_m 2 m c_m (1 - t) U_{m-1}(t) is a
+Chebyshev series of degree M as well, and u^2 = (1 - t) P^2 / (2 H^2).
+The minima of P and N lie at t = -1, t = 1 or a real root of the
+derivative in between; with P > 0 the critical points of u^2 are the
+roots of 2 (1 - t) P' - P.  Chebyshev series stay well conditioned for
+every M (a power series in cos^2(sigma) loses accuracy like 4^M).
 """
 
 from __future__ import annotations
 
+import cmath
 import csv
 import enum
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
+from numpy.polynomial import chebyshev as cheb
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline, PchipInterpolator
 from scipy.optimize import brentq  # no caller; perfbench/tracer.py wraps profile.brentq
@@ -79,7 +95,6 @@ __all__ = [
     "cmc_sigma_rate",
     "perturbed_sphere",
     "sphere_from_modes",
-    "mode_shape_functions",
 ]
 
 
@@ -544,6 +559,10 @@ def integrate(
 
 
 def _require_sphere_exists(g: GeometryParams, H: float) -> None:
+    if not math.isfinite(H):
+        raise ExistenceViolation(
+            f"no CMC sphere in E(k={g.k}, tau={g.tau}) with H={H}: requires H finite"
+        )
     if g.k > 0.0:
         if H == 0.0:
             raise ExistenceViolation(
@@ -666,35 +685,186 @@ def _reduced_sine_ratio(sigma: np.ndarray, m: int) -> np.ndarray:
     return 2.0 * out
 
 
-def mode_shape_functions(H: float, coeffs: np.ndarray):
-    """Closures (u, modulation, regularity numerator) of the mode family.
+def _mode_shape(H: float, coeffs: np.ndarray, sigma: np.ndarray):
+    """sin(sigma), modulation P, numerator N and radius u of the mode family on ``sigma``.
 
     The family is u(sigma) = (1/H) sin(sigma) P(sigma) with modulation
     P = 1 + sum_m c_m cos(2 m sigma).  The numerator N = u'(sigma)/cos(sigma)
     (computed through the removable equator zero) determines regularity:
-    ds/dsigma = N / (H (1 + k u^2/4)) must stay positive.
+    ds/dsigma = N / (H (1 + k u^2/4)) must stay positive.  Each array is
+    evaluated once per grid.
     """
-    coeffs = np.asarray(coeffs, dtype=float)
-    h_abs = abs(H)
+    p = np.ones_like(sigma)
+    for m, c in enumerate(coeffs, start=1):
+        p = p + c * np.cos(2 * m * sigma)
+    sin_sig = np.sin(sigma)
+    n = p
+    for m, c in enumerate(coeffs, start=1):
+        if c != 0.0:
+            n = n - 2 * m * c * sin_sig * _reduced_sine_ratio(sigma, m)
+    return sin_sig, p, n, sin_sig * p / abs(H)
 
-    def modulation(sigma):
-        p = np.ones_like(sigma)
-        for m, c in enumerate(coeffs, start=1):
-            p = p + c * np.cos(2 * m * sigma)
-        return p
 
-    def numerator(sigma):
-        n = modulation(sigma)
-        sin_sig = np.sin(sigma)
-        for m, c in enumerate(coeffs, start=1):
-            if c != 0.0:
-                n = n - 2 * m * c * sin_sig * _reduced_sine_ratio(sigma, m)
-        return n
+def _one_minus_t(coef: np.ndarray) -> np.ndarray:
+    """The Chebyshev series (1 - t) coef(t), one coefficient longer than ``coef``."""
+    out = np.zeros(coef.size + 1)
+    product = cheb.chebmul(coef, [1.0, -1.0])  # drops trailing zeros
+    out[: product.size] = product
+    return out
 
-    def radius(sigma):
-        return np.sin(sigma) * modulation(sigma) / h_abs
 
-    return radius, modulation, numerator
+@lru_cache(maxsize=None)
+def _mode_basis(n_modes: int) -> tuple[np.ndarray, ...]:
+    """The mode-m terms of P and of N as Chebyshev series in t = cos(2 sigma).
+
+    Returns the series (row m - 1 for mode m) and, for each, their values at
+    the ends t = 1 (the poles) and t = -1 (the equator).  cos(2 m sigma) =
+    T_m(t) and sin(sigma) sin(2 m sigma)/cos(sigma) = (1 - t) U_{m-1}(t) =
+    (1 - t) T_m'(t)/m, so the mode-m term of N is T_m - 2 (1 - t) T_m'.
+    All entries are integers, exact in floating point.
+    """
+    modulation = np.eye(n_modes + 1)[1:]
+    numerator = modulation - 2.0 * np.array(
+        [_one_minus_t(row) for row in cheb.chebder(modulation, axis=1)]
+    )
+    ends = np.array([1.0, -1.0])
+    basis = (modulation, numerator, *(cheb.chebval(ends, b.T) for b in (modulation, numerator)))
+    for a in basis:
+        a.flags.writeable = False
+    return basis
+
+
+@lru_cache(maxsize=None)
+def _series_operators(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """d/dt and c -> 2 (1 - t) c' - c on Chebyshev series of ``size`` coefficients.
+
+    Both act from the right on coefficient rows.  The roots of the second
+    are the critical points of (1 - t) c^2 where c does not vanish.
+    """
+    derivative = cheb.chebder(np.eye(size), axis=1)
+    critical = 2.0 * np.array([_one_minus_t(row) for row in derivative]) - np.eye(size)
+    derivative.flags.writeable = False
+    critical.flags.writeable = False
+    return derivative, critical
+
+
+def _roots(coef: np.ndarray) -> list[complex]:
+    """Complex roots of the Chebyshev series ``coef``; closed forms up to degree 2.
+
+    Leading coefficients below 1e-300 of the largest are dropped: they move
+    the series on [-1, 1] by far less than a rounding, their roots lie far
+    off, and dividing by them overflows.
+    """
+    coef = coef.tolist()
+    scale = max(map(abs, coef), default=0.0)
+    while coef and abs(coef[-1]) <= 1e-300 * scale:
+        coef.pop()
+    if len(coef) < 2:
+        return []
+    if len(coef) == 2:
+        return [-coef[0] / coef[1]]
+    if len(coef) == 3:  # (c0 - c2) + c1 t + 2 c2 t^2
+        c0, c1, c2 = coef[0] - coef[2], coef[1], 2.0 * coef[2]
+        sq = cmath.sqrt(c1 * c1 - 4.0 * c2 * c0)
+        q = -0.5 * (c1 + sq if c1 >= 0.0 else c1 - sq)
+        return [q / c2, c0 / q] if q != 0.0 else [0.0, 0.0]
+    return cheb.chebroots(coef).tolist()
+
+
+def _interior_points(coef: np.ndarray) -> list[float]:
+    """The real parts in (-1, 1) of the roots of the Chebyshev series ``coef``.
+
+    Roots are computed in floating point; a complex pair with a tiny
+    imaginary part contributes its real part, which can only add a
+    candidate in [-1, 1] and so never moves an extremum past the true one.
+    """
+    return [t for t in (r.real for r in _roots(coef)) if -1.0 < t < 1.0]
+
+
+def _series_range(coef: np.ndarray, ends: np.ndarray) -> tuple[float, float]:
+    """Exact (min, max) over t in [-1, 1] of the Chebyshev series ``coef``.
+
+    ``ends`` holds its values at t = 1 and t = -1; the interior candidates
+    are the real roots of the derivative.
+    """
+    derivative, _ = _series_operators(coef.size)
+    interior = _interior_points(coef @ derivative)
+    values = [*ends.tolist(), *(float(cheb.chebval(t, coef)) for t in interior)]
+    return min(values), max(values)
+
+
+class _ModeShape(NamedTuple):
+    """P and N of a mode shape as Chebyshev series in t = cos(2 sigma).
+
+    With their (min, max) over the profile and max u.
+    """
+
+    p: np.ndarray
+    n: np.ndarray
+    p_range: tuple[float, float]
+    n_range: tuple[float, float]
+    u_max: float
+
+
+def _shape_series(coeffs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """P and N as Chebyshev series in t = cos(2 sigma), each with its values at t = 1, -1.
+
+    Returned as (P, P ends, N, N ends).
+    """
+    modulation, numerator, p_ends, n_ends = _mode_basis(coeffs.size)
+    p = coeffs @ modulation
+    n = coeffs @ numerator
+    p[0] += 1.0
+    n[0] += 1.0
+    return p, 1.0 + coeffs @ p_ends, n, 1.0 + coeffs @ n_ends
+
+
+def _numerator_min(coeffs: np.ndarray) -> float:
+    """Exact minimum of N over the closed profile sigma in [0, pi]."""
+    _, _, n, n_ends = _shape_series(coeffs)
+    return _series_range(n, n_ends)[0]
+
+
+def _zero_distance(coef: np.ndarray) -> float:
+    """Distance from [0, pi] of the nearest complex sigma at which ``coef`` vanishes.
+
+    ``coef`` is a Chebyshev series in t = cos(2 sigma): a zero t_0 lies
+    |Im arccos(t_0)|/2 off the real sigma axis; infinity when there is no
+    zero.
+    """
+    return 0.5 * min((abs(cmath.acos(t).imag) for t in _roots(coef)), default=math.inf)
+
+
+def _require_admissible(g: GeometryParams, h_abs: float, coeffs: np.ndarray) -> _ModeShape:
+    """Raise :class:`InadmissiblePerturbation` unless the mode shape is a regular profile.
+
+    Decided exactly on sigma in [0, pi], i.e. t = cos(2 sigma) in [-1, 1]:
+    N > 0 and P > 0 by their minima over the ends and the real critical
+    points, and max u < domain radius (1 - 1e-9).  With P > 0 the critical
+    points of u^2 = (1 - t) P^2 / (2 H^2) are the roots of 2 (1 - t) P' - P.
+    Ties (a minimum of exactly 0) are inadmissible.  Returns the shape's
+    series, ranges and max u.
+    """
+    if not np.isfinite(coeffs).all():
+        raise ValueError(f"shape coefficients must be finite, got {coeffs}")
+    p, p_ends, n, n_ends = _shape_series(coeffs)
+    n_range = _series_range(n, n_ends)
+    if n_range[0] <= 0.0:
+        raise InadmissiblePerturbation(
+            f"ds/dsigma <= 0 (min numerator {n_range[0]:.3e}): profile not regular"
+        )
+    p_range = _series_range(p, p_ends)
+    if p_range[0] <= 0.0:
+        raise InadmissiblePerturbation("profile radius is not positive on the interior")
+    # u = P(-1)/H at the equator t = -1, 0 at the poles t = 1
+    interior = _interior_points(p @ _series_operators(p.size)[1])
+    u_max = max([p_ends[1], *(math.sqrt(0.5 * (1.0 - t)) * cheb.chebval(t, p) for t in interior)])
+    u_max = float(u_max) / h_abs
+    if u_max >= g.domain_radius * (1.0 - 1e-9):
+        raise InadmissiblePerturbation(
+            f"profile apex {u_max:.6f} leaves the domain (radius {g.domain_radius:.6f})"
+        )
+    return _ModeShape(p, n, p_range, n_range, u_max)
 
 
 def sphere_from_modes(
@@ -710,49 +880,33 @@ def sphere_from_modes(
     curvature |H| by quadrature in sigma, independently of the shooting
     integrator and of :func:`generate_cmc_sphere`.  Raises
     :class:`InadmissiblePerturbation` when the shape is not a regular
-    profile (ds/dsigma <= 0 somewhere) or leaves the domain.
+    profile (ds/dsigma <= 0 somewhere) or leaves the domain; the decision
+    is exact, on the Chebyshev series of P and N in cos(2 sigma)
+    (:func:`_require_admissible`).  The arclength s(sigma) and the height
+    v(sigma) are 8-point Gauss sums over ``_CONSTRUCTION_PANELS`` panels in
+    sigma; each shape array is evaluated once on the nodes.
     """
     _require_sphere_exists(g, H)
     coeffs = np.atleast_1d(np.asarray(coeffs, dtype=float))
     h_abs = abs(H)
-    radius, modulation, numerator = mode_shape_functions(h_abs, coeffs)
-
-    check = np.linspace(0.0, math.pi, 8193)
-    n_check = numerator(check)
-    if np.min(n_check) <= 0.0:
-        raise InadmissiblePerturbation(
-            f"ds/dsigma <= 0 (min numerator {np.min(n_check):.3e}): profile not regular"
-        )
-    p_check = modulation(check)
-    if np.min(p_check) <= 0.0:
-        raise InadmissiblePerturbation("profile radius is not positive on the interior")
-    u_check = radius(check)
-    if np.max(u_check) >= g.domain_radius * (1.0 - 1e-9):
-        raise InadmissiblePerturbation(
-            f"profile apex {np.max(u_check):.6f} leaves the domain "
-            f"(radius {g.domain_radius:.6f})"
-        )
+    _require_admissible(g, h_abs, coeffs)
 
     def ds_from(n, u):
         return n / (h_abs * (1.0 + 0.25 * g.k * u * u))
 
-    def ds_dsigma(sigma):
-        return ds_from(numerator(sigma), radius(sigma))
-
-    def dv_dsigma(sigma):
-        u = radius(sigma)
-        return np.sqrt(1.0 + g.tau**2 * u * u) * np.sin(sigma) * ds_dsigma(sigma)
-
     edges = np.linspace(0.0, math.pi, _CONSTRUCTION_PANELS + 1)
     nodes, weights = _panel_nodes(edges)
-    s_edges = np.concatenate(([0.0], np.cumsum(np.sum(ds_dsigma(nodes) * weights, axis=1))))
-    v_edges = np.concatenate(([0.0], np.cumsum(np.sum(dv_dsigma(nodes) * weights, axis=1))))
+    sin_nodes, _, n_nodes, u_nodes = _mode_shape(h_abs, coeffs, nodes)
+    ds_nodes = ds_from(n_nodes, u_nodes)
+    dv_nodes = np.sqrt(1.0 + g.tau**2 * u_nodes * u_nodes) * sin_nodes * ds_nodes
+    s_edges = np.concatenate(([0.0], np.cumsum(np.sum(ds_nodes * weights, axis=1))))
+    v_edges = np.concatenate(([0.0], np.cumsum(np.sum(dv_nodes * weights, axis=1))))
 
-    f_ends = ds_dsigma(np.array([0.0, math.pi]))
-    # Near-degenerate shapes (numerator close to zero) get a monotone C1
-    # interpolant; regular shapes a clamped C2 spline.
-    f_all = ds_from(n_check, u_check)
-    if np.min(f_all) > 1e-3 * np.median(f_all):
+    _, _, n_ends, u_ends = _mode_shape(h_abs, coeffs, np.array([0.0, math.pi]))
+    f_ends = ds_from(n_ends, u_ends)
+    # Near-degenerate shapes (ds/dsigma at some node below 1e-3 of its
+    # median) get a monotone C1 interpolant; regular shapes a clamped C2 spline.
+    if np.min(ds_nodes) > 1e-3 * np.median(ds_nodes):
         sigma_of_s = CubicSpline(s_edges, edges, bc_type=((1, 1.0 / f_ends[0]), (1, 1.0 / f_ends[1])))
     else:
         sigma_of_s = PchipInterpolator(s_edges, edges)
@@ -762,7 +916,7 @@ def sphere_from_modes(
     sigma = np.clip(sigma_of_s(grid), 0.0, math.pi)
     sigma[0] = 0.0
     sigma[-1] = math.pi
-    u = radius(sigma)
+    u = _mode_shape(h_abs, coeffs, sigma)[3]
     u[0] = 0.0
     u[-1] = 0.0
     v = v_of_s(grid)

@@ -1,8 +1,9 @@
-"""Shared fixtures: geometries and cached generated profiles."""
+"""Shared fixtures: geometries and cached generated profiles; the hypothesis profile."""
 
 from functools import lru_cache
 
 import pytest
+from hypothesis import settings
 
 from thurston_willmore import (
     GeometryParams,
@@ -10,6 +11,11 @@ from thurston_willmore import (
     generate_cmc_sphere,
     perturbed_sphere,
 )
+
+# Property tests are deterministic and bounded in time: a fixed example
+# sequence, no deadline (timings vary across hosts) and no example database.
+settings.register_profile("tier1", derandomize=True, deadline=None, max_examples=50, database=None)
+settings.load_profile("tier1")
 
 
 @lru_cache(maxsize=None)

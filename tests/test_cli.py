@@ -6,7 +6,13 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from thurston_willmore import GeometryParams, Tolerances, energy, generate_cmc_sphere
+from thurston_willmore import (
+    GeometryParams,
+    Tolerances,
+    energy,
+    generate_cmc_sphere,
+    sphere_from_modes,
+)
 from thurston_willmore import cli, experiments
 from thurston_willmore.cli import load_profile, main
 
@@ -231,6 +237,24 @@ class TestVerify:
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["report"]["converged"] is True
+
+    def test_descent_builds_final_sphere_with_samples_flag(self, tmp_path, monkeypatch):
+        built = []
+
+        def spy(*args, **kwargs):
+            profile = sphere_from_modes(*args, **kwargs)
+            built.append(len(profile))
+            return profile
+
+        monkeypatch.setattr(experiments, "sphere_from_modes", spy)
+        out = tmp_path / "descent.json"
+        code = run(
+            ["verify", "descent", "--k", 0, "--tau", 0.5, "--H", 1,
+             "--family-dims", 1, "--samples", 1025, "--out", out]
+        )
+        assert code == 0
+        assert built == [1025]
+        assert json.loads(out.read_text())["config"]["samples"] == 1025
 
     def test_unknown_suite_exits_1(self, tmp_path):
         assert run(["verify", "nonsense", "--k", 0, "--tau", 0.5]) == 1

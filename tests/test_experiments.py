@@ -8,6 +8,7 @@ from thurston_willmore import (
     FunctionalCoefficients,
     GeometryParams,
     PerturbationSpec,
+    Tolerances,
     canonical_coefficients,
     energy,
 )
@@ -183,6 +184,33 @@ class TestSweep:
         assert not rows[0].exists
         assert "ExistenceViolation" in rows[0].error
         assert rows[1].exists and rows[1].E == pytest.approx(FOUR_PI, rel=1e-6)
+
+    def test_failure_of_an_existing_sphere_keeps_exists_true(self):
+        spec = SweepSpec(k_values=(0.0,), tau_values=(0.5,), H_values=(0.7,))
+        row = sweep(spec, tolerances=Tolerances(closure_identity=1e-30))[0]
+        assert row.exists
+        assert row.error.startswith("IntegrationError: sphere identity residual")
+        assert row.E is None
+
+    def test_nonexistent_rows_unchanged(self):
+        spec = SweepSpec(k_values=(-1.0, 1.0, math.nan), tau_values=(0.0,), H_values=(0.0,))
+        buf = io.StringIO()
+        write_sweep_csv(sweep(spec), buf)
+        assert buf.getvalue().splitlines()[1:] == [
+            '-1.0,0.0,0.0,false,,,,,,"ExistenceViolation: no CMC sphere in E(k=-1.0, tau=0.0) '
+            'with H=0.0: requires H^2 > -k/4"',
+            '1.0,0.0,0.0,false,,,,,,"ExistenceViolation: no CMC sphere in E(k=1.0, tau=0.0): '
+            'requires H != 0 for k > 0"',
+            'nan,0.0,0.0,false,,,,,,"ValueError: k and tau must be finite, got k=nan, tau=0.0"',
+        ]
+
+    @pytest.mark.parametrize("H", [math.nan, math.inf, -math.inf])
+    def test_non_finite_H_row_does_not_exist(self, H):
+        spec = SweepSpec(k_values=(-1.0, 0.0, 1.0), tau_values=(0.5,), H_values=(H,))
+        for row in sweep(spec):
+            assert not row.exists
+            assert row.error.startswith("ExistenceViolation: ")
+            assert row.error.endswith("requires H finite")
 
     def test_flat_unit_sphere_row(self):
         spec = SweepSpec(k_values=(0.0,), tau_values=(0.0,), H_values=(1.0,))
