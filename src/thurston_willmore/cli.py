@@ -8,7 +8,9 @@ the effective configuration so a run can be reproduced bit for bit from
 its own artifacts.
 
 Exit codes: 0 success, 1 invalid configuration or malformed input,
-2 sphere nonexistence, 3 I/O failure, 4 verification threshold failure.
+2 sphere nonexistence, 3 I/O failure, 4 verification threshold failure,
+5 sphere generation failed a post-condition (``IntegrationError``),
+6 any other error (one ``error:`` line, no traceback).
 """
 
 from __future__ import annotations
@@ -60,6 +62,8 @@ EXIT_CONFIG = 1
 EXIT_EXISTENCE = 2
 EXIT_IO = 3
 EXIT_VERIFICATION = 4
+EXIT_INTEGRATION = 5
+EXIT_INTERNAL = 6
 
 # Settings read from flags or a config file, each with its type.
 _SETTINGS = {
@@ -312,7 +316,11 @@ def cmd_verify(config: RunConfig, which: str, trace_path: str | None = None) -> 
         if config.H is None:
             raise ConfigError("verify minimality requires --H")
         report = verify_minimality(
-            g, config.H, tolerances=config.tolerances, n_samples=config.samples
+            g,
+            config.H,
+            coeffs=config.coefficients(g),
+            tolerances=config.tolerances,
+            n_samples=config.samples,
         )
         doc["report"] = report.to_dict()
         doc["passed"] = report.passed
@@ -430,7 +438,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return cmd_sweep(config, args.spec)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, InadmissiblePerturbation, IntegrationError) as exc:
+    except (ConfigError, InadmissiblePerturbation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ExistenceViolation as exc:
@@ -441,6 +449,12 @@ def main(argv=None) -> int:
         return EXIT_IO
     except VerificationFailure:
         return EXIT_VERIFICATION
+    except IntegrationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INTEGRATION
+    except Exception as exc:  # anything else: one line, not a traceback
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

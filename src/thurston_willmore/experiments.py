@@ -140,6 +140,8 @@ def deformed_curve_energy(
     samples, and the area element picks up the speed Jacobian.
     """
     k, tau = g.k, g.tau
+    # Only the step's scale enters, and the energy does not depend on it:
+    # samples uniform in arclength or in any other variable both work.
     h = float(s[1] - s[0])
     A = np.sqrt(1.0 + tau * tau * u * u)
     B = 1.0 + 0.25 * k * u * u
@@ -334,6 +336,7 @@ class MinimalityEntry:
 class MinimalityReport:
     geometry: GeometryParams
     H: float
+    coefficients: FunctionalCoefficients
     baseline_E: float
     baseline_second_summand: float
     entries: tuple[MinimalityEntry, ...]
@@ -345,6 +348,8 @@ class MinimalityReport:
             "k": self.geometry.k,
             "tau": self.geometry.tau,
             "H": self.H,
+            "alpha": self.coefficients.alpha,
+            "beta": self.coefficients.beta,
             "baseline_E": self.baseline_E,
             "baseline_second_summand": self.baseline_second_summand,
             "entries": [e.to_dict() for e in self.entries],
@@ -358,24 +363,32 @@ def verify_minimality(
     H: float,
     grid: list[PerturbationSpec] | None = None,
     *,
+    coeffs: FunctionalCoefficients | None = None,
     tolerances: Tolerances = Tolerances(),
     n_samples: int = DEFAULT_SAMPLES,
 ) -> MinimalityReport:
-    """Check that the CMC sphere minimizes E within the competitor family.
+    """Check that the CMC sphere minimizes E_{alpha,beta} within the competitor family.
 
-    Passing requires the baseline CMC sphere (generated under
-    ``tolerances``) to sit at 4 pi within ``tolerances.energy``, every
-    admissible perturbed sphere to exceed it by at least
-    ``tolerances.min_excess``, and every second summand to equal 4 pi
-    within ``tolerances.second_summand``.  Grid entries whose shape is not
-    a regular profile are reported as inadmissible, never fatal.  The report also
-    lists |E(+eps) - E(-eps)| per admissible pair; the energy of this
+    ``coeffs`` defaults to the canonical pair.  Passing requires the
+    baseline CMC sphere (generated under ``tolerances``) to sit at 4 pi
+    within ``tolerances.energy``, every admissible perturbed sphere to
+    exceed it by at least ``tolerances.min_excess``, and every second
+    summand to equal 4 pi within ``tolerances.second_summand``.  Grid
+    entries whose shape is not a regular profile are reported as
+    inadmissible, never fatal.  The report also lists |E(+eps) - E(-eps)| per admissible pair; the energy of this
     family is measurably asymmetric in eps (the shapes are not congruent),
-    so the gaps are diagnostics rather than thresholds.
+    so the gaps are diagnostics rather than thresholds.  With non-canonical
+    coefficients (plain Willmore, say) the baseline misses 4 pi outside the
+    space forms and the suite fails: the negative control.  The second
+    summands are the canonical split's and do not depend on ``coeffs``.
     """
     if grid is None:
         grid = default_perturbation_grid()
-    baseline = energy(generate_cmc_sphere(g, H, n_samples=n_samples, tolerances=tolerances))
+    if coeffs is None:
+        coeffs = canonical_coefficients(g)
+    baseline = energy(
+        generate_cmc_sphere(g, H, n_samples=n_samples, tolerances=tolerances), coeffs
+    )
     entries = []
     values: dict[tuple[float, int], float] = {}
     for spec in grid:
@@ -388,7 +401,7 @@ def verify_minimality(
                 )
             )
             continue
-        rep = energy(p)
+        rep = energy(p, coeffs)
         values[(spec.epsilon, spec.mode)] = rep.E
         entries.append(
             MinimalityEntry(
@@ -415,6 +428,7 @@ def verify_minimality(
     return MinimalityReport(
         geometry=g,
         H=H,
+        coefficients=coeffs,
         baseline_E=baseline.E,
         baseline_second_summand=baseline.second_summand,
         entries=tuple(entries),

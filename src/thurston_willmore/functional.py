@@ -13,9 +13,11 @@ point, and on rotationally invariant spheres the canonical energy splits
 into a nonnegative part that vanishes exactly on CMC spheres plus a
 topological part whose integrand is a total derivative with value 4 pi.
 
-All evaluations work on the uniform sample arrays of a profile: arclength
+All evaluations work on the sample arrays of a profile: arclength
 derivatives come from 5-point stencils, integrals from the fixed
-sample-quadrature weights.  Ratios sin(sigma)/u appearing near the poles
+sample-quadrature weights, both scaled by the profile's spacing ds/di (a
+scalar for samples uniform in arclength, an array otherwise; see
+:mod:`.numerics`).  Ratios sin(sigma)/u appearing near the poles
 are replaced by their limit dsigma/ds where u is below ``POLE_U``.
 """
 
@@ -210,7 +212,7 @@ def h_squared_identity_check(g: GeometryParams, u, sigma, dsigma_ds):
 
 
 class _ProfileFields:
-    """Arrays of derived quantities along a profile's uniform grid.
+    """Arrays of derived quantities along a profile's samples.
 
     Two flavors of the turning rate coexist.  ``sigma_dot`` (stencil
     spacing 1) feeds the energy integrands and the pointwise mean curvature

