@@ -141,7 +141,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--beta", type=float, help="energy coefficient beta")
     parser.add_argument("--epsilon", type=float, help="shape perturbation amplitude")
     parser.add_argument("--mode", type=int, help="shape perturbation mode (default 1)")
-    parser.add_argument("--samples", type=int, help="profile sample count")
+    parser.add_argument("--samples", type=int, help="profile sample count, odd and >= 9")
     parser.add_argument("--out", "-o", help="output path")
     parser.add_argument("--format", choices=("csv", "json"), help="output format")
     parser.add_argument("--seed", type=int, help="seed for randomized identity checks")
@@ -186,8 +186,8 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         if value is not None:
             tolerances[attr] = value
     config.tolerances = replace(config.tolerances, **tolerances)
-    if config.samples < 9:
-        raise ConfigError("samples must be at least 9")
+    if config.samples < 9 or config.samples % 2 == 0:
+        raise ConfigError("samples must be odd and at least 9")
     if config.format not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {config.format!r}")
     return config

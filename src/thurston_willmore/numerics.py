@@ -9,13 +9,12 @@ intervals, which reduces to fixed weights on the samples; the error
 estimate compares against the same rule on the stride-2 subgrid.
 
 The spacing ``h`` is either a scalar, the step of samples uniform in the
-variable s, or an array s'_i = ds/di per sample (from
-:func:`index_derivative`), i the sample index, for samples uniform in
-some other variable.  An array spacing makes the stencils act on the
-index: d/ds = (d/di)/s'_i, d^2/ds^2 = (d^2/di^2 - s''_i d/ds)/s'_i^2, and
-the integral of f ds is the sum of w_i f_i s'_i.  A stride-m subgrid is
-uniform in i with step m.  The scalar path is the plain uniform-grid
-arithmetic.
+variable s, or an array s'_i = ds/di per sample, i the sample index, for
+samples uniform in some other variable.  An array spacing makes the
+stencils act on the index: d/ds = (d/di)/s'_i,
+d^2/ds^2 = (d^2/di^2 - s''_i d/ds)/s'_i^2, and the integral of f ds is the
+sum of w_i f_i s'_i.  A stride-m subgrid is uniform in i with step m.  The
+scalar path is the plain uniform-grid arithmetic.
 """
 
 from __future__ import annotations
@@ -24,17 +23,9 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = [
-    "derivative1",
-    "derivative2",
-    "index_derivative",
-    "sample_quadrature",
-    "sample_quadrature_with_error",
-]
+__all__ = ["derivative1", "derivative2", "sample_quadrature", "sample_quadrature_with_error"]
 
 _PANEL = 8  # grid intervals per quadrature panel
-# Weights of the 9-point central first derivative, 8th order, unit spacing.
-_CENTRAL9 = np.array([1 / 280, -4 / 105, 1 / 5, -4 / 5, 0.0, 4 / 5, -1 / 5, 4 / 105, -1 / 280])
 
 
 def _derivative1_unit(y: np.ndarray, h: float) -> np.ndarray:
@@ -76,23 +67,6 @@ def _strided(kernel, y: np.ndarray, h: float, stride: int) -> np.ndarray:
     d = np.empty_like(y)
     for offset in range(stride):
         d[offset::stride] = kernel(y[offset::stride], h * stride)
-    return d
-
-
-def index_derivative(y: np.ndarray) -> np.ndarray:
-    """dy/di against the sample index: 9-point central stencils, 8th order.
-
-    The four samples at either end keep the 5-point stencils.  Meant for
-    the arclength s of samples uniform in another variable: its derivative
-    is the spacing that scales every stencil and quadrature weight, so its
-    truncation error reaches every derived quantity.  On mode-family
-    spheres with the apex at 0.996 of the domain radius the 5-point
-    spacing left 2e-6 in the second summand; this one leaves 3e-12.
-    """
-    y = np.asarray(y, dtype=float)
-    d = _derivative1_unit(y, 1.0)
-    if y.size >= 9:
-        d[4:-4] = np.correlate(y, _CENTRAL9, mode="valid")
     return d
 
 

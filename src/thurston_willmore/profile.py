@@ -37,7 +37,8 @@ The cos(sigma) zero at the equator cancels exactly against the factor
 sin(2 m sigma) in u'(sigma), so the reconstruction uses the reduced
 identity sin(2 m sigma)/cos(sigma) = 2 sum_j (-1)^j sin((2m-1-2j) sigma)
 and is smooth through the equator.  The reconstruction samples the profile
-uniformly in sigma and sums 8-point Gauss panels between the samples.
+uniformly in sigma, sums 8-point Gauss panels between the samples for s and
+v, and keeps ds/dsigma at the samples, the spacing the stencils scale by.
 
 Admissibility of a competitor is decided exactly, not on a sample grid.
 With t = cos(2 sigma), which covers [-1, 1] once on each half of the
@@ -67,7 +68,6 @@ import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
 from .geometry import GeometryParams
-from .numerics import index_derivative
 
 __all__ = [
     "Tolerances",
@@ -150,6 +150,8 @@ TURNING_ANGLE = "turning_angle"
 
 _U_AXIS_COLLISION = 1e-10
 _COLUMNS = ("s", "u", "v", "sigma")
+# Turning-angle samples carry one more column: ds/dsigma at each sample.
+_SPEED_COLUMN = "ds_dsigma"
 _SCHEMAS = ("profile/1", "profile/2")
 
 
@@ -213,6 +215,10 @@ class Profile:
     ``parametrization`` names the variable the samples are uniform in:
     ``ARCLENGTH`` (closed-form CMC spheres, :func:`integrate`, and every
     ``profile/1`` file) or ``TURNING_ANGLE`` (:func:`sphere_from_modes`).
+    Turning-angle samples also carry ``ds_dsigma``, the arclength per unit
+    turning angle at each sample, as computed by their construction:
+    differentiating the stored s instead would put its rounding (1e-15
+    against steps of 2e-3) into every stencil.
     ``mean_curvature`` is set only for profiles generated as CMC spheres
     and stores the canonical positive H; ``orientation`` is -1 when the
     profile represents the mirror surface of a negative requested H.
@@ -230,20 +236,25 @@ class Profile:
     closure_residual: float | None = None
     tolerances: dict | None = None
     parametrization: str = ARCLENGTH
+    ds_dsigma: np.ndarray | None = None
 
     def __post_init__(self):
+        if self.parametrization not in (ARCLENGTH, TURNING_ANGLE):
+            raise ValueError(f"unknown parametrization {self.parametrization!r}")
+        if (self.ds_dsigma is None) != (self.parametrization == ARCLENGTH):
+            raise ValueError(f"turning-angle samples, and only they, carry {_SPEED_COLUMN}")
         # Own copies, frozen: profiles are safe to share across threads.
-        for name in ("s", "u", "v", "sigma"):
+        for name in self._columns():
             arr = np.array(getattr(self, name), dtype=float)
             arr.flags.writeable = False
             setattr(self, name, arr)
-        if self.parametrization not in (ARCLENGTH, TURNING_ANGLE):
-            raise ValueError(f"unknown parametrization {self.parametrization!r}")
         n = self.s.size
         if n < 5:
             raise ValueError("profile needs at least 5 samples")
-        if any(getattr(self, name).size != n for name in ("u", "v", "sigma")):
+        if any(getattr(self, name).size != n for name in self._columns()):
             raise ValueError("sample arrays must have equal length")
+        if self.ds_dsigma is not None and not np.all(self.ds_dsigma > 0.0):
+            raise ValueError(f"{_SPEED_COLUMN} must be positive")
         if not np.all(np.diff(self.s) > 0.0):
             raise ValueError("samples must be strictly increasing in s")
         if np.any(self.u < 0.0):
@@ -269,17 +280,19 @@ class Profile:
     def spacing(self) -> float | np.ndarray:
         """Arclength per sample index, ds/di.
 
-        The uniform step, a scalar, for ``ARCLENGTH`` samples (raises if they
-        are not uniform); for ``TURNING_ANGLE`` samples the per-sample
-        derivative of s against the index (:func:`.numerics.index_derivative`).
+        The uniform step, a scalar, for ``ARCLENGTH`` samples; for
+        ``TURNING_ANGLE`` samples the array ``ds_dsigma`` times the sigma
+        step.  Raises if the samples are not uniform in their variable.
         """
-        if self.parametrization != ARCLENGTH:
-            return index_derivative(self.s)
-        d = np.diff(self.s)
+        x = self.s if self.ds_dsigma is None else self.sigma
+        d = np.diff(x)
         h = float(d.mean())
         if not np.allclose(d, h, rtol=1e-8, atol=1e-13):
-            raise ValueError("profile samples are not uniformly spaced")
-        return h
+            raise ValueError(f"profile samples are not uniformly spaced in {self.parametrization}")
+        return h if self.ds_dsigma is None else self.ds_dsigma * h
+
+    def _columns(self) -> tuple[str, ...]:
+        return _COLUMNS if self.parametrization == ARCLENGTH else (*_COLUMNS, _SPEED_COLUMN)
 
     def state(self, i: int) -> ProfileState:
         return ProfileState(
@@ -304,7 +317,7 @@ class Profile:
         }
 
     @classmethod
-    def _from_metadata(cls, meta: dict, s, u, v, sigma) -> "Profile":
+    def _from_metadata(cls, meta: dict, s, u, v, sigma, ds_dsigma=None) -> "Profile":
         """Profile from samples and metadata; ``profile/1`` files are uniform in arclength."""
         schema = meta.get("schema", "profile/1")
         if schema not in _SCHEMAS:
@@ -315,6 +328,7 @@ class Profile:
             u=u,
             v=v,
             sigma=sigma,
+            ds_dsigma=ds_dsigma,
             geometry=GeometryParams.from_dict(meta["geometry"]),
             mean_curvature=None if mean_curvature is None else float(mean_curvature),
             closure=Closure(meta.get("closure", "Open")),
@@ -328,14 +342,16 @@ class Profile:
     def to_csv(self, path, metadata: dict | None = None) -> None:
         """Write samples as CSV plus a JSON sidecar ``<path>.json``.
 
-        Floats use shortest round-trip formatting, so reading the file back
-        reproduces the arrays bit for bit.
+        The columns are s, u, v, sigma, and ds_dsigma for turning-angle
+        samples.  Floats use shortest round-trip formatting, so reading the
+        file back reproduces the arrays bit for bit.
         """
         path = Path(path)
+        columns = self._columns()
         with path.open("w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(_COLUMNS)
-            for row in zip(self.s, self.u, self.v, self.sigma):
+            writer.writerow(columns)
+            for row in zip(*(getattr(self, name) for name in columns)):
                 writer.writerow([repr(float(x)) for x in row])
         _write_json(self._sidecar_path(path), {**self.metadata(), **(metadata or {})})
 
@@ -347,8 +363,10 @@ class Profile:
     def from_csv(cls, path) -> "Profile":
         path = Path(path)
         data = np.loadtxt(path, delimiter=",", skiprows=1, dtype=float, ndmin=2)
-        if data.shape[1] != 4:
-            raise ValueError(f"profile CSV must have 4 columns s,u,v,sigma, got {data.shape[1]}")
+        if data.shape[1] not in (4, 5):
+            raise ValueError(
+                f"profile CSV must have columns s,u,v,sigma[,{_SPEED_COLUMN}], got {data.shape[1]}"
+            )
         sidecar_path = cls._sidecar_path(path)
         if not sidecar_path.exists():
             raise FileNotFoundError(f"missing profile sidecar {sidecar_path}")
@@ -364,7 +382,7 @@ class Profile:
         """
         profile = self.metadata()
         profile["samples"] = {
-            name: [repr(float(x)) for x in getattr(self, name)] for name in _COLUMNS
+            name: [repr(float(x)) for x in getattr(self, name)] for name in self._columns()
         }
         _write_json(Path(path), {**(metadata or {}), "profile": profile})
 
@@ -375,8 +393,9 @@ class Profile:
         if "profile" in data:
             data = data["profile"]
         samples = data["samples"]
+        columns = (*_COLUMNS, _SPEED_COLUMN) if _SPEED_COLUMN in samples else _COLUMNS
         return cls._from_metadata(
-            data, *(np.array([float(x) for x in samples[name]]) for name in _COLUMNS)
+            data, *(np.array([float(x) for x in samples[name]]) for name in columns)
         )
 
 
@@ -928,10 +947,10 @@ def sphere_from_modes(
     is exact, on the Chebyshev series of P and N in cos(2 sigma)
     (:func:`_require_admissible`).  The samples are uniform in the turning
     angle (``TURNING_ANGLE``): sigma runs from 0 to pi in ``n_samples - 1``
-    steps, and the arclength s(sigma) and the height v(sigma) are running
-    sums of 8-point Gauss panels between consecutive samples.  Turning
-    then spreads evenly over the samples, also where ds/dsigma is small
-    near the family's regularity edge.
+    steps, the arclength s(sigma) and the height v(sigma) are running sums
+    of 8-point Gauss panels between consecutive samples, and ds/dsigma is
+    kept at every sample.  Turning then spreads evenly over the samples,
+    also where ds/dsigma is small near the family's regularity edge.
     """
     _require_sphere_exists(g, H)
     coeffs = np.atleast_1d(np.asarray(coeffs, dtype=float))
@@ -945,7 +964,8 @@ def sphere_from_modes(
     dv_nodes = np.sqrt(1.0 + g.tau**2 * u_nodes * u_nodes) * sin_nodes * ds_nodes
     s = np.concatenate(([0.0], np.cumsum(np.sum(ds_nodes * weights, axis=1))))
     v = np.concatenate(([0.0], np.cumsum(np.sum(dv_nodes * weights, axis=1))))
-    u = _mode_shape(h_abs, coeffs, sigma)[3]
+    _, _, n_samp, u = _mode_shape(h_abs, coeffs, sigma)
+    ds_dsigma = n_samp / (h_abs * (1.0 + 0.25 * g.k * u * u))
     u[0] = 0.0
     u[-1] = 0.0
 
@@ -959,8 +979,8 @@ def sphere_from_modes(
         mean_curvature=h_abs if is_cmc else None,
         closure=Closure.CLOSED_SPHERE,
         orientation=1 if H > 0 else -1,
-        tolerances={"construction_panels": n_samples - 1},
         parametrization=TURNING_ANGLE,
+        ds_dsigma=ds_dsigma,
     )
 
 

@@ -427,6 +427,14 @@ class TestToleranceFlags:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("samples", [7, 10])
+    def test_bad_sample_count_is_a_config_error(self, tmp_path, capsys, samples):
+        out = tmp_path / "s.csv"
+        code = run(["generate", "--k", 0, "--tau", 0.5, "--H", 1, "--samples", samples, "-o", out])
+        assert code == 1
+        assert capsys.readouterr().err == "error: samples must be odd and at least 9\n"
+        assert not out.exists()
+
     def test_integration_error_has_its_own_code(self, tmp_path, capsys):
         out = tmp_path / "s.csv"
         code = run(["generate", "--k", 0, "--tau", 0.5, "--H", 0.7, "-o", out,

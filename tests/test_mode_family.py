@@ -120,7 +120,7 @@ class TestFamilyEnergy:
         # No restriction on min N or on the apex: sampled uniformly in the
         # turning angle, the pipeline resolves the min N edge, and the apex
         # edge up to about 0.999 of the domain radius (3000 random shapes
-        # stayed below 9e-8).  At apex 0.9996 R it misses by 5.8e-6.
+        # stayed below 9e-8).  At apex 0.9996 R it misses by 5.9e-6.
         k, tau, H = case
         g = GeometryParams(k, tau)
         c = np.array(c)

@@ -381,11 +381,22 @@ class TestProfileContainer:
             write(p, tmp_path / name)
             q = read(tmp_path / name)
             assert q.parametrization == TURNING_ANGLE
-            for column in ("s", "u", "v", "sigma"):
+            for column in ("s", "u", "v", "sigma", "ds_dsigma"):
                 assert np.array_equal(getattr(p, column), getattr(q, column))
             assert np.array_equal(p.spacing, q.spacing)
+        assert (tmp_path / "p.csv").read_text().startswith("s,u,v,sigma,ds_dsigma\n")
         sidecar = json.loads((tmp_path / "p.csv.json").read_text())
         assert (sidecar["schema"], sidecar["parametrization"]) == ("profile/2", TURNING_ANGLE)
+
+    def test_ds_dsigma_belongs_to_turning_angle_samples(self, perturbed):
+        p = perturbed(0.0, 0.5, 1.0, 0.1, 1)
+        columns = dict(s=p.s, u=p.u, v=p.v, sigma=p.sigma, geometry=p.geometry)
+        with pytest.raises(ValueError, match="ds_dsigma"):
+            Profile(**columns, parametrization=TURNING_ANGLE)
+        with pytest.raises(ValueError, match="ds_dsigma"):
+            Profile(**columns, ds_dsigma=p.ds_dsigma)
+        with pytest.raises(ValueError, match="positive"):
+            Profile(**columns, parametrization=TURNING_ANGLE, ds_dsigma=-p.ds_dsigma)
 
     def test_profile_1_files_load_as_arclength(self, tmp_path, sphere):
         p = sphere(0.0, 0.5, 1.0)
