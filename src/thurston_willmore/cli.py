@@ -344,7 +344,10 @@ def cmd_verify(config: RunConfig, which: str, trace_path: str | None = None) -> 
         doc["report"] = report.to_dict()
         doc["passed"] = report.converged
         if not report.converged:
-            failure = f"descent stagnation (gradient norm {report.gradient_norm:.3e})"
+            failure = (
+                f"descent not converged: {report.stop_reason} after {report.iterations}"
+                f" iterations (gradient norm {report.gradient_norm:.3e})"
+            )
     elif which == "identities":
         report = _identities_report(config)
         doc["report"] = report

@@ -6,14 +6,15 @@ variation of the energy under explicit normal deformations of the profile
 (moving the curve along its quotient unit normal with a chosen velocity
 profile and re-evaluating the energy, with no unit-speed assumption on the
 deformed curve).  Minimality is probed with the explicit mode family of
-competitor spheres, and a gradient descent over the family's shape
-coefficients recovers the CMC sphere from a perturbed start.
+competitor spheres, and a Newton descent on the exact gradient and Hessian
+of the family energy recovers the CMC sphere from a perturbed start.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -44,7 +45,7 @@ from .profile import (
     perturbed_sphere,
     sphere_from_modes,
     _ModeShape,
-    _numerator_min,
+    _mode_basis,
     _one_minus_t,
     _panel_nodes,
     _require_admissible,
@@ -83,8 +84,6 @@ RESIDUAL_TOL = Tolerances.residual
 ENERGY_TOL = Tolerances.energy
 MIN_EXCESS = Tolerances.min_excess
 SECOND_SUMMAND_TOL = Tolerances.second_summand
-# Central-difference step of the descent gradient.
-_GRADIENT_STEP = 1e-6
 FOUR_PI = 4.0 * math.pi
 
 VELOCITY_PROFILES = ("constant", "cos_sigma", "bump")
@@ -437,7 +436,7 @@ def verify_minimality(
     )
 
 
-# -- gradient descent over the mode family -------------------------------------
+# -- Newton descent over the mode family ---------------------------------------
 
 
 # Gauss-Legendre panels in sigma of mode_family_energy.  The energy
@@ -544,8 +543,107 @@ def mode_family_energy(
     return 2.0 * math.pi * float(np.dot(weights, density))
 
 
+@lru_cache(maxsize=None)
+def _family_half_rule(panels: int, dims: int) -> tuple[np.ndarray, ...]:
+    """Weights, sin(sigma), cos^2(sigma) and the mode terms of P and N on [0, pi/2].
+
+    The family density depends on sigma only through sin(sigma),
+    cos^2(sigma) and t = cos(2 sigma), all even about pi/2, and the panels
+    of ``_FAMILY_RULES`` mirror about pi/2: the nodes of the first half,
+    with doubled weights, give the sum over all nodes.  The mode terms are
+    (dims, nodes) arrays.
+    """
+    sig, weights = (a[: a.size // 2] for a in _FAMILY_RULES[panels])
+    modulation, numerator, _, _ = _mode_basis(dims)
+    t = np.cos(2.0 * sig)
+    rule = (
+        2.0 * weights,
+        np.sin(sig),
+        np.cos(sig) ** 2,
+        cheb.chebval(t, modulation.T),
+        cheb.chebval(t, numerator.T),
+    )
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
+def _family_energy_derivatives(g: GeometryParams, H: float, coeffs_vec) -> tuple[np.ndarray, ...]:
+    """Exact gradient and Hessian of the canonical :func:`mode_family_energy`.
+
+    The same Gauss sum, differentiated under the sum.  At each node the
+    density is rho = G M, with G = H_m^2 + C/A^2 + D and
+    M = u A N/(H B^2) = mu ds/dsigma, and depends on the coefficients only
+    through P and N, both linear in them.  So the derivatives are the first
+    and second partials of rho in (P, N), hand-derived below, contracted
+    with the mode terms of P and N at the nodes.  Raises
+    :class:`InadmissiblePerturbation` where the energy is infinite.
+    """
+    functional_coeffs = canonical_coefficients(g)
+    c = np.atleast_1d(np.asarray(coeffs_vec, dtype=float))
+    h = abs(H)
+    panels = _family_panels(g, h, _require_admissible(g, h, c))
+    weights, sin_sig, cos_sq, p_modes, n_modes = _family_half_rule(panels, c.size)
+    k4, tau2, alpha = 0.25 * g.k, g.tau * g.tau, functional_coeffs.alpha
+    inv_p = 1.0 / (1.0 + c @ p_modes)
+    inv_n = 1.0 / (1.0 + c @ n_modes)
+    inv_p2, inv_n2 = inv_p * inv_p, inv_n * inv_n
+    r = sin_sig / h  # du/dP
+    u = r / inv_p
+    kru, krr = k4 * r * u, k4 * r * r
+    # B = 1 + k u^2/4 and A^2 = 1 + tau^2 u^2, and the first P-derivatives
+    # lb, la of their logarithms
+    b = 1.0 + k4 * u * u
+    a2 = 1.0 + tau2 * u * u
+    inv_b, inv_a2 = 1.0 / b, 1.0 / a2
+    lb = 2.0 * kru * inv_b
+    la = 2.0 * tau2 * r * u * inv_a2
+    taa = tau2 * r * r * inv_a2
+    # H_m = H (B/N + 1/P - k u r/4)/2 and its partials
+    hm = 0.5 * h * (b * inv_n + inv_p - kru)
+    hm_n = -0.5 * h * b * inv_n2
+    hm_p = 0.5 * h * (2.0 * kru * inv_n - inv_p2 - krr)
+    hm_pp = h * (krr * inv_n + inv_p2 * inv_p)
+    hm_pn = hm_n * lb
+    # C/A^2 with C = alpha (k - 4 tau^2) cos^2(sigma), and its P-derivatives
+    e = alpha * (4.0 * k4 - 4.0 * tau2) * cos_sq * inv_a2
+    e_p = -e * la
+    e_pp = e * (2.0 * la * la - 2.0 * taa)
+    G = hm * hm + e + alpha * tau2 + functional_coeffs.beta
+    G_p = 2.0 * hm * hm_p + e_p
+    G_n = 2.0 * hm * hm_n
+    # first and second P-derivatives of log M = log(u A N/(H B^2))
+    lm = inv_p + 0.5 * la - 2.0 * lb
+    lm_p = -inv_p2 + taa - 0.5 * la * la - 2.0 * (2.0 * krr * inv_b - lb * lb)
+    M = weights * u * np.sqrt(a2) * inv_b * inv_b / (h * inv_n)
+    gp = G_p + G * lm
+    gn = G_n + G * inv_n
+    rho_p = M * gp
+    rho_n = M * gn
+    rho_pp = M * (2.0 * (hm_p * hm_p + hm * hm_pp) + e_pp + G_p * lm + lm * gp + G * lm_p)
+    rho_nn = M * (2.0 * hm_n * (hm_n - 2.0 * hm * inv_n) + 2.0 * G_n * inv_n)
+    rho_pn = M * (2.0 * (hm_p * hm_n + hm * hm_pn) + G_p * inv_n + lm * gn)
+    gradient = p_modes @ rho_p + n_modes @ rho_n
+    # einsum, not a matrix product: no BLAS level-3 work buffers for a d x d result
+    hessian = np.einsum("in,jn->ij", p_modes * rho_pp + n_modes * rho_pn, p_modes) + np.einsum(
+        "in,jn->ij", p_modes * rho_pn + n_modes * rho_nn, n_modes
+    )
+    return 2.0 * math.pi * gradient, 2.0 * math.pi * hessian
+
+
 @dataclass(frozen=True)
 class DescentReport:
+    """Outcome of :func:`descend_energy`.
+
+    ``stop_reason`` is "converged", "iteration budget used up" (after
+    ``max_iterations`` steps), "line search stalled" (no step, however
+    short, lowered the energy enough) or "final shape check failed" (the
+    loop criterion held, but the energy of the shape rebuilt by
+    :func:`sphere_from_modes` missed 4 pi).
+    ``hessian_eigenvalues`` are the ascending eigenvalues of d^2E/dc^2 at
+    c = 0, the CMC sphere: the second variation inside the family.
+    """
+
     geometry: GeometryParams
     H: float
     converged: bool
@@ -557,6 +655,8 @@ class DescentReport:
     identity_residual: float
     start_coefficients: tuple[float, ...]
     start_adjusted: bool
+    stop_reason: str
+    hessian_eigenvalues: tuple[float, ...]
 
     def to_dict(self) -> dict:
         return {
@@ -572,7 +672,15 @@ class DescentReport:
             "identity_residual": self.identity_residual,
             "start_coefficients": list(self.start_coefficients),
             "start_adjusted": self.start_adjusted,
+            "stop_reason": self.stop_reason,
+            "hessian_eigenvalues": list(self.hessian_eigenvalues),
         }
+
+
+# Least |eigenvalue| of the modified Newton model, relative to the largest.
+_HESSIAN_FLOOR = 1e-8
+# Armijo sufficient-decrease constant of the line search.
+_ARMIJO = 1e-4
 
 
 def descend_energy(
@@ -585,18 +693,25 @@ def descend_energy(
     tolerances: Tolerances = Tolerances(),
     n_samples: int = DEFAULT_SAMPLES,
 ) -> DescentReport:
-    """Gradient descent over the mode-family coefficients toward the CMC sphere.
+    """Newton descent over the mode-family coefficients toward the CMC sphere.
 
-    The comparison mean curvature stays fixed during the descent; the best
-    H is refit on the final shape.  Steps use the Barzilai-Borwein length
-    with Armijo backtracking (plain fixed-step descent needs more than the
-    iteration budget at this family's conditioning).  A start on the
-    family's regularity boundary (for instance amplitude 0.2 in mode 1,
-    where ds/dsigma vanishes at the equator) is scaled by 0.97 until the
-    exact minimum of the regularity numerator N exceeds 0.03.  Convergence
-    means every coefficient below ``tolerances.descent_coeff`` and the
-    energy within ``tolerances.energy`` of 4 pi, on the final shape rebuilt
-    by :func:`sphere_from_modes` with ``n_samples`` samples.
+    The objective is :func:`mode_family_energy` at the fixed comparison mean
+    curvature ``H_init``; the best H is refit on the final shape.  Each
+    iteration takes a modified Newton step on the exact gradient and
+    Hessian (:func:`_family_energy_derivatives`): the Hessian's eigenvalues
+    are replaced by their absolute values, floored at ``_HESSIAN_FLOOR``
+    times the largest, and the step is halved until the Armijo condition
+    holds (Nocedal & Wright, *Numerical Optimization*, ch. 3).  Every trial
+    point is evaluated by :func:`mode_family_energy`, which is infinite on
+    inadmissible shapes, so no step leaves the family.  A start outside the
+    family or on its regularity boundary (amplitude 0.2 in mode 1, where
+    ds/dsigma vanishes at the equator) is scaled by 0.97 until it is
+    admissible with the exact minimum of the regularity numerator N above
+    0.03; a start that cannot be pulled in raises
+    :class:`InadmissiblePerturbation`.  Convergence means every coefficient
+    below ``tolerances.descent_coeff`` and the energy within
+    ``tolerances.energy`` of 4 pi, on the final shape rebuilt by
+    :func:`sphere_from_modes` with ``n_samples`` samples.
     """
     _require_sphere_exists(g, H_init)
     coeff_tol, energy_tol = tolerances.descent_coeff, tolerances.energy
@@ -610,72 +725,55 @@ def descend_energy(
     c = np.zeros(family_dims)
     c[start.mode - 1] = start.epsilon
     start_vec = tuple(c)
-
-    def objective(vec: np.ndarray) -> float:
-        return mode_family_energy(g, H_init, vec)
-
     adjusted = False
     for _ in range(40):
-        if _numerator_min(c) > 0.03:
-            break
+        try:
+            if _require_admissible(g, abs(H_init), c).n_range[0] > 0.03:
+                break
+        except InadmissiblePerturbation:
+            pass
         c = c * 0.97
         adjusted = True
     else:
         raise InadmissiblePerturbation("descent start could not be pulled into the family")
 
-    def gradient(vec: np.ndarray) -> np.ndarray:
-        grad = np.empty_like(vec)
-        for i in range(vec.size):
-            e = np.zeros_like(vec)
-            e[i] = _GRADIENT_STEP
-            grad[i] = (objective(vec + e) - objective(vec - e)) / (2.0 * _GRADIENT_STEP)
-        return grad
-
-    f_val = objective(c)
-    grad = gradient(c)
-    prev_c = None
-    prev_grad = None
-    iterations = 0
-    converged = False
-    for iterations in range(1, max_iterations + 1):
+    f_val = mode_family_energy(g, H_init, c)
+    grad, hess = _family_energy_derivatives(g, H_init, c)
+    stop_reason = "iteration budget used up"
+    iterations = max_iterations
+    for i in range(max_iterations + 1):
         if np.max(np.abs(c)) < coeff_tol and f_val - FOUR_PI < energy_tol:
-            converged = True
-            iterations -= 1
+            stop_reason, iterations = "converged", i
             break
-        gnorm2 = float(grad @ grad)
-        if gnorm2 == 0.0:
-            converged = np.max(np.abs(c)) < coeff_tol
+        if i == max_iterations:
             break
-        if prev_c is None:
-            step = 0.1 / math.sqrt(gnorm2)
-        else:
-            dc = c - prev_c
-            dg = grad - prev_grad
-            denom = float(dc @ dg)
-            step = float(dc @ dc) / denom if denom > 0.0 else 0.1 / math.sqrt(gnorm2)
-            step = min(max(step, 1e-8), 100.0)
-        trial = step
-        for _ in range(50):
-            candidate = c - trial * grad
-            f_new = objective(candidate)
-            if f_new <= f_val - 1e-4 * trial * gnorm2:
+        eigenvalues, vectors = np.linalg.eigh(hess)
+        curvature = np.maximum(np.abs(eigenvalues), _HESSIAN_FLOOR * np.max(np.abs(eigenvalues)))
+        step = -vectors @ ((vectors.T @ grad) / curvature)
+        slope = float(grad @ step)
+        trial = 1.0
+        # a zero (or non-finite) gradient gives no descent direction: no trials
+        for _ in range(50 if slope < 0.0 else 0):
+            candidate = c + trial * step
+            f_new = mode_family_energy(g, H_init, candidate)
+            if f_new <= f_val + _ARMIJO * trial * slope:
                 break
             trial *= 0.5
         else:
+            stop_reason, iterations = "line search stalled", i + 1
             break
-        prev_c, prev_grad = c, grad
         c, f_val = candidate, f_new
-        grad = gradient(c)
-    else:
-        iterations = max_iterations
+        grad, hess = _family_energy_derivatives(g, H_init, c)
 
     final_profile = sphere_from_modes(g, H_init, c, n_samples=n_samples)
     final_energy = energy(final_profile).E
     sin_sig = np.sin(final_profile.sigma)
     refit = float(np.dot(sin_sig, final_profile.u) / np.dot(final_profile.u, final_profile.u))
     identity_residual = float(np.max(np.abs(sin_sig - refit * final_profile.u)))
-    if not (np.max(np.abs(c)) < coeff_tol and abs(final_energy - FOUR_PI) < energy_tol):
-        converged = False
+    converged = stop_reason == "converged"
+    if converged and not abs(final_energy - FOUR_PI) < energy_tol:
+        converged, stop_reason = False, "final shape check failed"
+    sphere_hessian = _family_energy_derivatives(g, H_init, np.zeros(family_dims))[1]
     return DescentReport(
         geometry=g,
         H=H_init,
@@ -688,6 +786,8 @@ def descend_energy(
         identity_residual=identity_residual,
         start_coefficients=start_vec,
         start_adjusted=adjusted,
+        stop_reason=stop_reason,
+        hessian_eigenvalues=tuple(float(x) for x in np.linalg.eigvalsh(sphere_hessian)),
     )
 
 

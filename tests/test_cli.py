@@ -268,6 +268,38 @@ class TestVerify:
         assert built == [1025]
         assert json.loads(out.read_text())["config"]["samples"] == 1025
 
+    def test_descent_start_outside_the_domain_is_pulled_in(self, tmp_path):
+        # apex (1 + 0.2)/0.6 is the domain radius 2: an infinite start energy
+        out = tmp_path / "descent.json"
+        code = run(
+            ["verify", "descent", "--k", -1, "--tau", 0, "--H", 0.6,
+             "--epsilon", -0.2, "--mode", 1, "--out", out]
+        )
+        assert code == 0
+        report = json.loads(out.read_text())["report"]
+        assert report["converged"] is True
+        assert report["start_adjusted"] is True
+        assert report["stop_reason"] == "converged"
+        eigenvalues = report["hessian_eigenvalues"]
+        assert len(eigenvalues) == 3
+        assert 0.0 < eigenvalues[0] <= eigenvalues[1] <= eigenvalues[2]
+
+    def test_descent_start_that_cannot_be_pulled_in_exits_1(self, tmp_path, capsys):
+        code = run(
+            ["verify", "descent", "--k", 0, "--tau", 0.5, "--H", 1,
+             "--epsilon", 100, "--mode", 1, "--out", tmp_path / "descent.json"]
+        )
+        assert code == cli.EXIT_CONFIG
+        assert "pulled into the family" in capsys.readouterr().err
+
+    def test_descent_failure_names_the_stop_reason(self, tmp_path, capsys):
+        code = run(
+            ["verify", "descent", "--k", 0, "--tau", 0.5, "--H", 1,
+             "--max-iterations", 2, "--out", tmp_path / "descent.json"]
+        )
+        assert code == cli.EXIT_VERIFICATION
+        assert "iteration budget used up after 2 iterations" in capsys.readouterr().err
+
     def test_unknown_suite_exits_1(self, tmp_path):
         assert run(["verify", "nonsense", "--k", 0, "--tau", 0.5]) == 1
 

@@ -16,11 +16,12 @@ from numpy.polynomial import chebyshev as cheb
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from thurston_willmore import GeometryParams, energy, sphere_from_modes
+from thurston_willmore import GeometryParams, PerturbationSpec, energy, sphere_from_modes
 from thurston_willmore import experiments
 from thurston_willmore.experiments import (
     FOUR_PI,
     SECOND_SUMMAND_TOL,
+    _family_energy_derivatives,
     _family_panels,
     descend_energy,
     mode_family_energy,
@@ -129,7 +130,7 @@ class TestFamilyEnergy:
         assert abs(report.second_summand - FOUR_PI) < SECOND_SUMMAND_TOL
 
 
-def _oracle_energy(k: float, tau: float, H: float, coeffs: list[float]) -> float:
+def _oracle_energy(k: float, tau: float, H: float, coeffs) -> mp.mpf:
     """Canonical energy of the mode-family sphere by 30-digit tanh-sinh quadrature."""
     with mp.workdps(30):
         k, tau, H = mp.mpf(k), mp.mpf(tau), mp.mpf(H)
@@ -149,28 +150,135 @@ def _oracle_energy(k: float, tau: float, H: float, coeffs: list[float]) -> float
             return (Hm**2 + alpha * k_bar + beta) * u * A / B * ds
 
         # the equator is an end point, never a node: ds has a removable 0/0 there
-        return float(2 * mp.pi * mp.quad(density, [0, mp.pi / 2, mp.pi]))
+        return 2 * mp.pi * mp.quad(density, [0, mp.pi / 2, mp.pi])
 
 
-@pytest.mark.parametrize(
-    "k, tau, H, coeffs, panels",
-    [
-        (0.0, 0.5, 1.0, [0.05, -0.02], 64),
-        (-1.0, -0.5, 0.8, [-0.1, 0.02, 0.01], 64),
-        (1.0, 0.3, 0.6, [0.194], 64),  # min N = 1 - 5 (0.194) = 0.03, the pull-in margin
-        (1.0, 0.3, 0.6, [0.198], 1024),  # min N = 0.01: N vanishes 1.9 panel widths off
-        (-1.0, 0.0, 0.6, [-0.195], 1024),  # apex 0.996 of the domain radius
-        # branch point of A = sqrt(1 + tau^2 u^2) about 1 panel width off
-        (0.0, 1.0, 0.05, [0.05], 1024),
-        # zero of B = 1 + k u^2/4 (k > 0) about 0.8 panel widths off
-        (1.0, 0.0, 0.03, [0.05], 1024),
-    ],
-)
+def _oracle_gradient(k: float, tau: float, H: float, coeffs: list[float]) -> np.ndarray:
+    """Central difference of the oracle energy, step 1e-10 in 30-digit arithmetic."""
+    with mp.workdps(30):
+        step = mp.mpf("1e-10")
+        gradient = []
+        for i in range(len(coeffs)):
+            plus = [mp.mpf(x) for x in coeffs]
+            minus = list(plus)
+            plus[i] += step
+            minus[i] -= step
+            difference = _oracle_energy(k, tau, H, plus) - _oracle_energy(k, tau, H, minus)
+            gradient.append(float(difference / (2 * step)))
+    return np.array(gradient)
+
+
+ORACLE_SHAPES = [
+    (0.0, 0.5, 1.0, [0.05, -0.02], 64),
+    (-1.0, -0.5, 0.8, [-0.1, 0.02, 0.01], 64),
+    (1.0, 0.3, 0.6, [0.194], 64),  # min N = 1 - 5 (0.194) = 0.03, the pull-in margin
+    (1.0, 0.3, 0.6, [0.198], 1024),  # min N = 0.01: N vanishes 1.9 panel widths off
+    (-1.0, 0.0, 0.6, [-0.195], 1024),  # apex 0.996 of the domain radius
+    # branch point of A = sqrt(1 + tau^2 u^2) about 1 panel width off
+    (0.0, 1.0, 0.05, [0.05], 1024),
+    # zero of B = 1 + k u^2/4 (k > 0) about 0.8 panel widths off
+    (1.0, 0.0, 0.03, [0.05], 1024),
+]
+
+
+@pytest.mark.parametrize("k, tau, H, coeffs, panels", ORACLE_SHAPES)
 def test_family_energy_matches_mpmath_oracle(k, tau, H, coeffs, panels):
     g = GeometryParams(k, tau)
     assert _family_panels(g, H, _require_admissible(g, H, np.array(coeffs))) == panels
     value = mode_family_energy(g, H, coeffs)
-    assert value == pytest.approx(_oracle_energy(k, tau, H, coeffs), rel=1e-12)
+    assert value == pytest.approx(float(_oracle_energy(k, tau, H, coeffs)), rel=1e-12)
+
+
+class TestFamilyDerivatives:
+    @pytest.mark.parametrize("k, tau, H, coeffs, panels", ORACLE_SHAPES)
+    def test_gradient_matches_oracle_difference(self, k, tau, H, coeffs, panels):
+        # The Gauss sum of the differentiated density is off the oracle by
+        # about 2e-15 of max|dE/dc|, 7e-11 next to the apex edge.
+        gradient, _ = _family_energy_derivatives(GeometryParams(k, tau), H, coeffs)
+        expected = _oracle_gradient(k, tau, H, coeffs)
+        assert np.max(np.abs(gradient - expected)) <= 1e-9 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("k, tau, H, coeffs, panels", ORACLE_SHAPES)
+    def test_hessian_is_the_derivative_of_the_gradient(self, k, tau, H, coeffs, panels):
+        g = GeometryParams(k, tau)
+        c = np.array(coeffs)
+        _, hessian = _family_energy_derivatives(g, H, c)
+        scale = np.max(np.abs(hessian))
+        assert np.max(np.abs(hessian - hessian.T)) <= 1e-13 * scale
+
+        def central(step):
+            return np.array([
+                _family_energy_derivatives(g, H, c + step * e)[0]
+                - _family_energy_derivatives(g, H, c - step * e)[0]
+                for e in np.eye(c.size)
+            ]) / (2.0 * step)
+
+        # Richardson-extrapolated central difference of the exact gradient:
+        # within 2e-8 of max|H| on these shapes, 1.7e-6 next to the apex
+        # edge, where the gradient itself carries 1e-10 of rounding
+        step = 3e-5
+        difference = (4.0 * central(0.5 * step) - central(step)) / 3.0
+        assert np.max(np.abs(difference - hessian)) <= 1e-5 * scale
+
+    @pytest.mark.parametrize("k, tau, H", GEOMETRIES)
+    def test_cmc_sphere_is_a_strict_minimum_in_the_family(self, k, tau, H):
+        # the second variation inside the family, three modes
+        gradient, hessian = _family_energy_derivatives(GeometryParams(k, tau), H, np.zeros(3))
+        assert np.max(np.abs(gradient)) < 1e-9
+        assert np.all(np.linalg.eigvalsh(hessian) > 0.0)
+
+
+# Start amplitude caps per (mode, sign) of the descent benchmark
+# (perfbench/workloads.py): below the single-mode amplitude at which min N
+# falls to the 0.03 pull-in margin, and never above the default start 0.2.
+AMPLITUDE_CAP = {(1, 1): 0.19, (1, -1): 0.2, (2, 1): 0.2, (2, -1): 0.05}
+descent_starts = st.integers(1, 3).flatmap(
+    lambda dims: st.tuples(
+        st.just(dims), st.integers(1, min(dims, 2)), st.sampled_from((1, -1)), st.floats(0.0, 1.0)
+    )
+)
+
+
+class TestNewtonDescent:
+    @pytest.mark.parametrize("k, tau, H", [(0.0, 0.5, 1.0), (-1.0, -0.5, 0.6), (1.0, 0.3, 0.8)])
+    def test_default_start_converges_in_few_steps(self, k, tau, H):
+        report = descend_energy(GeometryParams(k, tau), H, 3)
+        assert report.converged
+        assert report.stop_reason == "converged"
+        assert report.iterations <= 15
+        eigenvalues = report.hessian_eigenvalues
+        assert len(eigenvalues) == 3
+        assert 0.0 < eigenvalues[0] <= eigenvalues[1] <= eigenvalues[2]
+
+    @given(case=cases, start=descent_starts)
+    def test_converges_from_every_capped_start(self, case, start):
+        k, tau, H = case
+        dims, mode, sign, fraction = start
+        epsilon = sign * fraction * AMPLITUDE_CAP[(mode, sign)]
+        report = descend_energy(
+            GeometryParams(k, tau), H, dims, start=PerturbationSpec(epsilon, mode)
+        )
+        assert report.converged, report.stop_reason
+
+    def test_start_outside_the_domain_is_pulled_in(self):
+        # apex (1 + 0.2)/0.6 = 2 is the domain radius: the start's energy is
+        # infinite, so it must be pulled in on the exact admissibility verdict
+        g = GeometryParams(-1.0, 0.0)
+        assert not _admissible(g, 0.6, np.array([-0.2]))
+        report = descend_energy(g, 0.6, 1, start=PerturbationSpec(-0.2, 1))
+        assert report.start_adjusted
+        assert report.converged
+
+    def test_start_that_cannot_be_pulled_in_raises(self):
+        # P = 1 + eps cos(2 sigma) stays negative at the equator for 40 steps of 0.97
+        with pytest.raises(InadmissiblePerturbation, match="pulled into the family"):
+            descend_energy(GeometryParams(0.0, 0.5), 1.0, 1, start=PerturbationSpec(100.0, 1))
+
+    def test_iteration_budget_is_reported(self):
+        report = descend_energy(GeometryParams(0.0, 0.5), 1.0, 3, max_iterations=2)
+        assert not report.converged
+        assert report.iterations == 2
+        assert report.stop_reason == "iteration budget used up"
 
 
 # Broad geometries: k in [-3, 3], |tau| <= 2, H down to 0.003 above the

@@ -27,20 +27,22 @@ def _load_tracer():
     return module
 
 
+NAMESPACES = (thurston_willmore, profile, functional, numerics, experiments, cli)
+TW = types.SimpleNamespace(
+    package=thurston_willmore,
+    profile=profile,
+    functional=functional,
+    numerics=numerics,
+    experiments=experiments,
+    cli=cli,
+)
+
+
 def test_tracer_installs_runs_and_uninstalls():
     tracing = _load_tracer()
-    namespaces = (thurston_willmore, profile, functional, numerics, experiments, cli)
-    before = [dict(vars(m)) for m in namespaces]
-    tw = types.SimpleNamespace(
-        package=thurston_willmore,
-        profile=profile,
-        functional=functional,
-        numerics=numerics,
-        experiments=experiments,
-        cli=cli,
-    )
+    before = [dict(vars(m)) for m in NAMESPACES]
     tracer = tracing.Tracer()
-    tracing.install(tracer, tw)
+    tracing.install(tracer, TW)
     try:
         assert profile.solve_ivp is not before[1]["solve_ivp"]
         g = GeometryParams(0.0, 0.5)
@@ -50,7 +52,7 @@ def test_tracer_installs_runs_and_uninstalls():
         profile.integrate(g, 1.0, axis, profile.StopCondition.sphere_closure(10.0))
     finally:
         tracer.uninstall()
-    assert [dict(vars(m)) for m in namespaces] == before
+    assert [dict(vars(m)) for m in NAMESPACES] == before
 
     metrics = tracing.layer_metrics(tracer.spans)
     # the sphere is generated in closed form; the one solve_ivp is the integrate call
@@ -64,3 +66,22 @@ def test_tracer_installs_runs_and_uninstalls():
     assert metrics["experiments.mode_family_energy.calls"] == 1
     for name in ("derivative1", "derivative2", "sample_quadrature"):
         assert metrics[f"numerics.{name}.calls"] > 0
+
+
+def test_descent_energies_are_traced_under_the_descent():
+    # the descent evaluates every trial point through the experiments
+    # namespace, so its energies are mode_family_energy spans under it
+    tracing = _load_tracer()
+    tracer = tracing.Tracer()
+    tracing.install(tracer, TW)
+    try:
+        report = experiments.descend_energy(
+            GeometryParams(0.0, 0.5), 1.0, 1, start=profile.PerturbationSpec(0.1, 1)
+        )
+    finally:
+        tracer.uninstall()
+    metrics = tracing.layer_metrics(tracer.spans)
+    assert report.converged
+    assert metrics["experiments.descend_energy.iterations"] == report.iterations > 0
+    assert metrics["experiments.descend_energy.evals_per_iteration"] > 0
+    assert metrics["experiments.mode_family_energy.calls"] > report.iterations
