@@ -882,12 +882,6 @@ def _shape_series(coeffs: np.ndarray) -> tuple[np.ndarray, ...]:
     return p, 1.0 + coeffs @ p_ends, n, 1.0 + coeffs @ n_ends
 
 
-def _numerator_min(coeffs: np.ndarray) -> float:
-    """Exact minimum of N over the closed profile sigma in [0, pi]."""
-    _, _, n, n_ends = _shape_series(coeffs)
-    return _series_range(n, n_ends)[0]
-
-
 def _zero_distance(coef: np.ndarray) -> float:
     """Distance from [0, pi] of the nearest complex sigma at which ``coef`` vanishes.
 

@@ -1,4 +1,5 @@
-"""The mode family: exact admissibility, the tangent root, and the family energy.
+"""The mode family: exact admissibility, the tangent root, the family energy,
+its exact derivatives, and the Newton descent on them.
 
 Property tests run under the hypothesis profile registered in conftest.py
 (derandomized, bounded example counts).  The 30-digit mpmath oracle
@@ -29,7 +30,6 @@ from thurston_willmore.experiments import (
 from thurston_willmore.profile import (
     InadmissiblePerturbation,
     _mode_shape,
-    _numerator_min,
     _one_minus_t,
     _require_admissible,
     _series_range,
@@ -47,6 +47,12 @@ coefficients = st.integers(1, 3).flatmap(
         *(st.floats(-0.3 / m**2, 0.3 / m**2) for m in range(1, dims + 1))
     )
 )
+
+
+def _numerator_min(c: np.ndarray) -> float:
+    """Exact minimum of N over the closed profile sigma in [0, pi]."""
+    _, _, n, n_ends = _shape_series(c)
+    return _series_range(n, n_ends)[0]
 
 
 def _admissible(g, H, c) -> bool:
@@ -214,8 +220,8 @@ class TestFamilyDerivatives:
             ]) / (2.0 * step)
 
         # Richardson-extrapolated central difference of the exact gradient:
-        # within 2e-8 of max|H| on these shapes, 1.7e-6 next to the apex
-        # edge, where the gradient itself carries 1e-10 of rounding
+        # within 2e-8 of the largest Hessian entry on these shapes, 1.7e-6
+        # next to the apex edge, where the gradient carries 1e-10 of rounding
         step = 3e-5
         difference = (4.0 * central(0.5 * step) - central(step)) / 3.0
         assert np.max(np.abs(difference - hessian)) <= 1e-5 * scale
