@@ -188,6 +188,16 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     config.tolerances = replace(config.tolerances, **tolerances)
     if config.samples < 9 or config.samples % 2 == 0:
         raise ConfigError("samples must be odd and at least 9")
+    # a NaN threshold would pass every check: no comparison with it is true
+    finite = {key: getattr(config, key) for key in ("k", "tau", "alpha", "beta", "epsilon")}
+    for name, attr in _TOL_FIELDS.items():
+        finite[f"tol-{name}"] = getattr(config.tolerances, attr)
+    for key, value in finite.items():
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value}")
+    for key, least in (("mode", 1), ("family_dims", 1), ("max_iterations", 0), ("seed", 0)):
+        if getattr(config, key) < least:
+            raise ConfigError(f"{key} must be at least {least}, got {getattr(config, key)}")
     if config.format not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {config.format!r}")
     return config
@@ -262,29 +272,19 @@ def _identities_report(config: RunConfig) -> dict:
     cmc = generate_cmc_sphere(g, H, n_samples=config.samples, tolerances=config.tolerances)
     spec = PerturbationSpec(config.epsilon if config.epsilon is not None else 0.1, config.mode)
     perturbed = perturbed_sphere(g, H, spec, n_samples=config.samples)
-    checks = {
-        "h_squared_identity": identity_max,
-        "willmore_relation_cmc": willmore_relation_check(cmc),
-        "willmore_relation_perturbed": willmore_relation_check(perturbed),
-        "gauss_bonnet_cmc": abs(gauss_bonnet_total(cmc) - 4.0 * math.pi),
-        "gauss_bonnet_perturbed": abs(gauss_bonnet_total(perturbed) - 4.0 * math.pi),
-        "second_summand_derivative_cmc": second_summand_derivative_check(cmc),
-        "second_summand_derivative_perturbed": second_summand_derivative_check(perturbed),
-    }
     tol = config.tolerances
-    thresholds = {
-        "h_squared_identity": tol.identity,
-        "willmore_relation_cmc": tol.relation,
-        "willmore_relation_perturbed": tol.relation,
-        "gauss_bonnet_cmc": tol.gauss_bonnet,
-        "gauss_bonnet_perturbed": tol.gauss_bonnet,
-        "second_summand_derivative_cmc": tol.derivative_check,
-        "second_summand_derivative_perturbed": tol.derivative_check,
-    }
-    failed = [name for name, value in checks.items() if value > thresholds[name]]
+    table = [("h_squared_identity", identity_max, tol.identity)]
+    for name, check, threshold in (
+        ("willmore_relation", willmore_relation_check, tol.relation),
+        ("gauss_bonnet", lambda p: abs(gauss_bonnet_total(p) - 4.0 * math.pi), tol.gauss_bonnet),
+        ("second_summand_derivative", second_summand_derivative_check, tol.derivative_check),
+    ):
+        for label, prof in (("cmc", cmc), ("perturbed", perturbed)):
+            table.append((f"{name}_{label}", check(prof), threshold))
+    failed = [name for name, value, threshold in table if value > threshold]
     return {
-        "checks": checks,
-        "thresholds": thresholds,
+        "checks": {name: value for name, value, _ in table},
+        "thresholds": {name: threshold for name, _, threshold in table},
         "failed": failed,
         "passed": not failed,
     }
@@ -294,10 +294,10 @@ def cmd_verify(config: RunConfig, which: str, trace_path: str | None = None) -> 
     g = config.geometry()
     doc: dict = {"experiment": which, "config": config.effective()}
     failure: str | None = None
+    if which in ("criticality", "minimality", "descent") and config.H is None:
+        raise ConfigError(f"verify {which} requires --H")
 
     if which == "criticality":
-        if config.H is None:
-            raise ConfigError("verify criticality requires --H")
         coeffs = config.coefficients(g)
         report = verify_criticality(
             g, config.H, coeffs, tolerances=config.tolerances, n_samples=config.samples
@@ -313,8 +313,6 @@ def cmd_verify(config: RunConfig, which: str, trace_path: str | None = None) -> 
                 worst = max(report.variations, key=lambda v: abs(v.dE_dt))
                 failure = f"first variation {worst.dE_dt:.3e} ({worst.velocity_profile_id})"
     elif which == "minimality":
-        if config.H is None:
-            raise ConfigError("verify minimality requires --H")
         report = verify_minimality(
             g,
             config.H,
@@ -327,10 +325,10 @@ def cmd_verify(config: RunConfig, which: str, trace_path: str | None = None) -> 
         if not report.passed:
             failure = "minimality thresholds"
     elif which == "descent":
-        if config.H is None:
-            raise ConfigError("verify descent requires --H")
         start = None
         if config.epsilon is not None:
+            if config.mode > config.family_dims:
+                raise ConfigError(f"mode {config.mode} exceeds family_dims {config.family_dims}")
             start = PerturbationSpec(config.epsilon, config.mode)
         report = descend_energy(
             g,

@@ -13,7 +13,7 @@ of the family energy recovers the CMC sphere from a perturbed start.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from itertools import product
 
@@ -147,7 +147,8 @@ def deformed_curve_energy(
     up = derivative1(u, h)
     vp = derivative1(v, h)
     speed = np.hypot(up / B, vp / A)
-    sigma = np.arctan2(vp / A, up / B)
+    # Profiles end at sigma = pi, where arctan2 may read -pi by one rounding.
+    sigma = np.unwrap(np.arctan2(vp / A, up / B))
     sigma_dot = derivative1(sigma, h) / speed
     sin_sig = np.sin(sigma)
     ratio = _pole_safe_ratio(u, sin_sig, sigma_dot, u_min=1e-12)
@@ -439,11 +440,12 @@ def verify_minimality(
 # -- Newton descent over the mode family ---------------------------------------
 
 
-# Gauss-Legendre panels in sigma of mode_family_energy.  The energy
-# density is singular at the complex zeros of N and P (poles), of
-# B = 1 + k u^2/4 (poles) and of A^2 = 1 + tau^2 u^2 (branch points).  A
-# shape whose nearest singularity lies at least _FAMILY_POLE_MARGIN panel
-# widths (pi/64 each) off [0, pi] gets 64 panels, any other shape 1024.
+# Gauss-Legendre panels in sigma of the family energy and its derivatives
+# (_family_half_rule).  The energy density is singular at the complex zeros
+# of N and P (poles), of B = 1 + k u^2/4 (poles) and of A^2 = 1 + tau^2 u^2
+# (branch points).  A shape whose nearest singularity lies at least
+# _FAMILY_POLE_MARGIN panel widths (pi/64 each) off [0, pi] gets 64 panels,
+# any other shape 1024.
 # On 16000 random admissible shapes (dims 1-3, k in [-3, 3], |tau| <= 2,
 # H down to 0.003 above the existence bound) the 64-panel sum is within
 # 6.3e-14 of 1024 panels wherever the singularity lies 2.5 widths off.
@@ -452,11 +454,6 @@ def verify_minimality(
 _FAMILY_PANELS = 64
 _FAMILY_FINE_PANELS = 1024
 _FAMILY_POLE_MARGIN = 2.5
-# Nodes and weights of the 8-point Gauss panels on [0, pi], by panel count.
-_FAMILY_RULES = {
-    panels: tuple(a.ravel() for a in _panel_nodes(np.linspace(0.0, math.pi, panels + 1)))
-    for panels in (_FAMILY_PANELS, _FAMILY_FINE_PANELS)
-}
 
 
 def _family_panels(g: GeometryParams, h_abs: float, shape: _ModeShape) -> int:
@@ -513,11 +510,13 @@ def mode_family_energy(
     Everything is analytic in the turning angle, so the integral needs no
     profile reconstruction and no stencils: an 8-point Gauss sum over 64
     panels in sigma, or 1024 for shapes whose density has a complex
-    singularity close to the real axis (:func:`_family_panels`).  Shapes
-    that :func:`sphere_from_modes` rejects (decided exactly on the
-    Chebyshev series of P and N in cos(2 sigma)) return infinity.  Serves
-    both as the descent objective and as an independent cross-check of the
-    sample-based energy pipeline.
+    singularity close to the real axis (:func:`_family_panels`), summed on
+    the mirrored half rule that the derivatives share
+    (:func:`_family_half_rule`).  P and N are their Chebyshev series in
+    t = cos(2 sigma).  Shapes that :func:`sphere_from_modes` rejects
+    (decided exactly on those series) return infinity.  Serves both as the
+    descent objective and as an independent cross-check of the sample-based
+    energy pipeline.
     """
     if functional_coeffs is None:
         functional_coeffs = canonical_coefficients(g)
@@ -528,9 +527,11 @@ def mode_family_energy(
     except InadmissiblePerturbation:
         return math.inf
     k, tau = g.k, g.tau
-    sig, weights = _FAMILY_RULES[_family_panels(g, h_abs, shape)]
-    sin_sig = np.sin(sig)
-    t = np.cos(2.0 * sig)
+    weights, sin_sig, cos_sig, t, _, _ = _family_half_rule(
+        _family_panels(g, h_abs, shape), coeffs_vec.size
+    )
+    # The series, not the rule's mode terms: near the regularity edge
+    # (min N ~ 1e-4) summing the mode terms moves the energy by up to 1e-13.
     p = cheb.chebval(t, shape.p)
     n = cheb.chebval(t, shape.n)
     u = sin_sig * p / h_abs
@@ -539,27 +540,31 @@ def mode_family_energy(
     ds_dsigma = n / (h_abs * B)
     # sin(sigma)/u = H/P in closed form: no pole at the ends.
     Hm = _mean_curvature(k, u, sin_sig, 1.0 / ds_dsigma, h_abs / p)
-    density = _energy_density(g, functional_coeffs, Hm, np.cos(sig) / A, u * A / B, ds_dsigma)
+    density = _energy_density(g, functional_coeffs, Hm, cos_sig / A, u * A / B, ds_dsigma)
     return 2.0 * math.pi * float(np.dot(weights, density))
 
 
 @lru_cache(maxsize=None)
 def _family_half_rule(panels: int, dims: int) -> tuple[np.ndarray, ...]:
-    """Weights, sin(sigma), cos^2(sigma) and the mode terms of P and N on [0, pi/2].
+    """The family's Gauss rule on [0, pi/2]: weights, sin, cos, t = cos(2 sigma), mode terms.
 
-    The family density depends on sigma only through sin(sigma),
-    cos^2(sigma) and t = cos(2 sigma), all even about pi/2, and the panels
-    of ``_FAMILY_RULES`` mirror about pi/2: the nodes of the first half,
-    with doubled weights, give the sum over all nodes.  The mode terms are
-    (dims, nodes) arrays.
+    The rule is ``panels`` 8-point Gauss panels on [0, pi].  The family
+    density depends on sigma only through sin(sigma), cos^2(sigma) and
+    t = cos(2 sigma), all even about pi/2, and the panels mirror about
+    pi/2: the nodes of the first half, with doubled weights, give the sum
+    over all nodes.  The mode terms are (dims, nodes) arrays, the values of
+    the mode-m Chebyshev series of :func:`_mode_basis` at t.
     """
-    sig, weights = (a[: a.size // 2] for a in _FAMILY_RULES[panels])
+    sig, weights = (
+        a.ravel()[: a.size // 2] for a in _panel_nodes(np.linspace(0.0, math.pi, panels + 1))
+    )
     modulation, numerator, _, _ = _mode_basis(dims)
     t = np.cos(2.0 * sig)
     rule = (
         2.0 * weights,
         np.sin(sig),
-        np.cos(sig) ** 2,
+        np.cos(sig),
+        t,
         cheb.chebval(t, modulation.T),
         cheb.chebval(t, numerator.T),
     )
@@ -583,7 +588,7 @@ def _family_energy_derivatives(g: GeometryParams, H: float, coeffs_vec) -> tuple
     c = np.atleast_1d(np.asarray(coeffs_vec, dtype=float))
     h = abs(H)
     panels = _family_panels(g, h, _require_admissible(g, h, c))
-    weights, sin_sig, cos_sq, p_modes, n_modes = _family_half_rule(panels, c.size)
+    weights, sin_sig, cos_sig, _, p_modes, n_modes = _family_half_rule(panels, c.size)
     k4, tau2, alpha = 0.25 * g.k, g.tau * g.tau, functional_coeffs.alpha
     inv_p = 1.0 / (1.0 + c @ p_modes)
     inv_n = 1.0 / (1.0 + c @ n_modes)
@@ -606,7 +611,7 @@ def _family_energy_derivatives(g: GeometryParams, H: float, coeffs_vec) -> tuple
     hm_pp = h * (krr * inv_n + inv_p2 * inv_p)
     hm_pn = hm_n * lb
     # C/A^2 with C = alpha (k - 4 tau^2) cos^2(sigma), and its P-derivatives
-    e = alpha * (4.0 * k4 - 4.0 * tau2) * cos_sq * inv_a2
+    e = alpha * (4.0 * k4 - 4.0 * tau2) * (cos_sig * cos_sig) * inv_a2
     e_p = -e * la
     e_pp = e * (2.0 * la * la - 2.0 * taa)
     G = hm * hm + e + alpha * tau2 + functional_coeffs.beta
@@ -717,6 +722,8 @@ def descend_energy(
     coeff_tol, energy_tol = tolerances.descent_coeff, tolerances.energy
     if family_dims < 1:
         raise ValueError("family_dims must be at least 1")
+    if max_iterations < 0:
+        raise ValueError("max_iterations must be nonnegative")
     if start is None:
         start = PerturbationSpec(0.2, 1)
     if start.mode > family_dims:
@@ -834,9 +841,6 @@ class SweepRow:
     error: str = ""
 
 
-_SWEEP_HEADER = "k,tau,H,exists,E,max_residual,second_summand,u_max,area,error"
-
-
 def _sweep_row(
     case: tuple[float, float, float], n_samples: int, tolerances: Tolerances
 ) -> SweepRow:
@@ -887,19 +891,13 @@ def _format_field(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
-    return str(value)
+    text = str(value).replace('"', "'")
+    return f'"{text}"' if "," in text else text
 
 
 def write_sweep_csv(rows: list[SweepRow], fh) -> None:
-    """Write the sweep table with shortest round-trip float formatting."""
-    fh.write(_SWEEP_HEADER + "\n")
+    """Write the sweep table, one column per :class:`SweepRow` field, floats round-trip."""
+    names = [f.name for f in fields(SweepRow)]
+    fh.write(",".join(names) + "\n")
     for r in rows:
-        fields = [
-            r.k, r.tau, r.H, r.exists, r.E, r.max_residual,
-            r.second_summand, r.u_max, r.area,
-        ]
-        text = ",".join(_format_field(x) for x in fields)
-        error = r.error.replace('"', "'")
-        if "," in error:
-            error = f'"{error}"'
-        fh.write(f"{text},{error}\n")
+        fh.write(",".join(_format_field(getattr(r, name)) for name in names) + "\n")

@@ -31,14 +31,15 @@ integration starts a small arclength ``AXIS_SERIES_S0`` off the pole with
 the first-order series u = s, sigma = H s, v = v0.
 
 Perturbed (non-CMC) competitor spheres come from the explicit family
-u(sigma) = (1/H) sin(sigma) (1 + sum_m c_m cos(2 m sigma)), reconstructing
-the arclength from ds/dsigma = u'(sigma) / ((1 + k u^2/4) cos(sigma)).
-The cos(sigma) zero at the equator cancels exactly against the factor
-sin(2 m sigma) in u'(sigma), so the reconstruction uses the reduced
-identity sin(2 m sigma)/cos(sigma) = 2 sum_j (-1)^j sin((2m-1-2j) sigma)
-and is smooth through the equator.  The reconstruction samples the profile
-uniformly in sigma, sums 8-point Gauss panels between the samples for s and
-v, and keeps ds/dsigma at the samples, the spacing the stencils scale by.
+u(sigma) = (1/H) sin(sigma) P with the modulation
+P = 1 + sum_m c_m cos(2 m sigma), reconstructing the arclength from
+ds/dsigma = u'(sigma) / ((1 + k u^2/4) cos(sigma)) = N / (H (1 + k u^2/4)).
+The cos(sigma) zero at the equator cancels exactly against u'(sigma), so
+the numerator N has no pole there: P and N are polynomials in
+t = cos(2 sigma), and the package evaluates both only from their Chebyshev
+series below.  The reconstruction samples the profile uniformly in sigma,
+sums 8-point Gauss panels between the samples for s and v, and keeps
+ds/dsigma at the samples, the spacing the stencils scale by.
 
 Admissibility of a competitor is decided exactly, not on a sample grid.
 With t = cos(2 sigma), which covers [-1, 1] once on each half of the
@@ -437,24 +438,21 @@ def ode_rhs(g: GeometryParams, H: float, state: ProfileState) -> tuple[float, fl
     """
     if not state.u > 0.0:
         raise ValueError("ode_rhs requires u > 0; use the axis series start instead")
-    u, sig = state.u, state.sigma
-    b = 1.0 + 0.25 * g.k * u * u
-    du = b * math.cos(sig)
-    dv = math.sqrt(1.0 + g.tau**2 * u * u) * math.sin(sig)
-    dsig = 2.0 * H - (1.0 / u - 0.25 * g.k * u) * math.sin(sig)
-    return du, dv, dsig
+    return _make_rhs(g, H)(state.s, (state.u, state.v, state.sigma))
+
+
+def _first_integral(g: GeometryParams, H: float, u, sin_sig):
+    return u * (sin_sig - H * u) / (1.0 + 0.25 * g.k * u * u)
 
 
 def first_integral(g: GeometryParams, H: float, state: ProfileState) -> float:
     """Conserved quantity J = u (sin(sigma) - H u) / (1 + k u^2/4)."""
-    u = state.u
-    return u * (math.sin(state.sigma) - H * u) / (1.0 + 0.25 * g.k * u * u)
+    return _first_integral(g, H, state.u, math.sin(state.sigma))
 
 
 def profile_first_integral(g: GeometryParams, H: float, profile: Profile) -> np.ndarray:
     """J evaluated at every sample of a profile."""
-    u = profile.u
-    return u * (np.sin(profile.sigma) - H * u) / (1.0 + 0.25 * g.k * u * u)
+    return _first_integral(g, H, profile.u, np.sin(profile.sigma))
 
 
 def cmc_sigma_rate(g: GeometryParams, H: float, u) -> float | np.ndarray:
@@ -740,34 +738,6 @@ def generate_cmc_sphere(
 # -- the explicit competitor family ---------------------------------------
 
 
-def _reduced_sine_ratio(sigma: np.ndarray, m: int) -> np.ndarray:
-    """sin(2 m sigma) / cos(sigma), evaluated through its removable zeros."""
-    out = np.zeros_like(sigma)
-    for j in range(m):
-        out += (-1.0) ** j * np.sin((2 * m - 1 - 2 * j) * sigma)
-    return 2.0 * out
-
-
-def _mode_shape(H: float, coeffs: np.ndarray, sigma: np.ndarray):
-    """sin(sigma), modulation P, numerator N and radius u of the mode family on ``sigma``.
-
-    The family is u(sigma) = (1/H) sin(sigma) P(sigma) with modulation
-    P = 1 + sum_m c_m cos(2 m sigma).  The numerator N = u'(sigma)/cos(sigma)
-    (computed through the removable equator zero) determines regularity:
-    ds/dsigma = N / (H (1 + k u^2/4)) must stay positive.  Each array is
-    evaluated once per grid.
-    """
-    p = np.ones_like(sigma)
-    for m, c in enumerate(coeffs, start=1):
-        p = p + c * np.cos(2 * m * sigma)
-    sin_sig = np.sin(sigma)
-    n = p
-    for m, c in enumerate(coeffs, start=1):
-        if c != 0.0:
-            n = n - 2 * m * c * sin_sig * _reduced_sine_ratio(sigma, m)
-    return sin_sig, p, n, sin_sig * p / abs(H)
-
-
 def _one_minus_t(coef: np.ndarray) -> np.ndarray:
     """The Chebyshev series (1 - t) coef(t), one coefficient longer than ``coef``."""
     out = np.zeros(coef.size + 1)
@@ -939,7 +909,8 @@ def sphere_from_modes(
     :class:`InadmissiblePerturbation` when the shape is not a regular
     profile (ds/dsigma <= 0 somewhere) or leaves the domain; the decision
     is exact, on the Chebyshev series of P and N in cos(2 sigma)
-    (:func:`_require_admissible`).  The samples are uniform in the turning
+    (:func:`_require_admissible`), and u and ds/dsigma are evaluated from
+    the same series.  The samples are uniform in the turning
     angle (``TURNING_ANGLE``): sigma runs from 0 to pi in ``n_samples - 1``
     steps, the arclength s(sigma) and the height v(sigma) are running sums
     of 8-point Gauss panels between consecutive samples, and ds/dsigma is
@@ -949,17 +920,22 @@ def sphere_from_modes(
     _require_sphere_exists(g, H)
     coeffs = np.atleast_1d(np.asarray(coeffs, dtype=float))
     h_abs = abs(H)
-    _require_admissible(g, h_abs, coeffs)
+    shape = _require_admissible(g, h_abs, coeffs)
+
+    def radius_and_speed(sig: np.ndarray) -> tuple[np.ndarray, ...]:
+        """sin(sigma), u = sin(sigma) P/H and ds/dsigma = N / (H (1 + k u^2/4)) on ``sig``."""
+        sin_sig = np.sin(sig)
+        t = np.cos(2.0 * sig)
+        u = sin_sig * cheb.chebval(t, shape.p) / h_abs
+        return sin_sig, u, cheb.chebval(t, shape.n) / (h_abs * (1.0 + 0.25 * g.k * u * u))
 
     sigma = np.linspace(0.0, math.pi, n_samples)
     nodes, weights = _panel_nodes(sigma)
-    sin_nodes, _, n_nodes, u_nodes = _mode_shape(h_abs, coeffs, nodes)
-    ds_nodes = n_nodes / (h_abs * (1.0 + 0.25 * g.k * u_nodes * u_nodes))
+    sin_nodes, u_nodes, ds_nodes = radius_and_speed(nodes)
     dv_nodes = np.sqrt(1.0 + g.tau**2 * u_nodes * u_nodes) * sin_nodes * ds_nodes
     s = np.concatenate(([0.0], np.cumsum(np.sum(ds_nodes * weights, axis=1))))
     v = np.concatenate(([0.0], np.cumsum(np.sum(dv_nodes * weights, axis=1))))
-    _, _, n_samp, u = _mode_shape(h_abs, coeffs, sigma)
-    ds_dsigma = n_samp / (h_abs * (1.0 + 0.25 * g.k * u * u))
+    _, u, ds_dsigma = radius_and_speed(sigma)
     u[0] = 0.0
     u[-1] = 0.0
 

@@ -467,6 +467,30 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: samples must be odd and at least 9\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["generate", "--epsilon", 0.1, "--mode", 0], "mode must be at least 1"),
+            (["generate", "--epsilon", "nan"], "epsilon must be finite"),
+            (["verify", "descent", "--family-dims", 0], "family_dims must be at least 1"),
+            (["verify", "descent", "--epsilon", 0.05, "--mode", 4], "mode 4 exceeds family_dims 3"),
+            (["verify", "descent", "--max-iterations", -3], "max_iterations must be at least 0"),
+            (["verify", "identities", "--seed", -1], "seed must be at least 0"),
+            (["verify", "identities", "--tol-identity", "nan"], "tol-identity must be finite"),
+        ],
+        ids=[
+            "mode-0", "epsilon-nan", "family-dims-0", "mode-beyond-dims", "negative-budget",
+            "negative-seed", "tolerance-nan",
+        ],
+    )
+    def test_bad_setting_is_a_config_error(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out.json"
+        code = run([*argv, "--k", 0, "--tau", 0.5, "--H", 1, "-o", out])
+        assert code == cli.EXIT_CONFIG == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_integration_error_has_its_own_code(self, tmp_path, capsys):
         out = tmp_path / "s.csv"
         code = run(["generate", "--k", 0, "--tau", 0.5, "--H", 0.7, "-o", out,

@@ -15,6 +15,7 @@ from thurston_willmore import (
 from thurston_willmore.experiments import (
     SECOND_SUMMAND_TOL,
     SweepSpec,
+    VELOCITY_PROFILES,
     VariationResult,
     deformed_curve_energy,
     descend_energy,
@@ -89,6 +90,15 @@ class TestCriticality:
             assert abs(fd.dE_dt) > 1e-3
             assert np.sign(fd.dE_dt) == np.sign(weak)
             assert fd.dE_dt == pytest.approx(weak, rel=0.02)
+
+    def test_truncation_estimate_small_on_turning_angle_profile(self, perturbed):
+        # the profile ends exactly at sigma = pi, where the recomputed tangent
+        # angle must not jump to -pi in any of the deformed curves
+        p = perturbed(0.0, 0.5, 1.0, 0.1, 1)
+        coeffs = canonical_coefficients(p.geometry)
+        for velocity in VELOCITY_PROFILES:
+            fd = finite_difference_variation(p, coeffs, velocity)
+            assert fd.truncation_estimate < Tolerances.variation, velocity
 
 
 class TestMinimality:
@@ -179,6 +189,10 @@ class TestDescent:
     def test_rejects_mode_beyond_family(self, nil_geometry):
         with pytest.raises(ValueError):
             descend_energy(nil_geometry, 1.0, 1, start=PerturbationSpec(0.1, 2))
+
+    def test_rejects_negative_iteration_budget(self, nil_geometry):
+        with pytest.raises(ValueError, match="max_iterations"):
+            descend_energy(nil_geometry, 1.0, 1, max_iterations=-3)
 
 
 class TestModeFamilyEnergy:

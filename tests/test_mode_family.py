@@ -29,13 +29,14 @@ from thurston_willmore.experiments import (
 )
 from thurston_willmore.profile import (
     InadmissiblePerturbation,
-    _mode_shape,
     _one_minus_t,
     _require_admissible,
     _series_range,
     _shape_series,
     _zero_distance,
 )
+
+from mode_oracle import mode_shape
 
 # (k, tau, H): Nil, H^2 x R near its domain edge, SL(2, R)-type, Berger
 GEOMETRIES = [(0.0, 0.5, 1.0), (-1.0, 0.0, 0.6), (-1.0, -0.5, 0.8), (1.0, 0.3, 0.6)]
@@ -69,7 +70,7 @@ class TestExactAdmissibility:
         k, tau, H = case
         g = GeometryParams(k, tau)
         c = np.array(c)
-        _, p, n, u = _mode_shape(H, c, np.linspace(0.0, math.pi, 65537))
+        _, p, n, u = mode_shape(H, c, np.linspace(0.0, math.pi, 65537))
         margins = (n.min(), p.min(), g.domain_radius * (1.0 - 1e-9) - u.max())
         # the exact ranges contain every sample
         p_series, p_ends, n_series, n_ends = _shape_series(c)
@@ -111,6 +112,24 @@ class TestExactAdmissibility:
         g = GeometryParams(-1.0, 0.0)
         assert _admissible(g, 0.6, np.array([-0.19]))
         assert not _admissible(g, 0.6, np.array([-0.2]))
+
+
+class TestConstruction:
+    @given(case=cases, c=coefficients)
+    def test_samples_match_trigonometric_oracle(self, case, c):
+        # sphere_from_modes evaluates the Chebyshev series of P and N; the
+        # oracle sums cos(2 m sigma) mode by mode.  Next to the apex edge
+        # (1 + k u^2/4 small) one rounding of u moves ds/dsigma by ~1e-14.
+        k, tau, H = case
+        g = GeometryParams(k, tau)
+        c = np.array(c)
+        assume(_admissible(g, H, c))
+        p = sphere_from_modes(g, H, c)
+        _, _, n, u = mode_shape(H, c, p.sigma)
+        ds_dsigma = n / (H * (1.0 + 0.25 * k * u * u))
+        u[[0, -1]] = 0.0
+        assert np.max(np.abs(p.u - u)) <= 1e-13 * np.max(u)
+        assert np.max(np.abs(p.ds_dsigma - ds_dsigma)) <= 1e-13 * np.max(ds_dsigma)
 
 
 class TestFamilyEnergy:

@@ -24,12 +24,9 @@ from thurston_willmore import (
     sphere_from_modes,
 )
 from thurston_willmore.numerics import derivative1
-from thurston_willmore.profile import (
-    ARCLENGTH,
-    AXIS_SERIES_S0,
-    TURNING_ANGLE,
-    _reduced_sine_ratio,
-)
+from thurston_willmore.profile import ARCLENGTH, AXIS_SERIES_S0, TURNING_ANGLE
+
+from mode_oracle import reduced_sine_ratio
 
 
 class TestOdeRhs:
@@ -248,11 +245,11 @@ class TestReducedSineRatio:
         sig = sig[np.abs(np.cos(sig)) > 0.05]
         for m in (1, 2, 3, 5):
             direct = np.sin(2 * m * sig) / np.cos(sig)
-            np.testing.assert_allclose(_reduced_sine_ratio(sig, m), direct, atol=1e-12)
+            np.testing.assert_allclose(reduced_sine_ratio(sig, m), direct, atol=1e-12)
 
     def test_finite_at_equator(self):
         for m in (1, 2, 4):
-            value = _reduced_sine_ratio(np.array([math.pi / 2]), m)[0]
+            value = reduced_sine_ratio(np.array([math.pi / 2]), m)[0]
             assert math.isfinite(value)
             # limit: sin(2m sigma)/cos(sigma) -> -2m cos(m pi) at the equator
             assert value == pytest.approx(-2 * m * math.cos(m * math.pi), abs=1e-12)
@@ -320,7 +317,7 @@ class TestPerturbedSphere:
         assert np.array_equal(p.sigma, np.linspace(0.0, math.pi, len(p)))
         # the spacing is ds/di per sample: ds/dsigma = N / (H B) times pi/(n - 1)
         sigma = p.sigma
-        n_exact = 1.0 + 0.1 * np.cos(2 * sigma) - 0.2 * np.sin(sigma) * _reduced_sine_ratio(sigma, 1)
+        n_exact = 1.0 + 0.1 * np.cos(2 * sigma) - 0.2 * np.sin(sigma) * reduced_sine_ratio(sigma, 1)
         exact = n_exact * math.pi / (len(p) - 1)
         assert np.max(np.abs(p.spacing - exact)) < 1e-13
 
