@@ -189,7 +189,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     if config.samples < 9 or config.samples % 2 == 0:
         raise ConfigError("samples must be odd and at least 9")
     # a NaN threshold would pass every check: no comparison with it is true
-    finite = {key: getattr(config, key) for key in ("k", "tau", "alpha", "beta", "epsilon")}
+    finite = {key: getattr(config, key) for key in ("k", "tau", "H", "alpha", "beta", "epsilon")}
     for name, attr in _TOL_FIELDS.items():
         finite[f"tol-{name}"] = getattr(config.tolerances, attr)
     for key, value in finite.items():

@@ -541,9 +541,9 @@ def _terminal(event, direction: float):
     return event
 
 
-def _j_drift(g: GeometryParams, H: float, profile: Profile, conservation_tol: float) -> float:
-    """Largest change of J over the samples; raises past ``conservation_tol``."""
-    j = profile_first_integral(g, H, profile)
+def _j_drift(g: GeometryParams, H: float, u, sin_sig, conservation_tol: float) -> float:
+    """Largest change of J over samples u, sin(sigma); raises past ``conservation_tol``."""
+    j = _first_integral(g, H, u, sin_sig)
     drift = float(np.max(np.abs(j - j[0])))
     if drift > conservation_tol:
         raise IntegrationError(
@@ -614,7 +614,7 @@ def integrate(
     profile = Profile(s=grid, u=u, v=v, sigma=sigma, geometry=g)
     return replace(
         profile,
-        j_drift=_j_drift(g, H, profile, tolerances.conservation),
+        j_drift=_j_drift(g, H, profile.u, np.sin(profile.sigma), tolerances.conservation),
         tolerances={"rtol": rtol, "atol": atol, "conservation": tolerances.conservation},
     )
 
@@ -639,13 +639,38 @@ def _require_sphere_exists(g: GeometryParams, H: float) -> None:
 _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
+def _panel_column(edges: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Node j of the 8-point Gauss-Legendre rule on each interval of ``edges``, and its weights."""
+    a = edges[:-1]
+    half = 0.5 * (edges[1:] - a)
+    return half * (_GL8_NODES[j] + 1.0) + a, half * _GL8_WEIGHTS[j]
+
+
 def _panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on each interval of ``edges``."""
-    a = edges[:-1][:, None]
-    b = edges[1:][:, None]
-    nodes = 0.5 * (b - a) * (_GL8_NODES[None, :] + 1.0) + a
-    weights = 0.5 * (b - a) * _GL8_WEIGHTS[None, :]
-    return nodes, weights
+    """Gauss-Legendre nodes and weights on each interval of ``edges``, as (intervals, 8) arrays."""
+    nodes, weights = zip(*(_panel_column(edges, j) for j in range(_GL8_NODES.size)))
+    return np.stack(nodes, axis=1), np.stack(weights, axis=1)
+
+
+def _node_column_sum(column) -> tuple[np.ndarray, ...]:
+    """Sum the tuples of arrays ``column(j)`` over the 8 Gauss node columns j.
+
+    The columns are added in the order in which ``np.sum(..., axis=1)``
+    adds the 8 entries of a row, ((c0 + c1) + (c2 + c3)) + ((c4 + c5) +
+    (c6 + c7)), so the sums equal those of the (intervals, 8) node arrays
+    bit for bit.  Evaluating one column at a time keeps every array the
+    length of one column: (intervals, 8) arrays of a default profile are
+    128 KiB, glibc's mmap threshold, and allocating and freeing them on
+    every call faulted the freed pages back in on the next.
+    """
+
+    def total(lo: int, hi: int) -> tuple[np.ndarray, ...]:
+        if hi - lo == 1:
+            return column(lo)
+        mid = (lo + hi) // 2
+        return tuple(a + b for a, b in zip(total(lo, mid), total(mid, hi)))
+
+    return total(0, _GL8_NODES.size)
 
 
 def generate_cmc_sphere(
@@ -705,13 +730,15 @@ def generate_cmc_sphere(
             "not 0 to pi"
         )
 
-    nodes, weights = _panel_nodes(grid)
-    _, sin_nodes = branch(nodes)
-    u_nodes = sin_nodes / h_abs
-    dv = np.sum(np.sqrt(1.0 + g.tau**2 * u_nodes * u_nodes) * sin_nodes * weights, axis=1)
+    def height_rate(j: int) -> tuple[np.ndarray]:
+        nodes, weights = _panel_column(grid, j)
+        _, sin_nodes = branch(nodes)
+        u_nodes = sin_nodes / h_abs
+        return (np.sqrt(1.0 + g.tau**2 * u_nodes * u_nodes) * sin_nodes * weights,)
+
+    (dv,) = _node_column_sum(height_rate)
     v = np.concatenate(([0.0], np.cumsum(dv)))
-    profile = Profile(s=grid, u=u, v=v, sigma=sigma, geometry=g)
-    drift = _j_drift(g, h_abs, profile, tolerances.conservation)
+    drift = _j_drift(g, h_abs, u, sin_sig, tolerances.conservation)
     if not np.all(np.diff(sigma) > 0.0):
         raise IntegrationError("sigma is not monotone along the generated sphere")
     identity = np.abs(sin_sig - h_abs * u)
@@ -720,8 +747,12 @@ def generate_cmc_sphere(
             f"sphere identity residual {np.max(identity):.3e} exceeds "
             f"{tolerances.closure_identity:.1e}"
         )
-    return replace(
-        profile,
+    return Profile(
+        s=grid,
+        u=u,
+        v=v,
+        sigma=sigma,
+        geometry=g,
         mean_curvature=h_abs,
         closure=Closure.CLOSED_SPHERE,
         orientation=1 if H > 0 else -1,
@@ -894,6 +925,41 @@ def _require_admissible(g: GeometryParams, h_abs: float, coeffs: np.ndarray) -> 
     return _ModeShape(p, n, p_range, n_range, u_max)
 
 
+class _NodeColumn(NamedTuple):
+    """sin(sigma), t = cos(2 sigma) and the weight at one Gauss node of every panel."""
+
+    sin: np.ndarray
+    t: np.ndarray
+    weights: np.ndarray
+
+
+class _TurningAngleGrid(NamedTuple):
+    """Samples uniform in sigma on [0, pi], sin and t there, and the Gauss node columns between."""
+
+    sigma: np.ndarray
+    sin: np.ndarray
+    t: np.ndarray
+    columns: tuple[_NodeColumn, ...]
+
+
+@lru_cache(maxsize=4)
+def _turning_angle_grid(n_samples: int) -> _TurningAngleGrid:
+    """The shape-independent part of :func:`sphere_from_modes` at ``n_samples`` samples.
+
+    Built on the first call for a sample count; every array is read-only,
+    since every later call shares it.
+    """
+    sigma = np.linspace(0.0, math.pi, n_samples)
+    columns = []
+    for j in range(_GL8_NODES.size):
+        nodes, weights = _panel_column(sigma, j)
+        columns.append(_NodeColumn(np.sin(nodes), np.cos(2.0 * nodes), weights))
+    grid = _TurningAngleGrid(sigma, np.sin(sigma), np.cos(2.0 * sigma), tuple(columns))
+    for a in (*grid[:3], *(a for column in columns for a in column)):
+        a.flags.writeable = False
+    return grid
+
+
 def sphere_from_modes(
     g: GeometryParams,
     H: float,
@@ -915,27 +981,33 @@ def sphere_from_modes(
     steps, the arclength s(sigma) and the height v(sigma) are running sums
     of 8-point Gauss panels between consecutive samples, and ds/dsigma is
     kept at every sample.  Turning then spreads evenly over the samples,
-    also where ds/dsigma is small near the family's regularity edge.
+    also where ds/dsigma is small near the family's regularity edge.  What
+    depends on ``n_samples`` only, sin(sigma) and cos(2 sigma) at the
+    samples and at the Gauss nodes and the panel weights, is computed once
+    per sample count (:func:`_turning_angle_grid`).
     """
     _require_sphere_exists(g, H)
     coeffs = np.atleast_1d(np.asarray(coeffs, dtype=float))
     h_abs = abs(H)
     shape = _require_admissible(g, h_abs, coeffs)
 
-    def radius_and_speed(sig: np.ndarray) -> tuple[np.ndarray, ...]:
-        """sin(sigma), u = sin(sigma) P/H and ds/dsigma = N / (H (1 + k u^2/4)) on ``sig``."""
-        sin_sig = np.sin(sig)
-        t = np.cos(2.0 * sig)
-        u = sin_sig * cheb.chebval(t, shape.p) / h_abs
-        return sin_sig, u, cheb.chebval(t, shape.n) / (h_abs * (1.0 + 0.25 * g.k * u * u))
+    grid = _turning_angle_grid(n_samples)
 
-    sigma = np.linspace(0.0, math.pi, n_samples)
-    nodes, weights = _panel_nodes(sigma)
-    sin_nodes, u_nodes, ds_nodes = radius_and_speed(nodes)
-    dv_nodes = np.sqrt(1.0 + g.tau**2 * u_nodes * u_nodes) * sin_nodes * ds_nodes
-    s = np.concatenate(([0.0], np.cumsum(np.sum(ds_nodes * weights, axis=1))))
-    v = np.concatenate(([0.0], np.cumsum(np.sum(dv_nodes * weights, axis=1))))
-    _, u, ds_dsigma = radius_and_speed(sigma)
+    def radius_and_speed(sin_sig: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """u = sin(sigma) P/H and ds/dsigma = N / (H (1 + k u^2/4)) from sin(sigma) and t."""
+        u = sin_sig * cheb.chebval(t, shape.p) / h_abs
+        return u, cheb.chebval(t, shape.n) / (h_abs * (1.0 + 0.25 * g.k * u * u))
+
+    def arclength_and_height_rates(j: int) -> tuple[np.ndarray, np.ndarray]:
+        column = grid.columns[j]
+        u_nodes, ds_nodes = radius_and_speed(column.sin, column.t)
+        dv_nodes = np.sqrt(1.0 + g.tau**2 * u_nodes * u_nodes) * column.sin * ds_nodes
+        return ds_nodes * column.weights, dv_nodes * column.weights
+
+    ds, dv = _node_column_sum(arclength_and_height_rates)
+    s = np.concatenate(([0.0], np.cumsum(ds)))
+    v = np.concatenate(([0.0], np.cumsum(dv)))
+    u, ds_dsigma = radius_and_speed(grid.sin, grid.t)
     u[0] = 0.0
     u[-1] = 0.0
 
@@ -944,7 +1016,7 @@ def sphere_from_modes(
         s=s,
         u=u,
         v=v,
-        sigma=sigma,
+        sigma=grid.sigma,
         geometry=g,
         mean_curvature=h_abs if is_cmc else None,
         closure=Closure.CLOSED_SPHERE,

@@ -1,0 +1,71 @@
+"""The sphere generators' Gauss panels as 2-D node arrays, the oracle of their column sums.
+
+``generate_cmc_sphere`` and ``sphere_from_modes`` add their 8-point Gauss
+panels one node column at a time.  This module evaluates the same
+integrands on (panels, 8) arrays of every node and sums each row with
+``np.sum(axis=1)``; the tests require the generators' samples to equal
+these bit for bit.
+"""
+
+import math
+
+import numpy as np
+from numpy.polynomial import chebyshev as cheb
+
+from thurston_willmore.profile import AXIS_SERIES_S0
+
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(8)
+
+
+def panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on each interval of ``edges``, as (intervals, 8) arrays."""
+    a = edges[:-1][:, None]
+    b = edges[1:][:, None]
+    nodes = 0.5 * (b - a) * (_NODES[None, :] + 1.0) + a
+    weights = 0.5 * (b - a) * _WEIGHTS[None, :]
+    return nodes, weights
+
+
+def cmc_sphere_samples(k: float, tau: float, H: float, n_samples: int) -> tuple[np.ndarray, ...]:
+    """s, u, v and sigma of the closed-form CMC sphere of mean curvature |H|."""
+    h_abs = abs(H)
+    w = math.sqrt(h_abs * h_abs + 0.25 * k)
+
+    def branch(s):
+        sigma = np.arctan2(h_abs * np.sin(w * s), w * np.cos(w * s))
+        return sigma, np.sin(sigma)
+
+    grid = np.linspace(AXIS_SERIES_S0, math.pi / w - AXIS_SERIES_S0, n_samples)
+    sigma, sin_sig = branch(grid)
+    nodes, weights = panel_nodes(grid)
+    _, sin_nodes = branch(nodes)
+    u_nodes = sin_nodes / h_abs
+    dv = np.sum(np.sqrt(1.0 + tau**2 * u_nodes * u_nodes) * sin_nodes * weights, axis=1)
+    return grid, sin_sig / h_abs, np.concatenate(([0.0], np.cumsum(dv))), sigma
+
+
+def mode_sphere_samples(
+    k: float, tau: float, H: float, p: np.ndarray, n: np.ndarray, n_samples: int
+) -> tuple[np.ndarray, ...]:
+    """s, u, v, sigma and ds/dsigma of the mode-family sphere.
+
+    ``p`` and ``n`` are the Chebyshev series of P and N in t = cos(2 sigma).
+    """
+    h_abs = abs(H)
+
+    def radius_and_speed(sig):
+        sin_sig = np.sin(sig)
+        t = np.cos(2.0 * sig)
+        u = sin_sig * cheb.chebval(t, p) / h_abs
+        return sin_sig, u, cheb.chebval(t, n) / (h_abs * (1.0 + 0.25 * k * u * u))
+
+    sigma = np.linspace(0.0, math.pi, n_samples)
+    nodes, weights = panel_nodes(sigma)
+    sin_nodes, u_nodes, ds_nodes = radius_and_speed(nodes)
+    dv_nodes = np.sqrt(1.0 + tau**2 * u_nodes * u_nodes) * sin_nodes * ds_nodes
+    s = np.concatenate(([0.0], np.cumsum(np.sum(ds_nodes * weights, axis=1))))
+    v = np.concatenate(([0.0], np.cumsum(np.sum(dv_nodes * weights, axis=1))))
+    _, u, ds_dsigma = radius_and_speed(sigma)
+    u[0] = 0.0
+    u[-1] = 0.0
+    return s, u, v, sigma, ds_dsigma

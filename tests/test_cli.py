@@ -491,6 +491,16 @@ class TestExitCodes:
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["generate"], ["verify", "criticality"]])
+    @pytest.mark.parametrize("H", ["nan", "inf"])
+    def test_non_finite_H_is_a_config_error(self, tmp_path, capsys, command, H):
+        # not a nonexistence verdict (exit 2): no sphere was asked for
+        out = tmp_path / "out.json"
+        code = run([*command, "--k", 0, "--tau", 0.5, "--H", H, "-o", out])
+        assert code == cli.EXIT_CONFIG == 1
+        assert capsys.readouterr().err == f"error: H must be finite, got {H}\n"
+        assert not out.exists()
+
     def test_integration_error_has_its_own_code(self, tmp_path, capsys):
         out = tmp_path / "s.csv"
         code = run(["generate", "--k", 0, "--tau", 0.5, "--H", 0.7, "-o", out,

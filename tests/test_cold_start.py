@@ -23,6 +23,7 @@ _SCRIPT = textwrap.dedent(
 
     from thurston_willmore import GeometryParams, ProfileState, StopCondition, cli, profile
 
+    grids_at_import = profile._turning_angle_grid.cache_info().currsize
     work = Path(sys.argv[1])
     geo = ["--k", "0", "--tau", "0.5", "--H", "1"]
     runs = [
@@ -47,7 +48,7 @@ _SCRIPT = textwrap.dedent(
     axis = ProfileState(0.0, 0.0, 0.0, 0.0)
     shot = profile.integrate(GeometryParams(0.0, 0.5), 1.0, axis, StopCondition.sphere_closure(10.0))
     print(json.dumps({"codes": codes, "scipy": loaded, "solve_ivp_calls": len(calls),
-                      "samples": len(shot)}))
+                      "samples": len(shot), "grids_at_import": grids_at_import}))
     """
 )
 
@@ -66,3 +67,5 @@ def test_tw_paths_do_not_import_scipy(tmp_path):
     # integrate still shoots through the real scipy solver, once
     assert result["solve_ivp_calls"] == 1
     assert result["samples"] == 2049
+    # the turning-angle grid of sphere_from_modes is built on its first call
+    assert result["grids_at_import"] == 0

@@ -33,10 +33,12 @@ from thurston_willmore.profile import (
     _require_admissible,
     _series_range,
     _shape_series,
+    _turning_angle_grid,
     _zero_distance,
 )
 
 from mode_oracle import mode_shape
+from panel_oracle import mode_sphere_samples
 
 # (k, tau, H): Nil, H^2 x R near its domain edge, SL(2, R)-type, Berger
 GEOMETRIES = [(0.0, 0.5, 1.0), (-1.0, 0.0, 0.6), (-1.0, -0.5, 0.8), (1.0, 0.3, 0.6)]
@@ -204,6 +206,47 @@ ORACLE_SHAPES = [
     # zero of B = 1 + k u^2/4 (k > 0) about 0.8 panel widths off
     (1.0, 0.0, 0.03, [0.05], 1024),
 ]
+
+
+def _assert_samples_equal_the_2d_panel_sums(k, tau, H, coeffs, n_samples):
+    g = GeometryParams(k, tau)
+    c = np.array(coeffs)
+    shape = _require_admissible(g, abs(H), c)
+    p = sphere_from_modes(g, H, c, n_samples=n_samples)
+    expected = mode_sphere_samples(g.k, g.tau, H, shape.p, shape.n, n_samples)
+    for column, oracle in zip((p.s, p.u, p.v, p.sigma, p.ds_dsigma), expected, strict=True):
+        assert np.array_equal(column, oracle)
+
+
+class TestNodeColumnSums:
+    # sphere_from_modes sums node columns in np.sum's pairwise order, on a
+    # grid cached per sample count
+    @pytest.mark.parametrize("k, tau, H, coeffs, panels", ORACLE_SHAPES)
+    def test_oracle_shapes_equal_the_2d_panel_sums(self, k, tau, H, coeffs, panels):
+        _assert_samples_equal_the_2d_panel_sums(k, tau, H, coeffs, 2049)
+
+    @given(case=cases, c=coefficients, n_samples=st.sampled_from([9, 257, 2049]))
+    def test_samples_equal_the_2d_panel_sums(self, case, c, n_samples):
+        k, tau, H = case
+        assume(_admissible(GeometryParams(k, tau), H, np.array(c)))
+        _assert_samples_equal_the_2d_panel_sums(k, tau, -H, c, n_samples)
+        _assert_samples_equal_the_2d_panel_sums(k, tau, H, c, n_samples)
+
+    def test_grid_is_read_only(self):
+        grid = _turning_angle_grid(257)
+        arrays = [grid.sigma, grid.sin, grid.t, *(a for column in grid.columns for a in column)]
+        assert len(arrays) == 3 + 3 * 8
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
+    def test_each_sample_count_has_its_own_grid(self):
+        small, large = _turning_angle_grid(9), _turning_angle_grid(17)
+        assert _turning_angle_grid(9) is small
+        assert (small.sigma.size, large.sigma.size) == (9, 17)
+        assert {column.sin.size for column in small.columns} == {8}
+        assert {column.weights.size for column in large.columns} == {16}
+        assert small.sigma[-1] == large.sigma[-1] == math.pi
 
 
 @pytest.mark.parametrize("k, tau, H, coeffs, panels", ORACLE_SHAPES)

@@ -1,0 +1,70 @@
+"""Steady-state sphere construction faults in no new memory pages.
+
+The sphere generators sum their Gauss panels one node column at a time, so
+no step allocates a (panels, 8) array.  At 2049 samples such an array is
+128 KiB, glibc's mmap threshold: allocating and freeing them on every call
+had glibc hand the pages back and fault them in again, about 120 minor
+faults per sweep row and 1900 per ``verify_minimality`` call.  The check
+runs in a fresh interpreter with glibc's default allocator settings, so
+that no other test's heap state leaks into it.
+"""
+
+import json
+import os
+import platform
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+ROWS = 50
+
+_SCRIPT = textwrap.dedent(
+    """
+    import json, resource, sys
+
+    from thurston_willmore.experiments import (
+        SweepSpec, default_acceptance_grid, sweep, verify_minimality,
+    )
+
+    cases = default_acceptance_grid()
+
+    def run(rows, minimality):
+        for i in range(rows):
+            g, H = cases[i % len(cases)]
+            sweep(SweepSpec((g.k,), (g.tau,), (H,)))
+        for i in range(minimality):
+            g, H = cases[7 * i % len(cases)]
+            assert verify_minimality(g, H).passed
+
+    run(5, 1)  # warm-up: first calls build caches and grow the heap
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run(int(sys.argv[1]), 3)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    print(json.dumps({"faults": faults}))
+    """
+)
+
+
+@pytest.mark.skipif(
+    platform.system() != "Linux" or platform.libc_ver()[0] != "glibc",
+    reason="page-fault counts of glibc's allocator",
+)
+def test_steady_state_rows_fault_in_no_pages():
+    # glibc's defaults: allocator tunables in the environment would hide the faults
+    env = {
+        key: value
+        for key, value in os.environ.items()
+        if not key.startswith("MALLOC_") and key != "GLIBC_TUNABLES"
+    }
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _SCRIPT, str(ROWS)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["faults"] / ROWS < 1.0

@@ -23,10 +23,12 @@ from thurston_willmore import (
     profile_first_integral,
     sphere_from_modes,
 )
+from thurston_willmore.experiments import default_acceptance_grid
 from thurston_willmore.numerics import derivative1
 from thurston_willmore.profile import ARCLENGTH, AXIS_SERIES_S0, TURNING_ANGLE
 
 from mode_oracle import reduced_sine_ratio
+from panel_oracle import cmc_sphere_samples
 
 
 class TestOdeRhs:
@@ -200,6 +202,24 @@ class TestGenerateCmcSphere:
         apexes = [generate_cmc_sphere(g, H).u.max() for H in (0.6, 0.55, 0.52)]
         assert apexes == sorted(apexes)
         np.testing.assert_allclose(apexes, [1.0 / 0.6, 1.0 / 0.55, 1.0 / 0.52], rtol=1e-9)
+
+    # the acceptance grid, mirror surfaces, and k = -1 down to H^2 + k/4 = 1e-6
+    @pytest.mark.parametrize(
+        "k, tau, H",
+        [(g.k, g.tau, H) for g, H in default_acceptance_grid()]
+        + [(0.0, 0.5, -1.0), (1.0, 0.3, -0.7)]
+        + [(-1.0, tau, math.sqrt(0.25 + m)) for tau in (-0.5, 0.0, 0.6)
+           for m in (1e-2, 1e-4, 1e-6)],
+    )
+    def test_samples_equal_the_2d_panel_sums(self, k, tau, H):
+        # the generator sums node columns in np.sum's pairwise order
+        g = GeometryParams(k, tau)
+        p = generate_cmc_sphere(g, H)
+        expected = cmc_sphere_samples(g.k, g.tau, H, len(p))
+        for column, oracle in zip((p.s, p.u, p.v, p.sigma), expected, strict=True):
+            assert np.array_equal(column, oracle)
+        j = profile_first_integral(g, abs(H), p)
+        assert p.j_drift == float(np.max(np.abs(j - j[0])))
 
 
 class TestExistence:
