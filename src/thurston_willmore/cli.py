@@ -185,16 +185,17 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         value = getattr(args, f"tol_{attr}", None)
         if value is not None:
             tolerances[attr] = value
-    config.tolerances = replace(config.tolerances, **tolerances)
     if config.samples < 9 or config.samples % 2 == 0:
         raise ConfigError("samples must be odd and at least 9")
-    # a NaN threshold would pass every check: no comparison with it is true
-    finite = {key: getattr(config, key) for key in ("k", "tau", "H", "alpha", "beta", "epsilon")}
-    for name, attr in _TOL_FIELDS.items():
-        finite[f"tol-{name}"] = getattr(config.tolerances, attr)
-    for key, value in finite.items():
+    for key in ("k", "tau", "H", "alpha", "beta", "epsilon"):
+        value = getattr(config, key)
         if value is not None and not math.isfinite(value):
             raise ConfigError(f"{key} must be finite, got {value}")
+    try:
+        config.tolerances = replace(config.tolerances, **tolerances)
+    except ValueError as exc:  # the message starts with the field's name
+        attr, _, reason = str(exc).partition(" ")
+        raise ConfigError(f"tol-{attr.replace('_', '-')} {reason}") from exc
     for key, least in (("mode", 1), ("family_dims", 1), ("max_iterations", 0), ("seed", 0)):
         if getattr(config, key) < least:
             raise ConfigError(f"{key} must be at least {least}, got {getattr(config, key)}")

@@ -499,51 +499,6 @@ def _family_panels(g: GeometryParams, h_abs: float, shape: _ModeShape) -> int:
     return _FAMILY_PANELS if distance >= margin else _FAMILY_FINE_PANELS
 
 
-def mode_family_energy(
-    g: GeometryParams,
-    H: float,
-    coeffs_vec,
-    functional_coeffs: FunctionalCoefficients | None = None,
-) -> float:
-    """Energy of the mode-family sphere, evaluated in closed form.
-
-    Everything is analytic in the turning angle, so the integral needs no
-    profile reconstruction and no stencils: an 8-point Gauss sum over 64
-    panels in sigma, or 1024 for shapes whose density has a complex
-    singularity close to the real axis (:func:`_family_panels`), summed on
-    the mirrored half rule that the derivatives share
-    (:func:`_family_half_rule`).  P and N are their Chebyshev series in
-    t = cos(2 sigma).  Shapes that :func:`sphere_from_modes` rejects
-    (decided exactly on those series) return infinity.  Serves both as the
-    descent objective and as an independent cross-check of the sample-based
-    energy pipeline.
-    """
-    if functional_coeffs is None:
-        functional_coeffs = canonical_coefficients(g)
-    coeffs_vec = np.atleast_1d(np.asarray(coeffs_vec, dtype=float))
-    h_abs = abs(H)
-    try:
-        shape = _require_admissible(g, h_abs, coeffs_vec)
-    except InadmissiblePerturbation:
-        return math.inf
-    k, tau = g.k, g.tau
-    weights, sin_sig, cos_sig, t, _, _ = _family_half_rule(
-        _family_panels(g, h_abs, shape), coeffs_vec.size
-    )
-    # The series, not the rule's mode terms: near the regularity edge
-    # (min N ~ 1e-4) summing the mode terms moves the energy by up to 1e-13.
-    p = cheb.chebval(t, shape.p)
-    n = cheb.chebval(t, shape.n)
-    u = sin_sig * p / h_abs
-    A = np.sqrt(1.0 + tau * tau * u * u)
-    B = 1.0 + 0.25 * k * u * u
-    ds_dsigma = n / (h_abs * B)
-    # sin(sigma)/u = H/P in closed form: no pole at the ends.
-    Hm = _mean_curvature(k, u, sin_sig, 1.0 / ds_dsigma, h_abs / p)
-    density = _energy_density(g, functional_coeffs, Hm, cos_sig / A, u * A / B, ds_dsigma)
-    return 2.0 * math.pi * float(np.dot(weights, density))
-
-
 @lru_cache(maxsize=None)
 def _family_half_rule(panels: int, dims: int) -> tuple[np.ndarray, ...]:
     """The family's Gauss rule on [0, pi/2]: weights, sin, cos, t = cos(2 sigma), mode terms.
@@ -573,54 +528,77 @@ def _family_half_rule(panels: int, dims: int) -> tuple[np.ndarray, ...]:
     return rule
 
 
-def _family_energy_derivatives(g: GeometryParams, H: float, coeffs_vec) -> tuple[np.ndarray, ...]:
-    """Exact gradient and Hessian of the canonical :func:`mode_family_energy`.
+def _family_energy(
+    g: GeometryParams,
+    H: float,
+    coeffs_vec,
+    functional_coeffs: FunctionalCoefficients | None = None,
+    *,
+    derivatives: bool = False,
+):
+    """Family energy E, or with ``derivatives`` (E, gradient, Hessian), for any (alpha, beta).
 
-    The same Gauss sum, differentiated under the sum.  At each node the
-    density is rho = G M, with G = H_m^2 + C/A^2 + D and
-    M = u A N/(H B^2) = mu ds/dsigma, and depends on the coefficients only
-    through P and N, both linear in them.  So the derivatives are the first
-    and second partials of rho in (P, N), hand-derived below, contracted
-    with the mode terms of P and N at the nodes.  Raises
-    :class:`InadmissiblePerturbation` where the energy is infinite.
+    One Gauss sum on the half rule of :func:`_family_panels` panels.  At
+    each node the density is rho = G M, with G = H_m^2 + C/A^2 + D and
+    M = u A N/(H B^2) = mu ds/dsigma; it depends on the coefficients only
+    through P and N (their Chebyshev series in t = cos(2 sigma)), both linear
+    in them.  The derivatives are the partials of rho in (P, N), hand-derived
+    below, contracted with the rule's mode terms.  Raises
+    :class:`InadmissiblePerturbation` where the shape is not a regular profile.
     """
-    functional_coeffs = canonical_coefficients(g)
+    if functional_coeffs is None:
+        functional_coeffs = canonical_coefficients(g)
     c = np.atleast_1d(np.asarray(coeffs_vec, dtype=float))
     h = abs(H)
-    panels = _family_panels(g, h, _require_admissible(g, h, c))
-    weights, sin_sig, cos_sig, _, p_modes, n_modes = _family_half_rule(panels, c.size)
-    k4, tau2, alpha = 0.25 * g.k, g.tau * g.tau, functional_coeffs.alpha
-    inv_p = 1.0 / (1.0 + c @ p_modes)
-    inv_n = 1.0 / (1.0 + c @ n_modes)
-    inv_p2, inv_n2 = inv_p * inv_p, inv_n * inv_n
+    shape = _require_admissible(g, h, c)
+    weights, sin_sig, cos_sig, t, p_modes, n_modes = _family_half_rule(
+        _family_panels(g, h, shape), c.size
+    )
+    tau, k4, tau2 = g.tau, 0.25 * g.k, g.tau * g.tau
+    alpha, beta = functional_coeffs.alpha, functional_coeffs.beta
+    # The series, not the rule's mode terms: near the regularity edge
+    # (min N ~ 1e-4) summing the mode terms moves the energy by up to 1e-13.
+    p = cheb.chebval(t, shape.p)
+    n = cheb.chebval(t, shape.n)
+    u = sin_sig * p / h
+    ku, tu = k4 * u, tau2 * u
+    # A^2 = 1 + tau^2 u^2 and B = 1 + k u^2/4
+    a2 = 1.0 + tu * u
+    A = np.sqrt(a2)
+    b = 1.0 + ku * u
+    ds_dsigma = n / (h * b)
+    # H_m = (1/ds_dsigma + H/P - k u sin(sigma)/4)/2: sin(sigma)/u = H/P in
+    # closed form, no pole at the ends.  C/A^2 = alpha (k - 4 tau^2) nu^2.
+    turning = 1.0 / ds_dsigma
+    hm = 0.5 * (turning + h / p - ku * sin_sig)
+    nu = cos_sig / A
+    e = alpha * ((g.k - 4.0 * tau2) * nu * nu)
+    G = hm * hm + e + beta + alpha * tau * tau
+    mu = u * A / b
+    # w (G mu) ds/dsigma in this order: near the apex edge a reordering moves E by ~1e-11
+    value = 2.0 * math.pi * float(np.dot(weights, G * mu * ds_dsigma))
+    if not derivatives:
+        return value
+    M = weights * mu * ds_dsigma
+    inv_p, inv_n, inv_b, inv_a2 = 1.0 / p, 1.0 / n, 1.0 / b, 1.0 / a2
+    inv_p2 = inv_p * inv_p
     r = sin_sig / h  # du/dP
-    u = r / inv_p
-    kru, krr = k4 * r * u, k4 * r * r
-    # B = 1 + k u^2/4 and A^2 = 1 + tau^2 u^2, and the first P-derivatives
-    # lb, la of their logarithms
-    b = 1.0 + k4 * u * u
-    a2 = 1.0 + tau2 * u * u
-    inv_b, inv_a2 = 1.0 / b, 1.0 / a2
+    kru, krr = ku * r, k4 * r * r
+    # first P-derivatives lb, la of log B and log A^2, and the partials of H_m
     lb = 2.0 * kru * inv_b
-    la = 2.0 * tau2 * r * u * inv_a2
+    la = 2.0 * tu * r * inv_a2
     taa = tau2 * r * r * inv_a2
-    # H_m = H (B/N + 1/P - k u r/4)/2 and its partials
-    hm = 0.5 * h * (b * inv_n + inv_p - kru)
-    hm_n = -0.5 * h * b * inv_n2
+    hm_n = -0.5 * turning * inv_n
     hm_p = 0.5 * h * (2.0 * kru * inv_n - inv_p2 - krr)
     hm_pp = h * (krr * inv_n + inv_p2 * inv_p)
     hm_pn = hm_n * lb
-    # C/A^2 with C = alpha (k - 4 tau^2) cos^2(sigma), and its P-derivatives
-    e = alpha * (4.0 * k4 - 4.0 * tau2) * (cos_sig * cos_sig) * inv_a2
     e_p = -e * la
     e_pp = e * (2.0 * la * la - 2.0 * taa)
-    G = hm * hm + e + alpha * tau2 + functional_coeffs.beta
     G_p = 2.0 * hm * hm_p + e_p
     G_n = 2.0 * hm * hm_n
     # first and second P-derivatives of log M = log(u A N/(H B^2))
     lm = inv_p + 0.5 * la - 2.0 * lb
     lm_p = -inv_p2 + taa - 0.5 * la * la - 2.0 * (2.0 * krr * inv_b - lb * lb)
-    M = weights * u * np.sqrt(a2) * inv_b * inv_b / (h * inv_n)
     gp = G_p + G * lm
     gn = G_n + G * inv_n
     rho_p = M * gp
@@ -633,7 +611,27 @@ def _family_energy_derivatives(g: GeometryParams, H: float, coeffs_vec) -> tuple
     hessian = np.einsum("in,jn->ij", p_modes * rho_pp + n_modes * rho_pn, p_modes) + np.einsum(
         "in,jn->ij", p_modes * rho_pn + n_modes * rho_nn, n_modes
     )
-    return 2.0 * math.pi * gradient, 2.0 * math.pi * hessian
+    return value, 2.0 * math.pi * gradient, 2.0 * math.pi * hessian
+
+
+def mode_family_energy(
+    g: GeometryParams,
+    H: float,
+    coeffs_vec,
+    functional_coeffs: FunctionalCoefficients | None = None,
+) -> float:
+    """Energy of the mode-family sphere in closed form (:func:`_family_energy`).
+
+    Everything is analytic in the turning angle: an 8-point Gauss sum over
+    64 panels in sigma, or 1024 where the density has a complex singularity
+    close to the real axis, with no profile and no stencils.  Shapes that
+    :func:`sphere_from_modes` rejects return infinity.  The descent
+    objective, and a cross-check of the sample-based energy pipeline.
+    """
+    try:
+        return _family_energy(g, H, coeffs_vec, functional_coeffs)
+    except InadmissiblePerturbation:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -703,12 +701,13 @@ def descend_energy(
     The objective is :func:`mode_family_energy` at the fixed comparison mean
     curvature ``H_init``; the best H is refit on the final shape.  Each
     iteration takes a modified Newton step on the exact gradient and
-    Hessian (:func:`_family_energy_derivatives`): the Hessian's eigenvalues
-    are replaced by their absolute values, floored at ``_HESSIAN_FLOOR``
-    times the largest, and the step is halved until the Armijo condition
-    holds (Nocedal & Wright, *Numerical Optimization*, ch. 3).  Every trial
-    point is evaluated by :func:`mode_family_energy`, which is infinite on
-    inadmissible shapes, so no step leaves the family.  A start outside the
+    Hessian of the same Gauss sum (:func:`_family_energy`, also at c = 0
+    for ``hessian_eigenvalues``): the Hessian's eigenvalues are replaced by
+    their absolute values, floored at ``_HESSIAN_FLOOR`` times the largest,
+    and the step is halved until the Armijo condition holds (Nocedal &
+    Wright, *Numerical Optimization*, ch. 3).  Trial points need E alone,
+    from :func:`mode_family_energy`, which is infinite on inadmissible
+    shapes, so no step leaves the family.  A start outside the
     family or on its regularity boundary (amplitude 0.2 in mode 1, where
     ds/dsigma vanishes at the equator) is scaled by 0.97 until it is
     admissible with the exact minimum of the regularity numerator N above
@@ -745,7 +744,7 @@ def descend_energy(
         raise InadmissiblePerturbation("descent start could not be pulled into the family")
 
     f_val = mode_family_energy(g, H_init, c)
-    grad, hess = _family_energy_derivatives(g, H_init, c)
+    _, grad, hess = _family_energy(g, H_init, c, derivatives=True)
     stop_reason = "iteration budget used up"
     iterations = max_iterations
     for i in range(max_iterations + 1):
@@ -770,7 +769,7 @@ def descend_energy(
             stop_reason, iterations = "line search stalled", i + 1
             break
         c, f_val = candidate, f_new
-        grad, hess = _family_energy_derivatives(g, H_init, c)
+        _, grad, hess = _family_energy(g, H_init, c, derivatives=True)
 
     final_profile = sphere_from_modes(g, H_init, c, n_samples=n_samples)
     final_energy = energy(final_profile).E
@@ -780,7 +779,7 @@ def descend_energy(
     converged = stop_reason == "converged"
     if converged and not abs(final_energy - FOUR_PI) < energy_tol:
         converged, stop_reason = False, "final shape check failed"
-    sphere_hessian = _family_energy_derivatives(g, H_init, np.zeros(family_dims))[1]
+    sphere_hessian = _family_energy(g, H_init, np.zeros(family_dims), derivatives=True)[2]
     return DescentReport(
         geometry=g,
         H=H_init,

@@ -60,7 +60,7 @@ import csv
 import enum
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple
@@ -127,6 +127,12 @@ class Tolerances:
     derivative_check: float = 1e-5
     # descent converges once every mode coefficient is below this
     descent_coeff: float = 1e-4
+
+    def __post_init__(self):
+        # NaN passes every check it gates; a negative bound passes or fails all of them
+        for name, value in vars(self).items():
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and at least 0, got {value}")
 
 
 # Closure acceptance: how close to the axis the profile must return.
@@ -238,6 +244,9 @@ class Profile:
     tolerances: dict | None = None
     parametrization: str = ARCLENGTH
     ds_dsigma: np.ndarray | None = None
+    # ds/di, set on construction: the uniform step for ARCLENGTH samples,
+    # ds_dsigma times the sigma step (read-only) for TURNING_ANGLE ones.
+    spacing: float | np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.parametrization not in (ARCLENGTH, TURNING_ANGLE):
@@ -256,7 +265,8 @@ class Profile:
             raise ValueError("sample arrays must have equal length")
         if self.ds_dsigma is not None and not np.all(self.ds_dsigma > 0.0):
             raise ValueError(f"{_SPEED_COLUMN} must be positive")
-        if not np.all(np.diff(self.s) > 0.0):
+        ds = np.diff(self.s)
+        if not np.all(ds > 0.0):
             raise ValueError("samples must be strictly increasing in s")
         if np.any(self.u < 0.0):
             raise ValueError("u must be nonnegative")
@@ -269,6 +279,13 @@ class Profile:
                 raise ValueError("closed sphere must start and end on the axis")
             if abs(self.sigma[0]) > 1e-3 or abs(self.sigma[-1] - math.pi) > 1e-3:
                 raise ValueError("closed sphere must turn from sigma=0 to sigma=pi")
+        d = ds if self.ds_dsigma is None else np.diff(self.sigma)
+        h = float(d.mean())
+        if not np.allclose(d, h, rtol=1e-8, atol=1e-13):
+            raise ValueError(f"profile samples are not uniformly spaced in {self.parametrization}")
+        self.spacing = h if self.ds_dsigma is None else self.ds_dsigma * h
+        if self.ds_dsigma is not None:
+            self.spacing.flags.writeable = False
 
     def __len__(self) -> int:
         return self.s.size
@@ -276,21 +293,6 @@ class Profile:
     @property
     def arclength(self) -> float:
         return float(self.s[-1] - self.s[0])
-
-    @property
-    def spacing(self) -> float | np.ndarray:
-        """Arclength per sample index, ds/di.
-
-        The uniform step, a scalar, for ``ARCLENGTH`` samples; for
-        ``TURNING_ANGLE`` samples the array ``ds_dsigma`` times the sigma
-        step.  Raises if the samples are not uniform in their variable.
-        """
-        x = self.s if self.ds_dsigma is None else self.sigma
-        d = np.diff(x)
-        h = float(d.mean())
-        if not np.allclose(d, h, rtol=1e-8, atol=1e-13):
-            raise ValueError(f"profile samples are not uniformly spaced in {self.parametrization}")
-        return h if self.ds_dsigma is None else self.ds_dsigma * h
 
     def _columns(self) -> tuple[str, ...]:
         return _COLUMNS if self.parametrization == ARCLENGTH else (*_COLUMNS, _SPEED_COLUMN)
@@ -611,12 +613,9 @@ def integrate(
         )
     grid = np.linspace(s_begin, s_end, n_samples)
     u, v, sigma = sol.sol(grid)
-    profile = Profile(s=grid, u=u, v=v, sigma=sigma, geometry=g)
-    return replace(
-        profile,
-        j_drift=_j_drift(g, H, profile.u, np.sin(profile.sigma), tolerances.conservation),
-        tolerances={"rtol": rtol, "atol": atol, "conservation": tolerances.conservation},
-    )
+    drift = _j_drift(g, H, u, np.sin(sigma), tolerances.conservation)
+    used = {"rtol": rtol, "atol": atol, "conservation": tolerances.conservation}
+    return Profile(s=grid, u=u, v=v, sigma=sigma, geometry=g, j_drift=drift, tolerances=used)
 
 
 def _require_sphere_exists(g: GeometryParams, H: float) -> None:

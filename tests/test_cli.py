@@ -178,6 +178,17 @@ class TestEnergy:
         (tmp_path / "bad.csv.json").write_text("{}")
         assert run(["energy", bad]) == 1
 
+    def test_non_uniform_profile_exits_1(self, tmp_path, capsys, sphere):
+        path = tmp_path / "sphere.csv"
+        sphere(0.0, 0.5, 1.0).to_csv(path)
+        lines = path.read_text().splitlines(keepends=True)
+        s, rest = lines[5].split(",", 1)
+        step = float(lines[2].split(",")[0]) - float(lines[1].split(",")[0])
+        lines[5] = f"{float(s) + 0.3 * step!r},{rest}"
+        path.write_text("".join(lines))
+        assert run(["energy", path]) == cli.EXIT_CONFIG == 1
+        assert "not uniformly spaced in arclength" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_criticality_passes_and_writes_report(self, tmp_path):
@@ -489,6 +500,33 @@ class TestExitCodes:
         assert code == cli.EXIT_CONFIG == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["verify", "minimality", "--tol-min-excess", -5], "min-excess"),
+            (["verify", "criticality", "--tol-residual", -1], "residual"),
+            (["generate", "--tol-axis-epsilon", -1], "axis-epsilon"),
+        ],
+    )
+    def test_negative_tolerance_is_a_config_error(self, tmp_path, capsys, argv, name):
+        # a competitor 5 below the sphere's energy would pass as the minimum
+        out = tmp_path / "out.json"
+        code = run([*argv, "--k", 0, "--tau", 0.5, "--H", 1, "-o", out])
+        assert code == cli.EXIT_CONFIG == 1
+        value = float(argv[-1])
+        assert capsys.readouterr().err == (
+            f"error: tol-{name} must be finite and at least 0, got {value}\n"
+        )
+        assert not out.exists()
+
+    def test_negative_tolerance_in_config_file_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"k": 0.0, "tau": 0.5, "H": 1.0, "tolerances": {"energy": -1}}))
+        out = tmp_path / "out.json"
+        assert run(["verify", "minimality", "--config", cfg, "-o", out]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: tol-energy must be finite and at least 0")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", [["generate"], ["verify", "criticality"]])

@@ -17,12 +17,18 @@ from numpy.polynomial import chebyshev as cheb
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from thurston_willmore import GeometryParams, PerturbationSpec, energy, sphere_from_modes
+from thurston_willmore import (
+    FunctionalCoefficients,
+    GeometryParams,
+    PerturbationSpec,
+    energy,
+    sphere_from_modes,
+)
 from thurston_willmore import experiments
 from thurston_willmore.experiments import (
     FOUR_PI,
     SECOND_SUMMAND_TOL,
-    _family_energy_derivatives,
+    _family_energy,
     _family_panels,
     descend_energy,
     mode_family_energy,
@@ -157,12 +163,16 @@ class TestFamilyEnergy:
         assert abs(report.second_summand - FOUR_PI) < SECOND_SUMMAND_TOL
 
 
-def _oracle_energy(k: float, tau: float, H: float, coeffs) -> mp.mpf:
-    """Canonical energy of the mode-family sphere by 30-digit tanh-sinh quadrature."""
+def _oracle_energy(k: float, tau: float, H: float, coeffs, alpha=None, beta=None) -> mp.mpf:
+    """Energy of the mode-family sphere by 30-digit tanh-sinh quadrature.
+
+    ``alpha`` and ``beta`` default to the canonical pair.
+    """
     with mp.workdps(30):
         k, tau, H = mp.mpf(k), mp.mpf(tau), mp.mpf(H)
         c = [mp.mpf(x) for x in coeffs]
-        alpha, beta = mp.mpf(1) / 4, k / 4 - tau**2 / 4
+        alpha = mp.mpf(1) / 4 if alpha is None else mp.mpf(alpha)
+        beta = k / 4 - tau**2 / 4 if beta is None else mp.mpf(beta)
 
         def density(s):
             sin_s, cos_s = mp.sin(s), mp.cos(s)
@@ -180,7 +190,9 @@ def _oracle_energy(k: float, tau: float, H: float, coeffs) -> mp.mpf:
         return 2 * mp.pi * mp.quad(density, [0, mp.pi / 2, mp.pi])
 
 
-def _oracle_gradient(k: float, tau: float, H: float, coeffs: list[float]) -> np.ndarray:
+def _oracle_gradient(
+    k: float, tau: float, H: float, coeffs: list[float], alpha=None, beta=None
+) -> np.ndarray:
     """Central difference of the oracle energy, step 1e-10 in 30-digit arithmetic."""
     with mp.workdps(30):
         step = mp.mpf("1e-10")
@@ -190,7 +202,9 @@ def _oracle_gradient(k: float, tau: float, H: float, coeffs: list[float]) -> np.
             minus = list(plus)
             plus[i] += step
             minus[i] -= step
-            difference = _oracle_energy(k, tau, H, plus) - _oracle_energy(k, tau, H, minus)
+            difference = _oracle_energy(k, tau, H, plus, alpha, beta) - _oracle_energy(
+                k, tau, H, minus, alpha, beta
+            )
             gradient.append(float(difference / (2 * step)))
     return np.array(gradient)
 
@@ -257,27 +271,66 @@ def test_family_energy_matches_mpmath_oracle(k, tau, H, coeffs, panels):
     assert value == pytest.approx(float(_oracle_energy(k, tau, H, coeffs)), rel=1e-12)
 
 
+PLAIN_WILLMORE = FunctionalCoefficients(alpha=1.0, beta=0.0)
+
+
+def _assert_one_energy(g, H, c, functional_coeffs):
+    # the energy that comes with the derivatives is the objective itself
+    value = mode_family_energy(g, H, c, functional_coeffs)
+    if math.isinf(value):
+        with pytest.raises(InadmissiblePerturbation):
+            _family_energy(g, H, c, functional_coeffs, derivatives=True)
+    else:
+        assert _family_energy(g, H, c, functional_coeffs, derivatives=True)[0] == value
+
+
+class TestOneEvaluation:
+    @pytest.mark.parametrize("functional_coeffs", [None, PLAIN_WILLMORE], ids=["canonical", "plain"])
+    @pytest.mark.parametrize("k, tau, H, coeffs, panels", ORACLE_SHAPES)
+    def test_oracle_shapes(self, k, tau, H, coeffs, panels, functional_coeffs):
+        _assert_one_energy(GeometryParams(k, tau), H, coeffs, functional_coeffs)
+
+    @given(case=cases, c=coefficients, plain=st.booleans())
+    def test_sampled_shapes(self, case, c, plain):
+        k, tau, H = case
+        _assert_one_energy(GeometryParams(k, tau), H, list(c), PLAIN_WILLMORE if plain else None)
+
+    @pytest.mark.parametrize("k, tau, H, coeffs, panels", ORACLE_SHAPES)
+    def test_plain_willmore_energy_matches_mpmath_oracle(self, k, tau, H, coeffs, panels):
+        value = mode_family_energy(GeometryParams(k, tau), H, coeffs, PLAIN_WILLMORE)
+        expected = float(_oracle_energy(k, tau, H, coeffs, alpha=1.0, beta=0.0))
+        assert value == pytest.approx(expected, rel=1e-12)
+
+
 class TestFamilyDerivatives:
     @pytest.mark.parametrize("k, tau, H, coeffs, panels", ORACLE_SHAPES)
     def test_gradient_matches_oracle_difference(self, k, tau, H, coeffs, panels):
         # The Gauss sum of the differentiated density is off the oracle by
         # about 2e-15 of max|dE/dc|, 7e-11 next to the apex edge.
-        gradient, _ = _family_energy_derivatives(GeometryParams(k, tau), H, coeffs)
+        _, gradient, _ = _family_energy(GeometryParams(k, tau), H, coeffs, derivatives=True)
         expected = _oracle_gradient(k, tau, H, coeffs)
+        assert np.max(np.abs(gradient - expected)) <= 1e-9 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("k, tau, H, coeffs, panels", ORACLE_SHAPES)
+    def test_plain_willmore_gradient_matches_oracle_difference(self, k, tau, H, coeffs, panels):
+        # the partials hold for any (alpha, beta), not only the canonical pair
+        g = GeometryParams(k, tau)
+        _, gradient, _ = _family_energy(g, H, coeffs, PLAIN_WILLMORE, derivatives=True)
+        expected = _oracle_gradient(k, tau, H, coeffs, alpha=1.0, beta=0.0)
         assert np.max(np.abs(gradient - expected)) <= 1e-9 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("k, tau, H, coeffs, panels", ORACLE_SHAPES)
     def test_hessian_is_the_derivative_of_the_gradient(self, k, tau, H, coeffs, panels):
         g = GeometryParams(k, tau)
         c = np.array(coeffs)
-        _, hessian = _family_energy_derivatives(g, H, c)
+        _, _, hessian = _family_energy(g, H, c, derivatives=True)
         scale = np.max(np.abs(hessian))
         assert np.max(np.abs(hessian - hessian.T)) <= 1e-13 * scale
 
         def central(step):
             return np.array([
-                _family_energy_derivatives(g, H, c + step * e)[0]
-                - _family_energy_derivatives(g, H, c - step * e)[0]
+                _family_energy(g, H, c + step * e, derivatives=True)[1]
+                - _family_energy(g, H, c - step * e, derivatives=True)[1]
                 for e in np.eye(c.size)
             ]) / (2.0 * step)
 
@@ -291,7 +344,9 @@ class TestFamilyDerivatives:
     @pytest.mark.parametrize("k, tau, H", GEOMETRIES)
     def test_cmc_sphere_is_a_strict_minimum_in_the_family(self, k, tau, H):
         # the second variation inside the family, three modes
-        gradient, hessian = _family_energy_derivatives(GeometryParams(k, tau), H, np.zeros(3))
+        _, gradient, hessian = _family_energy(
+            GeometryParams(k, tau), H, np.zeros(3), derivatives=True
+        )
         assert np.max(np.abs(gradient)) < 1e-9
         assert np.all(np.linalg.eigvalsh(hessian) > 0.0)
 

@@ -14,6 +14,7 @@ from thurston_willmore import (
     Profile,
     ProfileState,
     StopCondition,
+    Tolerances,
     cmc_sigma_rate,
     first_integral,
     generate_cmc_sphere,
@@ -371,6 +372,17 @@ class TestProfileContainer:
                 closure=Closure.CLOSED_SPHERE,
             )
 
+    def test_non_uniform_samples_rejected_on_construction(self):
+        g = GeometryParams(0.0, 0.0)
+        s = np.array([0.0, 1.0, 2.0, 3.5, 4.0])
+        with pytest.raises(ValueError, match="not uniformly spaced in arclength"):
+            Profile(s=s, u=np.ones(5), v=np.zeros(5), sigma=np.zeros(5), geometry=g)
+
+    def test_turning_angle_spacing_is_read_only(self, perturbed):
+        p = perturbed(0.0, 0.5, 1.0, 0.1, 1)
+        with pytest.raises(ValueError, match="read-only"):
+            p.spacing[0] = 0.0
+
     def test_csv_round_trip_is_exact(self, tmp_path, sphere):
         p = sphere(0.0, 0.5, 1.0)
         path = tmp_path / "profile.csv"
@@ -445,3 +457,13 @@ class TestProfileContainer:
         p = sphere(0.0, 0.5, 1.0)
         st = p.state(0)
         assert st.s == p.s[0] and st.u == p.u[0]
+
+
+class TestTolerances:
+    @pytest.mark.parametrize("value", [-5.0, -1e-300, math.nan, math.inf])
+    def test_negative_or_non_finite_rejected(self, value):
+        with pytest.raises(ValueError, match="min_excess must be finite and at least 0"):
+            Tolerances(min_excess=value)
+
+    def test_zero_allowed(self):
+        assert Tolerances(min_excess=0.0, residual=0.0).min_excess == 0.0
