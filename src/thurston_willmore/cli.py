@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Subcommands: ``generate`` (CMC or perturbed sphere profiles), ``energy``
-(evaluate a stored profile), ``verify`` (criticality, minimality, descent,
-identities suites), ``sweep`` (parameter tables).  Configuration comes
-from flags, optionally merged over a JSON config file; every output embeds
-the effective configuration so a run can be reproduced bit for bit from
-its own artifacts.
+(evaluate a stored profile), ``verify criticality|minimality|descent|identities``
+(the verification suites), ``sweep`` (parameter tables).  Each command takes
+flags for exactly the settings and tolerances it reads, optionally merged
+over a JSON config file, and every output embeds those values so a run can
+be reproduced bit for bit from its own artifacts.
 
 Exit codes: 0 success, 1 invalid configuration or malformed input,
 2 sphere nonexistence, 3 I/O failure, 4 verification threshold failure,
@@ -20,7 +20,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -65,15 +65,34 @@ EXIT_VERIFICATION = 4
 EXIT_INTEGRATION = 5
 EXIT_INTERNAL = 6
 
-# Settings read from flags or a config file, each with its type.
-_SETTINGS = {
-    **dict.fromkeys(("k", "tau", "H", "alpha", "beta", "epsilon"), float),
-    **dict.fromkeys(("mode", "samples", "seed", "family_dims", "max_iterations"), int),
-    "out": str,
-    "format": str,
+# What each leaf command reads: its settings (RunConfig fields), then its
+# Tolerances fields.  This table alone gives a command's flags, the
+# config-file keys it applies (it drops every other known key) and the
+# configuration it echoes.
+_GENERATOR = ("conservation", "closure_identity", "axis_epsilon")
+_READS = {
+    "generate": (("k", "tau", "H", "epsilon", "mode", "samples", "out", "format"), _GENERATOR),
+    "energy": (("alpha", "beta", "out"), ()),
+    "sweep": (("samples", "out"), _GENERATOR),
+    "verify criticality": (
+        ("k", "tau", "H", "alpha", "beta", "samples", "out"),
+        (*_GENERATOR, "residual", "variation"),
+    ),
+    "verify minimality": (
+        ("k", "tau", "H", "alpha", "beta", "samples", "out"),
+        (*_GENERATOR, "energy", "min_excess", "second_summand"),
+    ),
+    "verify descent": (
+        ("k", "tau", "H", "epsilon", "mode", "family_dims", "max_iterations", "samples", "out"),
+        ("energy", "descent_coeff"),
+    ),
+    "verify identities": (
+        ("k", "tau", "H", "epsilon", "mode", "seed", "samples", "out"),
+        (*_GENERATOR, "identity", "relation", "gauss_bonnet", "derivative_check"),
+    ),
 }
-# Each Tolerances field is the flag --tol-<name>, its name hyphenated; config
-# files and the echoed configuration key tolerances by the same name.
+# Every Tolerances field by its hyphenated name: a command that reads it has the
+# flag --tol-<name>, and config files and echoed configurations key it so.
 _TOL_FIELDS = {f.name.replace("_", "-"): f.name for f in fields(Tolerances)}
 # Integrator tolerances that earlier versions echoed into their configs;
 # nothing the command runs integrates, so config files drop them silently.
@@ -93,23 +112,29 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _setting(default, cast, help, short=(), **flag):
+    """A setting's default, and its flag's type (which casts config-file values too) and help."""
+    return field(default=default, metadata={"type": cast, "help": help, "short": short, **flag})
+
+
 @dataclass
 class RunConfig:
-    """Effective configuration of one command invocation."""
+    """Effective configuration of one invocation of the leaf ``command``."""
 
-    k: float | None = None
-    tau: float | None = None
-    H: float | None = None
-    alpha: float | None = None
-    beta: float | None = None
-    epsilon: float | None = None
-    mode: int = 1
-    samples: int = DEFAULT_SAMPLES
-    out: str | None = None
-    format: str = "csv"
-    seed: int = 20260810
-    family_dims: int = 3
-    max_iterations: int = 200
+    command: str
+    k: float | None = _setting(None, float, "base curvature")
+    tau: float | None = _setting(None, float, "bundle curvature")
+    H: float | None = _setting(None, float, "mean curvature of the CMC sphere")
+    alpha: float | None = _setting(None, float, "energy coefficient alpha (default 1/4)")
+    beta: float | None = _setting(None, float, "energy coefficient beta (default k/4 - tau^2/4)")
+    epsilon: float | None = _setting(None, float, "shape perturbation amplitude")
+    mode: int = _setting(1, int, "shape perturbation mode (default 1)")
+    samples: int = _setting(DEFAULT_SAMPLES, int, "profile sample count, odd and >= 9")
+    out: str | None = _setting(None, str, "output path", short=("-o",))
+    format: str = _setting("csv", str, "output format", choices=("csv", "json"))
+    seed: int = _setting(20260810, int, "seed for randomized identity checks")
+    family_dims: int = _setting(3, int, "mode coefficients the descent varies (default 3)")
+    max_iterations: int = _setting(200, int, "Newton step budget of the descent (default 200)")
     tolerances: Tolerances = Tolerances()
 
     def geometry(self) -> GeometryParams:
@@ -125,64 +150,61 @@ class RunConfig:
         )
 
     def effective(self) -> dict:
-        data = {key: getattr(self, key) for key in _SETTINGS}
+        settings, tolerances = _READS[self.command]
+        data = {key: getattr(self, key) for key in settings}
         data["tolerances"] = {
-            name: getattr(self.tolerances, attr) for name, attr in _TOL_FIELDS.items()
+            name.replace("_", "-"): getattr(self.tolerances, name) for name in tolerances
         }
         return data
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file; flags override its values")
-    parser.add_argument("--k", type=float, help="base curvature")
-    parser.add_argument("--tau", type=float, help="bundle curvature")
-    parser.add_argument("--H", type=float, help="mean curvature of the CMC sphere")
-    parser.add_argument("--alpha", type=float, help="energy coefficient alpha")
-    parser.add_argument("--beta", type=float, help="energy coefficient beta")
-    parser.add_argument("--epsilon", type=float, help="shape perturbation amplitude")
-    parser.add_argument("--mode", type=int, help="shape perturbation mode (default 1)")
-    parser.add_argument("--samples", type=int, help="profile sample count, odd and >= 9")
-    parser.add_argument("--out", "-o", help="output path")
-    parser.add_argument("--format", choices=("csv", "json"), help="output format")
-    parser.add_argument("--seed", type=int, help="seed for randomized identity checks")
-    for name, attr in _TOL_FIELDS.items():
-        parser.add_argument(
-            f"--tol-{name}",
-            type=float,
-            dest=f"tol_{attr}",
-            help=f"override tolerance {name} (default {getattr(Tolerances, attr):g})",
-        )
+_SETTING_FLAGS = {f.name: f.metadata for f in fields(RunConfig) if f.metadata}
+
+
+def _cast(name: str, cast, value):
+    try:
+        return cast(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} in config file must be {cast.__name__}, got {value!r}") from exc
+
+
+def _read_config_file(path: str) -> dict:
+    try:
+        with Path(path).open() as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+    if isinstance(data, dict) and isinstance(data.get("config"), dict):
+        data = data["config"]
+    if not (isinstance(data, dict) and isinstance(data.get("tolerances", {}), dict)):
+        raise ConfigError("config file must be a JSON object, its tolerances one too")
+    return data
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig()
+    settings, tolerance_names = _READS[args.leaf]
+    config = RunConfig(args.leaf)
     tolerances = {}
-    if getattr(args, "config", None):
-        path = Path(args.config)
-        try:
-            with path.open() as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-        if "config" in data and isinstance(data["config"], dict):
-            data = data["config"]
-        for key, cast in _SETTINGS.items():
+    if args.config:
+        data = _read_config_file(args.config)
+        for key in settings:
             if data.get(key) is not None:
-                setattr(config, key, cast(data[key]))
+                setattr(config, key, _cast(key, _SETTING_FLAGS[key]["type"], data[key]))
         for name, value in data.get("tolerances", {}).items():
             if name in _RETIRED_TOLERANCES:
                 continue
             if name not in _TOL_FIELDS:
                 raise ConfigError(f"unknown tolerance {name!r} in config file")
-            tolerances[_TOL_FIELDS[name]] = float(value)
-    for key in _SETTINGS:
-        value = getattr(args, key, None)
+            if _TOL_FIELDS[name] in tolerance_names:
+                tolerances[_TOL_FIELDS[name]] = _cast(f"tol-{name}", float, value)
+    for key in settings:
+        value = getattr(args, key)
         if value is not None:
             setattr(config, key, value)
-    for attr in _TOL_FIELDS.values():
-        value = getattr(args, f"tol_{attr}", None)
+    for attr in tolerance_names:
+        value = getattr(args, f"tol_{attr}")
         if value is not None:
             tolerances[attr] = value
     if config.samples < 9 or config.samples % 2 == 0:
@@ -260,8 +282,7 @@ def cmd_energy(config: RunConfig, profile_path: str) -> int:
 
 
 def _identities_report(config: RunConfig) -> dict:
-    g = config.geometry()
-    H = config.H if config.H is not None else 1.0
+    g, H = config.geometry(), config.H
     rng = np.random.default_rng(config.seed)
     n_random = 10_000
     u_hi = min(3.0, 0.9 * g.domain_radius)
@@ -295,7 +316,7 @@ def cmd_verify(config: RunConfig, which: str, trace_path: str | None = None) -> 
     g = config.geometry()
     doc: dict = {"experiment": which, "config": config.effective()}
     failure: str | None = None
-    if which in ("criticality", "minimality", "descent") and config.H is None:
+    if config.H is None:
         raise ConfigError(f"verify {which} requires --H")
 
     if which == "criticality":
@@ -312,7 +333,7 @@ def cmd_verify(config: RunConfig, which: str, trace_path: str | None = None) -> 
                 failure = f"max residual {report.max_residual:.3e}"
             else:
                 worst = max(report.variations, key=lambda v: abs(v.dE_dt))
-                failure = f"first variation {worst.dE_dt:.3e} ({worst.velocity_profile_id})"
+                failure = f"first variation {worst.dE_dt:.3e} ({worst.velocity_profile})"
     elif which == "minimality":
         report = verify_minimality(
             g,
@@ -353,8 +374,6 @@ def cmd_verify(config: RunConfig, which: str, trace_path: str | None = None) -> 
         doc["passed"] = report["passed"]
         if not report["passed"]:
             failure = f"identity check {report['failed'][0]}"
-    else:
-        raise ConfigError(f"unknown verification suite {which!r}")
 
     out = Path(config.out) if config.out else Path(f"verify_{which}.json")
     _write_json(out, doc)
@@ -403,26 +422,32 @@ def cmd_sweep(config: RunConfig, spec_path: str) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="tw", description=__doc__, add_help=True)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_gen = sub.add_parser("generate", help="generate a CMC or perturbed sphere profile")
-    _add_common(p_gen)
-
-    p_energy = sub.add_parser("energy", help="evaluate the energy of a stored profile")
-    p_energy.add_argument("profile", help="profile file written by generate")
-    _add_common(p_energy)
-
-    p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument(
-        "which", choices=("criticality", "minimality", "descent", "identities")
-    )
-    p_verify.add_argument("--trace", help="write per-sample residual trace CSV (criticality)")
-    _add_common(p_verify)
-    p_verify.add_argument("--family-dims", type=int, dest="family_dims")
-    p_verify.add_argument("--max-iterations", type=int, dest="max_iterations")
-
-    p_sweep = sub.add_parser("sweep", help="run a parameter sweep from a spec file")
-    p_sweep.add_argument("spec", help="JSON sweep specification")
-    _add_common(p_sweep)
+    leaves = {
+        "generate": sub.add_parser("generate", help="generate a CMC or perturbed sphere profile"),
+        "energy": sub.add_parser("energy", help="evaluate the energy of a stored profile"),
+    }
+    suites = sub.add_parser("verify", help="run a verification suite")
+    suites = suites.add_subparsers(dest="suite", required=True)
+    for suite in ("criticality", "minimality", "descent", "identities"):
+        leaves[f"verify {suite}"] = suites.add_parser(suite, help=f"run the {suite} suite")
+    leaves["sweep"] = sub.add_parser("sweep", help="run a parameter sweep from a spec file")
+    leaves["energy"].add_argument("profile", help="profile file written by generate")
+    leaves["sweep"].add_argument("spec", help="JSON sweep specification")
+    leaves["verify criticality"].add_argument("--trace", help="write per-sample residual trace CSV")
+    for leaf, p in leaves.items():
+        p.set_defaults(leaf=leaf)
+        p.add_argument("--config", help="JSON config file; flags override its values")
+        settings, tolerances = _READS[leaf]
+        for name in settings:
+            flag = dict(_SETTING_FLAGS[name])
+            p.add_argument(f"--{name.replace('_', '-')}", *flag.pop("short"), dest=name, **flag)
+        for name in tolerances:
+            p.add_argument(
+                f"--tol-{name.replace('_', '-')}",
+                type=float,
+                dest=f"tol_{name}",
+                help=f"override tolerance {name} (default {getattr(Tolerances, name):g})",
+            )
     return parser
 
 
@@ -436,10 +461,8 @@ def main(argv=None) -> int:
         if args.command == "energy":
             return cmd_energy(config, args.profile)
         if args.command == "verify":
-            return cmd_verify(config, args.which, trace_path=args.trace)
-        if args.command == "sweep":
-            return cmd_sweep(config, args.spec)
-        raise ConfigError(f"unknown command {args.command!r}")
+            return cmd_verify(config, args.suite, trace_path=getattr(args, "trace", None))
+        return cmd_sweep(config, args.spec)
     except (ConfigError, InadmissiblePerturbation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -31,6 +31,7 @@ from .functional import (
     _energy_density,
     _mean_curvature,
     _pole_safe_ratio,
+    _record_dict,
 )
 from .geometry import GeometryParams
 from .numerics import derivative1, sample_quadrature
@@ -161,7 +162,7 @@ def deformed_curve_energy(
 class VariationResult:
     """Central-difference first variation under one velocity profile."""
 
-    velocity_profile_id: str
+    velocity_profile: str
     step: float
     dE_dt: float
     truncation_estimate: float
@@ -170,32 +171,22 @@ class VariationResult:
         if not self.step > 0.0:
             raise ValueError("variation step must be positive")
 
-    def to_dict(self) -> dict:
-        return {
-            "velocity_profile": self.velocity_profile_id,
-            "step": self.step,
-            "dE_dt": self.dE_dt,
-            "truncation_estimate": self.truncation_estimate,
-        }
+    to_dict = _record_dict
 
 
 def finite_difference_variation(
-    profile: Profile,
-    coeffs: FunctionalCoefficients,
-    velocity: str,
-    step: float | None = None,
+    profile: Profile, coeffs: FunctionalCoefficients, velocity: str
 ) -> VariationResult:
     """dE/dt for the normal deformation with the named velocity profile.
 
     The profile moves along its quotient unit normal
     n = (-(1 + k u^2/4) sin sigma, sqrt(1 + tau^2 u^2) cos sigma) at rate
-    phi(s); the derivative is the central difference at half the base step,
-    with the step-halving disagreement as truncation estimate.
+    phi(s); the derivative is the central difference at half the base step
+    1e-4/|H| (1e-4 on a profile without a mean curvature), with the
+    step-halving disagreement as truncation estimate.
     """
     g = profile.geometry
-    if step is None:
-        scale = profile.mean_curvature if profile.mean_curvature else 1.0
-        step = 1e-4 / abs(scale)
+    step = 1e-4 / abs(profile.mean_curvature if profile.mean_curvature else 1.0)
     phi = _velocity_profile(velocity, profile)
     A = np.sqrt(1.0 + g.tau**2 * profile.u**2)
     B = 1.0 + 0.25 * g.k * profile.u**2
@@ -210,7 +201,7 @@ def finite_difference_variation(
     d_full = (energy_at(step) - energy_at(-step)) / (2.0 * step)
     d_half = (energy_at(0.5 * step) - energy_at(-0.5 * step)) / step
     return VariationResult(
-        velocity_profile_id=velocity,
+        velocity_profile=velocity,
         step=0.5 * step,
         dE_dt=d_half,
         truncation_estimate=abs(d_full - d_half) / 3.0,
@@ -247,24 +238,11 @@ class CriticalityReport:
     residual_tol: float
     variations: tuple[VariationResult, ...]
     variation_tol: float
-    energy_value: float
+    energy: float
     passed: bool
     profile: Profile = field(repr=False)
 
-    def to_dict(self) -> dict:
-        return {
-            "k": self.geometry.k,
-            "tau": self.geometry.tau,
-            "H": self.H,
-            "alpha": self.coefficients.alpha,
-            "beta": self.coefficients.beta,
-            "max_residual": self.max_residual,
-            "residual_tol": self.residual_tol,
-            "variations": [v.to_dict() for v in self.variations],
-            "variation_tol": self.variation_tol,
-            "energy": self.energy_value,
-            "passed": self.passed,
-        }
+    to_dict = _record_dict
 
 
 def verify_criticality(
@@ -303,7 +281,7 @@ def verify_criticality(
         residual_tol=tolerances.residual,
         variations=variations,
         variation_tol=tolerances.variation,
-        energy_value=energy(profile, coeffs).E,
+        energy=energy(profile, coeffs).E,
         passed=passed,
         profile=profile,
     )
@@ -321,15 +299,7 @@ class MinimalityEntry:
     second_summand: float | None = None
     error: str | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "mode": self.mode,
-            "admissible": self.admissible,
-            "E": self.E,
-            "second_summand": self.second_summand,
-            "error": self.error,
-        }
+    to_dict = _record_dict
 
 
 @dataclass(frozen=True)
@@ -343,19 +313,7 @@ class MinimalityReport:
     evenness_gaps: dict = field(default_factory=dict)
     passed: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "k": self.geometry.k,
-            "tau": self.geometry.tau,
-            "H": self.H,
-            "alpha": self.coefficients.alpha,
-            "beta": self.coefficients.beta,
-            "baseline_E": self.baseline_E,
-            "baseline_second_summand": self.baseline_second_summand,
-            "entries": [e.to_dict() for e in self.entries],
-            "evenness_gaps": {str(k): v for k, v in self.evenness_gaps.items()},
-            "passed": self.passed,
-        }
+    to_dict = _record_dict
 
 
 def verify_minimality(
@@ -567,10 +525,10 @@ def _family_energy(
     A = np.sqrt(a2)
     b = 1.0 + ku * u
     ds_dsigma = n / (h * b)
-    # H_m = (1/ds_dsigma + H/P - k u sin(sigma)/4)/2: sin(sigma)/u = H/P in
-    # closed form, no pole at the ends.  C/A^2 = alpha (k - 4 tau^2) nu^2.
+    # H_m with sin(sigma)/u = H/P in closed form, no pole at the ends.
+    # C/A^2 = alpha (k - 4 tau^2) nu^2.
     turning = 1.0 / ds_dsigma
-    hm = 0.5 * (turning + h / p - ku * sin_sig)
+    hm = _mean_curvature(g.k, u, sin_sig, turning, h / p)
     nu = cos_sig / A
     e = alpha * ((g.k - 4.0 * tau2) * nu * nu)
     G = hm * hm + e + beta + alpha * tau * tau
@@ -661,23 +619,7 @@ class DescentReport:
     stop_reason: str
     hessian_eigenvalues: tuple[float, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "k": self.geometry.k,
-            "tau": self.geometry.tau,
-            "H": self.H,
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "energy_final": self.energy_final,
-            "coefficients_final": list(self.coefficients_final),
-            "gradient_norm": self.gradient_norm,
-            "refit_H": self.refit_H,
-            "identity_residual": self.identity_residual,
-            "start_coefficients": list(self.start_coefficients),
-            "start_adjusted": self.start_adjusted,
-            "stop_reason": self.stop_reason,
-            "hessian_eigenvalues": list(self.hessian_eigenvalues),
-        }
+    to_dict = _record_dict
 
 
 # Least |eigenvalue| of the modified Newton model, relative to the largest.
@@ -705,9 +647,10 @@ def descend_energy(
     for ``hessian_eigenvalues``): the Hessian's eigenvalues are replaced by
     their absolute values, floored at ``_HESSIAN_FLOOR`` times the largest,
     and the step is halved until the Armijo condition holds (Nocedal &
-    Wright, *Numerical Optimization*, ch. 3).  Trial points need E alone,
-    from :func:`mode_family_energy`, which is infinite on inadmissible
-    shapes, so no step leaves the family.  A start outside the
+    Wright, *Numerical Optimization*, ch. 3).  Each trial point is one
+    :func:`_family_energy` call with derivatives, which the accepted trial
+    hands to the next step; an inadmissible trial reads as infinite energy,
+    so no step leaves the family.  A start outside the
     family or on its regularity boundary (amplitude 0.2 in mode 1, where
     ds/dsigma vanishes at the equator) is scaled by 0.97 until it is
     admissible with the exact minimum of the regularity numerator N above
@@ -743,8 +686,7 @@ def descend_energy(
     else:
         raise InadmissiblePerturbation("descent start could not be pulled into the family")
 
-    f_val = mode_family_energy(g, H_init, c)
-    _, grad, hess = _family_energy(g, H_init, c, derivatives=True)
+    f_val, grad, hess = _family_energy(g, H_init, c, derivatives=True)
     stop_reason = "iteration budget used up"
     iterations = max_iterations
     for i in range(max_iterations + 1):
@@ -761,15 +703,17 @@ def descend_energy(
         # a zero (or non-finite) gradient gives no descent direction: no trials
         for _ in range(50 if slope < 0.0 else 0):
             candidate = c + trial * step
-            f_new = mode_family_energy(g, H_init, candidate)
+            try:
+                f_new, grad_new, hess_new = _family_energy(g, H_init, candidate, derivatives=True)
+            except InadmissiblePerturbation:
+                f_new = math.inf
             if f_new <= f_val + _ARMIJO * trial * slope:
                 break
             trial *= 0.5
         else:
             stop_reason, iterations = "line search stalled", i + 1
             break
-        c, f_val = candidate, f_new
-        _, grad, hess = _family_energy(g, H_init, c, derivatives=True)
+        c, f_val, grad, hess = candidate, f_new, grad_new, hess_new
 
     final_profile = sphere_from_modes(g, H_init, c, n_samples=n_samples)
     final_energy = energy(final_profile).E
@@ -807,19 +751,13 @@ class SweepSpec:
     k_values: tuple[float, ...]
     tau_values: tuple[float, ...]
     H_values: tuple[float, ...]
-    perturbation_grid: tuple[PerturbationSpec, ...] = ()
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepSpec":
-        grid = tuple(
-            PerturbationSpec(float(entry["epsilon"]), int(entry["mode"]))
-            for entry in data.get("perturbation_grid", [])
-        )
         return cls(
             k_values=tuple(float(x) for x in data.get("k_values", [])),
             tau_values=tuple(float(x) for x in data.get("tau_values", [])),
             H_values=tuple(float(x) for x in data.get("H_values", [])),
-            perturbation_grid=grid,
         )
 
     def cases(self) -> list[tuple[float, float, float]]:

@@ -24,7 +24,7 @@ are replaced by their limit dsigma/ds where u is below ``POLE_U``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property
 
 import numpy as np
@@ -71,6 +71,34 @@ INTERIOR_MARGIN = 8
 FD_STRIDE = 4
 
 
+def _record_dict(record) -> dict:
+    """JSON form of a report record, the ``to_dict`` of every report class.
+
+    Its init and repr fields by name; a record-valued field contributes its
+    own fields, records in a tuple become dicts, tuples become lists and
+    dict keys pass through ``str``.
+    """
+    out = {}
+    for f in fields(record):
+        if f.init and f.repr:
+            value = getattr(record, f.name)
+            if is_dataclass(value):
+                out.update(_record_dict(value))
+            else:
+                out[f.name] = _json_value(value)
+    return out
+
+
+def _json_value(value):
+    if is_dataclass(value):
+        return _record_dict(value)
+    if isinstance(value, tuple):
+        return [_json_value(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): _json_value(v) for k, v in value.items()}
+    return value
+
+
 @dataclass(frozen=True)
 class FunctionalCoefficients:
     """Coefficient pair (alpha, beta) of the generalized Willmore energy."""
@@ -86,8 +114,7 @@ class FunctionalCoefficients:
     def plain_willmore(cls) -> "FunctionalCoefficients":
         return cls(alpha=1.0, beta=0.0)
 
-    def to_dict(self) -> dict:
-        return {"alpha": self.alpha, "beta": self.beta}
+    to_dict = _record_dict
 
 
 def canonical_coefficients(g: GeometryParams) -> FunctionalCoefficients:
@@ -124,15 +151,7 @@ class EnergyReport:
     area: float
     quadrature_error: float
 
-    def to_dict(self) -> dict:
-        return {
-            "E": self.E,
-            "first_summand": self.first_summand,
-            "second_summand": self.second_summand,
-            "willmore_W": self.willmore_W,
-            "area": self.area,
-            "quadrature_error": self.quadrature_error,
-        }
+    to_dict = _record_dict
 
 
 # -- pointwise formulas ----------------------------------------------------
@@ -442,14 +461,10 @@ def el_residual(
     return float(res[index])
 
 
-def max_interior_residual(
-    profile: Profile,
-    coeffs: FunctionalCoefficients,
-    margin: int = INTERIOR_MARGIN,
-) -> float:
-    """Maximum absolute Euler-Lagrange residual over interior samples."""
+def max_interior_residual(profile: Profile, coeffs: FunctionalCoefficients) -> float:
+    """Maximum absolute Euler-Lagrange residual, ``INTERIOR_MARGIN`` samples off each pole."""
     res = el_residual(profile, coeffs)
-    return float(np.max(np.abs(res[margin:-margin])))
+    return float(np.max(np.abs(res[INTERIOR_MARGIN:-INTERIOR_MARGIN])))
 
 
 def willmore_relation_check(profile: Profile) -> float:

@@ -103,8 +103,8 @@ __all__ = [
 class Tolerances:
     """Every named threshold of the package, in one frozen record.
 
-    Library calls take it as ``tolerances=``; ``tw`` sets each field with
-    ``--tol-<name>`` (underscores hyphenated) and echoes the record it ran with.
+    Library calls take it as ``tolerances=``; each ``tw`` command sets the
+    fields it reads with ``--tol-<name>`` (underscores hyphenated) and echoes them.
     """
 
     # sphere generator: drift of J, |sin(sigma) - |H| u|, distance of the ends to the axis
@@ -651,7 +651,7 @@ def _panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.stack(nodes, axis=1), np.stack(weights, axis=1)
 
 
-def _node_column_sum(column) -> tuple[np.ndarray, ...]:
+def _node_column_sum(column, lo: int = 0, hi: int = _GL8_NODES.size) -> tuple[np.ndarray, ...]:
     """Sum the tuples of arrays ``column(j)`` over the 8 Gauss node columns j.
 
     The columns are added in the order in which ``np.sum(..., axis=1)``
@@ -660,16 +660,16 @@ def _node_column_sum(column) -> tuple[np.ndarray, ...]:
     bit for bit.  Evaluating one column at a time keeps every array the
     length of one column: (intervals, 8) arrays of a default profile are
     128 KiB, glibc's mmap threshold, and allocating and freeing them on
-    every call faulted the freed pages back in on the next.
+    every call faulted the freed pages back in on the next.  The recursion
+    is not a nested function: one that calls itself is a reference cycle,
+    which kept ``column`` and the sample grid it holds alive until the
+    cyclic garbage collector ran, and the heap grew and faulted meanwhile.
     """
-
-    def total(lo: int, hi: int) -> tuple[np.ndarray, ...]:
-        if hi - lo == 1:
-            return column(lo)
-        mid = (lo + hi) // 2
-        return tuple(a + b for a, b in zip(total(lo, mid), total(mid, hi)))
-
-    return total(0, _GL8_NODES.size)
+    if hi - lo == 1:
+        return column(lo)
+    mid = (lo + hi) // 2
+    halves = zip(_node_column_sum(column, lo, mid), _node_column_sum(column, mid, hi))
+    return tuple(a + b for a, b in halves)
 
 
 def generate_cmc_sphere(

@@ -1,7 +1,10 @@
 import json
 import math
 import re
+import shlex
+import subprocess
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -369,13 +372,13 @@ _GENERATING = {
 
 def _generating_run(command, tmp_path, *flags):
     """Run ``command`` on the test case: exit code, output file, file echoing the config."""
-    words = list(_GENERATING[command])
+    words = [*_GENERATING[command], "--k", 0, "--tau", 0.5, "--H", 0.7]
     if command == "sweep":
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"k_values": [0], "tau_values": [0.5], "H_values": [0.7]}))
-        words.append(spec)
+        words = ["sweep", spec]
     out = tmp_path / ("out.csv" if command in ("generate", "sweep") else "out.json")
-    code = run([*words, "--k", 0, "--tau", 0.5, "--H", 0.7, "-o", out, *flags])
+    code = run([*words, "-o", out, *flags])
     return code, out, out.with_name(out.name + ".json") if out.suffix == ".csv" else out
 
 
@@ -449,24 +452,83 @@ class TestToleranceFlags:
                 "axis_epsilon": echoed["axis-epsilon"],
             }
 
-    @pytest.mark.parametrize("command", ["generate", "energy", "verify", "sweep"])
-    def test_tol_flags_are_the_tolerances_fields(self, command, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main([command, "--help"])
-        assert exc.value.code == 0
-        flags = set(re.findall(r"--tol-[a-z-]*[a-z]", capsys.readouterr().out))
-        assert flags == {"--tol-" + f.name.replace("_", "-") for f in fields(Tolerances)}
 
-    def test_echo_lists_every_default(self, tmp_path):
-        out = tmp_path / "sphere.csv"
-        assert run(["generate", "--k", 0, "--tau", 0.5, "--H", 1, "-o", out]) == 0
-        echoed = json.loads((tmp_path / "sphere.csv.json").read_text())["config"]["tolerances"]
-        assert echoed == {
-            "conservation": 1e-8, "closure-identity": 1e-8, "axis-epsilon": 1e-5,
-            "residual": 1e-4, "variation": 1e-5, "energy": 1e-6, "min-excess": 1e-7,
-            "second-summand": 1e-6, "identity": 1e-12, "relation": 1e-8,
-            "gauss-bonnet": 1e-3, "derivative-check": 1e-5, "descent-coeff": 1e-4,
+# Every leaf command on (k, tau, H) = (0, 0.5, 0.7), with the suffix of its output.
+_SPHERE = ["--k", "0", "--tau", "0.5", "--H", "0.7"]
+_LEAVES = {
+    "generate": (["generate", *_SPHERE], ".csv"),
+    "energy": (["energy", "sphere.csv"], ".json"),
+    "sweep": (["sweep", "spec.json"], ".csv"),
+    **{
+        f"verify {suite}": (["verify", suite, *_SPHERE], ".json")
+        for suite in ("criticality", "minimality", "descent", "identities")
+    },
+}
+_EVERY_FLAG = {
+    *(f"--{f.name.replace('_', '-')}" for f in fields(cli.RunConfig) if f.metadata),
+    *(f"--tol-{f.name.replace('_', '-')}" for f in fields(Tolerances)),
+}
+
+
+@pytest.fixture(scope="module")
+def leaf_docs(tmp_path_factory):
+    """A directory with one default run of every leaf command, and the files echoing configs."""
+    root = tmp_path_factory.mktemp("leaves")
+    assert run(["generate", *_SPHERE, "-o", root / "sphere.csv"]) == 0
+    spec = {"k_values": [0], "tau_values": [0.5], "H_values": [0.7]}
+    (root / "spec.json").write_text(json.dumps(spec))
+    docs = {}
+    for leaf in _LEAVES:
+        out = root / (leaf.replace(" ", "-") + _LEAVES[leaf][1])
+        assert run([*_leaf_argv(root, leaf), "-o", out]) == 0, leaf
+        docs[leaf] = _echo_file(out)
+    return root, docs
+
+
+def _leaf_argv(root, leaf):
+    return [root / a if a in ("sphere.csv", "spec.json") else a for a in _LEAVES[leaf][0]]
+
+
+def _echo_file(out):
+    return out.with_name(out.name + ".json") if out.suffix == ".csv" else out
+
+
+class TestReadTable:
+    @pytest.mark.parametrize("leaf", list(_LEAVES))
+    def test_leaf_takes_and_echoes_only_what_it_reads(self, leaf, leaf_docs, capsys):
+        root, docs = leaf_docs
+        settings, tolerances = cli._READS[leaf]
+        flags = {f"--{name.replace('_', '-')}" for name in settings} | {
+            f"--tol-{name.replace('_', '-')}" for name in tolerances
         }
+        # --help lists the table's flags, --config and --help, and --trace for criticality
+        with pytest.raises(SystemExit) as exc:
+            main([*leaf.split(), "--help"])
+        assert exc.value.code == 0
+        listed = set(re.findall(r"--[A-Za-z](?:[A-Za-z-]*[A-Za-z])?", capsys.readouterr().out))
+        extra = {"--trace"} if leaf == "verify criticality" else set()
+        assert listed == flags | {"--config", "--help"} | extra
+
+        # the echoed configuration is the table, tolerances at their defaults
+        echoed = json.loads(docs[leaf].read_text())["config"]
+        assert echoed.keys() == {*settings, "tolerances"}
+        assert echoed["tolerances"] == {
+            name.replace("_", "-"): getattr(Tolerances, name) for name in tolerances
+        }
+
+        # a flag outside the table is a configuration error
+        argv = _leaf_argv(root, leaf)
+        for flag in sorted(_EVERY_FLAG - flags):
+            capsys.readouterr()
+            assert run([*argv, flag, "1", "-o", root / "unused.json"]) == cli.EXIT_CONFIG, flag
+            assert "unrecognized arguments" in capsys.readouterr().err
+
+        # the config echoed by any command loads into this one and changes nothing here
+        for source, doc in docs.items():
+            out = root / f"rerun-{leaf}-{source}{_LEAVES[leaf][1]}".replace(" ", "-")
+            assert run([*argv, "--config", doc, "-o", out]) == 0, source
+            rerun_config = json.loads(_echo_file(out).read_text())["config"]
+            assert {**rerun_config, "out": None} == {**echoed, "out": None}, source
 
 
 class TestExitCodes:
@@ -521,6 +583,27 @@ class TestExitCodes:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, entry, message",
+        [
+            (["generate"], {"samples": "many"}, "samples in config file must be int, got 'many'"),
+            (
+                ["verify", "minimality"],
+                {"tolerances": {"energy": "abc"}},
+                "tol-energy in config file must be float, got 'abc'",
+            ),
+        ],
+    )
+    def test_non_numeric_config_value_is_a_config_error(
+        self, tmp_path, capsys, command, entry, message
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"k": 0.0, "tau": 0.5, "H": 1.0, **entry}))
+        out = tmp_path / "out.json"
+        assert run([*command, "--config", cfg, "-o", out]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_negative_tolerance_in_config_file_is_a_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"k": 0.0, "tau": 0.5, "H": 1.0, "tolerances": {"energy": -1}}))
@@ -558,3 +641,18 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "energy", broken)
         assert run(["energy", path]) == cli.EXIT_INTERNAL == 6
         assert capsys.readouterr().err == "error: ZeroDivisionError: division by zero\n"
+
+
+def test_readme_command_block_runs(tmp_path, monkeypatch, capsys):
+    # every line of the README's command block, in order, in one directory
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line and not line.startswith("#")]
+    assert sum(line.startswith("tw ") for line in lines) == 10
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        if line.startswith("tw "):
+            expected = cli.EXIT_VERIFICATION if "# exits 4" in line else 0
+            assert main(shlex.split(line, comments=True)[1:]) == expected, line
+        else:
+            subprocess.run(line, shell=True, check=True)

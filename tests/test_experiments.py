@@ -50,14 +50,14 @@ class TestCriticality:
         assert "profile" not in report.to_dict()
         assert report.max_residual < 1e-4
         assert all(abs(v.dE_dt) < 1e-5 for v in report.variations)
-        assert {v.velocity_profile_id for v in report.variations} == {
+        assert {v.velocity_profile for v in report.variations} == {
             "constant", "cos_sigma", "bump",
         }
 
     def test_flat_case_recovers_round_sphere(self, flat_geometry):
         report = verify_criticality(flat_geometry, 1.0)
         assert report.passed
-        assert report.energy_value == pytest.approx(FOUR_PI, rel=1e-6)
+        assert report.energy == pytest.approx(FOUR_PI, rel=1e-6)
 
     def test_berger_family_case(self):
         report = verify_criticality(GeometryParams(1.0, 0.3), 0.7)
@@ -272,13 +272,46 @@ class TestSweep:
                 "k_values": [0, 1],
                 "tau_values": [0.5],
                 "H_values": [1],
-                "perturbation_grid": [{"epsilon": 0.1, "mode": 2}],
             }
         )
         assert spec.k_values == (0.0, 1.0)
-        assert spec.perturbation_grid == (PerturbationSpec(0.1, 2),)
 
     def test_default_grid_shape(self):
         grid = default_perturbation_grid()
         assert len(grid) == 12
         assert all(isinstance(s, PerturbationSpec) for s in grid)
+
+
+class TestReportJson:
+    """The JSON key set of every report record, nested records included."""
+
+    def test_key_sets(self, nil_geometry):
+        g, H = nil_geometry, 1.0
+        crit = verify_criticality(g, H, n_samples=513).to_dict()
+        assert set(crit) == {
+            "k", "tau", "H", "alpha", "beta", "max_residual", "residual_tol", "variations",
+            "variation_tol", "energy", "passed",
+        }
+        assert [set(v) for v in crit["variations"]] == 3 * [
+            {"velocity_profile", "step", "dE_dt", "truncation_estimate"}
+        ]
+        minimality = verify_minimality(
+            g, H, [PerturbationSpec(e, 1) for e in (0.1, -0.1, 0.2)], n_samples=513
+        ).to_dict()
+        assert set(minimality) == {
+            "k", "tau", "H", "alpha", "beta", "baseline_E", "baseline_second_summand", "entries",
+            "evenness_gaps", "passed",
+        }
+        assert [set(e) for e in minimality["entries"]] == 3 * [
+            {"epsilon", "mode", "admissible", "E", "second_summand", "error"}
+        ]
+        assert set(minimality["evenness_gaps"]) == {"(0.1, 1)"}
+        descent = descend_energy(g, H, 2, n_samples=513).to_dict()
+        assert set(descent) == {
+            "k", "tau", "H", "converged", "iterations", "energy_final", "coefficients_final",
+            "gradient_norm", "refit_H", "identity_residual", "start_coefficients",
+            "start_adjusted", "stop_reason", "hessian_eigenvalues",
+        }
+        for key in ("coefficients_final", "start_coefficients", "hessian_eigenvalues"):
+            assert isinstance(descent[key], list) and len(descent[key]) == 2
+        assert canonical_coefficients(g).to_dict() == {"alpha": 0.25, "beta": -0.0625}
