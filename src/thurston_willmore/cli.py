@@ -97,6 +97,9 @@ _TOL_FIELDS = {f.name.replace("_", "-"): f.name for f in fields(Tolerances)}
 # Integrator tolerances that earlier versions echoed into their configs;
 # nothing the command runs integrates, so config files drop them silently.
 _RETIRED_TOLERANCES = ("rtol", "atol")
+# The perturbation amplitude a suite runs with when no epsilon is given; its
+# echo then leaves epsilon out, since a null would read as no perturbation.
+_DEFAULT_EPSILON = {"verify descent": 0.2, "verify identities": 0.1}
 
 
 class ConfigError(ValueError):
@@ -127,7 +130,9 @@ class RunConfig:
     H: float | None = _setting(None, float, "mean curvature of the CMC sphere")
     alpha: float | None = _setting(None, float, "energy coefficient alpha (default 1/4)")
     beta: float | None = _setting(None, float, "energy coefficient beta (default k/4 - tau^2/4)")
-    epsilon: float | None = _setting(None, float, "shape perturbation amplitude")
+    epsilon: float | None = _setting(
+        None, float, "shape perturbation amplitude (descent default 0.2, identities 0.1)"
+    )
     mode: int = _setting(1, int, "shape perturbation mode (default 1)")
     samples: int = _setting(DEFAULT_SAMPLES, int, "profile sample count, odd and >= 9")
     out: str | None = _setting(None, str, "output path", short=("-o",))
@@ -149,9 +154,15 @@ class RunConfig:
             beta=canonical.beta if self.beta is None else self.beta,
         )
 
+    def amplitude(self) -> float | None:
+        """The perturbation amplitude run with: ``epsilon``, else the suite's default."""
+        return _DEFAULT_EPSILON.get(self.command) if self.epsilon is None else self.epsilon
+
     def effective(self) -> dict:
         settings, tolerances = _READS[self.command]
         data = {key: getattr(self, key) for key in settings}
+        if self.amplitude() != self.epsilon:
+            del data["epsilon"]
         data["tolerances"] = {
             name.replace("_", "-"): getattr(self.tolerances, name) for name in tolerances
         }
@@ -189,8 +200,10 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     tolerances = {}
     if args.config:
         data = _read_config_file(args.config)
+        # a config file never sets the output path: the sidecar echoed next
+        # to an output would otherwise redirect the next run onto that output
         for key in settings:
-            if data.get(key) is not None:
+            if key != "out" and data.get(key) is not None:
                 setattr(config, key, _cast(key, _SETTING_FLAGS[key]["type"], data[key]))
         for name, value in data.get("tolerances", {}).items():
             if name in _RETIRED_TOLERANCES:
@@ -292,7 +305,7 @@ def _identities_report(config: RunConfig) -> dict:
     identity_max = float(np.max(h_squared_identity_check(g, u, sigma, sigma_dot)))
 
     cmc = generate_cmc_sphere(g, H, n_samples=config.samples, tolerances=config.tolerances)
-    spec = PerturbationSpec(config.epsilon if config.epsilon is not None else 0.1, config.mode)
+    spec = PerturbationSpec(config.amplitude(), config.mode)
     perturbed = perturbed_sphere(g, H, spec, n_samples=config.samples)
     tol = config.tolerances
     table = [("h_squared_identity", identity_max, tol.identity)]
@@ -347,16 +360,13 @@ def cmd_verify(config: RunConfig, which: str, trace_path: str | None = None) -> 
         if not report.passed:
             failure = "minimality thresholds"
     elif which == "descent":
-        start = None
-        if config.epsilon is not None:
-            if config.mode > config.family_dims:
-                raise ConfigError(f"mode {config.mode} exceeds family_dims {config.family_dims}")
-            start = PerturbationSpec(config.epsilon, config.mode)
+        if config.mode > config.family_dims:
+            raise ConfigError(f"mode {config.mode} exceeds family_dims {config.family_dims}")
         report = descend_energy(
             g,
             config.H,
             config.family_dims,
-            start=start,
+            start=PerturbationSpec(config.amplitude(), config.mode),
             max_iterations=config.max_iterations,
             tolerances=config.tolerances,
             n_samples=config.samples,

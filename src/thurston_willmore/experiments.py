@@ -31,9 +31,8 @@ from .functional import (
     _energy_density,
     _mean_curvature,
     _pole_safe_ratio,
-    _record_dict,
 )
-from .geometry import GeometryParams
+from .geometry import GeometryParams, _record_dict
 from .numerics import derivative1, sample_quadrature
 from .profile import (
     DEFAULT_SAMPLES,
@@ -647,10 +646,9 @@ def descend_energy(
     for ``hessian_eigenvalues``): the Hessian's eigenvalues are replaced by
     their absolute values, floored at ``_HESSIAN_FLOOR`` times the largest,
     and the step is halved until the Armijo condition holds (Nocedal &
-    Wright, *Numerical Optimization*, ch. 3).  Each trial point is one
-    :func:`_family_energy` call with derivatives, which the accepted trial
-    hands to the next step; an inadmissible trial reads as infinite energy,
-    so no step leaves the family.  A start outside the
+    Wright, *Numerical Optimization*, ch. 3).  Trial points need E alone,
+    from :func:`mode_family_energy`, which is infinite on inadmissible
+    shapes, so no step leaves the family.  A start outside the
     family or on its regularity boundary (amplitude 0.2 in mode 1, where
     ds/dsigma vanishes at the equator) is scaled by 0.97 until it is
     admissible with the exact minimum of the regularity numerator N above
@@ -686,7 +684,8 @@ def descend_energy(
     else:
         raise InadmissiblePerturbation("descent start could not be pulled into the family")
 
-    f_val, grad, hess = _family_energy(g, H_init, c, derivatives=True)
+    f_val = mode_family_energy(g, H_init, c)
+    _, grad, hess = _family_energy(g, H_init, c, derivatives=True)
     stop_reason = "iteration budget used up"
     iterations = max_iterations
     for i in range(max_iterations + 1):
@@ -703,17 +702,15 @@ def descend_energy(
         # a zero (or non-finite) gradient gives no descent direction: no trials
         for _ in range(50 if slope < 0.0 else 0):
             candidate = c + trial * step
-            try:
-                f_new, grad_new, hess_new = _family_energy(g, H_init, candidate, derivatives=True)
-            except InadmissiblePerturbation:
-                f_new = math.inf
+            f_new = mode_family_energy(g, H_init, candidate)
             if f_new <= f_val + _ARMIJO * trial * slope:
                 break
             trial *= 0.5
         else:
             stop_reason, iterations = "line search stalled", i + 1
             break
-        c, f_val, grad, hess = candidate, f_new, grad_new, hess_new
+        c, f_val = candidate, f_new
+        _, grad, hess = _family_energy(g, H_init, c, derivatives=True)
 
     final_profile = sphere_from_modes(g, H_init, c, n_samples=n_samples)
     final_energy = energy(final_profile).E

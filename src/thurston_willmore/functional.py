@@ -24,12 +24,12 @@ are replaced by their limit dsigma/ds where u is below ``POLE_U``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .geometry import GeometryParams
+from .geometry import GeometryParams, _record_dict
 from .numerics import derivative1, derivative2, sample_quadrature, sample_quadrature_with_error
 from .profile import Closure, Profile
 
@@ -69,34 +69,6 @@ INTERIOR_MARGIN = 8
 # spacing, and spacing 4 buys a factor 64 while the O((4h)^4) truncation
 # stays far below every tolerance.
 FD_STRIDE = 4
-
-
-def _record_dict(record) -> dict:
-    """JSON form of a report record, the ``to_dict`` of every report class.
-
-    Its init and repr fields by name; a record-valued field contributes its
-    own fields, records in a tuple become dicts, tuples become lists and
-    dict keys pass through ``str``.
-    """
-    out = {}
-    for f in fields(record):
-        if f.init and f.repr:
-            value = getattr(record, f.name)
-            if is_dataclass(value):
-                out.update(_record_dict(value))
-            else:
-                out[f.name] = _json_value(value)
-    return out
-
-
-def _json_value(value):
-    if is_dataclass(value):
-        return _record_dict(value)
-    if isinstance(value, tuple):
-        return [_json_value(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _json_value(v) for k, v in value.items()}
-    return value
 
 
 @dataclass(frozen=True)

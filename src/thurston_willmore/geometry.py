@@ -19,7 +19,7 @@ closed-form, pure function; all array arguments broadcast.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -42,6 +42,34 @@ NU_TOLERANCE = 1e-9
 
 class DomainError(ValueError):
     """A radial coordinate lies outside [0, domain_radius)."""
+
+
+def _record_dict(record) -> dict:
+    """JSON form of a record: the ``to_dict`` of the geometry, the coefficients and every report.
+
+    Its init and repr fields by name; a record-valued field contributes its
+    own fields, records in a tuple become dicts, tuples become lists and
+    dict keys pass through ``str``.
+    """
+    out = {}
+    for f in fields(record):
+        if f.init and f.repr:
+            value = getattr(record, f.name)
+            if is_dataclass(value):
+                out.update(_record_dict(value))
+            else:
+                out[f.name] = _json_value(value)
+    return out
+
+
+def _json_value(value):
+    if is_dataclass(value):
+        return _record_dict(value)
+    if isinstance(value, tuple):
+        return [_json_value(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): _json_value(v) for k, v in value.items()}
+    return value
 
 
 @dataclass(frozen=True)
@@ -68,8 +96,7 @@ class GeometryParams:
         radius = 2.0 / math.sqrt(-k) if k < 0 else math.inf
         object.__setattr__(self, "domain_radius", radius)
 
-    def to_dict(self) -> dict:
-        return {"k": self.k, "tau": self.tau}
+    to_dict = _record_dict
 
     @classmethod
     def from_dict(cls, data: dict) -> "GeometryParams":

@@ -314,6 +314,28 @@ class TestVerify:
         assert code == cli.EXIT_VERIFICATION
         assert "iteration budget used up after 2 iterations" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("suite, default", [("identities", 0.1), ("descent", 0.2)])
+    def test_echoed_epsilon_is_the_one_used(self, tmp_path, suite, default):
+        # without --epsilon the suite runs at its default amplitude and echoes
+        # no epsilon; given that amplitude, it runs the same and echoes it
+        docs = {}
+        for name, extra in (("default", []), ("given", ["--epsilon", default])):
+            out = tmp_path / f"{name}.json"
+            assert run(["verify", suite, *_SPHERE, "--out", out, *extra]) == 0
+            docs[name] = json.loads(out.read_text())
+        assert "epsilon" not in docs["default"]["config"]
+        assert docs["given"]["config"]["epsilon"] == default
+        assert docs["default"]["report"] == docs["given"]["report"]
+
+    def test_descent_starts_in_the_echoed_mode(self, tmp_path):
+        out = tmp_path / "descent.json"
+        assert run(["verify", "descent", *_SPHERE, "--mode", 2, "--out", out]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["config"]["mode"] == 2
+        assert doc["report"]["start_coefficients"] == [0.0, 0.2, 0.0]
+        argv = ["verify", "descent", *_SPHERE, "--mode", 2, "--family-dims", 1, "--out", out]
+        assert run(argv) == cli.EXIT_CONFIG
+
     def test_unknown_suite_exits_1(self, tmp_path):
         assert run(["verify", "nonsense", "--k", 0, "--tau", 0.5]) == 1
 
@@ -509,9 +531,11 @@ class TestReadTable:
         extra = {"--trace"} if leaf == "verify criticality" else set()
         assert listed == flags | {"--config", "--help"} | extra
 
-        # the echoed configuration is the table, tolerances at their defaults
+        # the echoed configuration is the table, tolerances at their defaults;
+        # a suite run at its default amplitude echoes no epsilon
         echoed = json.loads(docs[leaf].read_text())["config"]
-        assert echoed.keys() == {*settings, "tolerances"}
+        defaulted = {"epsilon"} if leaf in cli._DEFAULT_EPSILON else set()
+        assert echoed.keys() == {*settings, "tolerances"} - defaulted
         assert echoed["tolerances"] == {
             name.replace("_", "-"): getattr(Tolerances, name) for name in tolerances
         }
@@ -529,6 +553,19 @@ class TestReadTable:
             assert run([*argv, "--config", doc, "-o", out]) == 0, source
             rerun_config = json.loads(_echo_file(out).read_text())["config"]
             assert {**rerun_config, "out": None} == {**echoed, "out": None}, source
+
+
+    def test_config_file_never_sets_the_output_path(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(["generate", *_SPHERE, "-o", "P.csv"]) == 0
+        profile, sidecar = (tmp_path / "P.csv").read_bytes(), (tmp_path / "P.csv.json").read_bytes()
+        assert json.loads(sidecar)["config"]["out"] == "P.csv"
+        assert run(["energy", "P.csv", "--config", "P.csv.json"]) == 0
+        assert run(["generate", "--config", "P.csv.json"]) == cli.EXIT_CONFIG  # requires --out
+        assert run(["verify", "criticality", "--config", "P.csv.json"]) == 0
+        assert (tmp_path / "verify_criticality.json").exists()
+        assert (tmp_path / "P.csv").read_bytes() == profile
+        assert (tmp_path / "P.csv.json").read_bytes() == sidecar
 
 
 class TestExitCodes:
