@@ -23,26 +23,22 @@ import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-import numpy as np
-
 from .experiments import (
     PerturbationSpec,
     SweepSpec,
     descend_energy,
     sweep,
     verify_criticality,
+    verify_identities,
     verify_minimality,
     write_sweep_csv,
 )
 from .functional import (
+    FD_STRIDE,
     FunctionalCoefficients,
     canonical_coefficients,
     energy,
-    gauss_bonnet_total,
-    h_squared_identity_check,
     residual_trace,
-    second_summand_derivative_check,
-    willmore_relation_check,
 )
 from .geometry import GeometryParams
 from .profile import (
@@ -100,14 +96,13 @@ _RETIRED_TOLERANCES = ("rtol", "atol")
 # The perturbation amplitude a suite runs with when no epsilon is given; its
 # echo then leaves epsilon out, since a null would read as no perturbation.
 _DEFAULT_EPSILON = {"verify descent": 0.2, "verify identities": 0.1}
+# The fewest samples a profile may have: the least odd count with room for the
+# spacing-FD_STRIDE stencils of the curvature and the residual.
+_LEAST_SAMPLES = 5 * FD_STRIDE + 1
 
 
 class ConfigError(ValueError):
     """Invalid command line or configuration file."""
-
-
-class VerificationFailure(RuntimeError):
-    """A verification suite missed its thresholds."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -134,7 +129,7 @@ class RunConfig:
         None, float, "shape perturbation amplitude (descent default 0.2, identities 0.1)"
     )
     mode: int = _setting(1, int, "shape perturbation mode (default 1)")
-    samples: int = _setting(DEFAULT_SAMPLES, int, "profile sample count, odd and >= 9")
+    samples: int = _setting(DEFAULT_SAMPLES, int, f"profile sample count, odd, >= {_LEAST_SAMPLES}")
     out: str | None = _setting(None, str, "output path", short=("-o",))
     format: str = _setting("csv", str, "output format", choices=("csv", "json"))
     seed: int = _setting(20260810, int, "seed for randomized identity checks")
@@ -158,6 +153,10 @@ class RunConfig:
         """The perturbation amplitude run with: ``epsilon``, else the suite's default."""
         return _DEFAULT_EPSILON.get(self.command) if self.epsilon is None else self.epsilon
 
+    def start(self) -> PerturbationSpec:
+        """The shape perturbation run with, at :meth:`amplitude` in ``mode``."""
+        return PerturbationSpec(self.amplitude(), self.mode)
+
     def effective(self) -> dict:
         settings, tolerances = _READS[self.command]
         data = {key: getattr(self, key) for key in settings}
@@ -179,18 +178,17 @@ def _cast(name: str, cast, value):
         raise ConfigError(f"{name} in config file must be {cast.__name__}, got {value!r}") from exc
 
 
-def _read_config_file(path: str) -> dict:
+def _read_json_object(path: str, what: str) -> dict:
+    """The JSON object in the file at ``path``; ``what`` names the file in errors."""
     try:
         with Path(path).open() as fh:
             data = json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from exc
+        raise ConfigError(f"cannot read {what}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-    if isinstance(data, dict) and isinstance(data.get("config"), dict):
-        data = data["config"]
-    if not (isinstance(data, dict) and isinstance(data.get("tolerances", {}), dict)):
-        raise ConfigError("config file must be a JSON object, its tolerances one too")
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what} must be a JSON object")
     return data
 
 
@@ -199,7 +197,11 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     config = RunConfig(args.leaf)
     tolerances = {}
     if args.config:
-        data = _read_config_file(args.config)
+        data = _read_json_object(args.config, "config file")
+        if isinstance(data.get("config"), dict):
+            data = data["config"]
+        if not isinstance(data.get("tolerances", {}), dict):
+            raise ConfigError("config file must be a JSON object, its tolerances one too")
         # a config file never sets the output path: the sidecar echoed next
         # to an output would otherwise redirect the next run onto that output
         for key in settings:
@@ -220,8 +222,8 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         value = getattr(args, f"tol_{attr}")
         if value is not None:
             tolerances[attr] = value
-    if config.samples < 9 or config.samples % 2 == 0:
-        raise ConfigError("samples must be odd and at least 9")
+    if config.samples < _LEAST_SAMPLES or config.samples % 2 == 0:
+        raise ConfigError(f"samples must be odd and at least {_LEAST_SAMPLES}")
     for key in ("k", "tau", "H", "alpha", "beta", "epsilon"):
         value = getattr(config, key)
         if value is not None and not math.isfinite(value):
@@ -234,6 +236,10 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     for key, least in (("mode", 1), ("family_dims", 1), ("max_iterations", 0), ("seed", 0)):
         if getattr(config, key) < least:
             raise ConfigError(f"{key} must be at least {least}, got {getattr(config, key)}")
+    if "H" in settings and config.H is None:
+        raise ConfigError(f"{config.command} requires --H")
+    if config.command == "verify descent" and config.mode > config.family_dims:
+        raise ConfigError(f"mode {config.mode} exceeds family_dims {config.family_dims}")
     if config.format not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {config.format!r}")
     return config
@@ -248,14 +254,11 @@ def load_profile(path) -> Profile:
 
 
 def cmd_generate(config: RunConfig) -> int:
-    if config.H is None:
-        raise ConfigError("generate requires --H")
     if config.out is None:
         raise ConfigError("generate requires --out")
     g = config.geometry()
     if config.epsilon is not None and config.epsilon != 0.0:
-        spec = PerturbationSpec(config.epsilon, config.mode)
-        result = perturbed_sphere(g, config.H, spec, n_samples=config.samples)
+        result = perturbed_sphere(g, config.H, config.start(), n_samples=config.samples)
     else:
         result = generate_cmc_sphere(
             g, config.H, n_samples=config.samples, tolerances=config.tolerances
@@ -294,103 +297,31 @@ def cmd_energy(config: RunConfig, profile_path: str) -> int:
     return EXIT_OK
 
 
-def _identities_report(config: RunConfig) -> dict:
-    g, H = config.geometry(), config.H
-    rng = np.random.default_rng(config.seed)
-    n_random = 10_000
-    u_hi = min(3.0, 0.9 * g.domain_radius)
-    u = rng.uniform(0.05, u_hi, n_random)
-    sigma = rng.uniform(0.0, math.pi, n_random)
-    sigma_dot = rng.uniform(-2.0, 2.0, n_random)
-    identity_max = float(np.max(h_squared_identity_check(g, u, sigma, sigma_dot)))
-
-    cmc = generate_cmc_sphere(g, H, n_samples=config.samples, tolerances=config.tolerances)
-    spec = PerturbationSpec(config.amplitude(), config.mode)
-    perturbed = perturbed_sphere(g, H, spec, n_samples=config.samples)
-    tol = config.tolerances
-    table = [("h_squared_identity", identity_max, tol.identity)]
-    for name, check, threshold in (
-        ("willmore_relation", willmore_relation_check, tol.relation),
-        ("gauss_bonnet", lambda p: abs(gauss_bonnet_total(p) - 4.0 * math.pi), tol.gauss_bonnet),
-        ("second_summand_derivative", second_summand_derivative_check, tol.derivative_check),
-    ):
-        for label, prof in (("cmc", cmc), ("perturbed", perturbed)):
-            table.append((f"{name}_{label}", check(prof), threshold))
-    failed = [name for name, value, threshold in table if value > threshold]
-    return {
-        "checks": {name: value for name, value, _ in table},
-        "thresholds": {name: threshold for name, _, threshold in table},
-        "failed": failed,
-        "passed": not failed,
-    }
+# Each suite on a configuration c, its geometry g and kw (tolerances, sample count).  The
+# suites are looked up by name at call time, so a rebinding of their names here reaches the run.
+_SUITES = {
+    "criticality": lambda c, g, **kw: verify_criticality(g, c.H, c.coefficients(g), **kw),
+    "minimality": lambda c, g, **kw: verify_minimality(g, c.H, coeffs=c.coefficients(g), **kw),
+    "descent": lambda c, g, **kw: descend_energy(
+        g, c.H, c.family_dims, start=c.start(), max_iterations=c.max_iterations, **kw
+    ),
+    "identities": lambda c, g, **kw: verify_identities(g, c.H, c.start(), seed=c.seed, **kw),
+}
 
 
 def cmd_verify(config: RunConfig, which: str, trace_path: str | None = None) -> int:
     g = config.geometry()
-    doc: dict = {"experiment": which, "config": config.effective()}
-    failure: str | None = None
-    if config.H is None:
-        raise ConfigError(f"verify {which} requires --H")
-
-    if which == "criticality":
-        coeffs = config.coefficients(g)
-        report = verify_criticality(
-            g, config.H, coeffs, tolerances=config.tolerances, n_samples=config.samples
-        )
-        doc["report"] = report.to_dict()
-        doc["passed"] = report.passed
-        if trace_path:
-            _write_trace(Path(trace_path), report.profile, coeffs)
-        if not report.passed:
-            if report.max_residual >= report.residual_tol:
-                failure = f"max residual {report.max_residual:.3e}"
-            else:
-                worst = max(report.variations, key=lambda v: abs(v.dE_dt))
-                failure = f"first variation {worst.dE_dt:.3e} ({worst.velocity_profile})"
-    elif which == "minimality":
-        report = verify_minimality(
-            g,
-            config.H,
-            coeffs=config.coefficients(g),
-            tolerances=config.tolerances,
-            n_samples=config.samples,
-        )
-        doc["report"] = report.to_dict()
-        doc["passed"] = report.passed
-        if not report.passed:
-            failure = "minimality thresholds"
-    elif which == "descent":
-        if config.mode > config.family_dims:
-            raise ConfigError(f"mode {config.mode} exceeds family_dims {config.family_dims}")
-        report = descend_energy(
-            g,
-            config.H,
-            config.family_dims,
-            start=PerturbationSpec(config.amplitude(), config.mode),
-            max_iterations=config.max_iterations,
-            tolerances=config.tolerances,
-            n_samples=config.samples,
-        )
-        doc["report"] = report.to_dict()
-        doc["passed"] = report.converged
-        if not report.converged:
-            failure = (
-                f"descent not converged: {report.stop_reason} after {report.iterations}"
-                f" iterations (gradient norm {report.gradient_norm:.3e})"
-            )
-    elif which == "identities":
-        report = _identities_report(config)
-        doc["report"] = report
-        doc["passed"] = report["passed"]
-        if not report["passed"]:
-            failure = f"identity check {report['failed'][0]}"
-
+    report = _SUITES[which](config, g, tolerances=config.tolerances, n_samples=config.samples)
+    if trace_path:
+        _write_trace(Path(trace_path), report.profile, report.coefficients)
     out = Path(config.out) if config.out else Path(f"verify_{which}.json")
+    doc = {"experiment": which, "config": config.effective(), "report": report.to_dict()}
+    doc["passed"] = report.failure is None
     _write_json(out, doc)
     print(f"wrote {out}")
-    if failure is not None:
-        print(f"FAILED: {failure}", file=sys.stderr)
-        raise VerificationFailure(failure)
+    if report.failure is not None:
+        print(f"FAILED: {report.failure}", file=sys.stderr)
+        return EXIT_VERIFICATION
     print("passed")
     return EXIT_OK
 
@@ -406,16 +337,12 @@ def _write_trace(path: Path, prof: Profile, coeffs: FunctionalCoefficients) -> N
 
 
 def cmd_sweep(config: RunConfig, spec_path: str) -> int:
-    try:
-        with Path(spec_path).open() as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read sweep spec: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"sweep spec is not valid JSON: {exc}") from exc
+    data = _read_json_object(spec_path, "sweep spec")
     try:
         spec = SweepSpec.from_dict(data)
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise ConfigError(f"sweep spec lacks {exc}") from exc
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid sweep spec: {exc}") from exc
     rows = sweep(spec, n_samples=config.samples, tolerances=config.tolerances)
     out = Path(config.out) if config.out else Path("sweep.csv")
@@ -482,8 +409,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except VerificationFailure:
-        return EXIT_VERIFICATION
     except IntegrationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTEGRATION

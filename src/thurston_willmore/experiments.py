@@ -1,4 +1,4 @@
-"""Verification experiments: criticality, minimality, descent, and sweeps.
+"""Verification experiments: criticality, minimality, descent, identities, and sweeps.
 
 Criticality of CMC spheres is checked by two independent routes: the
 pointwise Euler-Lagrange residual, and the finite-difference first
@@ -8,6 +8,8 @@ profile and re-evaluating the energy, with no unit-speed assumption on the
 deformed curve).  Minimality is probed with the explicit mode family of
 competitor spheres, and a Newton descent on the exact gradient and Hessian
 of the family energy recovers the CMC sphere from a perturbed start.
+Each suite decides its verdict once, as its report's ``failure``: the first
+check that missed (a NaN misses every check), or None on a pass.
 """
 
 from __future__ import annotations
@@ -26,7 +28,11 @@ from .functional import (
     canonical_coefficients,
     el_residual,
     energy,
+    gauss_bonnet_total,
+    h_squared_identity_check,
     max_interior_residual,
+    second_summand_derivative_check,
+    willmore_relation_check,
     _ProfileFields,
     _energy_density,
     _mean_curvature,
@@ -64,6 +70,7 @@ __all__ = [
     "MinimalityEntry",
     "MinimalityReport",
     "DescentReport",
+    "IdentitiesReport",
     "SweepSpec",
     "SweepRow",
     "sweep",
@@ -71,6 +78,7 @@ __all__ = [
     "verify_criticality",
     "verify_minimality",
     "descend_energy",
+    "verify_identities",
     "deformed_curve_energy",
     "finite_difference_variation",
     "weak_form_variation",
@@ -228,7 +236,7 @@ def weak_form_variation(
 
 @dataclass(frozen=True)
 class CriticalityReport:
-    """Criticality verdict; ``profile`` is the sphere that was checked (not serialized)."""
+    """Criticality verdict; ``failure`` and the sphere checked, ``profile``, are not serialized."""
 
     geometry: GeometryParams
     H: float
@@ -239,6 +247,7 @@ class CriticalityReport:
     variation_tol: float
     energy: float
     passed: bool
+    failure: str | None = field(repr=False)
     profile: Profile = field(repr=False)
 
     to_dict = _record_dict
@@ -269,9 +278,12 @@ def verify_criticality(
     variations = tuple(
         finite_difference_variation(profile, coeffs, name) for name in VELOCITY_PROFILES
     )
-    passed = max_res < tolerances.residual and all(
-        abs(v.dE_dt) < tolerances.variation for v in variations
-    )
+    failure = None
+    if not max_res < tolerances.residual:
+        failure = f"max residual {max_res:.3e}"
+    elif missed := [v for v in variations if not abs(v.dE_dt) < tolerances.variation]:
+        worst = max(missed, key=lambda v: abs(v.dE_dt))
+        failure = f"first variation {worst.dE_dt:.3e} ({worst.velocity_profile})"
     return CriticalityReport(
         geometry=g,
         H=H,
@@ -281,7 +293,8 @@ def verify_criticality(
         variations=variations,
         variation_tol=tolerances.variation,
         energy=energy(profile, coeffs).E,
-        passed=passed,
+        passed=failure is None,
+        failure=failure,
         profile=profile,
     )
 
@@ -309,8 +322,9 @@ class MinimalityReport:
     baseline_E: float
     baseline_second_summand: float
     entries: tuple[MinimalityEntry, ...]
-    evenness_gaps: dict = field(default_factory=dict)
-    passed: bool = False
+    evenness_gaps: dict
+    passed: bool
+    failure: str | None = field(repr=False)
 
     to_dict = _record_dict
 
@@ -329,7 +343,7 @@ def verify_minimality(
     ``coeffs`` defaults to the canonical pair.  Passing requires the
     baseline CMC sphere (generated under ``tolerances``) to sit at 4 pi
     within ``tolerances.energy``, every admissible perturbed sphere to
-    exceed it by at least ``tolerances.min_excess``, and every second
+    exceed it by more than ``tolerances.min_excess``, and every second
     summand to equal 4 pi within ``tolerances.second_summand``.  Grid
     entries whose shape is not a regular profile are reported as
     inadmissible, never fatal.  The report also lists |E(+eps) - E(-eps)| per admissible pair; the energy of this
@@ -347,41 +361,20 @@ def verify_minimality(
         generate_cmc_sphere(g, H, n_samples=n_samples, tolerances=tolerances), coeffs
     )
     entries = []
-    values: dict[tuple[float, int], float] = {}
     for spec in grid:
         try:
             p = perturbed_sphere(g, H, spec, n_samples=n_samples)
         except InadmissiblePerturbation as exc:
-            entries.append(
-                MinimalityEntry(
-                    epsilon=spec.epsilon, mode=spec.mode, admissible=False, error=str(exc)
-                )
-            )
+            entries.append(MinimalityEntry(spec.epsilon, spec.mode, False, error=str(exc)))
             continue
         rep = energy(p, coeffs)
-        values[(spec.epsilon, spec.mode)] = rep.E
-        entries.append(
-            MinimalityEntry(
-                epsilon=spec.epsilon,
-                mode=spec.mode,
-                admissible=True,
-                E=rep.E,
-                second_summand=rep.second_summand,
-            )
-        )
+        entries.append(MinimalityEntry(spec.epsilon, spec.mode, True, rep.E, rep.second_summand))
+    values = {(e.epsilon, e.mode): e.E for e in entries if e.admissible}
     gaps = {}
     for (eps, mode), e_plus in values.items():
         if eps > 0 and (-eps, mode) in values:
             gaps[(eps, mode)] = abs(e_plus - values[(-eps, mode)])
-    ok = abs(baseline.E - FOUR_PI) < tolerances.energy
-    ok &= abs(baseline.second_summand - FOUR_PI) < tolerances.second_summand
-    for entry in entries:
-        if not entry.admissible:
-            continue
-        if entry.epsilon != 0.0 and not entry.E > baseline.E + tolerances.min_excess:
-            ok = False
-        if abs(entry.second_summand - FOUR_PI) > tolerances.second_summand:
-            ok = False
+    failure = _minimality_failure(baseline, entries, tolerances)
     return MinimalityReport(
         geometry=g,
         H=H,
@@ -390,8 +383,27 @@ def verify_minimality(
         baseline_second_summand=baseline.second_summand,
         entries=tuple(entries),
         evenness_gaps=gaps,
-        passed=ok,
+        passed=failure is None,
+        failure=failure,
     )
+
+
+def _minimality_failure(baseline, entries, tol: Tolerances) -> str | None:
+    """The first check of :func:`verify_minimality` that missed, with its value and bound."""
+    miss = abs(baseline.E - FOUR_PI)
+    if not miss < tol.energy:
+        return f"baseline |E - 4 pi| {miss:.3e} not below {tol.energy:.3e}"
+    miss = abs(baseline.second_summand - FOUR_PI)
+    if not miss < tol.second_summand:
+        return f"baseline |second summand - 4 pi| {miss:.3e} not below {tol.second_summand:.3e}"
+    for entry in (e for e in entries if e.admissible):
+        name = f"competitor (epsilon {entry.epsilon!r}, mode {entry.mode})"
+        if entry.epsilon != 0.0 and not entry.E > baseline.E + tol.min_excess:
+            return f"{name} energy excess {entry.E - baseline.E:.3e} not above {tol.min_excess:.3e}"
+        miss = abs(entry.second_summand - FOUR_PI)
+        if not miss <= tol.second_summand:
+            return f"{name} |second summand - 4 pi| {miss:.3e} above {tol.second_summand:.3e}"
+    return None
 
 
 # -- Newton descent over the mode family ---------------------------------------
@@ -602,6 +614,7 @@ class DescentReport:
     :func:`sphere_from_modes` missed 4 pi).
     ``hessian_eigenvalues`` are the ascending eigenvalues of d^2E/dc^2 at
     c = 0, the CMC sphere: the second variation inside the family.
+    ``failure`` (not serialized) names the stop reason of a failed descent.
     """
 
     geometry: GeometryParams
@@ -617,6 +630,7 @@ class DescentReport:
     start_adjusted: bool
     stop_reason: str
     hessian_eigenvalues: tuple[float, ...]
+    failure: str | None = field(repr=False)
 
     to_dict = _record_dict
 
@@ -717,24 +731,87 @@ def descend_energy(
     sin_sig = np.sin(final_profile.sigma)
     refit = float(np.dot(sin_sig, final_profile.u) / np.dot(final_profile.u, final_profile.u))
     identity_residual = float(np.max(np.abs(sin_sig - refit * final_profile.u)))
-    converged = stop_reason == "converged"
-    if converged and not abs(final_energy - FOUR_PI) < energy_tol:
-        converged, stop_reason = False, "final shape check failed"
+    if stop_reason == "converged" and not abs(final_energy - FOUR_PI) < energy_tol:
+        stop_reason = "final shape check failed"
+    gradient_norm = float(np.linalg.norm(grad))
+    failure = None if stop_reason == "converged" else (
+        f"descent not converged: {stop_reason} after {iterations} iterations"
+        f" (gradient norm {gradient_norm:.3e})"
+    )
     sphere_hessian = _family_energy(g, H_init, np.zeros(family_dims), derivatives=True)[2]
     return DescentReport(
         geometry=g,
         H=H_init,
-        converged=converged,
+        converged=failure is None,
         iterations=iterations,
         energy_final=final_energy,
         coefficients_final=tuple(float(x) for x in c),
-        gradient_norm=float(np.linalg.norm(grad)),
+        gradient_norm=gradient_norm,
         refit_H=refit,
         identity_residual=identity_residual,
         start_coefficients=start_vec,
         start_adjusted=adjusted,
         stop_reason=stop_reason,
         hessian_eigenvalues=tuple(float(x) for x in np.linalg.eigvalsh(sphere_hessian)),
+        failure=failure,
+    )
+
+
+# -- algebraic and integral identities ---------------------------------------------
+
+
+@dataclass(frozen=True)
+class IdentitiesReport:
+    """Each identity check's value and threshold by name; ``failure`` is not serialized."""
+
+    checks: dict
+    thresholds: dict
+    failed: tuple[str, ...]
+    passed: bool
+    failure: str | None = field(repr=False)
+
+    to_dict = _record_dict
+
+
+def verify_identities(
+    g: GeometryParams,
+    H: float,
+    spec: PerturbationSpec,
+    *,
+    seed: int,
+    tolerances: Tolerances = Tolerances(),
+    n_samples: int = DEFAULT_SAMPLES,
+) -> IdentitiesReport:
+    """Check the paper's identities; each passes at most at its ``tolerances`` threshold.
+
+    The H^2 identity at 10000 random (u, sigma, sigma') drawn with ``seed``, then the
+    Willmore relation, Gauss-Bonnet and the second-summand derivative on the CMC sphere
+    and on the sphere perturbed by ``spec``.
+    """
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(0.05, min(3.0, 0.9 * g.domain_radius), 10_000)
+    sigma = rng.uniform(0.0, math.pi, 10_000)
+    sigma_dot = rng.uniform(-2.0, 2.0, 10_000)
+    identity_max = float(np.max(h_squared_identity_check(g, u, sigma, sigma_dot)))
+
+    cmc = generate_cmc_sphere(g, H, n_samples=n_samples, tolerances=tolerances)
+    perturbed = perturbed_sphere(g, H, spec, n_samples=n_samples)
+    table = [("h_squared_identity", identity_max, tolerances.identity)]
+    for name, check, threshold in (
+        ("willmore_relation", willmore_relation_check, tolerances.relation),
+        ("gauss_bonnet", lambda p: abs(gauss_bonnet_total(p) - FOUR_PI), tolerances.gauss_bonnet),
+        ("second_summand_derivative", second_summand_derivative_check, tolerances.derivative_check),
+    ):
+        for label, prof in (("cmc", cmc), ("perturbed", perturbed)):
+            table.append((f"{name}_{label}", check(prof), threshold))
+    failed = tuple(name for name, value, threshold in table if not value <= threshold)
+    failure = f"identity check {failed[0]}" if failed else None
+    return IdentitiesReport(
+        checks={name: value for name, value, _ in table},
+        thresholds={name: threshold for name, _, threshold in table},
+        failed=failed,
+        passed=failure is None,
+        failure=failure,
     )
 
 
@@ -751,11 +828,8 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepSpec":
-        return cls(
-            k_values=tuple(float(x) for x in data.get("k_values", [])),
-            tau_values=tuple(float(x) for x in data.get("tau_values", [])),
-            H_values=tuple(float(x) for x in data.get("H_values", [])),
-        )
+        """The spec from ``data``, which must hold every list: ``KeyError`` names a missing one."""
+        return cls(*(tuple(float(x) for x in data[f.name]) for f in fields(cls)))
 
     def cases(self) -> list[tuple[float, float, float]]:
         return list(product(self.k_values, self.tau_values, self.H_values))

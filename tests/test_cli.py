@@ -16,7 +16,7 @@ from thurston_willmore import (
     generate_cmc_sphere,
     sphere_from_modes,
 )
-from thurston_willmore import cli, experiments
+from thurston_willmore import cli, experiments, functional
 from thurston_willmore.cli import load_profile, main
 
 
@@ -214,6 +214,23 @@ class TestVerify:
         doc = json.loads(out.read_text())  # report written even on failure
         assert doc["passed"] is False
 
+    def test_nan_max_residual_is_the_named_failure(self, tmp_path, capsys, monkeypatch):
+        # the variations pass; the NaN residual is the check that missed
+        monkeypatch.setattr(experiments, "max_interior_residual", lambda *args: math.nan)
+        out = tmp_path / "crit.json"
+        code = run(["verify", "criticality", "--k", 0, "--tau", 0.5, "--H", 1, "--out", out])
+        assert code == cli.EXIT_VERIFICATION
+        assert capsys.readouterr().err == "FAILED: max residual nan\n"
+        assert json.loads(out.read_text())["passed"] is False
+
+    def test_failing_identity_is_named(self, tmp_path, capsys):
+        out = tmp_path / "ids.json"
+        code = run(["verify", "identities", *_SPHERE, "--tol-gauss-bonnet", 0, "--out", out])
+        assert code == cli.EXIT_VERIFICATION
+        doc = json.loads(out.read_text())
+        assert doc["passed"] is doc["report"]["passed"] is False
+        assert capsys.readouterr().err == f"FAILED: identity check {doc['report']['failed'][0]}\n"
+
     def test_trace_export(self, tmp_path):
         out = tmp_path / "crit.json"
         trace = tmp_path / "trace.csv"
@@ -248,7 +265,10 @@ class TestVerify:
         assert (report["alpha"], report["beta"]) == (1.0, 0.0)
         assert abs(report["baseline_E"] - 4.0 * math.pi) > 0.1
         assert report["baseline_second_summand"] == pytest.approx(4.0 * math.pi, abs=1e-9)
-        assert "FAILED: minimality thresholds" in capsys.readouterr().err
+        miss = abs(report["baseline_E"] - 4.0 * math.pi)
+        assert capsys.readouterr().err == (
+            f"FAILED: baseline |E - 4 pi| {miss:.3e} not below {Tolerances.energy:.3e}\n"
+        )
 
     def test_identities(self, tmp_path):
         out = tmp_path / "ids.json"
@@ -376,6 +396,27 @@ class TestSweep:
         spec = tmp_path / "spec.json"
         spec.write_text("not json")
         assert run(["sweep", spec, "--out", tmp_path / "x.csv"]) == 1
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '"x"', "3"])
+    def test_spec_that_is_not_an_object_exits_1(self, tmp_path, capsys, text):
+        spec = tmp_path / "spec.json"
+        spec.write_text(text)
+        out = tmp_path / "x.csv"
+        assert run(["sweep", spec, "--out", out]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "error: sweep spec must be a JSON object\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("missing", ["k_values", "tau_values", "H_values"])
+    def test_spec_missing_a_list_exits_1_and_names_it(self, tmp_path, capsys, missing):
+        # a misspelled key ("H_value") leaves its list missing: no header-only table
+        data = {"k_values": [0.0], "tau_values": [0.5], "H_values": [1.0]}
+        data[missing[:-1]] = data.pop(missing)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(data))
+        out = tmp_path / "x.csv"
+        assert run(["sweep", spec, "--out", out]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: sweep spec lacks '{missing}'\n"
+        assert not out.exists()
 
     def test_missing_spec_exits_1(self, tmp_path):
         assert run(["sweep", tmp_path / "nope.json", "--out", tmp_path / "x.csv"]) == 1
@@ -574,8 +615,25 @@ class TestExitCodes:
         out = tmp_path / "s.csv"
         code = run(["generate", "--k", 0, "--tau", 0.5, "--H", 1, "--samples", samples, "-o", out])
         assert code == 1
-        assert capsys.readouterr().err == "error: samples must be odd and at least 9\n"
+        assert capsys.readouterr().err == "error: samples must be odd and at least 21\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["verify", "criticality"], ["verify", "identities"], ["sweep"]])
+    @pytest.mark.parametrize("samples", [9, 19])
+    def test_samples_below_the_stencil_floor_are_a_config_error(
+        self, tmp_path, capsys, command, samples
+    ):
+        # the spacing-FD_STRIDE stencils need 5 * FD_STRIDE samples: 21 is the least odd count
+        assert cli._LEAST_SAMPLES == 5 * functional.FD_STRIDE + 1 == 21
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"k_values": [0], "tau_values": [0.5], "H_values": [1]}))
+        words = [*command, spec] if command == ["sweep"] else [*command, *_SPHERE]
+        out = tmp_path / "out.json"
+        assert run([*words, "--samples", samples, "-o", out]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "error: samples must be odd and at least 21\n"
+        assert not out.exists()
+        # at the floor the command runs; so coarse a sphere may miss the suite's thresholds
+        assert run([*words, "--samples", 21, "-o", out]) in (cli.EXIT_OK, cli.EXIT_VERIFICATION)
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -693,3 +751,11 @@ def test_readme_command_block_runs(tmp_path, monkeypatch, capsys):
             assert main(shlex.split(line, comments=True)[1:]) == expected, line
         else:
             subprocess.run(line, shell=True, check=True)
+
+
+def test_readme_exit_code_table_lists_every_exit_code():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("Exit codes:", 1)[1].split("\n\n", 2)[1]
+    listed = [int(code) for code in re.findall(r"^\| `(\d+)` \|", table, flags=re.M)]
+    codes = sorted(value for name, value in vars(cli).items() if name.startswith("EXIT_"))
+    assert listed == codes

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 
@@ -12,6 +13,7 @@ from thurston_willmore import (
     canonical_coefficients,
     energy,
 )
+from thurston_willmore import experiments
 from thurston_willmore.experiments import (
     SECOND_SUMMAND_TOL,
     SweepSpec,
@@ -24,6 +26,7 @@ from thurston_willmore.experiments import (
     mode_family_energy,
     sweep,
     verify_criticality,
+    verify_identities,
     verify_minimality,
     weak_form_variation,
     write_sweep_csv,
@@ -69,6 +72,13 @@ class TestCriticality:
         assert not report.passed
         assert report.max_residual > 1e-2
         assert max(abs(v.dE_dt) for v in report.variations) > 1e-2
+
+    def test_failure_names_the_worst_missed_variation(self, nil_geometry):
+        assert verify_criticality(nil_geometry, 1.0).failure is None
+        tight = verify_criticality(nil_geometry, 1.0, tolerances=Tolerances(variation=0.0))
+        worst = max(tight.variations, key=lambda v: abs(v.dE_dt))
+        assert tight.failure == f"first variation {worst.dE_dt:.3e} ({worst.velocity_profile})"
+        assert not tight.passed
 
     def test_variation_truncation_estimate_present(self, nil_geometry):
         report = verify_criticality(nil_geometry, 1.0)
@@ -155,11 +165,73 @@ class TestMinimality:
         )
         assert not report.passed
 
+    def test_failure_names_the_first_check_that_missed(self, nil_geometry):
+        grid = [PerturbationSpec(0.2, 1), PerturbationSpec(0.1, 1), PerturbationSpec(-0.1, 1)]
+        report = verify_minimality(nil_geometry, 1.0, grid)
+        assert report.failure is None
+        _, first, _ = report.entries
+        # the inadmissible entry is skipped; the competitors are checked in grid order
+        excess = Tolerances(min_excess=10.0)
+        report = verify_minimality(nil_geometry, 1.0, grid, tolerances=excess)
+        assert not report.passed
+        assert report.failure == (
+            "competitor (epsilon 0.1, mode 1) energy excess"
+            f" {first.E - report.baseline_E:.3e} not above 1.000e+01"
+        )
+        # the baseline energy is checked before everything else
+        both = Tolerances(min_excess=10.0, energy=0.0)
+        miss = abs(report.baseline_E - FOUR_PI)
+        assert verify_minimality(nil_geometry, 1.0, grid, tolerances=both).failure == (
+            f"baseline |E - 4 pi| {miss:.3e} not below 0.000e+00"
+        )
+
+    def test_bounds_keep_their_verdict_at_equality(self, nil_geometry, monkeypatch):
+        # the baseline's second summand must be strictly inside its bound
+        grid = [PerturbationSpec(0.1, 1)]
+        report = verify_minimality(nil_geometry, 1.0, grid)
+        miss = abs(report.baseline_second_summand - FOUR_PI)
+        assert miss > 0.0
+        at_baseline = Tolerances(second_summand=miss)
+        assert verify_minimality(nil_geometry, 1.0, grid, tolerances=at_baseline).failure == (
+            f"baseline |second summand - 4 pi| {miss:.3e} not below {miss:.3e}"
+        )
+        # with an exact baseline, a competitor's second summand passes at its bound
+        _second_summands(monkeypatch, FOUR_PI, FOUR_PI + 1e-9)
+        miss = abs(FOUR_PI + 1e-9 - FOUR_PI)
+        at_entry = Tolerances(second_summand=miss)
+        assert verify_minimality(nil_geometry, 1.0, grid, tolerances=at_entry).passed
+        below = Tolerances(second_summand=math.nextafter(miss, 0.0))
+        assert verify_minimality(nil_geometry, 1.0, grid, tolerances=below).failure == (
+            f"competitor (epsilon 0.1, mode 1) |second summand - 4 pi| {miss:.3e}"
+            f" above {below.second_summand:.3e}"
+        )
+
+    def test_nan_competitor_second_summand_fails(self, nil_geometry, monkeypatch):
+        _second_summands(monkeypatch, FOUR_PI, math.nan)
+        report = verify_minimality(nil_geometry, 1.0, [PerturbationSpec(0.1, 1)])
+        assert not report.passed
+        assert report.failure == (
+            "competitor (epsilon 0.1, mode 1) |second summand - 4 pi| nan above"
+            f" {Tolerances.second_summand:.3e}"
+        )
+
     def test_inadmissible_entry_is_not_fatal(self, nil_geometry):
         report = verify_minimality(nil_geometry, 1.0, [PerturbationSpec(0.2, 1)])
         assert report.passed
         assert not report.entries[0].admissible
         assert "regular" in report.entries[0].error
+
+
+def _second_summands(monkeypatch, baseline: float, competitor: float) -> None:
+    """Make the suite's energies report these second summands, by the sphere they evaluate."""
+    real = experiments.energy
+
+    def patched(profile, coeffs=None):
+        # the baseline CMC sphere is sampled in arclength, competitors in turning angle
+        summand = baseline if profile.parametrization == "arclength" else competitor
+        return dataclasses.replace(real(profile, coeffs), second_summand=summand)
+
+    monkeypatch.setattr(experiments, "energy", patched)
 
 
 class TestDescent:
@@ -186,6 +258,15 @@ class TestDescent:
         assert report.iterations == 0
         assert not report.start_adjusted
 
+    def test_failure_names_the_stop_reason(self, nil_geometry):
+        assert descend_energy(nil_geometry, 1.0, 1).failure is None
+        report = descend_energy(nil_geometry, 1.0, 1, max_iterations=1)
+        assert not report.converged
+        assert report.failure == (
+            "descent not converged: iteration budget used up after 1 iterations"
+            f" (gradient norm {report.gradient_norm:.3e})"
+        )
+
     def test_rejects_mode_beyond_family(self, nil_geometry):
         with pytest.raises(ValueError):
             descend_energy(nil_geometry, 1.0, 1, start=PerturbationSpec(0.1, 2))
@@ -193,6 +274,37 @@ class TestDescent:
     def test_rejects_negative_iteration_budget(self, nil_geometry):
         with pytest.raises(ValueError, match="max_iterations"):
             descend_energy(nil_geometry, 1.0, 1, max_iterations=-3)
+
+
+class TestIdentities:
+    def test_passes_and_fails_at_its_thresholds(self, nil_geometry):
+        spec = PerturbationSpec(0.1, 1)
+        report = verify_identities(nil_geometry, 1.0, spec, seed=1)
+        assert report.passed and report.failure is None and report.failed == ()
+        assert list(report.checks) == list(report.thresholds) == [
+            "h_squared_identity",
+            "willmore_relation_cmc",
+            "willmore_relation_perturbed",
+            "gauss_bonnet_cmc",
+            "gauss_bonnet_perturbed",
+            "second_summand_derivative_cmc",
+            "second_summand_derivative_perturbed",
+        ]
+        # a check passes at its threshold and fails just below it
+        value = report.checks["gauss_bonnet_perturbed"]
+        at = Tolerances(gauss_bonnet=value)
+        assert verify_identities(nil_geometry, 1.0, spec, seed=1, tolerances=at).passed
+        below = Tolerances(gauss_bonnet=math.nextafter(value, 0.0))
+        report = verify_identities(nil_geometry, 1.0, spec, seed=1, tolerances=below)
+        assert "gauss_bonnet_perturbed" in report.failed
+        assert report.failure == f"identity check {report.failed[0]}"
+
+    def test_nan_identity_value_fails(self, nil_geometry, monkeypatch):
+        monkeypatch.setattr(experiments, "willmore_relation_check", lambda profile: math.nan)
+        report = verify_identities(nil_geometry, 1.0, PerturbationSpec(0.1, 1), seed=1)
+        assert not report.passed
+        assert report.failed == ("willmore_relation_cmc", "willmore_relation_perturbed")
+        assert report.failure == "identity check willmore_relation_cmc"
 
 
 class TestModeFamilyEnergy:
@@ -314,4 +426,11 @@ class TestReportJson:
         }
         for key in ("coefficients_final", "start_coefficients", "hessian_eigenvalues"):
             assert isinstance(descent[key], list) and len(descent[key]) == 2
+        identities = verify_identities(g, H, PerturbationSpec(0.1, 1), seed=0, n_samples=513)
+        identities = identities.to_dict()
+        assert list(identities) == ["checks", "thresholds", "failed", "passed"]
+        assert identities["failed"] == []
+        # the failure line is the verdict's explanation on stderr, not a report key
+        for report in (crit, minimality, descent, identities):
+            assert "failure" not in report
         assert canonical_coefficients(g).to_dict() == {"alpha": 0.25, "beta": -0.0625}

@@ -9,6 +9,7 @@ layer, and uninstalls it again.
 """
 
 import importlib.util
+import json
 import sys
 import types
 from pathlib import Path
@@ -85,3 +86,23 @@ def test_descent_energies_are_traced_under_the_descent():
     assert metrics["experiments.descend_energy.iterations"] == report.iterations > 0
     assert metrics["experiments.descend_energy.evals_per_iteration"] > 0
     assert metrics["experiments.mode_family_energy.calls"] > report.iterations
+
+
+def test_cli_suites_are_traced(tmp_path):
+    # tw verify looks each suite up by name when it runs, so the tracer's
+    # rebinding of the suite names reaches the CLI path too
+    tracing = _load_tracer()
+    tracer = tracing.Tracer()
+    tracing.install(tracer, TW)
+    sphere = ["--k", "0", "--tau", "0.5", "--H", "1"]
+    try:
+        crit = cli.main(["verify", "criticality", *sphere, "--out", str(tmp_path / "crit.json")])
+        out = tmp_path / "descent.json"
+        descent = cli.main(["verify", "descent", *sphere, "--family-dims", "1", "--out", str(out)])
+    finally:
+        tracer.uninstall()
+    assert crit == descent == cli.EXIT_OK
+    assert [s.name for s in tracer.spans].count("experiments.verify_criticality") == 1
+    report = json.loads(out.read_text())["report"]
+    metrics = tracing.layer_metrics(tracer.spans)
+    assert metrics["experiments.descend_energy.iterations"] == report["iterations"] > 0
