@@ -200,6 +200,10 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         data = _read_json_object(args.config, "config file")
         if isinstance(data.get("config"), dict):
             data = data["config"]
+        # a misspelled setting would otherwise run, and echo, its default
+        for key in data:
+            if key != "tolerances" and key not in _SETTING_FLAGS:
+                raise ConfigError(f"unknown setting {key!r} in config file")
         if not isinstance(data.get("tolerances", {}), dict):
             raise ConfigError("config file must be a JSON object, its tolerances one too")
         # a config file never sets the output path: the sidecar echoed next

@@ -1,13 +1,14 @@
 """Verification experiments: criticality, minimality, descent, identities, and sweeps.
 
 Criticality of CMC spheres is checked by two independent routes: the
-pointwise Euler-Lagrange residual, and the finite-difference first
-variation of the energy under explicit normal deformations of the profile
-(moving the curve along its quotient unit normal with a chosen velocity
-profile and re-evaluating the energy, with no unit-speed assumption on the
-deformed curve).  Minimality is probed with the explicit mode family of
-competitor spheres, and a Newton descent on the exact gradient and Hessian
-of the family energy recovers the CMC sphere from a perturbed start.
+pointwise Euler-Lagrange residual, and the exact first variation of the
+sampled energy under explicit normal deformations of the profile (moving
+the curve along its quotient unit normal with a chosen velocity profile and
+differentiating the energy of the deformed samples, with no unit-speed
+assumption on the deformed curve).  Minimality is probed with the explicit
+mode family of competitor spheres, and a Newton descent on the exact
+gradient and Hessian of the family energy recovers the CMC sphere from a
+perturbed start.
 Each suite decides its verdict once, as its report's ``failure``: the first
 check that missed (a NaN misses every check), or None on a pass.
 """
@@ -80,7 +81,7 @@ __all__ = [
     "descend_energy",
     "verify_identities",
     "deformed_curve_energy",
-    "finite_difference_variation",
+    "first_variation",
     "weak_form_variation",
     "mode_family_energy",
     "default_acceptance_grid",
@@ -119,7 +120,7 @@ def default_perturbation_grid() -> list[PerturbationSpec]:
     ]
 
 
-# -- finite-difference first variation --------------------------------------
+# -- first variation --------------------------------------------------------
 
 
 def _velocity_profile(name: str, profile: Profile) -> np.ndarray:
@@ -139,12 +140,20 @@ def deformed_curve_energy(
     u: np.ndarray,
     v: np.ndarray,
     coeffs: FunctionalCoefficients,
-) -> float:
+    *,
+    du: np.ndarray | None = None,
+    dv: np.ndarray | None = None,
+):
     """Energy of a profile curve given by samples, without unit speed.
 
     The curve (u(s0), v(s0)) may carry any regular parametrization; the
     quotient speed, tangent angle and turning rate are recomputed from the
-    samples, and the area element picks up the speed Jacobian.
+    samples, and the area element picks up the speed Jacobian.  With ``du``
+    and ``dv``, (rows, samples) arrays of velocities, the result is
+    (E, dE/dt) with one dE/dt per row: the exact derivative of this discrete
+    energy along (u + t du, v + t dv) at t = 0, each line carried to first
+    order in t (forward-mode differentiation; Griewank & Walther,
+    *Evaluating Derivatives*, 2008).
     """
     k, tau = g.k, g.tau
     # Only the step's scale enters, and the energy does not depend on it:
@@ -152,66 +161,101 @@ def deformed_curve_energy(
     h = float(s[1] - s[0])
     A = np.sqrt(1.0 + tau * tau * u * u)
     B = 1.0 + 0.25 * k * u * u
-    up = derivative1(u, h)
-    vp = derivative1(v, h)
-    speed = np.hypot(up / B, vp / A)
+    x = derivative1(u, h) / B
+    y = derivative1(v, h) / A
+    speed = np.hypot(x, y)
     # Profiles end at sigma = pi, where arctan2 may read -pi by one rounding.
-    sigma = np.unwrap(np.arctan2(vp / A, up / B))
+    sigma = np.unwrap(np.arctan2(y, x))
     sigma_dot = derivative1(sigma, h) / speed
-    sin_sig = np.sin(sigma)
+    sin_sig, cos_sig = np.sin(sigma), np.cos(sigma)
     ratio = _pole_safe_ratio(u, sin_sig, sigma_dot, u_min=1e-12)
     H = _mean_curvature(k, u, sin_sig, sigma_dot, ratio)
-    density = _energy_density(g, coeffs, H, np.cos(sigma) / A, u * A / B, speed)
-    return 2.0 * math.pi * sample_quadrature(density, h)
+    nu, mu = cos_sig / A, u * A / B
+    if du is None:
+        return 2.0 * math.pi * sample_quadrature(_energy_density(g, coeffs, H, nu, mu, speed), h)
+    # Each (rows, samples) tangent is 48 KiB at 2049 samples and three rows.
+    # Dropping each once it is used keeps the heap's peak low: glibc trims
+    # the heap after the call, and every page above the usual peak faults in
+    # again on the next one (tests/test_page_faults.py).
+    dA_du, dB_du = tau * tau * u / A, 0.5 * k * u
+    dx = derivative1(du, h)
+    dx -= x * dB_du * du
+    dx /= B
+    dy = derivative1(dv, h)
+    dy -= y * dA_du * du
+    dy /= A
+    dspeed = (x * dx + y * dy) / speed
+    dsigma = (x * dy - y * dx) / (speed * speed)
+    del dx, dy
+    dsigma_dot = derivative1(dsigma, h)
+    dsigma_dot -= sigma_dot * dspeed
+    dsigma_dot /= speed
+    dsin = cos_sig * dsigma
+    # d(sin/u) = (dsin - (sin/u) du)/u, and the pole limit's variation below u_min
+    dratio = _pole_safe_ratio(u, dsin - ratio * du, dsigma_dot, u_min=1e-12)
+    dH = 0.5 * (dsigma_dot + dratio - 0.25 * k * (sin_sig * du + u * dsin))
+    del dsigma_dot, dratio, dsin
+    dnu = -(sin_sig * dsigma + nu * dA_du * du) / A
+    del dsigma
+    dmu = ((A + u * dA_du - mu * dB_du) / B) * du
+    density, ddensity = _energy_density(g, coeffs, H, nu, mu, speed, (dH, dnu, dmu, dspeed))
+    return (
+        2.0 * math.pi * sample_quadrature(density, h),
+        2.0 * math.pi * sample_quadrature(ddensity, h),
+    )
 
 
 @dataclass(frozen=True)
 class VariationResult:
-    """Central-difference first variation under one velocity profile."""
+    """First variation dE/dt under one velocity profile.
+
+    ``truncation_estimate`` is |dE/dt - the same derivative on the stride-2
+    subgrid|, the discretization gap of the sampled energy's derivative.
+    """
 
     velocity_profile: str
-    step: float
     dE_dt: float
     truncation_estimate: float
-
-    def __post_init__(self):
-        if not self.step > 0.0:
-            raise ValueError("variation step must be positive")
 
     to_dict = _record_dict
 
 
-def finite_difference_variation(
-    profile: Profile, coeffs: FunctionalCoefficients, velocity: str
-) -> VariationResult:
-    """dE/dt for the normal deformation with the named velocity profile.
+def _normal_velocities(profile: Profile) -> tuple[np.ndarray, np.ndarray]:
+    """(du, dv) of the normal deformations, one row per entry of ``VELOCITY_PROFILES``.
 
     The profile moves along its quotient unit normal
-    n = (-(1 + k u^2/4) sin sigma, sqrt(1 + tau^2 u^2) cos sigma) at rate
-    phi(s); the derivative is the central difference at half the base step
-    1e-4/|H| (1e-4 on a profile without a mean curvature), with the
-    step-halving disagreement as truncation estimate.
+    n = (-(1 + k u^2/4) sin sigma, sqrt(1 + tau^2 u^2) cos sigma) at rate phi(s).
     """
-    g = profile.geometry
-    step = 1e-4 / abs(profile.mean_curvature if profile.mean_curvature else 1.0)
-    phi = _velocity_profile(velocity, profile)
-    A = np.sqrt(1.0 + g.tau**2 * profile.u**2)
-    B = 1.0 + 0.25 * g.k * profile.u**2
-    n_u = -B * np.sin(profile.sigma)
-    n_v = A * np.cos(profile.sigma)
+    g, u, sigma = profile.geometry, profile.u, profile.sigma
+    n_u = -(1.0 + 0.25 * g.k * u * u) * np.sin(sigma)
+    n_v = np.sqrt(1.0 + g.tau**2 * u * u) * np.cos(sigma)
+    phi = [_velocity_profile(name, profile) for name in VELOCITY_PROFILES]
+    return np.stack([p * n_u for p in phi]), np.stack([p * n_v for p in phi])
 
-    def energy_at(t: float) -> float:
-        return deformed_curve_energy(
-            g, profile.s, profile.u + t * phi * n_u, profile.v + t * phi * n_v, coeffs
-        )
 
-    d_full = (energy_at(step) - energy_at(-step)) / (2.0 * step)
-    d_half = (energy_at(0.5 * step) - energy_at(-0.5 * step)) / step
-    return VariationResult(
-        velocity_profile=velocity,
-        step=0.5 * step,
-        dE_dt=d_half,
-        truncation_estimate=abs(d_full - d_half) / 3.0,
+def first_variation(
+    profile: Profile, coeffs: FunctionalCoefficients
+) -> tuple[VariationResult, ...]:
+    """dE/dt for the normal deformation with each velocity profile of ``VELOCITY_PROFILES``.
+
+    The profile moves along its quotient unit normal at rate phi(s)
+    (:func:`_normal_velocities`).  All three derivatives come from one
+    linearized pass of :func:`deformed_curve_energy`, exact for the discrete
+    energy, so no step and no rounding divided by a step enter; a second
+    pass on the stride-2 subgrid gives each truncation estimate.  The
+    sample count must be odd, so that the subgrid keeps both ends.
+    """
+    if len(profile) % 2 == 0:
+        raise ValueError("first_variation needs an odd sample count")
+    g, s, u, v = profile.geometry, profile.s, profile.u, profile.v
+    du, dv = _normal_velocities(profile)
+    _, fine = deformed_curve_energy(g, s, u, v, coeffs, du=du, dv=dv)
+    _, coarse = deformed_curve_energy(
+        g, s[::2], u[::2], v[::2], coeffs, du=du[:, ::2], dv=dv[:, ::2]
+    )
+    return tuple(
+        VariationResult(name, float(d), float(abs(d - c)))
+        for name, d, c in zip(VELOCITY_PROFILES, fine, coarse, strict=True)
     )
 
 
@@ -264,9 +308,9 @@ def verify_criticality(
     """Check that the CMC sphere is critical for E_{alpha,beta}.
 
     Two independent tests must both stay below tolerance: the maximum
-    interior Euler-Lagrange residual, and the finite-difference first
-    variation of the energy for each of the velocity profiles in
-    ``VELOCITY_PROFILES`` (``tolerances.residual`` and
+    interior Euler-Lagrange residual, and the first variation of the
+    sampled energy (:func:`first_variation`) for each of the velocity
+    profiles in ``VELOCITY_PROFILES`` (``tolerances.residual`` and
     ``tolerances.variation``); the sphere is generated under the same
     ``tolerances``.  With non-canonical coefficients the same quantities are
     computed and typically fail, which is the point of the negative control.
@@ -275,9 +319,7 @@ def verify_criticality(
         coeffs = canonical_coefficients(g)
     profile = generate_cmc_sphere(g, H, n_samples=n_samples, tolerances=tolerances)
     max_res = max_interior_residual(profile, coeffs)
-    variations = tuple(
-        finite_difference_variation(profile, coeffs, name) for name in VELOCITY_PROFILES
-    )
+    variations = first_variation(profile, coeffs)
     failure = None
     if not max_res < tolerances.residual:
         failure = f"max residual {max_res:.3e}"
@@ -828,8 +870,16 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepSpec":
-        """The spec from ``data``, which must hold every list: ``KeyError`` names a missing one."""
-        return cls(*(tuple(float(x) for x in data[f.name]) for f in fields(cls)))
+        """The spec from ``data``, which must hold every list: ``KeyError`` names a missing one.
+
+        Then any other key raises ``ValueError`` naming it.
+        """
+        names = [f.name for f in fields(cls)]
+        spec = cls(*(tuple(float(x) for x in data[name]) for name in names))
+        for key in data:
+            if key not in names:
+                raise ValueError(f"unknown key {key!r}")
+        return spec
 
     def cases(self) -> list[tuple[float, float, float]]:
         return list(product(self.k_values, self.tau_values, self.H_values))

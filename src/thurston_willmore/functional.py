@@ -138,19 +138,35 @@ def _mean_curvature(k: float, u, sin_sig, sigma_dot, ratio):
     return 0.5 * (sigma_dot + ratio - 0.25 * k * u * sin_sig)
 
 
-def _energy_density(g: GeometryParams, coeffs: FunctionalCoefficients, H, nu, mu, jacobian):
+def _energy_density(
+    g: GeometryParams, coeffs: FunctionalCoefficients, H, nu, mu, jacobian, tangent=None
+):
     """Integrand of E_{alpha,beta} per unit parameter: (H^2 + alpha K_bar + beta) mu jacobian.
 
     K_bar = tau^2 + (k - 4 tau^2) nu^2; ``jacobian`` converts quotient
-    arclength to the caller's integration variable.
+    arclength to the caller's integration variable.  With ``tangent``, the
+    first-order variations (dH, dnu, dmu, djacobian) of the four inputs, the
+    result is the pair (density, its variation).
     """
     tau = g.tau
-    return (
+    weight = (
         H * H
         + coeffs.alpha * ((g.k - 4.0 * tau * tau) * nu * nu)
         + coeffs.beta
         + coeffs.alpha * tau * tau
-    ) * mu * jacobian
+    )
+    density = weight * mu * jacobian
+    if tangent is None:
+        return density
+    dH, dnu, dmu, djacobian = tangent
+    # 2 (H dH + alpha (k - 4 tau^2) nu dnu) mu jacobian + weight (dmu jacobian + mu djacobian),
+    # summed in place: each tangent may be a (rows, samples) array
+    scale = 2.0 * mu * jacobian
+    ddensity = (scale * H) * dH
+    ddensity += (scale * coeffs.alpha * (g.k - 4.0 * tau * tau) * nu) * dnu
+    ddensity += (weight * jacobian) * dmu
+    ddensity += (weight * mu) * djacobian
+    return density, ddensity
 
 
 def _pole_safe_ratio(u, sin_sig, limit, u_min: float = POLE_U):

@@ -2,8 +2,10 @@
 
 All profile post-processing differentiates and integrates stored sample
 arrays only, so repeated runs and CSV round trips are bit-identical.
-Derivatives use 5-point stencils (4th order in the interior, one-sided at
-the two edge samples on each side).  Integration applies 16-point
+Stencils and quadrature act along the last axis, so a (rows, samples)
+array is one profile's samples per row.  Derivatives use 5-point stencils
+(4th order in the interior, one-sided at the two edge samples on each
+side).  Integration applies 16-point
 Gauss-Legendre rules to the local interpolant of each panel of eight grid
 intervals, which reduces to fixed weights on the samples; the error
 estimate compares against the same rule on the stride-2 subgrid.
@@ -50,23 +52,26 @@ def _derivative2_unit(y: np.ndarray, h: float) -> np.ndarray:
 
 
 def _strided(kernel, y: np.ndarray, h: float, stride: int) -> np.ndarray:
-    """Apply a stencil kernel on the interleaved stride-subgrids of y.
+    """Apply a stencil kernel along the last axis of y, on its interleaved stride-subgrids.
 
     Stencil points sit ``stride`` samples apart, which divides the
     amplification of sample-level white noise by stride (first derivative)
     or stride^2 (second derivative) at an O((stride h)^4) truncation cost.
-    Sample values themselves are never mixed across subgrids.
+    Sample values themselves are never mixed across subgrids.  The kernels
+    index their first axis, so they run on the transpose, whose rows are the
+    samples: a 1-D y is its own transpose, and its edge rows stay scalars
+    (indexing ``y[..., 0]`` makes 0-d arrays, which doubled the 1-D cost).
     """
     y = np.asarray(y, dtype=float)
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    if y.size < 5 * stride:
+    if y.shape[-1] < 5 * stride:
         raise ValueError(f"need at least {5 * stride} samples for stride {stride}")
     if stride == 1:
-        return kernel(y, h)
+        return kernel(y.T, h).T
     d = np.empty_like(y)
     for offset in range(stride):
-        d[offset::stride] = kernel(y[offset::stride], h * stride)
+        d[..., offset::stride] = kernel(y[..., offset::stride].T, h * stride).T
     return d
 
 
@@ -123,12 +128,18 @@ def _grid_weights(n: int) -> np.ndarray:
     return w
 
 
-def sample_quadrature(y: np.ndarray, h) -> float:
-    """Integral of samples with spacing ``h`` over their full span."""
+def sample_quadrature(y: np.ndarray, h):
+    """Integral of samples with spacing ``h`` over their full span, along the last axis.
+
+    A float for 1-D samples, else an array with one integral per row.
+    """
     y = np.asarray(y, dtype=float)
+    weights = _grid_weights(y.shape[-1])
     if np.ndim(h) == 0:
-        return h * float(_grid_weights(y.size) @ y)
-    return float(_grid_weights(y.size) @ (y * h))
+        total = h * (y @ weights)
+    else:
+        total = (y * h) @ weights
+    return float(total) if y.ndim == 1 else total
 
 
 def sample_quadrature_with_error(y: np.ndarray, h) -> tuple[float, float]:

@@ -111,7 +111,7 @@ class Tolerances:
     conservation: float = 1e-8
     closure_identity: float = 1e-8
     axis_epsilon: float = 1e-5
-    # criticality: interior EL residual, finite-difference first variation
+    # criticality: interior EL residual, first variation
     residual: float = 1e-4
     variation: float = 1e-5
     # minimality and descent: |E - 4 pi|, least E(competitor) - E(sphere),
@@ -685,11 +685,13 @@ def generate_cmc_sphere(
     atan2(H sin(w s), w cos(w s)), u = sin(sigma)/H, of arclength
     L = pi/w.  The samples are uniform in s from ``AXIS_SERIES_S0`` to
     L - ``AXIS_SERIES_S0``, the offset at which :func:`integrate` starts its
-    axis series.  The end samples stay off the axis: with u = 0 there, the
-    finite-difference first variation of the criticality suite reads about
-    6e4 instead of staying below 1e-5.  The height v runs from 0 and adds,
-    over each grid interval, the 8-point Gauss integral of
-    v' = sqrt(1 + tau^2 u^2) sin(sigma).
+    axis series, so the end samples stay off the axis as a shot sphere's do.
+    The height v runs from 0 and adds, over each grid interval, the 8-point
+    Gauss integral of v' = sqrt(1 + tau^2 u^2) sin(sigma).  Every interval
+    has its nodes at the same offsets d_j from its left end s_i, so
+    sin(w s) and cos(w s) there follow from their grid values by angle
+    addition, and sin(sigma) = H sin(w s)/sqrt(H^2 sin^2(w s) + w^2 cos^2(w s))
+    needs no further transcendental function.
 
     The samples are checked as a shot sphere would be: the first integral
     J drifts by at most ``tolerances.conservation``, sigma increases
@@ -708,13 +710,10 @@ def generate_cmc_sphere(
         raise ValueError("n_samples must be odd and at least 9")
     h_abs = abs(H)
     w = math.sqrt(h_abs * h_abs + 0.25 * g.k)
-
-    def branch(s):
-        sigma = np.arctan2(h_abs * np.sin(w * s), w * np.cos(w * s))
-        return sigma, np.sin(sigma)
-
     grid = np.linspace(AXIS_SERIES_S0, math.pi / w - AXIS_SERIES_S0, n_samples)
-    sigma, sin_sig = branch(grid)
+    sin_ws, cos_ws = np.sin(w * grid), np.cos(w * grid)
+    sigma = np.arctan2(h_abs * sin_ws, w * cos_ws)
+    sin_sig = np.sin(sigma)
     u = sin_sig / h_abs
     if np.max(u) >= g.domain_radius * (1.0 - 1e-12):
         raise IntegrationError("sphere leaves the domain of the geometry")
@@ -728,12 +727,18 @@ def generate_cmc_sphere(
             f"sphere failed to close: sigma runs from {sigma[0]:.6f} to {sigma[-1]:.6f}, "
             "not 0 to pi"
         )
+    # node j of every interval lies offset[j] past its left end in w s
+    half = 0.5 * (grid[-1] - grid[0]) / (n_samples - 1)
+    offset, weights = w * half * (_GL8_NODES + 1.0), half * _GL8_WEIGHTS
+    cos_d, sin_d = np.cos(offset), np.sin(offset)
+    sin_left, cos_left = sin_ws[:-1], cos_ws[:-1]
 
     def height_rate(j: int) -> tuple[np.ndarray]:
-        nodes, weights = _panel_column(grid, j)
-        _, sin_nodes = branch(nodes)
+        a = h_abs * (sin_left * cos_d[j] + cos_left * sin_d[j])
+        b = w * (cos_left * cos_d[j] - sin_left * sin_d[j])
+        sin_nodes = a / np.sqrt(a * a + b * b)
         u_nodes = sin_nodes / h_abs
-        return (np.sqrt(1.0 + g.tau**2 * u_nodes * u_nodes) * sin_nodes * weights,)
+        return (np.sqrt(1.0 + g.tau**2 * u_nodes * u_nodes) * sin_nodes * weights[j],)
 
     (dv,) = _node_column_sum(height_rate)
     v = np.concatenate(([0.0], np.cumsum(dv)))

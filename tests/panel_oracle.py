@@ -27,21 +27,40 @@ def panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cmc_sphere_samples(k: float, tau: float, H: float, n_samples: int) -> tuple[np.ndarray, ...]:
-    """s, u, v and sigma of the closed-form CMC sphere of mean curvature |H|."""
+    """s, u, v and sigma of the closed-form CMC sphere of mean curvature |H|.
+
+    Node j of every interval lies d_j = w half (x_j + 1) past its left end
+    s_i in w s, so the node values of H sin(w s) and w cos(w s) follow from
+    those at s_i by angle addition, as the generator computes them.
+    """
     h_abs = abs(H)
     w = math.sqrt(h_abs * h_abs + 0.25 * k)
-
-    def branch(s):
-        sigma = np.arctan2(h_abs * np.sin(w * s), w * np.cos(w * s))
-        return sigma, np.sin(sigma)
-
     grid = np.linspace(AXIS_SERIES_S0, math.pi / w - AXIS_SERIES_S0, n_samples)
-    sigma, sin_sig = branch(grid)
+    sin_ws, cos_ws = np.sin(w * grid), np.cos(w * grid)
+    sigma = np.arctan2(h_abs * sin_ws, w * cos_ws)
+    half = 0.5 * (grid[-1] - grid[0]) / (n_samples - 1)
+    offset = w * half * (_NODES + 1.0)
+    cos_d, sin_d = np.cos(offset)[None, :], np.sin(offset)[None, :]
+    sin_left, cos_left = sin_ws[:-1, None], cos_ws[:-1, None]
+    a = h_abs * (sin_left * cos_d + cos_left * sin_d)
+    b = w * (cos_left * cos_d - sin_left * sin_d)
+    sin_nodes = a / np.sqrt(a * a + b * b)
+    u_nodes = sin_nodes / h_abs
+    weights = (half * _WEIGHTS)[None, :]
+    dv = np.sum(np.sqrt(1.0 + tau**2 * u_nodes * u_nodes) * sin_nodes * weights, axis=1)
+    return grid, np.sin(sigma) / h_abs, np.concatenate(([0.0], np.cumsum(dv))), sigma
+
+
+def cmc_sphere_direct_heights(k: float, tau: float, H: float, n_samples: int) -> np.ndarray:
+    """v of the CMC sphere with every node value from sin(atan2(H sin(w s), w cos(w s)))."""
+    h_abs = abs(H)
+    w = math.sqrt(h_abs * h_abs + 0.25 * k)
+    grid = np.linspace(AXIS_SERIES_S0, math.pi / w - AXIS_SERIES_S0, n_samples)
     nodes, weights = panel_nodes(grid)
-    _, sin_nodes = branch(nodes)
+    sin_nodes = np.sin(np.arctan2(h_abs * np.sin(w * nodes), w * np.cos(w * nodes)))
     u_nodes = sin_nodes / h_abs
     dv = np.sum(np.sqrt(1.0 + tau**2 * u_nodes * u_nodes) * sin_nodes * weights, axis=1)
-    return grid, sin_sig / h_abs, np.concatenate(([0.0], np.cumsum(dv))), sigma
+    return np.concatenate(([0.0], np.cumsum(dv)))
 
 
 def mode_sphere_samples(

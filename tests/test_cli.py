@@ -418,6 +418,16 @@ class TestSweep:
         assert capsys.readouterr().err == f"error: sweep spec lacks '{missing}'\n"
         assert not out.exists()
 
+    def test_spec_with_an_unknown_key_exits_1_and_names_it(self, tmp_path, capsys):
+        # a misspelled extra key beside the right ones would otherwise be ignored
+        data = {"k_values": [0.0], "tau_values": [0.5], "H_values": [1.0], "H_value": [2.0]}
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(data))
+        out = tmp_path / "x.csv"
+        assert run(["sweep", spec, "--out", out]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "error: invalid sweep spec: unknown key 'H_value'\n"
+        assert not out.exists()
+
     def test_missing_spec_exits_1(self, tmp_path):
         assert run(["sweep", tmp_path / "nope.json", "--out", tmp_path / "x.csv"]) == 1
 
@@ -698,6 +708,23 @@ class TestExitCodes:
         assert run([*command, "--config", cfg, "-o", out]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("config_key", [None, "config"])
+    def test_unknown_config_key_is_a_config_error(self, tmp_path, capsys, config_key):
+        # bare, or unwrapped from an output's "config" echo
+        settings = {"k": 0.0, "tau": 0.5, "H": 1.0, "sampels": 1025}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({config_key: settings} if config_key else settings))
+        out = tmp_path / "out.csv"
+        assert run(["generate", "--config", cfg, "-o", out]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "error: unknown setting 'sampels' in config file\n"
+        assert not out.exists()
+
+    def test_setting_another_command_reads_is_not_unknown(self, tmp_path):
+        # one config file may serve several commands: each drops what it does not read
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"k": 0.0, "tau": 0.5, "H": 1.0, "seed": 3, "family_dims": 2}))
+        assert run(["generate", "--config", cfg, "-o", tmp_path / "out.csv"]) == cli.EXIT_OK
 
     def test_negative_tolerance_in_config_file_is_a_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

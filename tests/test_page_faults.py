@@ -4,7 +4,9 @@ The sphere generators sum their Gauss panels one node column at a time, so
 no step allocates a (panels, 8) array.  At 2049 samples such an array is
 128 KiB, glibc's mmap threshold: allocating and freeing them on every call
 had glibc hand the pages back and fault them in again, about 120 minor
-faults per sweep row and 1900 per ``verify_minimality`` call.  The check
+faults per sweep row and 1900 per ``verify_minimality`` call.  The first
+variation of ``verify_criticality`` carries (3, samples) tangent arrays, 48 KiB
+at 2049 samples, below that threshold.  The check
 runs in a fresh interpreter with glibc's default allocator settings, so
 that no other test's heap state leaks into it.
 """
@@ -27,17 +29,18 @@ _SCRIPT = textwrap.dedent(
     import json, resource, sys
 
     from thurston_willmore.experiments import (
-        SweepSpec, default_acceptance_grid, sweep, verify_minimality,
+        SweepSpec, default_acceptance_grid, sweep, verify_criticality, verify_minimality,
     )
 
     cases = default_acceptance_grid()
 
-    def run(rows, minimality):
+    def run(rows, suites):
         for i in range(rows):
             g, H = cases[i % len(cases)]
             sweep(SweepSpec((g.k,), (g.tau,), (H,)))
-        for i in range(minimality):
+        for i in range(suites):
             g, H = cases[7 * i % len(cases)]
+            assert verify_criticality(g, H).passed
             assert verify_minimality(g, H).passed
 
     run(5, 1)  # warm-up: first calls build caches and grow the heap

@@ -29,7 +29,7 @@ from thurston_willmore.numerics import derivative1
 from thurston_willmore.profile import ARCLENGTH, AXIS_SERIES_S0, TURNING_ANGLE
 
 from mode_oracle import reduced_sine_ratio
-from panel_oracle import cmc_sphere_samples
+from panel_oracle import cmc_sphere_direct_heights, cmc_sphere_samples
 
 
 class TestOdeRhs:
@@ -221,6 +221,19 @@ class TestGenerateCmcSphere:
             assert np.array_equal(column, oracle)
         j = profile_first_integral(g, abs(H), p)
         assert p.j_drift == float(np.max(np.abs(j - j[0])))
+
+    @pytest.mark.parametrize(
+        "k, tau, H",
+        [(g.k, g.tau, H) for g, H in default_acceptance_grid()]
+        + [(0.0, 0.5, -1.0), (1.0, 0.6, 0.01)]
+        + [(-1.0, tau, math.sqrt(0.25 + m)) for tau in (-0.6, 0.0, 0.6)
+           for m in (1e-2, 1e-4, 1e-6, 1e-8)],
+    )
+    def test_heights_match_direct_node_values(self, k, tau, H):
+        # angle addition at the Gauss nodes moves v by rounding only
+        p = generate_cmc_sphere(GeometryParams(k, tau), H)
+        direct = cmc_sphere_direct_heights(k, tau, H, len(p))
+        assert np.max(np.abs(p.v - direct)) <= 1e-13 * np.max(np.abs(direct))
 
 
 class TestExistence:

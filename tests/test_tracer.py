@@ -60,8 +60,8 @@ def test_tracer_installs_runs_and_uninstalls():
     assert metrics["profile.generate_cmc_sphere.calls"] == 1
     assert metrics["profile.solve_ivp.calls"] == 1
     assert metrics["profile.brentq.calls"] == 0
-    # three velocity profiles, four energies each
-    assert metrics["experiments.deformed_curve_energy.calls"] == 12
+    # one linearized pass for the three velocity profiles, one on the stride-2 subgrid
+    assert metrics["experiments.deformed_curve_energy.calls"] == 2
     assert metrics["functional.energy.calls"] == 1
     assert metrics["functional.max_interior_residual.calls"] == 1
     assert metrics["experiments.mode_family_energy.calls"] == 1
