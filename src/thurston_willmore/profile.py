@@ -39,7 +39,9 @@ the numerator N has no pole there: P and N are polynomials in
 t = cos(2 sigma), and the package evaluates both only from their Chebyshev
 series below.  The reconstruction samples the profile uniformly in sigma,
 sums 8-point Gauss panels between the samples for s and v, and keeps
-ds/dsigma at the samples, the spacing the stencils scale by.
+ds/dsigma at the samples, the spacing the stencils scale by.  Both
+integrands are even about the equator sigma = pi/2, so only the panels
+left of it are evaluated and their integrals are repeated in mirror order.
 
 Admissibility of a competitor is decided exactly, not on a sample grid.
 With t = cos(2 sigma), which covers [-1, 1] once on each half of the
@@ -281,7 +283,8 @@ class Profile:
                 raise ValueError("closed sphere must turn from sigma=0 to sigma=pi")
         d = ds if self.ds_dsigma is None else np.diff(self.sigma)
         h = float(d.mean())
-        if not np.allclose(d, h, rtol=1e-8, atol=1e-13):
+        # np.isclose's criterion against the mean step, rtol 1e-8 and atol 1e-13; a NaN step fails
+        if not np.all(np.abs(d - h) <= 1e-13 + 1e-8 * abs(h)):
             raise ValueError(f"profile samples are not uniformly spaced in {self.parametrization}")
         self.spacing = h if self.ds_dsigma is None else self.ds_dsigma * h
         if self.ds_dsigma is not None:
@@ -638,38 +641,25 @@ def _require_sphere_exists(g: GeometryParams, H: float) -> None:
 _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
-def _panel_column(edges: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """Node j of the 8-point Gauss-Legendre rule on each interval of ``edges``, and its weights."""
-    a = edges[:-1]
-    half = 0.5 * (edges[1:] - a)
-    return half * (_GL8_NODES[j] + 1.0) + a, half * _GL8_WEIGHTS[j]
-
-
 def _panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on each interval of ``edges``, as (intervals, 8) arrays."""
-    nodes, weights = zip(*(_panel_column(edges, j) for j in range(_GL8_NODES.size)))
-    return np.stack(nodes, axis=1), np.stack(weights, axis=1)
+    a = edges[:-1, None]
+    half = 0.5 * (edges[1:, None] - a)
+    return half * (_GL8_NODES + 1.0) + a, half * _GL8_WEIGHTS
 
 
-def _node_column_sum(column, lo: int = 0, hi: int = _GL8_NODES.size) -> tuple[np.ndarray, ...]:
-    """Sum the tuples of arrays ``column(j)`` over the 8 Gauss node columns j.
+def _mirrored_running_sum(rates: np.ndarray) -> np.ndarray:
+    """Running sum from 0 of the panel integrals of a profile even about its equator.
 
-    The columns are added in the order in which ``np.sum(..., axis=1)``
-    adds the 8 entries of a row, ((c0 + c1) + (c2 + c3)) + ((c4 + c5) +
-    (c6 + c7)), so the sums equal those of the (intervals, 8) node arrays
-    bit for bit.  Evaluating one column at a time keeps every array the
-    length of one column: (intervals, 8) arrays of a default profile are
-    128 KiB, glibc's mmap threshold, and allocating and freeing them on
-    every call faulted the freed pages back in on the next.  The recursion
-    is not a nested function: one that calls itself is a reference cycle,
-    which kept ``column`` and the sample grid it holds alive until the
-    cyclic garbage collector ran, and the heap grew and faulted meanwhile.
+    ``rates`` holds the weighted integrand at the Gauss nodes of the panels
+    left of the equator, as a (panels, 8) array; each row is summed with
+    ``np.sum(axis=1)``.  The panels right of the equator are those of the
+    left in mirror order, and their integrals are taken to be equal.  At
+    2049 samples ``rates`` is 64 KiB, below glibc's 128 KiB mmap threshold,
+    so the arrays of one call are reused from the heap by the next.
     """
-    if hi - lo == 1:
-        return column(lo)
-    mid = (lo + hi) // 2
-    halves = zip(_node_column_sum(column, lo, mid), _node_column_sum(column, mid, hi))
-    return tuple(a + b for a, b in halves)
+    left = np.sum(rates, axis=1)
+    return np.concatenate(([0.0], np.cumsum(np.concatenate((left, left[::-1])))))
 
 
 def generate_cmc_sphere(
@@ -691,7 +681,11 @@ def generate_cmc_sphere(
     has its nodes at the same offsets d_j from its left end s_i, so
     sin(w s) and cos(w s) there follow from their grid values by angle
     addition, and sin(sigma) = H sin(w s)/sqrt(H^2 sin^2(w s) + w^2 cos^2(w s))
-    needs no further transcendental function.
+    needs no further transcendental function.  v' is even about the
+    equator s = L/2, the middle sample, so the integrals are evaluated
+    for the intervals left of it, as one (intervals, 8) array, and
+    repeated in mirror order for those right of it.  s, sigma and u are
+    evaluated at every sample.
 
     The samples are checked as a shot sphere would be: the first integral
     J drifts by at most ``tolerances.conservation``, sigma increases
@@ -729,19 +723,15 @@ def generate_cmc_sphere(
         )
     # node j of every interval lies offset[j] past its left end in w s
     half = 0.5 * (grid[-1] - grid[0]) / (n_samples - 1)
-    offset, weights = w * half * (_GL8_NODES + 1.0), half * _GL8_WEIGHTS
+    offset = w * half * (_GL8_NODES + 1.0)
     cos_d, sin_d = np.cos(offset), np.sin(offset)
-    sin_left, cos_left = sin_ws[:-1], cos_ws[:-1]
-
-    def height_rate(j: int) -> tuple[np.ndarray]:
-        a = h_abs * (sin_left * cos_d[j] + cos_left * sin_d[j])
-        b = w * (cos_left * cos_d[j] - sin_left * sin_d[j])
-        sin_nodes = a / np.sqrt(a * a + b * b)
-        u_nodes = sin_nodes / h_abs
-        return (np.sqrt(1.0 + g.tau**2 * u_nodes * u_nodes) * sin_nodes * weights[j],)
-
-    (dv,) = _node_column_sum(height_rate)
-    v = np.concatenate(([0.0], np.cumsum(dv)))
+    sin_left, cos_left = sin_ws[: n_samples // 2, None], cos_ws[: n_samples // 2, None]
+    a = h_abs * (sin_left * cos_d + cos_left * sin_d)
+    b = w * (cos_left * cos_d - sin_left * sin_d)
+    sin_nodes = a / np.sqrt(a * a + b * b)
+    u_nodes = sin_nodes / h_abs
+    dv_nodes = np.sqrt(1.0 + g.tau**2 * u_nodes * u_nodes) * sin_nodes
+    v = _mirrored_running_sum(dv_nodes * (half * _GL8_WEIGHTS))
     drift = _j_drift(g, h_abs, u, sin_sig, tolerances.conservation)
     if not np.all(np.diff(sigma) > 0.0):
         raise IntegrationError("sigma is not monotone along the generated sphere")
@@ -929,37 +919,20 @@ def _require_admissible(g: GeometryParams, h_abs: float, coeffs: np.ndarray) -> 
     return _ModeShape(p, n, p_range, n_range, u_max)
 
 
-class _NodeColumn(NamedTuple):
-    """sin(sigma), t = cos(2 sigma) and the weight at one Gauss node of every panel."""
-
-    sin: np.ndarray
-    t: np.ndarray
-    weights: np.ndarray
-
-
-class _TurningAngleGrid(NamedTuple):
-    """Samples uniform in sigma on [0, pi], sin and t there, and the Gauss node columns between."""
-
-    sigma: np.ndarray
-    sin: np.ndarray
-    t: np.ndarray
-    columns: tuple[_NodeColumn, ...]
-
-
 @lru_cache(maxsize=4)
-def _turning_angle_grid(n_samples: int) -> _TurningAngleGrid:
+def _turning_angle_grid(n_samples: int) -> tuple[np.ndarray, ...]:
     """The shape-independent part of :func:`sphere_from_modes` at ``n_samples`` samples.
 
-    Built on the first call for a sample count; every array is read-only,
-    since every later call shares it.
+    Returns sigma uniform on [0, pi], sin(sigma) and t = cos(2 sigma) at the
+    samples, then sin, t and the weights at the Gauss nodes of the panels
+    left of the equator, as (panels, 8) arrays.  Built on the first call
+    for a sample count; every array is read-only, since every later call
+    shares it.
     """
     sigma = np.linspace(0.0, math.pi, n_samples)
-    columns = []
-    for j in range(_GL8_NODES.size):
-        nodes, weights = _panel_column(sigma, j)
-        columns.append(_NodeColumn(np.sin(nodes), np.cos(2.0 * nodes), weights))
-    grid = _TurningAngleGrid(sigma, np.sin(sigma), np.cos(2.0 * sigma), tuple(columns))
-    for a in (*grid[:3], *(a for column in columns for a in column)):
+    nodes, weights = _panel_nodes(sigma[: n_samples // 2 + 1])
+    grid = (sigma, np.sin(sigma), np.cos(2.0 * sigma), np.sin(nodes), np.cos(2.0 * nodes), weights)
+    for a in grid:
         a.flags.writeable = False
     return grid
 
@@ -985,33 +958,34 @@ def sphere_from_modes(
     steps, the arclength s(sigma) and the height v(sigma) are running sums
     of 8-point Gauss panels between consecutive samples, and ds/dsigma is
     kept at every sample.  Turning then spreads evenly over the samples,
-    also where ds/dsigma is small near the family's regularity edge.  What
-    depends on ``n_samples`` only, sin(sigma) and cos(2 sigma) at the
-    samples and at the Gauss nodes and the panel weights, is computed once
-    per sample count (:func:`_turning_angle_grid`).
+    also where ds/dsigma is small near the family's regularity edge.
+    ds/dsigma and dv/dsigma depend on sigma only through sin(sigma) and
+    t = cos(2 sigma), both even about pi/2, so the panels are evaluated
+    left of the equator only, as one (panels, 8) array, and repeated in
+    mirror order right of it; u and ds/dsigma are evaluated at every
+    sample.  ``n_samples`` must be odd so the equator is a sample.  What depends on ``n_samples`` only, sin(sigma) and
+    cos(2 sigma) at the samples and at the Gauss nodes and the panel
+    weights, is computed once per sample count (:func:`_turning_angle_grid`).
     """
     _require_sphere_exists(g, H)
+    if n_samples < 9 or n_samples % 2 == 0:
+        raise ValueError("n_samples must be odd and at least 9")
     coeffs = np.atleast_1d(np.asarray(coeffs, dtype=float))
     h_abs = abs(H)
     shape = _require_admissible(g, h_abs, coeffs)
 
-    grid = _turning_angle_grid(n_samples)
+    sigma, sin_samples, t_samples, sin_nodes, t_nodes, weights = _turning_angle_grid(n_samples)
 
     def radius_and_speed(sin_sig: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """u = sin(sigma) P/H and ds/dsigma = N / (H (1 + k u^2/4)) from sin(sigma) and t."""
         u = sin_sig * cheb.chebval(t, shape.p) / h_abs
         return u, cheb.chebval(t, shape.n) / (h_abs * (1.0 + 0.25 * g.k * u * u))
 
-    def arclength_and_height_rates(j: int) -> tuple[np.ndarray, np.ndarray]:
-        column = grid.columns[j]
-        u_nodes, ds_nodes = radius_and_speed(column.sin, column.t)
-        dv_nodes = np.sqrt(1.0 + g.tau**2 * u_nodes * u_nodes) * column.sin * ds_nodes
-        return ds_nodes * column.weights, dv_nodes * column.weights
-
-    ds, dv = _node_column_sum(arclength_and_height_rates)
-    s = np.concatenate(([0.0], np.cumsum(ds)))
-    v = np.concatenate(([0.0], np.cumsum(dv)))
-    u, ds_dsigma = radius_and_speed(grid.sin, grid.t)
+    u_nodes, ds_nodes = radius_and_speed(sin_nodes, t_nodes)
+    dv_nodes = np.sqrt(1.0 + g.tau**2 * u_nodes * u_nodes) * sin_nodes * ds_nodes
+    s = _mirrored_running_sum(ds_nodes * weights)
+    v = _mirrored_running_sum(dv_nodes * weights)
+    u, ds_dsigma = radius_and_speed(sin_samples, t_samples)
     u[0] = 0.0
     u[-1] = 0.0
 
@@ -1020,7 +994,7 @@ def sphere_from_modes(
         s=s,
         u=u,
         v=v,
-        sigma=grid.sigma,
+        sigma=sigma,
         geometry=g,
         mean_curvature=h_abs if is_cmc else None,
         closure=Closure.CLOSED_SPHERE,

@@ -1,10 +1,13 @@
-"""The sphere generators' Gauss panels as 2-D node arrays, the oracle of their column sums.
+"""The sphere generators' Gauss panels as 2-D node arrays, the oracle of their panel sums.
 
-``generate_cmc_sphere`` and ``sphere_from_modes`` add their 8-point Gauss
-panels one node column at a time.  This module evaluates the same
-integrands on (panels, 8) arrays of every node and sums each row with
-``np.sum(axis=1)``; the tests require the generators' samples to equal
-these bit for bit.
+``generate_cmc_sphere`` and ``sphere_from_modes`` evaluate their 8-point
+Gauss panels left of the equator only and repeat the panel integrals in
+mirror order right of it.  This module evaluates the same integrands on
+(panels, 8) arrays of the nodes, sums each row with ``np.sum(axis=1)``
+and mirrors the sums as well; the tests require the generators' samples to
+equal these bit for bit.  With ``mirror=False`` every panel of the full
+grid is evaluated and summed instead, the reference the mirrored sums
+must stay close to.
 """
 
 import math
@@ -26,7 +29,16 @@ def panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def cmc_sphere_samples(k: float, tau: float, H: float, n_samples: int) -> tuple[np.ndarray, ...]:
+def running_sum(panel_sums: np.ndarray, mirror: bool) -> np.ndarray:
+    """Running sum from 0 of ``panel_sums``, followed by the same sums in mirror order if ``mirror``."""
+    if mirror:
+        panel_sums = np.concatenate((panel_sums, panel_sums[::-1]))
+    return np.concatenate(([0.0], np.cumsum(panel_sums)))
+
+
+def cmc_sphere_samples(
+    k: float, tau: float, H: float, n_samples: int, mirror: bool = True
+) -> tuple[np.ndarray, ...]:
     """s, u, v and sigma of the closed-form CMC sphere of mean curvature |H|.
 
     Node j of every interval lies d_j = w half (x_j + 1) past its left end
@@ -41,14 +53,15 @@ def cmc_sphere_samples(k: float, tau: float, H: float, n_samples: int) -> tuple[
     half = 0.5 * (grid[-1] - grid[0]) / (n_samples - 1)
     offset = w * half * (_NODES + 1.0)
     cos_d, sin_d = np.cos(offset)[None, :], np.sin(offset)[None, :]
-    sin_left, cos_left = sin_ws[:-1, None], cos_ws[:-1, None]
+    panels = n_samples // 2 if mirror else n_samples - 1
+    sin_left, cos_left = sin_ws[:panels, None], cos_ws[:panels, None]
     a = h_abs * (sin_left * cos_d + cos_left * sin_d)
     b = w * (cos_left * cos_d - sin_left * sin_d)
     sin_nodes = a / np.sqrt(a * a + b * b)
     u_nodes = sin_nodes / h_abs
     weights = (half * _WEIGHTS)[None, :]
     dv = np.sum(np.sqrt(1.0 + tau**2 * u_nodes * u_nodes) * sin_nodes * weights, axis=1)
-    return grid, np.sin(sigma) / h_abs, np.concatenate(([0.0], np.cumsum(dv))), sigma
+    return grid, np.sin(sigma) / h_abs, running_sum(dv, mirror), sigma
 
 
 def cmc_sphere_direct_heights(k: float, tau: float, H: float, n_samples: int) -> np.ndarray:
@@ -64,7 +77,8 @@ def cmc_sphere_direct_heights(k: float, tau: float, H: float, n_samples: int) ->
 
 
 def mode_sphere_samples(
-    k: float, tau: float, H: float, p: np.ndarray, n: np.ndarray, n_samples: int
+    k: float, tau: float, H: float, p: np.ndarray, n: np.ndarray, n_samples: int,
+    mirror: bool = True,
 ) -> tuple[np.ndarray, ...]:
     """s, u, v, sigma and ds/dsigma of the mode-family sphere.
 
@@ -79,11 +93,11 @@ def mode_sphere_samples(
         return sin_sig, u, cheb.chebval(t, n) / (h_abs * (1.0 + 0.25 * k * u * u))
 
     sigma = np.linspace(0.0, math.pi, n_samples)
-    nodes, weights = panel_nodes(sigma)
+    nodes, weights = panel_nodes(sigma[: n_samples // 2 + 1] if mirror else sigma)
     sin_nodes, u_nodes, ds_nodes = radius_and_speed(nodes)
     dv_nodes = np.sqrt(1.0 + tau**2 * u_nodes * u_nodes) * sin_nodes * ds_nodes
-    s = np.concatenate(([0.0], np.cumsum(np.sum(ds_nodes * weights, axis=1))))
-    v = np.concatenate(([0.0], np.cumsum(np.sum(dv_nodes * weights, axis=1))))
+    s = running_sum(np.sum(ds_nodes * weights, axis=1), mirror)
+    v = running_sum(np.sum(dv_nodes * weights, axis=1), mirror)
     _, u, ds_dsigma = radius_and_speed(sigma)
     u[0] = 0.0
     u[-1] = 0.0

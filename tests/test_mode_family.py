@@ -232,9 +232,10 @@ def _assert_samples_equal_the_2d_panel_sums(k, tau, H, coeffs, n_samples):
         assert np.array_equal(column, oracle)
 
 
-class TestNodeColumnSums:
-    # sphere_from_modes sums node columns in np.sum's pairwise order, on a
-    # grid cached per sample count
+class TestMirroredPanelSums:
+    # sphere_from_modes sums the panels left of the equator in np.sum's
+    # pairwise order and repeats the sums in mirror order, on a grid cached
+    # per sample count
     @pytest.mark.parametrize("k, tau, H, coeffs, panels", ORACLE_SHAPES)
     def test_oracle_shapes_equal_the_2d_panel_sums(self, k, tau, H, coeffs, panels):
         _assert_samples_equal_the_2d_panel_sums(k, tau, H, coeffs, 2049)
@@ -246,21 +247,49 @@ class TestNodeColumnSums:
         _assert_samples_equal_the_2d_panel_sums(k, tau, -H, c, n_samples)
         _assert_samples_equal_the_2d_panel_sums(k, tau, H, c, n_samples)
 
+    @pytest.mark.parametrize("k, tau, H, coeffs, panels", ORACLE_SHAPES)
+    def test_samples_stay_at_the_full_grid_sums(self, k, tau, H, coeffs, panels):
+        # u, sigma and ds/dsigma are evaluated at every sample; s and v
+        # move from the sums over every panel by rounding only
+        g = GeometryParams(k, tau)
+        shape = _require_admissible(g, abs(H), np.array(coeffs))
+        p = sphere_from_modes(g, H, coeffs)
+        s, u, v, sigma, ds_dsigma = mode_sphere_samples(
+            k, tau, H, shape.p, shape.n, len(p), mirror=False
+        )
+        for column, oracle in ((p.u, u), (p.sigma, sigma), (p.ds_dsigma, ds_dsigma)):
+            assert np.array_equal(column, oracle)
+        for column, oracle in ((p.s, s), (p.v, v)):
+            assert np.max(np.abs(column - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+
+    @given(case=cases, c=coefficients)
+    def test_increments_are_mirror_symmetric(self, case, c):
+        # the panel sums mirror exactly, so mirrored increments differ by
+        # the rounding of two additions of the running sum: half an ulp of
+        # a value below the equator's, half an ulp of max|.| above it
+        k, tau, H = case
+        g = GeometryParams(k, tau)
+        assume(_admissible(g, H, np.array(c)))
+        p = sphere_from_modes(g, H, c, n_samples=257)
+        for column in (p.s, p.v):
+            increments = np.diff(column)
+            assert np.max(np.abs(increments - increments[::-1])) <= 0.75 * np.spacing(np.max(column))
+
     def test_grid_is_read_only(self):
         grid = _turning_angle_grid(257)
-        arrays = [grid.sigma, grid.sin, grid.t, *(a for column in grid.columns for a in column)]
-        assert len(arrays) == 3 + 3 * 8
-        for a in arrays:
+        assert len(grid) == 6
+        for a in grid:
             with pytest.raises(ValueError, match="read-only"):
-                a[0] = 0.0
+                a.flat[0] = 0.0
 
     def test_each_sample_count_has_its_own_grid(self):
         small, large = _turning_angle_grid(9), _turning_angle_grid(17)
         assert _turning_angle_grid(9) is small
-        assert (small.sigma.size, large.sigma.size) == (9, 17)
-        assert {column.sin.size for column in small.columns} == {8}
-        assert {column.weights.size for column in large.columns} == {16}
-        assert small.sigma[-1] == large.sigma[-1] == math.pi
+        # sigma, sin and t at the samples; sin, t and weights at the nodes
+        # of the panels left of the equator
+        assert [a.shape for a in small] == [(9,)] * 3 + [(4, 8)] * 3
+        assert [a.shape for a in large] == [(17,)] * 3 + [(8, 8)] * 3
+        assert small[0][-1] == large[0][-1] == math.pi
 
 
 @pytest.mark.parametrize("k, tau, H, coeffs, panels", ORACLE_SHAPES)

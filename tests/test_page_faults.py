@@ -1,14 +1,16 @@
 """Steady-state sphere construction faults in no new memory pages.
 
-The sphere generators sum their Gauss panels one node column at a time, so
-no step allocates a (panels, 8) array.  At 2049 samples such an array is
-128 KiB, glibc's mmap threshold: allocating and freeing them on every call
-had glibc hand the pages back and fault them in again, about 120 minor
-faults per sweep row and 1900 per ``verify_minimality`` call.  The first
-variation of ``verify_criticality`` carries (3, samples) tangent arrays, 48 KiB
-at 2049 samples, below that threshold.  The check
-runs in a fresh interpreter with glibc's default allocator settings, so
-that no other test's heap state leaks into it.
+The sphere generators evaluate their Gauss panels left of the equator
+only, so their (panels, 8) node arrays are 64 KiB at 2049 samples, below
+glibc's 128 KiB mmap threshold, and the heap reuses them from call to
+call.  (panels, 8) arrays over every panel are 128 KiB: allocating and
+freeing them on every call had glibc hand the pages back and fault them
+in again, about 120 minor faults per sweep row and 1900 per
+``verify_minimality`` call.  The first variation of
+``verify_criticality`` carries (3, samples) tangent arrays, 48 KiB at
+2049 samples, also below that threshold.  The check runs in a fresh
+interpreter with glibc's default allocator settings, so that no other
+test's heap state leaks into it.
 """
 
 import json

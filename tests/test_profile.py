@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -16,6 +17,7 @@ from thurston_willmore import (
     StopCondition,
     Tolerances,
     cmc_sigma_rate,
+    energy,
     first_integral,
     generate_cmc_sphere,
     integrate,
@@ -24,12 +26,26 @@ from thurston_willmore import (
     profile_first_integral,
     sphere_from_modes,
 )
-from thurston_willmore.experiments import default_acceptance_grid
+from thurston_willmore.experiments import default_acceptance_grid, default_perturbation_grid
 from thurston_willmore.numerics import derivative1
-from thurston_willmore.profile import ARCLENGTH, AXIS_SERIES_S0, TURNING_ANGLE
+from thurston_willmore.profile import (
+    ARCLENGTH,
+    AXIS_SERIES_S0,
+    TURNING_ANGLE,
+    _require_admissible,
+)
 
 from mode_oracle import reduced_sine_ratio
-from panel_oracle import cmc_sphere_direct_heights, cmc_sphere_samples
+from panel_oracle import cmc_sphere_direct_heights, cmc_sphere_samples, mode_sphere_samples
+
+
+# the acceptance grid, mirror surfaces, and k = -1 down to H^2 + k/4 = 1e-8
+HEIGHT_CASES = (
+    [(g.k, g.tau, H) for g, H in default_acceptance_grid()]
+    + [(0.0, 0.5, -1.0), (1.0, 0.6, 0.01)]
+    + [(-1.0, tau, math.sqrt(0.25 + m)) for tau in (-0.6, 0.0, 0.6)
+       for m in (1e-2, 1e-4, 1e-6, 1e-8)]
+)
 
 
 class TestOdeRhs:
@@ -213,7 +229,8 @@ class TestGenerateCmcSphere:
            for m in (1e-2, 1e-4, 1e-6)],
     )
     def test_samples_equal_the_2d_panel_sums(self, k, tau, H):
-        # the generator sums node columns in np.sum's pairwise order
+        # the generator sums the panels left of the equator in np.sum's
+        # pairwise order and repeats the sums in mirror order
         g = GeometryParams(k, tau)
         p = generate_cmc_sphere(g, H)
         expected = cmc_sphere_samples(g.k, g.tau, H, len(p))
@@ -222,18 +239,62 @@ class TestGenerateCmcSphere:
         j = profile_first_integral(g, abs(H), p)
         assert p.j_drift == float(np.max(np.abs(j - j[0])))
 
-    @pytest.mark.parametrize(
-        "k, tau, H",
-        [(g.k, g.tau, H) for g, H in default_acceptance_grid()]
-        + [(0.0, 0.5, -1.0), (1.0, 0.6, 0.01)]
-        + [(-1.0, tau, math.sqrt(0.25 + m)) for tau in (-0.6, 0.0, 0.6)
-           for m in (1e-2, 1e-4, 1e-6, 1e-8)],
-    )
+    @pytest.mark.parametrize("k, tau, H", HEIGHT_CASES)
     def test_heights_match_direct_node_values(self, k, tau, H):
         # angle addition at the Gauss nodes moves v by rounding only
         p = generate_cmc_sphere(GeometryParams(k, tau), H)
         direct = cmc_sphere_direct_heights(k, tau, H, len(p))
         assert np.max(np.abs(p.v - direct)) <= 1e-13 * np.max(np.abs(direct))
+
+    @pytest.mark.parametrize("k, tau, H", HEIGHT_CASES)
+    def test_samples_stay_at_the_full_grid_sums(self, k, tau, H):
+        # s, u and sigma are evaluated at every sample; v moves from the
+        # sums over every panel by rounding only
+        p = generate_cmc_sphere(GeometryParams(k, tau), H)
+        s, u, v, sigma = cmc_sphere_samples(k, tau, H, len(p), mirror=False)
+        for column, oracle in ((p.s, s), (p.u, u), (p.sigma, sigma)):
+            assert np.array_equal(column, oracle)
+        assert np.max(np.abs(p.v - v)) <= 1e-14 * np.max(np.abs(v))
+
+    @pytest.mark.parametrize("k, tau, H", HEIGHT_CASES)
+    def test_height_increments_are_mirror_symmetric(self, k, tau, H):
+        # the panel sums mirror exactly, so mirrored increments differ by
+        # the rounding of two additions of the running sum: half an ulp of
+        # a value below the equator's, half an ulp of max|v| above it
+        v = generate_cmc_sphere(GeometryParams(k, tau), H).v
+        increments = np.diff(v)
+        assert np.max(np.abs(increments - increments[::-1])) <= 0.75 * np.spacing(np.max(v))
+
+    def test_energies_equal_those_of_the_full_grid_sums(self):
+        # the energy reads u, sigma and the spacing, never s or v of a
+        # turning-angle profile or v of an arclength one: mirroring the
+        # panel sums leaves every report bit-identical
+        for g, H in default_acceptance_grid():
+            p = generate_cmc_sphere(g, H)
+            _, _, v, _ = cmc_sphere_samples(g.k, g.tau, H, len(p), mirror=False)
+            assert energy(p).to_dict() == energy(dataclasses.replace(p, v=v)).to_dict()
+            for spec in default_perturbation_grid():
+                coeffs = np.zeros(spec.mode)
+                coeffs[-1] = spec.epsilon
+                try:
+                    shape = _require_admissible(g, abs(H), coeffs)
+                except InadmissiblePerturbation:
+                    continue
+                q = sphere_from_modes(g, H, coeffs)
+                s, _, v, _, _ = mode_sphere_samples(
+                    g.k, g.tau, H, shape.p, shape.n, len(q), mirror=False
+                )
+                full = dataclasses.replace(q, s=s, v=v)
+                assert energy(q).to_dict() == energy(full).to_dict()
+
+    @pytest.mark.parametrize("n_samples", [1, 7, 10, 2048])
+    @pytest.mark.parametrize("generate", [
+        generate_cmc_sphere, lambda g, H, **kw: sphere_from_modes(g, H, [0.05], **kw),
+    ])
+    def test_sample_count_must_be_odd_and_at_least_9(self, generate, n_samples):
+        # the equator is a sample, so no panel mirrors onto itself
+        with pytest.raises(ValueError, match="n_samples must be odd and at least 9"):
+            generate(GeometryParams(0.0, 0.5), 1.0, n_samples=n_samples)
 
 
 class TestExistence:
@@ -390,6 +451,37 @@ class TestProfileContainer:
         s = np.array([0.0, 1.0, 2.0, 3.5, 4.0])
         with pytest.raises(ValueError, match="not uniformly spaced in arclength"):
             Profile(s=s, u=np.ones(5), v=np.zeros(5), sigma=np.zeros(5), geometry=g)
+
+    @pytest.mark.parametrize("parametrization", [ARCLENGTH, TURNING_ANGLE])
+    def test_uniform_spacing_is_relative_to_the_mean_step(self, parametrization):
+        # |d - h| <= 1e-13 + 1e-8 |h|, np.isclose's criterion against the mean step h
+        g = GeometryParams(0.0, 0.0)
+        x = np.linspace(0.0, 1.0, 101)
+
+        def build(samples):
+            columns = dict(s=samples, u=np.ones(101), v=np.zeros(101), sigma=np.zeros(101))
+            if parametrization == TURNING_ANGLE:
+                columns.update(sigma=samples, ds_dsigma=np.ones(101))
+            return Profile(geometry=g, parametrization=parametrization, **columns)
+
+        for off, uniform in ((5e-9, True), (2e-8, False)):
+            y = x.copy()
+            y[51:] += off * 0.01  # one step off by `off` relative
+            if uniform:
+                build(y)
+            else:
+                with pytest.raises(ValueError, match=f"not uniformly spaced in {parametrization}"):
+                    build(y)
+
+    def test_nan_step_is_not_uniform(self):
+        sigma = np.linspace(0.0, 1.0, 9)
+        sigma[4] = np.nan
+        with pytest.raises(ValueError, match="not uniformly spaced in turning_angle"):
+            Profile(
+                s=np.linspace(0.0, 1.0, 9), u=np.ones(9), v=np.zeros(9), sigma=sigma,
+                ds_dsigma=np.ones(9), geometry=GeometryParams(0.0, 0.0),
+                parametrization=TURNING_ANGLE,
+            )
 
     def test_turning_angle_spacing_is_read_only(self, perturbed):
         p = perturbed(0.0, 0.5, 1.0, 0.1, 1)
