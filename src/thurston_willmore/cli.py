@@ -16,7 +16,6 @@ Exit codes: 0 success, 1 invalid configuration or malformed input,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -50,6 +49,7 @@ from .profile import (
     Tolerances,
     generate_cmc_sphere,
     perturbed_sphere,
+    _write_csv,
     _write_json,
 )
 
@@ -333,11 +333,7 @@ def cmd_verify(config: RunConfig, which: str, trace_path: str | None = None) -> 
 def _write_trace(path: Path, prof: Profile, coeffs: FunctionalCoefficients) -> None:
     trace = residual_trace(prof, coeffs)
     columns = ["s", "u", "sigma", "H", "K", "nu", "residual"]
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in zip(*(trace[c] for c in columns)):
-            writer.writerow([repr(float(x)) for x in row])
+    _write_csv(path, columns, [trace[c] for c in columns])
 
 
 def cmd_sweep(config: RunConfig, spec_path: str) -> int:

@@ -17,11 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
 from itertools import product
 
 import numpy as np
-from numpy.polynomial import chebyshev as cheb
 
 from .functional import (
     FunctionalCoefficients,
@@ -51,13 +49,11 @@ from .profile import (
     generate_cmc_sphere,
     perturbed_sphere,
     sphere_from_modes,
-    _ModeShape,
-    _mode_basis,
-    _one_minus_t,
-    _panel_nodes,
+    _family_half_rule,
+    _family_nodes,
+    _family_panels,
     _require_admissible,
     _require_sphere_exists,
-    _zero_distance,
 )
 
 __all__ = [
@@ -451,94 +447,6 @@ def _minimality_failure(baseline, entries, tol: Tolerances) -> str | None:
 # -- Newton descent over the mode family ---------------------------------------
 
 
-# Gauss-Legendre panels in sigma of the family energy and its derivatives
-# (_family_half_rule).  The energy density is singular at the complex zeros
-# of N and P (poles), of B = 1 + k u^2/4 (poles) and of A^2 = 1 + tau^2 u^2
-# (branch points).  A shape whose nearest singularity lies at least
-# _FAMILY_POLE_MARGIN panel widths (pi/64 each) off [0, pi] gets 64 panels,
-# any other shape 1024.
-# On 16000 random admissible shapes (dims 1-3, k in [-3, 3], |tau| <= 2,
-# H down to 0.003 above the existence bound) the 64-panel sum is within
-# 6.3e-14 of 1024 panels wherever the singularity lies 2.5 widths off.
-# Poles of B are the strongest: 1.5-1.75 widths off they leave up to
-# 2.3e-11, 1.75-2 widths 1.5e-13.
-_FAMILY_PANELS = 64
-_FAMILY_FINE_PANELS = 1024
-_FAMILY_POLE_MARGIN = 2.5
-
-
-def _family_panels(g: GeometryParams, h_abs: float, shape: _ModeShape) -> int:
-    """Panel count for the family energy of an admissible mode shape."""
-    margin = _FAMILY_POLE_MARGIN * math.pi / _FAMILY_PANELS
-    distance = math.inf
-    # A real trigonometric polynomial f of degree K moves by at most
-    # max|f| (e^{K d} - 1) at distance d off the real axis.  P and N have
-    # degree 2M: their zeros are sought only when min f is within
-    # max f (e^{2 M margin} - 1) of 0.
-    growth = math.exp(2 * (shape.p.size - 1) * margin)
-    for series, (low, high) in ((shape.p, shape.p_range), (shape.n, shape.n_range)):
-        if low <= high * (growth - 1.0):
-            distance = min(distance, _zero_distance(series))
-    # 1 + a u^2 (A^2 with a = tau^2, B with a = k/4) vanishes only where
-    # u = +-1/sqrt(-a) (a < 0) or u = +-i/sqrt(a) (a > 0).  Within the
-    # margin, |u| <= max u e^{(2M + 1) margin} (u has degree 2M + 1), and with
-    # u = sin(sigma) P/H and delta = max|P - 1| on the real axis,
-    # |u| <= (cosh(margin) (1 + delta growth))/H and
-    # |Im u| <= (sinh(margin) (1 + delta growth) + cosh(margin) delta (growth - 1))/H.
-    p_low, p_high = shape.p_range
-    delta = max(p_high - 1.0, 1.0 - p_low)
-    reach = min(
-        shape.u_max * growth * math.exp(margin),
-        math.cosh(margin) * (1.0 + delta * growth) / h_abs,
-    )
-    imag_reach = min(
-        reach,
-        (math.sinh(margin) * (1.0 + delta * growth) + math.cosh(margin) * delta * (growth - 1.0))
-        / h_abs,
-    )
-    near = [
-        a
-        for a in (g.tau * g.tau, 0.25 * g.k)
-        if (imag_reach if a > 0.0 else reach) ** 2 * abs(a) >= 1.0
-    ]
-    if near:
-        u_sq = _one_minus_t(cheb.chebmul(shape.p, shape.p)) / (2.0 * h_abs * h_abs)
-        for a in near:
-            f = a * u_sq
-            f[0] += 1.0
-            distance = min(distance, _zero_distance(f))
-    return _FAMILY_PANELS if distance >= margin else _FAMILY_FINE_PANELS
-
-
-@lru_cache(maxsize=None)
-def _family_half_rule(panels: int, dims: int) -> tuple[np.ndarray, ...]:
-    """The family's Gauss rule on [0, pi/2]: weights, sin, cos, t = cos(2 sigma), mode terms.
-
-    The rule is ``panels`` 8-point Gauss panels on [0, pi].  The family
-    density depends on sigma only through sin(sigma), cos^2(sigma) and
-    t = cos(2 sigma), all even about pi/2, and the panels mirror about
-    pi/2: the nodes of the first half, with doubled weights, give the sum
-    over all nodes.  The mode terms are (dims, nodes) arrays, the values of
-    the mode-m Chebyshev series of :func:`_mode_basis` at t.
-    """
-    sig, weights = (
-        a.ravel()[: a.size // 2] for a in _panel_nodes(np.linspace(0.0, math.pi, panels + 1))
-    )
-    modulation, numerator, _, _ = _mode_basis(dims)
-    t = np.cos(2.0 * sig)
-    rule = (
-        2.0 * weights,
-        np.sin(sig),
-        np.cos(sig),
-        t,
-        cheb.chebval(t, modulation.T),
-        cheb.chebval(t, numerator.T),
-    )
-    for a in rule:
-        a.flags.writeable = False
-    return rule
-
-
 def _family_energy(
     g: GeometryParams,
     H: float,
@@ -549,8 +457,10 @@ def _family_energy(
 ):
     """Family energy E, or with ``derivatives`` (E, gradient, Hessian), for any (alpha, beta).
 
-    One Gauss sum on the half rule of :func:`_family_panels` panels.  At
-    each node the density is rho = G M, with G = H_m^2 + C/A^2 + D and
+    One Gauss sum on the half rule of :func:`_family_panels` panels, half
+    the integral over [0, pi], times 4 pi; the node terms are
+    :func:`_family_nodes`'s, as in :func:`sphere_from_modes`.  At each
+    node the density is rho = G M, with G = H_m^2 + C/A^2 + D and
     M = u A N/(H B^2) = mu ds/dsigma; it depends on the coefficients only
     through P and N (their Chebyshev series in t = cos(2 sigma)), both linear
     in them.  The derivatives are the partials of rho in (P, N), hand-derived
@@ -569,15 +479,8 @@ def _family_energy(
     alpha, beta = functional_coeffs.alpha, functional_coeffs.beta
     # The series, not the rule's mode terms: near the regularity edge
     # (min N ~ 1e-4) summing the mode terms moves the energy by up to 1e-13.
-    p = cheb.chebval(t, shape.p)
-    n = cheb.chebval(t, shape.n)
-    u = sin_sig * p / h
-    ku, tu = k4 * u, tau2 * u
-    # A^2 = 1 + tau^2 u^2 and B = 1 + k u^2/4
-    a2 = 1.0 + tu * u
+    p, n, u, a2, b, ds_dsigma = _family_nodes(g, h, shape, sin_sig, t)
     A = np.sqrt(a2)
-    b = 1.0 + ku * u
-    ds_dsigma = n / (h * b)
     # H_m with sin(sigma)/u = H/P in closed form, no pole at the ends.
     # C/A^2 = alpha (k - 4 tau^2) nu^2.
     turning = 1.0 / ds_dsigma
@@ -587,13 +490,14 @@ def _family_energy(
     G = hm * hm + e + beta + alpha * tau * tau
     mu = u * A / b
     # w (G mu) ds/dsigma in this order: near the apex edge a reordering moves E by ~1e-11
-    value = 2.0 * math.pi * float(np.dot(weights, G * mu * ds_dsigma))
+    value = FOUR_PI * float(np.dot(weights, G * mu * ds_dsigma))
     if not derivatives:
         return value
     M = weights * mu * ds_dsigma
     inv_p, inv_n, inv_b, inv_a2 = 1.0 / p, 1.0 / n, 1.0 / b, 1.0 / a2
     inv_p2 = inv_p * inv_p
     r = sin_sig / h  # du/dP
+    ku, tu = k4 * u, tau2 * u
     kru, krr = ku * r, k4 * r * r
     # first P-derivatives lb, la of log B and log A^2, and the partials of H_m
     lb = 2.0 * kru * inv_b
@@ -622,7 +526,7 @@ def _family_energy(
     hessian = np.einsum("in,jn->ij", p_modes * rho_pp + n_modes * rho_pn, p_modes) + np.einsum(
         "in,jn->ij", p_modes * rho_pn + n_modes * rho_nn, n_modes
     )
-    return value, 2.0 * math.pi * gradient, 2.0 * math.pi * hessian
+    return value, FOUR_PI * gradient, FOUR_PI * hessian
 
 
 def mode_family_energy(

@@ -354,11 +354,7 @@ class Profile:
         """
         path = Path(path)
         columns = self._columns()
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(columns)
-            for row in zip(*(getattr(self, name) for name in columns)):
-                writer.writerow([repr(float(x)) for x in row])
+        _write_csv(path, columns, [getattr(self, name) for name in columns])
         _write_json(self._sidecar_path(path), {**self.metadata(), **(metadata or {})})
 
     @staticmethod
@@ -403,6 +399,15 @@ class Profile:
         return cls._from_metadata(
             data, *(np.array([float(x) for x in samples[name]]) for name in columns)
         )
+
+
+def _write_csv(path: Path, columns, arrays) -> None:
+    """A header row of ``columns``, then one row per sample of ``arrays``, floats round-trip."""
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        for row in zip(*arrays):
+            writer.writerow([repr(float(x)) for x in row])
 
 
 def _write_json(path: Path, document: dict) -> None:
@@ -921,20 +926,41 @@ def _require_admissible(g: GeometryParams, h_abs: float, coeffs: np.ndarray) -> 
 
 @lru_cache(maxsize=4)
 def _turning_angle_grid(n_samples: int) -> tuple[np.ndarray, ...]:
-    """The shape-independent part of :func:`sphere_from_modes` at ``n_samples`` samples.
+    """The mode family's sigma grid and Gauss panels at ``n_samples`` samples.
 
     Returns sigma uniform on [0, pi], sin(sigma) and t = cos(2 sigma) at the
-    samples, then sin, t and the weights at the Gauss nodes of the panels
-    left of the equator, as (panels, 8) arrays.  Built on the first call
-    for a sample count; every array is read-only, since every later call
-    shares it.
+    samples, then sin, cos, t and the weights at the Gauss nodes of the
+    panels left of the equator, as (panels, 8) arrays.  Built on the first
+    call for a sample count; every array is read-only, since every later
+    call shares it.  The family energy's rule is its nodes (:func:`_family_half_rule`).
     """
     sigma = np.linspace(0.0, math.pi, n_samples)
     nodes, weights = _panel_nodes(sigma[: n_samples // 2 + 1])
-    grid = (sigma, np.sin(sigma), np.cos(2.0 * sigma), np.sin(nodes), np.cos(2.0 * nodes), weights)
+    grid = (sigma, np.sin(sigma), np.cos(2.0 * sigma), np.sin(nodes), np.cos(nodes))
+    grid += (np.cos(2.0 * nodes), weights)
     for a in grid:
         a.flags.writeable = False
     return grid
+
+
+def _family_nodes(g: GeometryParams, h_abs: float, shape: _ModeShape, sin_sig, t) -> tuple:
+    """P, N, u, A^2, B and ds/dsigma of a family shape at sin(sigma) and t = cos(2 sigma).
+
+    P and N come from their Chebyshev series, u = sin(sigma) P/H,
+    A^2 = 1 + tau^2 u^2, B = 1 + k u^2/4 and ds/dsigma = N/(H B).
+    """
+    p, n = cheb.chebval(t, shape.p), cheb.chebval(t, shape.n)
+    # In place, with the roundings of sin(sigma) P/H, 1 + (c u) u and N/(H B): fewer
+    # 64 KiB temporaries (sphere_from_modes peaks at 385 KiB, not 449, at 2049 samples).
+    u = sin_sig * p
+    u /= h_abs
+    a2, b = g.tau * g.tau * u, 0.25 * g.k * u
+    for f in (a2, b):
+        f *= u
+        f += 1.0
+    ds_dsigma = h_abs * b
+    np.divide(n, ds_dsigma, out=ds_dsigma)
+    return p, n, u, a2, b, ds_dsigma
 
 
 def sphere_from_modes(
@@ -952,8 +978,7 @@ def sphere_from_modes(
     :class:`InadmissiblePerturbation` when the shape is not a regular
     profile (ds/dsigma <= 0 somewhere) or leaves the domain; the decision
     is exact, on the Chebyshev series of P and N in cos(2 sigma)
-    (:func:`_require_admissible`), and u and ds/dsigma are evaluated from
-    the same series.  The samples are uniform in the turning
+    (:func:`_require_admissible`).  The samples are uniform in the turning
     angle (``TURNING_ANGLE``): sigma runs from 0 to pi in ``n_samples - 1``
     steps, the arclength s(sigma) and the height v(sigma) are running sums
     of 8-point Gauss panels between consecutive samples, and ds/dsigma is
@@ -961,11 +986,11 @@ def sphere_from_modes(
     also where ds/dsigma is small near the family's regularity edge.
     ds/dsigma and dv/dsigma depend on sigma only through sin(sigma) and
     t = cos(2 sigma), both even about pi/2, so the panels are evaluated
-    left of the equator only, as one (panels, 8) array, and repeated in
-    mirror order right of it; u and ds/dsigma are evaluated at every
-    sample.  ``n_samples`` must be odd so the equator is a sample.  What depends on ``n_samples`` only, sin(sigma) and
-    cos(2 sigma) at the samples and at the Gauss nodes and the panel
-    weights, is computed once per sample count (:func:`_turning_angle_grid`).
+    left of the equator only and repeated in mirror order right of it.
+    u and ds/dsigma at the nodes and samples come from the family energy's
+    node evaluator (:func:`_family_nodes`) on the grid cached per sample
+    count (:func:`_turning_angle_grid`).  ``n_samples`` must be odd so the
+    equator is a sample.
     """
     _require_sphere_exists(g, H)
     if n_samples < 9 or n_samples % 2 == 0:
@@ -974,18 +999,11 @@ def sphere_from_modes(
     h_abs = abs(H)
     shape = _require_admissible(g, h_abs, coeffs)
 
-    sigma, sin_samples, t_samples, sin_nodes, t_nodes, weights = _turning_angle_grid(n_samples)
-
-    def radius_and_speed(sin_sig: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """u = sin(sigma) P/H and ds/dsigma = N / (H (1 + k u^2/4)) from sin(sigma) and t."""
-        u = sin_sig * cheb.chebval(t, shape.p) / h_abs
-        return u, cheb.chebval(t, shape.n) / (h_abs * (1.0 + 0.25 * g.k * u * u))
-
-    u_nodes, ds_nodes = radius_and_speed(sin_nodes, t_nodes)
-    dv_nodes = np.sqrt(1.0 + g.tau**2 * u_nodes * u_nodes) * sin_nodes * ds_nodes
+    sigma, sin_samples, t_samples, sin_nodes, _, t_nodes, weights = _turning_angle_grid(n_samples)
+    _, _, _, a2_nodes, _, ds_nodes = _family_nodes(g, h_abs, shape, sin_nodes, t_nodes)
     s = _mirrored_running_sum(ds_nodes * weights)
-    v = _mirrored_running_sum(dv_nodes * weights)
-    u, ds_dsigma = radius_and_speed(sin_samples, t_samples)
+    v = _mirrored_running_sum(np.sqrt(a2_nodes) * sin_nodes * ds_nodes * weights)
+    _, _, u, _, _, ds_dsigma = _family_nodes(g, h_abs, shape, sin_samples, t_samples)
     u[0] = 0.0
     u[-1] = 0.0
 
@@ -1018,3 +1036,83 @@ def perturbed_sphere(
     coeffs = np.zeros(spec.mode)
     coeffs[spec.mode - 1] = spec.epsilon
     return sphere_from_modes(g, H, coeffs, n_samples=n_samples)
+
+
+# Gauss-Legendre panels in sigma of the family energy and its derivatives
+# (_family_half_rule).  The energy density is singular at the complex zeros
+# of N and P (poles), of B = 1 + k u^2/4 (poles) and of A^2 = 1 + tau^2 u^2
+# (branch points).  A shape whose nearest singularity lies at least
+# _FAMILY_POLE_MARGIN panel widths (pi/64 each) off [0, pi] gets 64 panels,
+# any other shape 1024.
+# On 16000 random admissible shapes (dims 1-3, k in [-3, 3], |tau| <= 2,
+# H down to 0.003 above the existence bound) the 64-panel sum is within
+# 6.3e-14 of 1024 panels wherever the singularity lies 2.5 widths off.
+# Poles of B are the strongest: 1.5-1.75 widths off they leave up to
+# 2.3e-11, 1.75-2 widths 1.5e-13.
+_FAMILY_PANELS = 64
+_FAMILY_FINE_PANELS = 1024
+_FAMILY_POLE_MARGIN = 2.5
+
+
+def _family_panels(g: GeometryParams, h_abs: float, shape: _ModeShape) -> int:
+    """Panel count for the family energy of an admissible mode shape."""
+    margin = _FAMILY_POLE_MARGIN * math.pi / _FAMILY_PANELS
+    distance = math.inf
+    # A real trigonometric polynomial f of degree K moves by at most
+    # max|f| (e^{K d} - 1) at distance d off the real axis.  P and N have
+    # degree 2M: their zeros are sought only when min f is within
+    # max f (e^{2 M margin} - 1) of 0.
+    growth = math.exp(2 * (shape.p.size - 1) * margin)
+    for series, (low, high) in ((shape.p, shape.p_range), (shape.n, shape.n_range)):
+        if low <= high * (growth - 1.0):
+            distance = min(distance, _zero_distance(series))
+    # 1 + a u^2 (A^2 with a = tau^2, B with a = k/4) vanishes only where
+    # u = +-1/sqrt(-a) (a < 0) or u = +-i/sqrt(a) (a > 0).  Within the
+    # margin, |u| <= max u e^{(2M + 1) margin} (u has degree 2M + 1), and with
+    # u = sin(sigma) P/H and delta = max|P - 1| on the real axis,
+    # |u| <= (cosh(margin) (1 + delta growth))/H and
+    # |Im u| <= (sinh(margin) (1 + delta growth) + cosh(margin) delta (growth - 1))/H.
+    p_low, p_high = shape.p_range
+    delta = max(p_high - 1.0, 1.0 - p_low)
+    reach = min(
+        shape.u_max * growth * math.exp(margin),
+        math.cosh(margin) * (1.0 + delta * growth) / h_abs,
+    )
+    imag_reach = min(
+        reach,
+        (math.sinh(margin) * (1.0 + delta * growth) + math.cosh(margin) * delta * (growth - 1.0))
+        / h_abs,
+    )
+    near = [
+        a
+        for a in (g.tau * g.tau, 0.25 * g.k)
+        if (imag_reach if a > 0.0 else reach) ** 2 * abs(a) >= 1.0
+    ]
+    if near:
+        u_sq = _one_minus_t(cheb.chebmul(shape.p, shape.p)) / (2.0 * h_abs * h_abs)
+        for a in near:
+            f = a * u_sq
+            f[0] += 1.0
+            distance = min(distance, _zero_distance(f))
+    return _FAMILY_PANELS if distance >= margin else _FAMILY_FINE_PANELS
+
+
+@lru_cache(maxsize=None)
+def _family_half_rule(panels: int, dims: int) -> tuple[np.ndarray, ...]:
+    """The family's Gauss rule on [0, pi/2]: weights, sin, cos, t = cos(2 sigma), mode terms.
+
+    The rule is ``panels`` 8-point Gauss panels on [0, pi], those of
+    :func:`_turning_angle_grid` at ``panels + 1`` samples.  The family
+    density depends on sigma only through sin(sigma), cos^2(sigma) and
+    t = cos(2 sigma), all even about pi/2, and the panels mirror about
+    pi/2: the nodes left of it, with their own weights, give half the sum
+    over all nodes.  The node arrays are raveled views of the grid's; the
+    mode terms are (dims, nodes) arrays, the mode-m Chebyshev series of
+    :func:`_mode_basis` at t.
+    """
+    _, _, _, sin_sig, cos_sig, t, weights = (a.ravel() for a in _turning_angle_grid(panels + 1))
+    modulation, numerator, _, _ = _mode_basis(dims)
+    modes = (cheb.chebval(t, modulation.T), cheb.chebval(t, numerator.T))
+    for a in modes:
+        a.flags.writeable = False
+    return weights, sin_sig, cos_sig, t, *modes

@@ -7,7 +7,8 @@ mirror order right of it.  This module evaluates the same integrands on
 and mirrors the sums as well; the tests require the generators' samples to
 equal these bit for bit.  With ``mirror=False`` every panel of the full
 grid is evaluated and summed instead, the reference the mirrored sums
-must stay close to.
+must stay close to.  :func:`family_half_rule` is the family energy's rule
+as the package first built it, from the panels of the whole of [0, pi].
 """
 
 import math
@@ -15,7 +16,7 @@ import math
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
-from thurston_willmore.profile import AXIS_SERIES_S0
+from thurston_willmore.profile import AXIS_SERIES_S0, _mode_basis
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(8)
 
@@ -102,3 +103,26 @@ def mode_sphere_samples(
     u[0] = 0.0
     u[-1] = 0.0
     return s, u, v, sigma, ds_dsigma
+
+
+def family_half_rule(panels: int, dims: int) -> tuple[np.ndarray, ...]:
+    """The family energy's Gauss rule from ``panels`` 8-point panels over all of [0, pi].
+
+    The first half of the raveled nodes, with doubled weights: the energy
+    on this rule is 2 pi times the weighted sum.  Returns the weights,
+    sin, cos and t = cos(2 sigma) at the nodes, and the mode terms of P
+    and of N at t, as the package's ``_family_half_rule`` does.
+    """
+    sig, weights = (
+        a.ravel()[: a.size // 2] for a in panel_nodes(np.linspace(0.0, math.pi, panels + 1))
+    )
+    modulation, numerator, _, _ = _mode_basis(dims)
+    t = np.cos(2.0 * sig)
+    return (
+        2.0 * weights,
+        np.sin(sig),
+        np.cos(sig),
+        t,
+        cheb.chebval(t, modulation.T),
+        cheb.chebval(t, numerator.T),
+    )

@@ -128,6 +128,19 @@ class TestGenerate:
         assert "unrecognized arguments: --tol-rtol" in capsys.readouterr().err
 
 
+def _set_column(rows, i, column, value):
+    """``rows`` (profile CSV lines) with ``column`` of row ``i`` set to ``value``."""
+    cells = rows[i].split(",")
+    cells[column] = value
+    return [*rows[:i], ",".join(cells), *rows[i + 1:]]
+
+
+def _scaled_sigma(row):
+    """A profile CSV line with sigma halved: the profile turns from 0 to pi/2."""
+    s, u, v, sigma, *rest = row.split(",")
+    return ",".join([s, u, v, repr(0.5 * float(sigma)), *rest])
+
+
 class TestEnergy:
     def test_round_trip_energy_matches_in_memory(self, tmp_path, capsys, sphere):
         out = tmp_path / "sphere.csv"
@@ -180,6 +193,39 @@ class TestEnergy:
         bad.write_text("s,u\n0.0,0.0\n")
         (tmp_path / "bad.csv.json").write_text("{}")
         assert run(["energy", bad]) == 1
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda rows: rows[:4], "profile needs at least 5 samples"),
+            (lambda rows: _set_column(rows, 10, 1, "-0.5"), "u must be nonnegative"),
+            (
+                lambda rows: _set_column(rows, 10, 1, "3.0"),
+                "profile leaves the domain of the geometry",
+            ),
+            (
+                lambda rows: [_scaled_sigma(row) for row in rows],
+                "closed sphere must turn from sigma=0 to sigma=pi",
+            ),
+        ],
+        ids=["four-samples", "negative-u", "u-beyond-domain", "sigma-to-half-pi"],
+    )
+    def test_invalid_profile_samples_exit_1(self, tmp_path, capsys, sphere, edit, message):
+        # k = -1: the domain radius is 2
+        path = tmp_path / "sphere.csv"
+        sphere(-1.0, -0.5, 0.8).to_csv(path)
+        header, *rows = path.read_text().splitlines()
+        path.write_text("\n".join([header, *edit(rows)]) + "\n")
+        assert run(["energy", path]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"error: malformed profile file {path}: {message}\n"
+
+    def test_missing_sidecar_exits_3(self, tmp_path, capsys, sphere):
+        path = tmp_path / "sphere.csv"
+        sphere(0.0, 0.5, 1.0).to_csv(path)
+        path.with_name("sphere.csv.json").unlink()
+        assert run(["energy", path]) == cli.EXIT_IO == 3
+        assert capsys.readouterr().err == f"error: missing profile sidecar {path}.json\n"
 
     def test_non_uniform_profile_exits_1(self, tmp_path, capsys, sphere):
         path = tmp_path / "sphere.csv"
@@ -325,6 +371,13 @@ class TestVerify:
         )
         assert code == cli.EXIT_CONFIG
         assert "pulled into the family" in capsys.readouterr().err
+
+    def test_near_boundary_descent_fails_its_final_shape_check(self, tmp_path, capsys):
+        out = tmp_path / "descent.json"
+        code = run(["verify", "descent", "--k", -1, "--tau", -0.5, "--H", 0.5001, "--out", out])
+        assert code == cli.EXIT_VERIFICATION
+        assert "final shape check failed after 11 iterations" in capsys.readouterr().err
+        assert json.loads(out.read_text())["report"]["stop_reason"] == "final shape check failed"
 
     def test_descent_failure_names_the_stop_reason(self, tmp_path, capsys):
         code = run(
@@ -732,6 +785,31 @@ class TestExitCodes:
         out = tmp_path / "out.json"
         assert run(["verify", "minimality", "--config", cfg, "-o", out]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error: tol-energy must be finite and at least 0")
+        assert not out.exists()
+
+    def test_generate_without_geometry_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run(["generate", "--H", 1, "-o", out]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: k and tau are required (flags --k/--tau or config file)\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"tolerances": 5}, "config file must be a JSON object, its tolerances one too"),
+            ({"tolerances": {"bogus": 1}}, "unknown tolerance 'bogus' in config file"),
+            ({"format": "xml"}, "format must be csv or json, got 'xml'"),
+        ],
+        ids=["tolerances-not-object", "unknown-tolerance", "unknown-format"],
+    )
+    def test_bad_config_file_entry_is_a_config_error(self, tmp_path, capsys, entry, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"k": 0.0, "tau": 0.5, "H": 1.0, **entry}))
+        out = tmp_path / "x.csv"
+        assert run(["generate", "--config", cfg, "-o", out]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", [["generate"], ["verify", "criticality"]])

@@ -325,6 +325,35 @@ class TestDescent:
             f" (gradient norm {report.gradient_norm:.3e})"
         )
 
+    def test_near_boundary_descent_fails_the_final_shape_check(self):
+        # H^2 + k/4 = 1e-4: the family energy converges, the sampled sphere misses 4 pi
+        # (a graded sigma grid, ROADMAP item 4, is to make this case converge)
+        report = descend_energy(GeometryParams(-1.0, -0.5), 0.5001, 3)
+        assert report.stop_reason == "final shape check failed"
+        assert not report.converged
+        assert report.iterations == 11
+        assert abs(report.energy_final - FOUR_PI) >= Tolerances().energy
+        assert report.failure.startswith(
+            "descent not converged: final shape check failed after 11 iterations"
+        )
+
+    def test_line_search_stall_stops_the_descent(self, nil_geometry, monkeypatch):
+        # every trial after the start reads infinite: no step lowers the energy
+        real, calls = experiments.mode_family_energy, []
+
+        def start_only(*args):
+            calls.append(args)
+            return real(*args) if len(calls) == 1 else math.inf
+
+        monkeypatch.setattr(experiments, "mode_family_energy", start_only)
+        report = descend_energy(nil_geometry, 1.0, 1)
+        assert report.stop_reason == "line search stalled"
+        assert report.iterations == 1
+        assert len(calls) == 51  # the start, then 50 halvings
+        # no step was taken: the descent ends at the pulled-in start
+        assert np.array_equal(report.coefficients_final, calls[0][2])
+        assert not report.converged
+
     def test_rejects_mode_beyond_family(self, nil_geometry):
         with pytest.raises(ValueError):
             descend_energy(nil_geometry, 1.0, 1, start=PerturbationSpec(0.1, 2))

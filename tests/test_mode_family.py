@@ -24,7 +24,7 @@ from thurston_willmore import (
     energy,
     sphere_from_modes,
 )
-from thurston_willmore import experiments
+from thurston_willmore import experiments, profile
 from thurston_willmore.experiments import (
     FOUR_PI,
     SECOND_SUMMAND_TOL,
@@ -44,7 +44,7 @@ from thurston_willmore.profile import (
 )
 
 from mode_oracle import mode_shape
-from panel_oracle import mode_sphere_samples
+from panel_oracle import family_half_rule, mode_sphere_samples
 
 # (k, tau, H): Nil, H^2 x R near its domain edge, SL(2, R)-type, Berger
 GEOMETRIES = [(0.0, 0.5, 1.0), (-1.0, 0.0, 0.6), (-1.0, -0.5, 0.8), (1.0, 0.3, 0.6)]
@@ -277,7 +277,7 @@ class TestMirroredPanelSums:
 
     def test_grid_is_read_only(self):
         grid = _turning_angle_grid(257)
-        assert len(grid) == 6
+        assert len(grid) == 7
         for a in grid:
             with pytest.raises(ValueError, match="read-only"):
                 a.flat[0] = 0.0
@@ -285,10 +285,10 @@ class TestMirroredPanelSums:
     def test_each_sample_count_has_its_own_grid(self):
         small, large = _turning_angle_grid(9), _turning_angle_grid(17)
         assert _turning_angle_grid(9) is small
-        # sigma, sin and t at the samples; sin, t and weights at the nodes
-        # of the panels left of the equator
-        assert [a.shape for a in small] == [(9,)] * 3 + [(4, 8)] * 3
-        assert [a.shape for a in large] == [(17,)] * 3 + [(8, 8)] * 3
+        # sigma, sin and t at the samples; sin, cos, t and weights at the
+        # nodes of the panels left of the equator
+        assert [a.shape for a in small] == [(9,)] * 3 + [(4, 8)] * 4
+        assert [a.shape for a in large] == [(17,)] * 3 + [(8, 8)] * 4
         assert small[0][-1] == large[0][-1] == math.pi
 
 
@@ -301,6 +301,38 @@ def test_family_energy_matches_mpmath_oracle(k, tau, H, coeffs, panels):
 
 
 PLAIN_WILLMORE = FunctionalCoefficients(alpha=1.0, beta=0.0)
+
+
+class TestFamilyRuleOracle:
+    # The package sums the rule of _turning_angle_grid at panels + 1 samples
+    # with undoubled weights and scales by 4 pi; the oracle rule doubles its
+    # weights, so the package's energy on it is twice the 2 pi sum, exactly.
+    @pytest.mark.parametrize("functional_coeffs", [None, PLAIN_WILLMORE], ids=["canonical", "plain"])
+    @pytest.mark.parametrize("panels", [64, 1024])
+    @pytest.mark.parametrize("k, tau, H, coeffs", [shape[:4] for shape in ORACLE_SHAPES])
+    def test_energy_and_derivatives_equal_the_oracle_rule(
+        self, k, tau, H, coeffs, panels, functional_coeffs
+    ):
+        g = GeometryParams(k, tau)
+        with patch.object(experiments, "_family_panels", lambda *_: panels):
+            value, gradient, hessian = _family_energy(
+                g, H, coeffs, functional_coeffs, derivatives=True
+            )
+            with patch.object(experiments, "_family_half_rule", family_half_rule):
+                doubled = _family_energy(g, H, coeffs, functional_coeffs, derivatives=True)
+        assert value == 0.5 * doubled[0]
+        assert np.array_equal(gradient, 0.5 * doubled[1])
+        assert np.array_equal(hessian, 0.5 * doubled[2])
+
+    @pytest.mark.parametrize("panels", [64, 1024])
+    @pytest.mark.parametrize("dims", [1, 3])
+    def test_rule_is_the_first_half_of_the_full_grid(self, panels, dims):
+        rule = profile._family_half_rule(panels, dims)
+        oracle = family_half_rule(panels, dims)
+        assert np.array_equal(2.0 * rule[0], oracle[0])
+        for package, expected in zip(rule[1:], oracle[1:], strict=True):
+            assert np.array_equal(package, expected)
+            assert not package.flags.writeable
 
 
 def _assert_one_energy(g, H, c, functional_coeffs):
@@ -453,9 +485,9 @@ def test_coarse_panels_match_fine_panels(case, c):
         shape = _require_admissible(g, H, c)
     except InadmissiblePerturbation:
         assume(False)
-    assume(_family_panels(g, H, shape) == experiments._FAMILY_PANELS)
+    assume(_family_panels(g, H, shape) == profile._FAMILY_PANELS)
     coarse = mode_family_energy(g, H, c)
-    with patch.object(experiments, "_family_panels", lambda *_: experiments._FAMILY_FINE_PANELS):
+    with patch.object(experiments, "_family_panels", lambda *_: profile._FAMILY_FINE_PANELS):
         fine = mode_family_energy(g, H, c)
     assert coarse == pytest.approx(fine, rel=1e-12)
 
@@ -478,8 +510,8 @@ def test_panel_rule_sees_every_near_singularity(case, c):
         f = a * u_sq
         f[0] += 1.0
         distances.append(_zero_distance(f))
-    margin = experiments._FAMILY_POLE_MARGIN * math.pi / experiments._FAMILY_PANELS
+    margin = profile._FAMILY_POLE_MARGIN * math.pi / profile._FAMILY_PANELS
     coarse = min(distances) >= margin
     assert _family_panels(g, H, shape) == (
-        experiments._FAMILY_PANELS if coarse else experiments._FAMILY_FINE_PANELS
+        profile._FAMILY_PANELS if coarse else profile._FAMILY_FINE_PANELS
     )

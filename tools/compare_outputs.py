@@ -1,0 +1,111 @@
+"""Compare the ``tw`` outputs of two source trees byte for byte.
+
+Usage::
+
+    python tools/compare_outputs.py PARENT_SRC CHANGE_SRC
+
+Each argument is a directory that holds the ``thurston_willmore`` package
+(a checkout's ``src``).  For each tree, in a temporary directory of its
+own, the script runs the README's command block in order, then
+``EXTRA_RUNS``: 26 ``tw`` runs in all, as ``python -m
+thurston_willmore.cli`` with that tree first on ``PYTHONPATH``.  Every
+path is relative to the temporary directory, so no output names it.
+After each run it reads every file in the directory.  It prints each
+difference between the trees in a run's exit code, stdout or stderr, and
+in the name set or the bytes of the files after it; the exit status is 1
+if there is any, else 0.
+"""
+
+from __future__ import annotations
+
+import os
+import shlex
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# The runs after the README block: more formats, sample counts and
+# geometries, each suite passing and failing, and a configuration error.
+EXTRA_RUNS = [
+    "tw generate --k 0 --tau 0.5 --H 1 --format json -o sphere.json",
+    "tw generate --k 0 --tau 0.5 --H 1 --epsilon 0.1 --mode 2 --format json -o mode2.json",
+    "tw generate --k 0.25 --tau 0.3 --H -0.8 --samples 257 -o negative.csv",
+    "tw energy bumpy.csv --out energy_bumpy.json",
+    "tw energy mode2.json --out energy_mode2.json",
+    "tw energy sphere.json --out energy_sphere_json.json",
+    "tw verify minimality --k 0 --tau 0.5 --H 1 --out min.json",
+    "tw verify minimality --k -1 --tau -0.5 --H 0.8 --alpha 1 --beta 0 --out min_plain.json",
+    "tw verify minimality --k 1 --tau 0.3 --H 0.6 --samples 1025 --out min_1025.json",
+    "tw verify descent --k 0 --tau 0.5 --H 1 --family-dims 1 --out descent1.json",
+    "tw verify descent --k -1 --tau -0.5 --H 0.8 --family-dims 3 --out descent3.json",
+    "tw verify descent --k -1 --tau -0.5 --H 0.5001 --out descent_edge.json",
+    "tw verify identities --k -1 --tau -0.5 --H 0.8 --epsilon 0.05 --mode 2 --out ident.json",
+    "tw verify criticality --k -1 --tau -0.5 --H 0.8 --samples 8193 --out crit_8193.json",
+    "tw sweep spec.json --samples 1025 --out table_1025.csv",
+    "tw generate --k 0 --tau 0.5 --H 1 --samples 20 -o even.csv",
+]
+
+
+def readme_runs() -> list[str]:
+    """The non-comment lines of the README's command block, in order."""
+    text = README.read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line and not line.startswith("#")]
+
+
+def run_all(src: Path, runs: list[str]) -> list[tuple]:
+    """Per run: the command, exit code, stdout, stderr and every file's bytes after it."""
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    results = []
+    with tempfile.TemporaryDirectory() as work:
+        for line in runs:
+            if line.startswith("tw "):
+                words = shlex.split(line, comments=True)[1:]
+                argv = [sys.executable, "-m", "thurston_willmore.cli", *words]
+                done = subprocess.run(argv, cwd=work, env=env, capture_output=True)
+            else:
+                done = subprocess.run(line, shell=True, cwd=work, env=env, capture_output=True)
+            files = {p.name: p.read_bytes() for p in sorted(Path(work).iterdir()) if p.is_file()}
+            results.append((line, done.returncode, done.stdout, done.stderr, files))
+    return results
+
+
+def differences(parent: list[tuple], change: list[tuple]) -> list[str]:
+    """Each run's differences; a file is compared after the runs that write it."""
+    out = []
+    before_a, before_b = {}, {}
+    for (line, *a), (_, *b) in zip(parent, change, strict=True):
+        for name, x, y in zip(("exit code", "stdout", "stderr"), a[:3], b[:3]):
+            if x != y:
+                out.append(f"{line}\n  {name}: {x!r} -> {y!r}")
+        files_a, files_b = a[3], b[3]
+        written = {n for files, before in ((files_a, before_a), (files_b, before_b))
+                   for n in files if files[n] != before.get(n)}
+        for name in sorted(written):
+            if files_a.get(name) != files_b.get(name):
+                state = "differs" if name in files_a and name in files_b else "exists on one side"
+                out.append(f"{line}\n  {name} {state}")
+        before_a, before_b = files_a, files_b
+    return out
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    runs = readme_runs() + EXTRA_RUNS
+    parent, change = (run_all(Path(root).resolve(), runs) for root in argv)
+    found = differences(parent, change)
+    for text in found:
+        print(text)
+    count = sum(line.startswith("tw ") for line in runs)
+    print(f"{count} tw runs, {len(found)} differences")
+    return 1 if found else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
