@@ -34,10 +34,11 @@ from .functional import (
     willmore_relation_check,
     _ProfileFields,
     _energy_density,
+    _energy_weight,
     _mean_curvature,
     _pole_safe_ratio,
 )
-from .geometry import GeometryParams, _record_dict
+from .geometry import GeometryParams, _a_squared, _b_factor, _record_dict
 from .numerics import derivative1, sample_quadrature
 from .profile import (
     DEFAULT_SAMPLES,
@@ -155,8 +156,8 @@ def deformed_curve_energy(
     # Only the step's scale enters, and the energy does not depend on it:
     # samples uniform in arclength or in any other variable both work.
     h = float(s[1] - s[0])
-    A = np.sqrt(1.0 + tau * tau * u * u)
-    B = 1.0 + 0.25 * k * u * u
+    A = np.sqrt(_a_squared(g, u))
+    B = _b_factor(g, u)
     x = derivative1(u, h) / B
     y = derivative1(v, h) / A
     speed = np.hypot(x, y)
@@ -223,8 +224,8 @@ def _normal_velocities(profile: Profile) -> tuple[np.ndarray, np.ndarray]:
     n = (-(1 + k u^2/4) sin sigma, sqrt(1 + tau^2 u^2) cos sigma) at rate phi(s).
     """
     g, u, sigma = profile.geometry, profile.u, profile.sigma
-    n_u = -(1.0 + 0.25 * g.k * u * u) * np.sin(sigma)
-    n_v = np.sqrt(1.0 + g.tau**2 * u * u) * np.cos(sigma)
+    n_u = -_b_factor(g, u) * np.sin(sigma)
+    n_v = np.sqrt(_a_squared(g, u)) * np.cos(sigma)
     phi = [_velocity_profile(name, profile) for name in VELOCITY_PROFILES]
     return np.stack([p * n_u for p in phi]), np.stack([p * n_v for p in phi])
 
@@ -460,12 +461,12 @@ def _family_energy(
     One Gauss sum on the half rule of :func:`_family_panels` panels, half
     the integral over [0, pi], times 4 pi; the node terms are
     :func:`_family_nodes`'s, as in :func:`sphere_from_modes`.  At each
-    node the density is rho = G M, with G = H_m^2 + C/A^2 + D and
-    M = u A N/(H B^2) = mu ds/dsigma; it depends on the coefficients only
-    through P and N (their Chebyshev series in t = cos(2 sigma)), both linear
-    in them.  The derivatives are the partials of rho in (P, N), hand-derived
-    below, contracted with the rule's mode terms.  Raises
-    :class:`InadmissiblePerturbation` where the shape is not a regular profile.
+    node the density is rho = G M, with G the weight H_m^2 + alpha K_bar + beta
+    of :func:`functional._energy_weight` and M = u A N/(H B^2) = mu ds/dsigma;
+    it depends on the coefficients only through P and N (their Chebyshev series
+    in t = cos(2 sigma)), both linear in them.  The derivatives are the partials
+    of rho in (P, N), hand-derived below, contracted with the rule's mode terms.
+    Raises :class:`InadmissiblePerturbation` where the shape is not a regular profile.
     """
     if functional_coeffs is None:
         functional_coeffs = canonical_coefficients(g)
@@ -475,24 +476,24 @@ def _family_energy(
     weights, sin_sig, cos_sig, t, p_modes, n_modes = _family_half_rule(
         _family_panels(g, h, shape), c.size
     )
-    tau, k4, tau2 = g.tau, 0.25 * g.k, g.tau * g.tau
-    alpha, beta = functional_coeffs.alpha, functional_coeffs.beta
+    k4, tau2 = 0.25 * g.k, g.tau * g.tau
     # The series, not the rule's mode terms: near the regularity edge
     # (min N ~ 1e-4) summing the mode terms moves the energy by up to 1e-13.
-    p, n, u, a2, b, ds_dsigma = _family_nodes(g, h, shape, sin_sig, t)
+    p, n, u, b, ds_dsigma = _family_nodes(g, h, shape, sin_sig, t)
+    a2 = _a_squared(g, u)
     A = np.sqrt(a2)
     # H_m with sin(sigma)/u = H/P in closed form, no pole at the ends.
-    # C/A^2 = alpha (k - 4 tau^2) nu^2.
     turning = 1.0 / ds_dsigma
     hm = _mean_curvature(g.k, u, sin_sig, turning, h / p)
     nu = cos_sig / A
-    e = alpha * ((g.k - 4.0 * tau2) * nu * nu)
-    G = hm * hm + e + beta + alpha * tau * tau
+    G = _energy_weight(g, functional_coeffs, hm, nu)
     mu = u * A / b
     # w (G mu) ds/dsigma in this order: near the apex edge a reordering moves E by ~1e-11
     value = FOUR_PI * float(np.dot(weights, G * mu * ds_dsigma))
     if not derivatives:
         return value
+    # the weight's part alpha (k - 4 tau^2) nu^2, which the partials below differentiate
+    e = functional_coeffs.alpha * ((g.k - 4.0 * tau2) * nu * nu)
     M = weights * mu * ds_dsigma
     inv_p, inv_n, inv_b, inv_a2 = 1.0 / p, 1.0 / n, 1.0 / b, 1.0 / a2
     inv_p2 = inv_p * inv_p

@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import GeometryParams, _record_dict
+from .geometry import GeometryParams, _a_squared, _b_factor, _record_dict
 from .numerics import derivative1, derivative2, sample_quadrature, sample_quadrature_with_error
 from .profile import Closure, Profile
 
@@ -80,7 +80,7 @@ class FunctionalCoefficients:
 
     @classmethod
     def canonical(cls, g: GeometryParams) -> "FunctionalCoefficients":
-        return cls(alpha=0.25, beta=0.25 * g.k - 0.25 * g.tau**2)
+        return cls(alpha=0.25, beta=0.25 * g.k - 0.25 * g.tau * g.tau)
 
     @classmethod
     def plain_willmore(cls) -> "FunctionalCoefficients":
@@ -138,23 +138,28 @@ def _mean_curvature(k: float, u, sin_sig, sigma_dot, ratio):
     return 0.5 * (sigma_dot + ratio - 0.25 * k * u * sin_sig)
 
 
-def _energy_density(
-    g: GeometryParams, coeffs: FunctionalCoefficients, H, nu, mu, jacobian, tangent=None
-):
-    """Integrand of E_{alpha,beta} per unit parameter: (H^2 + alpha K_bar + beta) mu jacobian.
-
-    K_bar = tau^2 + (k - 4 tau^2) nu^2; ``jacobian`` converts quotient
-    arclength to the caller's integration variable.  With ``tangent``, the
-    first-order variations (dH, dnu, dmu, djacobian) of the four inputs, the
-    result is the pair (density, its variation).
-    """
+def _energy_weight(g: GeometryParams, coeffs: FunctionalCoefficients, H, nu):
+    """The weight H^2 + alpha K_bar + beta of E_{alpha,beta}, K_bar = tau^2 + (k - 4 tau^2) nu^2."""
     tau = g.tau
-    weight = (
+    return (
         H * H
         + coeffs.alpha * ((g.k - 4.0 * tau * tau) * nu * nu)
         + coeffs.beta
         + coeffs.alpha * tau * tau
     )
+
+
+def _energy_density(
+    g: GeometryParams, coeffs: FunctionalCoefficients, H, nu, mu, jacobian, tangent=None
+):
+    """Integrand of E_{alpha,beta} per unit parameter: (H^2 + alpha K_bar + beta) mu jacobian.
+
+    The weight is :func:`_energy_weight`'s; ``jacobian`` converts quotient
+    arclength to the caller's integration variable.  With ``tangent``, the
+    first-order variations (dH, dnu, dmu, djacobian) of the four inputs, the
+    result is the pair (density, its variation).
+    """
+    weight = _energy_weight(g, coeffs, H, nu)
     density = weight * mu * jacobian
     if tangent is None:
         return density
@@ -163,7 +168,7 @@ def _energy_density(
     # summed in place: each tangent may be a (rows, samples) array
     scale = 2.0 * mu * jacobian
     ddensity = (scale * H) * dH
-    ddensity += (scale * coeffs.alpha * (g.k - 4.0 * tau * tau) * nu) * dnu
+    ddensity += (scale * coeffs.alpha * (g.k - 4.0 * g.tau * g.tau) * nu) * dnu
     ddensity += (weight * jacobian) * dmu
     ddensity += (weight * mu) * djacobian
     return density, ddensity
@@ -188,7 +193,7 @@ def mean_curvature(g: GeometryParams, u, sigma, dsigma_ds):
 def nu_on_profile(g: GeometryParams, u, sigma):
     """Vertical component of the unit normal: cos(sigma)/sqrt(1 + tau^2 u^2)."""
     u_arr = np.asarray(u, dtype=float)
-    out = np.cos(np.asarray(sigma, dtype=float)) / np.sqrt(1.0 + g.tau**2 * u_arr * u_arr)
+    out = np.cos(np.asarray(sigma, dtype=float)) / np.sqrt(_a_squared(g, u_arr))
     return out if out.ndim else float(out)
 
 
@@ -241,8 +246,8 @@ class _ProfileFields:
 
         self.u = u
         self.sigma = sig
-        self.A = np.sqrt(1.0 + tau * tau * u * u)
-        self.B = 1.0 + 0.25 * k * u * u
+        self.A = np.sqrt(_a_squared(g, u))
+        self.B = _b_factor(g, u)
         self.mu = u * self.A / self.B
         self.sin = np.sin(sig)
         self.cos = np.cos(sig)
@@ -465,7 +470,7 @@ def willmore_relation_check(profile: Profile) -> float:
     f = _ProfileFields(profile)
     g = profile.geometry
     report = energy(profile, canonical_coefficients(g))
-    correction = (-0.75 * f.K_bar + 0.25 * g.k - 0.25 * g.tau**2) * f.mu
+    correction = (-0.75 * f.K_bar + 0.25 * g.k - 0.25 * g.tau * g.tau) * f.mu
     corr = 2.0 * math.pi * sample_quadrature(correction, f.h)
     return abs(report.E - (report.willmore_W + corr))
 

@@ -136,6 +136,15 @@ def _check_radius(g: GeometryParams, u, *, name: str = "u") -> np.ndarray:
     return u
 
 
+# The orbit factors of the quotient metric du^2/B^2 + dv^2/A^2, on floats and arrays alike.
+def _a_squared(g: GeometryParams, u):
+    return 1.0 + g.tau * g.tau * u * u
+
+
+def _b_factor(g: GeometryParams, u):
+    return 1.0 + 0.25 * g.k * u * u
+
+
 def sectional_curvature(g: GeometryParams, nu):
     """Sectional curvature of a 2-plane with vertical normal component nu.
 
@@ -144,7 +153,7 @@ def sectional_curvature(g: GeometryParams, nu):
     when k = 4 tau^2 (a space form) the nu-dependence cancels exactly.
     """
     nu = _check_nu(nu)
-    out = g.tau**2 + (g.k - 4.0 * g.tau**2) * nu * nu
+    out = g.tau * g.tau + (g.k - 4.0 * g.tau * g.tau) * nu * nu
     return out if out.ndim else float(out)
 
 
@@ -155,7 +164,7 @@ def ricci_normal(g: GeometryParams, nu):
     containing n, which gives k - 2 tau^2 - (k - 4 tau^2) nu^2.
     """
     nu = _check_nu(nu)
-    out = g.k - 2.0 * g.tau**2 - (g.k - 4.0 * g.tau**2) * nu * nu
+    out = g.k - 2.0 * g.tau * g.tau - (g.k - 4.0 * g.tau * g.tau) * nu * nu
     return out if out.ndim else float(out)
 
 
@@ -166,9 +175,9 @@ def ambient_metric_cylindrical(g: GeometryParams, p: CylindricalPoint) -> np.nda
     the theta-z coupling carries the bundle curvature.
     """
     rho = float(_check_radius(g, p.rho, name="rho"))
-    w = 1.0 + 0.25 * g.k * rho * rho
+    w = _b_factor(g, rho)
     g_rr = 1.0 / (w * w)
-    g_tt = (rho * rho + g.tau**2 * rho**4) / (w * w)
+    g_tt = (rho * rho + g.tau * g.tau * rho**4) / (w * w)
     g_tz = -g.tau * rho * rho / w
     return np.array(
         [
@@ -186,8 +195,8 @@ def quotient_metric(g: GeometryParams, u):
     {u in [0, R), v in R} carrying 1/(1 + k u^2/4)^2 du^2 + 1/(1 + tau^2 u^2) dv^2.
     """
     u = _check_radius(g, u)
-    g_uu = 1.0 / (1.0 + 0.25 * g.k * u * u) ** 2
-    g_vv = 1.0 / (1.0 + g.tau**2 * u * u)
+    g_uu = 1.0 / _b_factor(g, u) ** 2
+    g_vv = 1.0 / _a_squared(g, u)
     if g_uu.ndim:
         return g_uu, g_vv
     return float(g_uu), float(g_vv)
@@ -201,5 +210,5 @@ def orbit_volume_factor(g: GeometryParams, u):
     integrals.
     """
     u = _check_radius(g, u)
-    out = u * np.sqrt(1.0 + g.tau**2 * u * u) / (1.0 + 0.25 * g.k * u * u)
+    out = u * np.sqrt(_a_squared(g, u)) / _b_factor(g, u)
     return out if out.ndim else float(out)

@@ -70,7 +70,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
-from .geometry import GeometryParams
+from .geometry import GeometryParams, _a_squared, _b_factor
 
 __all__ = [
     "Tolerances",
@@ -452,7 +452,7 @@ def ode_rhs(g: GeometryParams, H: float, state: ProfileState) -> tuple[float, fl
 
 
 def _first_integral(g: GeometryParams, H: float, u, sin_sig):
-    return u * (sin_sig - H * u) / (1.0 + 0.25 * g.k * u * u)
+    return u * (sin_sig - H * u) / _b_factor(g, u)
 
 
 def first_integral(g: GeometryParams, H: float, state: ProfileState) -> float:
@@ -476,7 +476,7 @@ def cmc_sigma_rate(g: GeometryParams, H: float, u) -> float | np.ndarray:
         raise ValueError("u must lie in [0, 1/|H|] on a CMC sphere")
     if np.any(u_arr >= g.domain_radius):
         raise ValueError("u must stay below the domain radius")
-    out = H * (1.0 + 0.25 * g.k * u_arr * u_arr)
+    out = H * _b_factor(g, u_arr)
     return out if out.ndim else float(out)
 
 
@@ -485,17 +485,16 @@ def _is_axis_start(state: ProfileState) -> bool:
 
 
 def _make_rhs(g: GeometryParams, H: float):
-    k, tau2 = g.k, g.tau**2
+    k = g.k
 
     def rhs(s, y):
         u, _, sig = y
         # Floor only shields trial evaluations past the axis event; accepted
         # steps are terminated by the event before reaching it.
         ui = u if u > 1e-13 else 1e-13
-        b = 1.0 + 0.25 * k * u * u
         return (
-            b * math.cos(sig),
-            math.sqrt(1.0 + tau2 * u * u) * math.sin(sig),
+            _b_factor(g, u) * math.cos(sig),
+            math.sqrt(_a_squared(g, u)) * math.sin(sig),
             2.0 * H - (1.0 / ui - 0.25 * k * u) * math.sin(sig),
         )
 
@@ -735,7 +734,7 @@ def generate_cmc_sphere(
     b = w * (cos_left * cos_d - sin_left * sin_d)
     sin_nodes = a / np.sqrt(a * a + b * b)
     u_nodes = sin_nodes / h_abs
-    dv_nodes = np.sqrt(1.0 + g.tau**2 * u_nodes * u_nodes) * sin_nodes
+    dv_nodes = np.sqrt(_a_squared(g, u_nodes)) * sin_nodes
     v = _mirrored_running_sum(dv_nodes * (half * _GL8_WEIGHTS))
     drift = _j_drift(g, h_abs, u, sin_sig, tolerances.conservation)
     if not np.all(np.diff(sigma) > 0.0):
@@ -944,23 +943,21 @@ def _turning_angle_grid(n_samples: int) -> tuple[np.ndarray, ...]:
 
 
 def _family_nodes(g: GeometryParams, h_abs: float, shape: _ModeShape, sin_sig, t) -> tuple:
-    """P, N, u, A^2, B and ds/dsigma of a family shape at sin(sigma) and t = cos(2 sigma).
+    """P, N, u, B and ds/dsigma of a family shape at sin(sigma) and t = cos(2 sigma).
 
     P and N come from their Chebyshev series, u = sin(sigma) P/H,
-    A^2 = 1 + tau^2 u^2, B = 1 + k u^2/4 and ds/dsigma = N/(H B).
+    B = 1 + k u^2/4 and ds/dsigma = N/(H B).  Callers that need
+    A^2 = 1 + tau^2 u^2 form it from u.
     """
     p, n = cheb.chebval(t, shape.p), cheb.chebval(t, shape.n)
-    # In place, with the roundings of sin(sigma) P/H, 1 + (c u) u and N/(H B): fewer
-    # 64 KiB temporaries (sphere_from_modes peaks at 385 KiB, not 449, at 2049 samples).
+    # u and ds/dsigma in place, with the roundings of sin(sigma) P/H and N/(H B): fewer
+    # 64 KiB temporaries (one-mode sphere_from_modes peaks at 356 KiB at 2049 samples).
     u = sin_sig * p
     u /= h_abs
-    a2, b = g.tau * g.tau * u, 0.25 * g.k * u
-    for f in (a2, b):
-        f *= u
-        f += 1.0
+    b = _b_factor(g, u)
     ds_dsigma = h_abs * b
     np.divide(n, ds_dsigma, out=ds_dsigma)
-    return p, n, u, a2, b, ds_dsigma
+    return p, n, u, b, ds_dsigma
 
 
 def sphere_from_modes(
@@ -1000,10 +997,10 @@ def sphere_from_modes(
     shape = _require_admissible(g, h_abs, coeffs)
 
     sigma, sin_samples, t_samples, sin_nodes, _, t_nodes, weights = _turning_angle_grid(n_samples)
-    _, _, _, a2_nodes, _, ds_nodes = _family_nodes(g, h_abs, shape, sin_nodes, t_nodes)
+    _, _, u_nodes, _, ds_nodes = _family_nodes(g, h_abs, shape, sin_nodes, t_nodes)
     s = _mirrored_running_sum(ds_nodes * weights)
-    v = _mirrored_running_sum(np.sqrt(a2_nodes) * sin_nodes * ds_nodes * weights)
-    _, _, u, _, _, ds_dsigma = _family_nodes(g, h_abs, shape, sin_samples, t_samples)
+    v = _mirrored_running_sum(np.sqrt(_a_squared(g, u_nodes)) * sin_nodes * ds_nodes * weights)
+    _, _, u, _, ds_dsigma = _family_nodes(g, h_abs, shape, sin_samples, t_samples)
     u[0] = 0.0
     u[-1] = 0.0
 

@@ -13,11 +13,14 @@ from thurston_willmore import (
     energy,
     gauss_bonnet_total,
     gauss_curvature_profile,
+    generate_cmc_sphere,
     h_squared_identity_check,
     max_interior_residual,
     mean_curvature,
     nu_on_profile,
+    orbit_volume_factor,
     second_summand_derivative_check,
+    sectional_curvature,
     surface_point_data,
     willmore_relation_check,
 )
@@ -101,6 +104,18 @@ class TestNu:
         assert nu_on_profile(GeometryParams(0.0, 0.5), 1.0, math.pi / 3) == pytest.approx(
             0.5 / math.sqrt(1.25)
         )
+
+
+def test_closed_forms_match_the_profile_fields_bit_for_bit():
+    # the one 3-decimal tau in [-3, 3] at which the two spellings of tau^2 round apart
+    tau = 2.759
+    assert tau**2 != tau * tau
+    g = GeometryParams(-0.5, tau)
+    p = generate_cmc_sphere(g, 0.8, n_samples=2049)
+    f = _ProfileFields(p)
+    assert np.array_equal(orbit_volume_factor(g, p.u), f.mu)
+    assert np.array_equal(sectional_curvature(g, f.nu), f.K_bar)
+    assert np.array_equal(nu_on_profile(g, p.u, p.sigma), f.nu)
 
 
 class TestGaussCurvature:

@@ -10,7 +10,8 @@ in again, about 120 minor faults per sweep row and 1900 per
 ``verify_criticality`` carries (3, samples) tangent arrays, 48 KiB at
 2049 samples, also below that threshold.  The check runs in a fresh
 interpreter with glibc's default allocator settings, so that no other
-test's heap state leaks into it.
+test's heap state leaks into it.  A failure names the window's faults per
+sweep row, criticality call and minimality call.
 """
 
 import json
@@ -36,20 +37,32 @@ _SCRIPT = textwrap.dedent(
 
     cases = default_acceptance_grid()
 
+    def minflt():
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
     def run(rows, suites):
+        # the window's faults by call: each sweep row, each criticality and minimality call
+        split = {"sweep rows": [], "criticality calls": [], "minimality calls": []}
         for i in range(rows):
             g, H = cases[i % len(cases)]
+            start = minflt()
             sweep(SweepSpec((g.k,), (g.tau,), (H,)))
+            split["sweep rows"].append(minflt() - start)
         for i in range(suites):
             g, H = cases[7 * i % len(cases)]
+            start = minflt()
             assert verify_criticality(g, H).passed
+            middle = minflt()
             assert verify_minimality(g, H).passed
+            split["criticality calls"].append(middle - start)
+            split["minimality calls"].append(minflt() - middle)
+        return split
 
     run(5, 1)  # warm-up: first calls build caches and grow the heap
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    run(int(sys.argv[1]), 3)
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-    print(json.dumps({"faults": faults}))
+    before = minflt()
+    split = run(int(sys.argv[1]), 3)
+    faults = minflt() - before
+    print(json.dumps({"faults": faults, "split": split}))
     """
 )
 
@@ -72,4 +85,9 @@ def test_steady_state_rows_fault_in_no_pages():
     )
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
-    assert result["faults"] / ROWS < 1.0
+    rows = {i: n for i, n in enumerate(result["split"]["sweep rows"]) if n}
+    assert result["faults"] / ROWS < 1.0, (
+        f"{result['faults']} minor faults in the window: sweep rows {rows} (row: faults, "
+        f"nonzero only), criticality calls {result['split']['criticality calls']}, "
+        f"minimality calls {result['split']['minimality calls']}"
+    )

@@ -1,0 +1,260 @@
+"""Compare the numbers of two source trees bit for bit.
+
+Usage::
+
+    python tools/compare_numerics.py PARENT_SRC CHANGE_SRC
+
+Each argument is a directory that holds the ``thurston_willmore`` package
+(a checkout's ``src``).  For each tree one subprocess, with that tree first
+on ``PYTHONPATH``, computes the same seeded items, in groups:
+
+- ``family``: E, gradient and Hessian of ``_family_energy`` and
+  ``mode_family_energy`` on 3000 random admissible shapes (dims 1-3,
+  k in [-3, 3], tau in [-2, 2] or a grid value, H from 0.003 to 1.5 above
+  the existence bound), canonical and plain-Willmore coefficients in turn;
+- ``acceptance``: the criticality and minimality reports of every
+  ``default_acceptance_grid()`` case, with s and v of its CMC sphere and of
+  each competitor of ``default_perturbation_grid()``;
+- ``descent``: dims-1 and dims-3 default descents on every 6th grid case;
+- ``modes`` and ``cmc``: 300 random ``sphere_from_modes`` and 300 random
+  ``generate_cmc_sphere`` profiles at 1025 samples, with their samples,
+  energy report, interior residual and first variation;
+- ``geometry``: 2000 draws of the public ``geometry`` functions, tau in
+  [-3, 3].
+
+A failure is recorded as its exception text.  Per group the script prints
+how many items differ in any bit, how many of those were drawn at a tau
+with ``tau**2 != tau * tau``, and the largest difference of a value
+relative to that value's scale (its largest magnitude), with its key.  The
+exit status is 1 if any item differs, else 0.  A companion of
+``compare_outputs.py``, not a test.
+"""
+
+from __future__ import annotations
+
+import math
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+FAMILY_SHAPES = 3000
+PROFILES = 300
+PROFILE_SAMPLES = 1025
+GEOMETRY_DRAWS = 2000
+GRID_TAUS = (-0.5, 0.0, 0.3, 0.5)
+
+
+def _flat(obj, prefix: str, out: dict) -> dict:
+    """Numbers of a report or array as float arrays by key path, everything else as text."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            _flat(value, f"{prefix}/{key}", out)
+    elif isinstance(obj, (list, tuple)) and not all(isinstance(x, (int, float)) for x in obj):
+        for i, value in enumerate(obj):
+            _flat(value, f"{prefix}/{i}", out)
+    elif isinstance(obj, (int, float, list, tuple, np.ndarray)) and not isinstance(obj, bool):
+        out[prefix] = np.asarray(obj, dtype=float)
+    else:
+        out[prefix] = repr(obj)
+    return out
+
+
+def _attempt(item: dict, name: str, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, or None with the exception text stored under ``name``."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:  # a failure is an item value like any other
+        item[name] = f"{type(exc).__name__}: {exc}"
+        return None
+
+
+def _random_case(rng):
+    """(k, tau, H) with H from 0.003 to 1.5 above the existence bound."""
+    from thurston_willmore.geometry import GeometryParams
+
+    k = rng.uniform(-3.0, 3.0)
+    tau = rng.choice(GRID_TAUS) if rng.random() < 0.25 else rng.uniform(-2.0, 2.0)
+    floor = math.sqrt(-0.25 * k) if k < 0.0 else 0.0
+    return GeometryParams(k, float(tau)), floor + rng.uniform(0.003, 1.5)
+
+
+def _random_shape(rng, g, H):
+    """Random mode coefficients (dims 1-3, mode m within 0.3/m^2), redrawn until admissible."""
+    from thurston_willmore.profile import InadmissiblePerturbation, _require_admissible
+
+    dims = int(rng.integers(1, 4))
+    while True:
+        c = rng.uniform(-1.0, 1.0, dims) * 0.3 / np.arange(1, dims + 1) ** 2
+        try:
+            _require_admissible(g, abs(H), c)
+            return c
+        except InadmissiblePerturbation:
+            pass
+
+
+def _profile_item(profile_fn, *args) -> dict:
+    from thurston_willmore.experiments import first_variation
+    from thurston_willmore.functional import canonical_coefficients, energy, max_interior_residual
+
+    item = {}
+    p = _attempt(item, "profile", profile_fn, *args, n_samples=PROFILE_SAMPLES)
+    if p is None:
+        return item
+    coeffs = canonical_coefficients(p.geometry)
+    for name in p._columns():
+        item[name] = np.asarray(getattr(p, name))
+    for name, fn in (
+        ("energy", lambda: energy(p).to_dict()),
+        ("residual", lambda: max_interior_residual(p, coeffs)),
+        ("variation", lambda: [v.to_dict() for v in first_variation(p, coeffs)]),
+    ):
+        value = _attempt(item, name, fn)
+        if value is not None:
+            _flat(value, name, item)
+    return item
+
+
+def compute() -> dict:
+    """Every group's items as (tau, {key: value}) pairs."""
+    from thurston_willmore import geometry as geo
+    from thurston_willmore.experiments import (
+        _family_energy,
+        default_acceptance_grid,
+        default_perturbation_grid,
+        descend_energy,
+        mode_family_energy,
+        verify_criticality,
+        verify_minimality,
+    )
+    from thurston_willmore.functional import FunctionalCoefficients, canonical_coefficients
+    from thurston_willmore.profile import generate_cmc_sphere, perturbed_sphere, sphere_from_modes
+
+    rng = np.random.default_rng(20141016)
+    groups = {name: [] for name in ("family", "acceptance", "descent", "modes", "cmc", "geometry")}
+
+    for i in range(FAMILY_SHAPES):
+        g, H = _random_case(rng)
+        c = _random_shape(rng, g, H)
+        plain = FunctionalCoefficients.plain_willmore()
+        coeffs = canonical_coefficients(g) if i % 2 == 0 else plain
+        E, grad, hess = _family_energy(g, H, c, coeffs, derivatives=True)
+        item = {"E": np.asarray(E), "gradient": grad, "hessian": hess}
+        item["mode_family_energy"] = np.asarray(mode_family_energy(g, H, c, coeffs))
+        groups["family"].append((g.tau, item))
+
+    cases = default_acceptance_grid()
+    for g, H in cases:
+        item = {}
+        crit = verify_criticality(g, H)
+        _flat(crit.to_dict(), "criticality", item)
+        _flat({"s": crit.profile.s, "v": crit.profile.v}, "sphere", item)
+        _flat(verify_minimality(g, H).to_dict(), "minimality", item)
+        for spec in default_perturbation_grid():
+            p = _attempt(item, f"{spec}", perturbed_sphere, g, H, spec)
+            if p is not None:
+                _flat({"s": p.s, "v": p.v}, f"{spec}", item)
+        groups["acceptance"].append((g.tau, item))
+
+    for g, H in cases[::6]:
+        for dims in (1, 3):
+            item = _flat(descend_energy(g, H, dims).to_dict(), "descent", {})
+            groups["descent"].append((g.tau, item))
+
+    for _ in range(PROFILES):
+        g, H = _random_case(rng)
+        c = _random_shape(rng, g, H)
+        groups["modes"].append((g.tau, _profile_item(sphere_from_modes, g, H, c)))
+    for _ in range(PROFILES):
+        g, H = _random_case(rng)
+        groups["cmc"].append((g.tau, _profile_item(generate_cmc_sphere, g, H)))
+
+    for _ in range(GEOMETRY_DRAWS):
+        g = geo.GeometryParams(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
+        reach = 0.99 * min(g.domain_radius, 5.0)
+        u, nu = rng.uniform(0.0, reach, 16), rng.uniform(-1.0, 1.0, 16)
+        point = geo.CylindricalPoint(float(u[0]), rng.uniform(0.0, 2.0 * math.pi), rng.normal())
+        item = {
+            "sectional_curvature": geo.sectional_curvature(g, nu),
+            "sectional_curvature_scalar": np.asarray(geo.sectional_curvature(g, float(nu[0]))),
+            "ricci_normal": geo.ricci_normal(g, nu),
+            "ambient_metric_cylindrical": geo.ambient_metric_cylindrical(g, point),
+            "quotient_metric": np.array(geo.quotient_metric(g, u)),
+            "quotient_metric_scalar": np.array(geo.quotient_metric(g, float(u[1]))),
+            "orbit_volume_factor": geo.orbit_volume_factor(g, u),
+            "orbit_volume_factor_scalar": np.asarray(geo.orbit_volume_factor(g, float(u[2]))),
+        }
+        groups["geometry"].append((g.tau, item))
+    return groups
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+    return type(a) is type(b) and a == b
+
+
+def _gap(a: dict, b: dict) -> tuple[float, float, str]:
+    """The largest difference of a float value both items hold, relative to that value's scale.
+
+    Returned as (relative, absolute, key).
+    """
+    worst = (0.0, 0.0, "")
+    for key in a.keys() & b.keys():
+        x, y = a[key], b[key]
+        if isinstance(x, np.ndarray) and isinstance(y, np.ndarray) and x.shape == y.shape:
+            with np.errstate(invalid="ignore"):
+                d = np.abs(x - y)
+            d = d[np.isfinite(d)]
+            if d.size:
+                scale = max(float(np.max(np.abs(x[np.isfinite(x)]), initial=0.0)), 1e-300)
+                worst = max(worst, (float(d.max()) / scale, float(d.max()), key))
+    return worst
+
+
+def report(parent: dict, change: dict) -> int:
+    """Print one line per group; the number of items that differ."""
+    total = 0
+    for name, items in parent.items():
+        other = change[name]
+        differ = spelled = 0
+        worst = (0.0, 0.0, "")
+        for (tau, a), (_, b) in zip(items, other, strict=True):
+            if a.keys() == b.keys() and all(_same(a[key], b[key]) for key in a):
+                continue
+            differ += 1
+            spelled += tau**2 != tau * tau
+            worst = max(worst, _gap(a, b))
+        total += differ
+        line = f"{name}: {len(items)} items, {differ} differ ({spelled} at tau**2 != tau * tau)"
+        if differ:
+            line += f"; largest {worst[1]:.3g} ({worst[0]:.3g} of its scale) in {worst[2]}"
+        print(line)
+    return total
+
+
+def run_tree(src: Path) -> dict:
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    done = subprocess.run(
+        [sys.executable, __file__, "--compute"], env=env, capture_output=True, check=True
+    )
+    return pickle.loads(done.stdout)
+
+
+def main(argv: list[str]) -> int:
+    if argv == ["--compute"]:
+        sys.stdout.buffer.write(pickle.dumps(compute()))
+        return 0
+    if len(argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    parent, change = (run_tree(Path(root).resolve()) for root in argv)
+    return 1 if report(parent, change) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
