@@ -49,6 +49,8 @@ from .profile import (
     Tolerances,
     generate_cmc_sphere,
     perturbed_sphere,
+    _GENERATOR_TOLERANCES as _GENERATOR,
+    _sidecar_path,
     _write_csv,
     _write_json,
 )
@@ -65,7 +67,6 @@ EXIT_INTERNAL = 6
 # Tolerances fields.  This table alone gives a command's flags, the
 # config-file keys it applies (it drops every other known key) and the
 # configuration it echoes.
-_GENERATOR = ("conservation", "closure_identity", "axis_epsilon")
 _READS = {
     "generate": (("k", "tau", "H", "epsilon", "mode", "samples", "out", "format"), _GENERATOR),
     "energy": (("alpha", "beta", "out"), ()),
@@ -250,11 +251,14 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
 
 
 def load_profile(path) -> Profile:
-    """Read a profile written by ``generate`` (CSV plus sidecar, or JSON)."""
-    path = Path(path)
-    if path.suffix == ".json" and not path.name.endswith(".csv.json"):
-        return Profile.from_json(path)
-    return Profile.from_csv(path)
+    """Read a profile written by ``generate``, whatever its name.
+
+    A file whose first non-blank byte is ``{`` is the JSON form; any other is
+    the CSV form, read with its sidecar.
+    """
+    with Path(path).open("rb") as fh:
+        first = next(filter(None, map(bytes.strip, fh)), b"")[:1]
+    return Profile.from_json(path) if first == b"{" else Profile.from_csv(path)
 
 
 def cmd_generate(config: RunConfig) -> int:
@@ -348,10 +352,7 @@ def cmd_sweep(config: RunConfig, spec_path: str) -> int:
     out = Path(config.out) if config.out else Path("sweep.csv")
     with out.open("w", newline="") as fh:
         write_sweep_csv(rows, fh)
-    _write_json(
-        out.with_name(out.name + ".json"),
-        {"config": config.effective(), "spec": data, "rows": len(rows)},
-    )
+    _write_json(_sidecar_path(out), {"config": config.effective(), "spec": data, "rows": len(rows)})
     print(f"wrote {out} ({len(rows)} rows)")
     return EXIT_OK
 

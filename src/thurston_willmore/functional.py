@@ -237,7 +237,6 @@ class _ProfileFields:
 
     def __init__(self, profile: Profile):
         g = profile.geometry
-        self.profile = profile
         self.g = g
         self.h = profile.spacing
         u = profile.u

@@ -137,6 +137,8 @@ class Tolerances:
                 raise ValueError(f"{name} must be finite and at least 0, got {value}")
 
 
+# The Tolerances fields generate_cmc_sphere reads; its profiles echo these.
+_GENERATOR_TOLERANCES = ("conservation", "closure_identity", "axis_epsilon")
 # Closure acceptance: how close to the axis the profile must return.
 AXIS_EPSILON = Tolerances.axis_epsilon
 # Offset of the series start from the pole (the start error is O(s0^2)),
@@ -355,11 +357,7 @@ class Profile:
         path = Path(path)
         columns = self._columns()
         _write_csv(path, columns, [getattr(self, name) for name in columns])
-        _write_json(self._sidecar_path(path), {**self.metadata(), **(metadata or {})})
-
-    @staticmethod
-    def _sidecar_path(path: Path) -> Path:
-        return path.with_name(path.name + ".json")
+        _write_json(_sidecar_path(path), {**self.metadata(), **(metadata or {})})
 
     @classmethod
     def from_csv(cls, path) -> "Profile":
@@ -369,7 +367,7 @@ class Profile:
             raise ValueError(
                 f"profile CSV must have columns s,u,v,sigma[,{_SPEED_COLUMN}], got {data.shape[1]}"
             )
-        sidecar_path = cls._sidecar_path(path)
+        sidecar_path = _sidecar_path(path)
         if not sidecar_path.exists():
             raise FileNotFoundError(f"missing profile sidecar {sidecar_path}")
         with sidecar_path.open() as fh:
@@ -384,7 +382,7 @@ class Profile:
         """
         profile = self.metadata()
         profile["samples"] = {
-            name: [repr(float(x)) for x in getattr(self, name)] for name in self._columns()
+            name: list(map(repr, getattr(self, name).tolist())) for name in self._columns()
         }
         _write_json(Path(path), {**(metadata or {}), "profile": profile})
 
@@ -406,8 +404,12 @@ def _write_csv(path: Path, columns, arrays) -> None:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
-        for row in zip(*arrays):
-            writer.writerow([repr(float(x)) for x in row])
+        writer.writerows(zip(*(a.tolist() for a in arrays)))
+
+
+def _sidecar_path(path: Path) -> Path:
+    """The JSON sidecar ``<name>.json`` written next to the CSV file ``path``."""
+    return path.with_name(path.name + ".json")
 
 
 def _write_json(path: Path, document: dict) -> None:
@@ -756,11 +758,7 @@ def generate_cmc_sphere(
         orientation=1 if H > 0 else -1,
         j_drift=drift,
         closure_residual=float(identity[-1]),
-        tolerances={
-            "conservation": tolerances.conservation,
-            "closure_identity": tolerances.closure_identity,
-            "axis_epsilon": tolerances.axis_epsilon,
-        },
+        tolerances={name: getattr(tolerances, name) for name in _GENERATOR_TOLERANCES},
     )
 
 
@@ -782,13 +780,13 @@ def _mode_basis(n_modes: int) -> tuple[np.ndarray, ...]:
     Returns the series (row m - 1 for mode m) and, for each, their values at
     the ends t = 1 (the poles) and t = -1 (the equator).  cos(2 m sigma) =
     T_m(t) and sin(sigma) sin(2 m sigma)/cos(sigma) = (1 - t) U_{m-1}(t) =
-    (1 - t) T_m'(t)/m, so the mode-m term of N is T_m - 2 (1 - t) T_m'.
-    All entries are integers, exact in floating point.
+    (1 - t) T_m'(t)/m, so the mode-m term of N is T_m - 2 (1 - t) T_m', the
+    negated image of T_m under :func:`_series_operators`' second operator
+    (``0.0 -`` keeps its zeros unsigned).  All entries are integers, exact in
+    floating point.
     """
     modulation = np.eye(n_modes + 1)[1:]
-    numerator = modulation - 2.0 * np.array(
-        [_one_minus_t(row) for row in cheb.chebder(modulation, axis=1)]
-    )
+    numerator = 0.0 - _series_operators(n_modes + 1)[1][1:]
     ends = np.array([1.0, -1.0])
     basis = (modulation, numerator, *(cheb.chebval(ends, b.T) for b in (modulation, numerator)))
     for a in basis:

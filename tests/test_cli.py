@@ -154,6 +154,17 @@ class TestEnergy:
         stdout = capsys.readouterr().out
         assert "E - 4*pi" in stdout
 
+    @pytest.mark.parametrize("suffix", ["csv", "json"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_every_generated_file_reloads_exactly(self, tmp_path, capsys, sphere, fmt, suffix):
+        # the format is read from the file itself, not from its name
+        out = tmp_path / f"x.{suffix}"
+        assert run(["generate", "--k", 0, "--tau", 0.5, "--H", 1, "--format", fmt, "-o", out]) == 0
+        capsys.readouterr()
+        assert run(["energy", out]) == 0
+        expected = energy(sphere(0.0, 0.5, 1.0)).E
+        assert capsys.readouterr().out.splitlines()[0] == f"E = {expected!r}"
+
     def test_cmc_energy_close_to_4pi(self, tmp_path):
         out = tmp_path / "sphere.csv"
         run(["generate", "--k", -1, "--tau", -0.5, "--H", 0.8, "-o", out])

@@ -7,7 +7,7 @@ Usage::
 Each argument is a directory that holds the ``thurston_willmore`` package
 (a checkout's ``src``).  For each tree, in a temporary directory of its
 own, the script runs the README's command block in order, then
-``EXTRA_RUNS``: 26 ``tw`` runs in all, as ``python -m
+``EXTRA_RUNS``: 39 ``tw`` runs in all, as ``python -m
 thurston_willmore.cli`` with that tree first on ``PYTHONPATH``.  Every
 path is relative to the temporary directory, so no output names it.
 After each run it reads every file in the directory.  It prints each
@@ -28,7 +28,8 @@ from pathlib import Path
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 # The runs after the README block: more formats, sample counts and
-# geometries, each suite passing and failing, and a configuration error.
+# geometries, each suite passing and failing, a configuration error, a
+# profile whose name does not match its format, and every command's help.
 EXTRA_RUNS = [
     "tw generate --k 0 --tau 0.5 --H 1 --format json -o sphere.json",
     "tw generate --k 0 --tau 0.5 --H 1 --epsilon 0.1 --mode 2 --format json -o mode2.json",
@@ -46,6 +47,19 @@ EXTRA_RUNS = [
     "tw verify criticality --k -1 --tau -0.5 --H 0.8 --samples 8193 --out crit_8193.json",
     "tw sweep spec.json --samples 1025 --out table_1025.csv",
     "tw generate --k 0 --tau 0.5 --H 1 --samples 20 -o even.csv",
+    "tw generate --k 0 --tau 0.5 --H 1 --format json -o json_named.csv",
+    "tw generate --k 0 --tau 0.5 --H 1 --format csv -o csv_named.json",
+    "tw energy json_named.csv",
+    "tw energy csv_named.json",
+    "tw --help",
+    "tw verify --help",
+    "tw generate --help",
+    "tw energy --help",
+    "tw sweep --help",
+    "tw verify criticality --help",
+    "tw verify minimality --help",
+    "tw verify descent --help",
+    "tw verify identities --help",
 ]
 
 
