@@ -22,16 +22,6 @@ import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-from .experiments import (
-    PerturbationSpec,
-    SweepSpec,
-    descend_energy,
-    sweep,
-    verify_criticality,
-    verify_identities,
-    verify_minimality,
-    write_sweep_csv,
-)
 from .functional import (
     FD_STRIDE,
     FunctionalCoefficients,
@@ -45,6 +35,7 @@ from .profile import (
     ExistenceViolation,
     InadmissiblePerturbation,
     IntegrationError,
+    PerturbationSpec,
     Profile,
     Tolerances,
     generate_cmc_sphere,
@@ -305,21 +296,29 @@ def cmd_energy(config: RunConfig, profile_path: str) -> int:
     return EXIT_OK
 
 
-# Each suite on a configuration c, its geometry g and kw (tolerances, sample count).  The
-# suites are looked up by name at call time, so a rebinding of their names here reaches the run.
+# Each suite of the experiments module ex on a configuration c, its geometry g and kw
+# (tolerances, sample count).  ``experiments`` is imported only by the commands that run a
+# suite or a sweep, and each suite is looked up on that module at call time, so a rebinding
+# of its name there reaches the run.
 _SUITES = {
-    "criticality": lambda c, g, **kw: verify_criticality(g, c.H, c.coefficients(g), **kw),
-    "minimality": lambda c, g, **kw: verify_minimality(g, c.H, coeffs=c.coefficients(g), **kw),
-    "descent": lambda c, g, **kw: descend_energy(
+    "criticality": lambda ex, c, g, **kw: ex.verify_criticality(g, c.H, c.coefficients(g), **kw),
+    "minimality": lambda ex, c, g, **kw: ex.verify_minimality(
+        g, c.H, coeffs=c.coefficients(g), **kw
+    ),
+    "descent": lambda ex, c, g, **kw: ex.descend_energy(
         g, c.H, c.family_dims, start=c.start(), max_iterations=c.max_iterations, **kw
     ),
-    "identities": lambda c, g, **kw: verify_identities(g, c.H, c.start(), seed=c.seed, **kw),
+    "identities": lambda ex, c, g, **kw: ex.verify_identities(g, c.H, c.start(), seed=c.seed, **kw),
 }
 
 
 def cmd_verify(config: RunConfig, which: str, trace_path: str | None = None) -> int:
+    from . import experiments
+
     g = config.geometry()
-    report = _SUITES[which](config, g, tolerances=config.tolerances, n_samples=config.samples)
+    report = _SUITES[which](
+        experiments, config, g, tolerances=config.tolerances, n_samples=config.samples
+    )
     if trace_path:
         _write_trace(Path(trace_path), report.profile, report.coefficients)
     out = Path(config.out) if config.out else Path(f"verify_{which}.json")
@@ -341,6 +340,8 @@ def _write_trace(path: Path, prof: Profile, coeffs: FunctionalCoefficients) -> N
 
 
 def cmd_sweep(config: RunConfig, spec_path: str) -> int:
+    from .experiments import SweepSpec, sweep, write_sweep_csv
+
     data = _read_json_object(spec_path, "sweep spec")
     try:
         spec = SweepSpec.from_dict(data)

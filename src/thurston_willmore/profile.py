@@ -362,7 +362,13 @@ class Profile:
     @classmethod
     def from_csv(cls, path) -> "Profile":
         path = Path(path)
-        data = np.loadtxt(path, delimiter=",", skiprows=1, dtype=float, ndmin=2)
+        lines = path.read_text().splitlines()
+        # np.loadtxt only warns on a file with no rows, then fails on its shape
+        if not any(map(str.strip, lines)):
+            raise ValueError("profile CSV is empty")
+        if not any(lines[1:]):
+            raise ValueError("profile CSV has a header but no sample rows")
+        data = np.loadtxt(lines[1:], delimiter=",", dtype=float, ndmin=2)
         if data.shape[1] not in (4, 5):
             raise ValueError(
                 f"profile CSV must have columns s,u,v,sigma[,{_SPEED_COLUMN}], got {data.shape[1]}"

@@ -3,6 +3,7 @@ import math
 import re
 import shlex
 import subprocess
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -204,6 +205,24 @@ class TestEnergy:
         bad.write_text("s,u\n0.0,0.0\n")
         (tmp_path / "bad.csv.json").write_text("{}")
         assert run(["energy", bad]) == 1
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "profile CSV is empty"),
+            ("\n  \n", "profile CSV is empty"),
+            ("s,u,v,sigma\n", "profile CSV has a header but no sample rows"),
+        ],
+        ids=["empty", "blank", "header-only"],
+    )
+    def test_profile_without_rows_exits_1_without_warning(self, tmp_path, capsys, text, message):
+        # np.loadtxt would warn "input contained no data" before the error line
+        path = tmp_path / "rows.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["energy", path]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: malformed profile file {path}: {message}\n"
 
     @pytest.mark.parametrize(
         "edit, message",

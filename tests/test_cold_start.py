@@ -3,8 +3,9 @@
 The closed-form spheres, the mode family and the sampled energies need
 numpy only; scipy (about 0.9 s to import) is loaded on the first call of
 ``profile.solve_ivp``, the shim :func:`thurston_willmore.profile.integrate`
-calls.  The check runs in a fresh interpreter, so no other test's imports
-leak into it.
+calls.  The suites module ``experiments`` is loaded by ``tw verify`` and
+``tw sweep`` only, not by ``tw generate`` or ``tw energy``.  The check runs
+in a fresh interpreter, so no other test's imports leak into it.
 """
 
 import json
@@ -33,7 +34,10 @@ _SCRIPT = textwrap.dedent(
         ["verify", "criticality", *geo, "--out", str(work / "c.json")],
         ["verify", "identities", *geo, "--out", str(work / "i.json")],
     ]
-    codes = [cli.main(argv) for argv in runs]
+    codes = [cli.main(argv) for argv in runs[:3]]
+    suites = ["thurston_willmore.experiments" in sys.modules]
+    codes += [cli.main(argv) for argv in runs[3:]]
+    suites.append("thurston_willmore.experiments" in sys.modules)
     loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
     import scipy.integrate
@@ -48,7 +52,8 @@ _SCRIPT = textwrap.dedent(
     axis = ProfileState(0.0, 0.0, 0.0, 0.0)
     shot = profile.integrate(GeometryParams(0.0, 0.5), 1.0, axis, StopCondition.sphere_closure(10.0))
     print(json.dumps({"codes": codes, "scipy": loaded, "solve_ivp_calls": len(calls),
-                      "samples": len(shot), "grids_at_import": grids_at_import}))
+                      "samples": len(shot), "grids_at_import": grids_at_import,
+                      "suites": suites}))
     """
 )
 
@@ -64,6 +69,8 @@ def test_tw_paths_do_not_import_scipy(tmp_path):
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["codes"] == [0, 0, 0, 0, 0]
     assert result["scipy"] == []
+    # experiments is loaded by the verify runs, not by generate or energy
+    assert result["suites"] == [False, True]
     # integrate still shoots through the real scipy solver, once
     assert result["solve_ivp_calls"] == 1
     assert result["samples"] == 2049

@@ -7,7 +7,7 @@ Usage::
 Each argument is a directory that holds the ``thurston_willmore`` package
 (a checkout's ``src``).  For each tree, in a temporary directory of its
 own, the script runs the README's command block in order, then
-``EXTRA_RUNS``: 39 ``tw`` runs in all, as ``python -m
+``EXTRA_RUNS``: 41 ``tw`` runs in all, as ``python -m
 thurston_willmore.cli`` with that tree first on ``PYTHONPATH``.  Every
 path is relative to the temporary directory, so no output names it.
 After each run it reads every file in the directory.  It prints each
@@ -29,7 +29,8 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 # The runs after the README block: more formats, sample counts and
 # geometries, each suite passing and failing, a configuration error, a
-# profile whose name does not match its format, and every command's help.
+# profile whose name does not match its format, profile files with no
+# rows, and every command's help.
 EXTRA_RUNS = [
     "tw generate --k 0 --tau 0.5 --H 1 --format json -o sphere.json",
     "tw generate --k 0 --tau 0.5 --H 1 --epsilon 0.1 --mode 2 --format json -o mode2.json",
@@ -51,6 +52,10 @@ EXTRA_RUNS = [
     "tw generate --k 0 --tau 0.5 --H 1 --format csv -o csv_named.json",
     "tw energy json_named.csv",
     "tw energy csv_named.json",
+    ": > empty.csv",
+    "printf 's,u,v,sigma\\n' > header_only.csv",
+    "tw energy empty.csv",
+    "tw energy header_only.csv",
     "tw --help",
     "tw verify --help",
     "tw generate --help",
