@@ -5,7 +5,10 @@ arrays only, so repeated runs and CSV round trips are bit-identical.
 Stencils and quadrature act along the last axis, so a (rows, samples)
 array is one profile's samples per row.  Derivatives use 5-point stencils
 (4th order in the interior, one-sided at the two edge samples on each
-side).  Integration applies 16-point
+side).  A stride-m stencil takes its points m samples apart and fills
+every sample in one pass, one expression over the interior and the
+one-sided formulas on the first and last 2m samples; each sample still
+sees only its own stride-m subgrid.  Integration applies 16-point
 Gauss-Legendre rules to the local interpolant of each panel of eight grid
 intervals, which reduces to fixed weights on the samples; the error
 estimate compares against the same rule on the stride-2 subgrid.
@@ -30,49 +33,73 @@ __all__ = ["derivative1", "derivative2", "sample_quadrature", "sample_quadrature
 _PANEL = 8  # grid intervals per quadrature panel
 
 
-def _derivative1_unit(y: np.ndarray, h: float) -> np.ndarray:
+def _derivative1_unit(y: np.ndarray, h: float, m: int) -> np.ndarray:
+    c = 12.0 * h
     d = np.empty_like(y)
-    d[2:-2] = (y[:-4] - 8.0 * y[1:-3] + 8.0 * y[3:-1] - y[4:]) / (12.0 * h)
-    d[0] = (-25.0 * y[0] + 48.0 * y[1] - 36.0 * y[2] + 16.0 * y[3] - 3.0 * y[4]) / (12.0 * h)
-    d[1] = (-3.0 * y[0] - 10.0 * y[1] + 18.0 * y[2] - 6.0 * y[3] + y[4]) / (12.0 * h)
-    d[-2] = -(-3.0 * y[-1] - 10.0 * y[-2] + 18.0 * y[-3] - 6.0 * y[-4] + y[-5]) / (12.0 * h)
-    d[-1] = -(-25.0 * y[-1] + 48.0 * y[-2] - 36.0 * y[-3] + 16.0 * y[-4] - 3.0 * y[-5]) / (12.0 * h)
+    n = len(y)
+    # interior in place, in the order of (y0 - 8 y1 + 8 y3 - y4) / c
+    inner = d[2 * m : n - 2 * m]
+    np.multiply(y[m : n - 3 * m], 8.0, out=inner)
+    np.subtract(y[: n - 4 * m], inner, out=inner)
+    inner += 8.0 * y[3 * m : n - m]
+    inner -= y[4 * m :]
+    inner /= c
+    for i in range(m):
+        y0, y1, y2, y3, y4 = y[i], y[i + m], y[i + 2 * m], y[i + 3 * m], y[i + 4 * m]
+        d[i] = (-25.0 * y0 + 48.0 * y1 - 36.0 * y2 + 16.0 * y3 - 3.0 * y4) / c
+        d[i + m] = (-3.0 * y0 - 10.0 * y1 + 18.0 * y2 - 6.0 * y3 + y4) / c
+        j = -1 - i
+        y0, y1, y2, y3, y4 = y[j], y[j - m], y[j - 2 * m], y[j - 3 * m], y[j - 4 * m]
+        d[j - m] = -(-3.0 * y0 - 10.0 * y1 + 18.0 * y2 - 6.0 * y3 + y4) / c
+        d[j] = -(-25.0 * y0 + 48.0 * y1 - 36.0 * y2 + 16.0 * y3 - 3.0 * y4) / c
     return d
 
 
-def _derivative2_unit(y: np.ndarray, h: float) -> np.ndarray:
+def _derivative2_unit(y: np.ndarray, h: float, m: int) -> np.ndarray:
     hh = 12.0 * h * h
     d = np.empty_like(y)
-    d[2:-2] = (-y[:-4] + 16.0 * y[1:-3] - 30.0 * y[2:-2] + 16.0 * y[3:-1] - y[4:]) / hh
-    d[0] = (35.0 * y[0] - 104.0 * y[1] + 114.0 * y[2] - 56.0 * y[3] + 11.0 * y[4]) / hh
-    d[1] = (11.0 * y[0] - 20.0 * y[1] + 6.0 * y[2] + 4.0 * y[3] - y[4]) / hh
-    d[-2] = (11.0 * y[-1] - 20.0 * y[-2] + 6.0 * y[-3] + 4.0 * y[-4] - y[-5]) / hh
-    d[-1] = (35.0 * y[-1] - 104.0 * y[-2] + 114.0 * y[-3] - 56.0 * y[-4] + 11.0 * y[-5]) / hh
+    n = len(y)
+    # interior in place, in the order of (-y0 + 16 y1 - 30 y2 + 16 y3 - y4) / hh
+    inner = d[2 * m : n - 2 * m]
+    np.multiply(y[m : n - 3 * m], 16.0, out=inner)
+    np.subtract(inner, y[: n - 4 * m], out=inner)
+    inner -= 30.0 * y[2 * m : n - 2 * m]
+    inner += 16.0 * y[3 * m : n - m]
+    inner -= y[4 * m :]
+    inner /= hh
+    for i in range(m):
+        y0, y1, y2, y3, y4 = y[i], y[i + m], y[i + 2 * m], y[i + 3 * m], y[i + 4 * m]
+        d[i] = (35.0 * y0 - 104.0 * y1 + 114.0 * y2 - 56.0 * y3 + 11.0 * y4) / hh
+        d[i + m] = (11.0 * y0 - 20.0 * y1 + 6.0 * y2 + 4.0 * y3 - y4) / hh
+        j = -1 - i
+        y0, y1, y2, y3, y4 = y[j], y[j - m], y[j - 2 * m], y[j - 3 * m], y[j - 4 * m]
+        d[j - m] = (11.0 * y0 - 20.0 * y1 + 6.0 * y2 + 4.0 * y3 - y4) / hh
+        d[j] = (35.0 * y0 - 104.0 * y1 + 114.0 * y2 - 56.0 * y3 + 11.0 * y4) / hh
     return d
 
 
 def _strided(kernel, y: np.ndarray, h: float, stride: int) -> np.ndarray:
-    """Apply a stencil kernel along the last axis of y, on its interleaved stride-subgrids.
+    """Apply a stencil kernel along the last axis of y, its points ``stride`` samples apart.
 
     Stencil points sit ``stride`` samples apart, which divides the
     amplification of sample-level white noise by stride (first derivative)
     or stride^2 (second derivative) at an O((stride h)^4) truncation cost.
-    Sample values themselves are never mixed across subgrids.  The kernels
-    index their first axis, so they run on the transpose, whose rows are the
-    samples: a 1-D y is its own transpose, and its edge rows stay scalars
-    (indexing ``y[..., 0]`` makes 0-d arrays, which doubled the 1-D cost).
+    One pass fills every sample: the interior [2 stride, n - 2 stride) as
+    one expression over slices offset by multiples of ``stride``, and the
+    first and last 2 stride samples by the one-sided formulas, one offset
+    at a time.  So sample values are never mixed across the interleaved
+    stride-subgrids, and every sample equals the same stencil applied to
+    its own subgrid.  The kernels index their first axis, so they run on
+    the transpose, whose rows are the samples: a 1-D y is its own
+    transpose, and its edge rows stay scalars (indexing ``y[..., 0]`` makes
+    0-d arrays, which doubled the 1-D cost).
     """
     y = np.asarray(y, dtype=float)
     if stride < 1:
         raise ValueError("stride must be >= 1")
     if y.shape[-1] < 5 * stride:
         raise ValueError(f"need at least {5 * stride} samples for stride {stride}")
-    if stride == 1:
-        return kernel(y.T, h).T
-    d = np.empty_like(y)
-    for offset in range(stride):
-        d[..., offset::stride] = kernel(y[..., offset::stride].T, h * stride).T
-    return d
+    return kernel(y.T, h * stride, stride).T
 
 
 def derivative1(y: np.ndarray, h, stride: int = 1) -> np.ndarray:
@@ -142,15 +169,19 @@ def sample_quadrature(y: np.ndarray, h):
     return float(total) if y.ndim == 1 else total
 
 
-def sample_quadrature_with_error(y: np.ndarray, h) -> tuple[float, float]:
-    """Integral plus an error estimate from the stride-2 subgrid.
+def sample_quadrature_with_error(y: np.ndarray, h):
+    """Integral plus an error estimate from the stride-2 subgrid, along the last axis.
 
     The fine and coarse rules are both of high order, so their difference
     is a conservative bound on the quadrature error of the fine result.
+    Floats for 1-D samples, else one integral and one estimate per row;
+    the estimate is NaN where the samples have no stride-2 subgrid (an even
+    count, or fewer than 5).
     """
     y = np.asarray(y, dtype=float)
     value = sample_quadrature(y, h)
-    if y.size >= 5 and (y.size - 1) % 2 == 0:
-        coarse = sample_quadrature(y[::2], 2.0 * (h if np.ndim(h) == 0 else h[::2]))
+    n = y.shape[-1]
+    if n >= 5 and (n - 1) % 2 == 0:
+        coarse = sample_quadrature(y[..., ::2], 2.0 * (h if np.ndim(h) == 0 else h[..., ::2]))
         return value, abs(value - coarse)
-    return value, np.nan
+    return value, (np.nan if y.ndim == 1 else np.full(value.shape, np.nan))

@@ -10,6 +10,51 @@ from thurston_willmore.numerics import (
     sample_quadrature_with_error,
 )
 
+# Reference stencils: each stride-m subgrid y[offset::m] differentiated on
+# its own, one kernel call per offset, with the plain 5-point formulas.
+
+
+def _reference_d1(y, h):
+    d = np.empty_like(y)
+    d[2:-2] = (y[:-4] - 8.0 * y[1:-3] + 8.0 * y[3:-1] - y[4:]) / (12.0 * h)
+    d[0] = (-25.0 * y[0] + 48.0 * y[1] - 36.0 * y[2] + 16.0 * y[3] - 3.0 * y[4]) / (12.0 * h)
+    d[1] = (-3.0 * y[0] - 10.0 * y[1] + 18.0 * y[2] - 6.0 * y[3] + y[4]) / (12.0 * h)
+    d[-2] = -(-3.0 * y[-1] - 10.0 * y[-2] + 18.0 * y[-3] - 6.0 * y[-4] + y[-5]) / (12.0 * h)
+    d[-1] = -(-25.0 * y[-1] + 48.0 * y[-2] - 36.0 * y[-3] + 16.0 * y[-4] - 3.0 * y[-5]) / (12.0 * h)
+    return d
+
+
+def _reference_d2(y, h):
+    hh = 12.0 * h * h
+    d = np.empty_like(y)
+    d[2:-2] = (-y[:-4] + 16.0 * y[1:-3] - 30.0 * y[2:-2] + 16.0 * y[3:-1] - y[4:]) / hh
+    d[0] = (35.0 * y[0] - 104.0 * y[1] + 114.0 * y[2] - 56.0 * y[3] + 11.0 * y[4]) / hh
+    d[1] = (11.0 * y[0] - 20.0 * y[1] + 6.0 * y[2] + 4.0 * y[3] - y[4]) / hh
+    d[-2] = (11.0 * y[-1] - 20.0 * y[-2] + 6.0 * y[-3] + 4.0 * y[-4] - y[-5]) / hh
+    d[-1] = (35.0 * y[-1] - 104.0 * y[-2] + 114.0 * y[-3] - 56.0 * y[-4] + 11.0 * y[-5]) / hh
+    return d
+
+
+def _reference_strided(kernel, y, h, m):
+    d = np.empty_like(y)
+    for offset in range(m):
+        d[..., offset::m] = kernel(y[..., offset::m].T, h * m).T
+    return d
+
+
+def _reference_derivative1(y, h, m):
+    if np.ndim(h) == 0:
+        return _reference_strided(_reference_d1, y, h, m)
+    return _reference_strided(_reference_d1, y, 1.0, m) / h
+
+
+def _reference_derivative2(y, h, m):
+    if np.ndim(h) == 0:
+        return _reference_strided(_reference_d2, y, h, m)
+    h_dot = _reference_strided(_reference_d1, h, 1.0, m)
+    y_dot = _reference_strided(_reference_d1, y, 1.0, m)
+    return (_reference_strided(_reference_d2, y, 1.0, m) - h_dot * y_dot / h) / (h * h)
+
 
 def test_derivatives_exact_on_cubics():
     # 5-point stencils integrate polynomials up to degree 4 exactly
@@ -49,6 +94,25 @@ def test_strided_derivative_damps_white_noise():
     plain = np.abs(derivative2(noise, h)).max()
     strided = np.abs(derivative2(noise, h, 4)[8:-8]).max()
     assert strided < plain / 8.0
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_one_pass_stencils_match_per_offset_reference_bit_for_bit(m):
+    rng = np.random.default_rng(19 + m)
+    for n in (5 * m, 5 * m + 1, 2049, 2050):
+        spacings = (0.37 / n, 0.5 + rng.uniform(0.0, 0.25, n))
+        for shape in ((n,), (3, n)):
+            y = rng.standard_normal(shape) * 10.0 ** rng.uniform(-6.0, 6.0)
+            for h in spacings:
+                assert np.array_equal(derivative1(y, h, m), _reference_derivative1(y, h, m))
+                assert np.array_equal(derivative2(y, h, m), _reference_derivative2(y, h, m))
+
+
+def test_stencil_errors_keep_their_messages():
+    with pytest.raises(ValueError, match=r"^stride must be >= 1$"):
+        derivative1(np.zeros(10), 0.1, 0)
+    with pytest.raises(ValueError, match=r"^need at least 20 samples for stride 4$"):
+        derivative2(np.zeros((3, 19)), 0.1, 4)
 
 
 def test_quadrature_polynomial_exactness():
@@ -102,3 +166,27 @@ def test_uniform_array_spacing_agrees_with_scalar():
     spacing = np.full(x.size, h)
     np.testing.assert_allclose(derivative1(y, spacing), derivative1(y, h), rtol=1e-12)
     assert sample_quadrature(y, spacing) == pytest.approx(sample_quadrature(y, h), rel=1e-14)
+
+
+@pytest.mark.parametrize("rows", [2, 3])
+@pytest.mark.parametrize("n", [2049, 2048])
+def test_quadrature_with_error_acts_along_the_last_axis(rows, n):
+    # A (rows, samples) product and a 1-D dot product may round differently
+    # in BLAS, so rows agree with their 1-D results to rounding, and bit for
+    # bit with the rows of the same 2-D fine and stride-2 rules.
+    x = np.linspace(0.0, 1.0, n)
+    y = np.stack([np.exp((r + 1) * x) for r in range(rows)])
+    for h in (x[1] - x[0], (x[1] - x[0]) * (1.0 + 0.1 * x)):
+        value, estimate = sample_quadrature_with_error(y, h)
+        assert value.shape == estimate.shape == (rows,)
+        assert np.array_equal(value, sample_quadrature(y, h))
+        if n % 2:
+            coarse = sample_quadrature(y[:, ::2], 2.0 * (h if np.ndim(h) == 0 else h[::2]))
+            assert np.array_equal(estimate, np.abs(value - coarse))
+        for r in range(rows):
+            row_value, row_estimate = sample_quadrature_with_error(y[r], h)
+            assert value[r] == pytest.approx(row_value, rel=1e-14)
+            if n % 2:
+                assert abs(estimate[r] - row_estimate) <= 1e-14 * abs(row_value)
+            else:
+                assert math.isnan(estimate[r]) and math.isnan(row_estimate)

@@ -18,7 +18,10 @@ on ``PYTHONPATH``, computes the same seeded items, in groups:
 - ``descent``: dims-1 and dims-3 default descents on every 6th grid case;
 - ``modes`` and ``cmc``: 300 random ``sphere_from_modes`` and 300 random
   ``generate_cmc_sphere`` profiles at 1025 samples, with their samples,
-  energy report, interior residual and first variation;
+  energy report, interior residual, the full ``el_residual`` array,
+  ``gauss_curvature_profile`` and ``div_nuT_profile``, the
+  ``gauss_bonnet_total``, ``second_summand_derivative_check`` and
+  ``willmore_relation_check`` values, and the first variation;
 - ``geometry``: 2000 draws of the public ``geometry`` functions, tau in
   [-3, 3].
 
@@ -98,7 +101,17 @@ def _random_shape(rng, g, H):
 
 def _profile_item(profile_fn, *args) -> dict:
     from thurston_willmore.experiments import first_variation
-    from thurston_willmore.functional import canonical_coefficients, energy, max_interior_residual
+    from thurston_willmore.functional import (
+        canonical_coefficients,
+        div_nuT_profile,
+        el_residual,
+        energy,
+        gauss_bonnet_total,
+        gauss_curvature_profile,
+        max_interior_residual,
+        second_summand_derivative_check,
+        willmore_relation_check,
+    )
 
     item = {}
     p = _attempt(item, "profile", profile_fn, *args, n_samples=PROFILE_SAMPLES)
@@ -110,6 +123,12 @@ def _profile_item(profile_fn, *args) -> dict:
     for name, fn in (
         ("energy", lambda: energy(p).to_dict()),
         ("residual", lambda: max_interior_residual(p, coeffs)),
+        ("el_residual", lambda: el_residual(p, coeffs)),
+        ("gauss_curvature", lambda: gauss_curvature_profile(p)),
+        ("div_nuT", lambda: div_nuT_profile(p)),
+        ("gauss_bonnet", lambda: gauss_bonnet_total(p)),
+        ("second_summand_derivative", lambda: second_summand_derivative_check(p)),
+        ("willmore_relation", lambda: willmore_relation_check(p)),
         ("variation", lambda: [v.to_dict() for v in first_variation(p, coeffs)]),
     ):
         value = _attempt(item, name, fn)

@@ -7,7 +7,7 @@ Usage::
 Each argument is a directory that holds the ``thurston_willmore`` package
 (a checkout's ``src``).  For each tree, in a temporary directory of its
 own, the script runs the README's command block in order, then
-``EXTRA_RUNS``: 41 ``tw`` runs in all, as ``python -m
+``EXTRA_RUNS``: 42 ``tw`` runs in all, as ``python -m
 thurston_willmore.cli`` with that tree first on ``PYTHONPATH``.  Every
 path is relative to the temporary directory, so no output names it.
 After each run it reads every file in the directory.  It prints each
@@ -28,9 +28,10 @@ from pathlib import Path
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 # The runs after the README block: more formats, sample counts and
-# geometries, each suite passing and failing, a configuration error, a
-# profile whose name does not match its format, profile files with no
-# rows, and every command's help.
+# geometries (at the least count, 21, the edge formulas write 16 of the 21
+# samples of each stride-4 stencil), each suite passing and failing, a
+# configuration error, a profile whose name does not match its format,
+# profile files with no rows, and every command's help.
 EXTRA_RUNS = [
     "tw generate --k 0 --tau 0.5 --H 1 --format json -o sphere.json",
     "tw generate --k 0 --tau 0.5 --H 1 --epsilon 0.1 --mode 2 --format json -o mode2.json",
@@ -46,6 +47,8 @@ EXTRA_RUNS = [
     "tw verify descent --k -1 --tau -0.5 --H 0.5001 --out descent_edge.json",
     "tw verify identities --k -1 --tau -0.5 --H 0.8 --epsilon 0.05 --mode 2 --out ident.json",
     "tw verify criticality --k -1 --tau -0.5 --H 0.8 --samples 8193 --out crit_8193.json",
+    "tw verify criticality --k -1 --tau -0.5 --H 0.8 --samples 21"
+    " --trace trace_21.csv --out crit_21.json",
     "tw sweep spec.json --samples 1025 --out table_1025.csv",
     "tw generate --k 0 --tau 0.5 --H 1 --samples 20 -o even.csv",
     "tw generate --k 0 --tau 0.5 --H 1 --format json -o json_named.csv",
