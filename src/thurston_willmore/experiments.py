@@ -650,13 +650,13 @@ def descend_energy(
     stop_reason = "iteration budget used up"
     iterations = max_iterations
     for i in range(max_iterations + 1):
-        if np.max(np.abs(c)) < coeff_tol and f_val - FOUR_PI < energy_tol:
+        if np.abs(c).max() < coeff_tol and f_val - FOUR_PI < energy_tol:
             stop_reason, iterations = "converged", i
             break
         if i == max_iterations:
             break
         eigenvalues, vectors = np.linalg.eigh(hess)
-        curvature = np.maximum(np.abs(eigenvalues), _HESSIAN_FLOOR * np.max(np.abs(eigenvalues)))
+        curvature = np.maximum(np.abs(eigenvalues), _HESSIAN_FLOOR * np.abs(eigenvalues).max())
         step = -vectors @ ((vectors.T @ grad) / curvature)
         slope = float(grad @ step)
         trial = 1.0
@@ -677,7 +677,7 @@ def descend_energy(
     final_energy = energy(final_profile).E
     sin_sig = np.sin(final_profile.sigma)
     refit = float(np.dot(sin_sig, final_profile.u) / np.dot(final_profile.u, final_profile.u))
-    identity_residual = float(np.max(np.abs(sin_sig - refit * final_profile.u)))
+    identity_residual = float(np.abs(sin_sig - refit * final_profile.u).max())
     if stop_reason == "converged" and not abs(final_energy - FOUR_PI) < energy_tol:
         stop_reason = "final shape check failed"
     gradient_norm = float(np.linalg.norm(grad))
@@ -824,7 +824,7 @@ def _sweep_row(
             E=report.E,
             max_residual=residual,
             second_summand=report.second_summand,
-            u_max=float(np.max(profile.u)),
+            u_max=float(profile.u.max()),
             area=report.area,
         )
     except ExistenceViolation as exc:

@@ -176,8 +176,8 @@ def _energy_density(
 
 def _pole_safe_ratio(u, sin_sig, limit, u_min: float = POLE_U):
     """sin(sigma)/u, replaced by its pole limit ``limit`` where u <= ``u_min``."""
-    safe_u = np.where(u > u_min, u, 1.0)
-    return np.where(u > u_min, sin_sig / safe_u, limit)
+    off_pole = u > u_min
+    return np.where(off_pole, sin_sig / np.where(off_pole, u, 1.0), limit)
 
 
 def mean_curvature(g: GeometryParams, u, sigma, dsigma_ds):
@@ -314,8 +314,8 @@ class _ProfileFields:
         Hd = derivative1(H, self.h, stride)
         Hdd = derivative2(H, self.h, stride)
         t = 1.0 + tau * tau * u * u / (A * A) - 0.5 * k * u * u / B
-        safe_u = np.where(u > POLE_U, u, 1.0)
-        hd_over_u = np.where(u > POLE_U, Hd / safe_u, 0.0)
+        off_pole = u > POLE_U
+        hd_over_u = np.where(off_pole, Hd / np.where(off_pole, u, 1.0), 0.0)
         return Hdd + t * self.u_dot * hd_over_u
 
 
@@ -378,9 +378,7 @@ def energy(profile: Profile, coeffs: FunctionalCoefficients | None = None) -> En
     k, tau = g.k, g.tau
     h = f.h
 
-    e_value, e_err = sample_quadrature_with_error(
-        _energy_density(g, coeffs, f.H, f.nu, f.mu, 1.0), h
-    )
+    e_value, e_err = sample_quadrature_with_error(_energy_weight(g, coeffs, f.H, f.nu) * f.mu, h)
 
     # Canonical split: nonnegative square plus the topological integrand.
     square = f.sigma_dot - f.ratio - 0.25 * k * f.u * f.sin
@@ -456,7 +454,7 @@ def el_residual(
 def max_interior_residual(profile: Profile, coeffs: FunctionalCoefficients) -> float:
     """Maximum absolute Euler-Lagrange residual, ``INTERIOR_MARGIN`` samples off each pole."""
     res = el_residual(profile, coeffs)
-    return float(np.max(np.abs(res[INTERIOR_MARGIN:-INTERIOR_MARGIN])))
+    return float(np.abs(res[INTERIOR_MARGIN:-INTERIOR_MARGIN]).max())
 
 
 def willmore_relation_check(profile: Profile) -> float:

@@ -8,7 +8,8 @@ array is one profile's samples per row.  Derivatives use 5-point stencils
 side).  A stride-m stencil takes its points m samples apart and fills
 every sample in one pass, one expression over the interior and the
 one-sided formulas on the first and last 2m samples; each sample still
-sees only its own stride-m subgrid.  Integration applies 16-point
+sees only its own stride-m subgrid; on 1-D input the one-sided formulas
+take the edge samples as Python floats.  Integration applies 16-point
 Gauss-Legendre rules to the local interpolant of each panel of eight grid
 intervals, which reduces to fixed weights on the samples; the error
 estimate compares against the same rule on the stride-2 subgrid.
@@ -34,7 +35,7 @@ _PANEL = 8  # grid intervals per quadrature panel
 
 
 def _derivative1_unit(y: np.ndarray, h: float, m: int) -> np.ndarray:
-    c = 12.0 * h
+    c = np.float64(12.0 * h)  # a float divided by it follows numpy, not ZeroDivisionError
     d = np.empty_like(y)
     n = len(y)
     # interior in place, in the order of (y0 - 8 y1 + 8 y3 - y4) / c
@@ -44,19 +45,21 @@ def _derivative1_unit(y: np.ndarray, h: float, m: int) -> np.ndarray:
     inner += 8.0 * y[3 * m : n - m]
     inner -= y[4 * m :]
     inner /= c
+    head, tail = y[: 5 * m], y[: -5 * m - 1 : -1]  # the last 5m samples reversed
+    if y.ndim == 1:
+        head, tail = head.tolist(), tail.tolist()
     for i in range(m):
-        y0, y1, y2, y3, y4 = y[i], y[i + m], y[i + 2 * m], y[i + 3 * m], y[i + 4 * m]
+        y0, y1, y2, y3, y4 = head[i :: m]
         d[i] = (-25.0 * y0 + 48.0 * y1 - 36.0 * y2 + 16.0 * y3 - 3.0 * y4) / c
         d[i + m] = (-3.0 * y0 - 10.0 * y1 + 18.0 * y2 - 6.0 * y3 + y4) / c
-        j = -1 - i
-        y0, y1, y2, y3, y4 = y[j], y[j - m], y[j - 2 * m], y[j - 3 * m], y[j - 4 * m]
-        d[j - m] = -(-3.0 * y0 - 10.0 * y1 + 18.0 * y2 - 6.0 * y3 + y4) / c
-        d[j] = -(-25.0 * y0 + 48.0 * y1 - 36.0 * y2 + 16.0 * y3 - 3.0 * y4) / c
+        y0, y1, y2, y3, y4 = tail[i :: m]
+        d[-1 - i - m] = -(-3.0 * y0 - 10.0 * y1 + 18.0 * y2 - 6.0 * y3 + y4) / c
+        d[-1 - i] = -(-25.0 * y0 + 48.0 * y1 - 36.0 * y2 + 16.0 * y3 - 3.0 * y4) / c
     return d
 
 
 def _derivative2_unit(y: np.ndarray, h: float, m: int) -> np.ndarray:
-    hh = 12.0 * h * h
+    hh = np.float64(12.0 * h * h)
     d = np.empty_like(y)
     n = len(y)
     # interior in place, in the order of (-y0 + 16 y1 - 30 y2 + 16 y3 - y4) / hh
@@ -67,14 +70,16 @@ def _derivative2_unit(y: np.ndarray, h: float, m: int) -> np.ndarray:
     inner += 16.0 * y[3 * m : n - m]
     inner -= y[4 * m :]
     inner /= hh
+    head, tail = y[: 5 * m], y[: -5 * m - 1 : -1]
+    if y.ndim == 1:
+        head, tail = head.tolist(), tail.tolist()
     for i in range(m):
-        y0, y1, y2, y3, y4 = y[i], y[i + m], y[i + 2 * m], y[i + 3 * m], y[i + 4 * m]
+        y0, y1, y2, y3, y4 = head[i :: m]
         d[i] = (35.0 * y0 - 104.0 * y1 + 114.0 * y2 - 56.0 * y3 + 11.0 * y4) / hh
         d[i + m] = (11.0 * y0 - 20.0 * y1 + 6.0 * y2 + 4.0 * y3 - y4) / hh
-        j = -1 - i
-        y0, y1, y2, y3, y4 = y[j], y[j - m], y[j - 2 * m], y[j - 3 * m], y[j - 4 * m]
-        d[j - m] = (11.0 * y0 - 20.0 * y1 + 6.0 * y2 + 4.0 * y3 - y4) / hh
-        d[j] = (35.0 * y0 - 104.0 * y1 + 114.0 * y2 - 56.0 * y3 + 11.0 * y4) / hh
+        y0, y1, y2, y3, y4 = tail[i :: m]
+        d[-1 - i - m] = (11.0 * y0 - 20.0 * y1 + 6.0 * y2 + 4.0 * y3 - y4) / hh
+        d[-1 - i] = (35.0 * y0 - 104.0 * y1 + 114.0 * y2 - 56.0 * y3 + 11.0 * y4) / hh
     return d
 
 
@@ -87,12 +92,12 @@ def _strided(kernel, y: np.ndarray, h: float, stride: int) -> np.ndarray:
     One pass fills every sample: the interior [2 stride, n - 2 stride) as
     one expression over slices offset by multiples of ``stride``, and the
     first and last 2 stride samples by the one-sided formulas, one offset
-    at a time.  So sample values are never mixed across the interleaved
-    stride-subgrids, and every sample equals the same stencil applied to
-    its own subgrid.  The kernels index their first axis, so they run on
-    the transpose, whose rows are the samples: a 1-D y is its own
-    transpose, and its edge rows stay scalars (indexing ``y[..., 0]`` makes
-    0-d arrays, which doubled the 1-D cost).
+    at a time.  So sample
+    values are never mixed across the interleaved stride-subgrids, and
+    every sample equals the same stencil applied to its own subgrid.  The
+    kernels index their first axis, so they run on the transpose, whose
+    rows are the samples: a 1-D y is its own transpose, read at its edges
+    once with ``tolist()`` (``y[i]`` makes a numpy scalar per sample).
     """
     y = np.asarray(y, dtype=float)
     if stride < 1:
@@ -104,14 +109,14 @@ def _strided(kernel, y: np.ndarray, h: float, stride: int) -> np.ndarray:
 
 def derivative1(y: np.ndarray, h, stride: int = 1) -> np.ndarray:
     """First derivative d/ds of samples with spacing ``h``, 5-point stencils."""
-    if np.ndim(h) == 0:
+    if getattr(h, "ndim", 0) == 0:
         return _strided(_derivative1_unit, y, h, stride)
     return _strided(_derivative1_unit, y, 1.0, stride) / h
 
 
 def derivative2(y: np.ndarray, h, stride: int = 1) -> np.ndarray:
     """Second derivative d^2/ds^2 of samples with spacing ``h``, 5-point stencils."""
-    if np.ndim(h) == 0:
+    if getattr(h, "ndim", 0) == 0:
         return _strided(_derivative2_unit, y, h, stride)
     h_dot = _strided(_derivative1_unit, h, 1.0, stride)
     y_dot = _strided(_derivative1_unit, y, 1.0, stride)
@@ -162,7 +167,7 @@ def sample_quadrature(y: np.ndarray, h):
     """
     y = np.asarray(y, dtype=float)
     weights = _grid_weights(y.shape[-1])
-    if np.ndim(h) == 0:
+    if getattr(h, "ndim", 0) == 0:
         total = h * (y @ weights)
     else:
         total = (y * h) @ weights
@@ -182,6 +187,6 @@ def sample_quadrature_with_error(y: np.ndarray, h):
     value = sample_quadrature(y, h)
     n = y.shape[-1]
     if n >= 5 and (n - 1) % 2 == 0:
-        coarse = sample_quadrature(y[..., ::2], 2.0 * (h if np.ndim(h) == 0 else h[..., ::2]))
+        coarse = sample_quadrature(y[..., ::2], 2.0 * (h[..., ::2] if getattr(h, "ndim", 0) else h))
         return value, abs(value - coarse)
     return value, (np.nan if y.ndim == 1 else np.full(value.shape, np.nan))

@@ -267,16 +267,16 @@ class Profile:
             raise ValueError("profile needs at least 5 samples")
         if any(getattr(self, name).size != n for name in self._columns()):
             raise ValueError("sample arrays must have equal length")
-        if self.ds_dsigma is not None and not np.all(self.ds_dsigma > 0.0):
+        if self.ds_dsigma is not None and not self.ds_dsigma.min() > 0.0:
             raise ValueError(f"{_SPEED_COLUMN} must be positive")
         ds = np.diff(self.s)
-        if not np.all(ds > 0.0):
+        if not ds.min() > 0.0:
             raise ValueError("samples must be strictly increasing in s")
-        if np.any(self.u < 0.0):
+        if self.u.min() < 0.0:
             raise ValueError("u must be nonnegative")
-        if np.any(self.u[1:-1] <= 0.0):
+        if self.u[1:-1].min() <= 0.0:
             raise ValueError("interior samples must have u > 0")
-        if np.any(self.u >= self.geometry.domain_radius):
+        if self.u.max() >= self.geometry.domain_radius:
             raise ValueError("profile leaves the domain of the geometry")
         if self.closure is Closure.CLOSED_SPHERE:
             if self.u[0] > AXIS_EPSILON or self.u[-1] > AXIS_EPSILON:
@@ -286,8 +286,11 @@ class Profile:
         d = ds if self.ds_dsigma is None else np.diff(self.sigma)
         h = float(d.mean())
         # np.isclose's criterion against the mean step, rtol 1e-8 and atol 1e-13; a NaN step fails
-        if not np.all(np.abs(d - h) <= 1e-13 + 1e-8 * abs(h)):
+        if not (np.abs(d - h) <= 1e-13 + 1e-8 * abs(h)).all():
             raise ValueError(f"profile samples are not uniformly spaced in {self.parametrization}")
+        for name in self._columns():  # NaN fails none of the violation tests above
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} samples must be finite")
         self.spacing = h if self.ds_dsigma is None else self.ds_dsigma * h
         if self.ds_dsigma is not None:
             self.spacing.flags.writeable = False
@@ -561,7 +564,7 @@ def _terminal(event, direction: float):
 def _j_drift(g: GeometryParams, H: float, u, sin_sig, conservation_tol: float) -> float:
     """Largest change of J over samples u, sin(sigma); raises past ``conservation_tol``."""
     j = _first_integral(g, H, u, sin_sig)
-    drift = float(np.max(np.abs(j - j[0])))
+    drift = float(np.abs(j - j[0]).max())
     if drift > conservation_tol:
         raise IntegrationError(
             f"first-integral drift {drift:.3e} exceeds tolerance {conservation_tol:.1e}"
@@ -664,14 +667,18 @@ def _mirrored_running_sum(rates: np.ndarray) -> np.ndarray:
     """Running sum from 0 of the panel integrals of a profile even about its equator.
 
     ``rates`` holds the weighted integrand at the Gauss nodes of the panels
-    left of the equator, as a (panels, 8) array; each row is summed with
-    ``np.sum(axis=1)``.  The panels right of the equator are those of the
-    left in mirror order, and their integrals are taken to be equal.  At
-    2049 samples ``rates`` is 64 KiB, below glibc's 128 KiB mmap threshold,
-    so the arrays of one call are reused from the heap by the next.
+    left of the equator, as a (panels, 8) array, and is overwritten: each row
+    is summed in place as ((c0 + c1) + (c2 + c3)) + ((c4 + c5) + (c6 + c7)) over
+    its columns c_j, numpy's pairwise order for eight contiguous terms, so bit
+    for bit ``np.sum(axis=1)`` of C-contiguous rows.  The panels right of the
+    equator are those of the left in mirror order, and their integrals are
+    taken to be equal.  At 2049 samples ``rates`` is 64 KiB, below glibc's
+    128 KiB mmap threshold, so the arrays of one call are reused by the next.
     """
-    left = np.sum(rates, axis=1)
-    return np.concatenate(([0.0], np.cumsum(np.concatenate((left, left[::-1])))))
+    c = rates.T
+    for step in (1, 2, 4):  # c0 += c1, c2 += c3, ...; then c0 += c2, c4 += c6; then c0 += c4
+        c[:: 2 * step] += c[step :: 2 * step]
+    return np.concatenate(([0.0], np.cumsum(np.concatenate((c[0], c[0][::-1])))))
 
 
 def generate_cmc_sphere(
@@ -695,9 +702,9 @@ def generate_cmc_sphere(
     addition, and sin(sigma) = H sin(w s)/sqrt(H^2 sin^2(w s) + w^2 cos^2(w s))
     needs no further transcendental function.  v' is even about the
     equator s = L/2, the middle sample, so the integrals are evaluated
-    for the intervals left of it, as one (intervals, 8) array, and
-    repeated in mirror order for those right of it.  s, sigma and u are
-    evaluated at every sample.
+    for the intervals left of it, as one (8, intervals) array (a row per
+    node: one inner loop per node, not per interval), and repeated in mirror
+    order for those right of it.  s, sigma and u are evaluated at every sample.
 
     The samples are checked as a shot sphere would be: the first integral
     J drifts by at most ``tolerances.conservation``, sigma increases
@@ -721,7 +728,7 @@ def generate_cmc_sphere(
     sigma = np.arctan2(h_abs * sin_ws, w * cos_ws)
     sin_sig = np.sin(sigma)
     u = sin_sig / h_abs
-    if np.max(u) >= g.domain_radius * (1.0 - 1e-12):
+    if u.max() >= g.domain_radius * (1.0 - 1e-12):
         raise IntegrationError("sphere leaves the domain of the geometry")
     if u[0] > tolerances.axis_epsilon or u[-1] > tolerances.axis_epsilon:
         raise IntegrationError(
@@ -733,24 +740,24 @@ def generate_cmc_sphere(
             f"sphere failed to close: sigma runs from {sigma[0]:.6f} to {sigma[-1]:.6f}, "
             "not 0 to pi"
         )
-    # node j of every interval lies offset[j] past its left end in w s
+    # node j of every interval lies offset[j] past its left end in w s; row j holds node j
     half = 0.5 * (grid[-1] - grid[0]) / (n_samples - 1)
     offset = w * half * (_GL8_NODES + 1.0)
-    cos_d, sin_d = np.cos(offset), np.sin(offset)
-    sin_left, cos_left = sin_ws[: n_samples // 2, None], cos_ws[: n_samples // 2, None]
+    cos_d, sin_d = np.cos(offset)[:, None], np.sin(offset)[:, None]
+    sin_left, cos_left = sin_ws[: n_samples // 2], cos_ws[: n_samples // 2]
     a = h_abs * (sin_left * cos_d + cos_left * sin_d)
     b = w * (cos_left * cos_d - sin_left * sin_d)
     sin_nodes = a / np.sqrt(a * a + b * b)
     u_nodes = sin_nodes / h_abs
     dv_nodes = np.sqrt(_a_squared(g, u_nodes)) * sin_nodes
-    v = _mirrored_running_sum(dv_nodes * (half * _GL8_WEIGHTS))
+    v = _mirrored_running_sum((dv_nodes * (half * _GL8_WEIGHTS)[:, None]).T)
     drift = _j_drift(g, h_abs, u, sin_sig, tolerances.conservation)
-    if not np.all(np.diff(sigma) > 0.0):
+    if not (np.diff(sigma) > 0.0).all():
         raise IntegrationError("sigma is not monotone along the generated sphere")
     identity = np.abs(sin_sig - h_abs * u)
-    if np.max(identity) > tolerances.closure_identity:
+    if identity.max() > tolerances.closure_identity:
         raise IntegrationError(
-            f"sphere identity residual {np.max(identity):.3e} exceeds "
+            f"sphere identity residual {identity.max():.3e} exceeds "
             f"{tolerances.closure_identity:.1e}"
         )
     return Profile(
@@ -1008,7 +1015,7 @@ def sphere_from_modes(
     u[0] = 0.0
     u[-1] = 0.0
 
-    is_cmc = bool(np.all(coeffs == 0.0))
+    is_cmc = not coeffs.any()
     return Profile(
         s=s,
         u=u,

@@ -250,6 +250,20 @@ class TestEnergy:
         err = capsys.readouterr().err
         assert err == f"error: malformed profile file {path}: {message}\n"
 
+    @pytest.mark.parametrize("column", [1, 2], ids=["u", "v"])
+    def test_non_finite_sample_exits_1(self, tmp_path, capsys, column):
+        # at the parent the NaN reached the energy, which printed E = nan and exited 0
+        path = tmp_path / "sphere.csv"
+        assert run(["generate", "--k", 0, "--tau", 0.5, "--H", 1, "-o", path]) == 0
+        capsys.readouterr()
+        header, *rows = path.read_text().splitlines()
+        path.write_text("\n".join([header, *_set_column(rows, 100, column, "nan")]) + "\n")
+        assert run(["energy", path]) == cli.EXIT_CONFIG
+        out, err = capsys.readouterr()
+        name = header.split(",")[column]
+        assert out == ""
+        assert err == f"error: malformed profile file {path}: {name} samples must be finite\n"
+
     def test_missing_sidecar_exits_3(self, tmp_path, capsys, sphere):
         path = tmp_path / "sphere.csv"
         sphere(0.0, 0.5, 1.0).to_csv(path)

@@ -26,12 +26,14 @@ from thurston_willmore import (
     profile_first_integral,
     sphere_from_modes,
 )
+from thurston_willmore import profile as profile_module
 from thurston_willmore.experiments import default_acceptance_grid, default_perturbation_grid
 from thurston_willmore.numerics import derivative1
 from thurston_willmore.profile import (
     ARCLENGTH,
     AXIS_SERIES_S0,
     TURNING_ANGLE,
+    _mirrored_running_sum,
     _require_admissible,
 )
 
@@ -287,6 +289,41 @@ class TestGenerateCmcSphere:
                 full = dataclasses.replace(q, s=s, v=v)
                 assert energy(q).to_dict() == energy(full).to_dict()
 
+    @staticmethod
+    def _numpy_running_sum(rates):
+        # numpy sums a row pairwise when its eight terms are contiguous
+        left = np.sum(np.ascontiguousarray(rates), axis=1)
+        return np.concatenate(([0.0], np.cumsum(np.concatenate((left, left[::-1])))))
+
+    def test_pairwise_panel_sums_equal_np_sum_bit_for_bit(self):
+        # the explicit pairwise tree is numpy's order for eight contiguous
+        # terms; a numpy release that sums otherwise fails here
+        rng = np.random.default_rng(20)
+        for panels in (1, 2, 3, 10, 128, 1024, 4096):
+            signs = rng.choice([-1.0, 1.0], (panels, 8))
+            rates = signs * rng.random((panels, 8)) * 10.0 ** rng.uniform(-12.0, 12.0, (panels, 8))
+            expected = self._numpy_running_sum(rates)
+            assert np.array_equal(_mirrored_running_sum(rates), expected)
+
+    @pytest.mark.parametrize("n_samples", [21, 257, 2049])
+    def test_generators_panel_sums_equal_np_sum_bit_for_bit(self, monkeypatch, n_samples):
+        # the rates each generator actually sums: s and v of a mode sphere, v of a CMC sphere
+        seen = []
+
+        def spy(rates):
+            seen.append(rates.shape)
+            expected = self._numpy_running_sum(rates)  # before the sum overwrites rates
+            summed = _mirrored_running_sum(rates)
+            assert np.array_equal(summed, expected)
+            return summed
+
+        monkeypatch.setattr(profile_module, "_mirrored_running_sum", spy)
+        for k, tau, H in ((0.0, 0.5, 1.0), (-1.0, -0.5, 0.6), (1.0, 0.3, -0.7)):
+            g = GeometryParams(k, tau)
+            generate_cmc_sphere(g, H, n_samples=n_samples)
+            sphere_from_modes(g, H, [0.05, -0.02], n_samples=n_samples)
+        assert seen == [(n_samples // 2, 8)] * 9
+
     @pytest.mark.parametrize("n_samples", [1, 7, 10, 2048])
     @pytest.mark.parametrize("generate", [
         generate_cmc_sphere, lambda g, H, **kw: sphere_from_modes(g, H, [0.05], **kw),
@@ -482,6 +519,38 @@ class TestProfileContainer:
                 ds_dsigma=np.ones(9), geometry=GeometryParams(0.0, 0.0),
                 parametrization=TURNING_ANGLE,
             )
+
+    # u = +-inf and a NaN or -inf ds_dsigma fail the domain, sign and
+    # positivity checks, with their own messages
+    @pytest.mark.parametrize(
+        "column, value",
+        [("u", "nan"), ("ds_dsigma", "inf")]
+        + [(column, value) for column in ("v", "sigma") for value in ("nan", "inf", "-inf")],
+    )
+    @pytest.mark.parametrize("suffix", ["csv", "json"])
+    def test_non_finite_sample_rejected_by_both_loaders(
+        self, tmp_path, sphere, perturbed, suffix, column, value
+    ):
+        # NaN fails every comparison, so each check that tests for a
+        # violation let it through; v had no check at all
+        p = perturbed(0.0, 0.5, 1.0, 0.1, 1) if column == "ds_dsigma" else sphere(-1.0, -0.5, 0.8)
+        path = tmp_path / f"p.{suffix}"
+        if suffix == "csv":
+            p.to_csv(path)
+            header, *rows = path.read_text().splitlines()
+            cells = rows[100].split(",")
+            cells[header.split(",").index(column)] = value
+            rows[100] = ",".join(cells)
+            path.write_text("\n".join([header, *rows]) + "\n")
+            load = Profile.from_csv
+        else:
+            p.to_json(path)
+            document = json.loads(path.read_text())
+            document["profile"]["samples"][column][100] = value
+            path.write_text(json.dumps(document))
+            load = Profile.from_json
+        with pytest.raises(ValueError, match=f"^{column} samples must be finite$"):
+            load(path)
 
     def test_turning_angle_spacing_is_read_only(self, perturbed):
         p = perturbed(0.0, 0.5, 1.0, 0.1, 1)

@@ -23,7 +23,13 @@ on ``PYTHONPATH``, computes the same seeded items, in groups:
   ``gauss_bonnet_total``, ``second_summand_derivative_check`` and
   ``willmore_relation_check`` values, and the first variation;
 - ``geometry``: 2000 draws of the public ``geometry`` functions, tau in
-  [-3, 3].
+  [-3, 3];
+- ``sweep``: every ``SweepRow`` field, error text included, of
+  ``experiments.sweep`` on 600 one-case specs at the default sample count,
+  in the sweep benchmark's mix: per 20 cases, 16 regular (H^2 + k/4 at
+  least 0.1), 3 near the existence boundary (k < 0, H^2 + k/4 log-uniform
+  in [1e-6, 1e-1]) and 1 without a sphere (H = 0 with k > 0, or
+  H^2 < -k/4).
 
 A failure is recorded as its exception text.  Per group the script prints
 how many items differ in any bit, how many of those were drawn at a tau
@@ -35,6 +41,7 @@ exit status is 1 if any item differs, else 0.  A companion of
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import pickle
@@ -49,6 +56,7 @@ PROFILES = 300
 PROFILE_SAMPLES = 1025
 GEOMETRY_DRAWS = 2000
 GRID_TAUS = (-0.5, 0.0, 0.3, 0.5)
+SWEEP_CASES = 600
 
 
 def _flat(obj, prefix: str, out: dict) -> dict:
@@ -99,6 +107,21 @@ def _random_shape(rng, g, H):
             pass
 
 
+def _sweep_case(rng, i: int) -> tuple[float, float, float]:
+    """(k, tau, H) of the sweep benchmark's stratum for position ``i`` in a block of 20."""
+    tau = rng.uniform(-0.6, 0.6)
+    if i % 20 in (4, 10, 16):
+        k = rng.uniform(-1.0, -0.25)
+        return k, tau, math.sqrt(10.0 ** rng.uniform(-6.0, -1.0) - 0.25 * k)
+    if i % 20 == 19:
+        if i % 40 == 19:
+            return rng.uniform(0.1, 1.0), tau, 0.0
+        k = rng.uniform(-1.0, -0.25)
+        return k, tau, rng.uniform(0.0, 0.95) * math.sqrt(-0.25 * k)
+    k = rng.uniform(-1.0, 1.0)
+    return k, tau, rng.uniform(max(0.6, math.sqrt(max(0.0, 0.1 - 0.25 * k))), 1.5)
+
+
 def _profile_item(profile_fn, *args) -> dict:
     from thurston_willmore.experiments import first_variation
     from thurston_willmore.functional import (
@@ -141,11 +164,13 @@ def compute() -> dict:
     """Every group's items as (tau, {key: value}) pairs."""
     from thurston_willmore import geometry as geo
     from thurston_willmore.experiments import (
+        SweepSpec,
         _family_energy,
         default_acceptance_grid,
         default_perturbation_grid,
         descend_energy,
         mode_family_energy,
+        sweep,
         verify_criticality,
         verify_minimality,
     )
@@ -153,7 +178,8 @@ def compute() -> dict:
     from thurston_willmore.profile import generate_cmc_sphere, perturbed_sphere, sphere_from_modes
 
     rng = np.random.default_rng(20141016)
-    groups = {name: [] for name in ("family", "acceptance", "descent", "modes", "cmc", "geometry")}
+    names = ("family", "acceptance", "descent", "modes", "cmc", "geometry", "sweep")
+    groups = {name: [] for name in names}
 
     for i in range(FAMILY_SHAPES):
         g, H = _random_case(rng)
@@ -207,6 +233,11 @@ def compute() -> dict:
             "orbit_volume_factor_scalar": np.asarray(geo.orbit_volume_factor(g, float(u[2]))),
         }
         groups["geometry"].append((g.tau, item))
+
+    for i in range(SWEEP_CASES):
+        k, tau, H = _sweep_case(rng, i)
+        (row,) = sweep(SweepSpec((k,), (tau,), (H,)))
+        groups["sweep"].append((tau, _flat(dataclasses.asdict(row), "row", {})))
     return groups
 
 

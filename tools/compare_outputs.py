@@ -7,7 +7,7 @@ Usage::
 Each argument is a directory that holds the ``thurston_willmore`` package
 (a checkout's ``src``).  For each tree, in a temporary directory of its
 own, the script runs the README's command block in order, then
-``EXTRA_RUNS``: 42 ``tw`` runs in all, as ``python -m
+``EXTRA_RUNS``: 44 ``tw`` runs in all, as ``python -m
 thurston_willmore.cli`` with that tree first on ``PYTHONPATH``.  Every
 path is relative to the temporary directory, so no output names it.
 After each run it reads every file in the directory.  It prints each
@@ -31,7 +31,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 # geometries (at the least count, 21, the edge formulas write 16 of the 21
 # samples of each stride-4 stencil), each suite passing and failing, a
 # configuration error, a profile whose name does not match its format,
-# profile files with no rows, and every command's help.
+# profile files with no rows or with a NaN sample, and every command's help.
 EXTRA_RUNS = [
     "tw generate --k 0 --tau 0.5 --H 1 --format json -o sphere.json",
     "tw generate --k 0 --tau 0.5 --H 1 --epsilon 0.1 --mode 2 --format json -o mode2.json",
@@ -59,6 +59,10 @@ EXTRA_RUNS = [
     "printf 's,u,v,sigma\\n' > header_only.csv",
     "tw energy empty.csv",
     "tw energy header_only.csv",
+    "tw generate --k 0 --tau 0.5 --H 1 -o nan_u.csv",
+    "awk -F, -v OFS=, 'NR == 101 {$2 = \"nan\"} 1' nan_u.csv > edited.csv"
+    " && mv edited.csv nan_u.csv",
+    "tw energy nan_u.csv",
     "tw --help",
     "tw verify --help",
     "tw generate --help",
