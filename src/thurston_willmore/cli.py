@@ -40,7 +40,6 @@ from .profile import (
     Tolerances,
     generate_cmc_sphere,
     perturbed_sphere,
-    _GENERATOR_TOLERANCES as _GENERATOR,
     _sidecar_path,
     _write_csv,
     _write_json,
@@ -59,16 +58,16 @@ EXIT_INTERNAL = 6
 # config-file keys it applies (it drops every other known key) and the
 # configuration it echoes.
 _READS = {
-    "generate": (("k", "tau", "H", "epsilon", "mode", "samples", "out", "format"), _GENERATOR),
+    "generate": (("k", "tau", "H", "epsilon", "mode", "samples", "out", "format"), ()),
     "energy": (("alpha", "beta", "out"), ()),
-    "sweep": (("samples", "out"), _GENERATOR),
+    "sweep": (("samples", "out"), ()),
     "verify criticality": (
         ("k", "tau", "H", "alpha", "beta", "samples", "out"),
-        (*_GENERATOR, "residual", "variation"),
+        ("residual", "variation"),
     ),
     "verify minimality": (
         ("k", "tau", "H", "alpha", "beta", "samples", "out"),
-        (*_GENERATOR, "energy", "min_excess", "second_summand"),
+        ("energy", "min_excess", "second_summand"),
     ),
     "verify descent": (
         ("k", "tau", "H", "epsilon", "mode", "family_dims", "max_iterations", "samples", "out"),
@@ -76,15 +75,16 @@ _READS = {
     ),
     "verify identities": (
         ("k", "tau", "H", "epsilon", "mode", "seed", "samples", "out"),
-        (*_GENERATOR, "identity", "relation", "gauss_bonnet", "derivative_check"),
+        ("identity", "relation", "gauss_bonnet", "derivative_check"),
     ),
 }
 # Every Tolerances field by its hyphenated name: a command that reads it has the
 # flag --tol-<name>, and config files and echoed configurations key it so.
 _TOL_FIELDS = {f.name.replace("_", "-"): f.name for f in fields(Tolerances)}
-# Integrator tolerances that earlier versions echoed into their configs;
-# nothing the command runs integrates, so config files drop them silently.
-_RETIRED_TOLERANCES = ("rtol", "atol")
+# Tolerances that earlier versions echoed into their configs: the integrator's,
+# and the sphere generator's, whose bounds are now fixed; config files drop them
+# silently, so those files still load and reproduce their runs.
+_RETIRED_TOLERANCES = ("rtol", "atol", "conservation", "closure-identity", "axis-epsilon")
 # The perturbation amplitude a suite runs with when no epsilon is given; its
 # echo then leaves epsilon out, since a null would read as no perturbation.
 _DEFAULT_EPSILON = {"verify descent": 0.2, "verify identities": 0.1}
@@ -259,9 +259,7 @@ def cmd_generate(config: RunConfig) -> int:
     if config.epsilon is not None and config.epsilon != 0.0:
         result = perturbed_sphere(g, config.H, config.start(), n_samples=config.samples)
     else:
-        result = generate_cmc_sphere(
-            g, config.H, n_samples=config.samples, tolerances=config.tolerances
-        )
+        result = generate_cmc_sphere(g, config.H, n_samples=config.samples)
     out = Path(config.out)
     if config.format == "json":
         result.to_json(out, metadata={"config": config.effective()})
@@ -349,7 +347,7 @@ def cmd_sweep(config: RunConfig, spec_path: str) -> int:
         raise ConfigError(f"sweep spec lacks {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid sweep spec: {exc}") from exc
-    rows = sweep(spec, n_samples=config.samples, tolerances=config.tolerances)
+    rows = sweep(spec, n_samples=config.samples)
     out = Path(config.out) if config.out else Path("sweep.csv")
     with out.open("w", newline="") as fh:
         write_sweep_csv(rows, fh)

@@ -308,13 +308,13 @@ def verify_criticality(
     interior Euler-Lagrange residual, and the first variation of the
     sampled energy (:func:`first_variation`) for each of the velocity
     profiles in ``VELOCITY_PROFILES`` (``tolerances.residual`` and
-    ``tolerances.variation``); the sphere is generated under the same
-    ``tolerances``.  With non-canonical coefficients the same quantities are
-    computed and typically fail, which is the point of the negative control.
+    ``tolerances.variation``).  With non-canonical coefficients the same
+    quantities are computed and typically fail, which is the point of the
+    negative control.
     """
     if coeffs is None:
         coeffs = canonical_coefficients(g)
-    profile = generate_cmc_sphere(g, H, n_samples=n_samples, tolerances=tolerances)
+    profile = generate_cmc_sphere(g, H, n_samples=n_samples)
     max_res = max_interior_residual(profile, coeffs)
     variations = first_variation(profile, coeffs)
     failure = None
@@ -380,10 +380,10 @@ def verify_minimality(
     """Check that the CMC sphere minimizes E_{alpha,beta} within the competitor family.
 
     ``coeffs`` defaults to the canonical pair.  Passing requires the
-    baseline CMC sphere (generated under ``tolerances``) to sit at 4 pi
-    within ``tolerances.energy``, every admissible perturbed sphere to
-    exceed it by more than ``tolerances.min_excess``, and every second
-    summand to equal 4 pi within ``tolerances.second_summand``.  Grid
+    baseline CMC sphere to sit at 4 pi within ``tolerances.energy``, every
+    admissible perturbed sphere to exceed it by more than
+    ``tolerances.min_excess``, and every second summand to equal 4 pi
+    within ``tolerances.second_summand``.  Grid
     entries whose shape is not a regular profile are reported as
     inadmissible, never fatal.  The report also lists |E(+eps) - E(-eps)| per admissible pair; the energy of this
     family is measurably asymmetric in eps (the shapes are not congruent),
@@ -396,9 +396,7 @@ def verify_minimality(
         grid = default_perturbation_grid()
     if coeffs is None:
         coeffs = canonical_coefficients(g)
-    baseline = energy(
-        generate_cmc_sphere(g, H, n_samples=n_samples, tolerances=tolerances), coeffs
-    )
+    baseline = energy(generate_cmc_sphere(g, H, n_samples=n_samples), coeffs)
     entries = []
     for spec in grid:
         try:
@@ -741,7 +739,7 @@ def verify_identities(
     sigma_dot = rng.uniform(-2.0, 2.0, 10_000)
     identity_max = float(np.max(h_squared_identity_check(g, u, sigma, sigma_dot)))
 
-    cmc = generate_cmc_sphere(g, H, n_samples=n_samples, tolerances=tolerances)
+    cmc = generate_cmc_sphere(g, H, n_samples=n_samples)
     perturbed = perturbed_sphere(g, H, spec, n_samples=n_samples)
     table = [("h_squared_identity", identity_max, tolerances.identity)]
     for name, check, threshold in (
@@ -804,16 +802,14 @@ class SweepRow:
     error: str = ""
 
 
-def _sweep_row(
-    case: tuple[float, float, float], n_samples: int, tolerances: Tolerances
-) -> SweepRow:
+def _sweep_row(case: tuple[float, float, float], n_samples: int) -> SweepRow:
     k, tau, H = case
     try:
         g = GeometryParams(k, tau)
     except ValueError as exc:  # k or tau not finite: no such geometry
         return SweepRow(k=k, tau=tau, H=H, exists=False, error=f"{type(exc).__name__}: {exc}")
     try:
-        profile = generate_cmc_sphere(g, H, n_samples=n_samples, tolerances=tolerances)
+        profile = generate_cmc_sphere(g, H, n_samples=n_samples)
         report = energy(profile)
         residual = max_interior_residual(profile, canonical_coefficients(g))
         return SweepRow(
@@ -834,17 +830,15 @@ def _sweep_row(
         return SweepRow(k=k, tau=tau, H=H, exists=True, error=f"{type(exc).__name__}: {exc}")
 
 
-def sweep(
-    spec: SweepSpec, *, n_samples: int = DEFAULT_SAMPLES, tolerances: Tolerances = Tolerances()
-) -> list[SweepRow]:
-    """One row per (k, tau, H) in input order, each sphere generated under ``tolerances``.
+def sweep(spec: SweepSpec, *, n_samples: int = DEFAULT_SAMPLES) -> list[SweepRow]:
+    """One row per (k, tau, H) in input order.
 
     Failures stay in their row.  ``exists`` is false only where there is no
     sphere: an :class:`ExistenceViolation`, or a (k, tau) that
     :class:`GeometryParams` rejects.  Any other failure keeps
     ``exists=True`` next to its error text.
     """
-    return [_sweep_row(c, n_samples, tolerances) for c in spec.cases()]
+    return [_sweep_row(c, n_samples) for c in spec.cases()]
 
 
 def _format_field(value) -> str:

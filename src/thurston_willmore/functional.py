@@ -254,11 +254,6 @@ class _ProfileFields:
         self.nu = self.cos / self.A
         self.K_bar = tau * tau + (k - 4.0 * tau * tau) * self.nu * self.nu
 
-    def _mean_curvature_from(self, sigma_dot: np.ndarray) -> np.ndarray:
-        # sin(sigma)/u takes the pole limit sigma'.
-        ratio = _pole_safe_ratio(self.u, self.sin, sigma_dot)
-        return _mean_curvature(self.g.k, self.u, self.sin, sigma_dot, ratio)
-
     # Stencil quantities are built lazily: the energy path reads only the
     # spacing-1 ones, the residual path only the spacing-``FD_STRIDE`` ones.
 
@@ -276,7 +271,10 @@ class _ProfileFields:
 
     @cached_property
     def H_smooth(self) -> np.ndarray:
-        return self._mean_curvature_from(derivative1(self.sigma, self.h, FD_STRIDE))
+        sigma_dot = derivative1(self.sigma, self.h, FD_STRIDE)
+        # sin(sigma)/u takes the pole limit sigma'.
+        ratio = _pole_safe_ratio(self.u, self.sin, sigma_dot)
+        return _mean_curvature(self.g.k, self.u, self.sin, sigma_dot, ratio)
 
     def _pole_extrapolated(self, values: np.ndarray, denominator: np.ndarray) -> np.ndarray:
         out = np.empty_like(values)
@@ -298,7 +296,7 @@ class _ProfileFields:
         D = self.u * self.cos * self.sin / (self.B * self.A)
         return self._pole_extrapolated(derivative1(D, self.h, FD_STRIDE), self.mu)
 
-    def laplacian_H(self, stride: int = FD_STRIDE) -> np.ndarray:
+    def laplacian_H(self) -> np.ndarray:
         """Laplace-Beltrami of H: H'' + (mu'/mu) H' on the warped metric.
 
         mu'/mu = (u dln(mu)/du) u'/u has a bounded prefactor; the remaining
@@ -307,12 +305,9 @@ class _ProfileFields:
         """
         u, A, B = self.u, self.A, self.B
         tau, k = self.g.tau, self.g.k
-        if stride == FD_STRIDE:
-            H = self.H_smooth
-        else:
-            H = self._mean_curvature_from(derivative1(self.sigma, self.h, stride))
-        Hd = derivative1(H, self.h, stride)
-        Hdd = derivative2(H, self.h, stride)
+        H = self.H_smooth
+        Hd = derivative1(H, self.h, FD_STRIDE)
+        Hdd = derivative2(H, self.h, FD_STRIDE)
         t = 1.0 + tau * tau * u * u / (A * A) - 0.5 * k * u * u / B
         off_pole = u > POLE_U
         hd_over_u = np.where(off_pole, Hd / np.where(off_pole, u, 1.0), 0.0)

@@ -103,16 +103,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Every named threshold of the package, in one frozen record.
+    """Every gate of the verification suites, in one frozen record.
 
-    Library calls take it as ``tolerances=``; each ``tw`` command sets the
+    The suites take it as ``tolerances=``; each ``tw verify`` command sets the
     fields it reads with ``--tol-<name>`` (underscores hyphenated) and echoes them.
     """
 
-    # sphere generator: drift of J, |sin(sigma) - |H| u|, distance of the ends to the axis
-    conservation: float = 1e-8
-    closure_identity: float = 1e-8
-    axis_epsilon: float = 1e-5
     # criticality: interior EL residual, first variation
     residual: float = 1e-4
     variation: float = 1e-5
@@ -137,10 +133,12 @@ class Tolerances:
                 raise ValueError(f"{name} must be finite and at least 0, got {value}")
 
 
-# The Tolerances fields generate_cmc_sphere reads; its profiles echo these.
-_GENERATOR_TOLERANCES = ("conservation", "closure_identity", "axis_epsilon")
+# The fixed bounds of generate_cmc_sphere's post-checks, which each of its
+# profiles echoes under ``tolerances``: drift of J (also the default of
+# :func:`integrate`), |sin(sigma) - |H| u|, distance of the end samples to the axis.
+_GENERATOR_BOUNDS = {"conservation": 1e-8, "closure_identity": 1e-8, "axis_epsilon": 1e-5}
 # Closure acceptance: how close to the axis the profile must return.
-AXIS_EPSILON = Tolerances.axis_epsilon
+AXIS_EPSILON = _GENERATOR_BOUNDS["axis_epsilon"]
 # Offset of the series start from the pole (the start error is O(s0^2)),
 # and of the end samples of a generated sphere.
 AXIS_SERIES_S0 = 1e-6
@@ -267,6 +265,10 @@ class Profile:
             raise ValueError("profile needs at least 5 samples")
         if any(getattr(self, name).size != n for name in self._columns()):
             raise ValueError("sample arrays must have equal length")
+        # first, since NaN passes the checks below and inf warns in them
+        for name in self._columns():
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} samples must be finite")
         if self.ds_dsigma is not None and not self.ds_dsigma.min() > 0.0:
             raise ValueError(f"{_SPEED_COLUMN} must be positive")
         ds = np.diff(self.s)
@@ -285,12 +287,9 @@ class Profile:
                 raise ValueError("closed sphere must turn from sigma=0 to sigma=pi")
         d = ds if self.ds_dsigma is None else np.diff(self.sigma)
         h = float(d.mean())
-        # np.isclose's criterion against the mean step, rtol 1e-8 and atol 1e-13; a NaN step fails
+        # np.isclose's criterion against the mean step, rtol 1e-8 and atol 1e-13
         if not (np.abs(d - h) <= 1e-13 + 1e-8 * abs(h)).all():
             raise ValueError(f"profile samples are not uniformly spaced in {self.parametrization}")
-        for name in self._columns():  # NaN fails none of the violation tests above
-            if not np.isfinite(getattr(self, name)).all():
-                raise ValueError(f"{name} samples must be finite")
         self.spacing = h if self.ds_dsigma is None else self.ds_dsigma * h
         if self.ds_dsigma is not None:
             self.spacing.flags.writeable = False
@@ -581,7 +580,7 @@ def integrate(
     n_samples: int = DEFAULT_SAMPLES,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
-    tolerances: Tolerances = Tolerances(),
+    conservation: float = _GENERATOR_BOUNDS["conservation"],
 ) -> Profile:
     """Integrate the profile system from ``start`` until ``stop``.
 
@@ -589,8 +588,10 @@ def integrate(
     point a distance ``AXIS_SERIES_S0`` along the sphere branch.  The
     result is resampled on a uniform arclength grid, and the drift of the
     first integral over the returned samples must stay below
-    ``tolerances.conservation``.
+    ``conservation``, which must be finite and at least 0.
     """
+    if not (math.isfinite(conservation) and conservation >= 0.0):
+        raise ValueError(f"conservation must be finite and at least 0, got {conservation}")
     if start.u >= g.domain_radius:
         raise ValueError(
             f"start radius {start.u} lies outside the domain (radius {g.domain_radius})"
@@ -631,8 +632,8 @@ def integrate(
         )
     grid = np.linspace(s_begin, s_end, n_samples)
     u, v, sigma = sol.sol(grid)
-    drift = _j_drift(g, H, u, np.sin(sigma), tolerances.conservation)
-    used = {"rtol": rtol, "atol": atol, "conservation": tolerances.conservation}
+    drift = _j_drift(g, H, u, np.sin(sigma), conservation)
+    used = {"rtol": rtol, "atol": atol, "conservation": conservation}
     return Profile(s=grid, u=u, v=v, sigma=sigma, geometry=g, j_drift=drift, tolerances=used)
 
 
@@ -686,7 +687,6 @@ def generate_cmc_sphere(
     H: float,
     *,
     n_samples: int = DEFAULT_SAMPLES,
-    tolerances: Tolerances = Tolerances(),
 ) -> Profile:
     """The rotationally invariant CMC sphere of mean curvature H, in closed form.
 
@@ -706,13 +706,13 @@ def generate_cmc_sphere(
     node: one inner loop per node, not per interval), and repeated in mirror
     order for those right of it.  s, sigma and u are evaluated at every sample.
 
-    The samples are checked as a shot sphere would be: the first integral
-    J drifts by at most ``tolerances.conservation``, sigma increases
-    strictly, the identity sin(sigma) = |H| u holds to
-    ``tolerances.closure_identity``, and both end samples lie within
-    ``tolerances.axis_epsilon`` of the axis with sigma within 1e-3 of 0 and
-    pi.  ``closure_residual`` records |sin(sigma) - |H| u| at the
-    last sample.  :func:`integrate` shoots the same sphere independently.
+    The samples are checked as a shot sphere would be, at fixed bounds
+    that the profile echoes under ``tolerances``: the first integral J
+    drifts by at most 1e-8, sigma increases strictly, the identity
+    sin(sigma) = |H| u holds to 1e-8, and both end samples lie within
+    ``AXIS_EPSILON`` of the axis with sigma within 1e-3 of 0 and pi.
+    ``closure_residual`` records |sin(sigma) - |H| u| at the last sample.
+    :func:`integrate` shoots the same sphere independently.
 
     A negative H requests the mirror surface: the returned samples are the
     canonical H > 0 profile with ``orientation`` set to -1.  ``n_samples``
@@ -730,10 +730,10 @@ def generate_cmc_sphere(
     u = sin_sig / h_abs
     if u.max() >= g.domain_radius * (1.0 - 1e-12):
         raise IntegrationError("sphere leaves the domain of the geometry")
-    if u[0] > tolerances.axis_epsilon or u[-1] > tolerances.axis_epsilon:
+    if u[0] > AXIS_EPSILON or u[-1] > AXIS_EPSILON:
         raise IntegrationError(
             f"sphere failed to close: u = {max(u[0], u[-1]):.3e} at an end exceeds "
-            f"{tolerances.axis_epsilon:.1e}"
+            f"{AXIS_EPSILON:.1e}"
         )
     if abs(sigma[0]) > 1e-3 or abs(sigma[-1] - math.pi) > 1e-3:
         raise IntegrationError(
@@ -751,14 +751,14 @@ def generate_cmc_sphere(
     u_nodes = sin_nodes / h_abs
     dv_nodes = np.sqrt(_a_squared(g, u_nodes)) * sin_nodes
     v = _mirrored_running_sum((dv_nodes * (half * _GL8_WEIGHTS)[:, None]).T)
-    drift = _j_drift(g, h_abs, u, sin_sig, tolerances.conservation)
+    drift = _j_drift(g, h_abs, u, sin_sig, _GENERATOR_BOUNDS["conservation"])
     if not (np.diff(sigma) > 0.0).all():
         raise IntegrationError("sigma is not monotone along the generated sphere")
     identity = np.abs(sin_sig - h_abs * u)
-    if identity.max() > tolerances.closure_identity:
+    if identity.max() > _GENERATOR_BOUNDS["closure_identity"]:
         raise IntegrationError(
             f"sphere identity residual {identity.max():.3e} exceeds "
-            f"{tolerances.closure_identity:.1e}"
+            f"{_GENERATOR_BOUNDS['closure_identity']:.1e}"
         )
     return Profile(
         s=grid,
@@ -771,7 +771,7 @@ def generate_cmc_sphere(
         orientation=1 if H > 0 else -1,
         j_drift=drift,
         closure_residual=float(identity[-1]),
-        tolerances={name: getattr(tolerances, name) for name in _GENERATOR_TOLERANCES},
+        tolerances=dict(_GENERATOR_BOUNDS),
     )
 
 

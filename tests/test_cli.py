@@ -12,12 +12,13 @@ import pytest
 
 from thurston_willmore import (
     GeometryParams,
+    IntegrationError,
     Tolerances,
     energy,
     generate_cmc_sphere,
     sphere_from_modes,
 )
-from thurston_willmore import cli, experiments, functional
+from thurston_willmore import cli, experiments, functional, profile
 from thurston_willmore.cli import load_profile, main
 
 
@@ -32,7 +33,9 @@ class TestGenerate:
         assert out.exists()
         sidecar = json.loads((tmp_path / "sphere.csv.json").read_text())
         assert sidecar["closure"] == "ClosedSphere"
-        assert sidecar["config"]["tolerances"]["conservation"] == 1e-8
+        # the generator's fixed bounds are echoed with the profile, not as settings
+        assert sidecar["tolerances"]["conservation"] == 1e-8
+        assert sidecar["config"]["tolerances"] == {}
         prof = load_profile(out)
         assert prof.sigma[0] < 1e-3
         assert abs(prof.sigma[-1] - math.pi) < 1e-3
@@ -127,6 +130,24 @@ class TestGenerate:
         assert run(["generate", "--k", 0, "--tau", 0.5, "--H", 1, "-o", rerun,
                     "--tol-rtol", 1e-3]) == 1
         assert "unrecognized arguments: --tol-rtol" in capsys.readouterr().err
+
+    def test_sidecar_with_retired_generator_tolerances_reproduces_the_profile(self, tmp_path):
+        # sidecars of earlier versions echoed the generator's three tolerances
+        # and the integrator's rtol/atol under config; all five load and are dropped
+        first = tmp_path / "a.csv"
+        rerun = tmp_path / "b.csv"
+        assert run(["generate", "--k", 0.25, "--tau", -0.5, "--H", 0.8, "-o", first]) == 0
+        sidecar = tmp_path / "a.csv.json"
+        old = json.loads(sidecar.read_text())
+        retired = {"conservation": 1e-8, "closure-identity": 1e-8, "axis-epsilon": 1e-5,
+                   "rtol": 1e-12, "atol": 1e-14}
+        old["config"]["tolerances"] = retired
+        sidecar.write_text(json.dumps(old))
+        assert run(["generate", "--config", sidecar, "-o", rerun]) == 0
+        assert first.read_bytes() == rerun.read_bytes()
+        echoed = json.loads((tmp_path / "b.csv.json").read_text())
+        assert echoed["config"]["tolerances"] == {}
+        assert echoed["tolerances"] == old["tolerances"]
 
 
 def _set_column(rows, i, column, value):
@@ -250,15 +271,22 @@ class TestEnergy:
         err = capsys.readouterr().err
         assert err == f"error: malformed profile file {path}: {message}\n"
 
-    @pytest.mark.parametrize("column", [1, 2], ids=["u", "v"])
-    def test_non_finite_sample_exits_1(self, tmp_path, capsys, column):
-        # at the parent the NaN reached the energy, which printed E = nan and exited 0
+    @pytest.mark.parametrize(
+        "row, column, value", [(100, 1, "nan"), (100, 2, "nan"), (-1, 0, "inf")],
+        ids=["u", "v", "last-s-inf"],
+    )
+    def test_non_finite_sample_exits_1(self, tmp_path, capsys, row, column, value):
+        # one error line, no warning: a NaN passes the checks that test for a
+        # violation, and an infinite last s would warn in the spacing check
         path = tmp_path / "sphere.csv"
         assert run(["generate", "--k", 0, "--tau", 0.5, "--H", 1, "-o", path]) == 0
         capsys.readouterr()
         header, *rows = path.read_text().splitlines()
-        path.write_text("\n".join([header, *_set_column(rows, 100, column, "nan")]) + "\n")
-        assert run(["energy", path]) == cli.EXIT_CONFIG
+        rows = _set_column(rows, row % len(rows), column, value)
+        path.write_text("\n".join([header, *rows]) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["energy", path]) == cli.EXIT_CONFIG
         out, err = capsys.readouterr()
         name = header.split(",")[column]
         assert out == ""
@@ -529,8 +557,7 @@ class TestSweep:
         assert run(["sweep", tmp_path / "nope.json", "--out", tmp_path / "x.csv"]) == 1
 
 
-# Every subcommand that generates CMC spheres, with (k, tau, H) = (0, 0.5, 0.7):
-# there the sphere identity sin(sigma) = H u holds to one rounding, 1.1e-16.
+# Every subcommand that generates CMC spheres, with (k, tau, H) = (0, 0.5, 0.7).
 _GENERATING = {
     "generate": ["generate"],
     "verify criticality": ["verify", "criticality"],
@@ -555,11 +582,10 @@ def _generating_run(command, tmp_path, *flags):
 
 class TestToleranceFlags:
     def test_tolerance_override_is_echoed(self, tmp_path):
-        out = tmp_path / "sphere.csv"
-        run(["generate", "--k", 0, "--tau", 0.5, "--H", 1, "-o", out,
-             "--tol-conservation", 1e-6])
-        sidecar = json.loads((tmp_path / "sphere.csv.json").read_text())
-        assert sidecar["config"]["tolerances"]["conservation"] == 1e-6
+        out = tmp_path / "crit.json"
+        assert run(["verify", "criticality", "--k", 0, "--tau", 0.5, "--H", 1, "--out", out,
+                    "--tol-residual", 1e-3]) == 0
+        assert json.loads(out.read_text())["config"]["tolerances"]["residual"] == 1e-3
 
     def test_threshold_override_flips_verdict(self, tmp_path):
         out = tmp_path / "crit.json"
@@ -577,50 +603,36 @@ class TestToleranceFlags:
         assert sidecar["config"]["H"] == 1.0
 
     @pytest.mark.parametrize("command", list(_GENERATING))
-    def test_generator_runs_with_the_echoed_tolerances(
-        self, command, tmp_path, capsys, monkeypatch
-    ):
-        # a tightened generator tolerance reaches the generator
-        code, out, doc = _generating_run(command, tmp_path, "--tol-closure-identity", 1e-30)
-        if command == "sweep":
-            assert code == 0
-            error = out.read_text().splitlines()[1].split(",", 9)[9]
-            assert error.startswith("IntegrationError: sphere identity residual")
-            echoed = json.loads(doc.read_text())["config"]["tolerances"]
-            assert echoed["closure-identity"] == 1e-30
-        else:
-            assert code == cli.EXIT_INTEGRATION
-            assert "identity residual 1.110e-16 exceeds 1.0e-30" in capsys.readouterr().err
+    def test_generator_bounds_are_fixed(self, command, tmp_path, capsys, monkeypatch):
+        # no command sets the generator's bounds: their former flags are unknown
+        for flag in ("--tol-conservation", "--tol-closure-identity", "--tol-axis-epsilon"):
+            code, out, _ = _generating_run(command, tmp_path, flag, 1e-30)
+            assert code == cli.EXIT_CONFIG, flag
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+            assert not out.exists()
 
-        # with passing overrides, every sphere generated records the echoed values
+        # every sphere generated records the fixed bounds; the echo holds none of them
         used = []
         real = generate_cmc_sphere
 
         def spy(*args, **kwargs):
-            profile = real(*args, **kwargs)
-            used.append(profile.tolerances)
-            return profile
+            sphere = real(*args, **kwargs)
+            used.append(sphere.tolerances)
+            return sphere
 
         monkeypatch.setattr(cli, "generate_cmc_sphere", spy)
         monkeypatch.setattr(experiments, "generate_cmc_sphere", spy)
-        code, _, doc = _generating_run(
-            command, tmp_path,
-            "--tol-conservation", 1e-7,
-            "--tol-closure-identity", 1e-15,
-            "--tol-axis-epsilon", 2e-5,
-        )
+        code, _, doc = _generating_run(command, tmp_path)
         assert code == 0
         echoed = json.loads(doc.read_text())["config"]["tolerances"]
-        assert (echoed["conservation"], echoed["closure-identity"], echoed["axis-epsilon"]) == (
-            1e-7, 1e-15, 2e-5,
-        )
-        assert used
-        for recorded in used:
-            assert recorded == {
-                "conservation": echoed["conservation"],
-                "closure_identity": echoed["closure-identity"],
-                "axis_epsilon": echoed["axis-epsilon"],
-            }
+        assert not echoed.keys() & {"conservation", "closure-identity", "axis-epsilon"}
+        assert used and all(recorded == profile._GENERATOR_BOUNDS for recorded in used)
+
+    def test_every_tolerance_is_read_by_some_command(self):
+        # each gate has a command that sets it, and every name a command reads is a gate
+        read = {name for _, tolerances in cli._READS.values() for name in tolerances}
+        assert read == {f.name for f in fields(Tolerances)}
+        assert len(fields(Tolerances)) == 10
 
 
 # Every leaf command on (k, tau, H) = (0, 0.5, 0.7), with the suffix of its output.
@@ -771,7 +783,7 @@ class TestExitCodes:
         [
             (["verify", "minimality", "--tol-min-excess", -5], "min-excess"),
             (["verify", "criticality", "--tol-residual", -1], "residual"),
-            (["generate", "--tol-axis-epsilon", -1], "axis-epsilon"),
+            (["verify", "descent", "--tol-descent-coeff", -1], "descent-coeff"),
         ],
     )
     def test_negative_tolerance_is_a_config_error(self, tmp_path, capsys, argv, name):
@@ -866,13 +878,16 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: H must be finite, got {H}\n"
         assert not out.exists()
 
-    def test_integration_error_has_its_own_code(self, tmp_path, capsys):
+    def test_integration_error_has_its_own_code(self, tmp_path, capsys, monkeypatch):
+        def failing(*args, **kwargs):
+            raise IntegrationError("sphere failed to close")
+
+        monkeypatch.setattr(cli, "generate_cmc_sphere", failing)
         out = tmp_path / "s.csv"
-        code = run(["generate", "--k", 0, "--tau", 0.5, "--H", 0.7, "-o", out,
-                    "--tol-closure-identity", 1e-30])
+        code = run(["generate", "--k", 0, "--tau", 0.5, "--H", 0.7, "-o", out])
         assert code == cli.EXIT_INTEGRATION == 5
-        err = capsys.readouterr().err
-        assert err.startswith("error: sphere identity residual") and err.count("\n") == 1
+        assert capsys.readouterr().err == "error: sphere failed to close\n"
+        assert not out.exists()
 
     def test_uncaught_exception_is_one_error_line(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "s.csv"

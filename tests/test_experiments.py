@@ -8,6 +8,7 @@ import pytest
 from thurston_willmore import (
     FunctionalCoefficients,
     GeometryParams,
+    IntegrationError,
     PerturbationSpec,
     Tolerances,
     canonical_coefficients,
@@ -419,11 +420,15 @@ class TestSweep:
         assert "ExistenceViolation" in rows[0].error
         assert rows[1].exists and rows[1].E == pytest.approx(FOUR_PI, rel=1e-6)
 
-    def test_failure_of_an_existing_sphere_keeps_exists_true(self):
+    def test_failure_of_an_existing_sphere_keeps_exists_true(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise IntegrationError("sphere failed to close")
+
+        monkeypatch.setattr(experiments, "generate_cmc_sphere", failing)
         spec = SweepSpec(k_values=(0.0,), tau_values=(0.5,), H_values=(0.7,))
-        row = sweep(spec, tolerances=Tolerances(closure_identity=1e-30))[0]
+        row = sweep(spec)[0]
         assert row.exists
-        assert row.error.startswith("IntegrationError: sphere identity residual")
+        assert row.error == "IntegrationError: sphere failed to close"
         assert row.E is None
 
     def test_nonexistent_rows_unchanged(self):

@@ -302,18 +302,6 @@ class TestElResidual:
             el_residual(p, coeffs, 2)
         assert isinstance(el_residual(p, coeffs, 100), float)
 
-    def test_laplacian_stencil_convergence(self, perturbed):
-        # halving the stencil spacing must show at least second-order decay
-        # of the Laplacian truncation (analytic construction: no sample noise)
-        p = perturbed(0.0, 0.5, 1.0, 0.1, 1)
-        f = _ProfileFields(p)
-        lap = {s: f.laplacian_H(stride=s)[3 * M : -3 * M] for s in (2, 4, 8)}
-        diff_fine = np.max(np.abs(lap[4] - lap[2]))
-        diff_coarse = np.max(np.abs(lap[8] - lap[4]))
-        if diff_fine > 1e-10:  # above the noise floor
-            order = math.log2(diff_coarse / diff_fine)
-            assert order > 2.0
-
 
 class TestIdentities:
     def test_h_squared_identity_random(self):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -162,6 +163,22 @@ class TestIntegrate:
             )
             exact = np.arctan2(H * np.sin(w * p.s), w * np.cos(w * p.s))
             assert np.max(np.abs(p.sigma - exact)) <= 1e-9
+
+    @pytest.mark.parametrize("value", [-5.0, -1e-300, math.nan, math.inf])
+    def test_negative_or_non_finite_conservation_rejected(self, value):
+        g = GeometryParams(0.0, 0.0)
+        with pytest.raises(ValueError, match="conservation must be finite and at least 0"):
+            integrate(g, 1.0, ProfileState(0.0, 0.0, 0.0, 0.0), StopCondition.arclength(1.0),
+                      conservation=value)
+
+    def test_conservation_bound_is_applied_and_echoed(self):
+        g = GeometryParams(0.0, 0.5)
+        start, stop = ProfileState(0.0, 0.0, 0.0, 0.0), StopCondition.sphere_closure(10.0)
+        p = integrate(g, 1.0, start, stop)
+        assert p.tolerances == {"rtol": 1e-12, "atol": 1e-14, "conservation": 1e-8}
+        assert integrate(g, 1.0, start, stop, conservation=1e-6).tolerances["conservation"] == 1e-6
+        with pytest.raises(IntegrationError, match="first-integral drift"):
+            integrate(g, 1.0, start, stop, conservation=0.0)
 
     def test_axis_start_at_pi_dies_at_axis(self):
         # the branch through (u=0, sigma=pi) exits the chart going forward
@@ -513,44 +530,43 @@ class TestProfileContainer:
     def test_nan_step_is_not_uniform(self):
         sigma = np.linspace(0.0, 1.0, 9)
         sigma[4] = np.nan
-        with pytest.raises(ValueError, match="not uniformly spaced in turning_angle"):
+        with pytest.raises(ValueError, match="^sigma samples must be finite$"):
             Profile(
                 s=np.linspace(0.0, 1.0, 9), u=np.ones(9), v=np.zeros(9), sigma=sigma,
                 ds_dsigma=np.ones(9), geometry=GeometryParams(0.0, 0.0),
                 parametrization=TURNING_ANGLE,
             )
 
-    # u = +-inf and a NaN or -inf ds_dsigma fail the domain, sign and
-    # positivity checks, with their own messages
-    @pytest.mark.parametrize(
-        "column, value",
-        [("u", "nan"), ("ds_dsigma", "inf")]
-        + [(column, value) for column in ("v", "sigma") for value in ("nan", "inf", "-inf")],
-    )
+    # every column, at an interior and at the last sample
+    @pytest.mark.parametrize("row", [100, -1])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", ["s", "u", "v", "sigma", "ds_dsigma"])
     @pytest.mark.parametrize("suffix", ["csv", "json"])
     def test_non_finite_sample_rejected_by_both_loaders(
-        self, tmp_path, sphere, perturbed, suffix, column, value
+        self, tmp_path, sphere, perturbed, suffix, column, value, row
     ):
-        # NaN fails every comparison, so each check that tests for a
-        # violation let it through; v had no check at all
+        # checked before every other sample check: NaN passes each check that
+        # tests for a violation, and an infinite s would warn in the spacing check
         p = perturbed(0.0, 0.5, 1.0, 0.1, 1) if column == "ds_dsigma" else sphere(-1.0, -0.5, 0.8)
         path = tmp_path / f"p.{suffix}"
         if suffix == "csv":
             p.to_csv(path)
             header, *rows = path.read_text().splitlines()
-            cells = rows[100].split(",")
+            cells = rows[row].split(",")
             cells[header.split(",").index(column)] = value
-            rows[100] = ",".join(cells)
+            rows[row] = ",".join(cells)
             path.write_text("\n".join([header, *rows]) + "\n")
             load = Profile.from_csv
         else:
             p.to_json(path)
             document = json.loads(path.read_text())
-            document["profile"]["samples"][column][100] = value
+            document["profile"]["samples"][column][row] = value
             path.write_text(json.dumps(document))
             load = Profile.from_json
-        with pytest.raises(ValueError, match=f"^{column} samples must be finite$"):
-            load(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{column} samples must be finite$"):
+                load(path)
 
     def test_turning_angle_spacing_is_read_only(self, perturbed):
         p = perturbed(0.0, 0.5, 1.0, 0.1, 1)

@@ -7,17 +7,19 @@ Usage::
 Each argument is a directory that holds the ``thurston_willmore`` package
 (a checkout's ``src``).  For each tree, in a temporary directory of its
 own, the script runs the README's command block in order, then
-``EXTRA_RUNS``: 44 ``tw`` runs in all, as ``python -m
+``EXTRA_RUNS``: 48 ``tw`` runs in all, as ``python -m
 thurston_willmore.cli`` with that tree first on ``PYTHONPATH``.  Every
 path is relative to the temporary directory, so no output names it.
 After each run it reads every file in the directory.  It prints each
 difference between the trees in a run's exit code, stdout or stderr, and
-in the name set or the bytes of the files after it; the exit status is 1
-if there is any, else 0.
+in the name set or the bytes of the files after it, with the key paths
+at which two JSON files differ; the exit status is 1 if there is any,
+else 0.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import shlex
 import subprocess
@@ -31,7 +33,10 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 # geometries (at the least count, 21, the edge formulas write 16 of the 21
 # samples of each stride-4 stencil), each suite passing and failing, a
 # configuration error, a profile whose name does not match its format,
-# profile files with no rows or with a NaN sample, and every command's help.
+# profile files with no rows, a NaN sample or an infinite last s, a config
+# file with the retired generator and integrator tolerances (its profile
+# must equal the README's sphere.csv), a retired generator tolerance flag,
+# and every command's help.
 EXTRA_RUNS = [
     "tw generate --k 0 --tau 0.5 --H 1 --format json -o sphere.json",
     "tw generate --k 0 --tau 0.5 --H 1 --epsilon 0.1 --mode 2 --format json -o mode2.json",
@@ -63,6 +68,16 @@ EXTRA_RUNS = [
     "awk -F, -v OFS=, 'NR == 101 {$2 = \"nan\"} 1' nan_u.csv > edited.csv"
     " && mv edited.csv nan_u.csv",
     "tw energy nan_u.csv",
+    "tw generate --k 0 --tau 0.5 --H 1 -o inf_s.csv",
+    "awk -F, -v OFS=, 'NR == 2050 {$1 = \"inf\"} 1' inf_s.csv > edited.csv"
+    " && mv edited.csv inf_s.csv",
+    "tw energy inf_s.csv",
+    "printf '{\"k\": 0, \"tau\": 0.5, \"H\": 1, \"tolerances\": {\"conservation\": 1e-08,"
+    " \"closure-identity\": 1e-08, \"axis-epsilon\": 1e-05, \"rtol\": 1e-12,"
+    " \"atol\": 1e-14}}' > retired.json",
+    "tw generate --config retired.json -o retired.csv",
+    "cmp sphere.csv retired.csv",
+    "tw generate --k 0 --tau 0.5 --H 1 --tol-closure-identity 1e-8 -o retired_flag.csv",
     "tw --help",
     "tw verify --help",
     "tw generate --help",
@@ -100,6 +115,30 @@ def run_all(src: Path, runs: list[str]) -> list[tuple]:
     return results
 
 
+def _key_paths(a, b, path: str) -> list[str]:
+    """The key paths at which JSON values ``a`` and ``b`` differ, a key on one side marked so."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        found = []
+        for key in sorted(a.keys() | b.keys()):
+            where = f"{path}.{key}" if path else key
+            if key not in b:
+                found.append(f"{where} (parent only)")
+            elif key not in a:
+                found.append(f"{where} (change only)")
+            else:
+                found += _key_paths(a[key], b[key], where)
+        return found
+    return [] if a == b else [path or "(top level)"]
+
+
+def _json_differences(x: bytes | None, y: bytes | None) -> str:
+    """For two JSON files, ``" at "`` and the key paths where they differ; else nothing."""
+    try:
+        return " at " + ", ".join(_key_paths(json.loads(x), json.loads(y), ""))
+    except (TypeError, ValueError):
+        return ""
+
+
 def differences(parent: list[tuple], change: list[tuple]) -> list[str]:
     """Each run's differences; a file is compared after the runs that write it."""
     out = []
@@ -112,9 +151,10 @@ def differences(parent: list[tuple], change: list[tuple]) -> list[str]:
         written = {n for files, before in ((files_a, before_a), (files_b, before_b))
                    for n in files if files[n] != before.get(n)}
         for name in sorted(written):
-            if files_a.get(name) != files_b.get(name):
-                state = "differs" if name in files_a and name in files_b else "exists on one side"
-                out.append(f"{line}\n  {name} {state}")
+            x, y = files_a.get(name), files_b.get(name)
+            if x != y:
+                state = "differs" if x is not None and y is not None else "exists on one side"
+                out.append(f"{line}\n  {name} {state}{_json_differences(x, y)}")
         before_a, before_b = files_a, files_b
     return out
 
