@@ -23,11 +23,12 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .functional import (
-    FD_STRIDE,
+    LEAST_SAMPLES as _LEAST_SAMPLES,
     FunctionalCoefficients,
     canonical_coefficients,
+    el_residual,
     energy,
-    residual_trace,
+    surface_fields,
 )
 from .geometry import GeometryParams
 from .profile import (
@@ -88,9 +89,6 @@ _RETIRED_TOLERANCES = ("rtol", "atol", "conservation", "closure-identity", "axis
 # The perturbation amplitude a suite runs with when no epsilon is given; its
 # echo then leaves epsilon out, since a null would read as no perturbation.
 _DEFAULT_EPSILON = {"verify descent": 0.2, "verify identities": 0.1}
-# The fewest samples a profile may have: the least odd count with room for the
-# spacing-FD_STRIDE stencils of the curvature and the residual.
-_LEAST_SAMPLES = 5 * FD_STRIDE + 1
 
 
 class ConfigError(ValueError):
@@ -332,9 +330,11 @@ def cmd_verify(config: RunConfig, which: str, trace_path: str | None = None) -> 
 
 
 def _write_trace(path: Path, prof: Profile, coeffs: FunctionalCoefficients) -> None:
-    trace = residual_trace(prof, coeffs)
-    columns = ["s", "u", "sigma", "H", "K", "nu", "residual"]
-    _write_csv(path, columns, [trace[c] for c in columns])
+    surface = surface_fields(prof)
+    columns = {"s": prof.s, "u": prof.u, "sigma": prof.sigma}
+    columns.update((name, surface[name]) for name in ("H", "K", "nu"))
+    columns["residual"] = el_residual(prof, coeffs)
+    _write_csv(path, list(columns), list(columns.values()))
 
 
 def cmd_sweep(config: RunConfig, spec_path: str) -> int:

@@ -24,6 +24,7 @@ import numpy as np
 from .functional import (
     FunctionalCoefficients,
     INTERIOR_MARGIN,
+    LEAST_SAMPLES,
     canonical_coefficients,
     el_residual,
     energy,
@@ -294,6 +295,12 @@ class CriticalityReport:
     to_dict = _record_dict
 
 
+def _require_stencil_samples(n_samples: int) -> None:
+    """Reject a sample count too small or even for the residual path's stencils."""
+    if n_samples < LEAST_SAMPLES or n_samples % 2 == 0:
+        raise ValueError(f"n_samples must be odd and at least {LEAST_SAMPLES}, got {n_samples}")
+
+
 def verify_criticality(
     g: GeometryParams,
     H: float,
@@ -312,6 +319,7 @@ def verify_criticality(
     quantities are computed and typically fail, which is the point of the
     negative control.
     """
+    _require_stencil_samples(n_samples)
     if coeffs is None:
         coeffs = canonical_coefficients(g)
     profile = generate_cmc_sphere(g, H, n_samples=n_samples)
@@ -733,6 +741,7 @@ def verify_identities(
     Willmore relation, Gauss-Bonnet and the second-summand derivative on the CMC sphere
     and on the sphere perturbed by ``spec``.
     """
+    _require_stencil_samples(n_samples)
     rng = np.random.default_rng(seed)
     u = rng.uniform(0.05, min(3.0, 0.9 * g.domain_radius), 10_000)
     sigma = rng.uniform(0.0, math.pi, 10_000)
@@ -836,8 +845,10 @@ def sweep(spec: SweepSpec, *, n_samples: int = DEFAULT_SAMPLES) -> list[SweepRow
     Failures stay in their row.  ``exists`` is false only where there is no
     sphere: an :class:`ExistenceViolation`, or a (k, tau) that
     :class:`GeometryParams` rejects.  Any other failure keeps
-    ``exists=True`` next to its error text.
+    ``exists=True`` next to its error text.  An ``n_samples`` that is even
+    or below ``LEAST_SAMPLES`` raises ``ValueError`` before the first row.
     """
+    _require_stencil_samples(n_samples)
     return [_sweep_row(c, n_samples) for c in spec.cases()]
 
 

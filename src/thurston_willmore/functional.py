@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import GeometryParams, _a_squared, _b_factor, _record_dict
+from .geometry import GeometryParams, _a_squared, _b_factor, _k_bar, _record_dict
 from .numerics import derivative1, derivative2, sample_quadrature, sample_quadrature_with_error
 from .profile import Closure, Profile
 
@@ -37,13 +37,11 @@ __all__ = [
     "POLE_U",
     "INTERIOR_MARGIN",
     "FunctionalCoefficients",
-    "SurfacePointData",
     "EnergyReport",
     "canonical_coefficients",
     "mean_curvature",
     "nu_on_profile",
-    "gauss_curvature_profile",
-    "div_nuT_profile",
+    "surface_fields",
     "energy",
     "el_residual",
     "max_interior_residual",
@@ -51,9 +49,6 @@ __all__ = [
     "h_squared_identity_check",
     "second_summand_derivative_check",
     "gauss_bonnet_total",
-    "profile_mean_curvature",
-    "surface_point_data",
-    "residual_trace",
 ]
 
 # Below this radius the ratio sin(sigma)/u switches to its pole limit
@@ -69,6 +64,10 @@ INTERIOR_MARGIN = 8
 # spacing, and spacing 4 buys a factor 64 while the O((4h)^4) truncation
 # stays far below every tolerance.
 FD_STRIDE = 4
+# The fewest samples the residual path takes: the least odd count (odd, so
+# that the equator is a sample) with room for the spacing-FD_STRIDE
+# stencils, which need 5 * FD_STRIDE samples.
+LEAST_SAMPLES = 5 * FD_STRIDE + 1
 
 
 @dataclass(frozen=True)
@@ -92,19 +91,6 @@ class FunctionalCoefficients:
 def canonical_coefficients(g: GeometryParams) -> FunctionalCoefficients:
     """Coefficients making CMC spheres critical: alpha = 1/4, beta = k/4 - tau^2/4."""
     return FunctionalCoefficients.canonical(g)
-
-
-@dataclass(frozen=True)
-class SurfacePointData:
-    """Pointwise surface quantities at one profile sample."""
-
-    H: float
-    K: float
-    K_bar: float
-    K_e: float
-    nu: float
-    div_nuT: float
-    mu: float
 
 
 @dataclass(frozen=True)
@@ -241,7 +227,6 @@ class _ProfileFields:
         self.h = profile.spacing
         u = profile.u
         sig = profile.sigma
-        k, tau = g.k, g.tau
 
         self.u = u
         self.sigma = sig
@@ -252,7 +237,7 @@ class _ProfileFields:
         self.cos = np.cos(sig)
         self.u_dot = self.B * self.cos  # definition of sigma, exact on samples
         self.nu = self.cos / self.A
-        self.K_bar = tau * tau + (k - 4.0 * tau * tau) * self.nu * self.nu
+        self.K_bar = _k_bar(g, self.nu)
 
     # Stencil quantities are built lazily: the energy path reads only the
     # spacing-1 ones, the residual path only the spacing-``FD_STRIDE`` ones.
@@ -309,46 +294,30 @@ class _ProfileFields:
         Hd = derivative1(H, self.h, FD_STRIDE)
         Hdd = derivative2(H, self.h, FD_STRIDE)
         t = 1.0 + tau * tau * u * u / (A * A) - 0.5 * k * u * u / B
-        off_pole = u > POLE_U
-        hd_over_u = np.where(off_pole, Hd / np.where(off_pole, u, 1.0), 0.0)
-        return Hdd + t * self.u_dot * hd_over_u
+        return Hdd + t * self.u_dot * _pole_safe_ratio(u, Hd, 0.0)
 
 
-def profile_mean_curvature(profile: Profile) -> np.ndarray:
-    """Pointwise mean curvature along the samples (sigma' by stencils)."""
-    return _ProfileFields(profile).H
+def surface_fields(profile: Profile) -> dict[str, np.ndarray]:
+    """Per-sample surface quantities along a profile, open or closed.
 
-
-def gauss_curvature_profile(profile: Profile, index: int | None = None):
-    """Intrinsic Gauss curvature from the warped-metric second derivative.
-
-    K = -(mu'')/mu with mu the orbit factor along the profile.  Pole samples
-    are filled by one-sided extrapolation; prefer interior indices.
+    Keys: ``H`` (mean curvature, sigma' by stencils), ``K`` (intrinsic
+    Gauss curvature -mu''/mu), ``K_bar`` (ambient sectional curvature of
+    the tangent plane), ``nu`` (vertical normal component), ``div_nuT``
+    (divergence of nu times the tangential part of the vertical field) and
+    ``mu`` (orbit factor).  The extrinsic curvature is ``K - K_bar``.
+    K and div_nuT come from spacing-``FD_STRIDE`` stencils, so the profile
+    needs at least ``5 * FD_STRIDE`` (20) samples.  Their pole samples are
+    extrapolated: read edge values ``INTERIOR_MARGIN`` samples off each pole.
     """
-    K = _ProfileFields(profile).gauss_curvature()
-    return K if index is None else float(K[index])
-
-
-def div_nuT_profile(profile: Profile, index: int | None = None):
-    """Divergence of nu times the tangential part of the vertical field."""
-    d = _ProfileFields(profile).div_nuT()
-    return d if index is None else float(d[index])
-
-
-def surface_point_data(profile: Profile, index: int) -> SurfacePointData:
-    """All pointwise quantities at one sample (extrinsic K_e = K - K_bar)."""
     f = _ProfileFields(profile)
-    K = float(f.gauss_curvature()[index])
-    K_bar = float(f.K_bar[index])
-    return SurfacePointData(
-        H=float(f.H[index]),
-        K=K,
-        K_bar=K_bar,
-        K_e=K - K_bar,
-        nu=float(f.nu[index]),
-        div_nuT=float(f.div_nuT()[index]),
-        mu=float(f.mu[index]),
-    )
+    return {
+        "H": f.H,
+        "K": f.gauss_curvature(),
+        "K_bar": f.K_bar,
+        "nu": f.nu,
+        "div_nuT": f.div_nuT(),
+        "mu": f.mu,
+    }
 
 
 # -- integral quantities -----------------------------------------------------
@@ -398,12 +367,8 @@ def energy(profile: Profile, coeffs: FunctionalCoefficients | None = None) -> En
     )
 
 
-def el_residual(
-    profile: Profile,
-    coeffs: FunctionalCoefficients,
-    index: int | None = None,
-):
-    """Euler-Lagrange residual of E_{alpha,beta} at profile samples.
+def el_residual(profile: Profile, coeffs: FunctionalCoefficients) -> np.ndarray:
+    """Euler-Lagrange residual of E_{alpha,beta} at every profile sample.
 
     Evaluates Delta H + H (2 H^2 - 2 K + (1 - 2 alpha)(k - 4 tau^2) nu^2
     + k - 2 beta - 2 alpha tau^2) + 2 alpha (k - 4 tau^2) div(nu T), with H
@@ -413,16 +378,15 @@ def el_residual(
     the Gauss equation; with alpha tau^2 instead, the expression picks up a
     spurious H alpha tau^2 and no longer vanishes on CMC spheres.
 
-    With ``index`` given it must lie at least ``INTERIOR_MARGIN`` samples
-    from either pole; without it the full array is returned, edge values
-    included but unreliable.
+    Edge values are unreliable: read the array ``INTERIOR_MARGIN`` samples
+    off each pole.
     """
     _require_closed(profile)
     f = _ProfileFields(profile)
     g = profile.geometry
     k, tau = g.k, g.tau
     H = f.H_smooth
-    res = (
+    return (
         f.laplacian_H()
         + H
         * (
@@ -435,15 +399,6 @@ def el_residual(
         )
         + 2.0 * coeffs.alpha * (k - 4.0 * tau * tau) * f.div_nuT()
     )
-    if index is None:
-        return res
-    n = len(profile)
-    if not (INTERIOR_MARGIN <= index < n - INTERIOR_MARGIN):
-        raise ValueError(
-            f"index {index} is a boundary sample; interior is "
-            f"[{INTERIOR_MARGIN}, {n - INTERIOR_MARGIN})"
-        )
-    return float(res[index])
 
 
 def max_interior_residual(profile: Profile, coeffs: FunctionalCoefficients) -> float:
@@ -499,16 +454,3 @@ def gauss_bonnet_total(profile: Profile) -> float:
     f = _ProfileFields(profile)
     return -2.0 * math.pi * sample_quadrature(derivative2(f.mu, f.h, FD_STRIDE), f.h)
 
-
-def residual_trace(profile: Profile, coeffs: FunctionalCoefficients) -> dict:
-    """Per-sample arrays for exporting residual diagnostics."""
-    f = _ProfileFields(profile)
-    return {
-        "s": profile.s,
-        "u": profile.u,
-        "sigma": profile.sigma,
-        "H": f.H,
-        "K": f.gauss_curvature(),
-        "nu": f.nu,
-        "residual": el_residual(profile, coeffs),
-    }

@@ -145,6 +145,11 @@ def _b_factor(g: GeometryParams, u):
     return 1.0 + 0.25 * g.k * u * u
 
 
+def _k_bar(g: GeometryParams, nu):
+    """Sectional curvature tau^2 + (k - 4 tau^2) nu^2, unchecked."""
+    return g.tau * g.tau + (g.k - 4.0 * g.tau * g.tau) * nu * nu
+
+
 def sectional_curvature(g: GeometryParams, nu):
     """Sectional curvature of a 2-plane with vertical normal component nu.
 
@@ -152,8 +157,7 @@ def sectional_curvature(g: GeometryParams, nu):
     vertical Killing field.  The curvature is tau^2 + (k - 4 tau^2) nu^2;
     when k = 4 tau^2 (a space form) the nu-dependence cancels exactly.
     """
-    nu = _check_nu(nu)
-    out = g.tau * g.tau + (g.k - 4.0 * g.tau * g.tau) * nu * nu
+    out = _k_bar(g, _check_nu(nu))
     return out if out.ndim else float(out)
 
 

@@ -304,11 +304,6 @@ class Profile:
     def _columns(self) -> tuple[str, ...]:
         return _COLUMNS if self.parametrization == ARCLENGTH else (*_COLUMNS, _SPEED_COLUMN)
 
-    def state(self, i: int) -> ProfileState:
-        return ProfileState(
-            s=float(self.s[i]), u=float(self.u[i]), v=float(self.v[i]), sigma=float(self.sigma[i])
-        )
-
     # -- serialization ---------------------------------------------------
 
     def metadata(self) -> dict:

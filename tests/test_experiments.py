@@ -364,6 +364,26 @@ class TestDescent:
             descend_energy(nil_geometry, 1.0, 1, max_iterations=-3)
 
 
+@pytest.mark.parametrize(
+    "suite",
+    [
+        lambda n: verify_criticality(GeometryParams(0.0, 0.5), 1.0, n_samples=n),
+        lambda n: verify_identities(
+            GeometryParams(0.0, 0.5), 1.0, PerturbationSpec(0.1, 1), seed=1, n_samples=n
+        ),
+        lambda n: sweep(SweepSpec((0.0,), (0.5,), (1.0,)), n_samples=n),
+    ],
+    ids=["verify_criticality", "verify_identities", "sweep"],
+)
+@pytest.mark.parametrize("n", [19, 22])
+def test_sample_count_without_room_for_the_stencils_is_rejected(suite, n, monkeypatch):
+    # raised before any work: a sphere is never generated
+    monkeypatch.setattr(experiments, "generate_cmc_sphere", None)
+    with pytest.raises(ValueError) as info:
+        suite(n)
+    assert str(info.value) == f"n_samples must be odd and at least 21, got {n}"
+
+
 class TestIdentities:
     def test_passes_and_fails_at_its_thresholds(self, nil_geometry):
         spec = PerturbationSpec(0.1, 1)

@@ -7,28 +7,25 @@ import sympy as sp
 from thurston_willmore import (
     FunctionalCoefficients,
     GeometryParams,
+    ProfileState,
+    StopCondition,
     canonical_coefficients,
-    div_nuT_profile,
-    el_residual,
     energy,
     gauss_bonnet_total,
-    gauss_curvature_profile,
     generate_cmc_sphere,
     h_squared_identity_check,
+    integrate,
     max_interior_residual,
     mean_curvature,
     nu_on_profile,
     orbit_volume_factor,
     second_summand_derivative_check,
     sectional_curvature,
-    surface_point_data,
+    sphere_from_modes,
+    surface_fields,
     willmore_relation_check,
 )
-from thurston_willmore.functional import (
-    INTERIOR_MARGIN,
-    _ProfileFields,
-    profile_mean_curvature,
-)
+from thurston_willmore.functional import INTERIOR_MARGIN, _ProfileFields
 
 FOUR_PI = 4.0 * math.pi
 M = INTERIOR_MARGIN
@@ -80,12 +77,12 @@ class TestMeanCurvature:
     def test_constant_along_generated_sphere(self, sphere):
         for k, tau, H in ((0.0, 0.5, 1.0), (-1.0, -0.5, 0.8), (1.0, 0.3, 0.7)):
             p = sphere(k, tau, H)
-            h_values = profile_mean_curvature(p)
+            h_values = surface_fields(p)["H"]
             assert np.max(np.abs(h_values[M:-M] - H)) < 1e-6
 
     def test_nonconstant_on_perturbed(self, perturbed):
         p = perturbed(0.0, 0.5, 1.0, 0.1, 1)
-        h_values = profile_mean_curvature(p)[M:-M]
+        h_values = surface_fields(p)["H"][M:-M]
         assert h_values.max() - h_values.min() > 1e-3
 
     def test_rejects_axis(self):
@@ -118,20 +115,46 @@ def test_closed_forms_match_the_profile_fields_bit_for_bit():
     assert np.array_equal(nu_on_profile(g, p.u, p.sigma), f.nu)
 
 
+class TestSurfaceFields:
+    @pytest.mark.parametrize("kind", ["arclength", "turning_angle", "open"])
+    def test_arrays_are_the_profile_fields(self, kind):
+        g = GeometryParams(-0.5, 0.3)
+        if kind == "arclength":
+            p = generate_cmc_sphere(g, 0.8)
+        elif kind == "turning_angle":
+            p = sphere_from_modes(g, 0.8, [0.05, -0.02])
+        else:  # the accessor, unlike the energy, takes open profiles
+            p = integrate(g, 0.8, ProfileState(0.0, 0.5, 0.0, 0.3), StopCondition.arclength(2.0))
+        f = _ProfileFields(p)
+        expected = {
+            "H": f.H,
+            "K": f.gauss_curvature(),
+            "K_bar": f.K_bar,
+            "nu": f.nu,
+            "div_nuT": f.div_nuT(),
+            "mu": f.mu,
+        }
+        fields = surface_fields(p)
+        assert list(fields) == list(expected)
+        for name, value in expected.items():
+            assert fields[name].shape == (len(p),)
+            assert np.array_equal(fields[name], value), name
+
+
 class TestGaussCurvature:
     def test_round_sphere(self, flat_geometry):
         from thurston_willmore import generate_cmc_sphere
 
         for r in (0.5, 2.0):
             p = generate_cmc_sphere(flat_geometry, 1.0 / r)
-            K = gauss_curvature_profile(p)
+            K = surface_fields(p)["K"]
             assert np.max(np.abs(K[M:-M] - 1.0 / r**2)) < 1e-4
 
     def test_symbolic_oracle(self, sphere):
         for k, tau, H in ((0.0, 0.5, 1.0), (-1.0, -0.5, 0.8), (1.0, 0.3, 0.7)):
             p = sphere(k, tau, H)
             _, fields = symbolic_sphere_fields(k, tau, H)
-            K = gauss_curvature_profile(p)
+            K = surface_fields(p)["K"]
             expected = fields["K"](p.sigma[M:-M])
             assert np.max(np.abs(K[M:-M] - expected)) < 1e-4
 
@@ -152,14 +175,13 @@ class TestGaussCurvature:
             assert p.sigma[i] == pytest.approx(math.pi / 2, abs=1e-9)
             sigma_dot = H * (1.0 + 0.25 * k * p.u[i] ** 2)
             expected = sigma_dot * (2.0 * H - sigma_dot)
-            data = surface_point_data(p, i)
-            assert data.K_bar == pytest.approx(0.0, abs=1e-12)
-            assert data.K == pytest.approx(expected, abs=1e-5)
+            data = surface_fields(p)
+            assert data["K_bar"][i] == pytest.approx(0.0, abs=1e-12)
+            assert data["K"][i] == pytest.approx(expected, abs=1e-5)
 
     def test_gauss_equation_definition(self, sphere):
-        data = surface_point_data(sphere(0.0, 0.5, 1.0), 700)
-        assert data.K_e == pytest.approx(data.K - data.K_bar, abs=0.0)
-        assert abs(data.nu) <= 1.0 + 1e-9
+        nu = surface_fields(sphere(0.0, 0.5, 1.0))["nu"]
+        assert np.all(np.abs(nu) <= 1.0 + 1e-9)
 
 
 class TestDivNuT:
@@ -169,7 +191,7 @@ class TestDivNuT:
 
         r = 1.0
         p = generate_cmc_sphere(flat_geometry, 1.0 / r)
-        div = div_nuT_profile(p)
+        div = surface_fields(p)["div_nuT"]
         expected = (3.0 * np.cos(p.sigma) ** 2 - 1.0) / r
         assert np.max(np.abs(div[M:-M] - expected[M:-M])) < 1e-5
 
@@ -177,7 +199,7 @@ class TestDivNuT:
         for k, tau, H in ((0.0, 0.5, 1.0), (-1.0, -0.5, 0.8)):
             p = sphere(k, tau, H)
             _, fields = symbolic_sphere_fields(k, tau, H)
-            div = div_nuT_profile(p)
+            div = surface_fields(p)["div_nuT"]
             expected = fields["div"](p.sigma[M:-M])
             assert np.max(np.abs(div[M:-M] - expected)) < 1e-4
 
@@ -228,7 +250,7 @@ class TestEnergy:
         for p in profiles:
             rep = energy(p)
             assert rep.E >= FOUR_PI - 1e-6
-            h_values = profile_mean_curvature(p)[M:-M]
+            h_values = surface_fields(p)["H"][M:-M]
             spread = h_values.max() - h_values.min()
             at_minimum = abs(rep.E - FOUR_PI) < 1e-6
             assert at_minimum == (spread < 1e-6)
@@ -295,12 +317,6 @@ class TestElResidual:
         res = max_interior_residual(p, canonical_coefficients(p.geometry))
         assert res > 1e-2
 
-    def test_boundary_index_rejected(self, sphere):
-        p = sphere(0.0, 0.5, 1.0)
-        coeffs = canonical_coefficients(p.geometry)
-        with pytest.raises(ValueError, match="boundary"):
-            el_residual(p, coeffs, 2)
-        assert isinstance(el_residual(p, coeffs, 100), float)
 
 
 class TestIdentities:

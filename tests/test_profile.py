@@ -643,11 +643,6 @@ class TestProfileContainer:
         with pytest.raises(ValueError, match="parametrization"):
             Profile.from_csv(path)
 
-    def test_state_accessor(self, sphere):
-        p = sphere(0.0, 0.5, 1.0)
-        st = p.state(0)
-        assert st.s == p.s[0] and st.u == p.u[0]
-
 
 class TestTolerances:
     @pytest.mark.parametrize("value", [-5.0, -1e-300, math.nan, math.inf])

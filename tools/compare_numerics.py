@@ -19,7 +19,10 @@ on ``PYTHONPATH``, computes the same seeded items, in groups:
 - ``modes`` and ``cmc``: 300 random ``sphere_from_modes`` and 300 random
   ``generate_cmc_sphere`` profiles at 1025 samples, with their samples,
   energy report, interior residual, the full ``el_residual`` array,
-  ``gauss_curvature_profile`` and ``div_nuT_profile``, the
+  the six per-sample arrays H, K, K_bar, nu, div_nuT and mu (through
+  ``surface_fields`` where the tree has it, else through
+  ``profile_mean_curvature``, ``gauss_curvature_profile``,
+  ``div_nuT_profile`` and the ``_ProfileFields`` arrays), the
   ``gauss_bonnet_total``, ``second_summand_derivative_check`` and
   ``willmore_relation_check`` values, and the first variation;
 - ``geometry``: 2000 draws of the public ``geometry`` functions, tau in
@@ -122,15 +125,30 @@ def _sweep_case(rng, i: int) -> tuple[float, float, float]:
     return k, tau, rng.uniform(max(0.6, math.sqrt(max(0.0, 0.1 - 0.25 * k))), 1.5)
 
 
+def _surface_fields(p) -> dict:
+    """The per-sample arrays of ``surface_fields``, on trees with or without it."""
+    from thurston_willmore import functional
+
+    if hasattr(functional, "surface_fields"):
+        return functional.surface_fields(p)
+    f = functional._ProfileFields(p)
+    return {
+        "H": functional.profile_mean_curvature(p),
+        "K": functional.gauss_curvature_profile(p),
+        "K_bar": f.K_bar,
+        "nu": f.nu,
+        "div_nuT": functional.div_nuT_profile(p),
+        "mu": f.mu,
+    }
+
+
 def _profile_item(profile_fn, *args) -> dict:
     from thurston_willmore.experiments import first_variation
     from thurston_willmore.functional import (
         canonical_coefficients,
-        div_nuT_profile,
         el_residual,
         energy,
         gauss_bonnet_total,
-        gauss_curvature_profile,
         max_interior_residual,
         second_summand_derivative_check,
         willmore_relation_check,
@@ -147,8 +165,7 @@ def _profile_item(profile_fn, *args) -> dict:
         ("energy", lambda: energy(p).to_dict()),
         ("residual", lambda: max_interior_residual(p, coeffs)),
         ("el_residual", lambda: el_residual(p, coeffs)),
-        ("gauss_curvature", lambda: gauss_curvature_profile(p)),
-        ("div_nuT", lambda: div_nuT_profile(p)),
+        ("surface_fields", lambda: _surface_fields(p)),
         ("gauss_bonnet", lambda: gauss_bonnet_total(p)),
         ("second_summand_derivative", lambda: second_summand_derivative_check(p)),
         ("willmore_relation", lambda: willmore_relation_check(p)),
