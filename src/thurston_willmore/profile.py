@@ -135,12 +135,12 @@ class Tolerances:
 
 # The fixed bounds of generate_cmc_sphere's post-checks, which each of its
 # profiles echoes under ``tolerances``: drift of J (also the default of
-# :func:`integrate`), |sin(sigma) - |H| u|, distance of the end samples to the axis.
+# :func:`integrate`), |sin(sigma) - |H| u|, and the distance of a closed
+# sphere's end samples to the axis, which :class:`Profile` checks.
 _GENERATOR_BOUNDS = {"conservation": 1e-8, "closure_identity": 1e-8, "axis_epsilon": 1e-5}
 # Closure acceptance: how close to the axis the profile must return.
 AXIS_EPSILON = _GENERATOR_BOUNDS["axis_epsilon"]
-# Offset of the series start from the pole (the start error is O(s0^2)),
-# and of the end samples of a generated sphere.
+# Offset of :func:`integrate`'s series start from the pole (the start error is O(s0^2)).
 AXIS_SERIES_S0 = 1e-6
 # Integration stops at sigma = pi - margin; on the exact sphere the
 # residual u there measures the accumulated error.
@@ -687,25 +687,21 @@ def generate_cmc_sphere(
 
     With w = sqrt(H^2 + k/4) the sphere branch is sigma(s) =
     atan2(H sin(w s), w cos(w s)), u = sin(sigma)/H, of arclength
-    L = pi/w.  The samples are uniform in s from ``AXIS_SERIES_S0`` to
-    L - ``AXIS_SERIES_S0``, the offset at which :func:`integrate` starts its
-    axis series, so the end samples stay off the axis as a shot sphere's do.
-    The height v runs from 0 and adds, over each grid interval, the 8-point
-    Gauss integral of v' = sqrt(1 + tau^2 u^2) sin(sigma).  Every interval
-    has its nodes at the same offsets d_j from its left end s_i, so
-    sin(w s) and cos(w s) there follow from their grid values by angle
-    addition, and sin(sigma) = H sin(w s)/sqrt(H^2 sin^2(w s) + w^2 cos^2(w s))
-    needs no further transcendental function.  v' is even about the
-    equator s = L/2, the middle sample, so the integrals are evaluated
-    for the intervals left of it, as one (8, intervals) array (a row per
-    node: one inner loop per node, not per interval), and repeated in mirror
-    order for those right of it.  s, sigma and u are evaluated at every sample.
+    L = pi/w.  The samples are those of the turning-angle grid
+    (:func:`_turning_angle_grid`) read as x = w s, uniform on [0, pi], so
+    s = x/w runs from 0 to L and sin x and cos x come from the grid's cache.
+    The ends are set as :func:`sphere_from_modes` sets them: sigma = 0 and
+    pi, u = 0.  The height v runs from 0 and adds, over each grid interval,
+    the 8-point Gauss integral of v' = sqrt(1 + tau^2 u^2) sin(sigma), with
+    sin(sigma) = a/sqrt(a^2 + b^2), a = H sin x and b = w cos x, at the
+    grid's cached nodes, and the cached weights divided by w.  v' is even
+    about the equator s = L/2, the middle sample, so the integrals are
+    evaluated for the intervals left of it and repeated in mirror order for
+    those right of it.  s, sigma and u are evaluated at every sample.
 
-    The samples are checked as a shot sphere would be, at fixed bounds
-    that the profile echoes under ``tolerances``: the first integral J
-    drifts by at most 1e-8, sigma increases strictly, the identity
-    sin(sigma) = |H| u holds to 1e-8, and both end samples lie within
-    ``AXIS_EPSILON`` of the axis with sigma within 1e-3 of 0 and pi.
+    The samples are checked at fixed bounds that the profile echoes under
+    ``tolerances``: the first integral J drifts by at most 1e-8, sigma
+    increases strictly and the identity sin(sigma) = |H| u holds to 1e-8.
     ``closure_residual`` records |sin(sigma) - |H| u| at the last sample.
     :func:`integrate` shoots the same sphere independently.
 
@@ -718,34 +714,29 @@ def generate_cmc_sphere(
         raise ValueError("n_samples must be odd and at least 9")
     h_abs = abs(H)
     w = math.sqrt(h_abs * h_abs + 0.25 * g.k)
-    grid = np.linspace(AXIS_SERIES_S0, math.pi / w - AXIS_SERIES_S0, n_samples)
-    sin_ws, cos_ws = np.sin(w * grid), np.cos(w * grid)
-    sigma = np.arctan2(h_abs * sin_ws, w * cos_ws)
+    x, sin_x, cos_x, _, sin_nodes, cos_nodes, _, weights = _turning_angle_grid(n_samples)
+    sigma = np.arctan2(h_abs * sin_x, w * cos_x)
+    sigma[-1] = math.pi  # atan2 can read -pi there by one rounding
     sin_sig = np.sin(sigma)
     u = sin_sig / h_abs
+    u[0] = u[-1] = 0.0
     if u.max() >= g.domain_radius * (1.0 - 1e-12):
         raise IntegrationError("sphere leaves the domain of the geometry")
-    if u[0] > AXIS_EPSILON or u[-1] > AXIS_EPSILON:
-        raise IntegrationError(
-            f"sphere failed to close: u = {max(u[0], u[-1]):.3e} at an end exceeds "
-            f"{AXIS_EPSILON:.1e}"
-        )
-    if abs(sigma[0]) > 1e-3 or abs(sigma[-1] - math.pi) > 1e-3:
-        raise IntegrationError(
-            f"sphere failed to close: sigma runs from {sigma[0]:.6f} to {sigma[-1]:.6f}, "
-            "not 0 to pi"
-        )
-    # node j of every interval lies offset[j] past its left end in w s; row j holds node j
-    half = 0.5 * (grid[-1] - grid[0]) / (n_samples - 1)
-    offset = w * half * (_GL8_NODES + 1.0)
-    cos_d, sin_d = np.cos(offset)[:, None], np.sin(offset)[:, None]
-    sin_left, cos_left = sin_ws[: n_samples // 2], cos_ws[: n_samples // 2]
-    a = h_abs * (sin_left * cos_d + cos_left * sin_d)
-    b = w * (cos_left * cos_d - sin_left * sin_d)
-    sin_nodes = a / np.sqrt(a * a + b * b)
-    u_nodes = sin_nodes / h_abs
-    dv_nodes = np.sqrt(_a_squared(g, u_nodes)) * sin_nodes
-    v = _mirrored_running_sum((dv_nodes * (half * _GL8_WEIGHTS)[:, None]).T)
+    # node arrays in place, with the roundings of a/sqrt(a*a + b*b), then of
+    # sqrt(1 + tau^2 u^2) sin(sigma) weights / w: no further (panels, 8) temporary
+    a = h_abs * sin_nodes
+    b = w * cos_nodes
+    b *= b
+    rates = a * a
+    rates += b
+    np.sqrt(rates, out=rates)
+    a /= rates
+    np.divide(a, h_abs, out=b)
+    rates = np.sqrt(_a_squared(g, b))
+    rates *= a
+    rates *= weights
+    rates /= w
+    v = _mirrored_running_sum(rates)
     drift = _j_drift(g, h_abs, u, sin_sig, _GENERATOR_BOUNDS["conservation"])
     if not (np.diff(sigma) > 0.0).all():
         raise IntegrationError("sigma is not monotone along the generated sphere")
@@ -756,7 +747,7 @@ def generate_cmc_sphere(
             f"{_GENERATOR_BOUNDS['closure_identity']:.1e}"
         )
     return Profile(
-        s=grid,
+        s=x / w,
         u=u,
         v=v,
         sigma=sigma,
@@ -931,18 +922,19 @@ def _require_admissible(g: GeometryParams, h_abs: float, coeffs: np.ndarray) -> 
 
 @lru_cache(maxsize=4)
 def _turning_angle_grid(n_samples: int) -> tuple[np.ndarray, ...]:
-    """The mode family's sigma grid and Gauss panels at ``n_samples`` samples.
+    """The sigma grid and Gauss panels of both sphere generators at ``n_samples`` samples.
 
-    Returns sigma uniform on [0, pi], sin(sigma) and t = cos(2 sigma) at the
+    Returns sigma uniform on [0, pi], sin, cos and t = cos(2 sigma) at the
     samples, then sin, cos, t and the weights at the Gauss nodes of the
     panels left of the equator, as (panels, 8) arrays.  Built on the first
     call for a sample count; every array is read-only, since every later
-    call shares it.  The family energy's rule is its nodes (:func:`_family_half_rule`).
+    call shares it.  :func:`generate_cmc_sphere` reads sigma as w s; the
+    family energy's rule is the nodes (:func:`_family_half_rule`).
     """
     sigma = np.linspace(0.0, math.pi, n_samples)
     nodes, weights = _panel_nodes(sigma[: n_samples // 2 + 1])
-    grid = (sigma, np.sin(sigma), np.cos(2.0 * sigma), np.sin(nodes), np.cos(nodes))
-    grid += (np.cos(2.0 * nodes), weights)
+    grid = (sigma, np.sin(sigma), np.cos(sigma), np.cos(2.0 * sigma))
+    grid += (np.sin(nodes), np.cos(nodes), np.cos(2.0 * nodes), weights)
     for a in grid:
         a.flags.writeable = False
     return grid
@@ -1002,7 +994,7 @@ def sphere_from_modes(
     h_abs = abs(H)
     shape = _require_admissible(g, h_abs, coeffs)
 
-    sigma, sin_samples, t_samples, sin_nodes, _, t_nodes, weights = _turning_angle_grid(n_samples)
+    sigma, sin_samples, _, t_samples, sin_nodes, _, t_nodes, weights = _turning_angle_grid(n_samples)
     _, _, u_nodes, _, ds_nodes = _family_nodes(g, h_abs, shape, sin_nodes, t_nodes)
     s = _mirrored_running_sum(ds_nodes * weights)
     v = _mirrored_running_sum(np.sqrt(_a_squared(g, u_nodes)) * sin_nodes * ds_nodes * weights)
@@ -1113,7 +1105,7 @@ def _family_half_rule(panels: int, dims: int) -> tuple[np.ndarray, ...]:
     mode terms are (dims, nodes) arrays, the mode-m Chebyshev series of
     :func:`_mode_basis` at t.
     """
-    _, _, _, sin_sig, cos_sig, t, weights = (a.ravel() for a in _turning_angle_grid(panels + 1))
+    *_, sin_sig, cos_sig, t, weights = (a.ravel() for a in _turning_angle_grid(panels + 1))
     modulation, numerator, _, _ = _mode_basis(dims)
     modes = (cheb.chebval(t, modulation.T), cheb.chebval(t, numerator.T))
     for a in modes:

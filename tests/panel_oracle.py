@@ -16,7 +16,7 @@ import math
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
-from thurston_willmore.profile import AXIS_SERIES_S0, _mode_basis
+from thurston_willmore.profile import _mode_basis
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(8)
 
@@ -42,35 +42,32 @@ def cmc_sphere_samples(
 ) -> tuple[np.ndarray, ...]:
     """s, u, v and sigma of the closed-form CMC sphere of mean curvature |H|.
 
-    Node j of every interval lies d_j = w half (x_j + 1) past its left end
-    s_i in w s, so the node values of H sin(w s) and w cos(w s) follow from
-    those at s_i by angle addition, as the generator computes them.
+    x = w s is uniform on [0, pi].  At the Gauss nodes of x, sin(sigma) is
+    a/sqrt(a^2 + b^2) with a = H sin x and b = w cos x, and the weights in
+    s are those in x divided by w, as the generator computes them.
     """
     h_abs = abs(H)
     w = math.sqrt(h_abs * h_abs + 0.25 * k)
-    grid = np.linspace(AXIS_SERIES_S0, math.pi / w - AXIS_SERIES_S0, n_samples)
-    sin_ws, cos_ws = np.sin(w * grid), np.cos(w * grid)
-    sigma = np.arctan2(h_abs * sin_ws, w * cos_ws)
-    half = 0.5 * (grid[-1] - grid[0]) / (n_samples - 1)
-    offset = w * half * (_NODES + 1.0)
-    cos_d, sin_d = np.cos(offset)[None, :], np.sin(offset)[None, :]
-    panels = n_samples // 2 if mirror else n_samples - 1
-    sin_left, cos_left = sin_ws[:panels, None], cos_ws[:panels, None]
-    a = h_abs * (sin_left * cos_d + cos_left * sin_d)
-    b = w * (cos_left * cos_d - sin_left * sin_d)
+    x = np.linspace(0.0, math.pi, n_samples)
+    sigma = np.arctan2(h_abs * np.sin(x), w * np.cos(x))
+    sigma[-1] = math.pi
+    u = np.sin(sigma) / h_abs
+    u[0] = 0.0
+    u[-1] = 0.0
+    nodes, weights = panel_nodes(x[: n_samples // 2 + 1] if mirror else x)
+    a = h_abs * np.sin(nodes)
+    b = w * np.cos(nodes)
     sin_nodes = a / np.sqrt(a * a + b * b)
     u_nodes = sin_nodes / h_abs
-    weights = (half * _WEIGHTS)[None, :]
-    dv = np.sum(np.sqrt(1.0 + tau**2 * u_nodes * u_nodes) * sin_nodes * weights, axis=1)
-    return grid, np.sin(sigma) / h_abs, running_sum(dv, mirror), sigma
+    dv = np.sum(np.sqrt(1.0 + tau**2 * u_nodes * u_nodes) * sin_nodes * weights / w, axis=1)
+    return x / w, u, running_sum(dv, mirror), sigma
 
 
 def cmc_sphere_direct_heights(k: float, tau: float, H: float, n_samples: int) -> np.ndarray:
     """v of the CMC sphere with every node value from sin(atan2(H sin(w s), w cos(w s)))."""
     h_abs = abs(H)
     w = math.sqrt(h_abs * h_abs + 0.25 * k)
-    grid = np.linspace(AXIS_SERIES_S0, math.pi / w - AXIS_SERIES_S0, n_samples)
-    nodes, weights = panel_nodes(grid)
+    nodes, weights = panel_nodes(np.linspace(0.0, math.pi / w, n_samples))
     sin_nodes = np.sin(np.arctan2(h_abs * np.sin(w * nodes), w * np.cos(w * nodes)))
     u_nodes = sin_nodes / h_abs
     dv = np.sum(np.sqrt(1.0 + tau**2 * u_nodes * u_nodes) * sin_nodes * weights, axis=1)

@@ -277,7 +277,7 @@ class TestMirroredPanelSums:
 
     def test_grid_is_read_only(self):
         grid = _turning_angle_grid(257)
-        assert len(grid) == 7
+        assert len(grid) == 8
         for a in grid:
             with pytest.raises(ValueError, match="read-only"):
                 a.flat[0] = 0.0
@@ -285,10 +285,10 @@ class TestMirroredPanelSums:
     def test_each_sample_count_has_its_own_grid(self):
         small, large = _turning_angle_grid(9), _turning_angle_grid(17)
         assert _turning_angle_grid(9) is small
-        # sigma, sin and t at the samples; sin, cos, t and weights at the
-        # nodes of the panels left of the equator
-        assert [a.shape for a in small] == [(9,)] * 3 + [(4, 8)] * 4
-        assert [a.shape for a in large] == [(17,)] * 3 + [(8, 8)] * 4
+        # sigma, sin, cos and t at the samples; sin, cos, t and weights at
+        # the nodes of the panels left of the equator
+        assert [a.shape for a in small] == [(9,)] * 4 + [(4, 8)] * 4
+        assert [a.shape for a in large] == [(17,)] * 4 + [(8, 8)] * 4
         assert small[0][-1] == large[0][-1] == math.pi
 
 

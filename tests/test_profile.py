@@ -32,7 +32,6 @@ from thurston_willmore.experiments import default_acceptance_grid, default_pertu
 from thurston_willmore.numerics import derivative1
 from thurston_willmore.profile import (
     ARCLENGTH,
-    AXIS_SERIES_S0,
     TURNING_ANGLE,
     _mirrored_running_sum,
     _require_admissible,
@@ -260,7 +259,7 @@ class TestGenerateCmcSphere:
 
     @pytest.mark.parametrize("k, tau, H", HEIGHT_CASES)
     def test_heights_match_direct_node_values(self, k, tau, H):
-        # angle addition at the Gauss nodes moves v by rounding only
+        # sin(sigma) = a/sqrt(a^2 + b^2) at the Gauss nodes moves v by rounding only
         p = generate_cmc_sphere(GeometryParams(k, tau), H)
         direct = cmc_sphere_direct_heights(k, tau, H, len(p))
         assert np.max(np.abs(p.v - direct)) <= 1e-13 * np.max(np.abs(direct))
@@ -377,7 +376,7 @@ class TestExistence:
             assert np.all(np.diff(p.sigma) > 0.0)
             assert np.max(np.abs(np.sin(p.sigma) - H * p.u)) < 1e-8
             length = math.pi / math.sqrt(H * H - 0.25)
-            assert p.arclength + 2.0 * AXIS_SERIES_S0 == pytest.approx(length, rel=1e-12)
+            assert p.arclength == pytest.approx(length, rel=1e-12)
 
     def test_minimal_sphere_rejected_for_positive_k(self):
         with pytest.raises(ExistenceViolation, match="H != 0"):
