@@ -254,9 +254,17 @@ class _ProfileFields:
     def H(self) -> np.ndarray:
         return _mean_curvature(self.g.k, self.u, self.sin, self.sigma_dot, self.ratio)
 
+    def strided(self, derivative, y: np.ndarray) -> np.ndarray:
+        """``derivative`` of ``y`` by the spacing-``FD_STRIDE`` stencils, after the one floor check."""
+        if (n := self.u.size) < 5 * FD_STRIDE:
+            raise ValueError(
+                f"profile has {n} samples; K and the EL residual need at least {5 * FD_STRIDE}"
+            )
+        return derivative(y, self.h, FD_STRIDE)
+
     @cached_property
     def H_smooth(self) -> np.ndarray:
-        sigma_dot = derivative1(self.sigma, self.h, FD_STRIDE)
+        sigma_dot = self.strided(derivative1, self.sigma)
         # sin(sigma)/u takes the pole limit sigma'.
         ratio = _pole_safe_ratio(self.u, self.sin, sigma_dot)
         return _mean_curvature(self.g.k, self.u, self.sin, sigma_dot, ratio)
@@ -275,11 +283,11 @@ class _ProfileFields:
         return out
 
     def gauss_curvature(self) -> np.ndarray:
-        return self._pole_extrapolated(-derivative2(self.mu, self.h, FD_STRIDE), self.mu)
+        return self._pole_extrapolated(-self.strided(derivative2, self.mu), self.mu)
 
     def div_nuT(self) -> np.ndarray:
         D = self.u * self.cos * self.sin / (self.B * self.A)
-        return self._pole_extrapolated(derivative1(D, self.h, FD_STRIDE), self.mu)
+        return self._pole_extrapolated(self.strided(derivative1, D), self.mu)
 
     def laplacian_H(self) -> np.ndarray:
         """Laplace-Beltrami of H: H'' + (mu'/mu) H' on the warped metric.
@@ -291,8 +299,8 @@ class _ProfileFields:
         u, A, B = self.u, self.A, self.B
         tau, k = self.g.tau, self.g.k
         H = self.H_smooth
-        Hd = derivative1(H, self.h, FD_STRIDE)
-        Hdd = derivative2(H, self.h, FD_STRIDE)
+        Hd = self.strided(derivative1, H)
+        Hdd = self.strided(derivative2, H)
         t = 1.0 + tau * tau * u * u / (A * A) - 0.5 * k * u * u / B
         return Hdd + t * self.u_dot * _pole_safe_ratio(u, Hd, 0.0)
 
@@ -452,5 +460,5 @@ def gauss_bonnet_total(profile: Profile) -> float:
     """
     _require_closed(profile)
     f = _ProfileFields(profile)
-    return -2.0 * math.pi * sample_quadrature(derivative2(f.mu, f.h, FD_STRIDE), f.h)
+    return -2.0 * math.pi * sample_quadrature(f.strided(derivative2, f.mu), f.h)
 

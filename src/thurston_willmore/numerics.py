@@ -163,15 +163,16 @@ def _grid_weights(n: int) -> np.ndarray:
 def sample_quadrature(y: np.ndarray, h):
     """Integral of samples with spacing ``h`` over their full span, along the last axis.
 
-    A float for 1-D samples, else an array with one integral per row.
+    A float for 1-D samples, else one integral per row, each bit for bit that
+    row's 1-D integral (a matrix-vector product would round differently).
     """
     y = np.asarray(y, dtype=float)
     weights = _grid_weights(y.shape[-1])
-    if getattr(h, "ndim", 0) == 0:
-        total = h * (y @ weights)
-    else:
-        total = (y * h) @ weights
-    return float(total) if y.ndim == 1 else total
+    if getattr(h, "ndim", 0):
+        y, h = y * h, 1.0  # the spacing enters each term; 1.0 * the sum is exact
+    if y.ndim == 1:
+        return float(h * (y @ weights))
+    return h * np.array([row @ weights for row in y])
 
 
 def sample_quadrature_with_error(y: np.ndarray, h):

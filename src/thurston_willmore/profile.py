@@ -687,17 +687,15 @@ def generate_cmc_sphere(
 
     With w = sqrt(H^2 + k/4) the sphere branch is sigma(s) =
     atan2(H sin(w s), w cos(w s)), u = sin(sigma)/H, of arclength
-    L = pi/w.  The samples are those of the turning-angle grid
-    (:func:`_turning_angle_grid`) read as x = w s, uniform on [0, pi], so
-    s = x/w runs from 0 to L and sin x and cos x come from the grid's cache.
-    The ends are set as :func:`sphere_from_modes` sets them: sigma = 0 and
-    pi, u = 0.  The height v runs from 0 and adds, over each grid interval,
+    L = pi/w.  The samples are the turning-angle grid
+    (:func:`_turning_angle_grid`) read as x = w s, with its cached sin x and
+    cos x, and end at sigma = 0 and pi with u = 0, as those of
+    :func:`sphere_from_modes` do.  The height v adds, over each interval,
     the 8-point Gauss integral of v' = sqrt(1 + tau^2 u^2) sin(sigma), with
     sin(sigma) = a/sqrt(a^2 + b^2), a = H sin x and b = w cos x, at the
-    grid's cached nodes, and the cached weights divided by w.  v' is even
-    about the equator s = L/2, the middle sample, so the integrals are
-    evaluated for the intervals left of it and repeated in mirror order for
-    those right of it.  s, sigma and u are evaluated at every sample.
+    cached nodes and with the cached weights divided by w.  v' is even about
+    the equator, so the panels left of it are evaluated and repeated in
+    mirror order right of it.
 
     The samples are checked at fixed bounds that the profile echoes under
     ``tolerances``: the first integral J drifts by at most 1e-8, sigma
@@ -716,14 +714,13 @@ def generate_cmc_sphere(
     w = math.sqrt(h_abs * h_abs + 0.25 * g.k)
     x, sin_x, cos_x, _, sin_nodes, cos_nodes, _, weights = _turning_angle_grid(n_samples)
     sigma = np.arctan2(h_abs * sin_x, w * cos_x)
-    sigma[-1] = math.pi  # atan2 can read -pi there by one rounding
+    sigma[-1] = math.pi  # exact ends: sin of the float pi is 1.2e-16, so atan2 falls short
     sin_sig = np.sin(sigma)
+    sin_sig[-1] = 0.0
     u = sin_sig / h_abs
-    u[0] = u[-1] = 0.0
     if u.max() >= g.domain_radius * (1.0 - 1e-12):
         raise IntegrationError("sphere leaves the domain of the geometry")
-    # node arrays in place, with the roundings of a/sqrt(a*a + b*b), then of
-    # sqrt(1 + tau^2 u^2) sin(sigma) weights / w: no further (panels, 8) temporary
+    # in place, rounding as a / sqrt(a*a + b*b) and sqrt(A^2) sin(sigma) weights / w do
     a = h_abs * sin_nodes
     b = w * cos_nodes
     b *= b

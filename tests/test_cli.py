@@ -373,6 +373,13 @@ class TestVerify:
         assert len(inadmissible) == 3
         assert all(e["error"] for e in inadmissible)
 
+    def test_minimality_of_a_small_round_sphere(self, tmp_path):
+        # the R^3 sphere of radius 1/902: its energy is 4 pi at any size
+        out = tmp_path / "min.json"
+        assert run(["verify", "minimality", "--k", 0, "--tau", 0, "--H", 902, "--out", out]) == 0
+        report = json.loads(out.read_text())["report"]
+        assert abs(report["baseline_E"] - 4.0 * math.pi) < 1e-12
+
     def test_minimality_plain_willmore_is_a_negative_control(self, tmp_path, capsys):
         # --alpha/--beta reach the suite: plain Willmore misses 4 pi off the space forms
         out = tmp_path / "min.json"

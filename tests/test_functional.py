@@ -7,9 +7,11 @@ import sympy as sp
 from thurston_willmore import (
     FunctionalCoefficients,
     GeometryParams,
+    Profile,
     ProfileState,
     StopCondition,
     canonical_coefficients,
+    el_residual,
     energy,
     gauss_bonnet_total,
     generate_cmc_sphere,
@@ -139,6 +141,33 @@ class TestSurfaceFields:
         for name, value in expected.items():
             assert fields[name].shape == (len(p),)
             assert np.array_equal(fields[name], value), name
+
+
+class TestSampleFloor:
+    # the stride-4 stencils need 20 samples: below that, one error naming the count
+    @pytest.mark.parametrize(
+        "call",
+        [
+            surface_fields,
+            lambda p: el_residual(p, canonical_coefficients(p.geometry)),
+            lambda p: max_interior_residual(p, canonical_coefficients(p.geometry)),
+            gauss_bonnet_total,
+        ],
+        ids=["surface_fields", "el_residual", "max_interior_residual", "gauss_bonnet_total"],
+    )
+    def test_too_few_samples_named(self, call):
+        p = generate_cmc_sphere(GeometryParams(0.0, 0.5), 1.0, n_samples=19)
+        with pytest.raises(ValueError, match=r"^profile has 19 samples; .* need at least 20$"):
+            call(p)
+
+    def test_spacing_one_paths_take_fewer(self):
+        q = generate_cmc_sphere(GeometryParams(0.0, 0.5), 1.0, n_samples=17)
+        assert math.isfinite(second_summand_derivative_check(q))  # one sample past the margins
+        p = Profile(s=q.s[::4], u=q.u[::4], v=q.v[::4], sigma=q.sigma[::4], geometry=q.geometry,
+                    closure=q.closure)
+        assert len(p) == 5
+        assert math.isfinite(energy(p).E)
+        assert math.isfinite(willmore_relation_check(p))
 
 
 class TestGaussCurvature:

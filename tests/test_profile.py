@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thurston_willmore import (
     Closure,
@@ -184,6 +186,24 @@ class TestIntegrate:
         g = GeometryParams(0.0, 0.0)
         with pytest.raises(IntegrationError, match="axis"):
             integrate(g, 1.0, ProfileState(0.0, 0.0, 0.0, math.pi), StopCondition.arclength(1.0))
+
+
+@settings(max_examples=150)
+@given(
+    H=st.floats(0.5, 1.5),
+    k_ratio=st.floats(-2.8, 2.8),
+    tau_ratio=st.floats(-0.83, 0.83),
+    log_scale=st.floats(-3.0, 3.0),
+)
+def test_energy_is_invariant_under_rescaling(H, k_ratio, tau_ratio, log_scale):
+    # scaling the metric by lambda^2 maps E(k, tau) to E(k/lambda^2, tau/lambda),
+    # H to H/lambda, and leaves the energy of every sphere unchanged
+    lam = 10.0**log_scale
+    k, tau = k_ratio * H * H, tau_ratio * H
+    g, scaled = GeometryParams(k, tau), GeometryParams(k / (lam * lam), tau / lam)
+    for build in (generate_cmc_sphere, lambda g, H: sphere_from_modes(g, H, [0.0])):
+        e, e_scaled = energy(build(g, H)).E, energy(build(scaled, H / lam)).E
+        assert abs(e - e_scaled) <= 1e-12
 
 
 class TestGenerateCmcSphere:
