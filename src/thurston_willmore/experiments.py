@@ -34,7 +34,6 @@ from .functional import (
     second_summand_derivative_check,
     willmore_relation_check,
     _ProfileFields,
-    _energy_density,
     _energy_weight,
     _mean_curvature,
     _pole_safe_ratio,
@@ -147,11 +146,12 @@ def deformed_curve_energy(
     The curve (u(s0), v(s0)) may carry any regular parametrization; the
     quotient speed, tangent angle and turning rate are recomputed from the
     samples, and the area element picks up the speed Jacobian.  With ``du``
-    and ``dv``, (rows, samples) arrays of velocities, the result is
-    (E, dE/dt) with one dE/dt per row: the exact derivative of this discrete
-    energy along (u + t du, v + t dv) at t = 0, each line carried to first
-    order in t (forward-mode differentiation; Griewank & Walther,
-    *Evaluating Derivatives*, 2008).
+    and ``dv``, equal-length sequences of velocity rows (a (rows, samples)
+    array is one), the result is (E, dE/dt) with one dE/dt per row: the
+    exact derivative of this discrete energy along (u + t du, v + t dv) at
+    t = 0, each line carried to first order in t (forward-mode
+    differentiation; Griewank & Walther, *Evaluating Derivatives*, 2008).
+    The base curve's fields are computed once, and each row is linearized alone.
     """
     k, tau = g.k, g.tau
     # Only the step's scale enters, and the energy does not depend on it:
@@ -169,38 +169,42 @@ def deformed_curve_energy(
     ratio = _pole_safe_ratio(u, sin_sig, sigma_dot, u_min=1e-12)
     H = _mean_curvature(k, u, sin_sig, sigma_dot, ratio)
     nu, mu = cos_sig / A, u * A / B
+    # the density weight * mu * speed: mu per unit quotient arclength, speed per unit parameter
+    weight = _energy_weight(g, coeffs, H, nu)
+    value = 2.0 * math.pi * sample_quadrature(weight * mu * speed, h)
     if du is None:
-        return 2.0 * math.pi * sample_quadrature(_energy_density(g, coeffs, H, nu, mu, speed), h)
-    # Each (rows, samples) tangent is 48 KiB at 2049 samples and three rows.
-    # Dropping each once it is used keeps the heap's peak low: glibc trims
-    # the heap after the call, and every page above the usual peak faults in
-    # again on the next one (tests/test_page_faults.py).
+        return value
+    # its tangent 2 (H dH + alpha (k - 4 tau^2) nu dnu) mu speed + weight (dmu speed + mu dspeed)
+    scale = 2.0 * mu * speed
+    by_dH = scale * H
+    by_dnu = scale * coeffs.alpha * (k - 4.0 * tau * tau) * nu
+    by_dmu, by_dspeed = weight * speed, weight * mu
     dA_du, dB_du = tau * tau * u / A, 0.5 * k * u
-    dx = derivative1(du, h)
-    dx -= x * dB_du * du
-    dx /= B
-    dy = derivative1(dv, h)
-    dy -= y * dA_du * du
-    dy /= A
-    dspeed = (x * dx + y * dy) / speed
-    dsigma = (x * dy - y * dx) / (speed * speed)
-    del dx, dy
-    dsigma_dot = derivative1(dsigma, h)
-    dsigma_dot -= sigma_dot * dspeed
-    dsigma_dot /= speed
-    dsin = cos_sig * dsigma
-    # d(sin/u) = (dsin - (sin/u) du)/u, and the pole limit's variation below u_min
-    dratio = _pole_safe_ratio(u, dsin - ratio * du, dsigma_dot, u_min=1e-12)
-    dH = 0.5 * (dsigma_dot + dratio - 0.25 * k * (sin_sig * du + u * dsin))
-    del dsigma_dot, dratio, dsin
-    dnu = -(sin_sig * dsigma + nu * dA_du * du) / A
-    del dsigma
-    dmu = ((A + u * dA_du - mu * dB_du) / B) * du
-    density, ddensity = _energy_density(g, coeffs, H, nu, mu, speed, (dH, dnu, dmu, dspeed))
-    return (
-        2.0 * math.pi * sample_quadrature(density, h),
-        2.0 * math.pi * sample_quadrature(ddensity, h),
-    )
+    dmu_du = (A + u * dA_du - mu * dB_du) / B
+    rates = []
+    for du_row, dv_row in zip(du, dv, strict=True):
+        dx = derivative1(du_row, h)
+        dx -= x * dB_du * du_row
+        dx /= B
+        dy = derivative1(dv_row, h)
+        dy -= y * dA_du * du_row
+        dy /= A
+        dspeed = (x * dx + y * dy) / speed
+        dsigma = (x * dy - y * dx) / (speed * speed)
+        dsigma_dot = derivative1(dsigma, h)
+        dsigma_dot -= sigma_dot * dspeed
+        dsigma_dot /= speed
+        dsin = cos_sig * dsigma
+        # d(sin/u) = (dsin - (sin/u) du)/u, and the pole limit's variation below u_min
+        dratio = _pole_safe_ratio(u, dsin - ratio * du_row, dsigma_dot, u_min=1e-12)
+        dH = 0.5 * (dsigma_dot + dratio - 0.25 * k * (sin_sig * du_row + u * dsin))
+        dnu = -(sin_sig * dsigma + nu * dA_du * du_row) / A
+        ddensity = by_dH * dH
+        ddensity += by_dnu * dnu
+        ddensity += by_dmu * (dmu_du * du_row)
+        ddensity += by_dspeed * dspeed
+        rates.append(2.0 * math.pi * sample_quadrature(ddensity, h))
+    return value, np.array(rates)
 
 
 @dataclass(frozen=True)

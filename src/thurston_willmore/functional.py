@@ -135,31 +135,6 @@ def _energy_weight(g: GeometryParams, coeffs: FunctionalCoefficients, H, nu):
     )
 
 
-def _energy_density(
-    g: GeometryParams, coeffs: FunctionalCoefficients, H, nu, mu, jacobian, tangent=None
-):
-    """Integrand of E_{alpha,beta} per unit parameter: (H^2 + alpha K_bar + beta) mu jacobian.
-
-    The weight is :func:`_energy_weight`'s; ``jacobian`` converts quotient
-    arclength to the caller's integration variable.  With ``tangent``, the
-    first-order variations (dH, dnu, dmu, djacobian) of the four inputs, the
-    result is the pair (density, its variation).
-    """
-    weight = _energy_weight(g, coeffs, H, nu)
-    density = weight * mu * jacobian
-    if tangent is None:
-        return density
-    dH, dnu, dmu, djacobian = tangent
-    # 2 (H dH + alpha (k - 4 tau^2) nu dnu) mu jacobian + weight (dmu jacobian + mu djacobian),
-    # summed in place: each tangent may be a (rows, samples) array
-    scale = 2.0 * mu * jacobian
-    ddensity = (scale * H) * dH
-    ddensity += (scale * coeffs.alpha * (g.k - 4.0 * g.tau * g.tau) * nu) * dnu
-    ddensity += (weight * jacobian) * dmu
-    ddensity += (weight * mu) * djacobian
-    return density, ddensity
-
-
 def _pole_safe_ratio(u, sin_sig, limit, u_min: float = POLE_U):
     """sin(sigma)/u, replaced by its pole limit ``limit`` where u <= ``u_min``."""
     off_pole = u > u_min
@@ -438,6 +413,11 @@ def second_summand_derivative_check(profile: Profile) -> float:
     -u' sqrt(1 + tau^2 u^2) / (1 + k u^2/4)^2, over interior samples.
     """
     _require_closed(profile)
+    m = INTERIOR_MARGIN
+    if (n := len(profile)) < 2 * m + 1:
+        raise ValueError(
+            f"profile has {n} samples; the second-summand check needs at least {2 * m + 1}"
+        )
     f = _ProfileFields(profile)
     g = profile.geometry
     k, tau = g.k, g.tau
@@ -449,7 +429,6 @@ def second_summand_derivative_check(profile: Profile) -> float:
     ) * (0.75 * k * A + (0.25 * k - tau * tau) / A)
     bracket = -u_dot * A / (B * B)
     fd = derivative1(bracket, f.h)
-    m = INTERIOR_MARGIN
     return float(np.max(np.abs(integrand[m:-m] - fd[m:-m])))
 
 

@@ -2,17 +2,16 @@
 
 All profile post-processing differentiates and integrates stored sample
 arrays only, so repeated runs and CSV round trips are bit-identical.
-Stencils and quadrature act along the last axis, so a (rows, samples)
-array is one profile's samples per row.  Derivatives use 5-point stencils
-(4th order in the interior, one-sided at the two edge samples on each
-side).  A stride-m stencil takes its points m samples apart and fills
-every sample in one pass, one expression over the interior and the
-one-sided formulas on the first and last 2m samples; each sample still
-sees only its own stride-m subgrid; on 1-D input the one-sided formulas
-take the edge samples as Python floats.  Integration applies 16-point
-Gauss-Legendre rules to the local interpolant of each panel of eight grid
-intervals, which reduces to fixed weights on the samples; the error
-estimate compares against the same rule on the stride-2 subgrid.
+Every function takes one profile's samples as a 1-D array.  Derivatives
+use 5-point stencils (4th order in the interior, one-sided at the two edge
+samples on each side).  A stride-m stencil takes its points m samples
+apart and fills every sample in one pass, one expression over the interior
+and the one-sided formulas on the first and last 2m samples, which take
+the edge samples as Python floats; each sample still sees only its own
+stride-m subgrid.  Integration applies 16-point Gauss-Legendre rules to
+the local interpolant of each panel of eight grid intervals, which
+reduces to fixed weights on the samples; the error estimate compares
+against the same rule on the stride-2 subgrid.
 
 The spacing ``h`` is either a scalar, the step of samples uniform in the
 variable s, or an array s'_i = ds/di per sample, i the sample index, for
@@ -45,9 +44,7 @@ def _derivative1_unit(y: np.ndarray, h: float, m: int) -> np.ndarray:
     inner += 8.0 * y[3 * m : n - m]
     inner -= y[4 * m :]
     inner /= c
-    head, tail = y[: 5 * m], y[: -5 * m - 1 : -1]  # the last 5m samples reversed
-    if y.ndim == 1:
-        head, tail = head.tolist(), tail.tolist()
+    head, tail = y[: 5 * m].tolist(), y[: -5 * m - 1 : -1].tolist()  # the last 5m reversed
     for i in range(m):
         y0, y1, y2, y3, y4 = head[i :: m]
         d[i] = (-25.0 * y0 + 48.0 * y1 - 36.0 * y2 + 16.0 * y3 - 3.0 * y4) / c
@@ -70,9 +67,7 @@ def _derivative2_unit(y: np.ndarray, h: float, m: int) -> np.ndarray:
     inner += 16.0 * y[3 * m : n - m]
     inner -= y[4 * m :]
     inner /= hh
-    head, tail = y[: 5 * m], y[: -5 * m - 1 : -1]
-    if y.ndim == 1:
-        head, tail = head.tolist(), tail.tolist()
+    head, tail = y[: 5 * m].tolist(), y[: -5 * m - 1 : -1].tolist()
     for i in range(m):
         y0, y1, y2, y3, y4 = head[i :: m]
         d[i] = (35.0 * y0 - 104.0 * y1 + 114.0 * y2 - 56.0 * y3 + 11.0 * y4) / hh
@@ -83,8 +78,16 @@ def _derivative2_unit(y: np.ndarray, h: float, m: int) -> np.ndarray:
     return d
 
 
+def _samples(y) -> np.ndarray:
+    """``y`` as a float array, which must be 1-D."""
+    y = np.asarray(y, dtype=float)
+    if y.ndim != 1:
+        raise ValueError(f"samples must be a 1-D array, got shape {y.shape}")
+    return y
+
+
 def _strided(kernel, y: np.ndarray, h: float, stride: int) -> np.ndarray:
-    """Apply a stencil kernel along the last axis of y, its points ``stride`` samples apart.
+    """Apply a stencil kernel to the samples y, its points ``stride`` samples apart.
 
     Stencil points sit ``stride`` samples apart, which divides the
     amplification of sample-level white noise by stride (first derivative)
@@ -92,19 +95,17 @@ def _strided(kernel, y: np.ndarray, h: float, stride: int) -> np.ndarray:
     One pass fills every sample: the interior [2 stride, n - 2 stride) as
     one expression over slices offset by multiples of ``stride``, and the
     first and last 2 stride samples by the one-sided formulas, one offset
-    at a time.  So sample
-    values are never mixed across the interleaved stride-subgrids, and
-    every sample equals the same stencil applied to its own subgrid.  The
-    kernels index their first axis, so they run on the transpose, whose
-    rows are the samples: a 1-D y is its own transpose, read at its edges
-    once with ``tolist()`` (``y[i]`` makes a numpy scalar per sample).
+    at a time.  So sample values are never mixed across the interleaved
+    stride-subgrids, and every sample equals the same stencil applied to
+    its own subgrid.  The kernels read the edges once with ``tolist()``
+    (``y[i]`` makes a numpy scalar per sample).
     """
-    y = np.asarray(y, dtype=float)
+    y = _samples(y)
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    if y.shape[-1] < 5 * stride:
+    if len(y) < 5 * stride:
         raise ValueError(f"need at least {5 * stride} samples for stride {stride}")
-    return kernel(y.T, h * stride, stride).T
+    return kernel(y, h * stride, stride)
 
 
 def derivative1(y: np.ndarray, h, stride: int = 1) -> np.ndarray:
@@ -160,34 +161,27 @@ def _grid_weights(n: int) -> np.ndarray:
     return w
 
 
-def sample_quadrature(y: np.ndarray, h):
-    """Integral of samples with spacing ``h`` over their full span, along the last axis.
-
-    A float for 1-D samples, else one integral per row, each bit for bit that
-    row's 1-D integral (a matrix-vector product would round differently).
-    """
-    y = np.asarray(y, dtype=float)
-    weights = _grid_weights(y.shape[-1])
+def sample_quadrature(y: np.ndarray, h) -> float:
+    """Integral of samples with spacing ``h`` over their full span."""
+    y = _samples(y)
+    weights = _grid_weights(len(y))
     if getattr(h, "ndim", 0):
         y, h = y * h, 1.0  # the spacing enters each term; 1.0 * the sum is exact
-    if y.ndim == 1:
-        return float(h * (y @ weights))
-    return h * np.array([row @ weights for row in y])
+    return float(h * (y @ weights))
 
 
-def sample_quadrature_with_error(y: np.ndarray, h):
-    """Integral plus an error estimate from the stride-2 subgrid, along the last axis.
+def sample_quadrature_with_error(y: np.ndarray, h) -> tuple[float, float]:
+    """Integral plus an error estimate from the stride-2 subgrid.
 
     The fine and coarse rules are both of high order, so their difference
     is a conservative bound on the quadrature error of the fine result.
-    Floats for 1-D samples, else one integral and one estimate per row;
-    the estimate is NaN where the samples have no stride-2 subgrid (an even
+    The estimate is NaN where the samples have no stride-2 subgrid (an even
     count, or fewer than 5).
     """
-    y = np.asarray(y, dtype=float)
+    y = _samples(y)
     value = sample_quadrature(y, h)
-    n = y.shape[-1]
+    n = len(y)
     if n >= 5 and (n - 1) % 2 == 0:
-        coarse = sample_quadrature(y[..., ::2], 2.0 * (h[..., ::2] if getattr(h, "ndim", 0) else h))
+        coarse = sample_quadrature(y[::2], 2.0 * (h[::2] if getattr(h, "ndim", 0) else h))
         return value, abs(value - coarse)
-    return value, (np.nan if y.ndim == 1 else np.full(value.shape, np.nan))
+    return value, np.nan

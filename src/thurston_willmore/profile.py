@@ -647,6 +647,13 @@ def _require_sphere_exists(g: GeometryParams, H: float) -> None:
         raise ExistenceViolation(
             f"no CMC sphere in E(k={g.k}, tau={g.tau}) with H={H}: requires H^2 > -k/4"
         )
+    # The apex radius 1/|H| bounds every sample's u, so this also keeps the
+    # generated samples inside the domain.
+    if 1.0 / abs(H) >= g.domain_radius * (1.0 - 1e-12):
+        raise ExistenceViolation(
+            f"no CMC sphere in E(k={g.k}, tau={g.tau}) with H={H}: its apex 1/|H| reaches "
+            f"the domain radius {g.domain_radius} to within 1e-12"
+        )
 
 
 _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
@@ -718,8 +725,6 @@ def generate_cmc_sphere(
     sin_sig = np.sin(sigma)
     sin_sig[-1] = 0.0
     u = sin_sig / h_abs
-    if u.max() >= g.domain_radius * (1.0 - 1e-12):
-        raise IntegrationError("sphere leaves the domain of the geometry")
     # in place, rounding as a / sqrt(a*a + b*b) and sqrt(A^2) sin(sigma) weights / w do
     a = h_abs * sin_nodes
     b = w * cos_nodes

@@ -885,6 +885,15 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: H must be finite, got {H}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("k, H", [(-4, "1.0000000000008"), (-1000000, "500.00000000000006")])
+    def test_apex_at_the_domain_radius_is_nonexistence(self, tmp_path, capsys, k, H):
+        # the existence check decides it, not a generator post-condition (exit 5)
+        out = tmp_path / "edge.csv"
+        code = run(["generate", "--k", k, "--tau", 0, "--H", H, "-o", out])
+        assert code == cli.EXIT_EXISTENCE == 2
+        assert "apex 1/|H| reaches the domain radius" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_integration_error_has_its_own_code(self, tmp_path, capsys, monkeypatch):
         def failing(*args, **kwargs):
             raise IntegrationError("sphere failed to close")

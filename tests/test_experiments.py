@@ -13,6 +13,8 @@ from thurston_willmore import (
     Tolerances,
     canonical_coefficients,
     energy,
+    generate_cmc_sphere,
+    sphere_from_modes,
 )
 from thurston_willmore import experiments
 from thurston_willmore.experiments import (
@@ -54,6 +56,28 @@ class TestDeformedCurveEnergy:
         )
         assert value == plain
         assert rates.shape == (2,)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda g: generate_cmc_sphere(g, 0.8),
+            lambda g: sphere_from_modes(g, 0.8, [0.05, -0.02]),
+        ],
+        ids=["cmc-scalar-spacing", "modes-array-spacing"],
+    )
+    def test_each_velocity_alone_matches_its_batch_entry(self, build):
+        # a velocity's dE/dt must not depend on the velocities beside it
+        p = build(GeometryParams(-1.0, -0.5))
+        coeffs = canonical_coefficients(p.geometry)
+        du, dv = experiments._normal_velocities(p)
+        value, batch = deformed_curve_energy(p.geometry, p.s, p.u, p.v, coeffs, du=du, dv=dv)
+        assert batch.shape == (3,)
+        for row in range(3):
+            alone = deformed_curve_energy(
+                p.geometry, p.s, p.u, p.v, coeffs, du=[du[row]], dv=[dv[row]]
+            )
+            assert alone[0] == value
+            assert alone[1][0] == batch[row]
 
 
 class TestCriticality:

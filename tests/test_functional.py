@@ -160,6 +160,15 @@ class TestSampleFloor:
         with pytest.raises(ValueError, match=r"^profile has 19 samples; .* need at least 20$"):
             call(p)
 
+    def test_second_summand_check_names_its_floor(self):
+        # 2 INTERIOR_MARGIN + 1 = 17 samples leave one interior sample
+        p = generate_cmc_sphere(GeometryParams(0.0, 0.5), 1.0, n_samples=15)
+        with pytest.raises(
+            ValueError,
+            match=r"^profile has 15 samples; the second-summand check needs at least 17$",
+        ):
+            second_summand_derivative_check(p)
+
     def test_spacing_one_paths_take_fewer(self):
         q = generate_cmc_sphere(GeometryParams(0.0, 0.5), 1.0, n_samples=17)
         assert math.isfinite(second_summand_derivative_check(q))  # one sample past the margins

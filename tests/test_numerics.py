@@ -38,7 +38,7 @@ def _reference_d2(y, h):
 def _reference_strided(kernel, y, h, m):
     d = np.empty_like(y)
     for offset in range(m):
-        d[..., offset::m] = kernel(y[..., offset::m].T, h * m).T
+        d[offset::m] = kernel(y[offset::m], h * m)
     return d
 
 
@@ -101,25 +101,36 @@ def test_one_pass_stencils_match_per_offset_reference_bit_for_bit(m):
     rng = np.random.default_rng(19 + m)
     for n in (5 * m, 5 * m + 1, 2049, 2050):
         spacings = (0.37 / n, 0.5 + rng.uniform(0.0, 0.25, n))
-        for shape in ((n,), (3, n)):
-            y = rng.standard_normal(shape) * 10.0 ** rng.uniform(-6.0, 6.0)
-            for h in spacings:
-                assert np.array_equal(derivative1(y, h, m), _reference_derivative1(y, h, m))
-                assert np.array_equal(derivative2(y, h, m), _reference_derivative2(y, h, m))
-                if len(shape) == 2:
-                    # a 1-D row takes its edge formulas on Python floats, the
-                    # (3, n) array on rows of samples: the same bits
-                    for derivative in (derivative1, derivative2):
-                        rows = derivative(y, h, m)
-                        for r in range(shape[0]):
-                            assert np.array_equal(derivative(y[r], h, m), rows[r])
+        y = rng.standard_normal(n) * 10.0 ** rng.uniform(-6.0, 6.0)
+        for h in spacings:
+            assert np.array_equal(derivative1(y, h, m), _reference_derivative1(y, h, m))
+            assert np.array_equal(derivative2(y, h, m), _reference_derivative2(y, h, m))
 
 
 def test_stencil_errors_keep_their_messages():
     with pytest.raises(ValueError, match=r"^stride must be >= 1$"):
         derivative1(np.zeros(10), 0.1, 0)
     with pytest.raises(ValueError, match=r"^need at least 20 samples for stride 4$"):
+        derivative2(np.zeros(19), 0.1, 4)
+    with pytest.raises(ValueError, match=r"^samples must be a 1-D array, got shape \(3, 19\)$"):
         derivative2(np.zeros((3, 19)), 0.1, 4)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda y: derivative1(y, 0.1),
+        lambda y: derivative2(y, 0.1, 4),
+        lambda y: sample_quadrature(y, 0.1),
+        lambda y: sample_quadrature_with_error(y, 0.1),
+    ],
+    ids=["derivative1", "derivative2", "sample_quadrature", "sample_quadrature_with_error"],
+)
+def test_samples_must_be_one_dimensional(call):
+    with pytest.raises(ValueError, match=r"^samples must be a 1-D array, got shape \(3, 21\)$"):
+        call(np.zeros((3, 21)))
+    with pytest.raises(ValueError, match=r"^samples must be a 1-D array, got shape \(\)$"):
+        call(0.0)
 
 
 def test_quadrature_polynomial_exactness():
@@ -173,41 +184,3 @@ def test_uniform_array_spacing_agrees_with_scalar():
     spacing = np.full(x.size, h)
     np.testing.assert_allclose(derivative1(y, spacing), derivative1(y, h), rtol=1e-12)
     assert sample_quadrature(y, spacing) == pytest.approx(sample_quadrature(y, h), rel=1e-14)
-
-
-@pytest.mark.parametrize("rows", [2, 3])
-@pytest.mark.parametrize("n", [2049, 2048])
-def test_quadrature_with_error_acts_along_the_last_axis(rows, n):
-    # each row's value and estimate are bit for bit its 1-D ones, and the
-    # rows of the same 2-D fine and stride-2 rules
-    x = np.linspace(0.0, 1.0, n)
-    y = np.stack([np.exp((r + 1) * x) for r in range(rows)])
-    for h in (x[1] - x[0], (x[1] - x[0]) * (1.0 + 0.1 * x)):
-        value, estimate = sample_quadrature_with_error(y, h)
-        assert value.shape == estimate.shape == (rows,)
-        assert np.array_equal(value, sample_quadrature(y, h))
-        if n % 2:
-            coarse = sample_quadrature(y[:, ::2], 2.0 * (h if np.ndim(h) == 0 else h[::2]))
-            assert np.array_equal(estimate, np.abs(value - coarse))
-        for r in range(rows):
-            row_value, row_estimate = sample_quadrature_with_error(y[r], h)
-            assert value[r] == row_value
-            if n % 2:
-                assert estimate[r] == row_estimate
-            else:
-                assert math.isnan(estimate[r]) and math.isnan(row_estimate)
-
-
-@pytest.mark.parametrize("n", [21, 22, 33, 257, 1024, 1025, 2049])
-def test_each_row_integrates_as_it_does_alone(n):
-    # a velocity's dE/dt must not depend on how many velocities share the batch
-    rng = np.random.default_rng(n)
-    for rows in (2, 3, 9):
-        y = rng.standard_normal((rows, n))
-        shared = 0.01 * (1.0 + rng.random(n))
-        per_row = 0.01 * (1.0 + rng.random((rows, n)))
-        for h, row_h in ((0.003, lambda r: 0.003), (shared, lambda r: shared),
-                         (per_row, lambda r: per_row[r])):
-            total = sample_quadrature(y, h)
-            for r in range(rows):
-                assert total[r] == sample_quadrature(y[r], row_h(r))

@@ -7,8 +7,8 @@ call.  (panels, 8) arrays over every panel are 128 KiB: allocating and
 freeing them on every call had glibc hand the pages back and fault them
 in again, about 120 minor faults per sweep row and 1900 per
 ``verify_minimality`` call.  The first variation of
-``verify_criticality`` carries (3, samples) tangent arrays, 48 KiB at
-2049 samples, also below that threshold.  The check runs in a fresh
+``verify_criticality`` linearizes one velocity at a time, on 1-D tangent
+arrays of 16 KiB at 2049 samples, also below that threshold.  The check runs in a fresh
 interpreter with glibc's default allocator settings, so that no other
 test's heap state leaks into it.  A failure names the window's faults per
 sweep row, criticality call and minimality call.

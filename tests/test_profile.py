@@ -398,6 +398,16 @@ class TestExistence:
             length = math.pi / math.sqrt(H * H - 0.25)
             assert p.arclength == pytest.approx(length, rel=1e-12)
 
+    @pytest.mark.parametrize("k, H", [(-4.0, 1.0000000000008), (-1e6, 500.00000000000006)])
+    @pytest.mark.parametrize("generate", [
+        generate_cmc_sphere, lambda g, H: sphere_from_modes(g, H, [0.0]),
+    ], ids=["cmc", "modes"])
+    def test_apex_at_the_domain_radius_rejected(self, generate, k, H):
+        # H^2 > -k/4 + 1e-12 holds, but the apex 1/H lies within 1e-12 of the radius
+        assert H * H > -0.25 * k + 1e-12
+        with pytest.raises(ExistenceViolation, match="apex 1/\\|H\\| reaches the domain radius"):
+            generate(GeometryParams(k, 0.0), H)
+
     def test_minimal_sphere_rejected_for_positive_k(self):
         with pytest.raises(ExistenceViolation, match="H != 0"):
             generate_cmc_sphere(GeometryParams(1.0, 0.3), 0.0)
