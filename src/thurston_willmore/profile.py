@@ -38,8 +38,8 @@ The cos(sigma) zero at the equator cancels exactly against u'(sigma), so
 the numerator N has no pole there: P and N are polynomials in
 t = cos(2 sigma), and the package evaluates both only from their Chebyshev
 series below.  The reconstruction samples the profile uniformly in sigma,
-sums 8-point Gauss panels between the samples for s and v, and keeps
-ds/dsigma at the samples, the spacing the stencils scale by.  Both
+sums 8-point Gauss panels between the samples for s and v (on their first
+read), and keeps ds/dsigma at the samples, the spacing the stencils scale by.  Both
 integrands are even about the equator sigma = pi/2, so only the panels
 left of it are evaluated and their integrals are repeated in mirror order.
 
@@ -231,6 +231,13 @@ class Profile:
     ``mean_curvature`` is set only for profiles generated as CMC spheres
     and stores the canonical positive H; ``orientation`` is -1 when the
     profile represents the mirror surface of a negative requested H.
+
+    ``v``, and ``s`` of turning-angle samples, may be deferred: given as a
+    function that returns a dict of columns, the same function for each
+    column in it.  The function runs on the first read of one of its
+    columns, which are then checked as at construction (equal length,
+    finite, s strictly increasing), frozen and kept, so later reads return
+    the same arrays.  The sphere generators defer their Gauss panel sums so.
     """
 
     s: np.ndarray
@@ -255,25 +262,35 @@ class Profile:
             raise ValueError(f"unknown parametrization {self.parametrization!r}")
         if (self.ds_dsigma is None) != (self.parametrization == ARCLENGTH):
             raise ValueError(f"turning-angle samples, and only they, carry {_SPEED_COLUMN}")
-        # Own copies, frozen: profiles are safe to share across threads.
+        # Own copies, frozen: profiles are safe to share across threads.  The
+        # spacing of arclength samples is read from s below, so it is not deferred.
+        deferrable = ("v",) if self.ds_dsigma is None else ("s", "v")
+        self._deferred = {}
         for name in self._columns():
-            arr = np.array(getattr(self, name), dtype=float)
+            value = getattr(self, name)
+            if name in deferrable and callable(value):
+                self._deferred[name] = value
+                delattr(self, name)  # so that a read reaches __getattr__
+                continue
+            arr = np.array(value, dtype=float)
             arr.flags.writeable = False
             setattr(self, name, arr)
-        n = self.s.size
+        n = self.u.size
         if n < 5:
             raise ValueError("profile needs at least 5 samples")
-        if any(getattr(self, name).size != n for name in self._columns()):
+        built = [name for name in self._columns() if name not in self._deferred]
+        if any(getattr(self, name).size != n for name in built):
             raise ValueError("sample arrays must have equal length")
         # first, since NaN passes the checks below and inf warns in them
-        for name in self._columns():
+        for name in built:
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} samples must be finite")
         if self.ds_dsigma is not None and not self.ds_dsigma.min() > 0.0:
             raise ValueError(f"{_SPEED_COLUMN} must be positive")
-        ds = np.diff(self.s)
-        if not ds.min() > 0.0:
-            raise ValueError("samples must be strictly increasing in s")
+        if "s" not in self._deferred:
+            ds = np.diff(self.s)
+            if not ds.min() > 0.0:
+                raise ValueError("samples must be strictly increasing in s")
         if self.u.min() < 0.0:
             raise ValueError("u must be nonnegative")
         if self.u[1:-1].min() <= 0.0:
@@ -294,8 +311,32 @@ class Profile:
         if self.ds_dsigma is not None:
             self.spacing.flags.writeable = False
 
+    def __getattr__(self, name: str):
+        """Build, check and keep a deferred column on its first read."""
+        build = self.__dict__.get("_deferred", {}).get(name)
+        if build is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        # The builder stays: a thread that raced this one past the attribute
+        # lookup builds the same bits, and setdefault hands both the first array kept.
+        for column, arr in build().items():
+            if arr.size != self.u.size:
+                raise ValueError("sample arrays must have equal length")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{column} samples must be finite")
+            if column == "s" and not np.diff(arr).min() > 0.0:
+                raise ValueError("samples must be strictly increasing in s")
+            arr.flags.writeable = False
+            self.__dict__.setdefault(column, arr)
+        return self.__dict__[name]
+
+    def __getstate__(self) -> dict:
+        # a pickle holds the built columns: the deferred functions are local to a generator
+        for name in self._deferred:
+            getattr(self, name)
+        return {**self.__dict__, "_deferred": {}}
+
     def __len__(self) -> int:
-        return self.s.size
+        return self.u.size
 
     @property
     def arclength(self) -> float:
@@ -315,7 +356,7 @@ class Profile:
             "mean_curvature": self.mean_curvature,
             "closure": self.closure.value,
             "orientation": self.orientation,
-            "n_samples": int(self.s.size),
+            "n_samples": int(self.u.size),
             "j_drift": self.j_drift,
             "closure_residual": self.closure_residual,
             "tolerances": self.tolerances,
@@ -657,6 +698,9 @@ def _require_sphere_exists(g: GeometryParams, H: float) -> None:
 
 
 _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
+# A generator defers a panel sum when its values bound the sum below this:
+# far below overflow, so no rounding carries the sum past it.
+_SUM_BOUND = 1e300
 
 
 def _panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -702,7 +746,9 @@ def generate_cmc_sphere(
     sin(sigma) = a/sqrt(a^2 + b^2), a = H sin x and b = w cos x, at the
     cached nodes and with the cached weights divided by w.  v' is even about
     the equator, so the panels left of it are evaluated and repeated in
-    mirror order right of it.
+    mirror order right of it.  v is summed on its first read, bit for bit
+    as at the call (:class:`Profile`), when pi A(1/|H|)/w bounds it below
+    overflow; otherwise at the call, where a non-finite v raises.
 
     The samples are checked at fixed bounds that the profile echoes under
     ``tolerances``: the first integral J drifts by at most 1e-8, sigma
@@ -725,20 +771,26 @@ def generate_cmc_sphere(
     sin_sig = np.sin(sigma)
     sin_sig[-1] = 0.0
     u = sin_sig / h_abs
-    # in place, rounding as a / sqrt(a*a + b*b) and sqrt(A^2) sin(sigma) weights / w do
-    a = h_abs * sin_nodes
-    b = w * cos_nodes
-    b *= b
-    rates = a * a
-    rates += b
-    np.sqrt(rates, out=rates)
-    a /= rates
-    np.divide(a, h_abs, out=b)
-    rates = np.sqrt(_a_squared(g, b))
-    rates *= a
-    rates *= weights
-    rates /= w
-    v = _mirrored_running_sum(rates)
+
+    def heights() -> dict:
+        # in place, rounding as a / sqrt(a*a + b*b) and sqrt(A^2) sin(sigma) weights / w do
+        a = h_abs * sin_nodes
+        b = w * cos_nodes
+        b *= b
+        rates = a * a
+        rates += b
+        np.sqrt(rates, out=rates)
+        a /= rates
+        np.divide(a, h_abs, out=b)
+        rates = np.sqrt(_a_squared(g, b))
+        rates *= a
+        rates *= weights
+        rates /= w
+        return {"v": _mirrored_running_sum(rates)}
+
+    # v' <= A(1/|H|) on the nodes u <= 1/|H|, and the weights / w sum to pi/w
+    deferred = math.sqrt(_a_squared(g, 1.0 / h_abs)) * math.pi / w < _SUM_BOUND
+    columns = {"v": heights} if deferred else heights()
     drift = _j_drift(g, h_abs, u, sin_sig, _GENERATOR_BOUNDS["conservation"])
     if not (np.diff(sigma) > 0.0).all():
         raise IntegrationError("sigma is not monotone along the generated sphere")
@@ -749,9 +801,9 @@ def generate_cmc_sphere(
             f"{_GENERATOR_BOUNDS['closure_identity']:.1e}"
         )
     return Profile(
+        **columns,
         s=x / w,
         u=u,
-        v=v,
         sigma=sigma,
         geometry=g,
         mean_curvature=h_abs,
@@ -960,6 +1012,25 @@ def _family_nodes(g: GeometryParams, h_abs: float, shape: _ModeShape, sin_sig, t
     return p, n, u, b, ds_dsigma
 
 
+def _heights_bounded(g: GeometryParams, h_abs: float, shape: _ModeShape, n_samples: int) -> bool:
+    """Whether the values at hand bound a mode sphere's s and v to pass their checks.
+
+    ds/dsigma = N/(H B) with N in ``shape.n_range`` and B between 1 and its
+    value at max u; dv/dsigma <= A(max u) ds/dsigma, and the panel weights
+    sum to pi.  So v stays finite while pi A(max u) max ds/dsigma is far
+    below overflow, and s increases strictly while each panel adds at least
+    1e-8 of its bound to it, far above the rounding of the sum and of N at
+    the nodes.
+    """
+    b = _b_factor(g, shape.u_max)
+    ds_low = shape.n_range[0] / (h_abs * max(1.0, b))
+    length = math.pi * shape.n_range[1] / (h_abs * min(1.0, b))
+    return (
+        length * math.sqrt(_a_squared(g, shape.u_max)) < _SUM_BOUND
+        and ds_low * math.pi / (n_samples - 1) > 1e-8 * length
+    )
+
+
 def sphere_from_modes(
     g: GeometryParams,
     H: float,
@@ -979,7 +1050,9 @@ def sphere_from_modes(
     angle (``TURNING_ANGLE``): sigma runs from 0 to pi in ``n_samples - 1``
     steps, the arclength s(sigma) and the height v(sigma) are running sums
     of 8-point Gauss panels between consecutive samples, and ds/dsigma is
-    kept at every sample.  Turning then spreads evenly over the samples,
+    kept at every sample.  s and v are summed together on the first read of
+    either, bit for bit as at the call (:class:`Profile`), when the shape's
+    ranges bound them (:func:`_heights_bounded`); otherwise at the call.  Turning then spreads evenly over the samples,
     also where ds/dsigma is small near the family's regularity edge.
     ds/dsigma and dv/dsigma depend on sigma only through sin(sigma) and
     t = cos(2 sigma), both even about pi/2, so the panels are evaluated
@@ -997,18 +1070,25 @@ def sphere_from_modes(
     shape = _require_admissible(g, h_abs, coeffs)
 
     sigma, sin_samples, _, t_samples, sin_nodes, _, t_nodes, weights = _turning_angle_grid(n_samples)
-    _, _, u_nodes, _, ds_nodes = _family_nodes(g, h_abs, shape, sin_nodes, t_nodes)
-    s = _mirrored_running_sum(ds_nodes * weights)
-    v = _mirrored_running_sum(np.sqrt(_a_squared(g, u_nodes)) * sin_nodes * ds_nodes * weights)
+
+    def heights() -> dict:
+        _, _, u_nodes, _, ds_nodes = _family_nodes(g, h_abs, shape, sin_nodes, t_nodes)
+        s = _mirrored_running_sum(ds_nodes * weights)
+        v = _mirrored_running_sum(np.sqrt(_a_squared(g, u_nodes)) * sin_nodes * ds_nodes * weights)
+        return {"s": s, "v": v}
+
+    if _heights_bounded(g, h_abs, shape, n_samples):
+        columns = dict.fromkeys(("s", "v"), heights)
+    else:
+        columns = heights()
     _, _, u, _, ds_dsigma = _family_nodes(g, h_abs, shape, sin_samples, t_samples)
     u[0] = 0.0
     u[-1] = 0.0
 
     is_cmc = not coeffs.any()
     return Profile(
-        s=s,
+        **columns,
         u=u,
-        v=v,
         sigma=sigma,
         geometry=g,
         mean_curvature=h_abs if is_cmc else None,

@@ -8,10 +8,13 @@ freeing them on every call had glibc hand the pages back and fault them
 in again, about 120 minor faults per sweep row and 1900 per
 ``verify_minimality`` call.  The first variation of
 ``verify_criticality`` linearizes one velocity at a time, on 1-D tangent
-arrays of 16 KiB at 2049 samples, also below that threshold.  The check runs in a fresh
+arrays of 16 KiB at 2049 samples, also below that threshold.  The
+generators sum their panels for s and v only when those are read, which
+the suites do for v of one CMC sphere only, so each suite iteration also
+reads s and v of a mode sphere and v of a CMC sphere.  The check runs in a fresh
 interpreter with glibc's default allocator settings, so that no other
 test's heap state leaks into it.  A failure names the window's faults per
-sweep row, criticality call and minimality call.
+sweep row, criticality call, minimality call and height read.
 """
 
 import json
@@ -34,6 +37,7 @@ _SCRIPT = textwrap.dedent(
     from thurston_willmore.experiments import (
         SweepSpec, default_acceptance_grid, sweep, verify_criticality, verify_minimality,
     )
+    from thurston_willmore.profile import generate_cmc_sphere, sphere_from_modes
 
     cases = default_acceptance_grid()
 
@@ -41,8 +45,9 @@ _SCRIPT = textwrap.dedent(
         return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
     def run(rows, suites):
-        # the window's faults by call: each sweep row, each criticality and minimality call
-        split = {"sweep rows": [], "criticality calls": [], "minimality calls": []}
+        # the window's faults by call: each sweep row, each criticality and minimality
+        # call, and each suite iteration's height reads
+        split = {"sweep rows": [], "criticality calls": [], "minimality calls": [], "height reads": []}
         for i in range(rows):
             g, H = cases[i % len(cases)]
             start = minflt()
@@ -54,8 +59,12 @@ _SCRIPT = textwrap.dedent(
             assert verify_criticality(g, H).passed
             middle = minflt()
             assert verify_minimality(g, H).passed
+            end = minflt()
+            modes = sphere_from_modes(g, H, [0.05])
+            modes.s, modes.v, generate_cmc_sphere(g, H).v
             split["criticality calls"].append(middle - start)
-            split["minimality calls"].append(minflt() - middle)
+            split["minimality calls"].append(end - middle)
+            split["height reads"].append(minflt() - end)
         return split
 
     run(5, 1)  # warm-up: first calls build caches and grow the heap
@@ -89,5 +98,6 @@ def test_steady_state_rows_fault_in_no_pages():
     assert result["faults"] / ROWS < 1.0, (
         f"{result['faults']} minor faults in the window: sweep rows {rows} (row: faults, "
         f"nonzero only), criticality calls {result['split']['criticality calls']}, "
-        f"minimality calls {result['split']['minimality calls']}"
+        f"minimality calls {result['split']['minimality calls']}, "
+        f"height reads {result['split']['height reads']}"
     )

@@ -1,7 +1,12 @@
 import dataclasses
 import json
 import math
+import pickle
+import sys
+import threading
+import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -30,10 +35,19 @@ from thurston_willmore import (
     sphere_from_modes,
 )
 from thurston_willmore import profile as profile_module
-from thurston_willmore.experiments import default_acceptance_grid, default_perturbation_grid
+from thurston_willmore.experiments import (
+    SweepSpec,
+    default_acceptance_grid,
+    default_perturbation_grid,
+    descend_energy,
+    sweep,
+    verify_criticality,
+    verify_minimality,
+)
 from thurston_willmore.numerics import derivative1
 from thurston_willmore.profile import (
     ARCLENGTH,
+    DEFAULT_SAMPLES,
     TURNING_ANGLE,
     _mirrored_running_sum,
     _require_admissible,
@@ -356,8 +370,9 @@ class TestGenerateCmcSphere:
         monkeypatch.setattr(profile_module, "_mirrored_running_sum", spy)
         for k, tau, H in ((0.0, 0.5, 1.0), (-1.0, -0.5, 0.6), (1.0, 0.3, -0.7)):
             g = GeometryParams(k, tau)
-            generate_cmc_sphere(g, H, n_samples=n_samples)
-            sphere_from_modes(g, H, [0.05, -0.02], n_samples=n_samples)
+            generate_cmc_sphere(g, H, n_samples=n_samples).v
+            p = sphere_from_modes(g, H, [0.05, -0.02], n_samples=n_samples)
+            p.s, p.v
         assert seen == [(n_samples // 2, 8)] * 9
 
     @pytest.mark.parametrize("n_samples", [1, 7, 10, 2048])
@@ -671,6 +686,112 @@ class TestProfileContainer:
         sidecar.write_text(json.dumps({**meta, "parametrization": "chord"}))
         with pytest.raises(ValueError, match="parametrization"):
             Profile.from_csv(path)
+
+
+class TestDeferredHeights:
+    """s and v of generated spheres are summed on their first read, bit for bit as before."""
+
+    CASES = ((0.0, 0.5, 1.0), (-1.0, -0.5, 0.6), (1.0, 0.3, -0.7))
+
+    @pytest.fixture
+    def sums(self, monkeypatch):
+        # the panel sums each read runs, one (panels, 8) shape per call
+        calls = []
+        real = _mirrored_running_sum
+
+        def spy(rates):
+            calls.append(rates.shape)
+            return real(rates)
+
+        monkeypatch.setattr(profile_module, "_mirrored_running_sum", spy)
+        return calls
+
+    @staticmethod
+    def _fresh():
+        # both generators at each case, none of their heights read yet
+        out = []
+        for k, tau, H in TestDeferredHeights.CASES:
+            g = GeometryParams(k, tau)
+            out += [generate_cmc_sphere(g, H), sphere_from_modes(g, H, [0.05, -0.02])]
+        return out
+
+    def test_suites_sum_only_the_heights_they_read(self, sums):
+        g = GeometryParams(0.0, 0.5)
+        assert verify_minimality(g, 1.0).passed
+        (row,) = sweep(SweepSpec((0.0,), (0.5,), (1.0,)))
+        assert row.E is not None and not row.error
+        descend_energy(g, 1.0, 1)
+        for p in self._fresh():
+            assert len(p) == p.metadata()["n_samples"] == DEFAULT_SAMPLES
+        assert sums == []
+        assert verify_criticality(g, 1.0).passed
+        assert sums == [(DEFAULT_SAMPLES // 2, 8)]  # v of the CMC sphere, in the first variation
+
+    def test_one_read_sums_both_heights_of_a_mode_sphere(self, sums):
+        p = sphere_from_modes(GeometryParams(0.0, 0.5), 1.0, [0.05])
+        s = p.s
+        assert p.v is p.v and p.s is s
+        assert len(sums) == 2
+        assert not (s.flags.writeable or p.v.flags.writeable)
+
+    def test_pickles_hold_the_built_heights(self):
+        for p in self._fresh():
+            q = pickle.loads(pickle.dumps(p))
+            assert np.array_equal(q.s, p.s) and np.array_equal(q.v, p.v)
+
+    def test_huge_tau_heights_raise_at_construction(self):
+        # A(u) overflows, so nothing bounds v: it is summed and checked at the call
+        with pytest.raises(ValueError, match="v samples must be finite"):
+            sphere_from_modes(GeometryParams(0.0, 1e200), 1.0, [0.05])
+
+    def test_huge_tau_sweep_row_keeps_its_error(self):
+        (row,) = sweep(SweepSpec((0.0,), (1e200,), (1.0,)))
+        assert row.exists and row.E is None
+        assert row.error == "ValueError: v samples must be finite"
+
+    def test_deferred_columns_are_checked_on_their_first_read(self):
+        q = generate_cmc_sphere(GeometryParams(0.0, 0.5), 1.0)
+        columns = dict(s=q.s, u=q.u, sigma=q.sigma, geometry=q.geometry)
+        for bad, message in (
+            (np.full(len(q), np.nan), "v samples must be finite"),
+            (q.u[1:], "sample arrays must have equal length"),
+        ):
+            p = Profile(**columns, v=lambda bad=bad: {"v": bad.copy()})
+            with pytest.raises(ValueError, match=message):
+                p.v
+        with pytest.raises(AttributeError, match="no attribute 'w'"):
+            p.w
+
+    def test_threads_read_the_serial_bits(self, monkeypatch):
+        serial = [(p.s, p.v) for p in self._fresh()]
+        real = _mirrored_running_sum
+
+        def slow(rates):
+            # widens the window in which other threads find the column unbuilt
+            time.sleep(1e-3)
+            return real(rates)
+
+        monkeypatch.setattr(profile_module, "_mirrored_running_sum", slow)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                shared = self._fresh()
+                start = threading.Barrier(8, timeout=60)
+
+                def read(shared=shared, start=start):
+                    start.wait()
+                    return [(p.s, p.v) for p in shared]
+
+                with ThreadPoolExecutor(8) as pool:
+                    futures = [pool.submit(read) for _ in range(8)]
+                    reads = [f.result(timeout=60) for f in futures]
+                for got in reads:
+                    for (s, v), (s0, v0), kept in zip(got, serial, shared, strict=True):
+                        assert np.array_equal(s, s0) and np.array_equal(v, v0)
+                        assert s is kept.s and v is kept.v
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestTolerances:
