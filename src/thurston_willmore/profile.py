@@ -22,13 +22,9 @@ sigma' = H + k sin^2(sigma)/(4 H), which integrates in closed form: with
 w = sqrt(H^2 + k/4), sigma(s) = atan2(H sin(w s), w cos(w s)) and
 u = sin(sigma)/H, closing up at the arclength L = pi/w.  The existence
 condition is w^2 > 0.  :func:`generate_cmc_sphere` samples this closed
-form; only the height v needs a quadrature.
-
-Shooting the full system stays available through :func:`integrate`, the
-independent check of the closed form.  The axis is a removable singularity
-of the sigma equation: on the sphere branch sin(sigma)/u -> H, so
-integration starts a small arclength ``AXIS_SERIES_S0`` off the pole with
-the first-order series u = s, sigma = H s, v = v0.
+form; only the height v needs a quadrature.  The package does not shoot
+the full system: the tests do, as the independent check of the closed form
+(``tests/shooting_oracle.py``, not shipped).
 
 Perturbed (non-CMC) competitor spheres come from the explicit family
 u(sigma) = (1/H) sin(sigma) P with the modulation
@@ -75,10 +71,6 @@ from .geometry import GeometryParams, _a_squared, _b_factor
 __all__ = [
     "Tolerances",
     "AXIS_EPSILON",
-    "AXIS_SERIES_S0",
-    "SIGMA_STOP_MARGIN",
-    "DEFAULT_RTOL",
-    "DEFAULT_ATOL",
     "DEFAULT_SAMPLES",
     "ARCLENGTH",
     "TURNING_ANGLE",
@@ -86,16 +78,10 @@ __all__ = [
     "IntegrationError",
     "InadmissiblePerturbation",
     "Closure",
-    "ProfileState",
     "Profile",
     "PerturbationSpec",
-    "StopCondition",
-    "ode_rhs",
-    "first_integral",
     "profile_first_integral",
-    "integrate",
     "generate_cmc_sphere",
-    "cmc_sigma_rate",
     "perturbed_sphere",
     "sphere_from_modes",
 ]
@@ -134,22 +120,12 @@ class Tolerances:
 
 
 # The fixed bounds of generate_cmc_sphere's post-checks, which each of its
-# profiles echoes under ``tolerances``: drift of J (also the default of
-# :func:`integrate`), |sin(sigma) - |H| u|, and the distance of a closed
-# sphere's end samples to the axis, which :class:`Profile` checks.
+# profiles echoes under ``tolerances``: drift of J, |sin(sigma) - |H| u|,
+# and the distance of a closed sphere's end samples to the axis, which
+# :class:`Profile` checks.
 _GENERATOR_BOUNDS = {"conservation": 1e-8, "closure_identity": 1e-8, "axis_epsilon": 1e-5}
 # Closure acceptance: how close to the axis the profile must return.
 AXIS_EPSILON = _GENERATOR_BOUNDS["axis_epsilon"]
-# Offset of :func:`integrate`'s series start from the pole (the start error is O(s0^2)).
-AXIS_SERIES_S0 = 1e-6
-# Integration stops at sigma = pi - margin; on the exact sphere the
-# residual u there measures the accumulated error.
-SIGMA_STOP_MARGIN = 1e-7
-# Integrator tolerances of :func:`integrate`.  Conservation of J to 1e-8 must
-# hold on arclengths up to ~20 near the existence boundary, which needs
-# tighter tolerances than the conservation target.
-DEFAULT_RTOL = 1e-12
-DEFAULT_ATOL = 1e-14
 # Default sample count: 2048 grid intervals, the equator a sample.
 DEFAULT_SAMPLES = 2049
 # Parametrizations of a profile's samples: uniform in quotient arclength s,
@@ -157,7 +133,6 @@ DEFAULT_SAMPLES = 2049
 ARCLENGTH = "arclength"
 TURNING_ANGLE = "turning_angle"
 
-_U_AXIS_COLLISION = 1e-10
 _COLUMNS = ("s", "u", "v", "sigma")
 # Turning-angle samples carry one more column: ds/dsigma at each sample.
 _SPEED_COLUMN = "ds_dsigma"
@@ -169,7 +144,7 @@ class ExistenceViolation(ValueError):
 
 
 class IntegrationError(RuntimeError):
-    """Trajectory integration failed or violated a post-condition."""
+    """Sphere generation violated a post-condition."""
 
 
 class InadmissiblePerturbation(ValueError):
@@ -181,49 +156,13 @@ class Closure(enum.Enum):
     OPEN = "Open"
 
 
-@dataclass(frozen=True)
-class ProfileState:
-    """One point (s, u, v, sigma) on a profile curve."""
-
-    s: float
-    u: float
-    v: float
-    sigma: float
-
-
-@dataclass(frozen=True)
-class StopCondition:
-    """Termination rule for trajectory integration.
-
-    With ``sigma_target`` set, integration stops when sigma reaches it and
-    it is an error to run past ``max_arclength`` without getting there.
-    Without it, the trajectory is simply integrated out to
-    ``max_arclength``.
-    """
-
-    max_arclength: float
-    sigma_target: float | None = None
-
-    def __post_init__(self):
-        if not self.max_arclength > 0.0:
-            raise ValueError("max_arclength must be positive")
-
-    @classmethod
-    def sphere_closure(cls, max_arclength: float, margin: float = SIGMA_STOP_MARGIN):
-        return cls(max_arclength=max_arclength, sigma_target=math.pi - margin)
-
-    @classmethod
-    def arclength(cls, max_arclength: float):
-        return cls(max_arclength=max_arclength)
-
-
 @dataclass(eq=False)
 class Profile:
     """A sampled profile curve with geometry and closure metadata.
 
     ``parametrization`` names the variable the samples are uniform in:
-    ``ARCLENGTH`` (closed-form CMC spheres, :func:`integrate`, and every
-    ``profile/1`` file) or ``TURNING_ANGLE`` (:func:`sphere_from_modes`).
+    ``ARCLENGTH`` (closed-form CMC spheres and every ``profile/1`` file)
+    or ``TURNING_ANGLE`` (:func:`sphere_from_modes`).
     Turning-angle samples also carry ``ds_dsigma``, the arclength per unit
     turning angle at each sample, as computed by their construction:
     differentiating the stored s instead would put its rounding (1e-15
@@ -483,27 +422,11 @@ class PerturbationSpec:
         object.__setattr__(self, "epsilon", float(self.epsilon))
 
 
-# -- the ODE system -------------------------------------------------------
-
-
-def ode_rhs(g: GeometryParams, H: float, state: ProfileState) -> tuple[float, float, float]:
-    """Right-hand side (du/ds, dv/ds, dsigma/ds) of the profile system.
-
-    The sigma equation carries a 1/u term: axis points are rejected and
-    must be handled through the series start in :func:`integrate`.
-    """
-    if not state.u > 0.0:
-        raise ValueError("ode_rhs requires u > 0; use the axis series start instead")
-    return _make_rhs(g, H)(state.s, (state.u, state.v, state.sigma))
+# -- CMC spheres ----------------------------------------------------------
 
 
 def _first_integral(g: GeometryParams, H: float, u, sin_sig):
     return u * (sin_sig - H * u) / _b_factor(g, u)
-
-
-def first_integral(g: GeometryParams, H: float, state: ProfileState) -> float:
-    """Conserved quantity J = u (sin(sigma) - H u) / (1 + k u^2/4)."""
-    return _first_integral(g, H, state.u, math.sin(state.sigma))
 
 
 def profile_first_integral(g: GeometryParams, H: float, profile: Profile) -> np.ndarray:
@@ -511,89 +434,22 @@ def profile_first_integral(g: GeometryParams, H: float, profile: Profile) -> np.
     return _first_integral(g, H, profile.u, np.sin(profile.sigma))
 
 
-def cmc_sigma_rate(g: GeometryParams, H: float, u) -> float | np.ndarray:
-    """Turning rate dsigma/ds on a CMC sphere: H (1 + k u^2/4).
-
-    Follows from substituting the sphere identity sin(sigma) = H u into the
-    sigma equation; serves as an independent oracle for the integrator.
-    """
-    u_arr = np.asarray(u, dtype=float)
-    if np.any(u_arr < 0.0) or np.any(u_arr > 1.0 / abs(H) + 1e-9):
-        raise ValueError("u must lie in [0, 1/|H|] on a CMC sphere")
-    if np.any(u_arr >= g.domain_radius):
-        raise ValueError("u must stay below the domain radius")
-    out = H * _b_factor(g, u_arr)
-    return out if out.ndim else float(out)
-
-
-def _is_axis_start(state: ProfileState) -> bool:
-    return state.u < AXIS_SERIES_S0
-
-
-def _make_rhs(g: GeometryParams, H: float):
-    k = g.k
-
-    def rhs(s, y):
-        u, _, sig = y
-        # Floor only shields trial evaluations past the axis event; accepted
-        # steps are terminated by the event before reaching it.
-        ui = u if u > 1e-13 else 1e-13
-        return (
-            _b_factor(g, u) * math.cos(sig),
-            math.sqrt(_a_squared(g, u)) * math.sin(sig),
-            2.0 * H - (1.0 / ui - 0.25 * k * u) * math.sin(sig),
-        )
-
-    return rhs
-
-
-def _initial_point(start: ProfileState, H: float):
-    """Initial solver state; axis starts get the series point off the pole."""
-    if not start.u >= 0.0:
-        raise ValueError(f"start radius must be nonnegative, got {start.u}")
-    if not _is_axis_start(start):
-        return start.s, (start.u, start.v, start.sigma), None
-    sig0 = start.sigma % (2.0 * math.pi)
-    if min(abs(sig0), abs(sig0 - 2.0 * math.pi)) < 1e-9:
-        base = 0.0
-    elif abs(sig0 - math.pi) < 1e-9:
-        base = math.pi
-    else:
-        raise ValueError("axis starts require sigma = 0 or pi")
-    s_begin = start.s + AXIS_SERIES_S0
-    sign = 1.0 if base == 0.0 else -1.0
-    y0 = (AXIS_SERIES_S0, start.v, base + sign * H * AXIS_SERIES_S0)
-    return s_begin, y0, AXIS_SERIES_S0 / 4.0
+# The package calls neither scipy shim.  The traced benchmark run
+# (perfbench/tracer.py) wraps ``profile.solve_ivp`` and ``profile.brentq`` by
+# name and fails when this module binds them no more, so both stay until
+# benchmark revision 2 drops those wraps.  Each imports scipy on its first call.
 
 
 def solve_ivp(*args, **kwargs):
-    """``scipy.integrate.solve_ivp``, imported on the first call.
-
-    Only :func:`integrate` solves an initial value problem, so scipy stays
-    off the import path of every other entry point.
-    """
     from scipy.integrate import solve_ivp as scipy_solve_ivp
 
     return scipy_solve_ivp(*args, **kwargs)
 
 
 def brentq(*args, **kwargs):
-    """``scipy.optimize.brentq``, imported on the first call.
-
-    The package has no caller; the name stays bound here because the
-    traced benchmark run (``perfbench/tracer.py``) wraps ``profile.brentq``
-    and counts its calls.
-    """
     from scipy.optimize import brentq as scipy_brentq
 
     return scipy_brentq(*args, **kwargs)
-
-
-def _terminal(event, direction: float):
-    """Mark a solve_ivp event function as terminal, crossing in ``direction``."""
-    event.terminal = True
-    event.direction = direction
-    return event
 
 
 def _j_drift(g: GeometryParams, H: float, u, sin_sig, conservation_tol: float) -> float:
@@ -607,70 +463,12 @@ def _j_drift(g: GeometryParams, H: float, u, sin_sig, conservation_tol: float) -
     return drift
 
 
-def integrate(
-    g: GeometryParams,
-    H: float,
-    start: ProfileState,
-    stop: StopCondition,
-    *,
-    n_samples: int = DEFAULT_SAMPLES,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
-    conservation: float = _GENERATOR_BOUNDS["conservation"],
-) -> Profile:
-    """Integrate the profile system from ``start`` until ``stop``.
-
-    Axis starts (u = 0 with sigma near 0 or pi) are replaced by the series
-    point a distance ``AXIS_SERIES_S0`` along the sphere branch.  The
-    result is resampled on a uniform arclength grid, and the drift of the
-    first integral over the returned samples must stay below
-    ``conservation``, which must be finite and at least 0.
-    """
-    if not (math.isfinite(conservation) and conservation >= 0.0):
-        raise ValueError(f"conservation must be finite and at least 0, got {conservation}")
-    if start.u >= g.domain_radius:
-        raise ValueError(
-            f"start radius {start.u} lies outside the domain (radius {g.domain_radius})"
-        )
-    s_begin, y0, first_step = _initial_point(start, H)
-    events = [_terminal(lambda s, y: y[0] - _U_AXIS_COLLISION, -1.0)]
-    if stop.sigma_target is not None:
-        events.append(_terminal(lambda s, y: y[2] - stop.sigma_target, 1.0))
-    bounded = math.isfinite(g.domain_radius)
-    if bounded:
-        exit_radius = g.domain_radius * (1.0 - 1e-12)
-        events.append(_terminal(lambda s, y: y[0] - exit_radius, 1.0))
-    sol = solve_ivp(
-        _make_rhs(g, H),
-        (s_begin, s_begin + stop.max_arclength),
-        y0,
-        method="RK45",
-        rtol=rtol,
-        atol=atol,
-        dense_output=True,
-        events=events,
-        first_step=first_step,
-    )
-    if sol.status == -1:
-        raise IntegrationError(f"integration failed: {sol.message}")
-    if bounded and sol.t_events[-1].size:
-        raise IntegrationError("trajectory left the domain of the geometry")
-    if sol.t_events[0].size:
-        raise IntegrationError("trajectory collided with the rotation axis")
-    if stop.sigma_target is None:
-        s_end = float(sol.t[-1])
-    elif sol.t_events[1].size:
-        s_end = float(sol.t_events[1][0])
-    else:
-        raise IntegrationError(
-            f"sigma target {stop.sigma_target} not reached within arclength "
-            f"{stop.max_arclength}"
-        )
-    grid = np.linspace(s_begin, s_end, n_samples)
-    u, v, sigma = sol.sol(grid)
-    drift = _j_drift(g, H, u, np.sin(sigma), conservation)
-    used = {"rtol": rtol, "atol": atol, "conservation": conservation}
-    return Profile(s=grid, u=u, v=v, sigma=sigma, geometry=g, j_drift=drift, tolerances=used)
+def _finite_heights(columns: dict) -> dict:
+    """The height columns a generator summed at the call, each required finite."""
+    for name, arr in columns.items():
+        if not np.isfinite(arr).all():
+            raise IntegrationError(f"{name} samples of the generated sphere are not finite")
+    return columns
 
 
 def _require_sphere_exists(g: GeometryParams, H: float) -> None:
@@ -748,13 +546,13 @@ def generate_cmc_sphere(
     the equator, so the panels left of it are evaluated and repeated in
     mirror order right of it.  v is summed on its first read, bit for bit
     as at the call (:class:`Profile`), when pi A(1/|H|)/w bounds it below
-    overflow; otherwise at the call, where a non-finite v raises.
+    overflow; otherwise at the call, where a non-finite v raises
+    :class:`IntegrationError`.
 
     The samples are checked at fixed bounds that the profile echoes under
     ``tolerances``: the first integral J drifts by at most 1e-8, sigma
     increases strictly and the identity sin(sigma) = |H| u holds to 1e-8.
     ``closure_residual`` records |sin(sigma) - |H| u| at the last sample.
-    :func:`integrate` shoots the same sphere independently.
 
     A negative H requests the mirror surface: the returned samples are the
     canonical H > 0 profile with ``orientation`` set to -1.  ``n_samples``
@@ -790,7 +588,7 @@ def generate_cmc_sphere(
 
     # v' <= A(1/|H|) on the nodes u <= 1/|H|, and the weights / w sum to pi/w
     deferred = math.sqrt(_a_squared(g, 1.0 / h_abs)) * math.pi / w < _SUM_BOUND
-    columns = {"v": heights} if deferred else heights()
+    columns = {"v": heights} if deferred else _finite_heights(heights())
     drift = _j_drift(g, h_abs, u, sin_sig, _GENERATOR_BOUNDS["conservation"])
     if not (np.diff(sigma) > 0.0).all():
         raise IntegrationError("sigma is not monotone along the generated sphere")
@@ -1041,8 +839,8 @@ def sphere_from_modes(
     """Build the rotationally invariant sphere with shape coefficients ``coeffs``.
 
     With all coefficients zero this reproduces the CMC sphere of mean
-    curvature |H| by quadrature in sigma, independently of the shooting
-    integrator and of :func:`generate_cmc_sphere`.  Raises
+    curvature |H| by quadrature in sigma, independently of
+    :func:`generate_cmc_sphere`.  Raises
     :class:`InadmissiblePerturbation` when the shape is not a regular
     profile (ds/dsigma <= 0 somewhere) or leaves the domain; the decision
     is exact, on the Chebyshev series of P and N in cos(2 sigma)
@@ -1052,8 +850,10 @@ def sphere_from_modes(
     of 8-point Gauss panels between consecutive samples, and ds/dsigma is
     kept at every sample.  s and v are summed together on the first read of
     either, bit for bit as at the call (:class:`Profile`), when the shape's
-    ranges bound them (:func:`_heights_bounded`); otherwise at the call.  Turning then spreads evenly over the samples,
-    also where ds/dsigma is small near the family's regularity edge.
+    ranges bound them (:func:`_heights_bounded`); otherwise at the call,
+    where a non-finite s or v raises :class:`IntegrationError`.  Turning
+    then spreads evenly over the samples, also where ds/dsigma is small
+    near the family's regularity edge.
     ds/dsigma and dv/dsigma depend on sigma only through sin(sigma) and
     t = cos(2 sigma), both even about pi/2, so the panels are evaluated
     left of the equator only and repeated in mirror order right of it.
@@ -1080,7 +880,7 @@ def sphere_from_modes(
     if _heights_bounded(g, h_abs, shape, n_samples):
         columns = dict.fromkeys(("s", "v"), heights)
     else:
-        columns = heights()
+        columns = _finite_heights(heights())
     _, _, u, _, ds_dsigma = _family_nodes(g, h_abs, shape, sin_samples, t_samples)
     u[0] = 0.0
     u[-1] = 0.0

@@ -16,14 +16,11 @@ from thurston_willmore import (
     FunctionalCoefficients,
     GeometryParams,
     PerturbationSpec,
-    ProfileState,
-    StopCondition,
     canonical_coefficients,
     energy,
     gauss_bonnet_total,
     generate_cmc_sphere,
     h_squared_identity_check,
-    integrate,
     profile_first_integral,
     second_summand_derivative_check,
     willmore_relation_check,
@@ -36,6 +33,7 @@ from thurston_willmore.experiments import (
 )
 
 from conftest import cached_perturbed, cached_sphere
+from shooting_oracle import ProfileState, StopCondition, integrate
 
 FOUR_PI = 4.0 * math.pi
 

@@ -21,6 +21,8 @@ from thurston_willmore import (
 from thurston_willmore import cli, experiments, functional, profile
 from thurston_willmore.cli import load_profile, main
 
+from shooting_oracle import ProfileState, StopCondition, integrate
+
 
 def run(args):
     return main([str(a) for a in args])
@@ -207,12 +209,8 @@ class TestEnergy:
 
     def test_open_profile_rejected_with_exit_1(self, tmp_path, capsys):
         # a profile whose closure is Open must be refused
-        import thurston_willmore as tw
-
-        g = tw.GeometryParams(0.0, 0.5)
-        p = tw.integrate(
-            g, 0.8, tw.ProfileState(0.0, 0.5, 0.0, 0.3), tw.StopCondition.arclength(2.0)
-        )
+        g = GeometryParams(0.0, 0.5)
+        p = integrate(g, 0.8, ProfileState(0.0, 0.5, 0.0, 0.3), StopCondition.arclength(2.0))
         path = tmp_path / "open.csv"
         p.to_csv(path)
         assert run(["energy", path]) == 1
@@ -903,6 +901,20 @@ class TestExitCodes:
         code = run(["generate", "--k", 0, "--tau", 0.5, "--H", 0.7, "-o", out])
         assert code == cli.EXIT_INTEGRATION == 5
         assert capsys.readouterr().err == "error: sphere failed to close\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command",
+        [["generate"], ["generate", "--epsilon", 0.05, "--mode", 1], ["verify", "minimality"]],
+    )
+    def test_non_finite_heights_are_an_integration_error(self, tmp_path, capsys, command):
+        # A(u) overflows at tau = 1e200: the generated heights are not finite
+        out = tmp_path / "out"
+        flag = "-o" if command[0] == "generate" else "--out"
+        code = run([*command, "--k", 0, "--tau", 1e200, "--H", 1, flag, out])
+        assert code == cli.EXIT_INTEGRATION == 5
+        err = capsys.readouterr().err
+        assert err == "error: v samples of the generated sphere are not finite\n"
         assert not out.exists()
 
     def test_uncaught_exception_is_one_error_line(self, tmp_path, capsys, monkeypatch):

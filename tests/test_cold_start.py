@@ -1,11 +1,11 @@
-"""Cold start: no ``tw`` path but ``integrate`` imports scipy.
+"""Cold start and public surface: the package runs on numpy alone.
 
 The closed-form spheres, the mode family and the sampled energies need
-numpy only; scipy (about 0.9 s to import) is loaded on the first call of
-``profile.solve_ivp``, the shim :func:`thurston_willmore.profile.integrate`
-calls.  The suites module ``experiments`` is loaded by ``tw verify`` and
-``tw sweep`` only, not by ``tw generate`` or ``tw energy``.  The check runs
-in a fresh interpreter, so no other test's imports leak into it.
+numpy only, and nothing in the package imports scipy: the shooting
+cross-check lives in the tests (``shooting_oracle.py``).  The suites module
+``experiments`` is loaded by ``tw verify`` and ``tw sweep`` only, not by
+``tw generate`` or ``tw energy``.  The check runs in a fresh interpreter, so
+no other test's imports leak into it.
 """
 
 import json
@@ -15,14 +15,18 @@ import sys
 import textwrap
 from pathlib import Path
 
+import thurston_willmore
+from thurston_willmore import profile
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 _SCRIPT = textwrap.dedent(
     """
-    import json, sys
+    import importlib, json, pkgutil, sys
     from pathlib import Path
 
-    from thurston_willmore import GeometryParams, ProfileState, StopCondition, cli, profile
+    import thurston_willmore
+    from thurston_willmore import cli, profile
 
     grids_at_import = profile._turning_angle_grid.cache_info().currsize
     work = Path(sys.argv[1])
@@ -38,24 +42,20 @@ _SCRIPT = textwrap.dedent(
     suites = ["thurston_willmore.experiments" in sys.modules]
     codes += [cli.main(argv) for argv in runs[3:]]
     suites.append("thurston_willmore.experiments" in sys.modules)
-    loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-
-    import scipy.integrate
-
-    real, calls = scipy.integrate.solve_ivp, []
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    scipy.integrate.solve_ivp = counting
-    axis = ProfileState(0.0, 0.0, 0.0, 0.0)
-    shot = profile.integrate(GeometryParams(0.0, 0.5), 1.0, axis, StopCondition.sphere_closure(10.0))
-    print(json.dumps({"codes": codes, "scipy": loaded, "solve_ivp_calls": len(calls),
-                      "samples": len(shot), "grids_at_import": grids_at_import,
-                      "suites": suites}))
+    submodules = sorted(m.name for m in pkgutil.iter_modules(thurston_willmore.__path__))
+    for name in submodules:
+        importlib.import_module(f"thurston_willmore.{name}")
+    loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+    print(json.dumps({"codes": codes, "scipy": loaded, "submodules": submodules,
+                      "grids_at_import": grids_at_import, "suites": suites}))
     """
 )
+
+# Public names of the shooting integrator, now in the tests' shooting oracle.
+REMOVED = (
+    "ProfileState", "StopCondition", "cmc_sigma_rate", "first_integral", "integrate", "ode_rhs"
+)
+REMOVED_CONSTANTS = ("AXIS_SERIES_S0", "SIGMA_STOP_MARGIN", "DEFAULT_RTOL", "DEFAULT_ATOL")
 
 
 def test_tw_paths_do_not_import_scipy(tmp_path):
@@ -68,11 +68,19 @@ def test_tw_paths_do_not_import_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["codes"] == [0, 0, 0, 0, 0]
+    assert result["submodules"] == [
+        "cli", "experiments", "functional", "geometry", "numerics", "profile"
+    ]
     assert result["scipy"] == []
     # experiments is loaded by the verify runs, not by generate or energy
     assert result["suites"] == [False, True]
-    # integrate still shoots through the real scipy solver, once
-    assert result["solve_ivp_calls"] == 1
-    assert result["samples"] == 2049
     # the turning-angle grid of sphere_from_modes is built on its first call
     assert result["grids_at_import"] == 0
+
+
+def test_public_names_resolve_and_the_shooting_names_are_gone():
+    for module in (thurston_willmore, profile):
+        for name in module.__all__:
+            getattr(module, name)
+        assert not [name for name in REMOVED if hasattr(module, name)]
+    assert not [name for name in REMOVED_CONSTANTS if hasattr(profile, name)]

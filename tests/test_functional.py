@@ -8,15 +8,12 @@ from thurston_willmore import (
     FunctionalCoefficients,
     GeometryParams,
     Profile,
-    ProfileState,
-    StopCondition,
     canonical_coefficients,
     el_residual,
     energy,
     gauss_bonnet_total,
     generate_cmc_sphere,
     h_squared_identity_check,
-    integrate,
     max_interior_residual,
     mean_curvature,
     nu_on_profile,
@@ -28,6 +25,8 @@ from thurston_willmore import (
     willmore_relation_check,
 )
 from thurston_willmore.functional import INTERIOR_MARGIN, _ProfileFields
+
+from shooting_oracle import ProfileState, StopCondition, integrate
 
 FOUR_PI = 4.0 * math.pi
 M = INTERIOR_MARGIN
@@ -294,8 +293,6 @@ class TestEnergy:
             assert at_minimum == (spread < 1e-6)
 
     def test_rejects_open_profile(self):
-        from thurston_willmore import ProfileState, StopCondition, integrate
-
         g = GeometryParams(0.0, 0.5)
         p = integrate(g, 0.8, ProfileState(0.0, 0.5, 0.0, 0.3), StopCondition.arclength(2.0))
         with pytest.raises(ValueError, match="open profile"):

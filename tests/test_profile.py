@@ -21,15 +21,9 @@ from thurston_willmore import (
     IntegrationError,
     PerturbationSpec,
     Profile,
-    ProfileState,
-    StopCondition,
     Tolerances,
-    cmc_sigma_rate,
     energy,
-    first_integral,
     generate_cmc_sphere,
-    integrate,
-    ode_rhs,
     perturbed_sphere,
     profile_first_integral,
     sphere_from_modes,
@@ -53,8 +47,17 @@ from thurston_willmore.profile import (
     _require_admissible,
 )
 
+import shooting_oracle
 from mode_oracle import reduced_sine_ratio
 from panel_oracle import cmc_sphere_direct_heights, cmc_sphere_samples, mode_sphere_samples
+from shooting_oracle import (
+    ProfileState,
+    StopCondition,
+    cmc_sigma_rate,
+    first_integral,
+    integrate,
+    ode_rhs,
+)
 
 
 # the acceptance grid, mirror surfaces, and k = -1 down to H^2 + k/4 = 1e-8
@@ -200,6 +203,22 @@ class TestIntegrate:
         g = GeometryParams(0.0, 0.0)
         with pytest.raises(IntegrationError, match="axis"):
             integrate(g, 1.0, ProfileState(0.0, 0.0, 0.0, math.pi), StopCondition.arclength(1.0))
+
+    def test_shoots_through_the_scipy_solver_once(self, monkeypatch):
+        import scipy.integrate
+
+        assert shooting_oracle.solve_ivp is scipy.integrate.solve_ivp
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return scipy.integrate.solve_ivp(*args, **kwargs)
+
+        monkeypatch.setattr(shooting_oracle, "solve_ivp", counting)
+        axis = ProfileState(0.0, 0.0, 0.0, 0.0)
+        shot = integrate(GeometryParams(0.0, 0.5), 1.0, axis, StopCondition.sphere_closure(10.0))
+        assert len(calls) == 1
+        assert len(shot) == DEFAULT_SAMPLES
 
 
 @settings(max_examples=150)
@@ -741,13 +760,15 @@ class TestDeferredHeights:
 
     def test_huge_tau_heights_raise_at_construction(self):
         # A(u) overflows, so nothing bounds v: it is summed and checked at the call
-        with pytest.raises(ValueError, match="v samples must be finite"):
-            sphere_from_modes(GeometryParams(0.0, 1e200), 1.0, [0.05])
+        g = GeometryParams(0.0, 1e200)
+        for build in (generate_cmc_sphere, lambda g, H: sphere_from_modes(g, H, [0.05])):
+            with pytest.raises(IntegrationError, match="v samples of the generated sphere"):
+                build(g, 1.0)
 
     def test_huge_tau_sweep_row_keeps_its_error(self):
         (row,) = sweep(SweepSpec((0.0,), (1e200,), (1.0,)))
         assert row.exists and row.E is None
-        assert row.error == "ValueError: v samples must be finite"
+        assert row.error == "IntegrationError: v samples of the generated sphere are not finite"
 
     def test_deferred_columns_are_checked_on_their_first_read(self):
         q = generate_cmc_sphere(GeometryParams(0.0, 0.5), 1.0)

@@ -46,19 +46,18 @@ def test_tracer_installs_runs_and_uninstalls():
     tracing.install(tracer, TW)
     try:
         assert profile.solve_ivp is not before[1]["solve_ivp"]
+        assert profile.brentq is not before[1]["brentq"]
         g = GeometryParams(0.0, 0.5)
         experiments.verify_criticality(g, 1.0)
         experiments.mode_family_energy(g, 1.0, [0.05])
-        axis = profile.ProfileState(0.0, 0.0, 0.0, 0.0)
-        profile.integrate(g, 1.0, axis, profile.StopCondition.sphere_closure(10.0))
     finally:
         tracer.uninstall()
     assert [dict(vars(m)) for m in NAMESPACES] == before
 
     metrics = tracing.layer_metrics(tracer.spans)
-    # the sphere is generated in closed form; the one solve_ivp is the integrate call
+    # the sphere is generated in closed form; the package calls neither scipy shim
     assert metrics["profile.generate_cmc_sphere.calls"] == 1
-    assert metrics["profile.solve_ivp.calls"] == 1
+    assert metrics["profile.solve_ivp.calls"] == 0
     assert metrics["profile.brentq.calls"] == 0
     # one linearized pass for the three velocity profiles, one on the stride-2 subgrid
     assert metrics["experiments.deformed_curve_energy.calls"] == 2
