@@ -166,7 +166,7 @@ def deformed_curve_energy(
     sigma = np.unwrap(np.arctan2(y, x))
     sigma_dot = derivative1(sigma, h) / speed
     sin_sig, cos_sig = np.sin(sigma), np.cos(sigma)
-    ratio = _pole_safe_ratio(u, sin_sig, sigma_dot, u_min=1e-12)
+    ratio = _pole_safe_ratio(u, sin_sig, sigma_dot)
     H = _mean_curvature(k, u, sin_sig, sigma_dot, ratio)
     nu, mu = cos_sig / A, u * A / B
     # the density weight * mu * speed: mu per unit quotient arclength, speed per unit parameter
@@ -195,8 +195,8 @@ def deformed_curve_energy(
         dsigma_dot -= sigma_dot * dspeed
         dsigma_dot /= speed
         dsin = cos_sig * dsigma
-        # d(sin/u) = (dsin - (sin/u) du)/u, and the pole limit's variation below u_min
-        dratio = _pole_safe_ratio(u, dsin - ratio * du_row, dsigma_dot, u_min=1e-12)
+        # d(sin/u) = (dsin - (sin/u) du)/u, and the pole limit's variation at the poles
+        dratio = _pole_safe_ratio(u, dsin - ratio * du_row, dsigma_dot)
         dH = 0.5 * (dsigma_dot + dratio - 0.25 * k * (sin_sig * du_row + u * dsin))
         dnu = -(sin_sig * dsigma + nu * dA_du * du_row) / A
         ddensity = by_dH * dH

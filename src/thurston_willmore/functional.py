@@ -18,7 +18,7 @@ derivatives come from 5-point stencils, integrals from the fixed
 sample-quadrature weights, both scaled by the profile's spacing ds/di (a
 scalar for samples uniform in arclength, an array otherwise; see
 :mod:`.numerics`).  Ratios sin(sigma)/u appearing near the poles
-are replaced by their limit dsigma/ds where u is below ``POLE_U``.
+are replaced by their limit dsigma/ds where u is at most ``_POLE_CUT`` max(u).
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .numerics import derivative1, derivative2, sample_quadrature, sample_quadra
 from .profile import Closure, Profile
 
 __all__ = [
-    "POLE_U",
     "INTERIOR_MARGIN",
     "FunctionalCoefficients",
     "EnergyReport",
@@ -51,9 +50,10 @@ __all__ = [
     "gauss_bonnet_total",
 ]
 
-# Below this radius the ratio sin(sigma)/u switches to its pole limit
-# dsigma/ds (the two agree to first order on any profile through the axis).
-POLE_U = 1e-7
+# Where u is at most this fraction of its largest value, the ratio sin(sigma)/u
+# switches to its pole limit dsigma/ds (the two agree to first order on any
+# profile through the axis): a cut relative to the sphere's size.
+_POLE_CUT = 1e-7
 # Samples skipped at each end when taking maxima of differentiated
 # quantities: the one-sided edge stencils and the 1/u amplification next to
 # the poles are excluded there.
@@ -135,9 +135,9 @@ def _energy_weight(g: GeometryParams, coeffs: FunctionalCoefficients, H, nu):
     )
 
 
-def _pole_safe_ratio(u, sin_sig, limit, u_min: float = POLE_U):
-    """sin(sigma)/u, replaced by its pole limit ``limit`` where u <= ``u_min``."""
-    off_pole = u > u_min
+def _pole_safe_ratio(u, sin_sig, limit):
+    """sin(sigma)/u, replaced by its pole limit ``limit`` where u <= ``_POLE_CUT`` max(u)."""
+    off_pole = u > _POLE_CUT * u.max()
     return np.where(off_pole, sin_sig / np.where(off_pole, u, 1.0), limit)
 
 

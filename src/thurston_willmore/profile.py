@@ -119,12 +119,9 @@ class Tolerances:
                 raise ValueError(f"{name} must be finite and at least 0, got {value}")
 
 
-# The fixed bounds of generate_cmc_sphere's post-checks, which each of its
-# profiles echoes under ``tolerances``: drift of J, |sin(sigma) - |H| u|,
-# and the distance of a closed sphere's end samples to the axis, which
-# :class:`Profile` checks.
-_GENERATOR_BOUNDS = {"conservation": 1e-8, "closure_identity": 1e-8, "axis_epsilon": 1e-5}
-# Closure acceptance: how close to the axis the profile must return.
+# How close to the axis a closed profile must end, which :class:`Profile` checks:
+# the one fixed bound that generate_cmc_sphere's profiles echo under ``tolerances``.
+_GENERATOR_BOUNDS = {"axis_epsilon": 1e-5}
 AXIS_EPSILON = _GENERATOR_BOUNDS["axis_epsilon"]
 # Default sample count: 2048 grid intervals, the equator a sample.
 DEFAULT_SAMPLES = 2049
@@ -452,17 +449,6 @@ def brentq(*args, **kwargs):
     return scipy_brentq(*args, **kwargs)
 
 
-def _j_drift(g: GeometryParams, H: float, u, sin_sig, conservation_tol: float) -> float:
-    """Largest change of J over samples u, sin(sigma); raises past ``conservation_tol``."""
-    j = _first_integral(g, H, u, sin_sig)
-    drift = float(np.abs(j - j[0]).max())
-    if drift > conservation_tol:
-        raise IntegrationError(
-            f"first-integral drift {drift:.3e} exceeds tolerance {conservation_tol:.1e}"
-        )
-    return drift
-
-
 def _finite_heights(columns: dict) -> dict:
     """The height columns a generator summed at the call, each required finite."""
     for name, arr in columns.items():
@@ -471,28 +457,33 @@ def _finite_heights(columns: dict) -> dict:
     return columns
 
 
+# A sphere's apex u lies inside the domain while B(u) = 1 + k u^2/4 = 1 - (u/R)^2
+# exceeds this margin, i.e. u < R (1 - 1e-9).
+_APEX_MARGIN = 2e-9
+
+
+def _apex_inside(g: GeometryParams, u: float) -> bool:
+    """The apex rule of both generators; B(1/|H|) = (H^2 + k/4)/H^2 depends on k/H^2 only."""
+    return _b_factor(g, u) > _APEX_MARGIN
+
+
 def _require_sphere_exists(g: GeometryParams, H: float) -> None:
     if not math.isfinite(H):
-        raise ExistenceViolation(
-            f"no CMC sphere in E(k={g.k}, tau={g.tau}) with H={H}: requires H finite"
+        reason = f" with H={H}: requires H finite"
+    elif H == 0.0 and g.k > 0.0:
+        reason = ": requires H != 0 for k > 0"
+    elif H * H <= -0.25 * g.k:
+        reason = f" with H={H}: requires H^2 > -k/4"
+    # The apex 1/|H| bounds every sample's u; the zero shape's admissibility
+    # applies the same rule to the same float.
+    elif not _apex_inside(g, 1.0 / abs(H)):
+        reason = (
+            f" with H={H}: its apex 1/|H| reaches the domain radius {g.domain_radius}:"
+            f" 1 + k/(4 H^2) is not above {_APEX_MARGIN:g}"
         )
-    if g.k > 0.0:
-        if H == 0.0:
-            raise ExistenceViolation(
-                f"no CMC sphere in E(k={g.k}, tau={g.tau}): requires H != 0 for k > 0"
-            )
+    else:
         return
-    if H * H <= -0.25 * g.k + 1e-12:
-        raise ExistenceViolation(
-            f"no CMC sphere in E(k={g.k}, tau={g.tau}) with H={H}: requires H^2 > -k/4"
-        )
-    # The apex radius 1/|H| bounds every sample's u, so this also keeps the
-    # generated samples inside the domain.
-    if 1.0 / abs(H) >= g.domain_radius * (1.0 - 1e-12):
-        raise ExistenceViolation(
-            f"no CMC sphere in E(k={g.k}, tau={g.tau}) with H={H}: its apex 1/|H| reaches "
-            f"the domain radius {g.domain_radius} to within 1e-12"
-        )
+    raise ExistenceViolation(f"no CMC sphere in E(k={g.k}, tau={g.tau}){reason}")
 
 
 _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
@@ -549,10 +540,9 @@ def generate_cmc_sphere(
     overflow; otherwise at the call, where a non-finite v raises
     :class:`IntegrationError`.
 
-    The samples are checked at fixed bounds that the profile echoes under
-    ``tolerances``: the first integral J drifts by at most 1e-8, sigma
-    increases strictly and the identity sin(sigma) = |H| u holds to 1e-8.
-    ``closure_residual`` records |sin(sigma) - |H| u| at the last sample.
+    A sigma that does not increase strictly raises :class:`IntegrationError`.
+    Recorded unchecked: ``j_drift``, the drift of the first integral J over
+    the samples, and ``closure_residual``, |sin(sigma) - |H| u| at the last one.
 
     A negative H requests the mirror surface: the returned samples are the
     canonical H > 0 profile with ``orientation`` set to -1.  ``n_samples``
@@ -589,15 +579,9 @@ def generate_cmc_sphere(
     # v' <= A(1/|H|) on the nodes u <= 1/|H|, and the weights / w sum to pi/w
     deferred = math.sqrt(_a_squared(g, 1.0 / h_abs)) * math.pi / w < _SUM_BOUND
     columns = {"v": heights} if deferred else _finite_heights(heights())
-    drift = _j_drift(g, h_abs, u, sin_sig, _GENERATOR_BOUNDS["conservation"])
     if not (np.diff(sigma) > 0.0).all():
         raise IntegrationError("sigma is not monotone along the generated sphere")
-    identity = np.abs(sin_sig - h_abs * u)
-    if identity.max() > _GENERATOR_BOUNDS["closure_identity"]:
-        raise IntegrationError(
-            f"sphere identity residual {identity.max():.3e} exceeds "
-            f"{_GENERATOR_BOUNDS['closure_identity']:.1e}"
-        )
+    j = _first_integral(g, h_abs, u, sin_sig)
     return Profile(
         **columns,
         s=x / w,
@@ -607,8 +591,8 @@ def generate_cmc_sphere(
         mean_curvature=h_abs,
         closure=Closure.CLOSED_SPHERE,
         orientation=1 if H > 0 else -1,
-        j_drift=drift,
-        closure_residual=float(identity[-1]),
+        j_drift=float(np.abs(j - j[0]).max()),
+        closure_residual=float(abs(sin_sig[-1] - h_abs * u[-1])),
         tolerances=dict(_GENERATOR_BOUNDS),
     )
 
@@ -745,7 +729,8 @@ def _require_admissible(g: GeometryParams, h_abs: float, coeffs: np.ndarray) -> 
 
     Decided exactly on sigma in [0, pi], i.e. t = cos(2 sigma) in [-1, 1]:
     N > 0 and P > 0 by their minima over the ends and the real critical
-    points, and max u < domain radius (1 - 1e-9).  With P > 0 the critical
+    points, and max u inside the domain by the generators' apex rule
+    (:func:`_apex_inside`, B(max u) > ``_APEX_MARGIN``).  With P > 0 the critical
     points of u^2 = (1 - t) P^2 / (2 H^2) are the roots of 2 (1 - t) P' - P.
     Ties (a minimum of exactly 0) are inadmissible.  Returns the shape's
     series, ranges and max u.
@@ -765,7 +750,7 @@ def _require_admissible(g: GeometryParams, h_abs: float, coeffs: np.ndarray) -> 
     interior = _interior_points(p @ _series_operators(p.size)[1])
     u_max = max([p_ends[1], *(math.sqrt(0.5 * (1.0 - t)) * cheb.chebval(t, p) for t in interior)])
     u_max = float(u_max) / h_abs
-    if u_max >= g.domain_radius * (1.0 - 1e-9):
+    if not _apex_inside(g, u_max):
         raise InadmissiblePerturbation(
             f"profile apex {u_max:.6f} leaves the domain (radius {g.domain_radius:.6f})"
         )

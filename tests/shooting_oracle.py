@@ -23,14 +23,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from thurston_willmore.geometry import GeometryParams, _a_squared, _b_factor
-from thurston_willmore.profile import (
-    _GENERATOR_BOUNDS,
-    DEFAULT_SAMPLES,
-    IntegrationError,
-    Profile,
-    _first_integral,
-    _j_drift,
-)
+from thurston_willmore.profile import DEFAULT_SAMPLES, IntegrationError, Profile, _first_integral
 
 # Offset of :func:`integrate`'s series start from the pole (the start error is O(s0^2)).
 AXIS_SERIES_S0 = 1e-6
@@ -42,6 +35,8 @@ SIGMA_STOP_MARGIN = 1e-7
 # tighter tolerances than the conservation target.
 DEFAULT_RTOL = 1e-12
 DEFAULT_ATOL = 1e-14
+# The default bound of :func:`integrate` on the drift of J over its samples.
+DEFAULT_CONSERVATION = 1e-8
 
 _U_AXIS_COLLISION = 1e-10
 
@@ -113,6 +108,17 @@ def cmc_sigma_rate(g: GeometryParams, H: float, u) -> float | np.ndarray:
     return out if out.ndim else float(out)
 
 
+def _j_drift(g: GeometryParams, H: float, u, sin_sig, conservation_tol: float) -> float:
+    """Largest change of J over samples u, sin(sigma); raises past ``conservation_tol``."""
+    j = _first_integral(g, H, u, sin_sig)
+    drift = float(np.abs(j - j[0]).max())
+    if drift > conservation_tol:
+        raise IntegrationError(
+            f"first-integral drift {drift:.3e} exceeds tolerance {conservation_tol:.1e}"
+        )
+    return drift
+
+
 def _is_axis_start(state: ProfileState) -> bool:
     return state.u < AXIS_SERIES_S0
 
@@ -169,7 +175,7 @@ def integrate(
     n_samples: int = DEFAULT_SAMPLES,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
-    conservation: float = _GENERATOR_BOUNDS["conservation"],
+    conservation: float = DEFAULT_CONSERVATION,
 ) -> Profile:
     """Integrate the profile system from ``start`` until ``stop``.
 

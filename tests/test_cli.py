@@ -35,8 +35,8 @@ class TestGenerate:
         assert out.exists()
         sidecar = json.loads((tmp_path / "sphere.csv.json").read_text())
         assert sidecar["closure"] == "ClosedSphere"
-        # the generator's fixed bounds are echoed with the profile, not as settings
-        assert sidecar["tolerances"]["conservation"] == 1e-8
+        # the generator's fixed bound is echoed with the profile, not as a setting
+        assert sidecar["tolerances"] == {"axis_epsilon": 1e-5}
         assert sidecar["config"]["tolerances"] == {}
         prof = load_profile(out)
         assert prof.sigma[0] < 1e-3
@@ -371,10 +371,12 @@ class TestVerify:
         assert len(inadmissible) == 3
         assert all(e["error"] for e in inadmissible)
 
-    def test_minimality_of_a_small_round_sphere(self, tmp_path):
-        # the R^3 sphere of radius 1/902: its energy is 4 pi at any size
+    @pytest.mark.parametrize("H", ["902", "1e7"])
+    def test_minimality_of_a_small_round_sphere(self, tmp_path, H):
+        # the R^3 sphere of radius 1/H: its energy is 4 pi at any size, and
+        # sin(sigma)/u takes its pole limit at the two axis samples only
         out = tmp_path / "min.json"
-        assert run(["verify", "minimality", "--k", 0, "--tau", 0, "--H", 902, "--out", out]) == 0
+        assert run(["verify", "minimality", "--k", 0, "--tau", 0, "--H", H, "--out", out]) == 0
         report = json.loads(out.read_text())["report"]
         assert abs(report["baseline_E"] - 4.0 * math.pi) < 1e-12
 
@@ -631,6 +633,7 @@ class TestToleranceFlags:
         assert code == 0
         echoed = json.loads(doc.read_text())["config"]["tolerances"]
         assert not echoed.keys() & {"conservation", "closure-identity", "axis-epsilon"}
+        assert profile._GENERATOR_BOUNDS == {"axis_epsilon": 1e-5}
         assert used and all(recorded == profile._GENERATOR_BOUNDS for recorded in used)
 
     def test_every_tolerance_is_read_by_some_command(self):
@@ -891,6 +894,14 @@ class TestExitCodes:
         assert code == cli.EXIT_EXISTENCE == 2
         assert "apex 1/|H| reaches the domain radius" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("k, H", [(0, "1e-6"), ("1e-30", "1e-9")])
+    def test_spheres_far_from_unit_size_generate(self, tmp_path, capsys, k, H):
+        # no absolute margin decides existence, and J is recorded, not bounded
+        out = tmp_path / "far.csv"
+        assert run(["generate", "--k", k, "--tau", 0, "--H", H, "-o", out]) == cli.EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert load_profile(out).mean_curvature == float(H)
 
     def test_integration_error_has_its_own_code(self, tmp_path, capsys, monkeypatch):
         def failing(*args, **kwargs):

@@ -30,6 +30,7 @@ from thurston_willmore import (
 )
 from thurston_willmore import profile as profile_module
 from thurston_willmore.experiments import (
+    ENERGY_TOL,
     SweepSpec,
     default_acceptance_grid,
     default_perturbation_grid,
@@ -45,6 +46,7 @@ from thurston_willmore.profile import (
     TURNING_ANGLE,
     _mirrored_running_sum,
     _require_admissible,
+    _require_sphere_exists,
 )
 
 import shooting_oracle
@@ -226,7 +228,7 @@ class TestIntegrate:
     H=st.floats(0.5, 1.5),
     k_ratio=st.floats(-2.8, 2.8),
     tau_ratio=st.floats(-0.83, 0.83),
-    log_scale=st.floats(-3.0, 3.0),
+    log_scale=st.floats(-8.0, 8.0),
 )
 def test_energy_is_invariant_under_rescaling(H, k_ratio, tau_ratio, log_scale):
     # scaling the metric by lambda^2 maps E(k, tau) to E(k/lambda^2, tau/lambda),
@@ -442,6 +444,22 @@ class TestExistence:
         with pytest.raises(ExistenceViolation, match="apex 1/\\|H\\| reaches the domain radius"):
             generate(GeometryParams(k, 0.0), H)
 
+    @pytest.mark.parametrize("k, tau, H", [(0.0, 0.0, 1e-6), (1e-30, 0.0, 1e-9)])
+    def test_spheres_far_from_unit_size_exist(self, k, tau, H):
+        # the H = 1 sphere scaled by 1e6, and one whose J rounds to 1e-7 at u ~ 1e9
+        p = generate_cmc_sphere(GeometryParams(k, tau), H)
+        assert abs(energy(p).E - 4.0 * math.pi) <= ENERGY_TOL
+
+    def test_both_generators_apply_one_apex_rule(self):
+        # 1 + k/(4 H^2) = 2e-10 lies below the margin: neither generator builds the sphere
+        g = GeometryParams(-4.0, 0.0)
+        messages = []
+        for generate in (generate_cmc_sphere, lambda g, H: sphere_from_modes(g, H, [0.0])):
+            with pytest.raises(ExistenceViolation, match="apex 1/\\|H\\| reaches") as info:
+                generate(g, 1.0000000001)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
     def test_minimal_sphere_rejected_for_positive_k(self):
         with pytest.raises(ExistenceViolation, match="H != 0"):
             generate_cmc_sphere(GeometryParams(1.0, 0.3), 0.0)
@@ -449,6 +467,25 @@ class TestExistence:
     def test_zero_H_rejected_for_flat_base(self):
         with pytest.raises(ExistenceViolation):
             generate_cmc_sphere(GeometryParams(0.0, 0.5), 0.0)
+
+
+@given(
+    log_H=st.floats(-8.0, 8.0),
+    ratio=st.one_of(
+        st.floats(-5.0, 5.0),
+        st.floats(0.0, 16.0).map(lambda e: -4.0 * (1.0 - 10.0**-e)),
+    ),
+    dims=st.integers(1, 3),
+)
+def test_zero_shape_is_admissible_wherever_the_sphere_exists(log_H, ratio, dims):
+    # existence and admissibility apply one apex rule to the same float 1/|H|
+    H = 10.0**log_H
+    g = GeometryParams(ratio * H * H, 0.0)
+    try:
+        _require_sphere_exists(g, H)
+    except ExistenceViolation:
+        return
+    assert _require_admissible(g, H, np.zeros(dims)).u_max == 1.0 / H
 
 
 class TestReducedSineRatio:
@@ -648,11 +685,9 @@ class TestProfileContainer:
         assert q.closure is Closure.CLOSED_SPHERE
         assert q.mean_curvature == p.mean_curvature
         assert q.geometry == p.geometry
-        # the sidecar records the tolerances the generator ran with
+        # the sidecar records the bound the generator's profile was checked at
         assert q.tolerances == p.tolerances
-        assert q.tolerances == {
-            "conservation": 1e-8, "closure_identity": 1e-8, "axis_epsilon": 1e-5
-        }
+        assert q.tolerances == {"axis_epsilon": 1e-5}
 
     def test_turning_angle_round_trip_is_exact(self, tmp_path, perturbed):
         p = perturbed(0.0, 0.5, 1.0, 0.1, 1)

@@ -7,7 +7,7 @@ Usage::
 Each argument is a directory that holds the ``thurston_willmore`` package
 (a checkout's ``src``).  For each tree, in a temporary directory of its
 own, the script runs the README's command block in order, then
-``EXTRA_RUNS``: 53 ``tw`` runs in all, as ``python -m
+``EXTRA_RUNS``: 57 ``tw`` runs in all, as ``python -m
 thurston_willmore.cli`` with that tree first on ``PYTHONPATH``.  Every
 path is relative to the temporary directory, so no output names it.
 After each run it reads every file in the directory.  It prints each
@@ -36,10 +36,11 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 # profile files with no rows, a NaN sample or an infinite last s, a config
 # file with the retired generator and integrator tolerances (its profile
 # must equal the README's sphere.csv), a retired generator tolerance flag,
-# spheres far from unit size, two whose apex reaches the domain radius to
-# within 1e-12 (k = -4 and k = -1e6: nonexistence, exit 2), one whose
-# samples next to sigma = pi round to pi (exit 5), and every command's
-# help.
+# spheres far from unit size (generated, and radius 1e-7 and 1e-3 in the
+# minimality suite), spheres whose apex reaches the domain radius to within
+# the apex margin (k = -4 and k = -1e6: nonexistence, exit 2; also in the
+# minimality suite), one whose samples next to sigma = pi round to pi
+# (exit 5), and every command's help.
 EXTRA_RUNS = [
     "tw generate --k 0 --tau 0.5 --H 1 --format json -o sphere.json",
     "tw generate --k 0 --tau 0.5 --H 1 --epsilon 0.1 --mode 2 --format json -o mode2.json",
@@ -82,10 +83,14 @@ EXTRA_RUNS = [
     "cmp sphere.csv retired.csv",
     "tw generate --k 0 --tau 0.5 --H 1 --tol-closure-identity 1e-8 -o retired_flag.csv",
     "tw generate --k 0 --tau 0 --H 2000 -o big.csv",
+    "tw generate --k 0 --tau 0 --H 1e-6 -o huge.csv",
+    "tw generate --k 1e-30 --tau 0 --H 1e-9 -o huge_positive_k.csv",
     "tw generate --k -4 --tau 0 --H 1.0000000000008 -o edge.csv",
     "tw generate --k -1000000 --tau 0 --H 500.00000000000006 -o edge_small.csv",
     "tw generate --k 4 --tau 0 --H 1e-14 -o flat_turn.csv",
     "tw verify minimality --k 0 --tau 0 --H 902 --out min_902.json",
+    "tw verify minimality --k 0 --tau 0 --H 1e7 --out min_1e7.json",
+    "tw verify minimality --k -4 --tau 0 --H 1.0000000001 --out min_edge.json",
     "tw --help",
     "tw verify --help",
     "tw generate --help",
