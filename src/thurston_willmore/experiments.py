@@ -37,6 +37,7 @@ from .functional import (
     _energy_weight,
     _mean_curvature,
     _pole_safe_ratio,
+    _turning_angle_energy,
 )
 from .geometry import GeometryParams, _a_squared, _b_factor, _record_dict
 from .numerics import derivative1, sample_quadrature
@@ -49,12 +50,13 @@ from .profile import (
     Tolerances,
     generate_cmc_sphere,
     perturbed_sphere,
-    sphere_from_modes,
     _family_half_rule,
     _family_nodes,
     _family_panels,
+    _mode_samples,
     _require_admissible,
     _require_sphere_exists,
+    _turning_angle_grid,
 )
 
 __all__ = [
@@ -267,7 +269,7 @@ def weak_form_variation(
     velocity: str,
 ) -> float:
     """First variation through the weak form: integral of residual * phi dmu."""
-    f = _ProfileFields(profile)
+    f = _ProfileFields.of(profile)
     res = el_residual(profile, coeffs)
     phi = _velocity_profile(velocity, profile)
     m = INTERIOR_MARGIN
@@ -391,18 +393,19 @@ def verify_minimality(
 ) -> MinimalityReport:
     """Check that the CMC sphere minimizes E_{alpha,beta} within the competitor family.
 
-    ``coeffs`` defaults to the canonical pair.  Passing requires the
-    baseline CMC sphere to sit at 4 pi within ``tolerances.energy``, every
-    admissible perturbed sphere to exceed it by more than
-    ``tolerances.min_excess``, and every second summand to equal 4 pi
-    within ``tolerances.second_summand``.  Grid
-    entries whose shape is not a regular profile are reported as
-    inadmissible, never fatal.  The report also lists |E(+eps) - E(-eps)| per admissible pair; the energy of this
-    family is measurably asymmetric in eps (the shapes are not congruent),
-    so the gaps are diagnostics rather than thresholds.  With non-canonical
-    coefficients (plain Willmore, say) the baseline misses 4 pi outside the
-    space forms and the suite fails: the negative control.  The second
-    summands are the canonical split's and do not depend on ``coeffs``.
+    ``coeffs`` defaults to the canonical pair.  Passing requires the baseline
+    CMC sphere to sit at 4 pi within ``tolerances.energy``, every admissible
+    perturbed sphere to exceed it by more than ``tolerances.min_excess``, and
+    every second summand to equal 4 pi within ``tolerances.second_summand``.
+    Perturbed spheres are evaluated from their samples with no Profile, bit for
+    bit :func:`energy` of :func:`perturbed_sphere`; a shape that is not a
+    regular profile is reported as inadmissible, never fatal.  The report also
+    lists |E(+eps) - E(-eps)| per admissible pair; the energy of this family is
+    measurably asymmetric in eps (the shapes are not congruent), so the gaps are
+    diagnostics rather than thresholds.  With non-canonical coefficients (plain
+    Willmore, say) the baseline misses 4 pi outside the space forms and the
+    suite fails: the negative control.  The second summands are the canonical
+    split's and do not depend on ``coeffs``.
     """
     if grid is None:
         grid = default_perturbation_grid()
@@ -412,12 +415,12 @@ def verify_minimality(
     entries = []
     for spec in grid:
         try:
-            p = perturbed_sphere(g, H, spec, n_samples=n_samples)
+            samples = _mode_samples(g, H, [0.0] * (spec.mode - 1) + [spec.epsilon], n_samples)
         except InadmissiblePerturbation as exc:
             entries.append(MinimalityEntry(spec.epsilon, spec.mode, False, error=str(exc)))
             continue
-        rep = energy(p, coeffs)
-        entries.append(MinimalityEntry(spec.epsilon, spec.mode, True, rep.E, rep.second_summand))
+        E, second = _turning_angle_energy(g, coeffs, samples["u"], samples["ds_dsigma"])
+        entries.append(MinimalityEntry(spec.epsilon, spec.mode, True, E, second))
     values = {(e.epsilon, e.mode): e.E for e in entries if e.admissible}
     gaps = {}
     for (eps, mode), e_plus in values.items():
@@ -567,8 +570,8 @@ class DescentReport:
     ``stop_reason`` is "converged", "iteration budget used up" (after
     ``max_iterations`` steps), "line search stalled" (no step, however
     short, lowered the energy enough) or "final shape check failed" (the
-    loop criterion held, but the energy of the shape rebuilt by
-    :func:`sphere_from_modes` missed 4 pi).
+    loop criterion held, but the energy of the samples of the final shape
+    that :func:`sphere_from_modes` takes missed 4 pi).
     ``hessian_eigenvalues`` are the ascending eigenvalues of d^2E/dc^2 at
     c = 0, the CMC sphere: the second variation inside the family.
     ``failure`` (not serialized) names the stop reason of a failed descent.
@@ -626,8 +629,8 @@ def descend_energy(
     0.03; a start that cannot be pulled in raises
     :class:`InadmissiblePerturbation`.  Convergence means every coefficient
     below ``tolerances.descent_coeff`` and the energy within
-    ``tolerances.energy`` of 4 pi, on the final shape rebuilt by
-    :func:`sphere_from_modes` with ``n_samples`` samples.
+    ``tolerances.energy`` of 4 pi, on the ``n_samples`` samples of the final
+    shape that :func:`sphere_from_modes` takes, evaluated with no Profile.
     """
     _require_sphere_exists(g, H_init)
     coeff_tol, energy_tol = tolerances.descent_coeff, tolerances.energy
@@ -683,11 +686,12 @@ def descend_energy(
         c, f_val = candidate, f_new
         _, grad, hess = _family_energy(g, H_init, c, derivatives=True)
 
-    final_profile = sphere_from_modes(g, H_init, c, n_samples=n_samples)
-    final_energy = energy(final_profile).E
-    sin_sig = np.sin(final_profile.sigma)
-    refit = float(np.dot(sin_sig, final_profile.u) / np.dot(final_profile.u, final_profile.u))
-    identity_residual = float(np.abs(sin_sig - refit * final_profile.u).max())
+    final = _mode_samples(g, H_init, c, n_samples)
+    u = final["u"]
+    final_energy, _ = _turning_angle_energy(g, canonical_coefficients(g), u, final["ds_dsigma"])
+    sin_sig = _turning_angle_grid(n_samples)[1]
+    refit = float(np.dot(sin_sig, u) / np.dot(u, u))
+    identity_residual = float(np.abs(sin_sig - refit * u).max())
     if stop_reason == "converged" and not abs(final_energy - FOUR_PI) < energy_tol:
         stop_reason = "final shape check failed"
     gradient_norm = float(np.linalg.norm(grad))

@@ -31,7 +31,7 @@ import numpy as np
 
 from .geometry import GeometryParams, _a_squared, _b_factor, _k_bar, _record_dict
 from .numerics import derivative1, derivative2, sample_quadrature, sample_quadrature_with_error
-from .profile import Closure, Profile
+from .profile import Closure, Profile, _grid_rates
 
 __all__ = [
     "INTERIOR_MARGIN",
@@ -185,34 +185,33 @@ def h_squared_identity_check(g: GeometryParams, u, sigma, dsigma_ds):
 
 
 class _ProfileFields:
-    """Arrays of derived quantities along a profile's samples.
+    """Arrays of derived quantities along samples of spacing ``h``: :meth:`of` a profile's.
 
     Two flavors of the turning rate coexist.  ``sigma_dot`` (stencil
-    spacing 1) feeds the energy integrands and the pointwise mean curvature
-    ``H``: single differentiation barely amplifies sample noise and the
-    truncation error is smallest.  The residual path (``gauss_curvature``,
-    ``div_nuT``, ``laplacian_H`` and the matching ``H_smooth``) uses
-    spacing ``FD_STRIDE``, since nesting stencils turns sample-level
-    roundoff into the dominant error otherwise.
+    spacing 1; a caller that holds it sets it) feeds the energy integrands
+    and the pointwise mean curvature ``H``: single differentiation barely
+    amplifies sample noise and the truncation error is smallest.  The
+    residual path (``gauss_curvature``, ``div_nuT``, ``laplacian_H`` and the
+    matching ``H_smooth``) uses spacing ``FD_STRIDE``, since nesting
+    stencils turns sample-level roundoff into the dominant error otherwise.
     """
 
-    def __init__(self, profile: Profile):
-        g = profile.geometry
-        self.g = g
-        self.h = profile.spacing
-        u = profile.u
-        sig = profile.sigma
-
-        self.u = u
-        self.sigma = sig
+    def __init__(self, g: GeometryParams, u, sigma, h, sin_sig, cos_sig):
+        self.g, self.h, self.u, self.sigma = g, h, u, sigma
         self.A = np.sqrt(_a_squared(g, u))
         self.B = _b_factor(g, u)
         self.mu = u * self.A / self.B
-        self.sin = np.sin(sig)
-        self.cos = np.cos(sig)
-        self.u_dot = self.B * self.cos  # definition of sigma, exact on samples
-        self.nu = self.cos / self.A
-        self.K_bar = _k_bar(g, self.nu)
+        self.sin, self.cos = sin_sig, cos_sig
+        self.nu = cos_sig / self.A
+
+    @classmethod
+    def of(cls, profile: Profile) -> "_ProfileFields":
+        sig = profile.sigma
+        return cls(profile.geometry, profile.u, sig, profile.spacing, np.sin(sig), np.cos(sig))
+
+    @cached_property
+    def K_bar(self) -> np.ndarray:
+        return _k_bar(self.g, self.nu)
 
     # Stencil quantities are built lazily: the energy path reads only the
     # spacing-1 ones, the residual path only the spacing-``FD_STRIDE`` ones.
@@ -277,7 +276,7 @@ class _ProfileFields:
         Hd = self.strided(derivative1, H)
         Hdd = self.strided(derivative2, H)
         t = 1.0 + tau * tau * u * u / (A * A) - 0.5 * k * u * u / B
-        return Hdd + t * self.u_dot * _pole_safe_ratio(u, Hd, 0.0)
+        return Hdd + t * (B * self.cos) * _pole_safe_ratio(u, Hd, 0.0)  # t u' H'/u
 
 
 def surface_fields(profile: Profile) -> dict[str, np.ndarray]:
@@ -292,7 +291,7 @@ def surface_fields(profile: Profile) -> dict[str, np.ndarray]:
     needs at least ``5 * FD_STRIDE`` (20) samples.  Their pole samples are
     extrapolated: read edge values ``INTERIOR_MARGIN`` samples off each pole.
     """
-    f = _ProfileFields(profile)
+    f = _ProfileFields.of(profile)
     return {
         "H": f.H,
         "K": f.gauss_curvature(),
@@ -311,25 +310,9 @@ def _require_closed(profile: Profile) -> None:
         raise ValueError("operation requires a ClosedSphere profile; got an open profile")
 
 
-def energy(profile: Profile, coeffs: FunctionalCoefficients | None = None) -> EnergyReport:
-    """Evaluate E_{alpha,beta}, its canonical decomposition, W, and the area.
-
-    The reported ``quadrature_error`` is the stride-2 Richardson estimate
-    for the E integral.
-    """
-    _require_closed(profile)
-    f = _ProfileFields(profile)
-    g = profile.geometry
-    if coeffs is None:
-        coeffs = canonical_coefficients(g)
-    k, tau = g.k, g.tau
-    h = f.h
-
-    e_value, e_err = sample_quadrature_with_error(_energy_weight(g, coeffs, f.H, f.nu) * f.mu, h)
-
-    # Canonical split: nonnegative square plus the topological integrand.
-    square = f.sigma_dot - f.ratio - 0.25 * k * f.u * f.sin
-    first = 0.25 * square * square * f.mu
+def _energy_densities(f: _ProfileFields, coeffs: FunctionalCoefficients) -> tuple:
+    """The integrands of E_{alpha,beta} and of the canonical second summand, per unit arclength."""
+    k, tau = f.g.k, f.g.tau
     # (sigma' sin/u) mu cancels the 1/u against mu = u A / B.
     second = (
         f.sigma_dot * f.sin * f.A / f.B
@@ -337,6 +320,26 @@ def energy(profile: Profile, coeffs: FunctionalCoefficients | None = None) -> En
         + (0.25 * k - tau * tau) * (f.cos * f.cos / (f.A * f.A)) * f.mu
         + 0.25 * k * f.mu
     )
+    return _energy_weight(f.g, coeffs, f.H, f.nu) * f.mu, second
+
+
+def energy(profile: Profile, coeffs: FunctionalCoefficients | None = None) -> EnergyReport:
+    """Evaluate E_{alpha,beta}, its canonical decomposition, W, and the area.
+
+    The reported ``quadrature_error`` is the stride-2 Richardson estimate
+    for the E integral.
+    """
+    _require_closed(profile)
+    f = _ProfileFields.of(profile)
+    if coeffs is None:
+        coeffs = canonical_coefficients(profile.geometry)
+    h = f.h
+    density, second = _energy_densities(f, coeffs)
+    e_value, e_err = sample_quadrature_with_error(density, h)
+
+    # Canonical split: nonnegative square plus the topological integrand.
+    square = f.sigma_dot - f.ratio - 0.25 * f.g.k * f.u * f.sin
+    first = 0.25 * square * square * f.mu
     willmore = (f.H * f.H + f.K_bar) * f.mu
 
     two_pi = 2.0 * math.pi
@@ -348,6 +351,16 @@ def energy(profile: Profile, coeffs: FunctionalCoefficients | None = None) -> En
         area=two_pi * sample_quadrature(f.mu, h),
         quadrature_error=two_pi * e_err,
     )
+
+
+def _turning_angle_energy(g: GeometryParams, coeffs: FunctionalCoefficients, u, ds_dsigma):
+    """E and second summand of :func:`profile._mode_samples`' u and ds/dsigma, as :func:`energy`."""
+    sigma, sin_sig, cos_sig, step, stencil = _grid_rates(u.size)
+    spacing = ds_dsigma * step
+    f = _ProfileFields(g, u, sigma, spacing, sin_sig, cos_sig)
+    f.sigma_dot = stencil / spacing
+    density, second = _energy_densities(f, coeffs)
+    return tuple(2.0 * math.pi * sample_quadrature(y, spacing) for y in (density, second))
 
 
 def el_residual(profile: Profile, coeffs: FunctionalCoefficients) -> np.ndarray:
@@ -365,7 +378,7 @@ def el_residual(profile: Profile, coeffs: FunctionalCoefficients) -> np.ndarray:
     off each pole.
     """
     _require_closed(profile)
-    f = _ProfileFields(profile)
+    f = _ProfileFields.of(profile)
     g = profile.geometry
     k, tau = g.k, g.tau
     H = f.H_smooth
@@ -397,7 +410,7 @@ def willmore_relation_check(profile: Profile) -> float:
     result is roundoff-small for any closed profile.
     """
     _require_closed(profile)
-    f = _ProfileFields(profile)
+    f = _ProfileFields.of(profile)
     g = profile.geometry
     report = energy(profile, canonical_coefficients(g))
     correction = (-0.75 * f.K_bar + 0.25 * g.k - 0.25 * g.tau * g.tau) * f.mu
@@ -418,11 +431,11 @@ def second_summand_derivative_check(profile: Profile) -> float:
         raise ValueError(
             f"profile has {n} samples; the second-summand check needs at least {2 * m + 1}"
         )
-    f = _ProfileFields(profile)
+    f = _ProfileFields.of(profile)
     g = profile.geometry
     k, tau = g.k, g.tau
     u, A, B = f.u, f.A, f.B
-    u_dot = f.u_dot
+    u_dot = B * f.cos  # definition of sigma, exact on samples
     u_ddot = derivative1(u_dot, f.h)
     integrand = -u_ddot * A / (B * B) + (
         u * u_dot * u_dot / (B * B * B)
@@ -438,6 +451,6 @@ def gauss_bonnet_total(profile: Profile) -> float:
     Uses K mu = -(mu)'' directly, which is finite through the poles.
     """
     _require_closed(profile)
-    f = _ProfileFields(profile)
+    f = _ProfileFields.of(profile)
     return -2.0 * math.pi * sample_quadrature(f.strided(derivative2, f.mu), f.h)
 

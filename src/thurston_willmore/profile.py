@@ -67,6 +67,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
 from .geometry import GeometryParams, _a_squared, _b_factor
+from .numerics import _derivative1_unit
 
 __all__ = [
     "Tolerances",
@@ -214,35 +215,9 @@ class Profile:
         n = self.u.size
         if n < 5:
             raise ValueError("profile needs at least 5 samples")
-        built = [name for name in self._columns() if name not in self._deferred]
-        if any(getattr(self, name).size != n for name in built):
-            raise ValueError("sample arrays must have equal length")
-        # first, since NaN passes the checks below and inf warns in them
-        for name in built:
-            if not np.isfinite(getattr(self, name)).all():
-                raise ValueError(f"{name} samples must be finite")
-        if self.ds_dsigma is not None and not self.ds_dsigma.min() > 0.0:
-            raise ValueError(f"{_SPEED_COLUMN} must be positive")
-        if "s" not in self._deferred:
-            ds = np.diff(self.s)
-            if not ds.min() > 0.0:
-                raise ValueError("samples must be strictly increasing in s")
-        if self.u.min() < 0.0:
-            raise ValueError("u must be nonnegative")
-        if self.u[1:-1].min() <= 0.0:
-            raise ValueError("interior samples must have u > 0")
-        if self.u.max() >= self.geometry.domain_radius:
-            raise ValueError("profile leaves the domain of the geometry")
-        if self.closure is Closure.CLOSED_SPHERE:
-            if self.u[0] > AXIS_EPSILON or self.u[-1] > AXIS_EPSILON:
-                raise ValueError("closed sphere must start and end on the axis")
-            if abs(self.sigma[0]) > 1e-3 or abs(self.sigma[-1] - math.pi) > 1e-3:
-                raise ValueError("closed sphere must turn from sigma=0 to sigma=pi")
-        d = ds if self.ds_dsigma is None else np.diff(self.sigma)
-        h = float(d.mean())
-        # np.isclose's criterion against the mean step, rtol 1e-8 and atol 1e-13
-        if not (np.abs(d - h) <= 1e-13 + 1e-8 * abs(h)).all():
-            raise ValueError(f"profile samples are not uniformly spaced in {self.parametrization}")
+        columns = {c: getattr(self, c) for c in self._columns() if c not in self._deferred}
+        closed = self.closure is Closure.CLOSED_SPHERE
+        h = _check_samples(columns, n, self.geometry, closed, self.parametrization)
         self.spacing = h if self.ds_dsigma is None else self.ds_dsigma * h
         if self.ds_dsigma is not None:
             self.spacing.flags.writeable = False
@@ -254,13 +229,9 @@ class Profile:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         # The builder stays: a thread that raced this one past the attribute
         # lookup builds the same bits, and setdefault hands both the first array kept.
-        for column, arr in build().items():
-            if arr.size != self.u.size:
-                raise ValueError("sample arrays must have equal length")
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{column} samples must be finite")
-            if column == "s" and not np.diff(arr).min() > 0.0:
-                raise ValueError("samples must be strictly increasing in s")
+        columns = build()
+        _check_samples(columns, self.u.size)
+        for column, arr in columns.items():
             arr.flags.writeable = False
             self.__dict__.setdefault(column, arr)
         return self.__dict__[name]
@@ -377,6 +348,43 @@ class Profile:
         return cls._from_metadata(
             data, *(np.array([float(x) for x in samples[name]]) for name in columns)
         )
+
+
+def _check_samples(columns: dict, n: int, g=None, closed=False, uniform_in=None) -> float | None:
+    """:class:`Profile`'s checks, in its order, of the sample ``columns`` at hand, ``n`` each.
+
+    u is checked against the domain of ``g``, the ends of u and sigma when
+    ``closed``, and with ``uniform_in`` (the parametrization) the steps of s
+    or sigma: each within 1e-8 of their mean, relative, which is returned.
+    """
+    if any(arr.size != n for arr in columns.values()):
+        raise ValueError("sample arrays must have equal length")
+    # first, since NaN passes the checks below and inf warns in them
+    for name, arr in columns.items():
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} samples must be finite")
+    if _SPEED_COLUMN in columns and not columns[_SPEED_COLUMN].min() > 0.0:
+        raise ValueError(f"{_SPEED_COLUMN} must be positive")
+    if "s" in columns and not np.diff(columns["s"]).min() > 0.0:
+        raise ValueError("samples must be strictly increasing in s")
+    u, sigma = columns.get("u"), columns.get("sigma")
+    if u is not None:
+        if u.min() < 0.0:
+            raise ValueError("u must be nonnegative")
+        if u[1:-1].min() <= 0.0:
+            raise ValueError("interior samples must have u > 0")
+        if u.max() >= g.domain_radius:
+            raise ValueError("profile leaves the domain of the geometry")
+        if closed and (u[0] > AXIS_EPSILON or u[-1] > AXIS_EPSILON):
+            raise ValueError("closed sphere must start and end on the axis")
+    if closed and sigma is not None and (abs(sigma[0]) > 1e-3 or abs(sigma[-1] - math.pi) > 1e-3):
+        raise ValueError("closed sphere must turn from sigma=0 to sigma=pi")
+    if uniform_in is not None:
+        d = np.diff(columns["s" if uniform_in == ARCLENGTH else "sigma"])
+        h = float(d.mean())
+        if not (np.abs(d - h) <= 1e-8 * abs(h)).all():
+            raise ValueError(f"profile samples are not uniformly spaced in {uniform_in}")
+        return h
 
 
 def _write_csv(path: Path, columns, arrays) -> None:
@@ -777,6 +785,16 @@ def _turning_angle_grid(n_samples: int) -> tuple[np.ndarray, ...]:
     return grid
 
 
+@lru_cache(maxsize=4)
+def _grid_rates(n_samples: int) -> tuple:
+    """sigma, sin, cos, step and d sigma/di of the read-only grid; sigma checked as by Profile."""
+    sigma, sin_sig, cos_sig = _turning_angle_grid(n_samples)[:3]
+    step = _check_samples({"sigma": sigma}, n_samples, closed=True, uniform_in=TURNING_ANGLE)
+    stencil = _derivative1_unit(sigma, 1.0, 1)
+    stencil.flags.writeable = False
+    return sigma, sin_sig, cos_sig, step, stencil
+
+
 def _family_nodes(g: GeometryParams, h_abs: float, shape: _ModeShape, sin_sig, t) -> tuple:
     """P, N, u, B and ds/dsigma of a family shape at sin(sigma) and t = cos(2 sigma).
 
@@ -814,6 +832,35 @@ def _heights_bounded(g: GeometryParams, h_abs: float, shape: _ModeShape, n_sampl
     )
 
 
+def _mode_samples(g: GeometryParams, H: float, coeffs, n_samples: int) -> dict:
+    """The columns but sigma of :func:`sphere_from_modes` (s and v as described there).
+
+    Checked as :class:`Profile` checks them, sigma once per sample count in :func:`_grid_rates`.
+    """
+    _require_sphere_exists(g, H)
+    if n_samples < 9 or n_samples % 2 == 0:
+        raise ValueError("n_samples must be odd and at least 9")
+    coeffs = np.atleast_1d(np.asarray(coeffs, dtype=float))
+    h_abs = abs(H)
+    shape = _require_admissible(g, h_abs, coeffs)
+    _, sin_samples, _, t_samples, sin_nodes, _, t_nodes, weights = _turning_angle_grid(n_samples)
+
+    def heights() -> dict:
+        _, _, u_nodes, _, ds_nodes = _family_nodes(g, h_abs, shape, sin_nodes, t_nodes)
+        s = _mirrored_running_sum(ds_nodes * weights)
+        v = _mirrored_running_sum(np.sqrt(_a_squared(g, u_nodes)) * sin_nodes * ds_nodes * weights)
+        return {"s": s, "v": v}
+
+    bounded = _heights_bounded(g, h_abs, shape, n_samples)
+    summed = {} if bounded else _finite_heights(heights())
+    _, _, u, _, ds_dsigma = _family_nodes(g, h_abs, shape, sin_samples, t_samples)
+    u[[0, -1]] = 0.0
+    # summed s and v are finite, so checking them first reads as Profile's order s, u, v
+    columns = {**summed, "u": u, _SPEED_COLUMN: ds_dsigma}
+    _check_samples(columns, n_samples, g, closed=True)
+    return {**columns, **dict.fromkeys(("s", "v") if bounded else (), heights)}
+
+
 def sphere_from_modes(
     g: GeometryParams,
     H: float,
@@ -847,40 +894,14 @@ def sphere_from_modes(
     count (:func:`_turning_angle_grid`).  ``n_samples`` must be odd so the
     equator is a sample.
     """
-    _require_sphere_exists(g, H)
-    if n_samples < 9 or n_samples % 2 == 0:
-        raise ValueError("n_samples must be odd and at least 9")
-    coeffs = np.atleast_1d(np.asarray(coeffs, dtype=float))
-    h_abs = abs(H)
-    shape = _require_admissible(g, h_abs, coeffs)
-
-    sigma, sin_samples, _, t_samples, sin_nodes, _, t_nodes, weights = _turning_angle_grid(n_samples)
-
-    def heights() -> dict:
-        _, _, u_nodes, _, ds_nodes = _family_nodes(g, h_abs, shape, sin_nodes, t_nodes)
-        s = _mirrored_running_sum(ds_nodes * weights)
-        v = _mirrored_running_sum(np.sqrt(_a_squared(g, u_nodes)) * sin_nodes * ds_nodes * weights)
-        return {"s": s, "v": v}
-
-    if _heights_bounded(g, h_abs, shape, n_samples):
-        columns = dict.fromkeys(("s", "v"), heights)
-    else:
-        columns = _finite_heights(heights())
-    _, _, u, _, ds_dsigma = _family_nodes(g, h_abs, shape, sin_samples, t_samples)
-    u[0] = 0.0
-    u[-1] = 0.0
-
-    is_cmc = not coeffs.any()
     return Profile(
-        **columns,
-        u=u,
-        sigma=sigma,
+        **_mode_samples(g, H, coeffs, n_samples),
+        sigma=_turning_angle_grid(n_samples)[0],
         geometry=g,
-        mean_curvature=h_abs if is_cmc else None,
+        mean_curvature=None if np.asarray(coeffs, dtype=float).any() else abs(H),
         closure=Closure.CLOSED_SPHERE,
         orientation=1 if H > 0 else -1,
         parametrization=TURNING_ANGLE,
-        ds_dsigma=ds_dsigma,
     )
 
 

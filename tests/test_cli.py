@@ -16,7 +16,6 @@ from thurston_willmore import (
     Tolerances,
     energy,
     generate_cmc_sphere,
-    sphere_from_modes,
 )
 from thurston_willmore import cli, experiments, functional, profile
 from thurston_willmore.cli import load_profile, main
@@ -412,12 +411,14 @@ class TestVerify:
     def test_descent_builds_final_sphere_with_samples_flag(self, tmp_path, monkeypatch):
         built = []
 
-        def spy(*args, **kwargs):
-            profile = sphere_from_modes(*args, **kwargs)
-            built.append(len(profile))
-            return profile
+        real = experiments._mode_samples
 
-        monkeypatch.setattr(experiments, "sphere_from_modes", spy)
+        def spy(*args, **kwargs):
+            samples = real(*args, **kwargs)
+            built.append(len(samples["u"]))
+            return samples
+
+        monkeypatch.setattr(experiments, "_mode_samples", spy)
         out = tmp_path / "descent.json"
         code = run(
             ["verify", "descent", "--k", 0, "--tau", 0.5, "--H", 1,

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from thurston_willmore import (
     FunctionalCoefficients,
@@ -16,7 +18,7 @@ from thurston_willmore import (
     generate_cmc_sphere,
     sphere_from_modes,
 )
-from thurston_willmore import experiments
+from thurston_willmore import experiments, functional, profile
 from thurston_willmore.experiments import (
     SECOND_SUMMAND_TOL,
     SweepSpec,
@@ -307,14 +309,80 @@ class TestMinimality:
 
 def _second_summands(monkeypatch, baseline: float, competitor: float) -> None:
     """Make the suite's energies report these second summands, by the sphere they evaluate."""
-    real = experiments.energy
+    real_energy, real_kernel = experiments.energy, experiments._turning_angle_energy
 
     def patched(profile, coeffs=None):
-        # the baseline CMC sphere is sampled in arclength, competitors in turning angle
-        summand = baseline if profile.parametrization == "arclength" else competitor
-        return dataclasses.replace(real(profile, coeffs), second_summand=summand)
+        # the baseline CMC sphere is a Profile; competitors go through the array kernel
+        return dataclasses.replace(real_energy(profile, coeffs), second_summand=baseline)
 
     monkeypatch.setattr(experiments, "energy", patched)
+    monkeypatch.setattr(
+        experiments, "_turning_angle_energy", lambda *args: (real_kernel(*args)[0], competitor)
+    )
+
+
+def _outcome(compute):
+    """The hex digits of each float ``compute`` returns, or the type and text of what it raises."""
+    try:
+        return tuple(float.hex(x) for x in compute())
+    except Exception as exc:  # the outcome compared, whatever it is
+        return type(exc), str(exc)
+
+
+class TestCompetitorArrays:
+    """The suites evaluate mode spheres from their samples, as energy does their Profiles."""
+
+    @given(
+        k=st.floats(-3.0, 3.0),
+        tau=st.floats(-2.0, 2.0),
+        H=st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([1.0, -1.0]), st.floats(-6, 6)),
+        c=st.integers(1, 3).flatmap(
+            lambda dims: st.tuples(*(st.floats(-0.3 / m**2, 0.3 / m**2) for m in range(1, dims + 1)))
+        ),
+        plain=st.booleans(),
+        n_samples=st.sampled_from([9, 257, 2049]),
+    )
+    @example(k=-1.0, tau=0.0, H=0.6, c=(0.19999999,), plain=False, n_samples=2049)  # regularity edge
+    @example(k=0.0, tau=0.5, H=1.0, c=(0.2,), plain=False, n_samples=2049)  # N = 0: inadmissible
+    @example(k=0.0, tau=1e200, H=1.0, c=(0.05,), plain=False, n_samples=2049)  # v overflows
+    @example(k=0.0, tau=0.5, H=1e-6, c=(0.1, -0.02), plain=True, n_samples=2049)
+    @example(k=1.0, tau=0.3, H=-1e6, c=(-0.1, 0.02, 0.01), plain=False, n_samples=257)
+    @example(k=-1.0, tau=0.0, H=0.4, c=(0.05,), plain=False, n_samples=2049)  # no sphere
+    def test_array_path_equals_energy_of_the_profile(self, k, tau, H, c, plain, n_samples):
+        g = GeometryParams(k, tau)
+        coeffs = FunctionalCoefficients.plain_willmore() if plain else canonical_coefficients(g)
+
+        def arrays():
+            samples = profile._mode_samples(g, H, c, n_samples)
+            return functional._turning_angle_energy(g, coeffs, samples["u"], samples["ds_dsigma"])
+
+        def sphere():
+            report = energy(sphere_from_modes(g, H, c, n_samples=n_samples), coeffs)
+            return report.E, report.second_summand
+
+        assert _outcome(arrays) == _outcome(sphere)
+
+    @pytest.fixture
+    def profiles(self, monkeypatch):
+        # one entry per Profile constructed
+        built = []
+        real = profile.Profile.__post_init__
+
+        def counted(self):
+            built.append(self.parametrization)
+            real(self)
+
+        monkeypatch.setattr(profile.Profile, "__post_init__", counted)
+        return built
+
+    def test_minimality_builds_only_the_baseline_profile(self, nil_geometry, profiles):
+        report = verify_minimality(nil_geometry, 1.0)
+        assert sum(e.admissible for e in report.entries) > 0
+        assert profiles == ["arclength"]
+
+    def test_descent_builds_no_profile(self, nil_geometry, profiles):
+        assert descend_energy(nil_geometry, 1.0, 2).converged
+        assert profiles == []
 
 
 class TestDescent:

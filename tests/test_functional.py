@@ -110,7 +110,7 @@ def test_closed_forms_match_the_profile_fields_bit_for_bit():
     assert tau**2 != tau * tau
     g = GeometryParams(-0.5, tau)
     p = generate_cmc_sphere(g, 0.8, n_samples=2049)
-    f = _ProfileFields(p)
+    f = _ProfileFields.of(p)
     assert np.array_equal(orbit_volume_factor(g, p.u), f.mu)
     assert np.array_equal(sectional_curvature(g, f.nu), f.K_bar)
     assert np.array_equal(nu_on_profile(g, p.u, p.sigma), f.nu)
@@ -126,7 +126,7 @@ class TestSurfaceFields:
             p = sphere_from_modes(g, 0.8, [0.05, -0.02])
         else:  # the accessor, unlike the energy, takes open profiles
             p = integrate(g, 0.8, ProfileState(0.0, 0.5, 0.0, 0.3), StopCondition.arclength(2.0))
-        f = _ProfileFields(p)
+        f = _ProfileFields.of(p)
         expected = {
             "H": f.H,
             "K": f.gauss_curvature(),
@@ -243,7 +243,7 @@ class TestDivNuT:
     def test_vanishes_at_equator_and_seams(self, sphere):
         # the driven quantity u cos(sigma) sin(sigma) vanishes at sigma = 0, pi/2
         p = sphere(0.0, 0.5, 1.0)
-        f = _ProfileFields(p)
+        f = _ProfileFields.of(p)
         product = p.u * np.cos(p.sigma) * np.sin(p.sigma)
         i = len(p) // 2
         assert product[i] == pytest.approx(0.0, abs=1e-9)
@@ -372,7 +372,7 @@ class TestIdentities:
 
     def test_h_squared_identity_on_sphere_samples(self, sphere):
         p = sphere(0.0, 0.5, 1.0)
-        f = _ProfileFields(p)
+        f = _ProfileFields.of(p)
         sl = slice(M, -M)
         gap = h_squared_identity_check(
             p.geometry, p.u[sl], p.sigma[sl], f.sigma_dot[sl]

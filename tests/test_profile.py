@@ -608,7 +608,7 @@ class TestProfileContainer:
 
     @pytest.mark.parametrize("parametrization", [ARCLENGTH, TURNING_ANGLE])
     def test_uniform_spacing_is_relative_to_the_mean_step(self, parametrization):
-        # |d - h| <= 1e-13 + 1e-8 |h|, np.isclose's criterion against the mean step h
+        # |d - h| <= 1e-8 |h|, relative to the mean step h
         g = GeometryParams(0.0, 0.0)
         x = np.linspace(0.0, 1.0, 101)
 
@@ -626,6 +626,16 @@ class TestProfileContainer:
             else:
                 with pytest.raises(ValueError, match=f"not uniformly spaced in {parametrization}"):
                     build(y)
+
+    def test_uniform_spacing_has_no_absolute_floor(self):
+        # steps of an H = 1e12 sphere are 1.5e-15: an absolute 1e-13 let 30% jitter pass
+        p = generate_cmc_sphere(GeometryParams(0.0, 0.0), 1e12)
+        columns = dict(u=p.u, v=p.v, sigma=p.sigma, geometry=p.geometry, closure=p.closure)
+        assert Profile(s=p.s, **columns).spacing == p.spacing
+        s = p.s.copy()
+        s[1::2] += 0.3 * p.spacing
+        with pytest.raises(ValueError, match="not uniformly spaced in arclength"):
+            Profile(s=s, **columns)
 
     def test_nan_step_is_not_uniform(self):
         sigma = np.linspace(0.0, 1.0, 9)

@@ -32,7 +32,13 @@ on ``PYTHONPATH``, computes the same seeded items, in groups:
   in the sweep benchmark's mix: per 20 cases, 16 regular (H^2 + k/4 at
   least 0.1), 3 near the existence boundary (k < 0, H^2 + k/4 log-uniform
   in [1e-6, 1e-1]) and 1 without a sphere (H = 0 with k > 0, or
-  H^2 < -k/4).
+  H^2 < -k/4);
+- ``verify``: the full ``verify_criticality`` and ``verify_minimality``
+  reports, each with its failure text and the error text of every
+  inadmissible competitor, of 300 cases in the verify benchmark's mix: per
+  6 regular cases (H^2 + k/4 at least 0.1), 5 with canonical coefficients
+  and 1 plain-Willmore negative control (|k - 4 tau^2| at least 0.1) for
+  the criticality suite; the minimality suite runs canonical throughout.
 
 A failure is recorded as its exception text.  Per group the script prints
 how many items differ in any bit, how many of those were drawn at a tau
@@ -60,6 +66,7 @@ PROFILE_SAMPLES = 1025
 GEOMETRY_DRAWS = 2000
 GRID_TAUS = (-0.5, 0.0, 0.3, 0.5)
 SWEEP_CASES = 600
+VERIFY_CASES = 300
 
 
 def _flat(obj, prefix: str, out: dict) -> dict:
@@ -123,6 +130,16 @@ def _sweep_case(rng, i: int) -> tuple[float, float, float]:
         return k, tau, rng.uniform(0.0, 0.95) * math.sqrt(-0.25 * k)
     k = rng.uniform(-1.0, 1.0)
     return k, tau, rng.uniform(max(0.6, math.sqrt(max(0.0, 0.1 - 0.25 * k))), 1.5)
+
+
+def _verify_case(rng, i: int) -> tuple[float, float, float, bool]:
+    """(k, tau, H, plain) of the verify benchmark's case for position ``i`` in a block of 6."""
+    plain = i % 6 == 5
+    while True:
+        k, tau = rng.uniform(-1.0, 1.0), rng.uniform(-0.6, 0.6)
+        H = rng.uniform(max(0.6, math.sqrt(max(0.0, 0.1 - 0.25 * k))), 1.5)
+        if not plain or abs(k - 4.0 * tau * tau) >= 0.1:
+            return k, tau, H, plain
 
 
 def _surface_fields(p) -> dict:
@@ -195,7 +212,7 @@ def compute() -> dict:
     from thurston_willmore.profile import generate_cmc_sphere, perturbed_sphere, sphere_from_modes
 
     rng = np.random.default_rng(20141016)
-    names = ("family", "acceptance", "descent", "modes", "cmc", "geometry", "sweep")
+    names = ("family", "acceptance", "descent", "modes", "cmc", "geometry", "sweep", "verify")
     groups = {name: [] for name in names}
 
     for i in range(FAMILY_SHAPES):
@@ -255,6 +272,20 @@ def compute() -> dict:
         k, tau, H = _sweep_case(rng, i)
         (row,) = sweep(SweepSpec((k,), (tau,), (H,)))
         groups["sweep"].append((tau, _flat(dataclasses.asdict(row), "row", {})))
+
+    for i in range(VERIFY_CASES):
+        k, tau, H, plain = _verify_case(rng, i)
+        g = geo.GeometryParams(k, tau)
+        coeffs = FunctionalCoefficients.plain_willmore() if plain else None
+        item = {}
+        for name, suite, args in (
+            ("criticality", verify_criticality, (g, H, coeffs)),
+            ("minimality", verify_minimality, (g, H)),
+        ):
+            report = _attempt(item, name, suite, *args)
+            if report is not None:
+                _flat({**report.to_dict(), "failure": report.failure}, name, item)
+        groups["verify"].append((tau, item))
     return groups
 
 
