@@ -365,7 +365,8 @@ def _check_samples(columns: dict, n: int, g=None, closed=False, uniform_in=None)
             raise ValueError(f"{name} samples must be finite")
     if _SPEED_COLUMN in columns and not columns[_SPEED_COLUMN].min() > 0.0:
         raise ValueError(f"{_SPEED_COLUMN} must be positive")
-    if "s" in columns and not np.diff(columns["s"]).min() > 0.0:
+    s_steps = np.diff(columns["s"]) if "s" in columns else None
+    if s_steps is not None and not s_steps.min() > 0.0:
         raise ValueError("samples must be strictly increasing in s")
     u, sigma = columns.get("u"), columns.get("sigma")
     if u is not None:
@@ -380,7 +381,7 @@ def _check_samples(columns: dict, n: int, g=None, closed=False, uniform_in=None)
     if closed and sigma is not None and (abs(sigma[0]) > 1e-3 or abs(sigma[-1] - math.pi) > 1e-3):
         raise ValueError("closed sphere must turn from sigma=0 to sigma=pi")
     if uniform_in is not None:
-        d = np.diff(columns["s" if uniform_in == ARCLENGTH else "sigma"])
+        d = s_steps if uniform_in == ARCLENGTH else np.diff(columns["sigma"])
         h = float(d.mean())
         if not (np.abs(d - h) <= 1e-8 * abs(h)).all():
             raise ValueError(f"profile samples are not uniformly spaced in {uniform_in}")
@@ -732,6 +733,36 @@ def _zero_distance(coef: np.ndarray) -> float:
     return 0.5 * min((abs(cmath.acos(t).imag) for t in _roots(coef)), default=math.inf)
 
 
+# Coefficient vectors whose geometry-free part (_shape_core) stays decided: the
+# 12 shapes of default_perturbation_grid() and the steps of the descents
+# between two suite calls (7-14 distinct shapes per descent).
+_SHAPE_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=_SHAPE_CACHE_SIZE)
+def _shape_core(key: bytes) -> tuple | str:
+    """The geometry-free part of :func:`_require_admissible` for the coefficients ``key``.
+
+    ``key`` holds the float64 coefficients' bytes, so -0.0 and 0.0 are
+    distinct shapes.  Returns the bytes of the P and N series, their ranges
+    and max sqrt((1 - t)/2) P(t), i.e. max u times |H|; or the reason the
+    shape is not a regular profile.  Bytes, not arrays: the memo then keeps
+    no numpy buffer on the malloc heap among the suites' large temporaries
+    (tests/test_page_faults.py).
+    """
+    p, p_ends, n, n_ends = _shape_series(np.frombuffer(key))
+    n_range = _series_range(n, n_ends)
+    if n_range[0] <= 0.0:
+        return f"ds/dsigma <= 0 (min numerator {n_range[0]:.3e}): profile not regular"
+    p_range = _series_range(p, p_ends)
+    if p_range[0] <= 0.0:
+        return "profile radius is not positive on the interior"
+    # u = P(-1)/H at the equator t = -1, 0 at the poles t = 1
+    interior = _interior_points(p @ _series_operators(p.size)[1])
+    u_max = max([p_ends[1], *(math.sqrt(0.5 * (1.0 - t)) * cheb.chebval(t, p) for t in interior)])
+    return p.tobytes(), n.tobytes(), p_range, n_range, float(u_max)
+
+
 def _require_admissible(g: GeometryParams, h_abs: float, coeffs: np.ndarray) -> _ModeShape:
     """Raise :class:`InadmissiblePerturbation` unless the mode shape is a regular profile.
 
@@ -740,29 +771,23 @@ def _require_admissible(g: GeometryParams, h_abs: float, coeffs: np.ndarray) -> 
     points, and max u inside the domain by the generators' apex rule
     (:func:`_apex_inside`, B(max u) > ``_APEX_MARGIN``).  With P > 0 the critical
     points of u^2 = (1 - t) P^2 / (2 H^2) are the roots of 2 (1 - t) P' - P.
-    Ties (a minimum of exactly 0) are inadmissible.  Returns the shape's
-    series, ranges and max u.
+    Ties (a minimum of exactly 0) are inadmissible.  All but the apex rule
+    depend on the coefficients alone and are decided once per coefficient
+    vector (:func:`_shape_core`).  Returns the shape's series (read-only
+    views of the cached bytes), ranges and max u.
     """
     if not np.isfinite(coeffs).all():
         raise ValueError(f"shape coefficients must be finite, got {coeffs}")
-    p, p_ends, n, n_ends = _shape_series(coeffs)
-    n_range = _series_range(n, n_ends)
-    if n_range[0] <= 0.0:
-        raise InadmissiblePerturbation(
-            f"ds/dsigma <= 0 (min numerator {n_range[0]:.3e}): profile not regular"
-        )
-    p_range = _series_range(p, p_ends)
-    if p_range[0] <= 0.0:
-        raise InadmissiblePerturbation("profile radius is not positive on the interior")
-    # u = P(-1)/H at the equator t = -1, 0 at the poles t = 1
-    interior = _interior_points(p @ _series_operators(p.size)[1])
-    u_max = max([p_ends[1], *(math.sqrt(0.5 * (1.0 - t)) * cheb.chebval(t, p) for t in interior)])
-    u_max = float(u_max) / h_abs
+    core = _shape_core(np.asarray(coeffs, dtype=float).tobytes())
+    if isinstance(core, str):
+        raise InadmissiblePerturbation(core)
+    p, n, p_range, n_range, u_max = core
+    u_max = u_max / h_abs
     if not _apex_inside(g, u_max):
         raise InadmissiblePerturbation(
-            f"profile apex {u_max:.6f} leaves the domain (radius {g.domain_radius:.6f})"
+            f"profile apex {u_max:.6g} leaves the domain (radius {g.domain_radius:.6g})"
         )
-    return _ModeShape(p, n, p_range, n_range, u_max)
+    return _ModeShape(np.frombuffer(p), np.frombuffer(n), p_range, n_range, u_max)
 
 
 @lru_cache(maxsize=4)

@@ -121,6 +121,111 @@ class TestExactAdmissibility:
         assert _admissible(g, 0.6, np.array([-0.19]))
         assert not _admissible(g, 0.6, np.array([-0.2]))
 
+    def test_apex_message_is_relative(self):
+        # domain radius 2/sqrt(4e12) = 1e-6, apex 1.05/1.02e6: both below 6 decimals
+        with pytest.raises(InadmissiblePerturbation) as exc:
+            _require_admissible(GeometryParams(-4e12, 0.0), 1.02e6, np.array([-0.05]))
+        assert str(exc.value) == "profile apex 1.02941e-06 leaves the domain (radius 1e-06)"
+
+
+def _decision(g, H, c):
+    """What ``_require_admissible`` returns, bit for bit, or the text it raises."""
+    try:
+        shape = _require_admissible(g, H, c)
+    except InadmissiblePerturbation as exc:
+        return str(exc)
+    values = np.array([*shape.p_range, *shape.n_range, shape.u_max])
+    return shape.p.tobytes(), shape.n.tobytes(), values.tobytes()
+
+
+def _fresh_decision(g, H, c):
+    """:func:`_decision` with the geometry-free part computed anew, bypassing its memo."""
+    with patch.object(profile, "_shape_core", profile._shape_core.__wrapped__):
+        return _decision(g, H, c)
+
+
+class TestShapeMemo:
+    """``_require_admissible`` decides a shape's geometry-free part once per coefficient vector."""
+
+    # apex (1 + 0.2)/0.6 = 2 reaches the domain radius 2 at k = -1; k = 0 has no edge
+    APEX_REJECTING = GeometryParams(-1.0, 0.0)
+    ADMISSIBLE = GeometryParams(0.0, 0.5)
+
+    @pytest.mark.parametrize("first_rejects", [True, False])
+    def test_hit_never_carries_the_apex_decision(self, first_rejects):
+        c = np.array([-0.2])
+        order = [self.APEX_REJECTING, self.ADMISSIBLE]
+        if not first_rejects:
+            order.reverse()
+        profile._shape_core.cache_clear()
+        for g in order:
+            assert _decision(g, 0.6, c) == _fresh_decision(g, 0.6, c)
+        assert profile._shape_core.cache_info()[:2] == (1, 1)  # (hits, misses)
+        with pytest.raises(InadmissiblePerturbation, match="apex"):
+            _require_admissible(self.APEX_REJECTING, 0.6, c)
+        assert _require_admissible(self.ADMISSIBLE, 0.6, c).u_max == 1.2 / 0.6
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_signed_zeros_are_distinct_shapes(self, zero):
+        # the other sign first: keyed on bytes, the memo decides each sign once
+        profile._shape_core.cache_clear()
+        _require_admissible(self.ADMISSIBLE, 1.0, np.array([-zero]))
+        c = np.array([zero])
+        shape = _require_admissible(self.ADMISSIBLE, 1.0, c)
+        p, p_ends, n, n_ends = _shape_series(c)
+        assert shape.p.tobytes() == p.tobytes()
+        assert shape.n.tobytes() == n.tobytes()
+        ranges = [*shape.p_range, *shape.n_range]
+        expected = [*_series_range(p, p_ends), *_series_range(n, n_ends)]
+        assert np.array(ranges).tobytes() == np.array(expected).tobytes()
+        assert _decision(self.ADMISSIBLE, 1.0, c) == _fresh_decision(self.ADMISSIBLE, 1.0, c)
+        assert profile._shape_core.cache_info()[:2] == (1, 2)  # (hits, misses)
+
+    @pytest.mark.parametrize("g, H, c", [
+        (ADMISSIBLE, 1.0, [0.3]),  # min N = 1 - 5 (0.3) < 0
+        (APEX_REJECTING, 0.6, [-0.2]),
+    ])
+    def test_inadmissible_shape_raises_alike_on_miss_and_hit(self, g, H, c):
+        profile._shape_core.cache_clear()
+        raised = []
+        for _ in range(2):
+            with pytest.raises(InadmissiblePerturbation) as exc:
+                _require_admissible(g, H, np.array(c))
+            raised.append((type(exc.value), str(exc.value)))
+        assert profile._shape_core.cache_info()[:2] == (1, 1)
+        assert raised[0] == raised[1]
+
+    def test_series_are_read_only(self):
+        c = np.array([0.1, -0.02])
+        for _ in range(2):  # a miss, then a hit
+            shape = _require_admissible(self.ADMISSIBLE, 1.0, c)
+            for series in (shape.p, shape.n):
+                assert not series.flags.writeable
+                with pytest.raises(ValueError):
+                    series[0] = 0.0
+
+    def test_memo_stays_at_its_bound(self):
+        bound = profile._SHAPE_CACHE_SIZE
+        for i in range(bound + 10):
+            _require_admissible(self.ADMISSIBLE, 1.0, np.array([1e-4 * i, 1e-3]))
+        assert profile._shape_core.cache_info().currsize == bound
+
+    def test_suite_decides_each_competitor_once(self):
+        g, H = self.APEX_REJECTING, 0.6
+        experiments.verify_minimality(g, H)
+        before = profile._shape_core.cache_info()
+        experiments.verify_minimality(g, H)
+        after = profile._shape_core.cache_info()
+        grid = len(experiments.default_perturbation_grid())
+        assert (after.hits - before.hits, after.misses - before.misses) == (grid, 0)
+
+    @given(case_a=cases, case_b=cases, c=coefficients)
+    def test_repeated_calls_match_a_fresh_decision(self, case_a, case_b, c):
+        c = np.array(c)
+        for k, tau, H in (case_a, case_b, case_a):
+            g = GeometryParams(k, tau)
+            assert _decision(g, H, c) == _fresh_decision(g, H, c)
+
 
 class TestConstruction:
     @given(case=cases, c=coefficients)

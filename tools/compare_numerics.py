@@ -15,7 +15,14 @@ on ``PYTHONPATH``, computes the same seeded items, in groups:
 - ``acceptance``: the criticality and minimality reports of every
   ``default_acceptance_grid()`` case, with s and v of its CMC sphere and of
   each competitor of ``default_perturbation_grid()``;
-- ``descent``: dims-1 and dims-3 default descents on every 6th grid case;
+- ``descent``: dims-1 and dims-3 default descents on every 6th grid case,
+  then 62 descents in the descent benchmark's mix (regular cases, H^2 + k/4
+  at least 0.1): 60 dims-1 starts in mode 1 of both signs, their amplitudes
+  rotating through the benchmark's four bins below its caps and a fifth bin
+  above them whose starts are pulled into the family, one dims-2 start and
+  one dims-3 descent from the default start.  A descent decides each
+  accepted step's shape twice, so here the shape memo of
+  ``profile._shape_core`` is hit;
 - ``modes`` and ``cmc``: 300 random ``sphere_from_modes`` and 300 random
   ``generate_cmc_sphere`` profiles at 1025 samples, with their samples,
   energy report, interior residual, the full ``el_residual`` array,
@@ -43,8 +50,9 @@ on ``PYTHONPATH``, computes the same seeded items, in groups:
 A failure is recorded as its exception text.  Per group the script prints
 how many items differ in any bit, how many of those were drawn at a tau
 with ``tau**2 != tau * tau``, and the largest difference of a value
-relative to that value's scale (its largest magnitude), with its key.  The
-exit status is 1 if any item differs, else 0.  A companion of
+relative to that value's scale (its largest magnitude), with its key, or,
+where no float value differs, the keys that do.  The exit status is 1 if
+any item differs, else 0.  A companion of
 ``compare_outputs.py``, not a test.
 """
 
@@ -67,6 +75,11 @@ GEOMETRY_DRAWS = 2000
 GRID_TAUS = (-0.5, 0.0, 0.3, 0.5)
 SWEEP_CASES = 600
 VERIFY_CASES = 300
+# family_dims of the descent group's benchmark-mix items, laid out as in a descent benchmark block.
+DESCENT_MIX = (1,) * 30 + (2,) + (1,) * 30 + (3,)
+# The descent benchmark's start amplitude caps per (mode, sign) and its bins below them.
+AMPLITUDE_CAP = {(1, 1): 0.19, (1, -1): 0.2, (2, 1): 0.2, (2, -1): 0.05}
+AMPLITUDE_BINS = 4
 
 
 def _flat(obj, prefix: str, out: dict) -> dict:
@@ -136,10 +149,32 @@ def _verify_case(rng, i: int) -> tuple[float, float, float, bool]:
     """(k, tau, H, plain) of the verify benchmark's case for position ``i`` in a block of 6."""
     plain = i % 6 == 5
     while True:
-        k, tau = rng.uniform(-1.0, 1.0), rng.uniform(-0.6, 0.6)
-        H = rng.uniform(max(0.6, math.sqrt(max(0.0, 0.1 - 0.25 * k))), 1.5)
+        k, tau, H = _regular_case(rng)
         if not plain or abs(k - 4.0 * tau * tau) >= 0.1:
             return k, tau, H, plain
+
+
+def _regular_case(rng) -> tuple[float, float, float]:
+    """(k, tau, H) of the benchmarks' regular stratum: H^2 + k/4 at least 0.1."""
+    k, tau = rng.uniform(-1.0, 1.0), rng.uniform(-0.6, 0.6)
+    return k, tau, rng.uniform(max(0.6, math.sqrt(max(0.0, 0.1 - 0.25 * k))), 1.5)
+
+
+def _descent_start(rng, n: int, dims: int) -> tuple[float, int]:
+    """(epsilon, mode) of the ``n``-th start in ``dims`` dimensions, in the descent benchmark's mix.
+
+    Modes and signs rotate, then the amplitude bins: the benchmark's four,
+    20% to 90% of the cap, and a fifth, 90% to 160% of it, whose starts
+    ``descend_energy`` may pull into the family.
+    """
+    mode = 1 + n % dims
+    sign = 1 if (n // dims) % 2 == 0 else -1
+    bin_index = (n // (2 * dims)) % (AMPLITUDE_BINS + 1)
+    if bin_index < AMPLITUDE_BINS:
+        fraction = 0.2 + 0.7 * (bin_index + rng.random()) / AMPLITUDE_BINS
+    else:
+        fraction = rng.uniform(0.9, 1.6)
+    return sign * fraction * AMPLITUDE_CAP[(mode, sign)], mode
 
 
 def _surface_fields(p) -> dict:
@@ -209,7 +244,12 @@ def compute() -> dict:
         verify_minimality,
     )
     from thurston_willmore.functional import FunctionalCoefficients, canonical_coefficients
-    from thurston_willmore.profile import generate_cmc_sphere, perturbed_sphere, sphere_from_modes
+    from thurston_willmore.profile import (
+        PerturbationSpec,
+        generate_cmc_sphere,
+        perturbed_sphere,
+        sphere_from_modes,
+    )
 
     rng = np.random.default_rng(20141016)
     names = ("family", "acceptance", "descent", "modes", "cmc", "geometry", "sweep", "verify")
@@ -242,6 +282,21 @@ def compute() -> dict:
         for dims in (1, 3):
             item = _flat(descend_energy(g, H, dims).to_dict(), "descent", {})
             groups["descent"].append((g.tau, item))
+    # its own stream, so that the groups below draw the items they drew before this mix
+    mix_rng = np.random.default_rng(20141017)
+    seen = {1: 0, 2: 0}
+    for dims in DESCENT_MIX:
+        k, tau, H = _regular_case(mix_rng)
+        start = None
+        if dims < 3:
+            start = PerturbationSpec(*_descent_start(mix_rng, seen[dims], dims))
+            seen[dims] += 1
+        item = {}
+        g = geo.GeometryParams(k, tau)
+        report = _attempt(item, "descent", descend_energy, g, H, dims, start=start)
+        if report is not None:
+            _flat(report.to_dict(), "descent", item)
+        groups["descent"].append((tau, item))
 
     for _ in range(PROFILES):
         g, H = _random_case(rng)
@@ -307,7 +362,7 @@ def _gap(a: dict, b: dict) -> tuple[float, float, str]:
             with np.errstate(invalid="ignore"):
                 d = np.abs(x - y)
             d = d[np.isfinite(d)]
-            if d.size:
+            if d.size and d.max() > 0.0:
                 scale = max(float(np.max(np.abs(x[np.isfinite(x)]), initial=0.0)), 1e-300)
                 worst = max(worst, (float(d.max()) / scale, float(d.max()), key))
     return worst
@@ -320,16 +375,21 @@ def report(parent: dict, change: dict) -> int:
         other = change[name]
         differ = spelled = 0
         worst = (0.0, 0.0, "")
+        keys = set()
         for (tau, a), (_, b) in zip(items, other, strict=True):
             if a.keys() == b.keys() and all(_same(a[key], b[key]) for key in a):
                 continue
             differ += 1
             spelled += tau**2 != tau * tau
             worst = max(worst, _gap(a, b))
+            keys.update(a.keys() ^ b.keys())
+            keys.update(k for k in a.keys() & b.keys() if not _same(a[k], b[k]))
         total += differ
         line = f"{name}: {len(items)} items, {differ} differ ({spelled} at tau**2 != tau * tau)"
-        if differ:
+        if worst[1] > 0.0:
             line += f"; largest {worst[1]:.3g} ({worst[0]:.3g} of its scale) in {worst[2]}"
+        elif differ:
+            line += f"; no float value differs; differing keys {sorted(keys)}"
         print(line)
     return total
 
