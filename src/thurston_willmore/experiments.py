@@ -36,6 +36,7 @@ from .functional import (
     _ProfileFields,
     _energy_weight,
     _mean_curvature,
+    _pole_cut,
     _pole_safe_ratio,
     _turning_angle_energy,
 )
@@ -133,6 +134,14 @@ def _velocity_profile(name: str, profile: Profile) -> np.ndarray:
     raise ValueError(f"unknown velocity profile {name!r}")
 
 
+def _unwrap(sigma: np.ndarray) -> np.ndarray:
+    """``np.unwrap(sigma)`` bit for bit; in place when no step reaches pi and none is NaN."""
+    if not np.abs(np.diff(sigma)).max() < math.pi:
+        return np.unwrap(sigma)
+    sigma[1:] += 0.0  # np.unwrap's zero correction, which turns -0.0 into 0.0
+    return sigma
+
+
 def deformed_curve_energy(
     g: GeometryParams,
     s: np.ndarray,
@@ -153,7 +162,7 @@ def deformed_curve_energy(
     exact derivative of this discrete energy along (u + t du, v + t dv) at
     t = 0, each line carried to first order in t (forward-mode
     differentiation; Griewank & Walther, *Evaluating Derivatives*, 2008).
-    The base curve's fields are computed once, and each row is linearized alone.
+    The base curve's fields and row factors are computed once; each row is linearized alone.
     """
     k, tau = g.k, g.tau
     # Only the step's scale enters, and the energy does not depend on it:
@@ -165,10 +174,11 @@ def deformed_curve_energy(
     y = derivative1(v, h) / A
     speed = np.hypot(x, y)
     # Profiles end at sigma = pi, where arctan2 may read -pi by one rounding.
-    sigma = np.unwrap(np.arctan2(y, x))
+    sigma = _unwrap(np.arctan2(y, x))
     sigma_dot = derivative1(sigma, h) / speed
     sin_sig, cos_sig = np.sin(sigma), np.cos(sigma)
-    ratio = _pole_safe_ratio(u, sin_sig, sigma_dot)
+    cut = _pole_cut(u)
+    ratio = _pole_safe_ratio(cut, sin_sig, sigma_dot)
     H = _mean_curvature(k, u, sin_sig, sigma_dot, ratio)
     nu, mu = cos_sig / A, u * A / B
     # the density weight * mu * speed: mu per unit quotient arclength, speed per unit parameter
@@ -183,24 +193,25 @@ def deformed_curve_energy(
     by_dmu, by_dspeed = weight * speed, weight * mu
     dA_du, dB_du = tau * tau * u / A, 0.5 * k * u
     dmu_du = (A + u * dA_du - mu * dB_du) / B
+    x_dB, y_dA, nu_dA, speed_sq = x * dB_du, y * dA_du, nu * dA_du, speed * speed
     rates = []
     for du_row, dv_row in zip(du, dv, strict=True):
         dx = derivative1(du_row, h)
-        dx -= x * dB_du * du_row
+        dx -= x_dB * du_row
         dx /= B
         dy = derivative1(dv_row, h)
-        dy -= y * dA_du * du_row
+        dy -= y_dA * du_row
         dy /= A
         dspeed = (x * dx + y * dy) / speed
-        dsigma = (x * dy - y * dx) / (speed * speed)
+        dsigma = (x * dy - y * dx) / speed_sq
         dsigma_dot = derivative1(dsigma, h)
         dsigma_dot -= sigma_dot * dspeed
         dsigma_dot /= speed
         dsin = cos_sig * dsigma
         # d(sin/u) = (dsin - (sin/u) du)/u, and the pole limit's variation at the poles
-        dratio = _pole_safe_ratio(u, dsin - ratio * du_row, dsigma_dot)
+        dratio = _pole_safe_ratio(cut, dsin - ratio * du_row, dsigma_dot)
         dH = 0.5 * (dsigma_dot + dratio - 0.25 * k * (sin_sig * du_row + u * dsin))
-        dnu = -(sin_sig * dsigma + nu * dA_du * du_row) / A
+        dnu = -(sin_sig * dsigma + nu_dA * du_row) / A
         ddensity = by_dH * dH
         ddensity += by_dnu * dnu
         ddensity += by_dmu * (dmu_du * du_row)
@@ -231,9 +242,9 @@ def _normal_velocities(profile: Profile) -> tuple[np.ndarray, np.ndarray]:
     n = (-(1 + k u^2/4) sin sigma, sqrt(1 + tau^2 u^2) cos sigma) at rate phi(s).
     """
     g, u, sigma = profile.geometry, profile.u, profile.sigma
-    n_u = -_b_factor(g, u) * np.sin(sigma)
-    n_v = np.sqrt(_a_squared(g, u)) * np.cos(sigma)
     phi = [_velocity_profile(name, profile) for name in VELOCITY_PROFILES]
+    n_u = -_b_factor(g, u) * np.sin(sigma)
+    n_v = np.sqrt(_a_squared(g, u)) * phi[VELOCITY_PROFILES.index("cos_sigma")]
     return np.stack([p * n_u for p in phi]), np.stack([p * n_v for p in phi])
 
 

@@ -135,10 +135,15 @@ def _energy_weight(g: GeometryParams, coeffs: FunctionalCoefficients, H, nu):
     )
 
 
-def _pole_safe_ratio(u, sin_sig, limit):
-    """sin(sigma)/u, replaced by its pole limit ``limit`` where u <= ``_POLE_CUT`` max(u)."""
+def _pole_cut(u):
+    """The off-pole mask u > ``_POLE_CUT`` max(u), and u there (1.0 elsewhere) as denominator."""
     off_pole = u > _POLE_CUT * u.max()
-    return np.where(off_pole, sin_sig / np.where(off_pole, u, 1.0), limit)
+    return off_pole, np.where(off_pole, u, 1.0)
+
+
+def _pole_safe_ratio(cut, numerator, limit):
+    """numerator/u off the poles of ``cut`` (:func:`_pole_cut`), their limit ``limit`` at them."""
+    return np.where(cut[0], numerator / cut[1], limit)
 
 
 def mean_curvature(g: GeometryParams, u, sigma, dsigma_ds):
@@ -222,7 +227,7 @@ class _ProfileFields:
 
     @cached_property
     def ratio(self) -> np.ndarray:
-        return _pole_safe_ratio(self.u, self.sin, self.sigma_dot)
+        return _pole_safe_ratio(_pole_cut(self.u), self.sin, self.sigma_dot)
 
     @cached_property
     def H(self) -> np.ndarray:
@@ -240,7 +245,7 @@ class _ProfileFields:
     def H_smooth(self) -> np.ndarray:
         sigma_dot = self.strided(derivative1, self.sigma)
         # sin(sigma)/u takes the pole limit sigma'.
-        ratio = _pole_safe_ratio(self.u, self.sin, sigma_dot)
+        ratio = _pole_safe_ratio(_pole_cut(self.u), self.sin, sigma_dot)
         return _mean_curvature(self.g.k, self.u, self.sin, sigma_dot, ratio)
 
     def _pole_extrapolated(self, values: np.ndarray, denominator: np.ndarray) -> np.ndarray:
@@ -276,7 +281,7 @@ class _ProfileFields:
         Hd = self.strided(derivative1, H)
         Hdd = self.strided(derivative2, H)
         t = 1.0 + tau * tau * u * u / (A * A) - 0.5 * k * u * u / B
-        return Hdd + t * (B * self.cos) * _pole_safe_ratio(u, Hd, 0.0)  # t u' H'/u
+        return Hdd + t * (B * self.cos) * _pole_safe_ratio(_pole_cut(u), Hd, 0.0)  # t u' H'/u
 
 
 def surface_fields(profile: Profile) -> dict[str, np.ndarray]:

@@ -120,8 +120,8 @@ class Tolerances:
                 raise ValueError(f"{name} must be finite and at least 0, got {value}")
 
 
-# How close to the axis a closed profile must end, which :class:`Profile` checks:
-# the one fixed bound that generate_cmc_sphere's profiles echo under ``tolerances``.
+# How close to the axis a closed profile must end, times its max u if below 1, as :class:`Profile`
+# checks: the one fixed bound that generate_cmc_sphere's profiles echo under ``tolerances``.
 _GENERATOR_BOUNDS = {"axis_epsilon": 1e-5}
 AXIS_EPSILON = _GENERATOR_BOUNDS["axis_epsilon"]
 # Default sample count: 2048 grid intervals, the equator a sample.
@@ -359,24 +359,27 @@ def _check_samples(columns: dict, n: int, g=None, closed=False, uniform_in=None)
     """
     if any(arr.size != n for arr in columns.values()):
         raise ValueError("sample arrays must have equal length")
-    # first, since NaN passes the checks below and inf warns in them
-    for name, arr in columns.items():
-        if not np.isfinite(arr).all():
+    # first, since NaN passes the checks below and inf warns in them: a column is
+    # finite when its min and max are (a NaN makes both NaN); the checks reuse them
+    ranges = {name: (arr.min(), arr.max()) for name, arr in columns.items()}
+    for name, (low, high) in ranges.items():
+        if not -math.inf < low <= high < math.inf:
             raise ValueError(f"{name} samples must be finite")
-    if _SPEED_COLUMN in columns and not columns[_SPEED_COLUMN].min() > 0.0:
+    if _SPEED_COLUMN in columns and not ranges[_SPEED_COLUMN][0] > 0.0:
         raise ValueError(f"{_SPEED_COLUMN} must be positive")
     s_steps = np.diff(columns["s"]) if "s" in columns else None
     if s_steps is not None and not s_steps.min() > 0.0:
         raise ValueError("samples must be strictly increasing in s")
     u, sigma = columns.get("u"), columns.get("sigma")
     if u is not None:
-        if u.min() < 0.0:
+        u_min, u_max = ranges["u"]
+        if u_min < 0.0:
             raise ValueError("u must be nonnegative")
         if u[1:-1].min() <= 0.0:
             raise ValueError("interior samples must have u > 0")
-        if u.max() >= g.domain_radius:
+        if u_max >= g.domain_radius:
             raise ValueError("profile leaves the domain of the geometry")
-        if closed and (u[0] > AXIS_EPSILON or u[-1] > AXIS_EPSILON):
+        if closed and max(u[0], u[-1]) > AXIS_EPSILON * min(1.0, u_max):
             raise ValueError("closed sphere must start and end on the axis")
     if closed and sigma is not None and (abs(sigma[0]) > 1e-3 or abs(sigma[-1] - math.pi) > 1e-3):
         raise ValueError("closed sphere must turn from sigma=0 to sigma=pi")
@@ -652,6 +655,17 @@ def _series_operators(size: int) -> tuple[np.ndarray, np.ndarray]:
     return derivative, critical
 
 
+def _chebval(t, coef: np.ndarray):
+    """``cheb.chebval(t, coef)`` bit for bit: its Clenshaw recurrence, on Python floats."""
+    c = coef.tolist()
+    c0, c1 = c[-2:] if len(c) > 1 else (c[0], 0)
+    if len(c) > 2:
+        t2 = t + t  # exact, as chebval's 2 * t is
+        for ci in c[-3::-1]:
+            c0, c1 = ci - c1, c0 + c1 * t2
+    return c0 + c1 * t
+
+
 def _roots(coef: np.ndarray) -> list[complex]:
     """Complex roots of the Chebyshev series ``coef``; closed forms up to degree 2.
 
@@ -693,7 +707,7 @@ def _series_range(coef: np.ndarray, ends: np.ndarray) -> tuple[float, float]:
     """
     derivative, _ = _series_operators(coef.size)
     interior = _interior_points(coef @ derivative)
-    values = [*ends.tolist(), *(float(cheb.chebval(t, coef)) for t in interior)]
+    values = [*ends.tolist(), *(_chebval(t, coef) for t in interior)]
     return min(values), max(values)
 
 
@@ -759,7 +773,7 @@ def _shape_core(key: bytes) -> tuple | str:
         return "profile radius is not positive on the interior"
     # u = P(-1)/H at the equator t = -1, 0 at the poles t = 1
     interior = _interior_points(p @ _series_operators(p.size)[1])
-    u_max = max([p_ends[1], *(math.sqrt(0.5 * (1.0 - t)) * cheb.chebval(t, p) for t in interior)])
+    u_max = max([p_ends[1], *(math.sqrt(0.5 * (1.0 - t)) * _chebval(t, p) for t in interior)])
     return p.tobytes(), n.tobytes(), p_range, n_range, float(u_max)
 
 
@@ -776,7 +790,7 @@ def _require_admissible(g: GeometryParams, h_abs: float, coeffs: np.ndarray) -> 
     vector (:func:`_shape_core`).  Returns the shape's series (read-only
     views of the cached bytes), ranges and max u.
     """
-    if not np.isfinite(coeffs).all():
+    if not all(map(math.isfinite, coeffs.tolist())):
         raise ValueError(f"shape coefficients must be finite, got {coeffs}")
     core = _shape_core(np.asarray(coeffs, dtype=float).tobytes())
     if isinstance(core, str):
@@ -827,7 +841,7 @@ def _family_nodes(g: GeometryParams, h_abs: float, shape: _ModeShape, sin_sig, t
     B = 1 + k u^2/4 and ds/dsigma = N/(H B).  Callers that need
     A^2 = 1 + tau^2 u^2 form it from u.
     """
-    p, n = cheb.chebval(t, shape.p), cheb.chebval(t, shape.n)
+    p, n = _chebval(t, shape.p), _chebval(t, shape.n)
     # u and ds/dsigma in place, with the roundings of sin(sigma) P/H and N/(H B): fewer
     # 64 KiB temporaries (one-mode sphere_from_modes peaks at 356 KiB at 2049 samples).
     u = sin_sig * p

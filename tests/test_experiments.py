@@ -82,6 +82,48 @@ class TestDeformedCurveEnergy:
             assert alone[1][0] == batch[row]
 
 
+class TestUnwrap:
+    """``experiments._unwrap`` is ``np.unwrap`` in value and sign bit."""
+
+    CASES = {
+        "no wrap": np.linspace(-1.0, 3.0, 9),
+        "-pi at the last sample": np.r_[np.linspace(0.0, math.pi, 9)[:-1], -math.pi],
+        "a step of exactly pi": np.array([0.0, math.pi, 0.0, -math.pi]),
+        "nan": np.array([0.0, 0.5, math.nan, 1.0]),
+        "-0.0 past index 0": np.array([-0.0, -0.0, 0.5, -0.0]),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_matches_np_unwrap(self, name):
+        sigma = self.CASES[name]
+        assert experiments._unwrap(sigma.copy()).tobytes() == np.unwrap(sigma).tobytes()
+
+    @given(
+        st.lists(
+            st.floats(-math.pi, math.pi) | st.sampled_from([-0.0, -math.pi, math.pi, math.nan]),
+            min_size=2,
+            max_size=12,
+        )
+    )
+    def test_matches_np_unwrap_on_any_angles(self, angles):
+        sigma = np.array(angles)
+        assert experiments._unwrap(sigma.copy()).tobytes() == np.unwrap(sigma).tobytes()
+
+    @pytest.mark.parametrize("epsilon, wraps", [(0.05, False), (-0.05, True)])
+    def test_first_variation_is_as_with_np_unwrap(self, monkeypatch, epsilon, wraps):
+        # on the fine grid the second shape's arctan2 reads about -pi at sigma = pi
+        p = sphere_from_modes(GeometryParams(0.0, 0.5), 1.0, [epsilon])
+        coeffs = canonical_coefficients(p.geometry)
+        unwrap, ends = np.unwrap, []
+        monkeypatch.setattr(np, "unwrap", lambda a: ends.append(a[-1]) or unwrap(a))
+        fast = first_variation(p, coeffs)
+        assert bool(ends) is wraps and all(end < -3.14 for end in ends)
+        monkeypatch.setattr(experiments, "_unwrap", unwrap)
+        plain = first_variation(p, coeffs)
+        bits = [np.array([(v.dE_dt, v.truncation_estimate) for v in r]) for r in (fast, plain)]
+        assert bits[0].tobytes() == bits[1].tobytes()
+
+
 class TestCriticality:
     def test_bundle_case(self, nil_geometry):
         report = verify_criticality(nil_geometry, 1.0)

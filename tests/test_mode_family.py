@@ -227,6 +227,61 @@ class TestShapeMemo:
             assert _decision(g, H, c) == _fresh_decision(g, H, c)
 
 
+    @pytest.mark.parametrize("c", [[math.nan], [0.1, math.inf], [-math.inf, 0.0, 0.01]])
+    def test_non_finite_coefficients_raise_before_the_memo(self, c):
+        c = np.array(c)
+        before = profile._shape_core.cache_info()
+        with pytest.raises(ValueError) as exc:
+            _require_admissible(self.ADMISSIBLE, 1.0, c)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == f"shape coefficients must be finite, got {c}"
+        assert profile._shape_core.cache_info()[:2] == before[:2]
+
+
+# Chebyshev coefficients across the family's range, 1e-300 to 1e3, and signed zeros
+_CHEB_COEFFICIENTS = st.lists(
+    st.sampled_from([0.0, -0.0])
+    | st.builds(
+        lambda sign, exponent: sign * 10.0**exponent,
+        st.sampled_from([1.0, -1.0]),
+        st.floats(-300.0, 3.0),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+class TestChebval:
+    """``profile._chebval`` is numpy's ``chebval`` bit for bit, on every grid it evaluates."""
+
+    GRIDS = {
+        "samples": _turning_angle_grid(2049)[3],
+        "64 panels": profile._family_half_rule(64, 1)[3],
+        "1024 panels": profile._family_half_rule(1024, 1)[3],
+        "random": np.random.default_rng(7).uniform(-1.0, 1.0, 1000),
+        "ends and zeros": np.array([1.0, -1.0, 0.0, -0.0]),
+    }
+
+    @given(coef=_CHEB_COEFFICIENTS)
+    def test_matches_chebval_on_the_grids(self, coef):
+        coef = np.array(coef)
+        for t in self.GRIDS.values():
+            assert profile._chebval(t, coef).tobytes() == cheb.chebval(t, coef).tobytes()
+
+    @given(coef=_CHEB_COEFFICIENTS, t=st.floats(-1.0, 1.0))
+    def test_matches_chebval_at_a_python_float(self, coef, t):
+        coef = np.array(coef)
+        value = profile._chebval(t, coef)
+        assert np.float64(value).tobytes() == np.float64(cheb.chebval(t, coef)).tobytes()
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
+    def test_every_length_matches_with_signed_zeros(self, size):
+        t = self.GRIDS["samples"]
+        for signs in np.ndindex(*(2,) * size):
+            coef = np.array([-0.0 if s else 0.0 for s in signs])
+            assert profile._chebval(t, coef).tobytes() == cheb.chebval(t, coef).tobytes()
+
+
 class TestConstruction:
     @given(case=cases, c=coefficients)
     def test_samples_match_trigonometric_oracle(self, case, c):

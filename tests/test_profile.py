@@ -44,6 +44,7 @@ from thurston_willmore.profile import (
     ARCLENGTH,
     DEFAULT_SAMPLES,
     TURNING_ANGLE,
+    _check_samples,
     _mirrored_running_sum,
     _require_admissible,
     _require_sphere_exists,
@@ -52,6 +53,7 @@ from thurston_willmore.profile import (
 import shooting_oracle
 from mode_oracle import reduced_sine_ratio
 from panel_oracle import cmc_sphere_direct_heights, cmc_sphere_samples, mode_sphere_samples
+from samples_oracle import check_samples
 from shooting_oracle import (
     ProfileState,
     StopCondition,
@@ -600,6 +602,29 @@ class TestProfileContainer:
                 closure=Closure.CLOSED_SPHERE,
             )
 
+    def test_closed_sphere_ends_are_relative_to_a_radius_below_one(self):
+        # ends half the radius off the axis passed the absolute 1e-5 bound at radius 1e-6,
+        # and the energy then read E - 4 pi = 1.19
+        p = generate_cmc_sphere(GeometryParams(0.0, 0.0), 1e6)
+        columns = dict(s=p.s, v=p.v, sigma=p.sigma, geometry=p.geometry, closure=p.closure)
+        with pytest.raises(ValueError, match="^closed sphere must start and end on the axis$"):
+            Profile(u=p.u + 5e-7, **columns)
+        u = p.u.copy()
+        u[[0, -1]] = 0.9e-5 * p.u.max()
+        Profile(u=u, **columns)
+
+    @pytest.mark.parametrize("end, closes", [(0.9e-5, True), (1.1e-5, False)])
+    def test_closed_sphere_ends_keep_the_absolute_bound_from_radius_one(self, end, closes):
+        p = generate_cmc_sphere(GeometryParams(0.0, 0.0), 0.5)  # radius 2
+        u = p.u.copy()
+        u[[0, -1]] = end
+        columns = dict(s=p.s, u=u, v=p.v, sigma=p.sigma, geometry=p.geometry, closure=p.closure)
+        if closes:
+            Profile(**columns)
+        else:
+            with pytest.raises(ValueError, match="axis"):
+                Profile(**columns)
+
     def test_non_uniform_samples_rejected_on_construction(self):
         g = GeometryParams(0.0, 0.0)
         s = np.array([0.0, 1.0, 2.0, 3.5, 4.0])
@@ -858,6 +883,72 @@ class TestDeferredHeights:
                         assert s is kept.s and v is kept.v
         finally:
             sys.setswitchinterval(interval)
+
+
+# the checks' columns at 129 samples: a CMC sphere uniform in arclength and a mode
+# sphere uniform in sigma, max u 1.67 and 1.75 inside the domain radius 2 of k = -1
+_SAMPLES_GEOMETRY = GeometryParams(-1.0, -0.5)
+_SAMPLES = {
+    ARCLENGTH: generate_cmc_sphere(_SAMPLES_GEOMETRY, 0.6, n_samples=129),
+    TURNING_ANGLE: sphere_from_modes(_SAMPLES_GEOMETRY, 0.6, [0.05], n_samples=129),
+}
+# injected values: non-finite, negative, zero, off the axis at the ends, out of the domain
+_INJECTED = [math.nan, math.inf, -math.inf, -1e-300, -0.5, 0.0, -0.0, 2e-5, 1e-5, 2.0, 2.5]
+
+
+class TestSampleChecks:
+    """``_check_samples`` reuses each column's min and max, with the oracle's errors and order."""
+
+    @staticmethod
+    def _outcome(check, columns, n, g, closed, uniform_in):
+        try:
+            h = check(columns, n, g, closed, uniform_in)
+        except Exception as exc:  # the type and text are the outcome
+            return type(exc), str(exc)
+        return None if h is None else np.float64(h).tobytes()
+
+    @settings(max_examples=400)
+    @given(
+        data=st.data(),
+        parametrization=st.sampled_from([ARCLENGTH, TURNING_ANGLE]),
+        closed=st.booleans(),
+        uniform=st.booleans(),
+    )
+    def test_raises_as_the_oracle(self, data, parametrization, closed, uniform):
+        p = _SAMPLES[parametrization]
+        names = data.draw(st.sets(st.sampled_from(p._columns()), min_size=1))
+        columns = {name: np.array(getattr(p, name)) for name in p._columns() if name in names}
+        rows = st.sampled_from([0, 1, 64, 127, 128]) | st.integers(0, 128)
+        for _ in range(data.draw(st.integers(0, 3))):
+            name = data.draw(st.sampled_from(sorted(columns)))
+            columns[name][data.draw(rows)] = data.draw(st.sampled_from(_INJECTED))
+        needs = "s" if parametrization == ARCLENGTH else "sigma"
+        uniform_in = parametrization if uniform and needs in columns else None
+        args = (columns, len(p), p.geometry, closed, uniform_in)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self._outcome(_check_samples, *args) == self._outcome(check_samples, *args)
+
+    @pytest.mark.parametrize("name, row, value", [
+        ("u", 0, 2e-5), ("u", -1, 1.1e-5), ("u", -1, 1e-5), ("sigma", 0, 2e-3), ("sigma", -1, 3.0),
+    ])
+    @pytest.mark.parametrize("parametrization", [ARCLENGTH, TURNING_ANGLE])
+    def test_closure_ends_as_the_oracle(self, parametrization, name, row, value):
+        p = _SAMPLES[parametrization]
+        columns = {name: np.array(getattr(p, name)) for name in p._columns()}
+        columns[name][row] = value
+        args = (columns, len(p), p.geometry, True, parametrization)
+        outcome = self._outcome(_check_samples, *args)
+        assert outcome == self._outcome(check_samples, *args)
+        if value == 1e-5:  # on the bound, which closes
+            assert not isinstance(outcome, tuple)
+        else:
+            assert outcome[1].startswith("closed sphere must")
+
+    def test_unequal_lengths_raise_first(self):
+        columns = {"s": np.array([np.nan] * 5), "u": np.ones(4)}
+        with pytest.raises(ValueError, match="^sample arrays must have equal length$"):
+            _check_samples(columns, 5, _SAMPLES_GEOMETRY)
 
 
 class TestTolerances:

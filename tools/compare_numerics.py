@@ -45,7 +45,15 @@ on ``PYTHONPATH``, computes the same seeded items, in groups:
   inadmissible competitor, of 300 cases in the verify benchmark's mix: per
   6 regular cases (H^2 + k/4 at least 0.1), 5 with canonical coefficients
   and 1 plain-Willmore negative control (|k - 4 tau^2| at least 0.1) for
-  the criticality suite; the minimality suite runs canonical throughout.
+  the criticality suite; the minimality suite runs canonical throughout;
+- ``fallbacks``: drawn last, from a stream of its own, so the groups above
+  keep their items.  100 first variations at the default sample count on
+  ``sphere_from_modes`` profiles (dims 1-3), about half of whose
+  ``arctan2`` angles read -pi at the last sample, so that
+  ``deformed_curve_energy`` takes both branches of its unwrap; then 100
+  mode shapes whose coefficients are signed zeros or within a few decades
+  of 1e-300, with the samples and energy of their ``sphere_from_modes``
+  profile and ``_family_energy`` with its derivatives.
 
 A failure is recorded as its exception text.  Per group the script prints
 how many items differ in any bit, how many of those were drawn at a tau
@@ -75,6 +83,7 @@ GEOMETRY_DRAWS = 2000
 GRID_TAUS = (-0.5, 0.0, 0.3, 0.5)
 SWEEP_CASES = 600
 VERIFY_CASES = 300
+FALLBACK_ITEMS = 100
 # family_dims of the descent group's benchmark-mix items, laid out as in a descent benchmark block.
 DESCENT_MIX = (1,) * 30 + (2,) + (1,) * 30 + (3,)
 # The descent benchmark's start amplitude caps per (mode, sign) and its bins below them.
@@ -238,12 +247,13 @@ def compute() -> dict:
         default_acceptance_grid,
         default_perturbation_grid,
         descend_energy,
+        first_variation,
         mode_family_energy,
         sweep,
         verify_criticality,
         verify_minimality,
     )
-    from thurston_willmore.functional import FunctionalCoefficients, canonical_coefficients
+    from thurston_willmore.functional import FunctionalCoefficients, canonical_coefficients, energy
     from thurston_willmore.profile import (
         PerturbationSpec,
         generate_cmc_sphere,
@@ -253,6 +263,7 @@ def compute() -> dict:
 
     rng = np.random.default_rng(20141016)
     names = ("family", "acceptance", "descent", "modes", "cmc", "geometry", "sweep", "verify")
+    names += ("fallbacks",)
     groups = {name: [] for name in names}
 
     for i in range(FAMILY_SHAPES):
@@ -341,6 +352,31 @@ def compute() -> dict:
             if report is not None:
                 _flat({**report.to_dict(), "failure": report.failure}, name, item)
         groups["verify"].append((tau, item))
+
+    fallback_rng = np.random.default_rng(20141018)
+    for _ in range(FALLBACK_ITEMS):
+        g, H = _random_case(fallback_rng)
+        item = {}
+        p = _attempt(item, "profile", sphere_from_modes, g, H, _random_shape(fallback_rng, g, H))
+        if p is not None:
+            coeffs = canonical_coefficients(g)
+            _flat([v.to_dict() for v in first_variation(p, coeffs)], "variation", item)
+        groups["fallbacks"].append((g.tau, item))
+    for _ in range(FALLBACK_ITEMS):
+        g, H = _random_case(fallback_rng)
+        dims = int(fallback_rng.integers(1, 4))
+        exponents = fallback_rng.uniform(-300.0, -295.0, dims)
+        tiny = fallback_rng.choice([-1.0, 1.0], dims) * 10.0**exponents
+        c = np.where(fallback_rng.random(dims) < 0.3, np.copysign(0.0, tiny), tiny)
+        item = {"coefficients": c}
+        p = _attempt(item, "profile", sphere_from_modes, g, H, c)
+        if p is not None:
+            _flat({name: getattr(p, name) for name in p._columns()}, "samples", item)
+            _flat(energy(p).to_dict(), "energy", item)
+        family = _attempt(item, "family", _family_energy, g, H, c, derivatives=True)
+        if family is not None:
+            _flat(list(family), "family", item)
+        groups["fallbacks"].append((g.tau, item))
     return groups
 
 
