@@ -163,6 +163,7 @@ def deformed_curve_energy(
     t = 0, each line carried to first order in t (forward-mode
     differentiation; Griewank & Walther, *Evaluating Derivatives*, 2008).
     The base curve's fields and row factors are computed once; each row is linearized alone.
+    Each array is freed once nothing reads it, so that a pass reuses its heap from call to call.
     """
     k, tau = g.k, g.tau
     # Only the step's scale enters, and the energy does not depend on it:
@@ -194,8 +195,9 @@ def deformed_curve_energy(
     dA_du, dB_du = tau * tau * u / A, 0.5 * k * u
     dmu_du = (A + u * dA_du - mu * dB_du) / B
     x_dB, y_dA, nu_dA, speed_sq = x * dB_du, y * dA_du, nu * dA_du, speed * speed
-    rates = []
-    for du_row, dv_row in zip(du, dv, strict=True):
+    del sigma, H, nu, mu, weight, scale, dA_du, dB_du
+
+    def rate(du_row, dv_row):
         dx = derivative1(du_row, h)
         dx -= x_dB * du_row
         dx /= B
@@ -204,20 +206,22 @@ def deformed_curve_energy(
         dy /= A
         dspeed = (x * dx + y * dy) / speed
         dsigma = (x * dy - y * dx) / speed_sq
+        del dx, dy
         dsigma_dot = derivative1(dsigma, h)
         dsigma_dot -= sigma_dot * dspeed
         dsigma_dot /= speed
         dsin = cos_sig * dsigma
+        dnu = -(sin_sig * dsigma + nu_dA * du_row) / A
+        del dsigma
         # d(sin/u) = (dsin - (sin/u) du)/u, and the pole limit's variation at the poles
         dratio = _pole_safe_ratio(cut, dsin - ratio * du_row, dsigma_dot)
-        dH = 0.5 * (dsigma_dot + dratio - 0.25 * k * (sin_sig * du_row + u * dsin))
-        dnu = -(sin_sig * dsigma + nu_dA * du_row) / A
-        ddensity = by_dH * dH
+        ddensity = by_dH * (0.5 * (dsigma_dot + dratio - 0.25 * k * (sin_sig * du_row + u * dsin)))
         ddensity += by_dnu * dnu
         ddensity += by_dmu * (dmu_du * du_row)
         ddensity += by_dspeed * dspeed
-        rates.append(2.0 * math.pi * sample_quadrature(ddensity, h))
-    return value, np.array(rates)
+        return 2.0 * math.pi * sample_quadrature(ddensity, h)
+
+    return value, np.array([rate(du_row, dv_row) for du_row, dv_row in zip(du, dv, strict=True)])
 
 
 @dataclass(frozen=True)
