@@ -226,8 +226,12 @@ class _ProfileFields:
         return derivative1(self.sigma, self.h)
 
     @cached_property
+    def cut(self) -> tuple:
+        return _pole_cut(self.u)
+
+    @cached_property
     def ratio(self) -> np.ndarray:
-        return _pole_safe_ratio(_pole_cut(self.u), self.sin, self.sigma_dot)
+        return _pole_safe_ratio(self.cut, self.sin, self.sigma_dot)
 
     @cached_property
     def H(self) -> np.ndarray:
@@ -245,7 +249,7 @@ class _ProfileFields:
     def H_smooth(self) -> np.ndarray:
         sigma_dot = self.strided(derivative1, self.sigma)
         # sin(sigma)/u takes the pole limit sigma'.
-        ratio = _pole_safe_ratio(_pole_cut(self.u), self.sin, sigma_dot)
+        ratio = _pole_safe_ratio(self.cut, self.sin, sigma_dot)
         return _mean_curvature(self.g.k, self.u, self.sin, sigma_dot, ratio)
 
     def _pole_extrapolated(self, values: np.ndarray, denominator: np.ndarray) -> np.ndarray:
@@ -281,7 +285,7 @@ class _ProfileFields:
         Hd = self.strided(derivative1, H)
         Hdd = self.strided(derivative2, H)
         t = 1.0 + tau * tau * u * u / (A * A) - 0.5 * k * u * u / B
-        return Hdd + t * (B * self.cos) * _pole_safe_ratio(_pole_cut(u), Hd, 0.0)  # t u' H'/u
+        return Hdd + t * (B * self.cos) * _pole_safe_ratio(self.cut, Hd, 0.0)  # t u' H'/u
 
 
 def surface_fields(profile: Profile) -> dict[str, np.ndarray]:

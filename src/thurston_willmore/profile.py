@@ -515,18 +515,12 @@ def _mirrored_running_sum(rates: np.ndarray) -> np.ndarray:
     """Running sum from 0 of the panel integrals of a profile even about its equator.
 
     ``rates`` holds the weighted integrand at the Gauss nodes of the panels
-    left of the equator, as a (panels, 8) array, and is overwritten: each row
-    is summed in place as ((c0 + c1) + (c2 + c3)) + ((c4 + c5) + (c6 + c7)) over
-    its columns c_j, numpy's pairwise order for eight contiguous terms, so bit
-    for bit ``np.sum(axis=1)`` of C-contiguous rows.  The panels right of the
+    left of the equator, as a (panels, 8) array.  The panels right of the
     equator are those of the left in mirror order, and their integrals are
-    taken to be equal.  At 2049 samples ``rates`` is 64 KiB, below glibc's
-    128 KiB mmap threshold, so the arrays of one call are reused by the next.
+    taken to be equal.
     """
-    c = rates.T
-    for step in (1, 2, 4):  # c0 += c1, c2 += c3, ...; then c0 += c2, c4 += c6; then c0 += c4
-        c[:: 2 * step] += c[step :: 2 * step]
-    return np.concatenate(([0.0], np.cumsum(np.concatenate((c[0], c[0][::-1])))))
+    left = rates.sum(axis=1)
+    return np.concatenate(([0.0], np.cumsum(np.concatenate((left, left[::-1])))))
 
 
 def generate_cmc_sphere(

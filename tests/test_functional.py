@@ -24,6 +24,7 @@ from thurston_willmore import (
     surface_fields,
     willmore_relation_check,
 )
+from thurston_willmore import functional
 from thurston_willmore.functional import INTERIOR_MARGIN, _ProfileFields
 
 from shooting_oracle import ProfileState, StopCondition, integrate
@@ -351,6 +352,20 @@ class TestElResidual:
         p = perturbed(0.0, 0.5, 1.0, -0.2, 1)
         res = max_interior_residual(p, canonical_coefficients(p.geometry))
         assert res > 1e-2
+
+    def test_one_pole_cut_per_pass(self, monkeypatch):
+        # H_smooth and laplacian_H divide by u off the same poles
+        calls = []
+        cut = functional._pole_cut
+
+        def counted(u):
+            calls.append(u)
+            return cut(u)
+
+        monkeypatch.setattr(functional, "_pole_cut", counted)
+        p = generate_cmc_sphere(GeometryParams(0.0, 0.5), 1.0)
+        max_interior_residual(p, canonical_coefficients(p.geometry))
+        assert len(calls) == 1
 
 
 

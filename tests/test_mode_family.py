@@ -393,8 +393,8 @@ def _assert_samples_equal_the_2d_panel_sums(k, tau, H, coeffs, n_samples):
 
 
 class TestMirroredPanelSums:
-    # sphere_from_modes sums the panels left of the equator in np.sum's
-    # pairwise order and repeats the sums in mirror order, on a grid cached
+    # sphere_from_modes sums the panels left of the equator with np.sum
+    # and repeats the sums in mirror order, on a grid cached
     # per sample count
     @pytest.mark.parametrize("k, tau, H, coeffs, panels", ORACLE_SHAPES)
     def test_oracle_shapes_equal_the_2d_panel_sums(self, k, tau, H, coeffs, panels):

@@ -76,22 +76,27 @@ _SCRIPT = textwrap.dedent(
 )
 
 
-@pytest.mark.skipif(
-    platform.system() != "Linux" or platform.libc_ver()[0] != "glibc",
-    reason="page-fault counts of glibc's allocator",
-)
-def test_steady_state_rows_fault_in_no_pages():
+def _run(src: Path) -> subprocess.CompletedProcess:
+    """``_SCRIPT`` over ``ROWS`` sweep rows on the package under ``src``, in a fresh interpreter."""
     # glibc's defaults: allocator tunables in the environment would hide the faults
     env = {
         key: value
         for key, value in os.environ.items()
         if not key.startswith("MALLOC_") and key != "GLIBC_TUNABLES"
     }
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    done = subprocess.run(
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    return subprocess.run(
         [sys.executable, "-c", _SCRIPT, str(ROWS)],
         capture_output=True, text=True, env=env, timeout=300,
     )
+
+
+@pytest.mark.skipif(
+    platform.system() != "Linux" or platform.libc_ver()[0] != "glibc",
+    reason="page-fault counts of glibc's allocator",
+)
+def test_steady_state_rows_fault_in_no_pages():
+    done = _run(SRC)
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
     rows = {i: n for i, n in enumerate(result["split"]["sweep rows"]) if n}

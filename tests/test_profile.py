@@ -304,8 +304,8 @@ class TestGenerateCmcSphere:
            for m in (1e-2, 1e-4, 1e-6)],
     )
     def test_samples_equal_the_2d_panel_sums(self, k, tau, H):
-        # the generator sums the panels left of the equator in np.sum's
-        # pairwise order and repeats the sums in mirror order
+        # the generator sums the panels left of the equator with np.sum
+        # and repeats the sums in mirror order
         g = GeometryParams(k, tau)
         p = generate_cmc_sphere(g, H)
         expected = cmc_sphere_samples(g.k, g.tau, H, len(p))
@@ -362,33 +362,15 @@ class TestGenerateCmcSphere:
                 full = dataclasses.replace(q, s=s, v=v)
                 assert energy(q).to_dict() == energy(full).to_dict()
 
-    @staticmethod
-    def _numpy_running_sum(rates):
-        # numpy sums a row pairwise when its eight terms are contiguous
-        left = np.sum(np.ascontiguousarray(rates), axis=1)
-        return np.concatenate(([0.0], np.cumsum(np.concatenate((left, left[::-1])))))
-
-    def test_pairwise_panel_sums_equal_np_sum_bit_for_bit(self):
-        # the explicit pairwise tree is numpy's order for eight contiguous
-        # terms; a numpy release that sums otherwise fails here
-        rng = np.random.default_rng(20)
-        for panels in (1, 2, 3, 10, 128, 1024, 4096):
-            signs = rng.choice([-1.0, 1.0], (panels, 8))
-            rates = signs * rng.random((panels, 8)) * 10.0 ** rng.uniform(-12.0, 12.0, (panels, 8))
-            expected = self._numpy_running_sum(rates)
-            assert np.array_equal(_mirrored_running_sum(rates), expected)
-
     @pytest.mark.parametrize("n_samples", [21, 257, 2049])
-    def test_generators_panel_sums_equal_np_sum_bit_for_bit(self, monkeypatch, n_samples):
-        # the rates each generator actually sums: s and v of a mode sphere, v of a CMC sphere
+    def test_generators_sum_the_left_panels(self, monkeypatch, n_samples):
+        # the rates each generator actually sums: s and v of a mode sphere, v of a CMC sphere,
+        # one row of eight node terms per panel left of the equator
         seen = []
 
         def spy(rates):
             seen.append(rates.shape)
-            expected = self._numpy_running_sum(rates)  # before the sum overwrites rates
-            summed = _mirrored_running_sum(rates)
-            assert np.array_equal(summed, expected)
-            return summed
+            return _mirrored_running_sum(rates)
 
         monkeypatch.setattr(profile_module, "_mirrored_running_sum", spy)
         for k, tau, H in ((0.0, 0.5, 1.0), (-1.0, -0.5, 0.6), (1.0, 0.3, -0.7)):
