@@ -365,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     }
     suites = sub.add_parser("verify", help="run a verification suite")
     suites = suites.add_subparsers(dest="suite", required=True)
-    for suite in ("criticality", "minimality", "descent", "identities"):
+    for suite in _SUITES:
         leaves[f"verify {suite}"] = suites.add_parser(suite, help=f"run the {suite} suite")
     leaves["sweep"] = sub.add_parser("sweep", help="run a parameter sweep from a spec file")
     leaves["energy"].add_argument("profile", help="profile file written by generate")

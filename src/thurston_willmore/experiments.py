@@ -23,17 +23,14 @@ import numpy as np
 
 from .functional import (
     FunctionalCoefficients,
-    INTERIOR_MARGIN,
     LEAST_SAMPLES,
     canonical_coefficients,
-    el_residual,
     energy,
     gauss_bonnet_total,
     h_squared_identity_check,
     max_interior_residual,
     second_summand_derivative_check,
     willmore_relation_check,
-    _ProfileFields,
     _energy_weight,
     _mean_curvature,
     _pole_cut,
@@ -82,7 +79,6 @@ __all__ = [
     "verify_identities",
     "deformed_curve_energy",
     "first_variation",
-    "weak_form_variation",
     "mode_family_energy",
     "default_acceptance_grid",
     "default_perturbation_grid",
@@ -121,17 +117,6 @@ def default_perturbation_grid() -> list[PerturbationSpec]:
 
 
 # -- first variation --------------------------------------------------------
-
-
-def _velocity_profile(name: str, profile: Profile) -> np.ndarray:
-    if name == "constant":
-        return np.ones_like(profile.s)
-    if name == "cos_sigma":
-        return np.cos(profile.sigma)
-    if name == "bump":
-        x = (profile.s - profile.s[0]) / profile.arclength
-        return np.sin(math.pi * x) ** 4
-    raise ValueError(f"unknown velocity profile {name!r}")
 
 
 def _unwrap(sigma: np.ndarray) -> np.ndarray:
@@ -243,12 +228,14 @@ def _normal_velocities(profile: Profile) -> tuple[np.ndarray, np.ndarray]:
     """(du, dv) of the normal deformations, one row per entry of ``VELOCITY_PROFILES``.
 
     The profile moves along its quotient unit normal
-    n = (-(1 + k u^2/4) sin sigma, sqrt(1 + tau^2 u^2) cos sigma) at rate phi(s).
+    n = (-(1 + k u^2/4) sin sigma, sqrt(1 + tau^2 u^2) cos sigma) at rate phi(s):
+    1, cos(sigma), and the bump sin(pi x)^4 of x = (s - s_0)/arclength.
     """
-    g, u, sigma = profile.geometry, profile.u, profile.sigma
-    phi = [_velocity_profile(name, profile) for name in VELOCITY_PROFILES]
+    g, s, u, sigma = profile.geometry, profile.s, profile.u, profile.sigma
+    cos_sig = np.cos(sigma)
+    phi = [np.ones_like(s), cos_sig, np.sin(math.pi * ((s - s[0]) / profile.arclength)) ** 4]
     n_u = -_b_factor(g, u) * np.sin(sigma)
-    n_v = np.sqrt(_a_squared(g, u)) * phi[VELOCITY_PROFILES.index("cos_sigma")]
+    n_v = np.sqrt(_a_squared(g, u)) * cos_sig
     return np.stack([p * n_u for p in phi]), np.stack([p * n_v for p in phi])
 
 
@@ -276,22 +263,6 @@ def first_variation(
         VariationResult(name, float(d), float(abs(d - c)))
         for name, d, c in zip(VELOCITY_PROFILES, fine, coarse, strict=True)
     )
-
-
-def weak_form_variation(
-    profile: Profile,
-    coeffs: FunctionalCoefficients,
-    velocity: str,
-) -> float:
-    """First variation through the weak form: integral of residual * phi dmu."""
-    f = _ProfileFields.of(profile)
-    res = el_residual(profile, coeffs)
-    phi = _velocity_profile(velocity, profile)
-    m = INTERIOR_MARGIN
-    integrand = res * phi * f.mu
-    integrand[:m] = 0.0
-    integrand[-m:] = 0.0
-    return 2.0 * math.pi * sample_quadrature(integrand, f.h)
 
 
 # -- criticality --------------------------------------------------------------

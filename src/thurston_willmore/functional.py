@@ -31,7 +31,7 @@ import numpy as np
 
 from .geometry import GeometryParams, _a_squared, _b_factor, _k_bar, _record_dict
 from .numerics import derivative1, derivative2, sample_quadrature, sample_quadrature_with_error
-from .profile import Closure, Profile, _grid_rates
+from .profile import Closure, Profile, _check_samples, _grid_rates
 
 __all__ = [
     "INTERIOR_MARGIN",
@@ -78,10 +78,6 @@ class FunctionalCoefficients:
     beta: float
 
     @classmethod
-    def canonical(cls, g: GeometryParams) -> "FunctionalCoefficients":
-        return cls(alpha=0.25, beta=0.25 * g.k - 0.25 * g.tau * g.tau)
-
-    @classmethod
     def plain_willmore(cls) -> "FunctionalCoefficients":
         return cls(alpha=1.0, beta=0.0)
 
@@ -90,7 +86,7 @@ class FunctionalCoefficients:
 
 def canonical_coefficients(g: GeometryParams) -> FunctionalCoefficients:
     """Coefficients making CMC spheres critical: alpha = 1/4, beta = k/4 - tau^2/4."""
-    return FunctionalCoefficients.canonical(g)
+    return FunctionalCoefficients(alpha=0.25, beta=0.25 * g.k - 0.25 * g.tau * g.tau)
 
 
 @dataclass(frozen=True)
@@ -364,6 +360,7 @@ def energy(profile: Profile, coeffs: FunctionalCoefficients | None = None) -> En
 
 def _turning_angle_energy(g: GeometryParams, coeffs: FunctionalCoefficients, u, ds_dsigma):
     """E and second summand of :func:`profile._mode_samples`' u and ds/dsigma, as :func:`energy`."""
+    _check_samples({"u": u, "ds_dsigma": ds_dsigma}, u.size, g, closed=True)
     sigma, sin_sig, cos_sig, step, stencil = _grid_rates(u.size)
     spacing = ds_dsigma * step
     f = _ProfileFields(g, u, sigma, spacing, sin_sig, cos_sig)

@@ -868,7 +868,7 @@ def _heights_bounded(g: GeometryParams, h_abs: float, shape: _ModeShape, n_sampl
 def _mode_samples(g: GeometryParams, H: float, coeffs, n_samples: int) -> dict:
     """The columns but sigma of :func:`sphere_from_modes` (s and v as described there).
 
-    Checked as :class:`Profile` checks them, sigma once per sample count in :func:`_grid_rates`.
+    Each is checked by its consumer, sigma once per sample count in :func:`_grid_rates`.
     """
     _require_sphere_exists(g, H)
     if n_samples < 9 or n_samples % 2 == 0:
@@ -888,10 +888,8 @@ def _mode_samples(g: GeometryParams, H: float, coeffs, n_samples: int) -> dict:
     summed = {} if bounded else _finite_heights(heights())
     _, _, u, _, ds_dsigma = _family_nodes(g, h_abs, shape, sin_samples, t_samples)
     u[[0, -1]] = 0.0
-    # summed s and v are finite, so checking them first reads as Profile's order s, u, v
-    columns = {**summed, "u": u, _SPEED_COLUMN: ds_dsigma}
-    _check_samples(columns, n_samples, g, closed=True)
-    return {**columns, **dict.fromkeys(("s", "v") if bounded else (), heights)}
+    deferred = dict.fromkeys(("s", "v") if bounded else (), heights)
+    return {**summed, "u": u, _SPEED_COLUMN: ds_dsigma, **deferred}
 
 
 def sphere_from_modes(

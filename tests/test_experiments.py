@@ -33,9 +33,10 @@ from thurston_willmore.experiments import (
     verify_criticality,
     verify_identities,
     verify_minimality,
-    weak_form_variation,
     write_sweep_csv,
 )
+from thurston_willmore.functional import INTERIOR_MARGIN, _ProfileFields, el_residual
+from thurston_willmore.numerics import sample_quadrature
 
 FOUR_PI = 4.0 * math.pi
 
@@ -170,9 +171,10 @@ class TestCriticality:
         p = perturbed(0.0, 0.5, 1.0, 0.1, 1)
         coeffs = canonical_coefficients(p.geometry)
         variations = {v.velocity_profile: v for v in first_variation(p, coeffs)}
+        phi = _velocity_table(p)
         for velocity in ("constant", "bump"):
             exact = variations[velocity]
-            weak = weak_form_variation(p, coeffs, velocity)
+            weak = _weak_form_variation(p, coeffs, phi[velocity])
             assert abs(exact.dE_dt) > 1e-3
             assert np.sign(exact.dE_dt) == np.sign(weak)
             assert exact.dE_dt == pytest.approx(weak, rel=0.02)
@@ -222,14 +224,30 @@ class TestFirstVariationResolution:
         assert np.max(np.abs(exact - central)) <= 1e-6 * np.max(np.abs(central))
 
 
+def _velocity_table(p) -> dict:
+    """phi(s) of each ``VELOCITY_PROFILES`` name on p's samples, spelled apart from the package."""
+    x = (p.s - p.s[0]) / p.arclength
+    bump = np.sin(math.pi * x) ** 4
+    return {"constant": np.ones_like(p.s), "cos_sigma": np.cos(p.sigma), "bump": bump}
+
+
+def _weak_form_variation(p, coeffs, phi) -> float:
+    """dE/dt by the weak form: 2 pi times the quadrature of residual * phi * mu, off the poles."""
+    integrand = el_residual(p, coeffs) * phi * _ProfileFields.of(p).mu
+    integrand[:INTERIOR_MARGIN] = 0.0
+    integrand[-INTERIOR_MARGIN:] = 0.0
+    return 2.0 * math.pi * sample_quadrature(integrand, p.spacing)
+
+
 def _central_difference_variation(p, coeffs, t: float) -> np.ndarray:
     """dE/dt per velocity profile by the central difference of step t, as a reference."""
     g, u, sigma = p.geometry, p.u, p.sigma
     n_u = -(1.0 + 0.25 * g.k * u * u) * np.sin(sigma)
     n_v = np.sqrt(1.0 + g.tau**2 * u * u) * np.cos(sigma)
+    table = _velocity_table(p)
     central = []
     for name in VELOCITY_PROFILES:
-        phi = experiments._velocity_profile(name, p)
+        phi = table[name]
         ends = [
             deformed_curve_energy(g, p.s, u + e * phi * n_u, p.v + e * phi * n_v, coeffs)
             for e in (t, -t)
@@ -403,6 +421,35 @@ class TestCompetitorArrays:
             return report.E, report.second_summand
 
         assert _outcome(arrays) == _outcome(sphere)
+
+    @pytest.mark.parametrize(
+        "column, value",
+        [("u", math.nan), ("ds_dsigma", 0.0), ("u", 2.0)],
+        ids=["nan", "zero", "domain"],
+    )
+    def test_corrupt_columns_raise_as_the_profile(self, column, value):
+        # the array path checks u and ds/dsigma as Profile does; u = 2 is k = -1's domain radius
+        g, H, n_samples = GeometryParams(-1.0, -0.5), 0.6, 129
+        samples = profile._mode_samples(g, H, [0.05], n_samples)
+        samples[column] = samples[column].copy()
+        samples[column][n_samples // 2] = value
+
+        def arrays():
+            coeffs = canonical_coefficients(g)
+            return functional._turning_angle_energy(g, coeffs, samples["u"], samples["ds_dsigma"])
+
+        def built():
+            profile.Profile(
+                **samples,
+                sigma=profile._turning_angle_grid(n_samples)[0],
+                geometry=g,
+                closure=profile.Closure.CLOSED_SPHERE,
+                parametrization=profile.TURNING_ANGLE,
+            )
+
+        outcome = _outcome(arrays)
+        assert outcome[0] is ValueError
+        assert outcome == _outcome(built)
 
     @pytest.fixture
     def profiles(self, monkeypatch):

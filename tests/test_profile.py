@@ -927,6 +927,18 @@ class TestSampleChecks:
         else:
             assert outcome[1].startswith("closed sphere must")
 
+    def test_mode_sphere_is_checked_once_without_its_heights(self, monkeypatch):
+        checked = []
+
+        def spy(columns, *args, **kwargs):
+            checked.append(sorted(columns))
+            return _check_samples(columns, *args, **kwargs)
+
+        monkeypatch.setattr(profile_module, "_check_samples", spy)
+        p = sphere_from_modes(_SAMPLES_GEOMETRY, 0.6, [0.05], n_samples=129)
+        assert checked == [["ds_dsigma", "sigma", "u"]]
+        assert "s" not in vars(p) and "v" not in vars(p)
+
     def test_unequal_lengths_raise_first(self):
         columns = {"s": np.array([np.nan] * 5), "u": np.ones(4)}
         with pytest.raises(ValueError, match="^sample arrays must have equal length$"):
