@@ -644,8 +644,7 @@ def descend_energy(
     else:
         raise InadmissiblePerturbation("descent start could not be pulled into the family")
 
-    f_val = mode_family_energy(g, H_init, c)
-    _, grad, hess = _family_energy(g, H_init, c, derivatives=True)
+    f_val, grad, hess = _family_energy(g, H_init, c, derivatives=True)
     stop_reason = "iteration budget used up"
     iterations = max_iterations
     for i in range(max_iterations + 1):

@@ -34,8 +34,8 @@ The cos(sigma) zero at the equator cancels exactly against u'(sigma), so
 the numerator N has no pole there: P and N are polynomials in
 t = cos(2 sigma), and the package evaluates both only from their Chebyshev
 series below.  The reconstruction samples the profile uniformly in sigma,
-sums 8-point Gauss panels between the samples for s and v (on their first
-read), and keeps ds/dsigma at the samples, the spacing the stencils scale by.  Both
+sums 8-point Gauss panels between the samples for s and v, and keeps
+ds/dsigma at the samples, the spacing the stencils scale by.  Both
 integrands are even about the equator sigma = pi/2, so only the panels
 left of it are evaluated and their integrals are repeated in mirror order.
 
@@ -169,12 +169,11 @@ class Profile:
     and stores the canonical positive H; ``orientation`` is -1 when the
     profile represents the mirror surface of a negative requested H.
 
-    ``v``, and ``s`` of turning-angle samples, may be deferred: given as a
-    function that returns a dict of columns, the same function for each
-    column in it.  The function runs on the first read of one of its
-    columns, which are then checked as at construction (equal length,
-    finite, s strictly increasing), frozen and kept, so later reads return
-    the same arrays.  The sphere generators defer their Gauss panel sums so.
+    ``v`` may be deferred: given as a function that returns it, it is
+    built on its first read, checked as at construction (equal length,
+    finite), frozen and kept, so later reads return the same array.
+    :func:`generate_cmc_sphere` defers its Gauss panel sum so; every other
+    column, s and v of :func:`sphere_from_modes` included, is given as an array.
     """
 
     s: np.ndarray
@@ -199,23 +198,18 @@ class Profile:
             raise ValueError(f"unknown parametrization {self.parametrization!r}")
         if (self.ds_dsigma is None) != (self.parametrization == ARCLENGTH):
             raise ValueError(f"turning-angle samples, and only they, carry {_SPEED_COLUMN}")
-        # Own copies, frozen: profiles are safe to share across threads.  The
-        # spacing of arclength samples is read from s below, so it is not deferred.
-        deferrable = ("v",) if self.ds_dsigma is None else ("s", "v")
-        self._deferred = {}
+        # Own copies, frozen: profiles are safe to share across threads.  A
+        # deferred v leaves the instance, so that a read reaches __getattr__.
+        self._build_v = vars(self).pop("v") if callable(self.v) else None
+        columns = {}
         for name in self._columns():
-            value = getattr(self, name)
-            if name in deferrable and callable(value):
-                self._deferred[name] = value
-                delattr(self, name)  # so that a read reaches __getattr__
-                continue
-            arr = np.array(value, dtype=float)
-            arr.flags.writeable = False
-            setattr(self, name, arr)
+            if name in vars(self):
+                arr = columns[name] = np.array(getattr(self, name), dtype=float)
+                arr.flags.writeable = False
+                setattr(self, name, arr)
         n = self.u.size
         if n < 5:
             raise ValueError("profile needs at least 5 samples")
-        columns = {c: getattr(self, c) for c in self._columns() if c not in self._deferred}
         closed = self.closure is Closure.CLOSED_SPHERE
         h = _check_samples(columns, n, self.geometry, closed, self.parametrization)
         self.spacing = h if self.ds_dsigma is None else self.ds_dsigma * h
@@ -223,24 +217,20 @@ class Profile:
             self.spacing.flags.writeable = False
 
     def __getattr__(self, name: str):
-        """Build, check and keep a deferred column on its first read."""
-        build = self.__dict__.get("_deferred", {}).get(name)
-        if build is None:
+        """Build, check and keep a deferred v on its first read."""
+        build = self.__dict__.get("_build_v")
+        if name != "v" or build is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         # The builder stays: a thread that raced this one past the attribute
         # lookup builds the same bits, and setdefault hands both the first array kept.
-        columns = build()
-        _check_samples(columns, self.u.size)
-        for column, arr in columns.items():
-            arr.flags.writeable = False
-            self.__dict__.setdefault(column, arr)
-        return self.__dict__[name]
+        v = build()
+        _check_samples({"v": v}, self.u.size)
+        v.flags.writeable = False
+        return self.__dict__.setdefault("v", v)
 
     def __getstate__(self) -> dict:
-        # a pickle holds the built columns: the deferred functions are local to a generator
-        for name in self._deferred:
-            getattr(self, name)
-        return {**self.__dict__, "_deferred": {}}
+        # a pickle holds the built v: the deferred function is local to the generator
+        return {**self.__dict__, "v": self.v, "_build_v": None}
 
     def __len__(self) -> int:
         return self.u.size
@@ -499,8 +489,8 @@ def _require_sphere_exists(g: GeometryParams, H: float) -> None:
 
 
 _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
-# A generator defers a panel sum when its values bound the sum below this:
-# far below overflow, so no rounding carries the sum past it.
+# generate_cmc_sphere defers its height sum when its values bound the sum below
+# this: far below overflow, so no rounding carries the sum past it.
 _SUM_BOUND = 1e300
 
 
@@ -566,7 +556,7 @@ def generate_cmc_sphere(
     sin_sig[-1] = 0.0
     u = sin_sig / h_abs
 
-    def heights() -> dict:
+    def heights() -> np.ndarray:
         # in place, rounding as a / sqrt(a*a + b*b) and sqrt(A^2) sin(sigma) weights / w do
         a = h_abs * sin_nodes
         b = w * cos_nodes
@@ -580,11 +570,11 @@ def generate_cmc_sphere(
         rates *= a
         rates *= weights
         rates /= w
-        return {"v": _mirrored_running_sum(rates)}
+        return _mirrored_running_sum(rates)
 
     # v' <= A(1/|H|) on the nodes u <= 1/|H|, and the weights / w sum to pi/w
     deferred = math.sqrt(_a_squared(g, 1.0 / h_abs)) * math.pi / w < _SUM_BOUND
-    columns = {"v": heights} if deferred else _finite_heights(heights())
+    columns = {"v": heights} if deferred else _finite_heights({"v": heights()})
     if not (np.diff(sigma) > 0.0).all():
         raise IntegrationError("sigma is not monotone along the generated sphere")
     j = _first_integral(g, h_abs, u, sin_sig)
@@ -846,50 +836,29 @@ def _family_nodes(g: GeometryParams, h_abs: float, shape: _ModeShape, sin_sig, t
     return p, n, u, b, ds_dsigma
 
 
-def _heights_bounded(g: GeometryParams, h_abs: float, shape: _ModeShape, n_samples: int) -> bool:
-    """Whether the values at hand bound a mode sphere's s and v to pass their checks.
-
-    ds/dsigma = N/(H B) with N in ``shape.n_range`` and B between 1 and its
-    value at max u; dv/dsigma <= A(max u) ds/dsigma, and the panel weights
-    sum to pi.  So v stays finite while pi A(max u) max ds/dsigma is far
-    below overflow, and s increases strictly while each panel adds at least
-    1e-8 of its bound to it, far above the rounding of the sum and of N at
-    the nodes.
-    """
-    b = _b_factor(g, shape.u_max)
-    ds_low = shape.n_range[0] / (h_abs * max(1.0, b))
-    length = math.pi * shape.n_range[1] / (h_abs * min(1.0, b))
-    return (
-        length * math.sqrt(_a_squared(g, shape.u_max)) < _SUM_BOUND
-        and ds_low * math.pi / (n_samples - 1) > 1e-8 * length
-    )
-
-
-def _mode_samples(g: GeometryParams, H: float, coeffs, n_samples: int) -> dict:
-    """The columns but sigma of :func:`sphere_from_modes` (s and v as described there).
-
-    Each is checked by its consumer, sigma once per sample count in :func:`_grid_rates`.
-    """
+def _mode_shape(g: GeometryParams, H: float, coeffs, n_samples: int) -> tuple[float, _ModeShape]:
+    """|H| and the admissible shape of :func:`sphere_from_modes`' arguments, each checked."""
     _require_sphere_exists(g, H)
     if n_samples < 9 or n_samples % 2 == 0:
         raise ValueError("n_samples must be odd and at least 9")
-    coeffs = np.atleast_1d(np.asarray(coeffs, dtype=float))
     h_abs = abs(H)
-    shape = _require_admissible(g, h_abs, coeffs)
-    _, sin_samples, _, t_samples, sin_nodes, _, t_nodes, weights = _turning_angle_grid(n_samples)
+    return h_abs, _require_admissible(g, h_abs, np.atleast_1d(np.asarray(coeffs, dtype=float)))
 
-    def heights() -> dict:
-        _, _, u_nodes, _, ds_nodes = _family_nodes(g, h_abs, shape, sin_nodes, t_nodes)
-        s = _mirrored_running_sum(ds_nodes * weights)
-        v = _mirrored_running_sum(np.sqrt(_a_squared(g, u_nodes)) * sin_nodes * ds_nodes * weights)
-        return {"s": s, "v": v}
 
-    bounded = _heights_bounded(g, h_abs, shape, n_samples)
-    summed = {} if bounded else _finite_heights(heights())
-    _, _, u, _, ds_dsigma = _family_nodes(g, h_abs, shape, sin_samples, t_samples)
+def _shape_samples(g: GeometryParams, h_abs: float, shape: _ModeShape, n_samples: int) -> dict:
+    """u and ds/dsigma of a checked mode shape at the turning-angle samples."""
+    _, sin_sig, _, t = _turning_angle_grid(n_samples)[:4]
+    _, _, u, _, ds_dsigma = _family_nodes(g, h_abs, shape, sin_sig, t)
     u[[0, -1]] = 0.0
-    deferred = dict.fromkeys(("s", "v") if bounded else (), heights)
-    return {**summed, "u": u, _SPEED_COLUMN: ds_dsigma, **deferred}
+    return {"u": u, _SPEED_COLUMN: ds_dsigma}
+
+
+def _mode_samples(g: GeometryParams, H: float, coeffs, n_samples: int) -> dict:
+    """u and ds/dsigma of :func:`sphere_from_modes`, the columns the suites read.
+
+    Each is checked by its consumer, sigma once per sample count in :func:`_grid_rates`.
+    """
+    return _shape_samples(g, *_mode_shape(g, H, coeffs, n_samples), n_samples)
 
 
 def sphere_from_modes(
@@ -911,12 +880,10 @@ def sphere_from_modes(
     angle (``TURNING_ANGLE``): sigma runs from 0 to pi in ``n_samples - 1``
     steps, the arclength s(sigma) and the height v(sigma) are running sums
     of 8-point Gauss panels between consecutive samples, and ds/dsigma is
-    kept at every sample.  s and v are summed together on the first read of
-    either, bit for bit as at the call (:class:`Profile`), when the shape's
-    ranges bound them (:func:`_heights_bounded`); otherwise at the call,
-    where a non-finite s or v raises :class:`IntegrationError`.  Turning
-    then spreads evenly over the samples, also where ds/dsigma is small
-    near the family's regularity edge.
+    kept at every sample.  s and v are summed at the call; a non-finite s
+    or v raises :class:`IntegrationError`.  Turning then spreads evenly
+    over the samples, also where ds/dsigma is small near the family's
+    regularity edge.
     ds/dsigma and dv/dsigma depend on sigma only through sin(sigma) and
     t = cos(2 sigma), both even about pi/2, so the panels are evaluated
     left of the equator only and repeated in mirror order right of it.
@@ -925,11 +892,20 @@ def sphere_from_modes(
     count (:func:`_turning_angle_grid`).  ``n_samples`` must be odd so the
     equator is a sample.
     """
+    h_abs, shape = _mode_shape(g, H, coeffs, n_samples)
+    sigma, *_, sin_nodes, _, t_nodes, weights = _turning_angle_grid(n_samples)
+    _, _, u_nodes, _, ds_nodes = _family_nodes(g, h_abs, shape, sin_nodes, t_nodes)
+    a = np.sqrt(_a_squared(g, u_nodes))
+    heights = {
+        "s": _mirrored_running_sum(ds_nodes * weights),
+        "v": _mirrored_running_sum(a * sin_nodes * ds_nodes * weights),
+    }
     return Profile(
-        **_mode_samples(g, H, coeffs, n_samples),
-        sigma=_turning_angle_grid(n_samples)[0],
+        **_finite_heights(heights),
+        **_shape_samples(g, h_abs, shape, n_samples),
+        sigma=sigma,
         geometry=g,
-        mean_curvature=None if np.asarray(coeffs, dtype=float).any() else abs(H),
+        mean_curvature=None if np.asarray(coeffs, dtype=float).any() else h_abs,
         closure=Closure.CLOSED_SPHERE,
         orientation=1 if H > 0 else -1,
         parametrization=TURNING_ANGLE,

@@ -404,7 +404,6 @@ class TestCompetitorArrays:
     )
     @example(k=-1.0, tau=0.0, H=0.6, c=(0.19999999,), plain=False, n_samples=2049)  # regularity edge
     @example(k=0.0, tau=0.5, H=1.0, c=(0.2,), plain=False, n_samples=2049)  # N = 0: inadmissible
-    @example(k=0.0, tau=1e200, H=1.0, c=(0.05,), plain=False, n_samples=2049)  # v overflows
     @example(k=0.0, tau=0.5, H=1e-6, c=(0.1, -0.02), plain=True, n_samples=2049)
     @example(k=1.0, tau=0.3, H=-1e6, c=(-0.1, 0.02, 0.01), plain=False, n_samples=257)
     @example(k=-1.0, tau=0.0, H=0.4, c=(0.05,), plain=False, n_samples=2049)  # no sphere
@@ -422,6 +421,17 @@ class TestCompetitorArrays:
 
         assert _outcome(arrays) == _outcome(sphere)
 
+    def test_only_the_profile_sums_the_heights(self):
+        # at tau = 1e200 A(u) overflows, so v does; u and ds/dsigma do not depend on tau
+        c, n_samples = [0.05], 257
+        with pytest.raises(IntegrationError, match="v samples of the generated sphere"):
+            sphere_from_modes(GeometryParams(0.0, 1e200), 1.0, c, n_samples=n_samples)
+        samples = profile._mode_samples(GeometryParams(0.0, 1e200), 1.0, c, n_samples)
+        p = sphere_from_modes(GeometryParams(0.0, 0.5), 1.0, c, n_samples=n_samples)
+        assert sorted(samples) == ["ds_dsigma", "u"]
+        for name, column in samples.items():
+            assert column.tobytes() == getattr(p, name).tobytes()
+
     @pytest.mark.parametrize(
         "column, value",
         [("u", math.nan), ("ds_dsigma", 0.0), ("u", 2.0)],
@@ -438,9 +448,13 @@ class TestCompetitorArrays:
             coeffs = canonical_coefficients(g)
             return functional._turning_angle_energy(g, coeffs, samples["u"], samples["ds_dsigma"])
 
+        heights = sphere_from_modes(g, H, [0.05], n_samples=n_samples)
+
         def built():
             profile.Profile(
                 **samples,
+                s=heights.s,
+                v=heights.v,
                 sigma=profile._turning_angle_grid(n_samples)[0],
                 geometry=g,
                 closure=profile.Closure.CLOSED_SPHERE,
@@ -520,20 +534,21 @@ class TestDescent:
         )
 
     def test_line_search_stall_stops_the_descent(self, nil_geometry, monkeypatch):
-        # every trial after the start reads infinite: no step lowers the energy
-        real, calls = experiments.mode_family_energy, []
+        # every trial reads infinite: no step lowers the energy (the start's
+        # value comes with its derivatives, from _family_energy)
+        calls = []
 
-        def start_only(*args):
+        def infinite(*args):
             calls.append(args)
-            return real(*args) if len(calls) == 1 else math.inf
+            return math.inf
 
-        monkeypatch.setattr(experiments, "mode_family_energy", start_only)
+        monkeypatch.setattr(experiments, "mode_family_energy", infinite)
         report = descend_energy(nil_geometry, 1.0, 1)
         assert report.stop_reason == "line search stalled"
         assert report.iterations == 1
-        assert len(calls) == 51  # the start, then 50 halvings
-        # no step was taken: the descent ends at the pulled-in start
-        assert np.array_equal(report.coefficients_final, calls[0][2])
+        assert len(calls) == 50  # 50 halvings
+        # no step was taken: the descent ends at its default start 0.2, pulled in once
+        assert np.array_equal(report.coefficients_final, [0.2 * 0.97])
         assert not report.converged
 
     def test_rejects_mode_beyond_family(self, nil_geometry):

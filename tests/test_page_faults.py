@@ -8,10 +8,11 @@ freeing them on every call had glibc hand the pages back and fault them
 in again, about 120 minor faults per sweep row and 1900 per
 ``verify_minimality`` call.  The first variation of
 ``verify_criticality`` linearizes one velocity at a time, on 1-D tangent
-arrays of 16 KiB at 2049 samples, also below that threshold.  The
-generators sum their panels for s and v only when those are read, which
-the suites do for v of one CMC sphere only, so each suite iteration also
-reads s and v of a mode sphere and v of a CMC sphere.  The check runs in a fresh
+arrays of 16 KiB at 2049 samples, also below that threshold.  A CMC
+sphere sums its panels for v only when v is read, which the suites do in
+the first variation only, and a mode sphere sums s and v when it is
+built, which no suite does; so each suite iteration also builds a mode
+sphere and reads v of a CMC sphere.  The check runs in a fresh
 interpreter with glibc's default allocator settings, so that no other
 test's heap state leaks into it.  A failure names the window's faults per
 sweep row, criticality call, minimality call and height read.

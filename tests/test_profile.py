@@ -760,7 +760,7 @@ class TestProfileContainer:
 
 
 class TestDeferredHeights:
-    """s and v of generated spheres are summed on their first read, bit for bit as before."""
+    """v of a CMC sphere is summed on its first read, s and v of a mode sphere at the call."""
 
     CASES = ((0.0, 0.5, 1.0), (-1.0, -0.5, 0.6), (1.0, 0.3, -0.7))
 
@@ -792,18 +792,24 @@ class TestDeferredHeights:
         (row,) = sweep(SweepSpec((0.0,), (0.5,), (1.0,)))
         assert row.E is not None and not row.error
         descend_energy(g, 1.0, 1)
+        assert sums == []
         for p in self._fresh():
             assert len(p) == p.metadata()["n_samples"] == DEFAULT_SAMPLES
-        assert sums == []
+        # s and v of each mode sphere, none of a CMC sphere
+        assert sums == [(DEFAULT_SAMPLES // 2, 8)] * 2 * len(self.CASES)
+        sums.clear()
         assert verify_criticality(g, 1.0).passed
         assert sums == [(DEFAULT_SAMPLES // 2, 8)]  # v of the CMC sphere, in the first variation
 
-    def test_one_read_sums_both_heights_of_a_mode_sphere(self, sums):
+    def test_mode_samples_sum_no_heights(self, sums):
+        samples = profile_module._mode_samples(GeometryParams(0.0, 0.5), 1.0, [0.05], 257)
+        assert sorted(samples) == ["ds_dsigma", "u"]
+        assert sums == []
+
+    def test_a_mode_sphere_sums_both_heights_at_the_call(self, sums):
         p = sphere_from_modes(GeometryParams(0.0, 0.5), 1.0, [0.05])
-        s = p.s
-        assert p.v is p.v and p.s is s
-        assert len(sums) == 2
-        assert not (s.flags.writeable or p.v.flags.writeable)
+        assert len(sums) == 2 and "s" in vars(p) and "v" in vars(p)
+        assert not (p.s.flags.writeable or p.v.flags.writeable)
 
     def test_pickles_hold_the_built_heights(self):
         for p in self._fresh():
@@ -822,14 +828,14 @@ class TestDeferredHeights:
         assert row.exists and row.E is None
         assert row.error == "IntegrationError: v samples of the generated sphere are not finite"
 
-    def test_deferred_columns_are_checked_on_their_first_read(self):
+    def test_deferred_v_is_checked_on_its_first_read(self):
         q = generate_cmc_sphere(GeometryParams(0.0, 0.5), 1.0)
         columns = dict(s=q.s, u=q.u, sigma=q.sigma, geometry=q.geometry)
         for bad, message in (
             (np.full(len(q), np.nan), "v samples must be finite"),
             (q.u[1:], "sample arrays must have equal length"),
         ):
-            p = Profile(**columns, v=lambda bad=bad: {"v": bad.copy()})
+            p = Profile(**columns, v=lambda bad=bad: bad.copy())
             with pytest.raises(ValueError, match=message):
                 p.v
         with pytest.raises(AttributeError, match="no attribute 'w'"):
@@ -927,7 +933,7 @@ class TestSampleChecks:
         else:
             assert outcome[1].startswith("closed sphere must")
 
-    def test_mode_sphere_is_checked_once_without_its_heights(self, monkeypatch):
+    def test_mode_sphere_is_checked_once(self, monkeypatch):
         checked = []
 
         def spy(columns, *args, **kwargs):
@@ -936,8 +942,8 @@ class TestSampleChecks:
 
         monkeypatch.setattr(profile_module, "_check_samples", spy)
         p = sphere_from_modes(_SAMPLES_GEOMETRY, 0.6, [0.05], n_samples=129)
-        assert checked == [["ds_dsigma", "sigma", "u"]]
-        assert "s" not in vars(p) and "v" not in vars(p)
+        assert checked == [["ds_dsigma", "s", "sigma", "u", "v"]]
+        assert "s" in vars(p) and "v" in vars(p)
 
     def test_unequal_lengths_raise_first(self):
         columns = {"s": np.array([np.nan] * 5), "u": np.ones(4)}

@@ -53,7 +53,16 @@ on ``PYTHONPATH``, computes the same seeded items, in groups:
   ``deformed_curve_energy`` takes both branches of its unwrap; then 100
   mode shapes whose coefficients are signed zeros or within a few decades
   of 1e-300, with the samples and energy of their ``sphere_from_modes``
-  profile and ``_family_energy`` with its derivatives.
+  profile and ``_family_energy`` with its derivatives;
+- ``heights``: drawn last, from a stream of its own, so the groups above
+  keep their items.  Mode shapes whose s and v no bound from the shape's
+  ranges keeps finite and increasing, so that a tree which defers the
+  heights of ``sphere_from_modes`` sums them at the call instead: 100
+  shapes (dims 1-3) just inside the regularity edge, with min N / max N
+  below 1e-6, then 100 shapes at |tau| log-uniform in [1e150, 1e200].
+  Each item holds the samples, s and v included, and the energy report of
+  the mode sphere and of the CMC sphere of its case at the default sample
+  count, or their error text.
 
 A failure is recorded as its exception text.  Per group the script prints
 how many items differ in any bit, how many of those were drawn at a tau
@@ -84,6 +93,7 @@ GRID_TAUS = (-0.5, 0.0, 0.3, 0.5)
 SWEEP_CASES = 600
 VERIFY_CASES = 300
 FALLBACK_ITEMS = 100
+HEIGHT_ITEMS = 100
 # family_dims of the descent group's benchmark-mix items, laid out as in a descent benchmark block.
 DESCENT_MIX = (1,) * 30 + (2,) + (1,) * 30 + (3,)
 # The descent benchmark's start amplitude caps per (mode, sign) and its bins below them.
@@ -263,7 +273,7 @@ def compute() -> dict:
 
     rng = np.random.default_rng(20141016)
     names = ("family", "acceptance", "descent", "modes", "cmc", "geometry", "sweep", "verify")
-    names += ("fallbacks",)
+    names += ("fallbacks", "heights")
     groups = {name: [] for name in names}
 
     for i in range(FAMILY_SHAPES):
@@ -377,7 +387,57 @@ def compute() -> dict:
         if family is not None:
             _flat(list(family), "family", item)
         groups["fallbacks"].append((g.tau, item))
+
+    for g, H, c in _height_cases():
+        item = {"coefficients": c}
+        for name, fn, args in (
+            ("modes", sphere_from_modes, (g, H, c)),
+            ("cmc", generate_cmc_sphere, (g, H)),
+        ):
+            p = _attempt(item, name, fn, *args)
+            if p is not None:
+                _flat({column: getattr(p, column) for column in p._columns()}, name, item)
+                report = _attempt(item, f"{name}/energy", energy, p)
+                if report is not None:
+                    _flat(report.to_dict(), f"{name}/energy", item)
+        groups["heights"].append((g.tau, item))
     return groups
+
+
+def _height_cases():
+    """(g, H, coefficients) of the ``heights`` group, from a stream of its own."""
+    from thurston_willmore.geometry import GeometryParams
+    from thurston_willmore.profile import (
+        InadmissiblePerturbation,
+        _require_admissible,
+        _series_range,
+        _shape_series,
+    )
+
+    rng = np.random.default_rng(20141019)
+    cases = []
+    while len(cases) < HEIGHT_ITEMS:
+        g, H = _random_case(rng)
+        dims = int(rng.integers(1, 4))
+        direction = rng.uniform(-1.0, 1.0, dims) * 0.3 / np.arange(1, dims + 1) ** 2
+        # N = 1 + lambda q(t) along the direction, so N's minimum reaches 0 at lambda = -1/min q
+        _, _, n, n_ends = _shape_series(direction)
+        q_min = _series_range(n, n_ends)[0] - 1.0
+        if not q_min < 0.0:
+            continue
+        c = -(1.0 - 10.0 ** rng.uniform(-13.0, -7.0)) / q_min * direction
+        try:
+            n_low, n_high = _require_admissible(g, abs(H), c).n_range
+        except InadmissiblePerturbation:
+            continue
+        if n_low < 1e-6 * n_high:
+            cases.append((g, H, c))
+    while len(cases) < 2 * HEIGHT_ITEMS:
+        g, H = _random_case(rng)
+        tau = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(150.0, 200.0))
+        g = GeometryParams(g.k, tau)
+        cases.append((g, H, _random_shape(rng, g, H)))
+    return cases
 
 
 def _same(a, b) -> bool:
