@@ -8,8 +8,8 @@ over a JSON config file, and every output embeds those values so a run can
 be reproduced bit for bit from its own artifacts.
 
 Exit codes: 0 success, 1 invalid configuration or malformed input,
-2 sphere nonexistence, 3 I/O failure, 4 verification threshold failure,
-5 sphere generation failed a post-condition (``IntegrationError``),
+2 sphere nonexistence, 3 I/O failure, 4 verification threshold failure, 5 a sphere
+that float64 cannot hold or that failed a post-condition (``IntegrationError``),
 6 any other error (one ``error:`` line, no traceback).
 """
 

@@ -172,8 +172,7 @@ class Profile:
     ``v`` may be deferred: given as a function that returns it, it is
     built on its first read, checked as at construction (equal length,
     finite), frozen and kept, so later reads return the same array.
-    :func:`generate_cmc_sphere` defers its Gauss panel sum so; every other
-    column, s and v of :func:`sphere_from_modes` included, is given as an array.
+    Only :func:`generate_cmc_sphere` defers a column, its v.
     """
 
     s: np.ndarray
@@ -451,17 +450,12 @@ def brentq(*args, **kwargs):
     return scipy_brentq(*args, **kwargs)
 
 
-def _finite_heights(columns: dict) -> dict:
-    """The height columns a generator summed at the call, each required finite."""
-    for name, arr in columns.items():
-        if not np.isfinite(arr).all():
-            raise IntegrationError(f"{name} samples of the generated sphere are not finite")
-    return columns
-
-
 # A sphere's apex u lies inside the domain while B(u) = 1 + k u^2/4 = 1 - (u/R)^2
 # exceeds this margin, i.e. u < R (1 - 1e-9).
 _APEX_MARGIN = 2e-9
+# Heights are summed only where their values bound them below this: far below
+# float64 overflow, so no rounding carries a sum past it.
+_SUM_BOUND = 1e300
 
 
 def _apex_inside(g: GeometryParams, u: float) -> bool:
@@ -469,7 +463,9 @@ def _apex_inside(g: GeometryParams, u: float) -> bool:
     return _b_factor(g, u) > _APEX_MARGIN
 
 
-def _require_sphere_exists(g: GeometryParams, H: float) -> None:
+def _require_sphere_exists(g: GeometryParams, H: float) -> float:
+    """w = sqrt(H^2 + k/4) of a sphere that exists and float64 holds, decided before any sample."""
+    overflow = None
     if not math.isfinite(H):
         reason = f" with H={H}: requires H finite"
     elif H == 0.0 and g.k > 0.0:
@@ -483,15 +479,22 @@ def _require_sphere_exists(g: GeometryParams, H: float) -> None:
             f" with H={H}: its apex 1/|H| reaches the domain radius {g.domain_radius}:"
             f" 1 + k/(4 H^2) is not above {_APEX_MARGIN:g}"
         )
+    elif not math.isfinite(w := math.sqrt(H * H + 0.25 * g.k)):
+        overflow = "w = sqrt(H^2 + k/4) is not finite"
+    elif not math.isfinite(4.0 * g.tau * g.tau):  # the energy's first tau^2 term to overflow
+        overflow = "4 tau^2 is not finite"
+    # v' <= A(1/|H|) on the sphere's u <= 1/|H|, over its arclength pi/w
+    elif not (v_bound := math.sqrt(_a_squared(g, 1.0 / abs(H))) * math.pi / w) < _SUM_BOUND:
+        overflow = f"pi A(1/|H|)/w = {v_bound:.3g} is not below {_SUM_BOUND:g}"
     else:
-        return
-    raise ExistenceViolation(f"no CMC sphere in E(k={g.k}, tau={g.tau}){reason}")
+        return w
+    name = f"CMC sphere in E(k={g.k}, tau={g.tau})"
+    if overflow:
+        raise IntegrationError(f"the {name} with H={H} overflows float64: {overflow}")
+    raise ExistenceViolation(f"no {name}{reason}")
 
 
 _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
-# generate_cmc_sphere defers its height sum when its values bound the sum below
-# this: far below overflow, so no rounding carries the sum past it.
-_SUM_BOUND = 1e300
 
 
 def _panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -531,10 +534,8 @@ def generate_cmc_sphere(
     sin(sigma) = a/sqrt(a^2 + b^2), a = H sin x and b = w cos x, at the
     cached nodes and with the cached weights divided by w.  v' is even about
     the equator, so the panels left of it are evaluated and repeated in
-    mirror order right of it.  v is summed on its first read, bit for bit
-    as at the call (:class:`Profile`), when pi A(1/|H|)/w bounds it below
-    overflow; otherwise at the call, where a non-finite v raises
-    :class:`IntegrationError`.
+    mirror order right of it.  v is summed on its first read (:class:`Profile`),
+    under the bound pi A(1/|H|)/w that :func:`_require_sphere_exists` checks.
 
     A sigma that does not increase strictly raises :class:`IntegrationError`.
     Recorded unchecked: ``j_drift``, the drift of the first integral J over
@@ -544,11 +545,10 @@ def generate_cmc_sphere(
     canonical H > 0 profile with ``orientation`` set to -1.  ``n_samples``
     must be odd so the equator is a sample.
     """
-    _require_sphere_exists(g, H)
+    w = _require_sphere_exists(g, H)
     if n_samples < 9 or n_samples % 2 == 0:
         raise ValueError("n_samples must be odd and at least 9")
     h_abs = abs(H)
-    w = math.sqrt(h_abs * h_abs + 0.25 * g.k)
     x, sin_x, cos_x, _, sin_nodes, cos_nodes, _, weights = _turning_angle_grid(n_samples)
     sigma = np.arctan2(h_abs * sin_x, w * cos_x)
     sigma[-1] = math.pi  # exact ends: sin of the float pi is 1.2e-16, so atan2 falls short
@@ -572,15 +572,12 @@ def generate_cmc_sphere(
         rates /= w
         return _mirrored_running_sum(rates)
 
-    # v' <= A(1/|H|) on the nodes u <= 1/|H|, and the weights / w sum to pi/w
-    deferred = math.sqrt(_a_squared(g, 1.0 / h_abs)) * math.pi / w < _SUM_BOUND
-    columns = {"v": heights} if deferred else _finite_heights({"v": heights()})
     if not (np.diff(sigma) > 0.0).all():
         raise IntegrationError("sigma is not monotone along the generated sphere")
     j = _first_integral(g, h_abs, u, sin_sig)
     return Profile(
-        **columns,
         s=x / w,
+        v=heights,
         u=u,
         sigma=sigma,
         geometry=g,
@@ -880,10 +877,10 @@ def sphere_from_modes(
     angle (``TURNING_ANGLE``): sigma runs from 0 to pi in ``n_samples - 1``
     steps, the arclength s(sigma) and the height v(sigma) are running sums
     of 8-point Gauss panels between consecutive samples, and ds/dsigma is
-    kept at every sample.  s and v are summed at the call; a non-finite s
-    or v raises :class:`IntegrationError`.  Turning then spreads evenly
-    over the samples, also where ds/dsigma is small near the family's
-    regularity edge.
+    kept at every sample.  s and v are summed at the call, once the exact
+    ranges of the shape bound them below overflow (else
+    :class:`IntegrationError`).  Turning then spreads evenly over the
+    samples, also where ds/dsigma is small near the family's regularity edge.
     ds/dsigma and dv/dsigma depend on sigma only through sin(sigma) and
     t = cos(2 sigma), both even about pi/2, so the panels are evaluated
     left of the equator only and repeated in mirror order right of it.
@@ -893,16 +890,18 @@ def sphere_from_modes(
     equator is a sample.
     """
     h_abs, shape = _mode_shape(g, H, coeffs, n_samples)
+    # v <= pi max(ds/dsigma) A(max u), ds/dsigma = N/(|H| B), min B = min(1, B(max u))
+    v_bound = math.pi * shape.n_range[1] * math.sqrt(_a_squared(g, shape.u_max))
+    v_bound /= h_abs * min(1.0, _b_factor(g, shape.u_max))
+    if not v_bound < _SUM_BOUND:
+        raise IntegrationError(f"the mode sphere's heights overflow float64: bound {v_bound:.3g}")
     sigma, *_, sin_nodes, _, t_nodes, weights = _turning_angle_grid(n_samples)
     _, _, u_nodes, _, ds_nodes = _family_nodes(g, h_abs, shape, sin_nodes, t_nodes)
     a = np.sqrt(_a_squared(g, u_nodes))
-    heights = {
-        "s": _mirrored_running_sum(ds_nodes * weights),
-        "v": _mirrored_running_sum(a * sin_nodes * ds_nodes * weights),
-    }
     return Profile(
-        **_finite_heights(heights),
         **_shape_samples(g, h_abs, shape, n_samples),
+        s=_mirrored_running_sum(ds_nodes * weights),
+        v=_mirrored_running_sum(a * sin_nodes * ds_nodes * weights),
         sigma=sigma,
         geometry=g,
         mean_curvature=None if np.asarray(coeffs, dtype=float).any() else h_abs,

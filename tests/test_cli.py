@@ -920,13 +920,33 @@ class TestExitCodes:
         [["generate"], ["generate", "--epsilon", 0.05, "--mode", 1], ["verify", "minimality"]],
     )
     def test_non_finite_heights_are_an_integration_error(self, tmp_path, capsys, command):
-        # A(u) overflows at tau = 1e200: the generated heights are not finite
+        # 4 tau^2 overflows at tau = 1e200: the sphere is refused before any sample
         out = tmp_path / "out"
         flag = "-o" if command[0] == "generate" else "--out"
         code = run([*command, "--k", 0, "--tau", 1e200, "--H", 1, flag, out])
         assert code == cli.EXIT_INTEGRATION == 5
         err = capsys.readouterr().err
-        assert err == "error: v samples of the generated sphere are not finite\n"
+        assert err == (
+            "error: the CMC sphere in E(k=0.0, tau=1e+200) with H=1.0"
+            " overflows float64: 4 tau^2 is not finite\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, tau",
+        [
+            # unchecked, these exited 6 (LinAlgError), with one family dimension 4 (NaN energies)
+            (["verify", "descent"], 1e200),
+            (["verify", "descent", "--family-dims", 1], 1e200),
+            # unchecked, this exited 0 and the stored profile read E = nan
+            (["generate", "-o"], 7e153),
+        ],
+    )
+    def test_overflowing_tau_exits_5(self, tmp_path, capsys, command, tau):
+        out = tmp_path / "out"
+        command = command if command[0] == "generate" else [*command, "--out"]
+        assert run([*command, out, "--k", 0, "--tau", tau, "--H", 1]) == cli.EXIT_INTEGRATION
+        assert capsys.readouterr().err.endswith("overflows float64: 4 tau^2 is not finite\n")
         assert not out.exists()
 
     def test_uncaught_exception_is_one_error_line(self, tmp_path, capsys, monkeypatch):

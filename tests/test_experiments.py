@@ -422,12 +422,13 @@ class TestCompetitorArrays:
         assert _outcome(arrays) == _outcome(sphere)
 
     def test_only_the_profile_sums_the_heights(self):
-        # at tau = 1e200 A(u) overflows, so v does; u and ds/dsigma do not depend on tau
-        c, n_samples = [0.05], 257
-        with pytest.raises(IntegrationError, match="v samples of the generated sphere"):
-            sphere_from_modes(GeometryParams(0.0, 1e200), 1.0, c, n_samples=n_samples)
-        samples = profile._mode_samples(GeometryParams(0.0, 1e200), 1.0, c, n_samples)
-        p = sphere_from_modes(GeometryParams(0.0, 0.5), 1.0, c, n_samples=n_samples)
+        # at H = 2e-150 the bound of v passes 1e300 at tau = 1 and not at tau = 0.5, while the
+        # CMC sphere's stays below it; u and ds/dsigma do not depend on tau
+        c, n_samples, H = [-0.1], 257, 2e-150
+        with pytest.raises(IntegrationError, match="mode sphere's heights overflow float64"):
+            sphere_from_modes(GeometryParams(0.0, 1.0), H, c, n_samples=n_samples)
+        samples = profile._mode_samples(GeometryParams(0.0, 1.0), H, c, n_samples)
+        p = sphere_from_modes(GeometryParams(0.0, 0.5), H, c, n_samples=n_samples)
         assert sorted(samples) == ["ds_dsigma", "u"]
         for name, column in samples.items():
             assert column.tobytes() == getattr(p, name).tobytes()

@@ -453,6 +453,87 @@ class TestExistence:
             generate_cmc_sphere(GeometryParams(0.0, 0.5), 0.0)
 
 
+def _unreachable(*args):
+    raise AssertionError("a sample was computed")
+
+
+class TestFloat64Overflow:
+    """A sphere that exists but that float64 cannot hold raises before any sample."""
+
+    BUILDERS = {
+        "cmc": generate_cmc_sphere,
+        "modes": lambda g, H: sphere_from_modes(g, H, [0.05]),
+        "mode_samples": lambda g, H: profile_module._mode_samples(g, H, [0.05], 257),
+        # unchecked, tau = 1e200 gave a descent NaN energies (dims 1) or a LinAlgError (dims 3)
+        "descent_1": lambda g, H: descend_energy(g, H, 1),
+        "descent_3": lambda g, H: descend_energy(g, H, 3),
+    }
+
+    @pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS)
+    @pytest.mark.parametrize(
+        "k, tau, H, message",
+        [
+            # unchecked, E read nan here: 4 tau^2 overflows, tau * tau does not
+            (0.0, 7e153, 1.0, "4 tau\\^2 is not finite"),
+            (0.0, 1e200, 1.0, "4 tau\\^2 is not finite"),
+            # unchecked, the CMC sphere raised "sigma is not monotone"
+            (0.0, -0.5, -1e160, "w = sqrt\\(H\\^2 \\+ k/4\\) is not finite"),
+            # unchecked, E read 0.0
+            (0.0, 1.0, 1e-150, "pi A\\(1/\\|H\\|\\)/w = 3.14e\\+300 is not below 1e\\+300"),
+        ],
+        ids=["tau=7e153", "tau=1e200", "H=-1e160", "H=1e-150"],
+    )
+    def test_overflow_raises_before_any_sample(self, monkeypatch, build, k, tau, H, message):
+        monkeypatch.setattr(profile_module, "_turning_angle_grid", _unreachable)
+        monkeypatch.setattr(profile_module, "_require_admissible", _unreachable)
+        with pytest.raises(IntegrationError, match=f"overflows float64: {message}$"):
+            build(GeometryParams(k, tau), H)
+
+    def test_existence_is_decided_first(self):
+        with pytest.raises(ExistenceViolation, match="H != 0"):
+            generate_cmc_sphere(GeometryParams(1.0, 1e200), 0.0)
+        with pytest.raises(ExistenceViolation, match="H\\^2 > -k/4"):
+            generate_cmc_sphere(GeometryParams(-1.0, 1e200), 0.5)
+
+    @pytest.mark.parametrize("k, tau, H", [(0.0, 6e153, 1.0), (0.0, 0.5, 1e154)])
+    def test_spheres_just_inside_float64_generate(self, k, tau, H):
+        g = GeometryParams(k, tau)
+        for p in (generate_cmc_sphere(g, H), sphere_from_modes(g, H, [0.05])):
+            assert np.isfinite(p.s).all() and np.isfinite(p.v).all()
+
+    def test_a_mode_sphere_at_the_apex_edge_bounds_its_heights(self):
+        # B(1/H) = 1/2 keeps the CMC sphere's v below 1e300; c = -0.4 takes max u
+        # to 1.4/H, where B = 0.02, and the bound of the mode sphere's v past it
+        g, H = GeometryParams(-2e-300, 0.1), 1e-150
+        assert np.isfinite(generate_cmc_sphere(g, H).v).all()
+        assert np.isfinite(sphere_from_modes(g, H, [0.0]).v).all()
+        with pytest.raises(IntegrationError, match="mode sphere's heights overflow float64"):
+            sphere_from_modes(g, H, [-0.4])
+
+    def test_the_bounds_hold_the_heights(self):
+        # v <= pi A(1/|H|)/w for a CMC sphere, pi max N A(max u)/(|H| min(1, B(max u))) for a
+        # mode sphere, and s <= v/A(max u), on seeded shapes near and far from the edges
+        rng = np.random.default_rng(34)
+        for _ in range(60):
+            k, tau = rng.uniform(-3.0, 3.0), rng.uniform(-2.0, 2.0)
+            H = math.sqrt(max(0.0, -0.25 * k)) + 10.0 ** rng.uniform(-6.0, 0.5)
+            g = GeometryParams(k, tau)
+            w = math.sqrt(H * H + 0.25 * k)
+            bound = math.pi * math.sqrt(1.0 + tau * tau / (H * H)) / w
+            assert generate_cmc_sphere(g, H, n_samples=257).v[-1] <= bound * (1.0 + 1e-12)
+            c = rng.uniform(-1.0, 1.0, int(rng.integers(1, 4))) * 0.3
+            try:
+                shape = _require_admissible(g, H, c)
+            except InadmissiblePerturbation:
+                continue
+            a_max = math.sqrt(1.0 + tau * tau * shape.u_max**2)
+            b_min = min(1.0, 1.0 + 0.25 * k * shape.u_max**2)
+            bound = math.pi * shape.n_range[1] * a_max / (H * b_min)
+            p = sphere_from_modes(g, H, c, n_samples=257)
+            assert p.v[-1] <= bound * (1.0 + 1e-12)
+            assert p.s[-1] <= bound / a_max * (1.0 + 1e-12)
+
+
 @given(
     log_H=st.floats(-8.0, 8.0),
     ratio=st.one_of(
@@ -816,17 +897,21 @@ class TestDeferredHeights:
             q = pickle.loads(pickle.dumps(p))
             assert np.array_equal(q.s, p.s) and np.array_equal(q.v, p.v)
 
-    def test_huge_tau_heights_raise_at_construction(self):
-        # A(u) overflows, so nothing bounds v: it is summed and checked at the call
+    def test_huge_tau_heights_raise_at_construction(self, sums):
+        # 4 tau^2 overflows: both generators raise before they sum any height
         g = GeometryParams(0.0, 1e200)
         for build in (generate_cmc_sphere, lambda g, H: sphere_from_modes(g, H, [0.05])):
-            with pytest.raises(IntegrationError, match="v samples of the generated sphere"):
+            with pytest.raises(IntegrationError, match="float64: 4 tau\\^2 is not finite"):
                 build(g, 1.0)
+        assert sums == []
 
     def test_huge_tau_sweep_row_keeps_its_error(self):
         (row,) = sweep(SweepSpec((0.0,), (1e200,), (1.0,)))
         assert row.exists and row.E is None
-        assert row.error == "IntegrationError: v samples of the generated sphere are not finite"
+        assert row.error == (
+            "IntegrationError: the CMC sphere in E(k=0.0, tau=1e+200) with H=1.0"
+            " overflows float64: 4 tau^2 is not finite"
+        )
 
     def test_deferred_v_is_checked_on_its_first_read(self):
         q = generate_cmc_sphere(GeometryParams(0.0, 0.5), 1.0)

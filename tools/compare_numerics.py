@@ -62,11 +62,22 @@ on ``PYTHONPATH``, computes the same seeded items, in groups:
   below 1e-6, then 100 shapes at |tau| log-uniform in [1e150, 1e200].
   Each item holds the samples, s and v included, and the energy report of
   the mode sphere and of the CMC sphere of its case at the default sample
-  count, or their error text.
+  count, or their error text;
+- ``overflow``: drawn last, from a stream of its own, so the groups above
+  keep their items.  Cases at the edge of float64 overflow, 25 of each of
+  five kinds: |tau| within 2% of 6.7e153 (where 4 tau^2 overflows) and of
+  1.34e154 (tau * tau), H within 2% of 1.34e154 (H * H), a tiny H where
+  pi A(1/|H|)/w, which bounds the CMC sphere's v, is within 5% of 1e300,
+  and a mode-1 shape whose apex lies within 1e-4 to 1e-1 of the domain
+  radius at H from 1e-151 to 1e-149 (k = -4 H^2 r, r in [0.3, 0.9]).  Each
+  item holds, as ``heights`` does, the samples and energy report of the
+  mode sphere and of the CMC sphere, and ``mode_family_energy``, or their
+  error text.
 
 A failure is recorded as its exception text.  Per group the script prints
 how many items differ in any bit, how many of those were drawn at a tau
-with ``tau**2 != tau * tau``, and the largest difference of a value
+with ``tau**2 != tau * tau`` or with ``tau * tau`` not finite (where
+``tau**2`` raises), and the largest difference of a value
 relative to that value's scale (its largest magnitude), with its key, or,
 where no float value differs, the keys that do.  The exit status is 1 if
 any item differs, else 0.  A companion of
@@ -94,6 +105,7 @@ SWEEP_CASES = 600
 VERIFY_CASES = 300
 FALLBACK_ITEMS = 100
 HEIGHT_ITEMS = 100
+OVERFLOW_ITEMS = 25
 # family_dims of the descent group's benchmark-mix items, laid out as in a descent benchmark block.
 DESCENT_MIX = (1,) * 30 + (2,) + (1,) * 30 + (3,)
 # The descent benchmark's start amplitude caps per (mode, sign) and its bins below them.
@@ -273,7 +285,7 @@ def compute() -> dict:
 
     rng = np.random.default_rng(20141016)
     names = ("family", "acceptance", "descent", "modes", "cmc", "geometry", "sweep", "verify")
-    names += ("fallbacks", "heights")
+    names += ("fallbacks", "heights", "overflow")
     groups = {name: [] for name in names}
 
     for i in range(FAMILY_SHAPES):
@@ -389,19 +401,64 @@ def compute() -> dict:
         groups["fallbacks"].append((g.tau, item))
 
     for g, H, c in _height_cases():
-        item = {"coefficients": c}
-        for name, fn, args in (
-            ("modes", sphere_from_modes, (g, H, c)),
-            ("cmc", generate_cmc_sphere, (g, H)),
-        ):
-            p = _attempt(item, name, fn, *args)
-            if p is not None:
-                _flat({column: getattr(p, column) for column in p._columns()}, name, item)
-                report = _attempt(item, f"{name}/energy", energy, p)
-                if report is not None:
-                    _flat(report.to_dict(), f"{name}/energy", item)
-        groups["heights"].append((g.tau, item))
+        groups["heights"].append((g.tau, _spheres_item(g, H, c)))
+    for g, H, c in _overflow_cases():
+        item = _spheres_item(g, H, c)
+        family = _attempt(item, "family", mode_family_energy, g, H, c)
+        if family is not None:
+            item["family"] = np.asarray(family)
+        groups["overflow"].append((g.tau, item))
     return groups
+
+
+def _spheres_item(g, H, c) -> dict:
+    """Samples and energy report of the mode sphere ``c`` and of the CMC sphere, or their errors."""
+    from thurston_willmore.functional import energy
+    from thurston_willmore.profile import generate_cmc_sphere, sphere_from_modes
+
+    item = {"coefficients": c}
+    for name, fn, args in (
+        ("modes", sphere_from_modes, (g, H, c)),
+        ("cmc", generate_cmc_sphere, (g, H)),
+    ):
+        p = _attempt(item, name, fn, *args)
+        if p is not None:
+            _flat({column: getattr(p, column) for column in p._columns()}, name, item)
+            report = _attempt(item, f"{name}/energy", energy, p)
+            if report is not None:
+                _flat(report.to_dict(), f"{name}/energy", item)
+    return item
+
+
+def _overflow_cases():
+    """(g, H, coefficients) of the ``overflow`` group, from a stream of its own."""
+    from thurston_willmore.geometry import GeometryParams
+
+    rng = np.random.default_rng(20141020)
+    cases = []
+    for i in range(2 * OVERFLOW_ITEMS):
+        g, H = _random_case(rng)
+        edge = 6.7e153 if i % 2 == 0 else 1.34e154
+        tau = float(rng.choice([-1.0, 1.0]) * edge * rng.uniform(0.98, 1.02))
+        g = GeometryParams(g.k, tau)
+        cases.append((g, H, _random_shape(rng, g, H)))
+    for _ in range(OVERFLOW_ITEMS):
+        g, _ = _random_case(rng)
+        H = float(rng.choice([-1.0, 1.0]) * 1.34e154 * rng.uniform(0.98, 1.02))
+        cases.append((g, H, _random_shape(rng, g, H)))
+    for _ in range(OVERFLOW_ITEMS):
+        # pi A(1/|H|)/w = pi sqrt(1 + tau^2/H^2)/|H| at k = 0, about pi |tau|/H^2
+        g = GeometryParams(0.0, rng.uniform(0.1, 2.0))
+        H = math.sqrt(math.pi * g.tau / (1e300 * rng.uniform(0.95, 1.05)))
+        cases.append((g, H, _random_shape(rng, g, H)))
+    for _ in range(OVERFLOW_ITEMS):
+        H = 10.0 ** rng.uniform(-151.0, -149.0)
+        r = rng.uniform(0.3, 0.9)
+        g = GeometryParams(-4.0 * r * H * H, rng.uniform(0.01, 1.0))
+        # u = sqrt((1 - t)/2) (1 + c t)/H peaks at the equator at (1 - c)/H for c < 0
+        c = 1.0 - (1.0 - 10.0 ** rng.uniform(-4.0, -1.0)) / math.sqrt(r)
+        cases.append((g, H, np.array([c])))
+    return cases
 
 
 def _height_cases():
@@ -476,12 +533,13 @@ def report(parent: dict, change: dict) -> int:
             if a.keys() == b.keys() and all(_same(a[key], b[key]) for key in a):
                 continue
             differ += 1
-            spelled += tau**2 != tau * tau
+            spelled += not math.isfinite(tau * tau) or tau**2 != tau * tau
             worst = max(worst, _gap(a, b))
             keys.update(a.keys() ^ b.keys())
             keys.update(k for k in a.keys() & b.keys() if not _same(a[k], b[k]))
         total += differ
-        line = f"{name}: {len(items)} items, {differ} differ ({spelled} at tau**2 != tau * tau)"
+        line = f"{name}: {len(items)} items, {differ} differ"
+        line += f" ({spelled} at tau**2 != tau * tau or tau * tau not finite)"
         if worst[1] > 0.0:
             line += f"; largest {worst[1]:.3g} ({worst[0]:.3g} of its scale) in {worst[2]}"
         elif differ:
