@@ -33,6 +33,7 @@ from .functional import (
 from .geometry import GeometryParams
 from .profile import (
     DEFAULT_SAMPLES,
+    Closure,
     ExistenceViolation,
     InadmissiblePerturbation,
     IntegrationError,
@@ -41,6 +42,7 @@ from .profile import (
     Tolerances,
     generate_cmc_sphere,
     perturbed_sphere,
+    _require_sphere_exists,
     _sidecar_path,
     _write_csv,
     _write_json,
@@ -273,6 +275,10 @@ def cmd_energy(config: RunConfig, profile_path: str) -> int:
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         raise ConfigError(f"malformed profile file {profile_path}: {exc}") from exc
     g = prof.geometry
+    if prof.closure is Closure.CLOSED_SPHERE and prof.mean_curvature is not None:
+        # the rule of every command that builds a sphere: the energy of one
+        # that float64 cannot hold reads NaN
+        _require_sphere_exists(g, prof.mean_curvature)
     coeffs = config.coefficients(g)
     try:
         report = energy(prof, coeffs)

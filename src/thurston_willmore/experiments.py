@@ -16,7 +16,9 @@ check that missed (a NaN misses every check), or None on a pass.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -463,19 +465,53 @@ def _family_energy(
     node the density is rho = G M, with G the weight H_m^2 + alpha K_bar + beta
     of :func:`functional._energy_weight` and M = u A N/(H B^2) = mu ds/dsigma;
     it depends on the coefficients only through P and N (their Chebyshev series
-    in t = cos(2 sigma)), both linear in them.  The derivatives are the partials
-    of rho in (P, N), hand-derived below, contracted with the rule's mode terms.
-    Raises :class:`InadmissiblePerturbation` where the shape is not a regular profile.
+    in t = cos(2 sigma)), both linear in them.  E and the node terms come from
+    the value stage :func:`_family_value`, which keeps the last point it
+    evaluated, so derivatives asked for right after E at the same point reuse
+    them (:func:`_family_derivatives`).  Raises :class:`ExistenceViolation` or
+    :class:`IntegrationError` where the CMC sphere of (g, H) does not exist or
+    overflows float64, and :class:`InadmissiblePerturbation` where the shape is
+    not a regular profile.
     """
     if functional_coeffs is None:
         functional_coeffs = canonical_coefficients(g)
     c = np.atleast_1d(np.asarray(coeffs_vec, dtype=float))
     h = abs(H)
+    alpha = functional_coeffs.alpha
+    key = _FAMILY_HEAD.pack(g.k, g.tau, h, alpha, functional_coeffs.beta) + c.tobytes()
+    value, nodes = _family_value(key, g, H, functional_coeffs)
+    if not derivatives:
+        return value
+    return value, *_family_derivatives(g, h, alpha, nodes)
+
+
+# The float64 fields k, tau, |H|, alpha, beta that open a family point's memo key.
+_FAMILY_HEAD = struct.Struct("5d")
+
+
+@lru_cache(maxsize=1)
+def _family_value(
+    key: bytes, g: GeometryParams, H: float, functional_coeffs: FunctionalCoefficients
+) -> tuple:
+    """The value stage of :func:`_family_energy`: E and the node terms its derivatives read.
+
+    ``key`` holds the float64 bytes of k, tau, |H|, alpha, beta and then
+    the coefficients, so -0.0 and 0.0 never share an entry (as in
+    :func:`profile._shape_core`).  The other arguments are the objects those
+    bits come from; floats with equal bits compare equal, so they split no
+    entry that the bits share.  One entry: a descent's accepted trial, whose
+    gradient and Hessian follow at once.  Existence and float64 overflow
+    are decided first (:func:`_require_sphere_exists`).  Returns E and the node
+    terms (weights, sin(sigma), the P and N mode terms, P, N, u, B, A^2,
+    ds/dsigma, dsigma/ds, H_m, nu, G, mu) at the half rule's nodes.
+    """
+    _require_sphere_exists(g, H)
+    h = abs(H)
+    c = np.frombuffer(key, offset=_FAMILY_HEAD.size)
     shape = _require_admissible(g, h, c)
     weights, sin_sig, cos_sig, t, p_modes, n_modes = _family_half_rule(
         _family_panels(g, h, shape), c.size
     )
-    k4, tau2 = 0.25 * g.k, g.tau * g.tau
     # The series, not the rule's mode terms: near the regularity edge
     # (min N ~ 1e-4) summing the mode terms moves the energy by up to 1e-13.
     p, n, u, b, ds_dsigma = _family_nodes(g, h, shape, sin_sig, t)
@@ -489,10 +525,20 @@ def _family_energy(
     mu = u * A / b
     # w (G mu) ds/dsigma in this order: near the apex edge a reordering moves E by ~1e-11
     value = FOUR_PI * float(np.dot(weights, G * mu * ds_dsigma))
-    if not derivatives:
-        return value
+    nodes = (weights, sin_sig, p_modes, n_modes, p, n, u, b, a2, ds_dsigma, turning, hm, nu, G, mu)
+    return value, nodes
+
+
+def _family_derivatives(g: GeometryParams, h: float, alpha: float, nodes: tuple) -> tuple:
+    """Gradient and Hessian of the family energy from the node terms of :func:`_family_value`.
+
+    The partials of rho in (P, N), hand-derived below, contracted with the
+    rule's mode terms.
+    """
+    weights, sin_sig, p_modes, n_modes, p, n, u, b, a2, ds_dsigma, turning, hm, nu, G, mu = nodes
+    k4, tau2 = 0.25 * g.k, g.tau * g.tau
     # the weight's part alpha (k - 4 tau^2) nu^2, which the partials below differentiate
-    e = functional_coeffs.alpha * ((g.k - 4.0 * tau2) * nu * nu)
+    e = alpha * ((g.k - 4.0 * tau2) * nu * nu)
     M = weights * mu * ds_dsigma
     inv_p, inv_n, inv_b, inv_a2 = 1.0 / p, 1.0 / n, 1.0 / b, 1.0 / a2
     inv_p2 = inv_p * inv_p
@@ -526,7 +572,7 @@ def _family_energy(
     hessian = np.einsum("in,jn->ij", p_modes * rho_pp + n_modes * rho_pn, p_modes) + np.einsum(
         "in,jn->ij", p_modes * rho_pn + n_modes * rho_nn, n_modes
     )
-    return value, FOUR_PI * gradient, FOUR_PI * hessian
+    return FOUR_PI * gradient, FOUR_PI * hessian
 
 
 def mode_family_energy(
@@ -540,8 +586,12 @@ def mode_family_energy(
     Everything is analytic in the turning angle: an 8-point Gauss sum over
     64 panels in sigma, or 1024 where the density has a complex singularity
     close to the real axis, with no profile and no stencils.  Shapes that
-    :func:`sphere_from_modes` rejects return infinity.  The descent
-    objective, and a cross-check of the sample-based energy pipeline.
+    :func:`sphere_from_modes` rejects return infinity; a CMC sphere of
+    (g, H) that does not exist or that float64 cannot hold raises, as both
+    generators do (:class:`ExistenceViolation`, :class:`IntegrationError`).
+    The point's node terms stay for derivatives asked for next at the same
+    point.  The descent objective, and a cross-check of the sample-based
+    energy pipeline.
     """
     try:
         return _family_energy(g, H, coeffs_vec, functional_coeffs)
@@ -608,11 +658,13 @@ def descend_energy(
     and the step is halved until the Armijo condition holds (Nocedal &
     Wright, *Numerical Optimization*, ch. 3).  Trial points need E alone,
     from :func:`mode_family_energy`, which is infinite on inadmissible
-    shapes, so no step leaves the family.  A start outside the
-    family or on its regularity boundary (amplitude 0.2 in mode 1, where
-    ds/dsigma vanishes at the equator) is scaled by 0.97 until it is
-    admissible with the exact minimum of the regularity numerator N above
-    0.03; a start that cannot be pulled in raises
+    shapes, so no step leaves the family.  The accepted trial is the last
+    point evaluated, so its gradient and Hessian read its kept node terms
+    (:func:`_family_value`): each point of a descent is evaluated once.  A
+    start outside the family or on its regularity boundary (amplitude 0.2
+    in mode 1, where ds/dsigma vanishes at the equator) is scaled by 0.97
+    until it is admissible with the exact minimum of the regularity
+    numerator N above 0.03; a start that cannot be pulled in raises
     :class:`InadmissiblePerturbation`.  Convergence means every coefficient
     below ``tolerances.descent_coeff`` and the energy within
     ``tolerances.energy`` of 4 pi, on the ``n_samples`` samples of the final
@@ -644,7 +696,8 @@ def descend_energy(
     else:
         raise InadmissiblePerturbation("descent start could not be pulled into the family")
 
-    f_val, grad, hess = _family_energy(g, H_init, c, derivatives=True)
+    coeffs = canonical_coefficients(g)
+    f_val, grad, hess = _family_energy(g, H_init, c, coeffs, derivatives=True)
     stop_reason = "iteration budget used up"
     iterations = max_iterations
     for i in range(max_iterations + 1):
@@ -661,7 +714,7 @@ def descend_energy(
         # a zero (or non-finite) gradient gives no descent direction: no trials
         for _ in range(50 if slope < 0.0 else 0):
             candidate = c + trial * step
-            f_new = mode_family_energy(g, H_init, candidate)
+            f_new = mode_family_energy(g, H_init, candidate, coeffs)
             if f_new <= f_val + _ARMIJO * trial * slope:
                 break
             trial *= 0.5
@@ -669,11 +722,12 @@ def descend_energy(
             stop_reason, iterations = "line search stalled", i + 1
             break
         c, f_val = candidate, f_new
-        _, grad, hess = _family_energy(g, H_init, c, derivatives=True)
+        # the accepted trial was the last point evaluated: its node terms are a memo hit
+        _, grad, hess = _family_energy(g, H_init, c, coeffs, derivatives=True)
 
     final = _mode_samples(g, H_init, c, n_samples)
     u = final["u"]
-    final_energy, _ = _turning_angle_energy(g, canonical_coefficients(g), u, final["ds_dsigma"])
+    final_energy, _ = _turning_angle_energy(g, coeffs, u, final["ds_dsigma"])
     sin_sig = _turning_angle_grid(n_samples)[1]
     refit = float(np.dot(sin_sig, u) / np.dot(u, u))
     identity_residual = float(np.abs(sin_sig - refit * u).max())
@@ -684,7 +738,7 @@ def descend_energy(
         f"descent not converged: {stop_reason} after {iterations} iterations"
         f" (gradient norm {gradient_norm:.3e})"
     )
-    sphere_hessian = _family_energy(g, H_init, np.zeros(family_dims), derivatives=True)[2]
+    sphere_hessian = _family_energy(g, H_init, np.zeros(family_dims), coeffs, derivatives=True)[2]
     return DescentReport(
         geometry=g,
         H=H_init,

@@ -949,6 +949,25 @@ class TestExitCodes:
         assert capsys.readouterr().err.endswith("overflows float64: 4 tau^2 is not finite\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_stored_sphere_that_overflows_exits_5(self, tmp_path, capsys, fmt):
+        # a generated file with tau = 7e153 written into its header: unchecked,
+        # this read E = nan and exited 0
+        out = tmp_path / "s.out"
+        assert run(["generate", "--k", 0, "--tau", 0.5, "--H", 1, "--format", fmt, "-o", out]) == 0
+        header = profile._sidecar_path(out) if fmt == "csv" else out
+        doc = json.loads(header.read_text())
+        (doc if fmt == "csv" else doc["profile"])["geometry"]["tau"] = 7e153
+        header.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["energy", out]) == cli.EXIT_INTEGRATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the CMC sphere in E(k=0.0, tau=7e+153) with H=1.0"
+            " overflows float64: 4 tau^2 is not finite\n"
+        )
+
     def test_uncaught_exception_is_one_error_line(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "s.csv"
         assert run(["generate", "--k", 0, "--tau", 0.5, "--H", 1, "-o", path]) == 0

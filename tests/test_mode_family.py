@@ -8,6 +8,8 @@ independently of the Gauss panels of ``mode_family_energy``.
 """
 
 import math
+import re
+from contextlib import contextmanager
 from unittest.mock import patch
 
 import mpmath as mp
@@ -34,7 +36,9 @@ from thurston_willmore.experiments import (
     mode_family_energy,
 )
 from thurston_willmore.profile import (
+    ExistenceViolation,
     InadmissiblePerturbation,
+    IntegrationError,
     _one_minus_t,
     _require_admissible,
     _series_range,
@@ -392,6 +396,25 @@ def _assert_samples_equal_the_2d_panel_sums(k, tau, H, coeffs, n_samples):
         assert np.array_equal(column, oracle)
 
 
+class TestNoSphere:
+    # existence and float64 overflow are decided before the shape: unchecked, the
+    # first two read -inf and 0.0, and each case read inf with the inadmissible shape
+    @pytest.mark.parametrize("k, tau, H, error, message", [
+        (0.0, 7e153, 1.0, IntegrationError, "with H=1.0 overflows float64: 4 tau^2 is not finite"),
+        (0.0, 1.0, 1e-150, IntegrationError, "with H=1e-150 overflows float64: pi A(1/|H|)/w"),
+        (0.0, 1.0, -1e-150, IntegrationError, "with H=-1e-150 overflows float64: pi A(1/|H|)/w"),
+        (1.0, 0.0, 0.0, ExistenceViolation, "requires H != 0 for k > 0"),
+        (-1.0, 0.0, -0.4, ExistenceViolation, "with H=-0.4: requires H^2 > -k/4"),
+    ])
+    @pytest.mark.parametrize("c", [[0.05], [0.5]], ids=["admissible", "inadmissible"])
+    def test_family_energy_raises_the_typed_error(self, k, tau, H, error, message, c):
+        g = GeometryParams(k, tau)
+        with pytest.raises(error, match=re.escape(message)):
+            mode_family_energy(g, H, c)
+        with pytest.raises(error, match=re.escape(message)):
+            _family_energy(g, H, c, derivatives=True)
+
+
 class TestMirroredPanelSums:
     # sphere_from_modes sums the panels left of the equator with np.sum
     # and repeats the sums in mirror order, on a grid cached
@@ -463,6 +486,19 @@ def test_family_energy_matches_mpmath_oracle(k, tau, H, coeffs, panels):
 PLAIN_WILLMORE = FunctionalCoefficients(alpha=1.0, beta=0.0)
 
 
+@contextmanager
+def _patched(name, replacement):
+    # experiments.<name> replaced, with the family energy's one-point memo
+    # (experiments._family_value) cleared on entry and on exit: no evaluation
+    # under the patch reads an entry made outside it, and none outside reads its entries
+    with patch.object(experiments, name, replacement):
+        experiments._family_value.cache_clear()
+        try:
+            yield
+        finally:
+            experiments._family_value.cache_clear()
+
+
 class TestFamilyRuleOracle:
     # The package sums the rule of _turning_angle_grid at panels + 1 samples
     # with undoubled weights and scales by 4 pi; the oracle rule doubles its
@@ -474,11 +510,11 @@ class TestFamilyRuleOracle:
         self, k, tau, H, coeffs, panels, functional_coeffs
     ):
         g = GeometryParams(k, tau)
-        with patch.object(experiments, "_family_panels", lambda *_: panels):
+        with _patched("_family_panels", lambda *_: panels):
             value, gradient, hessian = _family_energy(
                 g, H, coeffs, functional_coeffs, derivatives=True
             )
-            with patch.object(experiments, "_family_half_rule", family_half_rule):
+            with _patched("_family_half_rule", family_half_rule):
                 doubled = _family_energy(g, H, coeffs, functional_coeffs, derivatives=True)
         assert value == 0.5 * doubled[0]
         assert np.array_equal(gradient, 0.5 * doubled[1])
@@ -498,6 +534,7 @@ class TestFamilyRuleOracle:
 def _assert_one_energy(g, H, c, functional_coeffs):
     # the energy that comes with the derivatives is the objective itself
     value = mode_family_energy(g, H, c, functional_coeffs)
+    experiments._family_value.cache_clear()  # the derivative call evaluates afresh
     if math.isinf(value):
         with pytest.raises(InadmissiblePerturbation):
             _family_energy(g, H, c, functional_coeffs, derivatives=True)
@@ -521,6 +558,77 @@ class TestOneEvaluation:
         value = mode_family_energy(GeometryParams(k, tau), H, coeffs, PLAIN_WILLMORE)
         expected = float(_oracle_energy(k, tau, H, coeffs, alpha=1.0, beta=0.0))
         assert value == pytest.approx(expected, rel=1e-12)
+
+
+def _bits(result) -> list[bytes]:
+    return [np.asarray(x).tobytes() for x in result]
+
+
+class TestValueMemo:
+    """The family energy's value stage keeps its last point for the derivatives that follow."""
+
+    @pytest.mark.parametrize("k, tau, H, dims, start", [
+        (0.0, 0.5, 1.0, 3, None),
+        (-1.0, -0.5, 0.8, 1, PerturbationSpec(-0.15, 1)),
+        (1.0, 0.3, 0.6, 2, PerturbationSpec(0.1, 2)),
+    ])
+    def test_descent_evaluates_each_point_once(self, k, tau, H, dims, start):
+        # every point the descent evaluates (start, trials, c = 0) picks its panels,
+        # and so runs the value stage, once; an accepted trial's derivatives reuse it
+        g = GeometryParams(k, tau)
+        points, panel_calls = [], []
+        family_energy, family_panels = experiments._family_energy, experiments._family_panels
+
+        def recording(g, H, c, *args, **kwargs):
+            points.append(np.asarray(c, dtype=float).tobytes())
+            return family_energy(g, H, c, *args, **kwargs)
+
+        def counting(*args):
+            panel_calls.append(args)
+            return family_panels(*args)
+
+        experiments._family_value.cache_clear()
+        with patch.object(experiments, "_family_energy", recording), patch.object(
+            experiments, "_family_panels", counting
+        ):
+            report = descend_energy(g, H, dims, start=start)
+        assert report.converged
+        distinct = list(dict.fromkeys(points))
+        admissible = [c for c in distinct if _admissible(g, H, np.frombuffer(c))]
+        assert np.zeros(dims).tobytes() in distinct
+        # each accepted step is asked for twice: its trial's E, then its derivatives
+        assert len(points) == len(distinct) + report.iterations
+        assert len(panel_calls) == len(admissible)
+
+    @pytest.mark.parametrize("functional_coeffs", [None, PLAIN_WILLMORE], ids=["canonical", "plain"])
+    @pytest.mark.parametrize("k, tau, H, coeffs, panels", ORACLE_SHAPES)
+    def test_derivatives_after_a_value_call_equal_a_fresh_evaluation(
+        self, k, tau, H, coeffs, panels, functional_coeffs
+    ):
+        g = GeometryParams(k, tau)
+        experiments._family_value.cache_clear()
+        fresh = _family_energy(g, H, coeffs, functional_coeffs, derivatives=True)
+        experiments._family_value.cache_clear()
+        value = mode_family_energy(g, H, coeffs, functional_coeffs)
+        reused = _family_energy(g, H, coeffs, functional_coeffs, derivatives=True)
+        assert experiments._family_value.cache_info()[:2] == (1, 1)  # (hits, misses)
+        assert _bits([value]) == _bits(reused[:1])
+        assert _bits(reused) == _bits(fresh)
+
+    @pytest.mark.parametrize("first, second", [
+        ((0.0, 0.5, 1.0, [0.05], None), (-0.0, 0.5, 1.0, [0.05], None)),
+        ((0.0, 0.0, 1.0, [0.05], None), (0.0, -0.0, 1.0, [0.05], None)),
+        ((0.0, 0.5, 1.0, [0.0], None), (0.0, 0.5, 1.0, [-0.0], None)),
+        ((0.0, 0.5, 1.0, [0.05, -0.0], None), (0.0, 0.5, 1.0, [0.05, 0.0], None)),
+        ((0.0, 0.5, 1.0, [0.05], (1.0, 0.0)), (0.0, 0.5, 1.0, [0.05], (1.0, -0.0))),
+        ((0.0, 0.5, 1.0, [0.05], (0.0, 1.0)), (0.0, 0.5, 1.0, [0.05], (-0.0, 1.0))),
+    ], ids=["k", "tau", "coefficient", "second coefficient", "beta", "alpha"])
+    def test_signed_zeros_never_share_an_entry(self, first, second):
+        experiments._family_value.cache_clear()
+        for k, tau, H, c, pair in (first, second):
+            functional_coeffs = None if pair is None else FunctionalCoefficients(*pair)
+            _family_energy(GeometryParams(k, tau), H, c, functional_coeffs, derivatives=True)
+        assert experiments._family_value.cache_info()[:2] == (0, 2)  # (hits, misses)
 
 
 class TestFamilyDerivatives:
@@ -647,7 +755,7 @@ def test_coarse_panels_match_fine_panels(case, c):
         assume(False)
     assume(_family_panels(g, H, shape) == profile._FAMILY_PANELS)
     coarse = mode_family_energy(g, H, c)
-    with patch.object(experiments, "_family_panels", lambda *_: profile._FAMILY_FINE_PANELS):
+    with _patched("_family_panels", lambda *_: profile._FAMILY_FINE_PANELS):
         fine = mode_family_energy(g, H, c)
     assert coarse == pytest.approx(fine, rel=1e-12)
 

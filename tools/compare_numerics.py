@@ -8,10 +8,14 @@ Each argument is a directory that holds the ``thurston_willmore`` package
 (a checkout's ``src``).  For each tree one subprocess, with that tree first
 on ``PYTHONPATH``, computes the same seeded items, in groups:
 
-- ``family``: E, gradient and Hessian of ``_family_energy`` and
-  ``mode_family_energy`` on 3000 random admissible shapes (dims 1-3,
-  k in [-3, 3], tau in [-2, 2] or a grid value, H from 0.003 to 1.5 above
-  the existence bound), canonical and plain-Willmore coefficients in turn;
+- ``family``: ``mode_family_energy``, then E, gradient and Hessian of
+  ``_family_energy`` at the same point, on 3000 random admissible shapes
+  (dims 1-3, k in [-3, 3], tau in [-2, 2] or a grid value, H from 0.003 to
+  1.5 above the existence bound), canonical and plain-Willmore
+  coefficients in turn.  In that order a tree whose family energy keeps
+  its last point's node terms (``experiments._family_value``) computes the
+  derivatives from them, as a descent does, and a tree without evaluates
+  afresh;
 - ``acceptance``: the criticality and minimality reports of every
   ``default_acceptance_grid()`` case, with s and v of its CMC sphere and of
   each competitor of ``default_perturbation_grid()``;
@@ -20,9 +24,11 @@ on ``PYTHONPATH``, computes the same seeded items, in groups:
   at least 0.1): 60 dims-1 starts in mode 1 of both signs, their amplitudes
   rotating through the benchmark's four bins below its caps and a fifth bin
   above them whose starts are pulled into the family, one dims-2 start and
-  one dims-3 descent from the default start.  A descent decides each
-  accepted step's shape twice, so here the shape memo of
-  ``profile._shape_core`` is hit;
+  one dims-3 descent from the default start.  A descent asks for the
+  derivatives at each accepted step right after its trial's energy, so
+  here a tree that keeps the family energy's last point reuses that
+  trial's node terms, and one without decides the shape again, a hit in
+  the shape memo of ``profile._shape_core``;
 - ``modes`` and ``cmc``: 300 random ``sphere_from_modes`` and 300 random
   ``generate_cmc_sphere`` profiles at 1025 samples, with their samples,
   energy report, interior residual, the full ``el_residual`` array,
@@ -293,9 +299,9 @@ def compute() -> dict:
         c = _random_shape(rng, g, H)
         plain = FunctionalCoefficients.plain_willmore()
         coeffs = canonical_coefficients(g) if i % 2 == 0 else plain
+        item = {"mode_family_energy": np.asarray(mode_family_energy(g, H, c, coeffs))}
         E, grad, hess = _family_energy(g, H, c, coeffs, derivatives=True)
-        item = {"E": np.asarray(E), "gradient": grad, "hessian": hess}
-        item["mode_family_energy"] = np.asarray(mode_family_energy(g, H, c, coeffs))
+        item.update(E=np.asarray(E), gradient=grad, hessian=hess)
         groups["family"].append((g.tau, item))
 
     cases = default_acceptance_grid()
