@@ -122,10 +122,12 @@ def default_perturbation_grid() -> list[PerturbationSpec]:
 
 
 def _unwrap(sigma: np.ndarray) -> np.ndarray:
-    """``np.unwrap(sigma)`` bit for bit; in place when no step reaches pi and none is NaN."""
-    if not np.abs(np.diff(sigma)).max() < math.pi:
+    """``np.unwrap(sigma)`` bit for bit; in place unless a step before the last is NaN or >= pi."""
+    if not np.abs(np.diff(sigma[:-1])).max(initial=0.0) < math.pi:
         return np.unwrap(sigma)
     sigma[1:] += 0.0  # np.unwrap's zero correction, which turns -0.0 into 0.0
+    if not abs(sigma[-1] - sigma[-2]) < math.pi:  # its correction sums zeros up to the last step
+        sigma[-1] = np.unwrap(sigma[-2:])[1]
     return sigma
 
 

@@ -4,14 +4,15 @@ All profile post-processing differentiates and integrates stored sample
 arrays only, so repeated runs and CSV round trips are bit-identical.
 Every function takes one profile's samples as a 1-D array.  Derivatives
 use 5-point stencils (4th order in the interior, one-sided at the two edge
-samples on each side).  A stride-m stencil takes its points m samples
-apart and fills every sample in one pass, one expression over the interior
-and the one-sided formulas on the first and last 2m samples, which take
-the edge samples as Python floats; each sample still sees only its own
-stride-m subgrid.  Integration applies 16-point Gauss-Legendre rules to
-the local interpolant of each panel of eight grid intervals, which
-reduces to fixed weights on the samples; the error estimate compares
-against the same rule on the stride-2 subgrid.
+samples on each side), one routine over each derivative's rows.  A
+stride-m stencil takes its points m samples apart and fills every sample
+in one pass, in place over the interior and by the one-sided rows on the
+first and last 2m samples, which take the edge samples as Python floats;
+each sample still sees only its own stride-m subgrid.  Integration
+applies 16-point Gauss-Legendre rules to the local interpolant of each
+panel of eight grid intervals, which reduces to fixed weights on the
+samples; the error estimate compares against the same rule on the
+stride-2 subgrid.
 
 The spacing ``h`` is either a scalar, the step of samples uniform in the
 variable s, or an array s'_i = ds/di per sample, i the sample index, for
@@ -33,49 +34,18 @@ __all__ = ["derivative1", "derivative2", "sample_quadrature", "sample_quadrature
 _PANEL = 8  # grid intervals per quadrature panel
 
 
-def _derivative1_unit(y: np.ndarray, h: float, m: int) -> np.ndarray:
-    c = np.float64(12.0 * h)  # a float divided by it follows numpy, not ZeroDivisionError
-    d = np.empty_like(y)
-    n = len(y)
-    # interior in place, in the order of (y0 - 8 y1 + 8 y3 - y4) / c
-    inner = d[2 * m : n - 2 * m]
-    np.multiply(y[m : n - 3 * m], 8.0, out=inner)
-    np.subtract(y[: n - 4 * m], inner, out=inner)
-    inner += 8.0 * y[3 * m : n - m]
-    inner -= y[4 * m :]
-    inner /= c
-    head, tail = y[: 5 * m].tolist(), y[: -5 * m - 1 : -1].tolist()  # the last 5m reversed
-    for i in range(m):
-        y0, y1, y2, y3, y4 = head[i :: m]
-        d[i] = (-25.0 * y0 + 48.0 * y1 - 36.0 * y2 + 16.0 * y3 - 3.0 * y4) / c
-        d[i + m] = (-3.0 * y0 - 10.0 * y1 + 18.0 * y2 - 6.0 * y3 + y4) / c
-        y0, y1, y2, y3, y4 = tail[i :: m]
-        d[-1 - i - m] = -(-3.0 * y0 - 10.0 * y1 + 18.0 * y2 - 6.0 * y3 + y4) / c
-        d[-1 - i] = -(-25.0 * y0 + 48.0 * y1 - 36.0 * y2 + 16.0 * y3 - 3.0 * y4) / c
-    return d
-
-
-def _derivative2_unit(y: np.ndarray, h: float, m: int) -> np.ndarray:
-    hh = np.float64(12.0 * h * h)
-    d = np.empty_like(y)
-    n = len(y)
-    # interior in place, in the order of (-y0 + 16 y1 - 30 y2 + 16 y3 - y4) / hh
-    inner = d[2 * m : n - 2 * m]
-    np.multiply(y[m : n - 3 * m], 16.0, out=inner)
-    np.subtract(inner, y[: n - 4 * m], out=inner)
-    inner -= 30.0 * y[2 * m : n - 2 * m]
-    inner += 16.0 * y[3 * m : n - m]
-    inner -= y[4 * m :]
-    inner /= hh
-    head, tail = y[: 5 * m].tolist(), y[: -5 * m - 1 : -1].tolist()
-    for i in range(m):
-        y0, y1, y2, y3, y4 = head[i :: m]
-        d[i] = (35.0 * y0 - 104.0 * y1 + 114.0 * y2 - 56.0 * y3 + 11.0 * y4) / hh
-        d[i + m] = (11.0 * y0 - 20.0 * y1 + 6.0 * y2 + 4.0 * y3 - y4) / hh
-        y0, y1, y2, y3, y4 = tail[i :: m]
-        d[-1 - i - m] = (11.0 * y0 - 20.0 * y1 + 6.0 * y2 + 4.0 * y3 - y4) / hh
-        d[-1 - i] = (35.0 * y0 - 104.0 * y1 + 114.0 * y2 - 56.0 * y3 + 11.0 * y4) / hh
-    return d
+# 5-point rules: the interior row, the rows at the first two samples and the
+# order p; a stencil divides them by 12 (stride h)^p.
+_FIRST = (
+    (1.0, -8.0, 0.0, 8.0, -1.0),
+    ((-25.0, 48.0, -36.0, 16.0, -3.0), (-3.0, -10.0, 18.0, -6.0, 1.0)),
+    1,
+)
+_SECOND = (
+    (-1.0, 16.0, -30.0, 16.0, -1.0),
+    ((35.0, -104.0, 114.0, -56.0, 11.0), (11.0, -20.0, 6.0, 4.0, -1.0)),
+    2,
+)
 
 
 def _samples(y) -> np.ndarray:
@@ -86,42 +56,66 @@ def _samples(y) -> np.ndarray:
     return y
 
 
-def _strided(kernel, y: np.ndarray, h: float, stride: int) -> np.ndarray:
-    """Apply a stencil kernel to the samples y, its points ``stride`` samples apart.
+def _stencil(rule, y, h, stride: int) -> np.ndarray:
+    """The 5-point ``rule`` on the samples y with spacing h, its points ``stride`` samples apart.
 
-    Stencil points sit ``stride`` samples apart, which divides the
-    amplification of sample-level white noise by stride (first derivative)
-    or stride^2 (second derivative) at an O((stride h)^4) truncation cost.
-    One pass fills every sample: the interior [2 stride, n - 2 stride) as
-    one expression over slices offset by multiples of ``stride``, and the
-    first and last 2 stride samples by the one-sided formulas, one offset
-    at a time.  So sample values are never mixed across the interleaved
-    stride-subgrids, and every sample equals the same stencil applied to
-    its own subgrid.  The kernels read the edges once with ``tolist()``
-    (``y[i]`` makes a numpy scalar per sample).
+    A stride divides the amplification of sample-level white noise by stride
+    (d/ds) or stride^2 (d^2/ds^2) at an O((stride h)^4) truncation cost.
+    The interior [2m, n - 2m), m the stride, is summed in place in the row's
+    order from its second term (w1 y1 + w0 y0 = w0 y0 + w1 y1).  The edge
+    rows give each subgrid's first two samples and, on its points read
+    backward and negated for d/ds, its last two, on Python floats
+    (``y[i]`` would make a numpy scalar per sample).
     """
     y = _samples(y)
     if stride < 1:
         raise ValueError("stride must be >= 1")
     if len(y) < 5 * stride:
         raise ValueError(f"need at least {5 * stride} samples for stride {stride}")
-    return kernel(y, h * stride, stride)
+    interior, ((a0, a1, a2, a3, a4), (b0, b1, b2, b3, b4)), order = rule
+    m, n, h = stride, len(y), h * stride
+    # x / c follows numpy, not ZeroDivisionError
+    c = np.float64(12.0 * h * h if order == 2 else 12.0 * h)
+    d = np.empty_like(y)
+    inner = d[2 * m : n - 2 * m]
+    np.multiply(y[m : n - 3 * m], interior[1], out=inner)
+    for j in (0, 2, 3, 4):
+        w = interior[j]
+        if w == 1.0:
+            inner += y[j * m : n + (j - 4) * m]
+        elif w == -1.0:
+            inner -= y[j * m : n + (j - 4) * m]
+        elif w:
+            inner += w * y[j * m : n + (j - 4) * m]
+    inner /= c
+    head, tail = y[: 5 * m].tolist(), y[: -5 * m - 1 : -1].tolist()  # the last 5m reversed
+    for i in range(m):
+        y0, y1, y2, y3, y4 = head[i :: m]
+        d[i] = (a0 * y0 + a1 * y1 + a2 * y2 + a3 * y3 + a4 * y4) / c
+        d[i + m] = (b0 * y0 + b1 * y1 + b2 * y2 + b3 * y3 + b4 * y4) / c
+        y0, y1, y2, y3, y4 = tail[i :: m]
+        last = a0 * y0 + a1 * y1 + a2 * y2 + a3 * y3 + a4 * y4
+        next_to_last = b0 * y0 + b1 * y1 + b2 * y2 + b3 * y3 + b4 * y4
+        if order == 1:
+            last, next_to_last = -last, -next_to_last
+        d[-1 - i], d[-1 - i - m] = last / c, next_to_last / c
+    return d
 
 
 def derivative1(y: np.ndarray, h, stride: int = 1) -> np.ndarray:
     """First derivative d/ds of samples with spacing ``h``, 5-point stencils."""
     if getattr(h, "ndim", 0) == 0:
-        return _strided(_derivative1_unit, y, h, stride)
-    return _strided(_derivative1_unit, y, 1.0, stride) / h
+        return _stencil(_FIRST, y, h, stride)
+    return _stencil(_FIRST, y, 1.0, stride) / h
 
 
 def derivative2(y: np.ndarray, h, stride: int = 1) -> np.ndarray:
     """Second derivative d^2/ds^2 of samples with spacing ``h``, 5-point stencils."""
     if getattr(h, "ndim", 0) == 0:
-        return _strided(_derivative2_unit, y, h, stride)
-    h_dot = _strided(_derivative1_unit, h, 1.0, stride)
-    y_dot = _strided(_derivative1_unit, y, 1.0, stride)
-    return (_strided(_derivative2_unit, y, 1.0, stride) - h_dot * y_dot / h) / (h * h)
+        return _stencil(_SECOND, y, h, stride)
+    h_dot = _stencil(_FIRST, h, 1.0, stride)
+    y_dot = _stencil(_FIRST, y, 1.0, stride)
+    return (_stencil(_SECOND, y, 1.0, stride) - h_dot * y_dot / h) / (h * h)
 
 
 @lru_cache(maxsize=None)

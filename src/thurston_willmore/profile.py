@@ -67,7 +67,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
 from .geometry import GeometryParams, _a_squared, _b_factor
-from .numerics import _derivative1_unit
+from .numerics import derivative1
 
 __all__ = [
     "Tolerances",
@@ -810,7 +810,7 @@ def _grid_rates(n_samples: int) -> tuple:
     """sigma, sin, cos, step and d sigma/di of the read-only grid; sigma checked as by Profile."""
     sigma, sin_sig, cos_sig = _turning_angle_grid(n_samples)[:3]
     step = _check_samples({"sigma": sigma}, n_samples, closed=True, uniform_in=TURNING_ANGLE)
-    stencil = _derivative1_unit(sigma, 1.0, 1)
+    stencil = derivative1(sigma, 1.0)
     stencil.flags.writeable = False
     return sigma, sin_sig, cos_sig, step, stencil
 

@@ -92,6 +92,9 @@ class TestUnwrap:
         "a step of exactly pi": np.array([0.0, math.pi, 0.0, -math.pi]),
         "nan": np.array([0.0, 0.5, math.nan, 1.0]),
         "-0.0 past index 0": np.array([-0.0, -0.0, 0.5, -0.0]),
+        "a jump before a last-sample wrap": np.array([0.0, 0.5, 4.0, 4.5, -1.5]),
+        "nan at the last sample": np.array([0.0, 0.5, 1.0, math.nan]),
+        "two samples": np.array([3.0, -3.0]),
     }
 
     @pytest.mark.parametrize("name", CASES)
@@ -123,6 +126,14 @@ class TestUnwrap:
         plain = first_variation(p, coeffs)
         bits = [np.array([(v.dE_dt, v.truncation_estimate) for v in r]) for r in (fast, plain)]
         assert bits[0].tobytes() == bits[1].tobytes()
+
+    def test_last_sample_wrap_unwraps_two_samples(self, monkeypatch):
+        # this shape's arctan2 reads -pi at sigma = pi, its last sample, and nowhere else
+        p = sphere_from_modes(GeometryParams(0.0, 0.5), 1.0, [-0.05])
+        unwrap, lengths = np.unwrap, []
+        monkeypatch.setattr(np, "unwrap", lambda a: lengths.append(len(a)) or unwrap(a))
+        first_variation(p, canonical_coefficients(p.geometry))
+        assert lengths == [2]
 
 
 class TestCriticality:

@@ -96,15 +96,34 @@ def test_strided_derivative_damps_white_noise():
     assert strided < plain / 8.0
 
 
+def _assert_same_bits(d, reference):
+    # tobytes() tells -0.0 from 0.0, which np.array_equal does not; NaN only by position
+    nan = np.isnan(reference)
+    assert np.array_equal(np.isnan(d), nan)
+    assert d[~nan].tobytes() == reference[~nan].tobytes()
+
+
+def _special_samples(rng, n):
+    """Signed zeros among samples near 1e300 and 1e-300, and the same samples beside ones near 1."""
+    y = rng.choice([-1.0, 1.0], n) * rng.uniform(1.0, 9.0, n)
+    y *= 10.0 ** rng.choice([-300.0, 300.0], n)
+    zero = rng.random(n) < 0.3
+    y[zero] = rng.choice([-0.0, 0.0], zero.sum())
+    return y, np.where(rng.random(n) < 0.5, y, rng.standard_normal(n))
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_one_pass_stencils_match_per_offset_reference_bit_for_bit(m):
-    rng = np.random.default_rng(19 + m)
+    rng, special = np.random.default_rng(19 + m), np.random.default_rng(41 + m)
     for n in (5 * m, 5 * m + 1, 2049, 2050):
-        spacings = (0.37 / n, 0.5 + rng.uniform(0.0, 0.25, n))
-        y = rng.standard_normal(n) * 10.0 ** rng.uniform(-6.0, 6.0)
-        for h in spacings:
-            assert np.array_equal(derivative1(y, h, m), _reference_derivative1(y, h, m))
-            assert np.array_equal(derivative2(y, h, m), _reference_derivative2(y, h, m))
+        spacings = (0.37 / n, 0.5 + rng.uniform(0.0, 0.25, n), 0.0)
+        samples = (rng.standard_normal(n) * 10.0 ** rng.uniform(-6.0, 6.0),)
+        samples += (*_special_samples(special, n), np.copysign(0.0, special.standard_normal(n)))
+        for y in samples:
+            for h in spacings:
+                with np.errstate(all="ignore"):
+                    _assert_same_bits(derivative1(y, h, m), _reference_derivative1(y, h, m))
+                    _assert_same_bits(derivative2(y, h, m), _reference_derivative2(y, h, m))
 
 
 def test_stencil_errors_keep_their_messages():

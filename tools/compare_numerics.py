@@ -78,7 +78,13 @@ on ``PYTHONPATH``, computes the same seeded items, in groups:
   radius at H from 1e-151 to 1e-149 (k = -4 H^2 r, r in [0.3, 0.9]).  Each
   item holds, as ``heights`` does, the samples and energy report of the
   mode sphere and of the CMC sphere, and ``mode_family_energy``, or their
-  error text.
+  error text;
+- ``stencils``: drawn last, from a stream of its own, so the groups above
+  keep their items.  ``derivative1`` and ``derivative2`` at strides 1-4,
+  each with a scalar and an array spacing, at 5 stride, 5 stride + 1, 21,
+  1025 and 2049 samples, on four kinds of samples: a smooth curve with
+  noise, normal draws at a random decade, signed zeros among magnitudes
+  near 1e300 and 1e-300, and signed zeros alone.
 
 A failure is recorded as its exception text.  Per group the script prints
 how many items differ in any bit, how many of those were drawn at a tau
@@ -112,6 +118,7 @@ VERIFY_CASES = 300
 FALLBACK_ITEMS = 100
 HEIGHT_ITEMS = 100
 OVERFLOW_ITEMS = 25
+STENCIL_STRIDES = (1, 2, 3, 4)
 # family_dims of the descent group's benchmark-mix items, laid out as in a descent benchmark block.
 DESCENT_MIX = (1,) * 30 + (2,) + (1,) * 30 + (3,)
 # The descent benchmark's start amplitude caps per (mode, sign) and its bins below them.
@@ -291,7 +298,7 @@ def compute() -> dict:
 
     rng = np.random.default_rng(20141016)
     names = ("family", "acceptance", "descent", "modes", "cmc", "geometry", "sweep", "verify")
-    names += ("fallbacks", "heights", "overflow")
+    names += ("fallbacks", "heights", "overflow", "stencils")
     groups = {name: [] for name in names}
 
     for i in range(FAMILY_SHAPES):
@@ -414,7 +421,37 @@ def compute() -> dict:
         if family is not None:
             item["family"] = np.asarray(family)
         groups["overflow"].append((g.tau, item))
+    groups["stencils"] = _stencil_items()
     return groups
+
+
+def _stencil_items() -> list:
+    """(tau, item) pairs of the ``stencils`` group, from a stream of its own; tau is 0."""
+    from thurston_willmore.numerics import derivative1, derivative2
+
+    rng = np.random.default_rng(20141021)
+    items = []
+    for stride in STENCIL_STRIDES:
+        for n in sorted({5 * stride, 5 * stride + 1, 21, 1025, 2049}):
+            x = np.linspace(0.0, rng.uniform(0.5, 4.0), n)
+            extreme = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.choice([-300.0, 300.0], n)
+            zero = rng.random(n) < 0.3
+            extreme[zero] = rng.choice([-0.0, 0.0], zero.sum())
+            samples = {
+                "smooth": np.sin(3.0 * x) + 1e-9 * rng.standard_normal(n),
+                "normal": rng.standard_normal(n) * 10.0 ** rng.uniform(-6.0, 6.0),
+                "extreme": extreme * rng.uniform(1.0, 9.0, n),
+                "zeros": np.copysign(0.0, rng.standard_normal(n)),
+            }
+            spacings = {"scalar": float(x[1] - x[0]), "array": rng.uniform(0.5, 2.0, n)}
+            for kind, y in samples.items():
+                item = {}
+                with np.errstate(all="ignore"):
+                    for spacing, h in spacings.items():
+                        item[f"derivative1/{spacing}"] = derivative1(y, h, stride)
+                        item[f"derivative2/{spacing}"] = derivative2(y, h, stride)
+                items.append((0.0, {"kind": kind, "stride": np.asarray(stride), **item}))
+    return items
 
 
 def _spheres_item(g, H, c) -> dict:
