@@ -48,6 +48,11 @@ from .profile import (
     _write_json,
 )
 
+
+class ConfigError(ValueError):
+    """Invalid command line or configuration file."""
+
+
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_EXISTENCE = 2
@@ -55,6 +60,15 @@ EXIT_IO = 3
 EXIT_VERIFICATION = 4
 EXIT_INTEGRATION = 5
 EXIT_INTERNAL = 6
+# An error's exit code is that of the first type here it is an instance of.
+_EXIT_CODES = {
+    ConfigError: EXIT_CONFIG,
+    InadmissiblePerturbation: EXIT_CONFIG,
+    ExistenceViolation: EXIT_EXISTENCE,
+    OSError: EXIT_IO,
+    IntegrationError: EXIT_INTEGRATION,
+    Exception: EXIT_INTERNAL,  # printed with its type
+}
 
 # What each leaf command reads: its settings (RunConfig fields), then its
 # Tolerances fields.  This table alone gives a command's flags, the
@@ -91,10 +105,6 @@ _RETIRED_TOLERANCES = ("rtol", "atol", "conservation", "closure-identity", "axis
 # The perturbation amplitude a suite runs with when no epsilon is given; its
 # echo then leaves epsilon out, since a null would read as no perturbation.
 _DEFAULT_EPSILON = {"verify descent": 0.2, "verify identities": 0.1}
-
-
-class ConfigError(ValueError):
-    """Invalid command line or configuration file."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -164,9 +174,10 @@ _SETTING_FLAGS = {f.name: f.metadata for f in fields(RunConfig) if f.metadata}
 
 
 def _cast(name: str, cast, value):
+    """A config-file value cast from its text, as the flag's type casts the flag's text."""
     try:
-        return cast(value)
-    except (TypeError, ValueError) as exc:
+        return cast(str(value))
+    except ValueError as exc:
         raise ConfigError(f"{name} in config file must be {cast.__name__}, got {value!r}") from exc
 
 
@@ -406,21 +417,11 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(config, args.suite, trace_path=getattr(args, "trace", None))
         return cmd_sweep(config, args.spec)
-    except (ConfigError, InadmissiblePerturbation) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ExistenceViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EXISTENCE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except IntegrationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTEGRATION
-    except Exception as exc:  # anything else: one line, not a traceback
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    except Exception as exc:  # one line, not a traceback
+        code = next(c for kind, c in _EXIT_CODES.items() if isinstance(exc, kind))
+        detail = f"{type(exc).__name__}: {exc}" if code == EXIT_INTERNAL else exc
+        print(f"error: {detail}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

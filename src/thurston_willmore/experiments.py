@@ -179,7 +179,7 @@ def deformed_curve_energy(
     # its tangent 2 (H dH + alpha (k - 4 tau^2) nu dnu) mu speed + weight (dmu speed + mu dspeed)
     scale = 2.0 * mu * speed
     by_dH = scale * H
-    by_dnu = scale * coeffs.alpha * (k - 4.0 * tau * tau) * nu
+    by_dnu = scale * coeffs.alpha * g._k_bar_slope * nu
     by_dmu, by_dspeed = weight * speed, weight * mu
     dA_du, dB_du = tau * tau * u / A, 0.5 * k * u
     dmu_du = (A + u * dA_du - mu * dB_du) / B
@@ -540,7 +540,7 @@ def _family_derivatives(g: GeometryParams, h: float, alpha: float, nodes: tuple)
     weights, sin_sig, p_modes, n_modes, p, n, u, b, a2, ds_dsigma, turning, hm, nu, G, mu = nodes
     k4, tau2 = 0.25 * g.k, g.tau * g.tau
     # the weight's part alpha (k - 4 tau^2) nu^2, which the partials below differentiate
-    e = alpha * ((g.k - 4.0 * tau2) * nu * nu)
+    e = alpha * (g._k_bar_slope * nu * nu)
     M = weights * mu * ds_dsigma
     inv_p, inv_n, inv_b, inv_a2 = 1.0 / p, 1.0 / n, 1.0 / b, 1.0 / a2
     inv_p2 = inv_p * inv_p
@@ -833,9 +833,13 @@ class SweepSpec:
     def from_dict(cls, data: dict) -> "SweepSpec":
         """The spec from ``data``, which must hold every list: ``KeyError`` names a missing one.
 
-        Then any other key raises ``ValueError`` naming it.
+        A value that is not a list of numbers, or any other key, raises ``ValueError`` naming it.
         """
         names = [f.name for f in fields(cls)]
+        for name in names:
+            values = data[name]
+            if type(values) is not list or any(type(x) not in (int, float) for x in values):
+                raise ValueError(f"{name} must be an array of numbers, got {values!r}")
         spec = cls(*(tuple(float(x) for x in data[name]) for name in names))
         for key in data:
             if key not in names:

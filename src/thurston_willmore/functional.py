@@ -122,12 +122,11 @@ def _mean_curvature(k: float, u, sin_sig, sigma_dot, ratio):
 
 def _energy_weight(g: GeometryParams, coeffs: FunctionalCoefficients, H, nu):
     """The weight H^2 + alpha K_bar + beta of E_{alpha,beta}, K_bar = tau^2 + (k - 4 tau^2) nu^2."""
-    tau = g.tau
     return (
         H * H
-        + coeffs.alpha * ((g.k - 4.0 * tau * tau) * nu * nu)
+        + coeffs.alpha * (g._k_bar_slope * nu * nu)
         + coeffs.beta
-        + coeffs.alpha * tau * tau
+        + coeffs.alpha * g.tau * g.tau
     )
 
 
@@ -317,12 +316,12 @@ def _require_closed(profile: Profile) -> None:
 
 def _energy_densities(f: _ProfileFields, coeffs: FunctionalCoefficients) -> tuple:
     """The integrands of E_{alpha,beta} and of the canonical second summand, per unit arclength."""
-    k, tau = f.g.k, f.g.tau
+    k = f.g.k
     # (sigma' sin/u) mu cancels the 1/u against mu = u A / B.
     second = (
         f.sigma_dot * f.sin * f.A / f.B
         - 0.25 * k * f.sin * f.sin * f.mu
-        + (0.25 * k - tau * tau) * (f.cos * f.cos / (f.A * f.A)) * f.mu
+        + 0.25 * f.g._k_bar_slope * (f.cos * f.cos / (f.A * f.A)) * f.mu
         + 0.25 * k * f.mu
     )
     return _energy_weight(f.g, coeffs, f.H, f.nu) * f.mu, second
@@ -394,12 +393,12 @@ def el_residual(profile: Profile, coeffs: FunctionalCoefficients) -> np.ndarray:
         * (
             2.0 * H * H
             - 2.0 * f.gauss_curvature()
-            + (1.0 - 2.0 * coeffs.alpha) * (k - 4.0 * tau * tau) * f.nu * f.nu
+            + (1.0 - 2.0 * coeffs.alpha) * g._k_bar_slope * f.nu * f.nu
             + k
             - 2.0 * coeffs.beta
             - 2.0 * coeffs.alpha * tau * tau
         )
-        + 2.0 * coeffs.alpha * (k - 4.0 * tau * tau) * f.div_nuT()
+        + 2.0 * coeffs.alpha * g._k_bar_slope * f.div_nuT()
     )
 
 
@@ -439,13 +438,12 @@ def second_summand_derivative_check(profile: Profile) -> float:
         )
     f = _ProfileFields.of(profile)
     g = profile.geometry
-    k, tau = g.k, g.tau
     u, A, B = f.u, f.A, f.B
     u_dot = B * f.cos  # definition of sigma, exact on samples
     u_ddot = derivative1(u_dot, f.h)
     integrand = -u_ddot * A / (B * B) + (
         u * u_dot * u_dot / (B * B * B)
-    ) * (0.75 * k * A + (0.25 * k - tau * tau) / A)
+    ) * (0.75 * g.k * A + 0.25 * g._k_bar_slope / A)
     bracket = -u_dot * A / (B * B)
     fd = derivative1(bracket, f.h)
     return float(np.max(np.abs(integrand[m:-m] - fd[m:-m])))

@@ -85,6 +85,7 @@ class GeometryParams:
     k: float
     tau: float
     domain_radius: float = field(init=False)
+    _k_bar_slope: float = field(init=False, repr=False, compare=False)  # k - 4 tau^2, see _k_bar
 
     def __post_init__(self):
         k = float(self.k)
@@ -95,6 +96,7 @@ class GeometryParams:
         object.__setattr__(self, "tau", tau)
         radius = 2.0 / math.sqrt(-k) if k < 0 else math.inf
         object.__setattr__(self, "domain_radius", radius)
+        object.__setattr__(self, "_k_bar_slope", k - 4.0 * tau * tau)
 
     to_dict = _record_dict
 
@@ -147,7 +149,7 @@ def _b_factor(g: GeometryParams, u):
 
 def _k_bar(g: GeometryParams, nu):
     """Sectional curvature tau^2 + (k - 4 tau^2) nu^2, unchecked."""
-    return g.tau * g.tau + (g.k - 4.0 * g.tau * g.tau) * nu * nu
+    return g.tau * g.tau + g._k_bar_slope * nu * nu
 
 
 def sectional_curvature(g: GeometryParams, nu):
@@ -168,7 +170,7 @@ def ricci_normal(g: GeometryParams, nu):
     containing n, which gives k - 2 tau^2 - (k - 4 tau^2) nu^2.
     """
     nu = _check_nu(nu)
-    out = g.k - 2.0 * g.tau * g.tau - (g.k - 4.0 * g.tau * g.tau) * nu * nu
+    out = g.k - 2.0 * g.tau * g.tau - g._k_bar_slope * nu * nu
     return out if out.ndim else float(out)
 
 

@@ -561,6 +561,18 @@ class TestSweep:
         assert capsys.readouterr().err == "error: invalid sweep spec: unknown key 'H_value'\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("k_values", ["01", [True], 0, ["0"], {"0": 1}])
+    def test_spec_list_that_is_not_an_array_of_numbers_exits_1(self, tmp_path, capsys, k_values):
+        # a string would run one row per character, true as k = 1
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"k_values": k_values, "tau_values": [0.5], "H_values": [1.0]}))
+        out = tmp_path / "x.csv"
+        assert run(["sweep", spec, "--out", out]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: invalid sweep spec: k_values must be an array of numbers, got {k_values!r}\n"
+        )
+        assert not out.exists()
+
     def test_missing_spec_exits_1(self, tmp_path):
         assert run(["sweep", tmp_path / "nope.json", "--out", tmp_path / "x.csv"]) == 1
 
@@ -815,6 +827,16 @@ class TestExitCodes:
                 {"tolerances": {"energy": "abc"}},
                 "tol-energy in config file must be float, got 'abc'",
             ),
+            # JSON true, false and fractions cast as their flag's text would, not as Python's
+            (["generate"], {"samples": 2049.9}, "samples in config file must be int, got 2049.9"),
+            (["generate"], {"samples": False}, "samples in config file must be int, got False"),
+            (["generate"], {"mode": 1.7}, "mode in config file must be int, got 1.7"),
+            (["generate"], {"k": True}, "k in config file must be float, got True"),
+            (
+                ["verify", "minimality"],
+                {"tolerances": {"energy": True}},
+                "tol-energy in config file must be float, got True",
+            ),
         ],
     )
     def test_non_numeric_config_value_is_a_config_error(
@@ -1002,3 +1024,6 @@ def test_readme_exit_code_table_lists_every_exit_code():
     listed = [int(code) for code in re.findall(r"^\| `(\d+)` \|", table, flags=re.M)]
     codes = sorted(value for name, value in vars(cli).items() if name.startswith("EXIT_"))
     assert listed == codes
+    # every error main maps reaches a listed code, and none falls past the table
+    assert set(cli._EXIT_CODES.values()) <= set(codes)
+    assert list(cli._EXIT_CODES)[-1] is Exception

@@ -33,11 +33,9 @@ on ``PYTHONPATH``, computes the same seeded items, in groups:
   ``generate_cmc_sphere`` profiles at 1025 samples, with their samples,
   energy report, interior residual, the full ``el_residual`` array,
   the six per-sample arrays H, K, K_bar, nu, div_nuT and mu (through
-  ``surface_fields`` where the tree has it, else through
-  ``profile_mean_curvature``, ``gauss_curvature_profile``,
-  ``div_nuT_profile`` and the ``_ProfileFields`` arrays), the
-  ``gauss_bonnet_total``, ``second_summand_derivative_check`` and
-  ``willmore_relation_check`` values, and the first variation;
+  ``surface_fields``), the ``gauss_bonnet_total``,
+  ``second_summand_derivative_check`` and ``willmore_relation_check``
+  values, and the first variation;
 - ``geometry``: 2000 draws of the public ``geometry`` functions, tau in
   [-3, 3];
 - ``sweep``: every ``SweepRow`` field, error text included, of
@@ -221,23 +219,6 @@ def _descent_start(rng, n: int, dims: int) -> tuple[float, int]:
     return sign * fraction * AMPLITUDE_CAP[(mode, sign)], mode
 
 
-def _surface_fields(p) -> dict:
-    """The per-sample arrays of ``surface_fields``, on trees with or without it."""
-    from thurston_willmore import functional
-
-    if hasattr(functional, "surface_fields"):
-        return functional.surface_fields(p)
-    f = functional._ProfileFields(p)
-    return {
-        "H": functional.profile_mean_curvature(p),
-        "K": functional.gauss_curvature_profile(p),
-        "K_bar": f.K_bar,
-        "nu": f.nu,
-        "div_nuT": functional.div_nuT_profile(p),
-        "mu": f.mu,
-    }
-
-
 def _profile_item(profile_fn, *args) -> dict:
     from thurston_willmore.experiments import first_variation
     from thurston_willmore.functional import (
@@ -247,6 +228,7 @@ def _profile_item(profile_fn, *args) -> dict:
         gauss_bonnet_total,
         max_interior_residual,
         second_summand_derivative_check,
+        surface_fields,
         willmore_relation_check,
     )
 
@@ -261,7 +243,7 @@ def _profile_item(profile_fn, *args) -> dict:
         ("energy", lambda: energy(p).to_dict()),
         ("residual", lambda: max_interior_residual(p, coeffs)),
         ("el_residual", lambda: el_residual(p, coeffs)),
-        ("surface_fields", lambda: _surface_fields(p)),
+        ("surface_fields", lambda: surface_fields(p)),
         ("gauss_bonnet", lambda: gauss_bonnet_total(p)),
         ("second_summand_derivative", lambda: second_summand_derivative_check(p)),
         ("willmore_relation", lambda: willmore_relation_check(p)),
