@@ -188,7 +188,7 @@ def _read_json_object(path: str, what: str) -> dict:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {what}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also not UTF-8, or an integer past int's digit limit
         raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{what} must be a JSON object")

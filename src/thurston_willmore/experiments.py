@@ -37,6 +37,7 @@ from .functional import (
     _mean_curvature,
     _pole_cut,
     _pole_safe_ratio,
+    _ProfileFields,
     _turning_angle_energy,
 )
 from .geometry import GeometryParams, _a_squared, _b_factor, _record_dict
@@ -319,7 +320,12 @@ def verify_criticality(
     if coeffs is None:
         coeffs = canonical_coefficients(g)
     profile = generate_cmc_sphere(g, H, n_samples=n_samples)
-    max_res = max_interior_residual(profile, coeffs)
+    # One field set for the residual and the energy, dropped before the
+    # first variation's passes allocate theirs.
+    sphere_fields = _ProfileFields.of(profile)
+    max_res = max_interior_residual(profile, coeffs, _fields=sphere_fields)
+    energy_value = energy(profile, coeffs, _fields=sphere_fields).E
+    del sphere_fields
     variations = first_variation(profile, coeffs)
     failure = None
     if not max_res < tolerances.residual:
@@ -335,7 +341,7 @@ def verify_criticality(
         residual_tol=tolerances.residual,
         variations=variations,
         variation_tol=tolerances.variation,
-        energy=energy(profile, coeffs).E,
+        energy=energy_value,
         passed=failure is None,
         failure=failure,
         profile=profile,
@@ -833,14 +839,20 @@ class SweepSpec:
     def from_dict(cls, data: dict) -> "SweepSpec":
         """The spec from ``data``, which must hold every list: ``KeyError`` names a missing one.
 
-        A value that is not a list of numbers, or any other key, raises ``ValueError`` naming it.
+        A value that is not a list of numbers, one that holds an integer beyond float range, or
+        any other key, raises ``ValueError`` naming it.
         """
         names = [f.name for f in fields(cls)]
+        lists = []
         for name in names:
             values = data[name]
             if type(values) is not list or any(type(x) not in (int, float) for x in values):
                 raise ValueError(f"{name} must be an array of numbers, got {values!r}")
-        spec = cls(*(tuple(float(x) for x in data[name]) for name in names))
+            try:
+                lists.append(tuple(float(x) for x in values))
+            except OverflowError:
+                raise ValueError(f"{name} holds an integer beyond float range") from None
+        spec = cls(*lists)
         for key in data:
             if key not in names:
                 raise ValueError(f"unknown key {key!r}")
@@ -872,8 +884,9 @@ def _sweep_row(case: tuple[float, float, float], n_samples: int) -> SweepRow:
         return SweepRow(k=k, tau=tau, H=H, exists=False, error=f"{type(exc).__name__}: {exc}")
     try:
         profile = generate_cmc_sphere(g, H, n_samples=n_samples)
-        report = energy(profile)
-        residual = max_interior_residual(profile, canonical_coefficients(g))
+        sphere_fields = _ProfileFields.of(profile)  # one field set for both calls
+        report = energy(profile, _fields=sphere_fields)
+        residual = max_interior_residual(profile, canonical_coefficients(g), _fields=sphere_fields)
         return SweepRow(
             k=k,
             tau=tau,

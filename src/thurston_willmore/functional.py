@@ -194,6 +194,10 @@ class _ProfileFields:
     residual path (``gauss_curvature``, ``div_nuT``, ``laplacian_H`` and the
     matching ``H_smooth``) uses spacing ``FD_STRIDE``, since nesting
     stencils turns sample-level roundoff into the dominant error otherwise.
+
+    A suite call builds one set per sphere and hands it to :func:`energy`
+    and :func:`max_interior_residual` as ``_fields``.  Nothing caches it: it
+    dies with the call that built it.
     """
 
     def __init__(self, g: GeometryParams, u, sigma, h, sin_sig, cos_sig):
@@ -327,14 +331,20 @@ def _energy_densities(f: _ProfileFields, coeffs: FunctionalCoefficients) -> tupl
     return _energy_weight(f.g, coeffs, f.H, f.nu) * f.mu, second
 
 
-def energy(profile: Profile, coeffs: FunctionalCoefficients | None = None) -> EnergyReport:
+def energy(
+    profile: Profile,
+    coeffs: FunctionalCoefficients | None = None,
+    *,
+    _fields: _ProfileFields | None = None,
+) -> EnergyReport:
     """Evaluate E_{alpha,beta}, its canonical decomposition, W, and the area.
 
     The reported ``quadrature_error`` is the stride-2 Richardson estimate
-    for the E integral.
+    for the E integral.  ``_fields``, the caller's field set of this same
+    profile, spares building one; the value is the same bit for bit.
     """
     _require_closed(profile)
-    f = _ProfileFields.of(profile)
+    f = _fields or _ProfileFields.of(profile)
     if coeffs is None:
         coeffs = canonical_coefficients(profile.geometry)
     h = f.h
@@ -368,7 +378,12 @@ def _turning_angle_energy(g: GeometryParams, coeffs: FunctionalCoefficients, u, 
     return tuple(2.0 * math.pi * sample_quadrature(y, spacing) for y in (density, second))
 
 
-def el_residual(profile: Profile, coeffs: FunctionalCoefficients) -> np.ndarray:
+def el_residual(
+    profile: Profile,
+    coeffs: FunctionalCoefficients,
+    *,
+    _fields: _ProfileFields | None = None,
+) -> np.ndarray:
     """Euler-Lagrange residual of E_{alpha,beta} at every profile sample.
 
     Evaluates Delta H + H (2 H^2 - 2 K + (1 - 2 alpha)(k - 4 tau^2) nu^2
@@ -380,10 +395,10 @@ def el_residual(profile: Profile, coeffs: FunctionalCoefficients) -> np.ndarray:
     spurious H alpha tau^2 and no longer vanishes on CMC spheres.
 
     Edge values are unreliable: read the array ``INTERIOR_MARGIN`` samples
-    off each pole.
+    off each pole.  ``_fields`` is as in :func:`energy`.
     """
     _require_closed(profile)
-    f = _ProfileFields.of(profile)
+    f = _fields or _ProfileFields.of(profile)
     g = profile.geometry
     k, tau = g.k, g.tau
     H = f.H_smooth
@@ -402,9 +417,14 @@ def el_residual(profile: Profile, coeffs: FunctionalCoefficients) -> np.ndarray:
     )
 
 
-def max_interior_residual(profile: Profile, coeffs: FunctionalCoefficients) -> float:
+def max_interior_residual(
+    profile: Profile,
+    coeffs: FunctionalCoefficients,
+    *,
+    _fields: _ProfileFields | None = None,
+) -> float:
     """Maximum absolute Euler-Lagrange residual, ``INTERIOR_MARGIN`` samples off each pole."""
-    res = el_residual(profile, coeffs)
+    res = el_residual(profile, coeffs, _fields=_fields)
     return float(np.abs(res[INTERIOR_MARGIN:-INTERIOR_MARGIN]).max())
 
 
@@ -417,7 +437,7 @@ def willmore_relation_check(profile: Profile) -> float:
     _require_closed(profile)
     f = _ProfileFields.of(profile)
     g = profile.geometry
-    report = energy(profile, canonical_coefficients(g))
+    report = energy(profile, canonical_coefficients(g), _fields=f)
     correction = (-0.75 * f.K_bar + 0.25 * g.k - 0.25 * g.tau * g.tau) * f.mu
     corr = 2.0 * math.pi * sample_quadrature(correction, f.h)
     return abs(report.E - (report.willmore_W + corr))

@@ -539,7 +539,9 @@ def generate_cmc_sphere(
 
     A sigma that does not increase strictly raises :class:`IntegrationError`.
     Recorded unchecked: ``j_drift``, the drift of the first integral J over
-    the samples, and ``closure_residual``, |sin(sigma) - |H| u| at the last one.
+    the samples, and ``closure_residual``, |sin(sigma) - |H| u| at the last
+    one.  The latter reads 0.0 by construction: sin(sigma) there is set to 0
+    before u = sin(sigma)/|H| is formed, so it measures nothing.
 
     A negative H requests the mirror surface: the returned samples are the
     canonical H > 0 profile with ``orientation`` set to -1.  ``n_samples``

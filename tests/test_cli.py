@@ -331,7 +331,7 @@ class TestVerify:
 
     def test_nan_max_residual_is_the_named_failure(self, tmp_path, capsys, monkeypatch):
         # the variations pass; the NaN residual is the check that missed
-        monkeypatch.setattr(experiments, "max_interior_residual", lambda *args: math.nan)
+        monkeypatch.setattr(experiments, "max_interior_residual", lambda *args, **kwargs: math.nan)
         out = tmp_path / "crit.json"
         code = run(["verify", "criticality", "--k", 0, "--tau", 0.5, "--H", 1, "--out", out])
         assert code == cli.EXIT_VERIFICATION
@@ -571,6 +571,32 @@ class TestSweep:
         assert capsys.readouterr().err == (
             f"error: invalid sweep spec: k_values must be an array of numbers, got {k_values!r}\n"
         )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["k_values", "tau_values", "H_values"])
+    def test_spec_integer_beyond_float_range_exits_1_and_names_it(self, tmp_path, capsys, key):
+        # float() of a 401-digit integer raises OverflowError, which would exit 6
+        data = {"k_values": [0.0], "tau_values": [0.5], "H_values": [1.0]}
+        data[key] = [1.0, 10**400]
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(data))
+        out = tmp_path / "x.csv"
+        assert run(["sweep", spec, "--out", out]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: invalid sweep spec: {key} holds an integer beyond float range\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "k_values", [b"1" * 5000, b'"\xff"'], ids=["5000-digit integer", "not utf-8"]
+    )
+    def test_spec_json_cannot_read_exits_1(self, tmp_path, capsys, k_values):
+        # json.load raises a plain ValueError (past int's digit limit) or a UnicodeDecodeError
+        spec = tmp_path / "spec.json"
+        spec.write_bytes(b'{"k_values": [' + k_values + b'], "tau_values": [0.5], "H_values": [1]}')
+        out = tmp_path / "x.csv"
+        assert run(["sweep", spec, "--out", out]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: sweep spec is not valid JSON: ")
         assert not out.exists()
 
     def test_missing_spec_exits_1(self, tmp_path):

@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import io
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -712,6 +714,94 @@ class TestSweep:
         grid = default_perturbation_grid()
         assert len(grid) == 12
         assert all(isinstance(s, PerturbationSpec) for s in grid)
+
+
+@pytest.fixture
+def field_sets(monkeypatch):
+    """Weak references to every ``_ProfileFields`` built from here on, in order."""
+    built = []
+    real_init = _ProfileFields.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(weakref.ref(self))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(_ProfileFields, "__init__", spy)
+    return built
+
+
+# Existing spheres of three geometries, and one (k, tau, H) with no sphere.
+_FIELD_SPEC = SweepSpec(k_values=(-1.0, 0.0, 1.0), tau_values=(0.5,), H_values=(0.0, 0.8))
+
+
+class TestOneFieldSetPerSphere:
+    """A suite call builds one field set per sphere, and it dies with the call."""
+
+    def test_each_sweep_row_builds_one(self, field_sets):
+        rows = sweep(_FIELD_SPEC)
+        assert [r.exists for r in rows] == [False, True, False, True, False, True]
+        assert len(field_sets) == 3
+
+    def test_verify_criticality_builds_one(self, field_sets, nil_geometry):
+        verify_criticality(nil_geometry, 1.0)
+        assert len(field_sets) == 1
+
+    @pytest.mark.parametrize("k, tau, H", [(0.0, 0.5, 0.8), (-1.0, -0.5, 0.8), (1.0, 0.3, 0.7)])
+    def test_row_equals_the_standalone_calls_bit_for_bit(self, k, tau, H):
+        row = sweep(SweepSpec((k,), (tau,), (H,)))[0]
+        g = GeometryParams(k, tau)
+        p = generate_cmc_sphere(g, H)
+        report = energy(p)
+        residual = functional.max_interior_residual(p, canonical_coefficients(g))
+        pairs = [
+            (row.E, report.E),
+            (row.second_summand, report.second_summand),
+            (row.area, report.area),
+            (row.max_residual, residual),
+        ]
+        assert [a.hex() for a, _ in pairs] == [b.hex() for _, b in pairs]
+
+    def test_criticality_equals_the_standalone_calls_bit_for_bit(self, nil_geometry):
+        report = verify_criticality(nil_geometry, 1.0)
+        coeffs = canonical_coefficients(nil_geometry)
+        residual = functional.max_interior_residual(report.profile, coeffs)
+        assert report.max_residual.hex() == residual.hex()
+        assert report.energy.hex() == energy(report.profile, coeffs).E.hex()
+
+    def test_sweep_frees_every_field_set_by_its_return(self, field_sets):
+        gc.disable()  # freed by reference counting, not by a later collection
+        try:
+            rows = sweep(_FIELD_SPEC)
+            alive = [ref() is not None for ref in field_sets]
+        finally:
+            gc.enable()
+        assert rows and alive
+        assert not any(alive)
+
+    def test_criticality_frees_its_field_set_before_the_first_variation(
+        self, field_sets, monkeypatch, nil_geometry
+    ):
+        # a field set kept through the first variation's passes faults the
+        # heap top back in (tests/test_page_faults.py)
+        real = experiments.deformed_curve_energy
+        at_first_pass = []
+
+        def spy(*args, **kwargs):
+            if not at_first_pass:
+                at_first_pass.append([ref() is not None for ref in field_sets])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "deformed_curve_energy", spy)
+        gc.disable()
+        try:
+            report = verify_criticality(nil_geometry, 1.0)
+            alive = [ref() is not None for ref in field_sets]
+        finally:
+            gc.enable()
+        assert report.profile is not None  # the report, and its profile, are still held
+        assert len(at_first_pass) == 1 and at_first_pass[0]
+        assert not any(at_first_pass[0])
+        assert alive and not any(alive)
 
 
 class TestReportJson:
