@@ -55,8 +55,10 @@ from .profile import (
     _family_nodes,
     _family_panels,
     _mode_samples,
+    _mode_shape,
     _require_admissible,
     _require_sphere_exists,
+    _shape_samples,
     _turning_angle_grid,
 )
 
@@ -353,11 +355,19 @@ def verify_criticality(
 
 @dataclass(frozen=True)
 class MinimalityEntry:
+    """One competitor: E and the second summand at the ``n_samples`` its tail certified.
+
+    ``quadrature_error`` is E's sine-coefficient tail there, as
+    :func:`energy` reports it; an inadmissible shape carries its ``error``.
+    """
+
     epsilon: float
     mode: int
     admissible: bool
     E: float | None = None
     second_summand: float | None = None
+    n_samples: int | None = None
+    quadrature_error: float | None = None
     error: str | None = None
 
     to_dict = _record_dict
@@ -393,30 +403,45 @@ def verify_minimality(
     CMC sphere to sit at 4 pi within ``tolerances.energy``, every admissible
     perturbed sphere to exceed it by more than ``tolerances.min_excess``, and
     every second summand to equal 4 pi within ``tolerances.second_summand``.
-    Perturbed spheres are evaluated from their samples with no Profile, bit for
-    bit :func:`energy` of :func:`perturbed_sphere`; a shape that is not a
-    regular profile is reported as inadmissible, never fatal.  The report also
-    lists |E(+eps) - E(-eps)| per admissible pair; the energy of this family is
-    measurably asymmetric in eps (the shapes are not congruent), so the gaps are
-    diagnostics rather than thresholds.  With non-canonical coefficients (plain
-    Willmore, say) the baseline misses 4 pi outside the space forms and the
-    suite fails: the negative control.  The second summands are the canonical
-    split's and do not depend on ``coeffs``.
+    Perturbed spheres are evaluated from their samples with no Profile, by
+    the sine rule, bit for bit :func:`energy` of :func:`perturbed_sphere` at
+    the entry's ``n_samples``: the first count of the ladder 129, 257,
+    513, ... up to ``n_samples`` (:func:`_sample_ladder`) at which the
+    sine-coefficient tails of E and of the second summand fall below
+    ``_CERTIFY`` times ``tolerances.min_excess`` and
+    ``tolerances.second_summand``, or ``n_samples`` itself, the largest
+    count; the baseline CMC sphere takes ``n_samples``.  A shape that is
+    not a regular profile is reported as inadmissible, never fatal.  The
+    report also lists |E(+eps) - E(-eps)| per admissible pair; the energy of
+    this family is measurably asymmetric in eps (the shapes are not
+    congruent), so the gaps are diagnostics rather than thresholds.  With
+    non-canonical coefficients (plain Willmore, say) the baseline misses 4 pi
+    outside the space forms and the suite fails: the negative control.  The
+    second summands are the canonical split's and do not depend on
+    ``coeffs``.
     """
     if grid is None:
         grid = default_perturbation_grid()
     if coeffs is None:
         coeffs = canonical_coefficients(g)
     baseline = energy(generate_cmc_sphere(g, H, n_samples=n_samples), coeffs)
+    ladder = _sample_ladder(n_samples)
+    bounds = (_CERTIFY * tolerances.min_excess, _CERTIFY * tolerances.second_summand)
     entries = []
     for spec in grid:
         try:
-            samples = _mode_samples(g, H, [0.0] * (spec.mode - 1) + [spec.epsilon], n_samples)
+            h_abs, shape = _mode_shape(g, H, [0.0] * (spec.mode - 1) + [spec.epsilon], n_samples)
         except InadmissiblePerturbation as exc:
             entries.append(MinimalityEntry(spec.epsilon, spec.mode, False, error=str(exc)))
             continue
-        E, second = _turning_angle_energy(g, coeffs, samples["u"], samples["ds_dsigma"])
-        entries.append(MinimalityEntry(spec.epsilon, spec.mode, True, E, second))
+        for count in ladder:
+            samples = _shape_samples(g, h_abs, shape, count)
+            E, second, *tails = _turning_angle_energy(
+                g, coeffs, samples["u"], samples["ds_dsigma"], tails=True
+            )
+            if all(tail < bound for tail, bound in zip(tails, bounds)):
+                break
+        entries.append(MinimalityEntry(spec.epsilon, spec.mode, True, E, second, count, tails[0]))
     values = {(e.epsilon, e.mode): e.E for e in entries if e.admissible}
     gaps = {}
     for (eps, mode), e_plus in values.items():
@@ -434,6 +459,23 @@ def verify_minimality(
         passed=failure is None,
         failure=failure,
     )
+
+
+# A competitor's sample count is certified where its coefficient tails sit
+# this far below the gates they feed.
+_CERTIFY = 1e-3
+# The competitors' least sample count.
+_LADDER_START = 129
+
+
+def _sample_ladder(n_samples: int) -> list[int]:
+    """The counts 129, 257, 513, ... below ``n_samples``, then ``n_samples``."""
+    counts = []
+    count = _LADDER_START
+    while count < n_samples:
+        counts.append(count)
+        count = 2 * count - 1
+    return counts + [n_samples]
 
 
 def _minimality_failure(baseline, entries, tol: Tolerances) -> str | None:

@@ -14,11 +14,14 @@ into a nonnegative part that vanishes exactly on CMC spheres plus a
 topological part whose integrand is a total derivative with value 4 pi.
 
 All evaluations work on the sample arrays of a profile: arclength
-derivatives come from 5-point stencils, integrals from the fixed
-sample-quadrature weights, both scaled by the profile's spacing ds/di (a
-scalar for samples uniform in arclength, an array otherwise; see
-:mod:`.numerics`).  Ratios sin(sigma)/u appearing near the poles
-are replaced by their limit dsigma/ds where u is at most ``_POLE_CUT`` max(u).
+derivatives come from 5-point stencils, integrals from fixed weights on
+the samples, both scaled by the profile's spacing ds/di (a scalar for
+samples uniform in arclength, an array otherwise; see :mod:`.numerics`).
+The weights are one rule per parametrization: Newton-Cotes panels on
+arclength samples, the sine rule on turning-angle samples, whose
+integrands are odd periodic functions of sigma.  Ratios sin(sigma)/u
+appearing near the poles are replaced by their limit dsigma/ds where u is
+at most ``_POLE_CUT`` max(u).
 """
 
 from __future__ import annotations
@@ -30,8 +33,15 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import GeometryParams, _a_squared, _b_factor, _k_bar, _record_dict
-from .numerics import derivative1, derivative2, sample_quadrature, sample_quadrature_with_error
-from .profile import Closure, Profile, _check_samples, _grid_rates
+from .numerics import (
+    derivative1,
+    derivative2,
+    sample_quadrature,
+    sample_quadrature_with_error,
+    sine_quadrature,
+    sine_quadrature_with_tail,
+)
+from .profile import TURNING_ANGLE, Closure, Profile, _check_samples, _grid_rates
 
 __all__ = [
     "INTERIOR_MARGIN",
@@ -318,6 +328,17 @@ def _require_closed(profile: Profile) -> None:
         raise ValueError("operation requires a ClosedSphere profile; got an open profile")
 
 
+def _rules(profile: Profile) -> tuple:
+    """The profile's quadrature and its quadrature with an error estimate.
+
+    The sine rule and its coefficient tail on turning-angle samples, the
+    Newton-Cotes panels and their stride-2 gap on arclength samples.
+    """
+    if profile.parametrization == TURNING_ANGLE:
+        return sine_quadrature, sine_quadrature_with_tail
+    return sample_quadrature, sample_quadrature_with_error
+
+
 def _energy_densities(f: _ProfileFields, coeffs: FunctionalCoefficients) -> tuple:
     """The integrands of E_{alpha,beta} and of the canonical second summand, per unit arclength."""
     k = f.g.k
@@ -339,17 +360,21 @@ def energy(
 ) -> EnergyReport:
     """Evaluate E_{alpha,beta}, its canonical decomposition, W, and the area.
 
-    The reported ``quadrature_error`` is the stride-2 Richardson estimate
-    for the E integral.  ``_fields``, the caller's field set of this same
-    profile, spares building one; the value is the same bit for bit.
+    Every integral takes the rule of the profile's parametrization
+    (:func:`_rules`).  The reported ``quadrature_error`` is that rule's
+    estimate for the E integral: the tail of the sine coefficients on
+    turning-angle samples, the stride-2 Richardson gap on arclength ones.
+    ``_fields``, the caller's field set of this same profile, spares
+    building one; the value is the same bit for bit.
     """
     _require_closed(profile)
     f = _fields or _ProfileFields.of(profile)
     if coeffs is None:
         coeffs = canonical_coefficients(profile.geometry)
     h = f.h
+    quadrature, with_error = _rules(profile)
     density, second = _energy_densities(f, coeffs)
-    e_value, e_err = sample_quadrature_with_error(density, h)
+    e_value, e_err = with_error(density, h)
 
     # Canonical split: nonnegative square plus the topological integrand.
     square = f.sigma_dot - f.ratio - 0.25 * f.g.k * f.u * f.sin
@@ -359,23 +384,36 @@ def energy(
     two_pi = 2.0 * math.pi
     return EnergyReport(
         E=two_pi * e_value,
-        first_summand=two_pi * sample_quadrature(first, h),
-        second_summand=two_pi * sample_quadrature(second, h),
-        willmore_W=two_pi * sample_quadrature(willmore, h),
-        area=two_pi * sample_quadrature(f.mu, h),
+        first_summand=two_pi * quadrature(first, h),
+        second_summand=two_pi * quadrature(second, h),
+        willmore_W=two_pi * quadrature(willmore, h),
+        area=two_pi * quadrature(f.mu, h),
         quadrature_error=two_pi * e_err,
     )
 
 
-def _turning_angle_energy(g: GeometryParams, coeffs: FunctionalCoefficients, u, ds_dsigma):
-    """E and second summand of :func:`profile._mode_samples`' u and ds/dsigma, as :func:`energy`."""
+def _turning_angle_energy(
+    g: GeometryParams, coeffs: FunctionalCoefficients, u, ds_dsigma, *, tails: bool = False
+):
+    """E and second summand of :func:`profile._mode_samples`' u and ds/dsigma, as :func:`energy`.
+
+    Both by the sine rule.  With ``tails``, (E, second summand, E's tail,
+    the second summand's tail): each tail as :func:`energy` reports E's
+    ``quadrature_error``, bit for bit.
+    """
     _check_samples({"u": u, "ds_dsigma": ds_dsigma}, u.size, g, closed=True)
     sigma, sin_sig, cos_sig, step, stencil = _grid_rates(u.size)
     spacing = ds_dsigma * step
     f = _ProfileFields(g, u, sigma, spacing, sin_sig, cos_sig)
     f.sigma_dot = stencil / spacing
-    density, second = _energy_densities(f, coeffs)
-    return tuple(2.0 * math.pi * sample_quadrature(y, spacing) for y in (density, second))
+    two_pi = 2.0 * math.pi
+    densities = _energy_densities(f, coeffs)
+    if not tails:
+        return tuple(two_pi * sine_quadrature(y, spacing) for y in densities)
+    (e_value, e_tail), (s_value, s_tail) = (
+        sine_quadrature_with_tail(y, spacing) for y in densities
+    )
+    return two_pi * e_value, two_pi * s_value, two_pi * e_tail, two_pi * s_tail
 
 
 def el_residual(
@@ -431,15 +469,16 @@ def max_interior_residual(
 def willmore_relation_check(profile: Profile) -> float:
     """Gap in the identity E = W + integral of (-3/4 K_bar + k/4 - tau^2/4) dmu.
 
-    An algebraic identity between quadratures over the same samples, so the
-    result is roundoff-small for any closed profile.
+    An algebraic identity between quadratures over the same samples by the
+    same rule as E and W (:func:`_rules`), so the result is roundoff-small
+    for any closed profile.
     """
     _require_closed(profile)
     f = _ProfileFields.of(profile)
     g = profile.geometry
     report = energy(profile, canonical_coefficients(g), _fields=f)
     correction = (-0.75 * f.K_bar + 0.25 * g.k - 0.25 * g.tau * g.tau) * f.mu
-    corr = 2.0 * math.pi * sample_quadrature(correction, f.h)
+    corr = 2.0 * math.pi * _rules(profile)[0](correction, f.h)
     return abs(report.E - (report.willmore_W + corr))
 
 

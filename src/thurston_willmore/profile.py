@@ -787,7 +787,12 @@ def _require_admissible(g: GeometryParams, h_abs: float, coeffs: np.ndarray) -> 
     return _ModeShape(np.frombuffer(p), np.frombuffer(n), p_range, n_range, u_max)
 
 
-@lru_cache(maxsize=4)
+# Sample counts whose grid stays cached: the competitors' ladder 129, 257,
+# 513, 1025 and 2049 (the default), the family's 65, and two more.
+_GRID_COUNTS = 8
+
+
+@lru_cache(maxsize=_GRID_COUNTS)
 def _turning_angle_grid(n_samples: int) -> tuple[np.ndarray, ...]:
     """The sigma grid and Gauss panels of both sphere generators at ``n_samples`` samples.
 
@@ -807,7 +812,7 @@ def _turning_angle_grid(n_samples: int) -> tuple[np.ndarray, ...]:
     return grid
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=_GRID_COUNTS)
 def _grid_rates(n_samples: int) -> tuple:
     """sigma, sin, cos, step and d sigma/di of the read-only grid; sigma checked as by Profile."""
     sigma, sin_sig, cos_sig = _turning_angle_grid(n_samples)[:3]

@@ -17,7 +17,7 @@ from thurston_willmore import (
     energy,
     generate_cmc_sphere,
 )
-from thurston_willmore import cli, experiments, functional, profile
+from thurston_willmore import cli, experiments, functional, numerics, profile
 from thurston_willmore.cli import load_profile, main
 
 from shooting_oracle import ProfileState, StopCondition, integrate
@@ -206,6 +206,25 @@ class TestEnergy:
         payload = json.loads(report_path.read_text())
         assert payload["report"]["E"] > 4 * math.pi + 1e-7
 
+    def test_turning_angle_energy_reports_the_sine_tail(self, tmp_path):
+        # a competitor sphere is a turning-angle profile: its quadrature_error is the
+        # tail of the sine rule, which its E uses too
+        out = tmp_path / "pert.csv"
+        run(["generate", "--k", 0, "--tau", 0.5, "--H", 1,
+             "--epsilon", 0.1, "--mode", 1, "--samples", 257, "-o", out])
+        report_path = tmp_path / "energy.json"
+        assert run(["energy", out, "--out", report_path]) == 0
+        report = json.loads(report_path.read_text())["report"]
+        assert set(report) == {"E", "first_summand", "second_summand", "willmore_W", "area",
+                               "quadrature_error"}
+        p = load_profile(out)
+        coeffs = functional.canonical_coefficients(p.geometry)
+        density, _ = functional._energy_densities(functional._ProfileFields.of(p), coeffs)
+        value, tail = numerics.sine_quadrature_with_tail(density, p.spacing)
+        assert report["E"] == 2.0 * math.pi * value
+        assert report["quadrature_error"] == 2.0 * math.pi * tail
+        assert report["quadrature_error"] < 1e-10
+
     def test_open_profile_rejected_with_exit_1(self, tmp_path, capsys):
         # a profile whose closure is Open must be refused
         g = GeometryParams(0.0, 0.5)
@@ -370,6 +389,25 @@ class TestVerify:
         assert len(inadmissible) == 3
         assert all(e["error"] for e in inadmissible)
 
+    def test_minimality_entries_carry_their_sample_count_and_tail(self, tmp_path):
+        out = tmp_path / "min.json"
+        argv = ["verify", "minimality", "--k", -1, "--tau", -0.5, "--H", 0.8, "--out", out]
+        assert run([*argv, "--samples", 1025]) == 0
+        entries = json.loads(out.read_text())["report"]["entries"]
+        keys = {"epsilon", "mode", "admissible", "E", "second_summand", "n_samples",
+                "quadrature_error", "error"}
+        assert [set(e) for e in entries] == 12 * [keys]
+        g, H = GeometryParams(-1.0, -0.5), 0.8
+        for entry in entries:
+            if not entry["admissible"]:
+                assert entry["n_samples"] is entry["quadrature_error"] is None
+                continue
+            assert entry["n_samples"] in (129, 257, 513, 1025)
+            c = [0.0] * (entry["mode"] - 1) + [entry["epsilon"]]
+            sphere = profile.sphere_from_modes(g, H, c, n_samples=entry["n_samples"])
+            assert entry["quadrature_error"] == energy(sphere).quadrature_error
+            assert 0.0 <= entry["quadrature_error"] < 1e-3 * Tolerances.min_excess
+
     @pytest.mark.parametrize("H", ["902", "1e7"])
     def test_minimality_of_a_small_round_sphere(self, tmp_path, H):
         # the R^3 sphere of radius 1/H: its energy is 4 pi at any size, and
@@ -454,7 +492,7 @@ class TestVerify:
 
     def test_near_boundary_descent_fails_its_final_shape_check(self, tmp_path, capsys):
         out = tmp_path / "descent.json"
-        code = run(["verify", "descent", "--k", -1, "--tau", -0.5, "--H", 0.5001, "--out", out])
+        code = run(["verify", "descent", "--k", -1, "--tau", -0.5, "--H", 0.50001, "--out", out])
         assert code == cli.EXIT_VERIFICATION
         assert "final shape check failed after 11 iterations" in capsys.readouterr().err
         assert json.loads(out.read_text())["report"]["stop_reason"] == "final shape check failed"

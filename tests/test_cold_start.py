@@ -26,9 +26,10 @@ _SCRIPT = textwrap.dedent(
     from pathlib import Path
 
     import thurston_willmore
-    from thurston_willmore import cli, profile
+    from thurston_willmore import cli, numerics, profile
 
     grids_at_import = profile._turning_angle_grid.cache_info().currsize
+    rules_at_import = numerics._sine_weights.cache_info().currsize
     work = Path(sys.argv[1])
     geo = ["--k", "0", "--tau", "0.5", "--H", "1"]
     runs = [
@@ -47,7 +48,8 @@ _SCRIPT = textwrap.dedent(
         importlib.import_module(f"thurston_willmore.{name}")
     loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
     print(json.dumps({"codes": codes, "scipy": loaded, "submodules": submodules,
-                      "grids_at_import": grids_at_import, "suites": suites}))
+                      "grids_at_import": grids_at_import, "rules_at_import": rules_at_import,
+                      "suites": suites}))
     """
 )
 
@@ -76,6 +78,8 @@ def test_tw_paths_do_not_import_scipy(tmp_path):
     assert result["suites"] == [False, True]
     # the turning-angle grid of sphere_from_modes is built on its first call
     assert result["grids_at_import"] == 0
+    # so are the sine rule's weights, on their first turning-angle energy
+    assert result["rules_at_import"] == 0
 
 
 def test_public_names_resolve_and_the_shooting_names_are_gone():

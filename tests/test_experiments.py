@@ -388,10 +388,13 @@ def _second_summands(monkeypatch, baseline: float, competitor: float) -> None:
         # the baseline CMC sphere is a Profile; competitors go through the array kernel
         return dataclasses.replace(real_energy(profile, coeffs), second_summand=baseline)
 
+    def kernel(*args, **kwargs):
+        # the competitors' array kernel: its E and tails, with this second summand
+        E, _, *tails = real_kernel(*args, **kwargs)
+        return (E, competitor, *tails)
+
     monkeypatch.setattr(experiments, "energy", patched)
-    monkeypatch.setattr(
-        experiments, "_turning_angle_energy", lambda *args: (real_kernel(*args)[0], competitor)
-    )
+    monkeypatch.setattr(experiments, "_turning_angle_energy", kernel)
 
 
 def _outcome(compute):
@@ -536,9 +539,9 @@ class TestDescent:
         )
 
     def test_near_boundary_descent_fails_the_final_shape_check(self):
-        # H^2 + k/4 = 1e-4: the family energy converges, the sampled sphere misses 4 pi
+        # H^2 + k/4 = 1e-5: the family energy converges, the sampled sphere misses 4 pi
         # (a graded sigma grid, ROADMAP item 4, is to make this case converge)
-        report = descend_energy(GeometryParams(-1.0, -0.5), 0.5001, 3)
+        report = descend_energy(GeometryParams(-1.0, -0.5), 0.50001, 3)
         assert report.stop_reason == "final shape check failed"
         assert not report.converged
         assert report.iterations == 11
@@ -546,6 +549,13 @@ class TestDescent:
         assert report.failure.startswith(
             "descent not converged: final shape check failed after 11 iterations"
         )
+
+    def test_sine_rule_passes_the_final_shape_check_at_1e_4(self):
+        # H^2 + k/4 = 1e-4: Newton-Cotes left the final shape's E 4.4e-5 off 4 pi
+        report = descend_energy(GeometryParams(-1.0, -0.5), 0.5001, 3)
+        assert report.converged
+        assert report.iterations == 11
+        assert abs(report.energy_final - FOUR_PI) < 1e-9
 
     def test_line_search_stall_stops_the_descent(self, nil_geometry, monkeypatch):
         # every trial reads infinite: no step lowers the energy (the start's
@@ -825,7 +835,8 @@ class TestReportJson:
             "evenness_gaps", "passed",
         }
         assert [set(e) for e in minimality["entries"]] == 3 * [
-            {"epsilon", "mode", "admissible", "E", "second_summand", "error"}
+            {"epsilon", "mode", "admissible", "E", "second_summand", "n_samples",
+             "quadrature_error", "error"}
         ]
         assert set(minimality["evenness_gaps"]) == {"(0.1, 1)"}
         descent = descend_energy(g, H, 2, n_samples=513).to_dict()

@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from thurston_willmore import numerics
 from thurston_willmore.numerics import (
     derivative1,
     derivative2,
     sample_quadrature,
     sample_quadrature_with_error,
+    sine_quadrature,
+    sine_quadrature_with_tail,
 )
 
 # Reference stencils: each stride-m subgrid y[offset::m] differentiated on
@@ -203,3 +206,68 @@ def test_uniform_array_spacing_agrees_with_scalar():
     spacing = np.full(x.size, h)
     np.testing.assert_allclose(derivative1(y, spacing), derivative1(y, h), rtol=1e-12)
     assert sample_quadrature(y, spacing) == pytest.approx(sample_quadrature(y, h), rel=1e-14)
+
+
+# -- the sine rule: samples uniform in sigma on [0, pi] ----------------------------
+
+
+def _sigma_grid(n):
+    return np.linspace(0.0, math.pi, n), math.pi / (n - 1)
+
+
+@pytest.mark.parametrize("n", [5, 9, 21, 129])
+def test_sine_weights_are_the_sine_series_sum(n):
+    m = n - 1
+    odd = np.arange(1, m, 2)
+    direct = (4.0 / math.pi) * (np.sin(np.outer(np.arange(n), odd) * (math.pi / m)) / odd).sum(1)
+    weights = numerics._sine_weights(n)
+    np.testing.assert_allclose(weights[1:-1], direct[1:-1], rtol=0.0, atol=1e-14)
+    assert weights[0] == weights[-1] == 0.0  # sin(m pi j/M) vanishes at j = 0 and M
+    assert not weights.flags.writeable
+    assert numerics._sine_weights(n) is weights
+
+
+def test_sine_rule_is_exact_on_its_series_and_its_tail_reads_the_top_terms():
+    # sin(m sigma), m < M = 32, integrates to 2/m for odd m and to 0 for even m;
+    # the tail holds the odd m >= 3M/4 = 24, each at twice its coefficient 1
+    n = 33
+    sigma, h = _sigma_grid(n)
+    for m in range(1, n - 1):
+        value, tail = sine_quadrature_with_tail(np.sin(m * sigma), h)
+        assert value == pytest.approx(2.0 / m if m % 2 else 0.0, abs=1e-14)
+        assert tail == pytest.approx(2.0 if m % 2 and m >= 24 else 0.0, abs=1e-13)
+        assert value == sine_quadrature(np.sin(m * sigma), h)
+
+
+def test_sine_tail_keeps_at_most_its_last_terms():
+    # O(n) memory at every count: the top quarter, capped at _TAIL_TERMS rows
+    assert numerics._sine_tail(33).shape == (4, 33)
+    assert numerics._sine_tail(2049).shape == (numerics._TAIL_TERMS, 2049)
+
+
+def test_sine_rule_converges_at_the_singularity_distance():
+    # sin(sigma)/(cosh d - cos sigma) = 2 sum e^{-m d} sin(m sigma): poles d off the real
+    # axis, so the error falls like e^{-M d} in the M = n - 1 intervals, and the tail bounds it
+    d = 0.2
+    a = math.cosh(d)
+    exact = math.log((a + 1.0) / (a - 1.0))
+    errors = {}
+    for n in (33, 65, 129):
+        sigma, h = _sigma_grid(n)
+        value, tail = sine_quadrature_with_tail(np.sin(sigma) / (a - np.cos(sigma)), h)
+        errors[n] = abs(value - exact)
+        assert 0.0 < errors[n] <= tail
+    for coarse, fine in ((33, 65), (65, 129)):
+        rate = math.log(errors[coarse] / errors[fine]) / (fine - coarse)
+        assert d <= rate <= 1.25 * d
+
+
+def test_sine_rule_integrates_against_s_with_an_array_spacing():
+    # s = sigma + 0.4 sin(sigma): sin(s) ds/dsigma is odd and 2 pi-periodic in sigma
+    sigma, h = _sigma_grid(65)
+    spacing = h * (1.0 + 0.4 * np.cos(sigma))
+    s = sigma + 0.4 * np.sin(sigma)
+    value, tail = sine_quadrature_with_tail(np.sin(s), spacing)
+    assert value == pytest.approx(2.0, abs=1e-14)
+    assert tail < 1e-14
+    assert sine_quadrature(np.exp(sigma), np.full(65, h)) == sine_quadrature(np.exp(sigma), h)

@@ -82,7 +82,14 @@ on ``PYTHONPATH``, computes the same seeded items, in groups:
   each with a scalar and an array spacing, at 5 stride, 5 stride + 1, 21,
   1025 and 2049 samples, on four kinds of samples: a smooth curve with
   noise, normal draws at a random decade, signed zeros among magnitudes
-  near 1e300 and 1e-300, and signed zeros alone.
+  near 1e300 and 1e-300, and signed zeros alone;
+- ``turning_angle``: drawn last, from a stream of its own, so the groups
+  above keep their items.  The energy report of ``sphere_from_modes`` at
+  129 and at 2049 samples next to ``mode_family_energy``, or their error
+  text: on 100 random admissible shapes, on the apex edge of the family at
+  (-1, 0, 0.6) with c = -0.19, -0.199, -0.1995 and -0.1999, and on the
+  CMC sphere (c = 0) at k = -1, tau = -0.5 with H^2 + k/4 = 1e-4, 1e-5
+  and 1e-6.
 
 A failure is recorded as its exception text.  Per group the script prints
 how many items differ in any bit, how many of those were drawn at a tau
@@ -116,6 +123,8 @@ VERIFY_CASES = 300
 FALLBACK_ITEMS = 100
 HEIGHT_ITEMS = 100
 OVERFLOW_ITEMS = 25
+TURNING_ANGLE_ITEMS = 100
+TURNING_ANGLE_SAMPLES = (129, 2049)
 STENCIL_STRIDES = (1, 2, 3, 4)
 # family_dims of the descent group's benchmark-mix items, laid out as in a descent benchmark block.
 DESCENT_MIX = (1,) * 30 + (2,) + (1,) * 30 + (3,)
@@ -280,7 +289,7 @@ def compute() -> dict:
 
     rng = np.random.default_rng(20141016)
     names = ("family", "acceptance", "descent", "modes", "cmc", "geometry", "sweep", "verify")
-    names += ("fallbacks", "heights", "overflow", "stencils")
+    names += ("fallbacks", "heights", "overflow", "stencils", "turning_angle")
     groups = {name: [] for name in names}
 
     for i in range(FAMILY_SHAPES):
@@ -404,7 +413,38 @@ def compute() -> dict:
             item["family"] = np.asarray(family)
         groups["overflow"].append((g.tau, item))
     groups["stencils"] = _stencil_items()
+    groups["turning_angle"] = _turning_angle_items()
     return groups
+
+
+def _turning_angle_items() -> list:
+    """(tau, item) pairs of the ``turning_angle`` group, from a stream of its own."""
+    from thurston_willmore.experiments import mode_family_energy
+    from thurston_willmore.functional import energy
+    from thurston_willmore.geometry import GeometryParams
+    from thurston_willmore.profile import sphere_from_modes
+
+    rng = np.random.default_rng(20141022)
+    cases = []
+    for _ in range(TURNING_ANGLE_ITEMS):
+        g, H = _random_case(rng)
+        cases.append((g, H, _random_shape(rng, g, H)))
+    for c in (-0.19, -0.199, -0.1995, -0.1999):
+        cases.append((GeometryParams(-1.0, 0.0), 0.6, np.array([c])))
+    for gap in (1e-4, 1e-5, 1e-6):
+        cases.append((GeometryParams(-1.0, -0.5), math.sqrt(0.25 + gap), np.array([0.0])))
+    items = []
+    for g, H, c in cases:
+        item = {"coefficients": c}
+        for n in TURNING_ANGLE_SAMPLES:
+            report = _attempt(item, f"{n}", lambda: energy(sphere_from_modes(g, H, c, n_samples=n)))
+            if report is not None:
+                _flat(report.to_dict(), f"{n}", item)
+        family = _attempt(item, "family", mode_family_energy, g, H, c)
+        if family is not None:
+            item["family"] = np.asarray(family)
+        items.append((g.tau, item))
+    return items
 
 
 def _stencil_items() -> list:
