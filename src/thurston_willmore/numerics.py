@@ -174,43 +174,39 @@ def _grid_weights(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _sine_weights(n: int) -> np.ndarray:
-    """Sine-rule weights for n samples uniform in sigma on [0, pi] (unit spacing).
+def _sine_rule(n: int) -> np.ndarray:
+    """The sine rule's weights and tail rows for n samples uniform in sigma on [0, pi] (unit spacing).
 
-    With M = n - 1, the weight of sample j in units of the sample step is
-    (M/pi) (2/M) sum over odd m < M of (2/m) sin(m pi j/M): the integral
-    over [0, pi] of the sine series that interpolates the samples.  One
-    real FFT of length 2M sums it for every j; the end weights are 0.
-    Read-only, since every later call shares them.
+    Row 0 holds the weights.  With M = n - 1, the weight of sample j in
+    units of the sample step is (M/pi) (2/M) sum over odd m < M of (2/m)
+    sin(m pi j/M): the integral over [0, pi] of the sine series that
+    interpolates the samples.  One real FFT of length 2M sums it for every
+    j; the end weights are 0.  The other rows are (4/pi) sin(m pi j/M), one
+    per tail term m: the odd m >= 3M/4 below M, at most the last
+    ``_TAIL_TERMS``.  Such a row applied to samples gives 2 c_m, c_m the
+    term's coefficient in the sine series in sigma: the most that a copy
+    of the term aliased onto a lower odd term adds to the rule's result
+    (the weight 2/m' of term m' is at most 2).  (1 + terms, n), so O(n)
+    memory; read-only, since every later call shares it.
     """
     if n < 3:
         raise ValueError("the sine rule needs at least 3 samples")
     m = n - 1
+    terms = np.arange(max((3 * m + 3) // 4, m - 2 * _TAIL_TERMS) | 1, m, 2)
+    rule = np.empty((1 + terms.size, n))
     factors = np.zeros(2 * m)
     factors[1:m:2] = 4.0 / (math.pi * np.arange(1, m, 2))
-    weights = -np.fft.rfft(factors).imag
-    weights[0] = weights[-1] = 0.0
-    weights.flags.writeable = False
-    return weights
-
-
-@lru_cache(maxsize=None)
-def _sine_tail(n: int) -> np.ndarray:
-    """Rows (4/pi) sin(m pi j/M) of the sine rule's tail terms m, one per row (unit spacing).
-
-    The terms are the odd m >= 3M/4 below M = n - 1, at most the last
-    ``_TAIL_TERMS``.  A row applied to samples gives 2 c_m, c_m the term's
-    coefficient in the sine series in sigma: the most that a copy of the
-    term aliased onto a lower odd term adds to the rule's result (the
-    weight 2/m' of term m' is at most 2).  (terms, n), so O(n) memory;
-    read-only.
-    """
-    m = n - 1
-    terms = np.arange(max((3 * m + 3) // 4, m - 2 * _TAIL_TERMS) | 1, m, 2)
-    rows = np.sin(np.outer(terms, np.arange(n)) * (math.pi / m))
-    rows *= 4.0 / math.pi
-    rows.flags.writeable = False
-    return rows
+    np.negative(np.fft.rfft(factors).imag, out=rule[0])
+    rule[0, [0, -1]] = 0.0
+    # sin(m pi j/M) read off one period of 2M samples at the phase m j mod 2M,
+    # reduced exactly in integers: 2M sines rather than one per table entry
+    period = np.sin(np.arange(2 * m) * (math.pi / m))
+    period *= 4.0 / math.pi
+    j = np.arange(n)
+    for row, term in zip(rule[1:], terms):
+        np.take(period, j * term % (2 * m), out=row)
+    rule.flags.writeable = False
+    return rule
 
 
 def sample_quadrature(y: np.ndarray, h) -> float:
@@ -242,7 +238,7 @@ def sample_quadrature_with_error(y: np.ndarray, h) -> tuple[float, float]:
 def sine_quadrature(y: np.ndarray, h) -> float:
     """Integral by the sine rule of samples uniform in sigma on [0, pi], spacing ``h`` (ds/di)."""
     y = _samples(y)
-    weights = _sine_weights(len(y))
+    weights = _sine_rule(len(y))[0]
     if getattr(h, "ndim", 0):
         y, h = y * h, 1.0
     return float(h * (y @ weights))
@@ -253,14 +249,19 @@ def sine_quadrature_with_tail(y: np.ndarray, h) -> tuple[float, float]:
 
     The tail is the sum of 2 |c_m| over the series' top terms: the odd
     m >= 3M/4 below M = n - 1, at most the last ``_TAIL_TERMS``
-    (:func:`_sine_tail`).  The rule's error is the terms beyond M, each
+    (:func:`_sine_rule`).  The rule's error is the terms beyond M, each
     aliased onto a lower term or cut off; on a geometrically converging
     series they are far smaller than the top resolved ones, so the tail
     bounds the error, and on an unresolved series it stays large.  A
     feature narrower than the sample step is invisible to the samples and
-    to their tail alike.
+    to their tail alike.  The tail is NaN where there are no such terms
+    (3, 4, 6 or 8 samples), as the Newton-Cotes estimate is where there
+    is no stride-2 subgrid.
     """
     y = _samples(y)
     if getattr(h, "ndim", 0):
         y, h = y * h, 1.0
-    return sine_quadrature(y, h), abs(h) * float(np.abs(_sine_tail(len(y)) @ y).sum())
+    rule = _sine_rule(len(y))
+    if len(rule) == 1:
+        return sine_quadrature(y, h), np.nan
+    return sine_quadrature(y, h), abs(h) * float(np.abs(rule[1:] @ y).sum())

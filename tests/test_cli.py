@@ -225,6 +225,23 @@ class TestEnergy:
         assert report["quadrature_error"] == 2.0 * math.pi * tail
         assert report["quadrature_error"] < 1e-10
 
+    def test_turning_angle_energy_without_tail_terms_reports_nan(self, tmp_path):
+        # 8 samples, M = 7: no sine term between 3M/4 and M, so no estimate (not an exact 0.0)
+        g, H = GeometryParams(0.0, 0.5), 1.0
+        sigma = np.linspace(0.0, math.pi, 8)
+        p = profile.Profile(
+            s=sigma / H, u=np.sin(sigma) / H, v=(1.0 - np.cos(sigma)) / H, sigma=sigma,
+            geometry=g, closure=profile.Closure.CLOSED_SPHERE,
+            parametrization=profile.TURNING_ANGLE, ds_dsigma=np.full(8, 1.0 / H),
+        )
+        path = tmp_path / "eight.csv"
+        p.to_csv(path)
+        report_path = tmp_path / "energy.json"
+        assert run(["energy", path, "--out", report_path]) == 0
+        report = json.loads(report_path.read_text())["report"]
+        assert math.isfinite(report["E"])
+        assert math.isnan(report["quadrature_error"])
+
     def test_open_profile_rejected_with_exit_1(self, tmp_path, capsys):
         # a profile whose closure is Open must be refused
         g = GeometryParams(0.0, 0.5)

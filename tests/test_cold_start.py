@@ -29,7 +29,7 @@ _SCRIPT = textwrap.dedent(
     from thurston_willmore import cli, numerics, profile
 
     grids_at_import = profile._turning_angle_grid.cache_info().currsize
-    rules_at_import = numerics._sine_weights.cache_info().currsize
+    rules_at_import = numerics._sine_rule.cache_info().currsize
     work = Path(sys.argv[1])
     geo = ["--k", "0", "--tau", "0.5", "--H", "1"]
     runs = [

@@ -220,11 +220,12 @@ def test_sine_weights_are_the_sine_series_sum(n):
     m = n - 1
     odd = np.arange(1, m, 2)
     direct = (4.0 / math.pi) * (np.sin(np.outer(np.arange(n), odd) * (math.pi / m)) / odd).sum(1)
-    weights = numerics._sine_weights(n)
+    rule = numerics._sine_rule(n)
+    weights = rule[0]
     np.testing.assert_allclose(weights[1:-1], direct[1:-1], rtol=0.0, atol=1e-14)
     assert weights[0] == weights[-1] == 0.0  # sin(m pi j/M) vanishes at j = 0 and M
-    assert not weights.flags.writeable
-    assert numerics._sine_weights(n) is weights
+    assert not rule.flags.writeable
+    assert numerics._sine_rule(n) is rule
 
 
 def test_sine_rule_is_exact_on_its_series_and_its_tail_reads_the_top_terms():
@@ -240,9 +241,19 @@ def test_sine_rule_is_exact_on_its_series_and_its_tail_reads_the_top_terms():
 
 
 def test_sine_tail_keeps_at_most_its_last_terms():
-    # O(n) memory at every count: the top quarter, capped at _TAIL_TERMS rows
-    assert numerics._sine_tail(33).shape == (4, 33)
-    assert numerics._sine_tail(2049).shape == (numerics._TAIL_TERMS, 2049)
+    # O(n) memory at every count: the weights and the top quarter, capped at _TAIL_TERMS rows
+    assert numerics._sine_rule(33).shape == (1 + 4, 33)
+    assert numerics._sine_rule(2049).shape == (1 + numerics._TAIL_TERMS, 2049)
+
+
+@pytest.mark.parametrize("n", [3, 4, 6, 8])
+def test_sine_tail_is_nan_where_the_samples_have_no_tail_terms(n):
+    # M = 2, 3, 5 or 7: no odd m with 3M/4 <= m < M, so no estimate, as Newton-Cotes
+    # without a subgrid
+    sigma, h = _sigma_grid(n)
+    value, tail = sine_quadrature_with_tail(np.sin(sigma), h)
+    assert value == sine_quadrature(np.sin(sigma), h)
+    assert math.isnan(tail)
 
 
 def test_sine_rule_converges_at_the_singularity_distance():

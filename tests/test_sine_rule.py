@@ -168,8 +168,7 @@ def test_repeated_suites_build_no_grid_or_rule_again():
     caches = (
         profile._turning_angle_grid,
         profile._grid_rates,
-        numerics._sine_weights,
-        numerics._sine_tail,
+        numerics._sine_rule,
     )
     grid = default_perturbation_grid() + [PerturbationSpec(-0.1995, 1)]
 
